@@ -118,6 +118,12 @@ def singular_limit_pairing(solution: SingularSolution, t: float,
     return (solution.u_pairing(t, phi_test), solution.sigma_pairing(t, phi_test))
 
 
+def _per_time(t, accessor, dtype):
+    """A scalar accessor of the front evaluated at each time, shaped like t."""
+    t = np.asarray(t, dtype=float)
+    return np.array([accessor(s) for s in t.flat], dtype=dtype).reshape(t.shape)
+
+
 @dataclass(frozen=True)
 class SmoothAnsatz:
     """Smooth eps-family regularizing the singular front solution.
@@ -148,35 +154,42 @@ class SmoothAnsatz:
     def singular(self) -> SingularSolution:
         return SingularSolution(self.data, self.front)
 
-    def eval_fields(self, x, t: float, eps: float):
-        """Pointwise (u, sigma) at fixed time; u is complex."""
+    def eval_fields(self, x, t, eps: float):
+        """Pointwise (u, sigma); u is complex.
+
+        ``t`` is a time or an array of times broadcast against ``x``, such
+        as a column of times against rows of points.
+        """
         d = self.data
         prof = self.step(eps)
-        phi = self.front.phi(t)
+        phi = _per_time(t, self.front.phi, float)
+        e = _per_time(t, self.front.e, float)
+        p = _per_time(t, self.front.p, complex)
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
         step_val = prof.value(phi - x)
         u = (d.u0 + d.u1 * np.asarray(step_val)
-             + complex(self.front.p(t)) * np.asarray(eval_correction(x - phi, eps, self.kernel)))
+             + p * np.asarray(eval_correction(x - phi, eps, self.kernel)))
         sigma = (d.sigma0 + d.sigma1 * np.asarray(step_val)
-                 + self.front.e(t) * np.asarray(eval_delta_reg(x - phi, eps, self.kernel)))
+                 + e * np.asarray(eval_delta_reg(x - phi, eps, self.kernel)))
         u = np.asarray(u, dtype=complex)
-        if scalar:
+        if u.ndim == 0:
             return complex(u[()]), float(np.asarray(sigma)[()])
         return u, sigma
 
-    def eval_derivatives(self, x, t: float, eps: float):
-        """Exact chain-rule derivatives (du/dt, du/dx, dsigma/dt, dsigma/dx)."""
+    def eval_derivatives(self, x, t, eps: float):
+        """Exact chain-rule derivatives (du/dt, du/dx, dsigma/dt, dsigma/dx).
+
+        ``t`` broadcasts against ``x`` as in :meth:`eval_fields`.
+        """
         d = self.data
         prof = self.step(eps)
-        phi = self.front.phi(t)
         phi_dot = self.front.phi_dot
-        e = self.front.e(t)
         e_dot = self.front.e_rate
-        p = complex(self.front.p(t))
-        p_dot = complex(self.front.p_dot(t))
+        phi = _per_time(t, self.front.phi, float)
+        e = _per_time(t, self.front.e, float)
+        p = _per_time(t, self.front.p, complex)
+        p_dot = _per_time(t, self.front.p_dot, complex)
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
         h_prime = np.asarray(prof.deriv(phi - x))
         r_val = np.asarray(eval_correction(x - phi, eps, self.kernel))
         r_prime = np.asarray(eval_correction_dx(x - phi, eps, self.kernel))
@@ -188,7 +201,7 @@ class SmoothAnsatz:
         s_x = -d.sigma1 * h_prime + e * d_prime
         u_t = np.asarray(u_t, dtype=complex)
         u_x = np.asarray(u_x, dtype=complex)
-        if scalar:
+        if u_t.ndim == 0:
             return (complex(u_t[()]), complex(u_x[()]),
                     float(np.asarray(s_t)[()]), float(np.asarray(s_x)[()]))
         return u_t, u_x, np.asarray(s_t, dtype=float), np.asarray(s_x, dtype=float)

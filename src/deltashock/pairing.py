@@ -40,6 +40,7 @@ __all__ = [
     "NumericsError",
     "ExtractionError",
     "pair",
+    "pair_rows",
     "richardson_limit",
     "extrapolate_limit",
     "fit_loglog_slope",
@@ -47,6 +48,8 @@ __all__ = [
     "estimate_order",
     "Extraction",
     "extract_point_coeffs",
+    "point_probes",
+    "point_coeffs",
     "PairingReport",
     "ExpansionReport",
     "LEMMA_FAMILIES",
@@ -167,24 +170,35 @@ def _gauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _quad_points(lo: float, hi: float, cuts: Sequence[float],
-                 panels: int, n_nodes: int):
-    edges = [lo]
-    for c in sorted(set(cuts)):
-        if lo < c < hi:
-            edges.append(c)
-    edges.append(hi)
+def _edges(lo: float, hi: float, cuts: Sequence[float]) -> list[float]:
+    """Edges of [lo, hi] split at every cut strictly inside it."""
+    return [lo, *(c for c in sorted(set(cuts)) if lo < c < hi), hi]
+
+
+def _quad_points(edges, panels: int, n_nodes: int):
+    """Composite Gauss-Legendre nodes and weights on rows of subintervals.
+
+    ``edges`` is one increasing row of subinterval edges, or an array of
+    such rows; each subinterval is cut into ``panels`` equal panels.  The
+    node layout of a row does not depend on the other rows, so a row
+    evaluated in a batch meets exactly the nodes :func:`pair` uses.
+    """
+    edges = np.asarray(edges, dtype=float)
     nodes, weights = _gauss(n_nodes)
-    a = np.empty(0)
-    b = np.empty(0)
-    for left, right in zip(edges[:-1], edges[1:]):
-        sub = np.linspace(left, right, panels + 1)
-        a = np.concatenate([a, sub[:-1]])
-        b = np.concatenate([b, sub[1:]])
-    half = 0.5 * (b - a)[:, None]
-    xs = half * nodes[None, :] + 0.5 * (a + b)[:, None]
-    ws = half * weights[None, :]
-    return xs.ravel(), ws.ravel()
+    sub = np.linspace(edges[..., :-1], edges[..., 1:], panels + 1, axis=-1)
+    a = sub[..., :-1].reshape(edges.shape[:-1] + (-1, 1))
+    b = sub[..., 1:].reshape(a.shape)
+    half = 0.5 * (b - a)
+    xs = half * nodes + 0.5 * (a + b)
+    ws = half * weights
+    return (xs.reshape(edges.shape[:-1] + (-1,)),
+            ws.reshape(edges.shape[:-1] + (-1,)))
+
+
+def _check_finite(xs, fv) -> None:
+    finite = np.isfinite(fv)
+    if not np.all(finite):
+        raise NumericsError(f"non-finite integrand sample near x={xs[~finite][:3]}")
 
 
 def pair(f: Piecewise, phi: TestFunction, *,
@@ -199,15 +213,54 @@ def pair(f: Piecewise, phi: TestFunction, *,
     hi = min(f.hi, phi.support[1])
     if not lo < hi:
         return 0.0
-    xs, ws = _quad_points(lo, hi, f.breaks, panels, n_nodes)
+    xs, ws = _quad_points(_edges(lo, hi, f.breaks), panels, n_nodes)
     fv = np.asarray(f.fn(xs))
-    finite = np.isfinite(fv)
-    if not np.all(finite):
-        raise NumericsError(f"non-finite integrand sample near x={xs[~finite][:3]}")
+    _check_finite(xs, fv)
     total = np.sum(ws * fv * phi.value(xs))
     if np.iscomplexobj(total):
         return complex(total)
     return float(total)
+
+
+def pair_rows(fn: Callable, bands: Sequence[tuple[float, float, Sequence[float]]],
+              phis: Sequence[TestFunction], n_out: int):
+    """Pairings of ``n_out`` integrands on many rows with many test functions.
+
+    Row j is the family member supported on ``bands[j] = (lo, hi, breaks)``,
+    as a :class:`Piecewise` would declare it.  ``fn(xs, rows)`` receives a
+    2-D node array whose i-th row of nodes belongs to row ``rows[i]`` and
+    returns ``n_out`` integrand arrays shaped like ``xs``.  The result is a
+    complex array indexed ``[integrand, test function, row]``.
+
+    Every entry equals :func:`pair` of that row's integrand with that test
+    function, bit for bit: rows keep pair's node layout and are summed one
+    row at a time.  Rows whose clipped bands have the same number of edges
+    share one ``fn`` call for all test functions of one support, so ``fn``
+    runs once when the test functions share a support that contains every
+    band.  Rows a support does not meet pair to exactly 0.
+    """
+    out = np.zeros((n_out, len(phis), len(bands)), dtype=complex)
+    for support in dict.fromkeys(phi.support for phi in phis):
+        tests = [i for i, phi in enumerate(phis) if phi.support == support]
+        groups: dict[int, list[tuple[int, list[float]]]] = {}
+        for j, (lo, hi, breaks) in enumerate(bands):
+            lo, hi = max(lo, support[0]), min(hi, support[1])
+            if lo < hi:
+                edges = _edges(lo, hi, breaks)
+                groups.setdefault(len(edges), []).append((j, edges))
+        for group in groups.values():
+            rows = [j for j, _ in group]
+            xs, ws = _quad_points([edges for _, edges in group],
+                                  PANELS_PER_SUBINTERVAL, GAUSS_NODES)
+            fvs = fn(xs, rows)
+            for fv in fvs:
+                _check_finite(xs, fv)
+            phi_vals = [phis[i].value(xs) for i in tests]
+            for k, fv in enumerate(fvs):
+                weighted = ws * fv
+                for i, phi_val in zip(tests, phi_vals):
+                    out[k, i, rows] = np.sum(weighted * phi_val, axis=-1)
+    return out
 
 
 def _aitken_pass(vals):
@@ -403,6 +456,28 @@ def _check_convergence(label, eps_grid, values, limit):
     return estimate_order(eps_grid, values, limit).order
 
 
+def point_probes(x0: float, halfwidth: float = 1.0) -> tuple[TestFunction, TestFunction]:
+    """The value- and slope-selecting test functions centred at x0."""
+    return (TestFunction(x0, halfwidth, PLAIN_BUMP),
+            TestFunction(x0, halfwidth, LINEAR_BUMP))
+
+
+def point_coeffs(eps_grid: Sequence[float], a_vals: Sequence,
+                 b_vals: Sequence) -> Extraction:
+    """Point-mass and dipole coefficients from pairings with the probes.
+
+    ``a_vals``/``b_vals`` are a family's pairings with the two
+    :func:`point_probes` at each eps; the limits are extrapolated and
+    :class:`ExtractionError` is raised when a sequence does not converge.
+    """
+    a = extrapolate_limit(eps_grid, a_vals)
+    b = -extrapolate_limit(eps_grid, b_vals)
+    a_order = _check_convergence("A-channel", eps_grid, a_vals, a)
+    b_order = _check_convergence("B-channel", eps_grid, b_vals, -b)
+    return Extraction(a, b, tuple(a_vals), tuple(b_vals), tuple(eps_grid),
+                      a_order, b_order)
+
+
 def extract_point_coeffs(family: Callable[[float], Piecewise], x0: float,
                          eps_grid: Sequence[float],
                          regular_pairing: Callable[[TestFunction], float] | None = None,
@@ -413,8 +488,7 @@ def extract_point_coeffs(family: Callable[[float], Piecewise], x0: float,
     regular part with a test function and is subtracted before
     extrapolation.  The sign convention is <delta', phi> = -phi'(x0).
     """
-    phi_a = TestFunction(x0, halfwidth, PLAIN_BUMP)
-    phi_b = TestFunction(x0, halfwidth, LINEAR_BUMP)
+    phi_a, phi_b = point_probes(x0, halfwidth)
     a_vals = []
     b_vals = []
     for eps in eps_grid:
@@ -426,12 +500,7 @@ def extract_point_coeffs(family: Callable[[float], Piecewise], x0: float,
             vb -= regular_pairing(phi_b)
         a_vals.append(va)
         b_vals.append(vb)
-    a = extrapolate_limit(eps_grid, a_vals)
-    b = -extrapolate_limit(eps_grid, b_vals)
-    a_order = _check_convergence("A-channel", eps_grid, a_vals, a)
-    b_order = _check_convergence("B-channel", eps_grid, b_vals, -b)
-    return Extraction(a, b, tuple(a_vals), tuple(b_vals), tuple(eps_grid),
-                      a_order, b_order)
+    return point_coeffs(eps_grid, a_vals, b_vals)
 
 
 # --- the regularization-product expansion suite ---------------------------

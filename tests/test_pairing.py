@@ -77,7 +77,7 @@ def test_pair_exact_for_polynomial_times_polynomial_piece():
     # with a single panel, a polynomial integrand of degree <= 31 is exact
     from deltashock.pairing import _quad_points
 
-    xs, ws = _quad_points(-1.0, 1.0, (), 1, 16)
+    xs, ws = _quad_points([-1.0, 1.0], 1, 16)
     exact = 2.0 / 32.0  # integral of x^31 is 0; use x^30: 2/31
     val = float(np.dot(ws, xs**30))
     assert val == pytest.approx(2.0 / 31.0, rel=1e-14)

@@ -6,9 +6,19 @@ import pytest
 
 from deltashock.ansatz import RiemannJumpData, SmoothAnsatz
 from deltashock.dynamics import LinearTrajectory, overcompressivity, solve_front
-from deltashock.pairing import TestFunction, pair
+from deltashock.pairing import (
+    LINEAR_BUMP,
+    NumericsError,
+    TestFunction,
+    default_eps_grid,
+    pair,
+)
 from deltashock.verifier import (
+    DEFAULT_ORDER_FLOOR,
+    DEFAULT_RATIO_CEILING,
+    _series_verdict,
     closed_form_coefficients,
+    default_t_grid,
     default_test_suite,
     replay_derivation,
     residual_integrand,
@@ -84,9 +94,93 @@ def test_wrong_speed_fails_verification(worked_data, quartic, eps_grid):
     bad_series = [s for s in report.series if not s.passed]
     assert any(s.equation == "u" for s in bad_series)
     assert "FAIL" in report.summary_line()
+    named = bad_series[0]
+    assert (f"eps={named.eps_grid[-1]:g} t={named.worst_t:g}"
+            in report.summary_line())
     # the limiting point-mass coefficient is the jump times the offset
     res = replay_derivation(worked_data, bad, quartic, eps_grid=eps_grid)
     assert res.measured[0] == pytest.approx(worked_data.u1 * 0.1, abs=1e-4)
+
+
+def _per_cell_series(ansatz, system_k, phi_suite, t_grid, eps_grid):
+    """Reference: one ``pair`` call per (equation, test function, eps, t)."""
+    out = []
+    for equation in ("u", "sigma"):
+        for phi_test in phi_suite:
+            cells = np.array([[pair(residual_integrand(ansatz, system_k, equation,
+                                                       t, eps), phi_test)
+                               for t in t_grid] for eps in eps_grid], dtype=complex)
+            for part, mags in (("re", np.abs(cells.real)), ("im", np.abs(cells.imag))):
+                worst = [int(np.argmax(row)) for row in mags]
+                maxima = tuple(float(row[i]) for row, i in zip(mags, worst))
+                verdict = _series_verdict(eps_grid, maxima, DEFAULT_ORDER_FLOOR,
+                                          DEFAULT_RATIO_CEILING)
+                out.append((equation, part, maxima,
+                            tuple(float(t_grid[i]) for i in worst), *verdict))
+    return out
+
+
+def _batched_series(report):
+    return [(s.equation, s.part, s.max_pairing, s.worst_t_per_eps, s.order,
+             s.decay_ratio, s.passed) for s in report.series]
+
+
+def test_batched_pairing_equals_per_cell_loop(worked_report, worked_report_k0,
+                                              worked_ansatz, worked_ansatz_k0):
+    suite = default_test_suite(worked_ansatz.front, 1.0, max(default_eps_grid()))
+    for report, ansatz in ((worked_report, worked_ansatz),
+                           (worked_report_k0, worked_ansatz_k0)):
+        expected = _per_cell_series(ansatz, report.system_k, suite,
+                                    default_t_grid(), default_eps_grid())
+        assert _batched_series(report) == expected
+        for s, blob in zip(report.series, report.to_json_dict()["series"]):
+            assert s.worst_t == s.worst_t_per_eps[-1] == blob["worst_t"]
+            assert blob["worst_t_per_eps"] == list(s.worst_t_per_eps)
+        assert report.passed
+
+
+def test_batched_pairing_equals_per_cell_loop_exponential(worked_data, exponential):
+    ansatz = SmoothAnsatz(worked_data, solve_front(worked_data, exponential.omega0),
+                          exponential)
+    eps_grid = default_eps_grid(3, 7)
+    suite = default_test_suite(ansatz.front, 1.0, max(eps_grid))
+    report = verify_weak_solution(ansatz, worked_data.k, eps_grid=eps_grid)
+    assert _batched_series(report) == _per_cell_series(
+        ansatz, worked_data.k, suite, default_t_grid(), eps_grid)
+
+
+def test_batched_pairing_clipped_and_disjoint_supports(worked_ansatz, worked_data):
+    # The front runs from 0 to 0.75: the first two supports cut into the
+    # front band near both ends of the time grid, the third never meets it.
+    suite = (TestFunction(0.4, 0.3), TestFunction(0.4, 0.3, LINEAR_BUMP),
+             TestFunction(5.0, 1.0))
+    eps_grid = default_eps_grid(3, 8)
+    report = verify_weak_solution(worked_ansatz, worked_data.k, phi_suite=suite,
+                                  eps_grid=eps_grid)
+    assert _batched_series(report) == _per_cell_series(
+        worked_ansatz, worked_data.k, suite, default_t_grid(), eps_grid)
+    disjoint = [s for s in report.series if s.test_function.endswith("@5(w=1)")]
+    assert len(disjoint) == 4
+    assert all(v == 0.0 for s in disjoint for v in s.max_pairing)
+
+
+def test_nonfinite_residual_raises(worked_data, quartic):
+    traj = solve_front(worked_data, quartic.omega0)
+    bad = LinearTrajectory(traj.phi_dot, traj.e0, traj.e_rate,
+                           complex(traj.p(0.0)), math.nan)
+    with pytest.raises(NumericsError):
+        verify_weak_solution(SmoothAnsatz(worked_data, bad, quartic), worked_data.k)
+
+
+def test_amplitude_zero_on_time_grid_raises(quartic):
+    # e(t) = 0.25 - 0.5 t vanishes at t = 0.5, a point of the default grid,
+    # where p-dot is singular.
+    data = RiemannJumpData(0.0, 2.0, 0.0, 0.0, 0.25, 0.5)
+    traj = solve_front(data, quartic.omega0)
+    assert overcompressivity(data).admissible
+    assert float(traj.e(0.5)) == 0.0 and 0.5 in default_t_grid()
+    with pytest.raises(ZeroDivisionError):
+        verify_weak_solution(SmoothAnsatz(data, traj, quartic), data.k)
 
 
 def test_near_zero_series_pass(quartic, eps_grid):
