@@ -34,7 +34,6 @@ __all__ = [
     "RiemannJumpData",
     "SingularSolution",
     "SmoothAnsatz",
-    "singular_limit_pairing",
 ]
 
 
@@ -110,14 +109,6 @@ class SingularSolution:
         return float(self.data.sigma0 * full + self.data.sigma1 * left + atom)
 
 
-def singular_limit_pairing(solution: SingularSolution, t: float,
-                           phi_test: TestFunction) -> tuple[float, float]:
-    """Pair both components of the singular solution with a test function."""
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    return (solution.u_pairing(t, phi_test), solution.sigma_pairing(t, phi_test))
-
-
 def _per_time(t, accessor, dtype):
     """A scalar accessor of the front evaluated at each time, shaped like t."""
     t = np.asarray(t, dtype=float)
@@ -150,9 +141,6 @@ class SmoothAnsatz:
 
     def step(self, eps: float) -> StepProfile:
         return StepProfile(self.c_effective, eps, self.kernel)
-
-    def singular(self) -> SingularSolution:
-        return SingularSolution(self.data, self.front)
 
     def eval_fields(self, x, t, eps: float):
         """Pointwise (u, sigma); u is complex.

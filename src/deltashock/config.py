@@ -9,16 +9,25 @@ The file format is INI-style with three core sections::
 
 plus optional sections ``[klimit]`` (ks, t, order_tol), ``[riemann]``
 (xi_min, xi_max, xi_points, t) and ``[verify]`` (replay_samples).
-Configuration problems raise :class:`ConfigError`; mathematical problems
-with valid configuration surface later from the library.
+``configs/worked.ini`` spells out the built-in defaults.
+
+Validation rules: every number must be finite; k >= 0; t_max > 0;
+t_points >= 2; an explicit eps list has at least 4 positive, strictly
+decreasing values, and eps_pow_max exceeds eps_pow_min; ks holds at
+least 2 distinct positive values; replay_samples >= 0.  Configuration
+problems raise :class:`ConfigError`; mathematical problems with valid
+configuration surface later from the library.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "default_config_text"]
+from .pairing import default_eps_grid
+
+__all__ = ["ConfigError", "RunConfig", "load_config"]
 
 
 class ConfigError(ValueError):
@@ -35,7 +44,7 @@ class RunConfig:
     k: float = 0.1
     kernel_kind: str = "quartic-polynomial-bump"
     c: float | None = None
-    eps_grid: tuple[float, ...] = tuple(2.0 ** (-j) for j in range(3, 13))
+    eps_grid: tuple[float, ...] = default_eps_grid()
     t_max: float = 1.0
     t_points: int = 33
     klimit_ks: tuple[float, ...] = (0.1, 0.05, 0.025)
@@ -59,9 +68,12 @@ def _get_float(parser, section, key, default):
         return default
     raw = parser.get(section, key)
     try:
-        return float(raw)
+        val = float(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
+    if not math.isfinite(val):
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
+    return val
 
 
 def _get_int(parser, section, key, default):
@@ -78,6 +90,8 @@ def _parse_float_list(raw, where):
         raise ConfigError(f"{where} must be a list of numbers") from exc
     if not vals:
         raise ConfigError(f"{where} is empty")
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"{where} must be finite")
     return vals
 
 
@@ -100,7 +114,7 @@ def _parse_eps(parser) -> tuple[float, ...]:
     pmax = _get_int(parser, "grid", "eps_pow_max", 12)
     if pmax <= pmin:
         raise ConfigError("[grid] eps_pow_max must exceed eps_pow_min")
-    return tuple(2.0 ** (-j) for j in range(pmin, pmax + 1))
+    return default_eps_grid(pmin, pmax)
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -122,26 +136,38 @@ def load_config(path: str | None) -> RunConfig:
         kind = canonical_kind(kind)
     except ValueError as exc:
         raise ConfigError(f"[kernel] {exc}") from exc
-    c = _get_float(parser, "kernel", "c", None) if parser.has_option("kernel", "c") else None
+    c = _get_float(parser, "kernel", "c", None)
     ks = defaults.klimit_ks
     if parser.has_option("klimit", "ks"):
         ks = _parse_float_list(parser.get("klimit", "ks"), "[klimit] ks")
         if any(k <= 0.0 for k in ks):
             raise ConfigError("[klimit] ks must be positive")
+        if len(set(ks)) < 2:
+            raise ConfigError("[klimit] ks needs at least 2 distinct values")
+    k = _get_float(parser, "data", "k", defaults.k)
+    if k < 0.0:
+        raise ConfigError("[data] k must be nonnegative")
+    t_max = _get_float(parser, "grid", "t_max", defaults.t_max)
+    if t_max <= 0.0:
+        raise ConfigError("[grid] t_max must be positive")
     t_points = _get_int(parser, "grid", "t_points", defaults.t_points)
     if t_points < 2:
         raise ConfigError("[grid] t_points must be at least 2")
+    replay_samples = _get_int(parser, "verify", "replay_samples",
+                              defaults.replay_samples)
+    if replay_samples < 0:
+        raise ConfigError("[verify] replay_samples must be nonnegative")
     return RunConfig(
         u0=_get_float(parser, "data", "u0", defaults.u0),
         u1=_get_float(parser, "data", "u1", defaults.u1),
         sigma0=_get_float(parser, "data", "sigma0", defaults.sigma0),
         sigma1=_get_float(parser, "data", "sigma1", defaults.sigma1),
         e0=_get_float(parser, "data", "e0", defaults.e0),
-        k=_get_float(parser, "data", "k", defaults.k),
+        k=k,
         kernel_kind=kind,
         c=c,
         eps_grid=_parse_eps(parser),
-        t_max=_get_float(parser, "grid", "t_max", defaults.t_max),
+        t_max=t_max,
         t_points=t_points,
         klimit_ks=ks,
         klimit_t=_get_float(parser, "klimit", "t", defaults.klimit_t),
@@ -151,41 +177,6 @@ def load_config(path: str | None) -> RunConfig:
         xi_max=_get_float(parser, "riemann", "xi_max", defaults.xi_max),
         xi_points=_get_int(parser, "riemann", "xi_points", defaults.xi_points),
         riemann_t=_get_float(parser, "riemann", "t", defaults.riemann_t),
-        replay_samples=_get_int(parser, "verify", "replay_samples",
-                                defaults.replay_samples),
+        replay_samples=replay_samples,
     )
 
-
-def default_config_text() -> str:
-    return """\
-[data]
-u0 = 0.0
-u1 = 2.0
-sigma0 = 0.0
-sigma1 = 0.5
-e0 = 0.1
-k = 0.1
-
-[grid]
-eps_pow_min = 3
-eps_pow_max = 12
-t_max = 1.0
-t_points = 33
-
-[kernel]
-kind = quartic
-
-[klimit]
-ks = 0.1, 0.05, 0.025
-t = 1.0
-order_tol = 0.01
-
-[riemann]
-xi_min = -5.0
-xi_max = 5.0
-xi_points = 401
-t = 1.0
-
-[verify]
-replay_samples = 0
-"""

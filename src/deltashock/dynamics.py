@@ -22,7 +22,7 @@ import numpy as np
 
 from .ansatz import DegenerateDataError, RiemannJumpData, SmoothAnsatz
 from .kernels import MollifierKernel, make_kernel
-from .pairing import Piecewise, TestFunction, extrapolate_limit, pair
+from .pairing import Piecewise, TestFunction, default_eps_grid, extrapolate_limit, pair
 
 __all__ = [
     "AdmissibilityError",
@@ -198,11 +198,8 @@ def volpert_scan(u_left: float, u_right: float, sigma_left: float,
                  n: int = 2001) -> tuple[float, float]:
     """Minimum over a speed grid of max(|r1|, |r2|), with its argmin."""
     ss = np.linspace(s_min, s_max, n)
-    du = u_left - u_right
-    dsigma = sigma_left - sigma_right
-    r1 = np.abs(-ss * du + 0.5 * (u_left**2 - u_right**2) - dsigma)
-    r2 = np.abs(-ss * dsigma + 0.5 * (u_left + u_right) * dsigma)
-    worst = np.maximum(r1, r2)
+    r1, r2 = volpert_relations(u_left, u_right, sigma_left, sigma_right, ss)
+    worst = np.maximum(np.abs(r1), np.abs(r2))
     i = int(np.argmin(worst))
     return float(worst[i]), float(ss[i])
 
@@ -217,8 +214,6 @@ def volpert_product_pairing(data: RiemannJumpData, t: float,
     zero amplitude rate); the extrapolated coefficient then realizes the
     averaged product -sigma1 (u0 + u1/2).
     """
-    from .pairing import default_eps_grid
-
     kernel = kernel or make_kernel()
     eps_grid = tuple(eps_grid) if eps_grid is not None else default_eps_grid()
     rate = e_rate(data)

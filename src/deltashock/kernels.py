@@ -36,10 +36,9 @@ __all__ = [
     "eval_delta_reg",
     "eval_delta_reg_dx",
     "StepProfile",
-    "step_from_data",
     "plateau_constant",
-    "eval_step",
-    "eval_step_dx",
+    "exp_bump",
+    "exp_bump_dy",
 ]
 
 QUARTIC = "quartic-polynomial-bump"
@@ -88,27 +87,23 @@ class MollifierKernel:
 
     def value(self, y):
         y, scalar = _as_array(y)
-        out = np.zeros_like(y)
-        m = np.abs(y) < 1.0
         if self.kind == QUARTIC:
+            out = np.zeros_like(y)
+            m = np.abs(y) < 1.0
             out[m] = self.normalization * (1.0 - y[m] ** 2) ** 2
         else:
-            out[m] = self.normalization * np.exp(-1.0 / (1.0 - y[m] ** 2))
+            out = exp_bump(y, self.normalization)
         return _maybe_scalar(out, scalar)
 
     def deriv(self, y):
         y, scalar = _as_array(y)
-        out = np.zeros_like(y)
-        m = np.abs(y) < 1.0
-        ym = y[m]
         if self.kind == QUARTIC:
+            out = np.zeros_like(y)
+            m = np.abs(y) < 1.0
+            ym = y[m]
             out[m] = self.normalization * (-4.0) * ym * (1.0 - ym**2)
         else:
-            out[m] = (
-                self.normalization
-                * np.exp(-1.0 / (1.0 - ym**2))
-                * (-2.0 * ym / (1.0 - ym**2) ** 2)
-            )
+            out = exp_bump_dy(y, self.normalization)
         return _maybe_scalar(out, scalar)
 
     def cdf(self, y):
@@ -128,11 +123,22 @@ class MollifierKernel:
         return _maybe_scalar(out, scalar)
 
 
-def _exp_raw(x):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    m = np.abs(x) < 1.0
-    out[m] = np.exp(-1.0 / (1.0 - x[m] ** 2))
+def exp_bump(y, scale=1.0, lift=0.0):
+    """``scale * exp(lift - 1/(1 - y^2))`` on |y| < 1, exactly 0 elsewhere."""
+    y = np.asarray(y, dtype=float)
+    out = np.zeros_like(y)
+    m = np.abs(y) < 1.0
+    out[m] = scale * np.exp(lift - 1.0 / (1.0 - y[m] ** 2))
+    return out
+
+
+def exp_bump_dy(y, scale=1.0, lift=0.0):
+    """Derivative of :func:`exp_bump` in y."""
+    y = np.asarray(y, dtype=float)
+    out = np.zeros_like(y)
+    m = np.abs(y) < 1.0
+    ym = y[m]
+    out[m] = scale * np.exp(lift - 1.0 / (1.0 - ym**2)) * (-2.0 * ym / (1.0 - ym**2) ** 2)
     return out
 
 
@@ -140,10 +146,10 @@ def _exp_raw(x):
 def _exp_constants():
     from scipy.integrate import quad
 
-    mass, _ = quad(lambda x: float(_exp_raw(np.asarray(x))), -1.0, 1.0,
+    mass, _ = quad(lambda x: float(exp_bump(x)), -1.0, 1.0,
                    epsabs=1e-15, epsrel=1e-13, limit=200)
     norm = 1.0 / mass
-    sq, _ = quad(lambda x: (norm * float(_exp_raw(np.asarray(x)))) ** 2,
+    sq, _ = quad(lambda x: (norm * float(exp_bump(x))) ** 2,
                  -1.0, 1.0, epsabs=1e-15, epsrel=1e-13, limit=200)
     return norm, sq
 
@@ -170,7 +176,7 @@ def _exp_cdf_interpolant():
             b = edges[1:]
             xs = 0.5 * (b - a)[:, None] * nodes[None, :] + 0.5 * (a + b)[:, None]
             acc += float(np.sum(0.5 * (b - a)[:, None] * weights[None, :]
-                                * norm * _exp_raw(xs)))
+                                * norm * exp_bump(xs)))
             prev = y
         vals[i] = acc
     return _cheb.Chebyshev.fit(pts, vals, deg, domain=[-1.0, 1.0])
@@ -237,18 +243,15 @@ def plateau_constant(u1: float, sigma1: float) -> float:
 class StepProfile:
     """C^1 regularized step with a plateau at ``c`` on |xi| <= 3 eps.
 
-    With ``increasing`` true (the orientation used by the singular-front
-    ansatz) the value is exactly 0 for xi <= -4 eps and exactly 1 for
-    xi >= 4 eps.  The mirrored orientation (1 on the left) is available
-    for completeness; the ramps are the same rescaled kernel
-    antiderivatives either way, so the profile stays C^1 with derivative
-    vanishing outside the two transition bands.
+    The value is exactly 0 for xi <= -4 eps and exactly 1 for
+    xi >= 4 eps.  The ramps are rescaled kernel antiderivatives, so the
+    profile is C^1 with derivative vanishing outside the two transition
+    bands.
     """
 
     c: float
     eps: float
     kernel: MollifierKernel
-    increasing: bool = True
 
     def __post_init__(self):
         _check_eps(self.eps)
@@ -260,18 +263,6 @@ class StepProfile:
 
     def value(self, xi):
         xi, scalar = _as_array(xi)
-        out = self._value_increasing(xi if self.increasing else -xi)
-        return _maybe_scalar(out, scalar)
-
-    def deriv(self, xi):
-        xi, scalar = _as_array(xi)
-        if self.increasing:
-            out = self._deriv_increasing(xi)
-        else:
-            out = -self._deriv_increasing(-xi)
-        return _maybe_scalar(out, scalar)
-
-    def _value_increasing(self, xi):
         e = self.eps
         c = self.c
         out = np.empty_like(xi)
@@ -282,9 +273,10 @@ class StepProfile:
         out[left] = c * self.kernel.cdf((2.0 * xi[left] + 7.0 * e) / e)
         right = (xi > 3.0 * e) & (xi < 4.0 * e)
         out[right] = c + (1.0 - c) * self.kernel.cdf((2.0 * xi[right] - 7.0 * e) / e)
-        return out
+        return _maybe_scalar(out, scalar)
 
-    def _deriv_increasing(self, xi):
+    def deriv(self, xi):
+        xi, scalar = _as_array(xi)
         e = self.eps
         c = self.c
         out = np.zeros_like(xi)
@@ -292,18 +284,4 @@ class StepProfile:
         out[left] = c * self.kernel.value((2.0 * xi[left] + 7.0 * e) / e) * 2.0 / e
         right = (xi > 3.0 * e) & (xi < 4.0 * e)
         out[right] = (1.0 - c) * self.kernel.value((2.0 * xi[right] - 7.0 * e) / e) * 2.0 / e
-        return out
-
-
-def step_from_data(u1: float, sigma1: float, eps: float,
-                   kernel: MollifierKernel, increasing: bool = True) -> StepProfile:
-    """Step profile whose plateau is pinned to the jump data."""
-    return StepProfile(plateau_constant(u1, sigma1), eps, kernel, increasing)
-
-
-def eval_step(xi, profile: StepProfile):
-    return profile.value(xi)
-
-
-def eval_step_dx(xi, profile: StepProfile):
-    return profile.deriv(xi)
+        return _maybe_scalar(out, scalar)

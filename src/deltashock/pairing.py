@@ -30,6 +30,8 @@ from .kernels import (
     eval_correction_dx,
     eval_delta_reg,
     eval_delta_reg_dx,
+    exp_bump,
+    exp_bump_dy,
 )
 
 __all__ = [
@@ -41,10 +43,10 @@ __all__ = [
     "ExtractionError",
     "pair",
     "pair_rows",
-    "richardson_limit",
     "extrapolate_limit",
     "fit_loglog_slope",
     "OrderEstimate",
+    "fit_order",
     "estimate_order",
     "Extraction",
     "extract_point_coeffs",
@@ -66,8 +68,12 @@ LINEAR_BUMP = "linear-times-bump"
 ORDER_EXACT = math.inf
 
 # Error floor (relative to the series scale) below which a sequence is
-# treated as already converged.
-_IDENTICAL_RTOL = 1e-13
+# treated as already converged, or a residual as negligible.
+NEGLIGIBLE_RTOL = 1e-13
+# Decay orders of extracted coefficients are fitted on the finest points.
+_ORDER_TAIL = 5
+# Halfwidth of the two test functions that probe a point expansion.
+_PROBE_HALFWIDTH = 1.0
 
 
 class NumericsError(ArithmeticError):
@@ -83,21 +89,6 @@ def default_eps_grid(pow_min: int = 3, pow_max: int = 12) -> tuple[float, ...]:
     if pow_max <= pow_min:
         raise ValueError("pow_max must exceed pow_min")
     return tuple(2.0 ** (-j) for j in range(pow_min, pow_max + 1))
-
-
-def _bump(y):
-    out = np.zeros_like(y)
-    m = np.abs(y) < 1.0
-    out[m] = np.exp(1.0 - 1.0 / (1.0 - y[m] ** 2))
-    return out
-
-
-def _bump_dy(y):
-    out = np.zeros_like(y)
-    m = np.abs(y) < 1.0
-    ym = y[m]
-    out[m] = np.exp(1.0 - 1.0 / (1.0 - ym**2)) * (-2.0 * ym / (1.0 - ym**2) ** 2)
-    return out
 
 
 @dataclass(frozen=True)
@@ -129,15 +120,16 @@ class TestFunction:
         x = np.asarray(x, dtype=float)
         y = (x - self.center) / self.halfwidth
         if self.modulation == PLAIN_BUMP:
-            return _bump(y)
-        return (x - self.center) * _bump(y)
+            return exp_bump(y, lift=1.0)
+        return (x - self.center) * exp_bump(y, lift=1.0)
 
     def deriv(self, x):
         x = np.asarray(x, dtype=float)
         y = (x - self.center) / self.halfwidth
         if self.modulation == PLAIN_BUMP:
-            return _bump_dy(y) / self.halfwidth
-        return _bump(y) + (x - self.center) * _bump_dy(y) / self.halfwidth
+            return exp_bump_dy(y, lift=1.0) / self.halfwidth
+        return (exp_bump(y, lift=1.0)
+                + (x - self.center) * exp_bump_dy(y, lift=1.0) / self.halfwidth)
 
     def __call__(self, x):
         return self.value(x)
@@ -201,9 +193,7 @@ def _check_finite(xs, fv) -> None:
         raise NumericsError(f"non-finite integrand sample near x={xs[~finite][:3]}")
 
 
-def pair(f: Piecewise, phi: TestFunction, *,
-         panels: int = PANELS_PER_SUBINTERVAL,
-         n_nodes: int = GAUSS_NODES):
+def pair(f: Piecewise, phi: TestFunction):
     """Integral of f * phi by composite Gauss-Legendre on split panels.
 
     Returns 0.0 exactly when the supports do not intersect.  The result is
@@ -213,7 +203,8 @@ def pair(f: Piecewise, phi: TestFunction, *,
     hi = min(f.hi, phi.support[1])
     if not lo < hi:
         return 0.0
-    xs, ws = _quad_points(_edges(lo, hi, f.breaks), panels, n_nodes)
+    xs, ws = _quad_points(_edges(lo, hi, f.breaks), PANELS_PER_SUBINTERVAL,
+                          GAUSS_NODES)
     fv = np.asarray(f.fn(xs))
     _check_finite(xs, fv)
     total = np.sum(ws * fv * phi.value(xs))
@@ -277,15 +268,15 @@ def _aitken_pass(vals):
     return out
 
 
-def richardson_limit(values: Sequence, tail: int = 6) -> complex | float:
-    """Iterated Aitken extrapolation on the tail of a sequence.
+def _aitken_limit(values: Sequence) -> complex | float:
+    """Iterated Aitken extrapolation on the last six values of a sequence.
 
     Each pass removes the leading geometric error term without assuming
     its order; iterating handles the mixed eps^{1/2}, eps, ... expansions
     produced by the correction-term families.  Falls back to the last
     value when the sequence has already converged or is too short.
     """
-    vals = list(values)[-tail:]
+    vals = list(values)[-6:]
     while len(vals) >= 3:
         vals = _aitken_pass(vals)
     return vals[-1]
@@ -302,10 +293,11 @@ def _geometric_ratio(eps_grid) -> float | None:
     return None
 
 
-def _ladder_limit(values, ratio, max_level: int = 6):
+def _richardson_limit(values, ratio):
+    """Richardson elimination of eps^{1/2}, eps, ..., eps^3 in turn."""
     vals = list(values)
     level = 0
-    while len(vals) >= 2 and level < max_level:
+    while len(vals) >= 2 and level < 6:
         level += 1
         f = ratio ** (0.5 * level)
         vals = [(v1 - f * v0) / (1.0 - f) for v0, v1 in zip(vals, vals[1:])]
@@ -328,13 +320,13 @@ def extrapolate_limit(eps_grid, values) -> complex | float:
         return vals[-1]
     ratio = _geometric_ratio(eps_grid)
     if ratio is None or len(vals) < 5:
-        return richardson_limit(vals)
-    ladder_full = _ladder_limit(vals, ratio)
-    ladder_drop = _ladder_limit(vals[:-1], ratio)
-    aitken_full = richardson_limit(vals)
-    aitken_drop = richardson_limit(vals[:-1])
-    if abs(ladder_full - ladder_drop) <= abs(aitken_full - aitken_drop):
-        return ladder_full
+        return _aitken_limit(vals)
+    richardson_full = _richardson_limit(vals, ratio)
+    richardson_drop = _richardson_limit(vals[:-1], ratio)
+    aitken_full = _aitken_limit(vals)
+    aitken_drop = _aitken_limit(vals[:-1])
+    if abs(richardson_full - richardson_drop) <= abs(aitken_full - aitken_drop):
+        return richardson_full
     return aitken_full
 
 
@@ -356,9 +348,24 @@ class OrderEstimate:
     points_used: int
 
 
-def estimate_order(eps_grid: Sequence[float], values: Sequence,
-                   limit, tail: int = 5) -> OrderEstimate:
-    """Order of |values - limit| over the smallest ``tail`` eps values.
+def fit_order(eps: Sequence[float], errs: Sequence[float], floor: float) -> OrderEstimate:
+    """Log-log decay order of the errors above ``floor``.
+
+    Fewer than two such errors mean the sequence has converged, and the
+    order is the +infinity sentinel.
+    """
+    eps = np.asarray(eps, dtype=float)
+    errs = np.asarray(errs, dtype=float)
+    keep = errs > floor
+    used = int(np.count_nonzero(keep))
+    if used < 2:
+        return OrderEstimate(ORDER_EXACT, 0.0, used)
+    slope, resid = fit_loglog_slope(eps[keep], errs[keep])
+    return OrderEstimate(slope, resid, used)
+
+
+def estimate_order(eps_grid: Sequence[float], values: Sequence, limit) -> OrderEstimate:
+    """Order of |values - limit| over the five smallest eps values.
 
     A sequence equal to its limit to machine precision reports the
     +infinity sentinel.
@@ -373,14 +380,7 @@ def estimate_order(eps_grid: Sequence[float], values: Sequence,
         raise ValueError("values and eps grid must have equal length")
     errs = np.abs(vals - limit)
     scale = max(float(np.max(np.abs(vals))), abs(limit), 1.0)
-    use = slice(len(eps) - tail, len(eps)) if tail < len(eps) else slice(None)
-    e_t = eps[use]
-    err_t = errs[use]
-    keep = err_t > _IDENTICAL_RTOL * scale
-    if np.count_nonzero(keep) < 2:
-        return OrderEstimate(ORDER_EXACT, 0.0, int(np.count_nonzero(keep)))
-    slope, resid = fit_loglog_slope(e_t[keep], err_t[keep])
-    return OrderEstimate(slope, resid, int(np.count_nonzero(keep)))
+    return fit_order(eps[-_ORDER_TAIL:], errs[-_ORDER_TAIL:], NEGLIGIBLE_RTOL * scale)
 
 
 @dataclass(frozen=True)
@@ -419,9 +419,9 @@ class PairingReport:
             json.dump(self.to_json_dict(), fh, indent=1)
 
 
-def _series_report(label, eps_grid, values, tail) -> PairingReport:
+def _series_report(label, eps_grid, values) -> PairingReport:
     limit = extrapolate_limit(eps_grid, values)
-    est = estimate_order(eps_grid, values, limit, tail=tail)
+    est = estimate_order(eps_grid, values, limit)
     return PairingReport(label, tuple(eps_grid), tuple(float(v) for v in values),
                          float(limit), est.order, est.residual)
 
@@ -442,7 +442,7 @@ class Extraction:
 def _check_convergence(label, eps_grid, values, limit):
     errs = np.abs(np.asarray(values) - limit)
     scale = max(float(np.max(np.abs(values))), abs(limit), 1.0)
-    if np.all(errs <= _IDENTICAL_RTOL * scale):
+    if np.all(errs <= NEGLIGIBLE_RTOL * scale):
         return ORDER_EXACT
     # Sign-crossing sequences (mixed-order error terms) defeat a log-log
     # fit, so non-convergence is judged by head-to-tail decay instead.
@@ -456,10 +456,10 @@ def _check_convergence(label, eps_grid, values, limit):
     return estimate_order(eps_grid, values, limit).order
 
 
-def point_probes(x0: float, halfwidth: float = 1.0) -> tuple[TestFunction, TestFunction]:
+def point_probes(x0: float) -> tuple[TestFunction, TestFunction]:
     """The value- and slope-selecting test functions centred at x0."""
-    return (TestFunction(x0, halfwidth, PLAIN_BUMP),
-            TestFunction(x0, halfwidth, LINEAR_BUMP))
+    return (TestFunction(x0, _PROBE_HALFWIDTH, PLAIN_BUMP),
+            TestFunction(x0, _PROBE_HALFWIDTH, LINEAR_BUMP))
 
 
 def point_coeffs(eps_grid: Sequence[float], a_vals: Sequence,
@@ -479,28 +479,15 @@ def point_coeffs(eps_grid: Sequence[float], a_vals: Sequence,
 
 
 def extract_point_coeffs(family: Callable[[float], Piecewise], x0: float,
-                         eps_grid: Sequence[float],
-                         regular_pairing: Callable[[TestFunction], float] | None = None,
-                         halfwidth: float = 1.0) -> Extraction:
+                         eps_grid: Sequence[float]) -> Extraction:
     """Coefficients of A*delta(x - x0) + B*delta'(x - x0) in a family limit.
 
-    ``regular_pairing``, when given, evaluates the pairing of the family's
-    regular part with a test function and is subtracted before
-    extrapolation.  The sign convention is <delta', phi> = -phi'(x0).
+    The sign convention is <delta', phi> = -phi'(x0).
     """
-    phi_a, phi_b = point_probes(x0, halfwidth)
-    a_vals = []
-    b_vals = []
-    for eps in eps_grid:
-        f = family(eps)
-        va = pair(f, phi_a)
-        vb = pair(f, phi_b)
-        if regular_pairing is not None:
-            va -= regular_pairing(phi_a)
-            vb -= regular_pairing(phi_b)
-        a_vals.append(va)
-        b_vals.append(vb)
-    return point_coeffs(eps_grid, a_vals, b_vals)
+    phi_a, phi_b = point_probes(x0)
+    fs = [family(eps) for eps in eps_grid]
+    return point_coeffs(eps_grid, [pair(f, phi_a) for f in fs],
+                        [pair(f, phi_b) for f in fs])
 
 
 # --- the regularization-product expansion suite ---------------------------
@@ -512,6 +499,8 @@ _R_CLASS = "correction"
 _STEP_CLASS = "step-delta"
 
 ORDER_FLOORS = {_R_CLASS: 0.49, _STEP_CLASS: 0.99}
+# Largest accepted distance of a measured coefficient from its closed form.
+COEFF_TOL = 1e-6
 
 
 def _families(kernel: MollifierKernel, c: float):
@@ -619,9 +608,7 @@ class ExpansionReport:
 
 
 def verify_lemma31(kernel: MollifierKernel, c: float,
-                   eps_grid: Sequence[float] | None = None,
-                   coeff_tol: float = 1e-6,
-                   halfwidth: float = 1.0) -> list[ExpansionReport]:
+                   eps_grid: Sequence[float] | None = None) -> list[ExpansionReport]:
     """Measure all twelve regularization-product expansions at x0 = 0.
 
     Each family is paired against a value-selecting and a slope-selecting
@@ -637,9 +624,9 @@ def verify_lemma31(kernel: MollifierKernel, c: float,
         raise ValueError("eps grid should span at least 3 dyadic decades")
     reports = []
     for name, builder, exp_a, exp_b, klass, disjoint in _families(kernel, c):
-        ext = extract_point_coeffs(builder, 0.0, eps_grid, halfwidth=halfwidth)
-        a_rep = _series_report(f"{name}:A", eps_grid, ext.a_values, tail=5)
-        b_rep = _series_report(f"{name}:B", eps_grid, ext.b_values, tail=5)
+        ext = extract_point_coeffs(builder, 0.0, eps_grid)
+        a_rep = _series_report(f"{name}:A", eps_grid, ext.a_values)
+        b_rep = _series_report(f"{name}:B", eps_grid, ext.b_values)
         max_abs = 0.0
         if disjoint:
             for eps in eps_grid:
@@ -647,8 +634,8 @@ def verify_lemma31(kernel: MollifierKernel, c: float,
                 xs = np.linspace(f.lo, f.hi, 101)
                 max_abs = max(max_abs, float(np.max(np.abs(f.fn(xs)))))
         floor = ORDER_FLOORS[klass]
-        coeff_ok = (abs(ext.a - exp_a) <= coeff_tol
-                    and abs(ext.b - exp_b) <= coeff_tol)
+        coeff_ok = (abs(ext.a - exp_a) <= COEFF_TOL
+                    and abs(ext.b - exp_b) <= COEFF_TOL)
         order_ok = ext.a_order >= floor and ext.b_order >= floor
         zero_ok = (not disjoint) or max_abs == 0.0
         reports.append(ExpansionReport(

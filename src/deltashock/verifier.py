@@ -30,11 +30,12 @@ from .ansatz import RiemannJumpData, SmoothAnsatz
 from .kernels import MollifierKernel, make_kernel
 from .pairing import (
     GAUSS_NODES,
+    NEGLIGIBLE_RTOL,
     PANELS_PER_SUBINTERVAL,
     Piecewise,
     TestFunction,
     default_eps_grid,
-    fit_loglog_slope,
+    fit_order,
     pair_rows,
     point_coeffs,
     point_probes,
@@ -53,7 +54,6 @@ __all__ = [
     "sample_admissible_data",
 ]
 
-_NEGLIGIBLE_RTOL = 1e-13
 DEFAULT_ORDER_FLOOR = 0.25
 # A pure eps^{1/2} residual family decays by (eps_min/eps_max)^{1/2}, which
 # is 2^{-4.5} ~ 0.044 over the default nine-step dyadic grid, so the decay
@@ -95,12 +95,11 @@ def residuals(ansatz: SmoothAnsatz, system_k: float):
 def residual_integrand(ansatz: SmoothAnsatz, system_k: float, equation: str,
                        t: float, eps: float) -> Piecewise:
     """Residual at fixed time as a compactly supported integrand."""
-    res_u, res_sigma = residuals(ansatz, system_k)
-    fn = res_u if equation == "u" else res_sigma
+    i = 0 if equation == "u" else 1
     phi = float(ansatz.front.phi(t))
     breaks = ansatz.breakpoints(t, eps)
-    return Piecewise(lambda x: fn(x, t, eps), phi - 4.0 * eps, phi + 4.0 * eps,
-                     breaks[1:-1])
+    return Piecewise(lambda x: _residual_values(ansatz, system_k, x, t, eps)[i],
+                     phi - 4.0 * eps, phi + 4.0 * eps, breaks[1:-1])
 
 
 def _residual_pairings(ansatz: SmoothAnsatz, system_k: float, times, eps: float,
@@ -207,26 +206,22 @@ def default_test_suite(front, t_max: float, eps_max: float) -> tuple[TestFunctio
             TestFunction(center, halfwidth, "linear-times-bump"))
 
 
-def _series_verdict(eps_grid, values, order_floor, ratio_ceiling):
+def _series_verdict(eps_grid, values):
     vals = np.asarray(values, dtype=float)
     scale = float(np.max(vals)) if len(vals) else 0.0
-    if scale <= _NEGLIGIBLE_RTOL:
+    if scale <= NEGLIGIBLE_RTOL:
         return math.inf, 0.0, True
-    keep = vals > _NEGLIGIBLE_RTOL * scale
     ratio = float(vals[-1] / vals[0]) if vals[0] > 0.0 else 0.0
-    if np.count_nonzero(keep) < 2:
-        return math.inf, ratio, True
     # Order over the full grid: the acceptance contract quantifies decay
     # across the whole eps range, not just the asymptotic tail.
-    slope, _ = fit_loglog_slope(np.asarray(eps_grid)[keep], vals[keep])
-    passed = slope > order_floor and ratio < ratio_ceiling
-    return slope, ratio, passed
+    est = fit_order(eps_grid, vals, NEGLIGIBLE_RTOL * scale)
+    passed = est.points_used < 2 or (est.order > DEFAULT_ORDER_FLOOR
+                                     and ratio < DEFAULT_RATIO_CEILING)
+    return est.order, ratio, passed
 
 
 def verify_weak_solution(ansatz: SmoothAnsatz, system_k: float,
-                         phi_suite=None, t_grid=None, eps_grid=None,
-                         order_floor: float = DEFAULT_ORDER_FLOOR,
-                         ratio_ceiling: float = DEFAULT_RATIO_CEILING) -> SolutionReport:
+                         phi_suite=None, t_grid=None, eps_grid=None) -> SolutionReport:
     """Verify the weak-asymptotic-solution contract on grids.
 
     For every test function and every time the residuals are paired in
@@ -251,14 +246,13 @@ def verify_weak_solution(ansatz: SmoothAnsatz, system_k: float,
             for part, mags in (("re", np.abs(cell.real)), ("im", np.abs(cell.imag))):
                 worst = np.argmax(mags, axis=-1)
                 maxima = [float(m[i]) for m, i in zip(mags, worst)]
-                order, ratio, ok = _series_verdict(eps_grid, maxima,
-                                                   order_floor, ratio_ceiling)
+                order, ratio, ok = _series_verdict(eps_grid, maxima)
                 series.append(ResidualSeries(
                     equation, label, part, tuple(eps_grid), tuple(maxima),
                     tuple(float(t_grid[i]) for i in worst), order, ratio, ok))
     passed = all(s.passed for s in series)
-    return SolutionReport(float(system_k), passed, order_floor, ratio_ceiling,
-                          tuple(series))
+    return SolutionReport(float(system_k), passed, DEFAULT_ORDER_FLOOR,
+                          DEFAULT_RATIO_CEILING, tuple(series))
 
 
 @dataclass(frozen=True)
@@ -321,23 +315,21 @@ def closed_form_coefficients(data: RiemannJumpData, trajectory, omega0: float,
 def replay_derivation(data: RiemannJumpData, trajectory,
                       kernel: MollifierKernel | None = None,
                       t: float = 1.0, eps_grid=None,
-                      system_k: float | None = None,
-                      c: float | None = None,
-                      halfwidth: float = 1.0) -> ReplayResult:
+                      c: float | None = None) -> ReplayResult:
     """Extract residual coefficients for a trajectory with free coefficients.
 
-    The trajectory's rates are treated as unconstrained numbers; the
+    The residuals are those of the system with the data's k.  The
+    trajectory's rates are treated as unconstrained numbers; the
     measured tuple matches the closed forms, and vanishes exactly when
     the trajectory solves the front dynamics and the plateau level is the
     one pinned by the data.
     """
     kernel = kernel or make_kernel()
     eps_grid = tuple(eps_grid) if eps_grid is not None else default_eps_grid()
-    system_k = data.k if system_k is None else float(system_k)
     ansatz = SmoothAnsatz(data, trajectory, kernel, c=c)
-    probes = point_probes(float(trajectory.phi(t)), halfwidth)
+    probes = point_probes(float(trajectory.phi(t)))
     # [eps, equation, probe]
-    vals = np.array([_residual_pairings(ansatz, system_k, [t], eps, probes)[..., 0]
+    vals = np.array([_residual_pairings(ansatz, data.k, [t], eps, probes)[..., 0]
                      for eps in eps_grid])
     ext_u, ext_s = (point_coeffs(eps_grid, [complex(v) for v in vals[:, i, 0]],
                                  [complex(v) for v in vals[:, i, 1]])
@@ -345,5 +337,5 @@ def replay_derivation(data: RiemannJumpData, trajectory,
     measured = (complex(ext_u.a), complex(ext_u.b),
                 complex(ext_s.a), complex(ext_s.b))
     closed = closed_form_coefficients(data, trajectory, kernel.omega0,
-                                      system_k, ansatz.c_effective, t)
+                                      data.k, ansatz.c_effective, t)
     return ReplayResult(measured, closed, float(t))

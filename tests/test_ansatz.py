@@ -7,7 +7,6 @@ from deltashock.ansatz import (
     RiemannJumpData,
     SingularSolution,
     SmoothAnsatz,
-    singular_limit_pairing,
 )
 from deltashock.dynamics import LinearTrajectory, solve_front
 from deltashock.pairing import (
@@ -103,10 +102,7 @@ def test_singular_pairing_atom_only(quartic):
     t = 0.8
     phi_test = TestFunction(0.2, 1.5)
     expected = traj.e(t) * float(phi_test.value(traj.phi(t)))
-    _, sigma_pair = singular_limit_pairing(sol, t, phi_test)
-    assert sigma_pair == pytest.approx(expected, abs=1e-14)
-    with pytest.raises(ValueError):
-        singular_limit_pairing(sol, -1.0, phi_test)
+    assert sol.sigma_pairing(t, phi_test) == pytest.approx(expected, abs=1e-14)
 
 
 def test_singular_u_pairing_against_direct_integral(quartic):
@@ -124,7 +120,7 @@ def test_initial_data_consistency_orders(worked_ansatz, worked_data, eps_grid):
     sing = SingularSolution(worked_data, worked_ansatz.front)
     for phi_test in (TestFunction(0.3, 0.8),
                      TestFunction(-0.2, 1.1, "linear-times-bump")):
-        u_ref, s_ref = singular_limit_pairing(sing, 0.0, phi_test)
+        u_ref, s_ref = sing.u_pairing(0.0, phi_test), sing.sigma_pairing(0.0, phi_test)
         u_err, s_err = [], []
         for eps in eps_grid:
             u_err.append(abs(complex(pair(worked_ansatz.u_integrand(0.0, eps),

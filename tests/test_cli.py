@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from deltashock.cli import main
-from deltashock.config import ConfigError, RunConfig, default_config_text, load_config
+from deltashock.config import ConfigError, RunConfig, load_config
+
+SHIPPED_WORKED = Path(__file__).resolve().parents[1] / "configs" / "worked.ini"
 
 WORKED_INI = """\
 [data]
@@ -22,9 +25,8 @@ def write(tmp_path, text, name="cfg.ini"):
     return str(path)
 
 
-def test_load_config_defaults_match_shipped_file(tmp_path):
-    path = write(tmp_path, default_config_text())
-    assert load_config(path) == RunConfig()
+def test_load_config_defaults_match_shipped_file():
+    assert load_config(str(SHIPPED_WORKED)) == RunConfig()
     assert load_config(None) == RunConfig()
 
 
@@ -74,6 +76,26 @@ def test_config_error_exits_two(tmp_path, capsys):
     rc = main(["--config", cfg, "front"])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,command", [
+    ("[grid]\nt_points = inf\n", "front"),
+    ("[grid]\nt_points = nan\n", "front"),
+    ("[data]\nu1 = nan\n", "front"),
+    ("[grid]\neps = 0.1, 0.05, nan, 0.01\n", "verify-expansions"),
+    ("[data]\nk = -1\n", "front"),
+    ("[grid]\nt_max = -1\n", "verify-solution"),
+    ("[grid]\nt_max = 0\n", "verify-solution"),
+    ("[klimit]\nks = 0.1\n", "k-limit"),
+    ("[verify]\nreplay_samples = -3\n", "verify-solution"),
+], ids=["t_points-inf", "t_points-nan", "u1-nan", "eps-nan", "k-negative",
+        "t_max-negative", "t_max-zero", "ks-single", "replay_samples-negative"])
+def test_out_of_range_config_exits_two(tmp_path, capsys, text, command):
+    cfg = write(tmp_path, text)
+    rc = main(["--config", cfg, "--out", str(tmp_path), command])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("config error:")
 
 
 def test_verify_expansions_outputs(tmp_path):
@@ -182,6 +204,10 @@ def test_eps_override_validation(capsys):
     rc = main(["--eps-min", "0.5", "--eps-max", "0.1", "front"])
     assert rc == 2
     assert "eps-min" in capsys.readouterr().err
+    # an infinite eps-max used to halve forever without reaching eps-min
+    rc = main(["--eps-max", "inf", "front"])
+    assert rc == 2
+    assert "eps-max" in capsys.readouterr().err
 
 
 def test_unknown_command_usage_error():

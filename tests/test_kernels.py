@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from deltashock.ansatz import RiemannJumpData
 from deltashock.kernels import (
     EXPONENTIAL,
     QUARTIC,
@@ -14,11 +15,8 @@ from deltashock.kernels import (
     eval_correction,
     eval_delta_reg,
     eval_delta_reg_dx,
-    eval_step,
-    eval_step_dx,
     make_kernel,
     plateau_constant,
-    step_from_data,
 )
 
 # Closed-form oracle: int_{-1}^{1} (1 - x^2)^2 dx = 2 (1 - 2/3 + 1/5) = 16/15,
@@ -170,35 +168,24 @@ def test_disjoint_supports_product_identically_zero(kernel):
 
 def test_step_plateau_and_tails(kernel):
     prof = StepProfile(0.375, 0.1, kernel)
-    assert eval_step(0.0, prof) == 0.375
-    assert eval_step(0.3, prof) == 0.375
-    assert eval_step(-0.3, prof) == 0.375
-    assert eval_step(0.4, prof) == 1.0
-    assert eval_step(5.0, prof) == 1.0
-    assert eval_step(-0.4, prof) == 0.0
-    assert eval_step(-5.0, prof) == 0.0
+    assert prof.value(0.0) == 0.375
+    assert prof.value(0.3) == 0.375
+    assert prof.value(-0.3) == 0.375
+    assert prof.value(0.4) == 1.0
+    assert prof.value(5.0) == 1.0
+    assert prof.value(-0.4) == 0.0
+    assert prof.value(-5.0) == 0.0
 
 
-def test_step_as_printed_orientation(kernel):
-    # mirrored profile: 1 on the left, c in the middle, 0 on the right
-    prof = StepProfile(0.375, 0.1, kernel, increasing=False)
-    assert eval_step(-0.5, prof) == 1.0
-    assert eval_step(0.0, prof) == 0.375
-    assert eval_step(0.5, prof) == 0.0
-
-
-@pytest.mark.parametrize("increasing,expected", [
-    (True, (0.375, 0.625)),       # ramps climb 0 -> c and c -> 1, sum +1
-    (False, (-0.625, -0.375)),    # as-printed orientation: c - 1 and -c, sum -1
-])
-def test_step_band_integrals(kernel, increasing, expected):
+def test_step_band_integrals(kernel):
+    # ramps climb 0 -> c and c -> 1, sum +1
     c, eps = 0.375, 0.1
-    prof = StepProfile(c, eps, kernel, increasing=increasing)
-    left = gauss_integral(lambda x: eval_step_dx(x, prof), -4 * eps, -3 * eps)
-    right = gauss_integral(lambda x: eval_step_dx(x, prof), 3 * eps, 4 * eps)
-    assert left == pytest.approx(expected[0], abs=1e-12)
-    assert right == pytest.approx(expected[1], abs=1e-12)
-    assert left + right == pytest.approx(1.0 if increasing else -1.0, abs=1e-12)
+    prof = StepProfile(c, eps, kernel)
+    left = gauss_integral(prof.deriv, -4 * eps, -3 * eps)
+    right = gauss_integral(prof.deriv, 3 * eps, 4 * eps)
+    assert left == pytest.approx(c, abs=1e-12)
+    assert right == pytest.approx(1.0 - c, abs=1e-12)
+    assert left + right == pytest.approx(1.0, abs=1e-12)
 
 
 def test_step_c1_junctions(kernel):
@@ -241,8 +228,7 @@ def test_step_times_correction_is_plateau_multiple(kernel):
 
 def test_plateau_constant_from_jump_data(kernel):
     assert plateau_constant(2.0, 0.5) == 0.375
-    prof = step_from_data(2.0, 0.5, 0.1, kernel)
-    assert prof.c == 0.5 - 0.5 / 4.0
+    assert RiemannJumpData(0.0, 2.0, 0.0, 0.5).plateau() == 0.5 - 0.5 / 4.0
     with pytest.raises(ValueError):
         plateau_constant(0.0, 1.0)
 

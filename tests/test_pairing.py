@@ -20,7 +20,6 @@ from deltashock.pairing import (
     extract_point_coeffs,
     extrapolate_limit,
     pair,
-    richardson_limit,
     verify_lemma31,
 )
 
@@ -141,13 +140,15 @@ def test_delta_pairing_near_center_value(quartic):
     assert val == pytest.approx(oracle, abs=1e-12)
 
 
-def test_richardson_limit_geometric_exact():
+def test_extrapolate_limit_aitken_fallback_geometric_exact():
+    # off a geometric grid the limit is iterated Aitken, and
     # v_j = L + C r^j is resolved exactly by one Aitken pass
+    grid = (0.5, 0.23, 0.11, 0.052, 0.025, 0.012)
     L, C, r = 0.7, 2.3, 0.5
     vals = [L + C * r**j for j in range(6)]
-    assert richardson_limit(vals) == pytest.approx(L, abs=1e-12)
-    assert richardson_limit([L] * 5) == L
-    assert richardson_limit([1.0, 2.0]) == 2.0
+    assert extrapolate_limit(grid, vals) == pytest.approx(L, abs=1e-12)
+    assert extrapolate_limit(grid[:5], [L] * 5) == L
+    assert extrapolate_limit(grid[:2], [1.0, 2.0]) == 2.0
 
 
 def test_extrapolate_limit_half_integer_ladder():

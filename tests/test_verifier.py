@@ -14,8 +14,6 @@ from deltashock.pairing import (
     pair,
 )
 from deltashock.verifier import (
-    DEFAULT_ORDER_FLOOR,
-    DEFAULT_RATIO_CEILING,
     _series_verdict,
     closed_form_coefficients,
     default_t_grid,
@@ -113,8 +111,7 @@ def _per_cell_series(ansatz, system_k, phi_suite, t_grid, eps_grid):
             for part, mags in (("re", np.abs(cells.real)), ("im", np.abs(cells.imag))):
                 worst = [int(np.argmax(row)) for row in mags]
                 maxima = tuple(float(row[i]) for row, i in zip(mags, worst))
-                verdict = _series_verdict(eps_grid, maxima, DEFAULT_ORDER_FLOOR,
-                                          DEFAULT_RATIO_CEILING)
+                verdict = _series_verdict(eps_grid, maxima)
                 out.append((equation, part, maxima,
                             tuple(float(t_grid[i]) for i in worst), *verdict))
     return out
