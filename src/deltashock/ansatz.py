@@ -109,12 +109,6 @@ class SingularSolution:
         return float(self.data.sigma0 * full + self.data.sigma1 * left + atom)
 
 
-def _per_time(t, accessor, dtype):
-    """A scalar accessor of the front evaluated at each time, shaped like t."""
-    t = np.asarray(t, dtype=float)
-    return np.array([accessor(s) for s in t.flat], dtype=dtype).reshape(t.shape)
-
-
 @dataclass(frozen=True)
 class SmoothAnsatz:
     """Smooth eps-family regularizing the singular front solution.
@@ -142,17 +136,13 @@ class SmoothAnsatz:
     def step(self, eps: float) -> StepProfile:
         return StepProfile(self.c_effective, eps, self.kernel)
 
-    def eval_fields(self, x, t, eps: float):
-        """Pointwise (u, sigma); u is complex.
-
-        ``t`` is a time or an array of times broadcast against ``x``, such
-        as a column of times against rows of points.
-        """
+    def eval_fields(self, x, t: float, eps: float):
+        """Pointwise (u, sigma) at fixed time; u is complex."""
         d = self.data
         prof = self.step(eps)
-        phi = _per_time(t, self.front.phi, float)
-        e = _per_time(t, self.front.e, float)
-        p = _per_time(t, self.front.p, complex)
+        phi = float(self.front.phi(t))
+        e = float(self.front.e(t))
+        p = complex(self.front.p(t))
         x = np.asarray(x, dtype=float)
         step_val = prof.value(phi - x)
         u = (d.u0 + d.u1 * np.asarray(step_val)
@@ -164,19 +154,16 @@ class SmoothAnsatz:
             return complex(u[()]), float(np.asarray(sigma)[()])
         return u, sigma
 
-    def eval_derivatives(self, x, t, eps: float):
-        """Exact chain-rule derivatives (du/dt, du/dx, dsigma/dt, dsigma/dx).
-
-        ``t`` broadcasts against ``x`` as in :meth:`eval_fields`.
-        """
+    def eval_derivatives(self, x, t: float, eps: float):
+        """Exact chain-rule derivatives (du/dt, du/dx, dsigma/dt, dsigma/dx)."""
         d = self.data
         prof = self.step(eps)
         phi_dot = self.front.phi_dot
         e_dot = self.front.e_rate
-        phi = _per_time(t, self.front.phi, float)
-        e = _per_time(t, self.front.e, float)
-        p = _per_time(t, self.front.p, complex)
-        p_dot = _per_time(t, self.front.p_dot, complex)
+        phi = float(self.front.phi(t))
+        e = float(self.front.e(t))
+        p = complex(self.front.p(t))
+        p_dot = complex(self.front.p_dot(t))
         x = np.asarray(x, dtype=float)
         h_prime = np.asarray(prof.deriv(phi - x))
         r_val = np.asarray(eval_correction(x - phi, eps, self.kernel))
@@ -194,10 +181,14 @@ class SmoothAnsatz:
                     float(np.asarray(s_t)[()]), float(np.asarray(s_x)[()]))
         return u_t, u_x, np.asarray(s_t, dtype=float), np.asarray(s_x, dtype=float)
 
+    def band_edges(self, eps: float) -> tuple[float, ...]:
+        """Edges of the regularization bands in the frame xi = x - phi(t)."""
+        return tuple(s * eps for s in (-4.0, -3.0, -1.0, 1.0, 3.0, 4.0))
+
     def breakpoints(self, t: float, eps: float) -> tuple[float, ...]:
         """Edges of the regularization bands around the front."""
         phi = self.front.phi(t)
-        return tuple(phi + s * eps for s in (-4.0, -3.0, -1.0, 1.0, 3.0, 4.0))
+        return tuple(phi + b for b in self.band_edges(eps))
 
     def u_integrand(self, t: float, eps: float) -> Piecewise:
         return Piecewise(lambda x: self.eval_fields(x, t, eps)[0],

@@ -41,7 +41,12 @@ from .riemann import (
     region_labels,
     solve,
 )
-from .verifier import replay_derivation, sample_admissible_data, verify_weak_solution
+from .verifier import (
+    default_t_grid,
+    replay_derivation,
+    sample_admissible_data,
+    verify_weak_solution,
+)
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -115,8 +120,7 @@ def cmd_front(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
     data = cfg.jump_data()
     kernel = make_kernel(cfg.kernel_kind)
     traj = solve_front(data, kernel.omega0)
-    t_grid = np.linspace(0.0, cfg.t_max, cfg.t_points)
-    rows = trajectory_rows(traj, t_grid)
+    rows = trajectory_rows(traj, default_t_grid(cfg.t_max, cfg.t_points))
     _write_rows(rows, ["t", "phi", "e", "re_p", "im_p"], out / "front", fmt)
     adm = overcompressivity(data)
     print(f"front speed = {traj.phi_dot!r}, amplitude rate = {traj.e_rate!r}")
@@ -134,8 +138,8 @@ def cmd_verify_solution(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
         return EXIT_MATH
     kernel = make_kernel(cfg.kernel_kind)
     ansatz = SmoothAnsatz(data, solve_front(data, kernel.omega0), kernel)
-    t_grid = np.linspace(0.0, cfg.t_max, cfg.t_points)
-    report = verify_weak_solution(ansatz, data.k, t_grid=t_grid,
+    report = verify_weak_solution(ansatz, data.k,
+                                  t_grid=default_t_grid(cfg.t_max, cfg.t_points),
                                   eps_grid=cfg.eps_grid)
     payload = report.to_json_dict()
     replay_ok = True

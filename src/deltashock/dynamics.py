@@ -235,8 +235,8 @@ def volpert_product_pairing(data: RiemannJumpData, t: float,
             u, _ = ansatz.eval_fields(x, t, eps)
             _, _, _, s_x = ansatz.eval_derivatives(x, t, eps)
             return np.real(u) * s_x
-        return Piecewise(fn, front - 4 * eps, front + 4 * eps,
-                         ansatz.breakpoints(t, eps)[1:-1])
+        breaks = ansatz.breakpoints(t, eps)
+        return Piecewise(fn, breaks[0], breaks[-1], breaks[1:-1])
 
     values = [pair(integrand(eps), phi_test) for eps in eps_grid]
     return float(extrapolate_limit(eps_grid, values)) / weight

@@ -18,7 +18,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,8 +40,8 @@ __all__ = [
     "Piecewise",
     "NumericsError",
     "ExtractionError",
+    "band_quadrature",
     "pair",
-    "pair_rows",
     "extrapolate_limit",
     "fit_loglog_slope",
     "OrderEstimate",
@@ -61,6 +60,7 @@ __all__ = [
 
 GAUSS_NODES = 16
 PANELS_PER_SUBINTERVAL = 16
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_NODES)
 
 PLAIN_BUMP = "plain-bump"
 LINEAR_BUMP = "linear-times-bump"
@@ -77,7 +77,7 @@ _PROBE_HALFWIDTH = 1.0
 
 
 class NumericsError(ArithmeticError):
-    """Raised when a quadrature sample is non-finite."""
+    """Raised when a quadrature sample or a residual pairing is non-finite."""
 
 
 class ExtractionError(ArithmeticError):
@@ -157,101 +157,47 @@ class Piecewise:
         return self.fn(np.asarray(x, dtype=float))
 
 
-@lru_cache(maxsize=8)
-def _gauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
+def band_quadrature(lo: float, hi: float, cuts: Sequence[float]):
+    """Composite Gauss-Legendre nodes and weights on [lo, hi].
 
-
-def _edges(lo: float, hi: float, cuts: Sequence[float]) -> list[float]:
-    """Edges of [lo, hi] split at every cut strictly inside it."""
-    return [lo, *(c for c in sorted(set(cuts)) if lo < c < hi), hi]
-
-
-def _quad_points(edges, panels: int, n_nodes: int):
-    """Composite Gauss-Legendre nodes and weights on rows of subintervals.
-
-    ``edges`` is one increasing row of subinterval edges, or an array of
-    such rows; each subinterval is cut into ``panels`` equal panels.  The
-    node layout of a row does not depend on the other rows, so a row
-    evaluated in a batch meets exactly the nodes :func:`pair` uses.
+    The band is split at every cut strictly inside it, and each subinterval
+    is cut into equal panels; :func:`pair` integrates on these nodes.
     """
-    edges = np.asarray(edges, dtype=float)
-    nodes, weights = _gauss(n_nodes)
-    sub = np.linspace(edges[..., :-1], edges[..., 1:], panels + 1, axis=-1)
-    a = sub[..., :-1].reshape(edges.shape[:-1] + (-1, 1))
-    b = sub[..., 1:].reshape(a.shape)
+    edges = np.array([lo, *(c for c in sorted(set(cuts)) if lo < c < hi), hi],
+                     dtype=float)
+    sub = np.linspace(edges[:-1], edges[1:], PANELS_PER_SUBINTERVAL + 1, axis=-1)
+    a = sub[:, :-1].reshape(-1, 1)
+    b = sub[:, 1:].reshape(-1, 1)
     half = 0.5 * (b - a)
-    xs = half * nodes + 0.5 * (a + b)
-    ws = half * weights
-    return (xs.reshape(edges.shape[:-1] + (-1,)),
-            ws.reshape(edges.shape[:-1] + (-1,)))
+    return (half * _GAUSS_X + 0.5 * (a + b)).ravel(), (half * _GAUSS_W).ravel()
 
 
-def _check_finite(xs, fv) -> None:
-    finite = np.isfinite(fv)
-    if not np.all(finite):
-        raise NumericsError(f"non-finite integrand sample near x={xs[~finite][:3]}")
-
-
-def pair(f: Piecewise, phi: TestFunction):
+def pair(f: Piecewise, phi):
     """Integral of f * phi by composite Gauss-Legendre on split panels.
 
     Returns 0.0 exactly when the supports do not intersect.  The result is
-    complex when the integrand produces complex samples.
+    complex when the integrand produces complex samples.  ``phi`` may also
+    be a sequence of test functions with one support; f is then sampled
+    once and the result is an array with one pairing per test function.
     """
-    lo = max(f.lo, phi.support[0])
-    hi = min(f.hi, phi.support[1])
-    if not lo < hi:
-        return 0.0
-    xs, ws = _quad_points(_edges(lo, hi, f.breaks), PANELS_PER_SUBINTERVAL,
-                          GAUSS_NODES)
-    fv = np.asarray(f.fn(xs))
-    _check_finite(xs, fv)
-    total = np.sum(ws * fv * phi.value(xs))
-    if np.iscomplexobj(total):
-        return complex(total)
-    return float(total)
-
-
-def pair_rows(fn: Callable, bands: Sequence[tuple[float, float, Sequence[float]]],
-              phis: Sequence[TestFunction], n_out: int):
-    """Pairings of ``n_out`` integrands on many rows with many test functions.
-
-    Row j is the family member supported on ``bands[j] = (lo, hi, breaks)``,
-    as a :class:`Piecewise` would declare it.  ``fn(xs, rows)`` receives a
-    2-D node array whose i-th row of nodes belongs to row ``rows[i]`` and
-    returns ``n_out`` integrand arrays shaped like ``xs``.  The result is a
-    complex array indexed ``[integrand, test function, row]``.
-
-    Every entry equals :func:`pair` of that row's integrand with that test
-    function, bit for bit: rows keep pair's node layout and are summed one
-    row at a time.  Rows whose clipped bands have the same number of edges
-    share one ``fn`` call for all test functions of one support, so ``fn``
-    runs once when the test functions share a support that contains every
-    band.  Rows a support does not meet pair to exactly 0.
-    """
-    out = np.zeros((n_out, len(phis), len(bands)), dtype=complex)
-    for support in dict.fromkeys(phi.support for phi in phis):
-        tests = [i for i, phi in enumerate(phis) if phi.support == support]
-        groups: dict[int, list[tuple[int, list[float]]]] = {}
-        for j, (lo, hi, breaks) in enumerate(bands):
-            lo, hi = max(lo, support[0]), min(hi, support[1])
-            if lo < hi:
-                edges = _edges(lo, hi, breaks)
-                groups.setdefault(len(edges), []).append((j, edges))
-        for group in groups.values():
-            rows = [j for j, _ in group]
-            xs, ws = _quad_points([edges for _, edges in group],
-                                  PANELS_PER_SUBINTERVAL, GAUSS_NODES)
-            fvs = fn(xs, rows)
-            for fv in fvs:
-                _check_finite(xs, fv)
-            phi_vals = [phis[i].value(xs) for i in tests]
-            for k, fv in enumerate(fvs):
-                weighted = ws * fv
-                for i, phi_val in zip(tests, phi_vals):
-                    out[k, i, rows] = np.sum(weighted * phi_val, axis=-1)
-    return out
+    phis = [phi] if isinstance(phi, TestFunction) else list(phi)
+    support = phis[0].support
+    if any(p.support != support for p in phis):
+        raise ValueError("test functions paired together must share one support")
+    lo = max(f.lo, support[0])
+    hi = min(f.hi, support[1])
+    totals = np.zeros(len(phis))
+    if lo < hi:
+        xs, ws = band_quadrature(lo, hi, f.breaks)
+        fv = np.asarray(f.fn(xs))
+        finite = np.isfinite(fv)
+        if not np.all(finite):
+            raise NumericsError(f"non-finite integrand sample near x={xs[~finite][:3]}")
+        weighted = ws * fv
+        totals = np.array([np.sum(weighted * p.value(xs)) for p in phis])
+    if not isinstance(phi, TestFunction):
+        return totals
+    return complex(totals[0]) if np.iscomplexobj(totals) else float(totals[0])
 
 
 def _aitken_pass(vals):
@@ -484,10 +430,9 @@ def extract_point_coeffs(family: Callable[[float], Piecewise], x0: float,
 
     The sign convention is <delta', phi> = -phi'(x0).
     """
-    phi_a, phi_b = point_probes(x0)
-    fs = [family(eps) for eps in eps_grid]
-    return point_coeffs(eps_grid, [pair(f, phi_a) for f in fs],
-                        [pair(f, phi_b) for f in fs])
+    probes = point_probes(x0)
+    vals = np.array([pair(family(eps), probes) for eps in eps_grid])
+    return point_coeffs(eps_grid, vals[:, 0].tolist(), vals[:, 1].tolist())
 
 
 # --- the regularization-product expansion suite ---------------------------

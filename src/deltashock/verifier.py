@@ -4,14 +4,14 @@ Substitutes the smooth ansatz into either system, pairs the residuals in
 space against a suite of test functions at each time, and checks that
 the pairings decay as eps -> 0.
 
-The pairings are computed in blocks: for each eps the fields and their
-exact derivatives are evaluated once on a (times x nodes) array holding
-a block of time rows, both residuals are formed from that one
-evaluation, and each is contracted with every test function.  Each row
-keeps the node layout and summation of a single :func:`pairing.pair`
-call, so the result equals the cell-by-cell loop bit for bit.  The block
-height is bounded by a fixed node budget because the temporaries of an
-evaluation, and with them peak memory, grow with the block.
+The pairings use moment tables in the moving frame xi = x - phi(t).  There
+the profiles depend on eps alone, and both residuals are sums of real
+profile products (the basis rows) times per-time scalars built from p,
+p-dot and e.  For each eps the basis is evaluated once on the quadrature
+nodes :func:`pairing.pair` would use, weighted, and contracted with the
+test-function values of a block of times in one real matmul; the scalars
+finish each sum.  The result agrees with the cell-by-cell loop of
+:func:`pairing.pair` to 1e-12 of each cell's sum of |w f phi|.
 
 The replay facility extracts the point-mass and dipole coefficients of
 both residuals numerically for an arbitrary trajectory and compares them
@@ -27,16 +27,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import RiemannJumpData, SmoothAnsatz
-from .kernels import MollifierKernel, make_kernel
+from .kernels import (
+    MollifierKernel,
+    eval_correction,
+    eval_correction_dx,
+    eval_delta_reg,
+    eval_delta_reg_dx,
+    exp_bump,
+    make_kernel,
+)
 from .pairing import (
-    GAUSS_NODES,
     NEGLIGIBLE_RTOL,
-    PANELS_PER_SUBINTERVAL,
+    PLAIN_BUMP,
+    NumericsError,
     Piecewise,
     TestFunction,
+    band_quadrature,
     default_eps_grid,
     fit_order,
-    pair_rows,
     point_coeffs,
     point_probes,
 )
@@ -59,13 +67,12 @@ DEFAULT_ORDER_FLOOR = 0.25
 # is 2^{-4.5} ~ 0.044 over the default nine-step dyadic grid, so the decay
 # ceiling must sit above that for the slow family to pass honestly.
 DEFAULT_RATIO_CEILING = 5e-2
-# The temporaries of one field evaluation grow with its node count, so a
-# block of time rows is capped by a node budget.  Evaluating all 33 default
-# times at once raised a verdict's peak RSS by about 5 MB over one row at a
-# time; four rows (this budget) by nothing measurable.  A row whose band
-# lies inside the test-function support has five subintervals.
+# A block of time rows holds a (rows x nodes) array per test function, so a
+# node budget caps it and peak memory does not grow with the number of
+# times; on the unclipped band's 1280 nodes a block holds four rows.
 _BLOCK_NODES = 5 * 1024
-_BLOCK_ROWS = max(1, _BLOCK_NODES // (5 * PANELS_PER_SUBINTERVAL * GAUSS_NODES))
+# The replay probes the front here, and sampled data keep e(t) from zero.
+_PROBE_TIME = 1.0
 
 
 def _residual_values(ansatz: SmoothAnsatz, system_k: float, x, t, eps: float):
@@ -96,34 +103,92 @@ def residual_integrand(ansatz: SmoothAnsatz, system_k: float, equation: str,
                        t: float, eps: float) -> Piecewise:
     """Residual at fixed time as a compactly supported integrand."""
     i = 0 if equation == "u" else 1
-    phi = float(ansatz.front.phi(t))
     breaks = ansatz.breakpoints(t, eps)
     return Piecewise(lambda x: _residual_values(ansatz, system_k, x, t, eps)[i],
-                     phi - 4.0 * eps, phi + 4.0 * eps, breaks[1:-1])
+                     breaks[0], breaks[-1], breaks[1:-1])
 
 
-def _residual_pairings(ansatz: SmoothAnsatz, system_k: float, times, eps: float,
+def _moment_basis(ansatz: SmoothAnsatz, system_k: float, xi, eps: float):
+    """Real basis rows of both residuals at moving-frame points xi = x - phi(t).
+
+    Rows 0-4 are A and rows 5-7 are B in res_u = A . (1, p, p_dot, p^2, e)
+    and res_sigma = B . (1, e, p); expanding :func:`_residual_values`
+    gives them.  Its p e term R D' vanishes: R and D have disjoint supports.
+    """
+    d, front, kernel = ansatz.data, ansatz.front, ansatz.kernel
+    prof = ansatz.step(eps)
+    h, dh = prof.value(-xi), prof.deriv(-xi)
+    r, dr = eval_correction(xi, eps, kernel), eval_correction_dx(xi, eps, kernel)
+    dl, ddl = eval_delta_reg(xi, eps, kernel), eval_delta_reg_dx(xi, eps, kernel)
+    u0, u1, s1, k2, v = d.u0, d.u1, d.sigma1, system_k**2, front.phi_dot
+    return np.array([
+        (u1 * v - u0 * u1 + s1 - u1**2 * h) * dh,
+        (u0 - v + u1 * h) * dr - u1 * r * dh,
+        r,
+        r * dr,
+        -ddl,
+        (s1 * v - u0 * s1 + k2 * u1 - u1 * s1 * h) * dh + front.e_rate * dl,
+        (u0 - v + u1 * h) * ddl,
+        -s1 * r * dh - k2 * dr,
+    ])
+
+
+def _time_coeffs(front, times):
+    """phi(t) and the coefficients of the eight basis rows at each time."""
+    phi = np.array([float(front.phi(t)) for t in times])
+    e = np.array([float(front.e(t)) for t in times])
+    p = np.array([complex(front.p(t)) for t in times])
+    p_dot = np.array([complex(front.p_dot(t)) for t in times])
+    one = np.ones_like(p)
+    return phi, np.stack([one, p, p_dot, p * p, e, one, e, p], axis=-1)
+
+
+def _residual_pairings(ansatz: SmoothAnsatz, system_k: float, times, eps_grid,
                       phi_suite) -> np.ndarray:
     """Pairings of both residuals with every test function at every time.
 
-    Returns a complex array indexed ``[equation, test function, time]``,
-    equations in the order (u, sigma).  Each entry equals
-    ``pair(residual_integrand(ansatz, system_k, equation, t, eps), phi)``
-    bit for bit, but the fields are evaluated once per block of times,
-    for both equations and all test functions.
+    Returns a complex array indexed ``[eps, equation, test function, time]``,
+    equations in the order (u, sigma).  Each entry is the cell's
+    ``pair(residual_integrand(...), phi)``, summed on the same nodes moved
+    to the frame xi = x - phi(t), to within 1e-12 of its sum of |w f phi|.
     """
-    times = np.asarray(times, dtype=float)
-    out = []
-    for start in range(0, len(times), _BLOCK_ROWS):
-        block = times[start:start + _BLOCK_ROWS]
-        bands = [(b[0], b[-1], b[1:-1])
-                 for b in (ansatz.breakpoints(t, eps) for t in block)]
-
-        def fn(xs, rows, block=block):
-            return _residual_values(ansatz, system_k, xs, block[rows, None], eps)
-
-        out.append(pair_rows(fn, bands, phi_suite, 2))
-    return np.concatenate(out, axis=-1)
+    phi, coeffs = _time_coeffs(ansatz.front, times)
+    suite: dict[tuple[float, float], list[int]] = {}
+    for i, tf in enumerate(phi_suite):
+        suite.setdefault((tf.center, tf.halfwidth), []).append(i)
+    out = np.zeros((len(eps_grid), 2, len(phi_suite), len(times)), dtype=complex)
+    for cells, eps in zip(out, eps_grid):
+        # Rows grouped by their band in xi, the front band clipped to the
+        # support: the rows a support does not clip share one.
+        edges = ansatz.band_edges(eps)
+        bands: dict = {}
+        for center, halfwidth in suite:
+            lo = np.maximum(edges[0], center - halfwidth - phi)
+            hi = np.minimum(edges[-1], center + halfwidth - phi)
+            for j in np.flatnonzero(lo < hi):
+                rows = bands.setdefault((lo[j], hi[j]), {})
+                rows.setdefault((center, halfwidth), []).append(j)
+        for (lo, hi), rows_by_test in bands.items():
+            xi, w = band_quadrature(lo, hi, edges[1:-1])
+            table = (_moment_basis(ansatz, system_k, xi, eps) * w).T
+            step = max(1, _BLOCK_NODES // len(xi))
+            for (center, halfwidth), rows in rows_by_test.items():
+                tests = suite[center, halfwidth]
+                cols = np.array(tests)[:, None]
+                for block in (rows[k:k + step] for k in range(0, len(rows), step)):
+                    x = phi[block, None] + xi
+                    # TestFunction.value, with one bump per support
+                    bump = exp_bump((x - center) / halfwidth, lift=1.0)
+                    psi = np.array([bump if phi_suite[i].modulation == PLAIN_BUMP
+                                    else (x - center) * bump for i in tests])
+                    m, c = psi @ table, coeffs[block]
+                    cells[0, cols, block] = np.sum(m[..., :5] * c[:, :5], -1)
+                    cells[1, cols, block] = np.sum(m[..., 5:] * c[:, 5:], -1)
+        bad = np.argwhere(~np.isfinite(cells))
+        if len(bad):
+            raise NumericsError(f"non-finite residual pairing at eps={eps:g}, "
+                                f"t={times[bad[0][-1]]:g}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -235,8 +300,7 @@ def verify_weak_solution(ansatz: SmoothAnsatz, system_k: float,
     if phi_suite is None:
         phi_suite = default_test_suite(ansatz.front, float(t_grid[-1]), max(eps_grid))
     # [eps, equation, test function, time]
-    vals = np.array([_residual_pairings(ansatz, system_k, t_grid, eps, phi_suite)
-                     for eps in eps_grid])
+    vals = _residual_pairings(ansatz, system_k, t_grid, eps_grid, phi_suite)
     series = []
     for i_eq, equation in enumerate(("u", "sigma")):
         for i_phi, phi_test in enumerate(phi_suite):
@@ -273,8 +337,7 @@ class ReplayResult:
         return max(abs(m - c) for m, c in zip(self.measured, self.closed))
 
 
-def sample_admissible_data(rng, k: float,
-                           probe_time: float = 1.0) -> RiemannJumpData:
+def sample_admissible_data(rng, k: float) -> RiemannJumpData:
     """Random jump data strictly inside the overcompressive window.
 
     The sample keeps the point-mass amplitude away from zero at the probe
@@ -292,7 +355,7 @@ def sample_admissible_data(rng, k: float,
                                float(rng.uniform(0.1, 0.6)), k)
         if not overcompressivity(data).admissible:
             continue
-        if abs(data.e0 + e_rate(data) * probe_time) < 0.05:
+        if abs(data.e0 + e_rate(data) * _PROBE_TIME) < 0.05:
             continue
         return data
 
@@ -314,7 +377,7 @@ def closed_form_coefficients(data: RiemannJumpData, trajectory, omega0: float,
 
 def replay_derivation(data: RiemannJumpData, trajectory,
                       kernel: MollifierKernel | None = None,
-                      t: float = 1.0, eps_grid=None,
+                      t: float = _PROBE_TIME, eps_grid=None,
                       c: float | None = None) -> ReplayResult:
     """Extract residual coefficients for a trajectory with free coefficients.
 
@@ -329,11 +392,8 @@ def replay_derivation(data: RiemannJumpData, trajectory,
     ansatz = SmoothAnsatz(data, trajectory, kernel, c=c)
     probes = point_probes(float(trajectory.phi(t)))
     # [eps, equation, probe]
-    vals = np.array([_residual_pairings(ansatz, data.k, [t], eps, probes)[..., 0]
-                     for eps in eps_grid])
-    ext_u, ext_s = (point_coeffs(eps_grid, [complex(v) for v in vals[:, i, 0]],
-                                 [complex(v) for v in vals[:, i, 1]])
-                    for i in (0, 1))
+    vals = _residual_pairings(ansatz, data.k, [t], eps_grid, probes)[..., 0]
+    ext_u, ext_s = (point_coeffs(eps_grid, *vals[:, i].T.tolist()) for i in (0, 1))
     measured = (complex(ext_u.a), complex(ext_u.b),
                 complex(ext_s.a), complex(ext_s.b))
     closed = closed_form_coefficients(data, trajectory, kernel.omega0,

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from deltashock.kernels import StepProfile, eval_correction, eval_delta_reg
 from deltashock.pairing import (
+    GAUSS_NODES,
     ExtractionError,
     LEMMA_FAMILIES,
     NumericsError,
@@ -74,10 +75,14 @@ def test_pair_polynomial_exactness():
 
 def test_pair_exact_for_polynomial_times_polynomial_piece():
     # with a single panel, a polynomial integrand of degree <= 31 is exact
-    from deltashock.pairing import _quad_points
+    from deltashock.pairing import _GAUSS_W, _GAUSS_X, band_quadrature
 
-    xs, ws = _quad_points([-1.0, 1.0], 1, 16)
-    exact = 2.0 / 32.0  # integral of x^31 is 0; use x^30: 2/31
+    assert len(_GAUSS_X) == GAUSS_NODES == 16
+    val = float(np.dot(_GAUSS_W, _GAUSS_X**30))
+    assert val == pytest.approx(2.0 / 31.0, rel=1e-14)
+    assert abs(float(np.dot(_GAUSS_W, _GAUSS_X**31))) < 1e-15
+    # band_quadrature applies that rule panel by panel
+    xs, ws = band_quadrature(-1.0, 1.0, ())
     val = float(np.dot(ws, xs**30))
     assert val == pytest.approx(2.0 / 31.0, rel=1e-14)
     val31 = float(np.dot(ws, xs**31))
@@ -87,6 +92,24 @@ def test_pair_exact_for_polynomial_times_polynomial_piece():
 def test_pair_disjoint_supports_exact_zero():
     f = Piecewise(lambda x: np.ones_like(x), 5.0, 6.0)
     assert pair(f, TestFunction(0.0, 1.0)) == 0.0
+
+
+def test_pair_sequence_samples_once_and_matches_single_pairs():
+    calls = []
+
+    def fn(x):
+        calls.append(x.size)
+        return np.exp(x) * (1.0 + 0.5j)
+
+    f = Piecewise(fn, -0.5, 2.0, (0.3,))
+    tests = (TestFunction(0.2, 1.1), TestFunction(0.2, 1.1, "linear-times-bump"))
+    vals = pair(f, tests)
+    assert len(calls) == 1
+    assert vals.tolist() == [pair(f, tf) for tf in tests]
+    disjoint = pair(f, (TestFunction(9.0, 1.0),) * 2)
+    assert disjoint.tolist() == [0.0, 0.0]
+    with pytest.raises(ValueError):
+        pair(f, (TestFunction(0.2, 1.1), TestFunction(0.3, 1.1)))
 
 
 def test_pair_accuracy_on_wide_bump():

@@ -1,19 +1,27 @@
 import json
 import math
+import sys
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from deltashock import kernels
 from deltashock.ansatz import RiemannJumpData, SmoothAnsatz
 from deltashock.dynamics import LinearTrajectory, overcompressivity, solve_front
+from deltashock.kernels import StepProfile
 from deltashock.pairing import (
     LINEAR_BUMP,
     NumericsError,
     TestFunction,
+    band_quadrature,
     default_eps_grid,
     pair,
+    point_probes,
 )
 from deltashock.verifier import (
+    _residual_pairings,
     _series_verdict,
     closed_form_coefficients,
     default_t_grid,
@@ -100,26 +108,56 @@ def test_wrong_speed_fails_verification(worked_data, quartic, eps_grid):
     assert res.measured[0] == pytest.approx(worked_data.u1 * 0.1, abs=1e-4)
 
 
-def _per_cell_series(ansatz, system_k, phi_suite, t_grid, eps_grid):
-    """Reference: one ``pair`` call per (equation, test function, eps, t)."""
-    out = []
-    for equation in ("u", "sigma"):
-        for phi_test in phi_suite:
-            cells = np.array([[pair(residual_integrand(ansatz, system_k, equation,
-                                                       t, eps), phi_test)
-                               for t in t_grid] for eps in eps_grid], dtype=complex)
-            for part, mags in (("re", np.abs(cells.real)), ("im", np.abs(cells.imag))):
-                worst = [int(np.argmax(row)) for row in mags]
-                maxima = tuple(float(row[i]) for row, i in zip(mags, worst))
-                verdict = _series_verdict(eps_grid, maxima)
-                out.append((equation, part, maxima,
-                            tuple(float(t_grid[i]) for i in worst), *verdict))
-    return out
+# The worked front runs from 0 to 0.75: the first two supports cut into the
+# front band near both ends of the time grid, the third never meets it.
+CLIPPED_SUITE = (TestFunction(0.4, 0.3), TestFunction(0.4, 0.3, LINEAR_BUMP),
+                 TestFunction(5.0, 1.0))
 
 
-def _batched_series(report):
-    return [(s.equation, s.part, s.max_pairing, s.worst_t_per_eps, s.order,
-             s.decay_ratio, s.passed) for s in report.series]
+def _per_cell(ansatz, system_k, phi_suite, t_grid, eps_grid):
+    """Reference: one ``pair`` call per (eps, equation, test function, t).
+
+    Also returns, per cell, the L1 norm sum |w f phi| of that quadrature sum,
+    the scale its rounding error is measured against.
+    """
+    shape = (len(eps_grid), 2, len(phi_suite), len(t_grid))
+    vals, l1 = np.zeros(shape, dtype=complex), np.zeros(shape)
+    for idx in np.ndindex(shape):
+        eps, phi_test = eps_grid[idx[0]], phi_suite[idx[2]]
+        f = residual_integrand(ansatz, system_k, ("u", "sigma")[idx[1]],
+                               t_grid[idx[3]], eps)
+        samples = []  # the integrand samples pair takes, reused for L1
+        vals[idx] = pair(replace(f, fn=lambda x, f=f: samples.append(f.fn(x))
+                                 or samples[-1]), phi_test)
+        if samples:
+            lo, hi = max(f.lo, phi_test.support[0]), min(f.hi, phi_test.support[1])
+            xs, ws = band_quadrature(lo, hi, f.breaks)
+            l1[idx] = np.sum(np.abs(ws * samples[0] * phi_test.value(xs)))
+    return vals, l1
+
+
+def _assert_matches_per_cell(ansatz, system_k, phi_suite, t_grid, eps_grid,
+                             report=None):
+    """Moment-table pairings agree with the per-cell loop to 1e-12 of L1.
+
+    Cells a support misses have L1 = 0 and must be exactly 0.  With a
+    report, its verdicts and worst times must equal those of the loop.
+    """
+    ref, l1 = _per_cell(ansatz, system_k, phi_suite, t_grid, eps_grid)
+    got = _residual_pairings(ansatz, system_k, t_grid, eps_grid, phi_suite)
+    assert np.all(np.abs(got - ref) <= 1e-12 * l1)
+    if report is None:
+        return
+    expected = []
+    for i_eq in range(2):
+        for i_phi in range(len(phi_suite)):
+            cells = ref[:, i_eq, i_phi]
+            for mags in (np.abs(cells.real), np.abs(cells.imag)):
+                worst = np.argmax(mags, axis=-1)
+                maxima = [float(m[i]) for m, i in zip(mags, worst)]
+                expected.append((tuple(float(t_grid[i]) for i in worst),
+                                 _series_verdict(eps_grid, maxima)[2]))
+    assert [(s.worst_t_per_eps, s.passed) for s in report.series] == expected
 
 
 def test_batched_pairing_equals_per_cell_loop(worked_report, worked_report_k0,
@@ -127,9 +165,8 @@ def test_batched_pairing_equals_per_cell_loop(worked_report, worked_report_k0,
     suite = default_test_suite(worked_ansatz.front, 1.0, max(default_eps_grid()))
     for report, ansatz in ((worked_report, worked_ansatz),
                            (worked_report_k0, worked_ansatz_k0)):
-        expected = _per_cell_series(ansatz, report.system_k, suite,
-                                    default_t_grid(), default_eps_grid())
-        assert _batched_series(report) == expected
+        _assert_matches_per_cell(ansatz, report.system_k, suite,
+                                 default_t_grid(), default_eps_grid(), report)
         for s, blob in zip(report.series, report.to_json_dict()["series"]):
             assert s.worst_t == s.worst_t_per_eps[-1] == blob["worst_t"]
             assert blob["worst_t_per_eps"] == list(s.worst_t_per_eps)
@@ -140,32 +177,69 @@ def test_batched_pairing_equals_per_cell_loop_exponential(worked_data, exponenti
     ansatz = SmoothAnsatz(worked_data, solve_front(worked_data, exponential.omega0),
                           exponential)
     eps_grid = default_eps_grid(3, 7)
-    suite = default_test_suite(ansatz.front, 1.0, max(eps_grid))
-    report = verify_weak_solution(ansatz, worked_data.k, eps_grid=eps_grid)
-    assert _batched_series(report) == _per_cell_series(
-        ansatz, worked_data.k, suite, default_t_grid(), eps_grid)
+    for suite in (default_test_suite(ansatz.front, 1.0, max(eps_grid)),
+                  CLIPPED_SUITE):
+        report = verify_weak_solution(ansatz, worked_data.k, phi_suite=suite,
+                                      eps_grid=eps_grid)
+        _assert_matches_per_cell(ansatz, worked_data.k, suite, default_t_grid(),
+                                 eps_grid, report)
 
 
 def test_batched_pairing_clipped_and_disjoint_supports(worked_ansatz, worked_data):
-    # The front runs from 0 to 0.75: the first two supports cut into the
-    # front band near both ends of the time grid, the third never meets it.
-    suite = (TestFunction(0.4, 0.3), TestFunction(0.4, 0.3, LINEAR_BUMP),
-             TestFunction(5.0, 1.0))
     eps_grid = default_eps_grid(3, 8)
-    report = verify_weak_solution(worked_ansatz, worked_data.k, phi_suite=suite,
-                                  eps_grid=eps_grid)
-    assert _batched_series(report) == _per_cell_series(
-        worked_ansatz, worked_data.k, suite, default_t_grid(), eps_grid)
+    report = verify_weak_solution(worked_ansatz, worked_data.k,
+                                  phi_suite=CLIPPED_SUITE, eps_grid=eps_grid)
+    _assert_matches_per_cell(worked_ansatz, worked_data.k, CLIPPED_SUITE,
+                             default_t_grid(), eps_grid, report)
     disjoint = [s for s in report.series if s.test_function.endswith("@5(w=1)")]
     assert len(disjoint) == 4
     assert all(v == 0.0 for s in disjoint for v in s.max_pairing)
+
+
+def test_replay_pairing_equals_per_cell_loop(worked_data, kernel):
+    # A free trajectory with imaginary p and a nonzero p rate exercises the
+    # p, p_dot and p^2 rows with complex coefficients.
+    traj = LinearTrajectory(0.7, -0.2, 0.3, 0.4j, 0.2 + 0.1j)
+    ansatz = SmoothAnsatz(worked_data, traj, kernel)
+    _assert_matches_per_cell(ansatz, worked_data.k, point_probes(0.7),
+                             [1.0], default_eps_grid())
+
+
+def test_default_verdict_evaluates_profiles_once_per_eps(monkeypatch, worked_ansatz,
+                                                         worked_data):
+    # The six profiles are evaluated once per eps on the moving-frame nodes,
+    # never through the pointwise field evaluators.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((StepProfile, "value"), (StepProfile, "deriv"),
+                        (SmoothAnsatz, "eval_fields"),
+                        (SmoothAnsatz, "eval_derivatives")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    modules = [m for n, m in sys.modules.items() if n.startswith("deltashock.")]
+    for name in ("eval_correction", "eval_correction_dx", "eval_delta_reg",
+                 "eval_delta_reg_dx"):
+        fn = getattr(kernels, name)
+        for module in modules:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    verify_weak_solution(worked_ansatz, worked_data.k)
+    n_eps = len(default_eps_grid())
+    assert dict(calls) == {name: n_eps for name in (
+        "value", "deriv", "eval_correction", "eval_correction_dx",
+        "eval_delta_reg", "eval_delta_reg_dx")}
 
 
 def test_nonfinite_residual_raises(worked_data, quartic):
     traj = solve_front(worked_data, quartic.omega0)
     bad = LinearTrajectory(traj.phi_dot, traj.e0, traj.e_rate,
                            complex(traj.p(0.0)), math.nan)
-    with pytest.raises(NumericsError):
+    with pytest.raises(NumericsError, match=r"eps=0\.125, t=0\b"):
         verify_weak_solution(SmoothAnsatz(worked_data, bad, quartic), worked_data.k)
 
 
