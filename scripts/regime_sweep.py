@@ -2,26 +2,37 @@
 """Phase-diagram sweep of Riemann-problem regimes.
 
 Classifies (u1, sigma1, k) grids as classical, delta-shock, or neither,
-and writes one CSV per k value for plotting.
+and writes one CSV per k value for plotting.  Every k must be finite and
+nonnegative and --n at least 1; otherwise the script writes nothing,
+prints one error line and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from deltashock.riemann import regime_sweep
+from deltashock.riemann import check_sweep_k, regime_sweep
 
 
-def main() -> None:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="regime_sweep_out")
     ap.add_argument("--ks", type=float, nargs="+", default=[0.1, 0.5, 1.0])
     ap.add_argument("--n", type=int, default=81, help="grid points per axis")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    try:
+        if args.n < 1:
+            raise ValueError(f"--n must be at least 1, got {args.n}")
+        for k in args.ks:
+            check_sweep_k(k)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -40,7 +51,8 @@ def main() -> None:
         for *_, regime in rows:
             counts[regime] = counts.get(regime, 0) + 1
         print(f"k = {k:g}: " + ", ".join(f"{r}={n}" for r, n in sorted(counts.items())))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

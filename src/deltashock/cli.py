@@ -280,7 +280,9 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        return _COMMANDS[args.command](cfg, out, args.format, args.seed)
+        # A value that overflows or turns nan is a failure, not a result.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _COMMANDS[args.command](cfg, out, args.format, args.seed)
     except (DegenerateDataError, AdmissibilityError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH

@@ -125,7 +125,9 @@ def load_config(path: str | None) -> RunConfig:
     try:
         read = parser.read(path)
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+        # configparser spreads its messages over lines; the CLI prints one.
+        detail = " ".join(str(exc).split())
+        raise ConfigError(f"cannot parse {path}: {detail}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     defaults = RunConfig()

@@ -34,6 +34,7 @@ __all__ = [
     "solve_front",
     "Admissibility",
     "overcompressivity",
+    "overcompressivity_margins",
     "volpert_relations",
     "volpert_scan",
     "volpert_product_pairing",
@@ -166,16 +167,22 @@ def overcompressivity(data: RiemannJumpData) -> Admissibility:
     k = 0 conditions are the same formulas with k set to zero.  All
     inequalities are strict, so boundary data is inadmissible.
     """
-    u1, s1, k = data.u1, data.sigma1, data.k
-    m1 = u1 - 2.0 * k
-    if u1 == 0.0:
-        return Admissibility(False, (m1, math.nan, math.nan))
-    half_window = 0.5 * u1 - k
-    ratio = s1 / u1
-    m2 = ratio + half_window
-    m3 = half_window - ratio
+    u1, k = data.u1, data.k
+    ratio = data.sigma1 / u1 if u1 != 0.0 else math.nan
+    m1, m2, m3 = overcompressivity_margins(u1, ratio, k)
     ok = (m1 > 0.0) and (m2 > 0.0) and (m3 > 0.0)
     return Admissibility(bool(ok), (m1, m2, m3))
+
+
+def overcompressivity_margins(u1, ratio, k):
+    """The three signed slacks of :func:`overcompressivity`, in its labels' order.
+
+    ``ratio`` is sigma1/u1, which the caller forms so that it can mark
+    u1 = 0 as nan; a nan ratio gives nan for the last two margins.  The
+    arithmetic is plain, so floats and numpy arrays get the same rounding.
+    """
+    half_window = 0.5 * u1 - k
+    return u1 - 2.0 * k, ratio + half_window, half_window - ratio
 
 
 def volpert_relations(u_left: float, u_right: float, sigma_left: float,

@@ -9,6 +9,11 @@ the singular-front regime and handled by :mod:`deltashock.dynamics`;
 data admitting neither construction yields a no-solution-constructed
 outcome.  The solver refuses k = 0, where no bounded-variation solution
 carries a stress jump.
+
+``solve`` answers one problem at a time.  ``regime_sweep`` classifies a
+whole (u1, sigma1) grid per k in one numpy broadcast pass that repeats
+``solve``'s float expressions in the same order, so every row equals the
+per-point answer; at k = 0 only the singular-front test applies.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .dynamics import (
     AdmissibilityError,
     NotApplicableError,
     overcompressivity,
+    overcompressivity_margins,
     solve_front,
 )
 from .pairing import TestFunction
@@ -40,6 +46,7 @@ __all__ = [
     "eval_riemann",
     "delta_regime_test",
     "k_limit_gap",
+    "check_sweep_k",
     "regime_sweep",
 ]
 
@@ -252,18 +259,72 @@ def k_limit_gap(data: RiemannJumpData, k: float, t: float,
     raise ValueError(f"unknown component {component!r}")
 
 
+# Regime codes of the array pass in :func:`regime_sweep`, indexing this tuple.
+_REGIMES = (CLASSICAL, DELTA_REGIME, NO_SOLUTION)
+_CLASSICAL_CODE, _DELTA_CODE, _NO_SOLUTION_CODE = range(len(_REGIMES))
+
+
+def check_sweep_k(k) -> float:
+    """A sweep's k as a float; ValueError unless it is finite and >= 0."""
+    k = float(k)
+    if not (math.isfinite(k) and k >= 0.0):
+        raise ValueError(f"sweep k must be finite and nonnegative, got {k!r}")
+    return k
+
+
+def _regime_codes(u1, s1, k: float, u0: float, sigma0: float) -> np.ndarray:
+    """Regime code of every (u1, sigma1) pair at one k, as an int8 grid.
+
+    One broadcast pass with the float expressions of :func:`solve`
+    (delta test first, then the two-wave ordering), so each code names
+    ``solve(State(u0 + u1, sigma0 + s1), State(u0, sigma0), k).regime``.
+    At k = 0 only the delta test runs, as the classical solver refuses
+    k = 0.
+    """
+    left_u = (u0 + u1)[:, None]
+    left_sigma = (sigma0 + s1)[None, :]
+    du = left_u - u0
+    ds = left_sigma - sigma0
+    # Python floats overflow to inf silently (tiny k, tiny u1); so does this.
+    with np.errstate(over="ignore"):
+        ratio = np.divide(ds, du, out=np.full((u1.size, s1.size), math.nan),
+                          where=du != 0.0)
+        m1, m2, m3 = overcompressivity_margins(du, ratio, k)
+        codes = np.full(ratio.shape, _NO_SOLUTION_CODE, dtype=np.int8)
+        if k > 0.0:
+            u_star = 0.5 * (left_u + u0) + (sigma0 - left_sigma) / (2.0 * k)
+            fastest1 = np.where(np.abs(u_star - left_u) <= ZERO_STRENGTH_TOL, -math.inf,
+                                np.where(u_star > left_u, u_star - k,
+                                         0.5 * (left_u + u_star) - k))
+            slowest2 = np.where(np.abs(u0 - u_star) <= ZERO_STRENGTH_TOL, math.inf,
+                                np.where(u0 > u_star, u_star + k,
+                                         0.5 * (u_star + u0) + k))
+            codes[fastest1 <= slowest2 + 1e-12] = _CLASSICAL_CODE
+    codes[(m1 > 0.0) & (m2 > 0.0) & (m3 > 0.0)] = _DELTA_CODE
+    return codes
+
+
 def regime_sweep(u1_values, sigma1_values, k_values,
                  u0: float = 0.0, sigma0: float = 0.0):
-    """Regime classification over a grid of jumps, for phase diagrams."""
+    """Regime classification over a grid of jumps, for phase diagrams.
+
+    Rows ``(u1, sigma1, k, regime)`` run over k, then u1, then sigma1.
+    Each k is one array pass over the grid (see :func:`_regime_codes`).
+    Raises ValueError for a k that is negative or not finite, and for
+    non-finite grid values or background state.
+    """
+    ks = [check_sweep_k(k) for k in k_values]
+    u1 = np.asarray(u1_values, dtype=float)
+    s1 = np.asarray(sigma1_values, dtype=float)
+    u0, sigma0 = float(u0), float(sigma0)
+    if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(s1))
+            and math.isfinite(u0) and math.isfinite(sigma0)):
+        raise ValueError("sweep grid and background state must be finite")
+    u1_list, s1_list = u1.tolist(), s1.tolist()
     rows = []
-    for k in k_values:
-        for u1 in u1_values:
-            for s1 in sigma1_values:
-                left = State(u0 + u1, sigma0 + s1)
-                right = State(u0, sigma0)
-                if k <= 0.0:
-                    regime = DELTA_REGIME if delta_regime_test(left, right, k) else NO_SOLUTION
-                else:
-                    regime = solve(left, right, k).regime
-                rows.append((float(u1), float(s1), float(k), regime))
+    for k in ks:
+        codes = _regime_codes(u1, s1, k, u0, sigma0).tolist()
+        rows.extend((a, b, k, _REGIMES[c])
+                    for a, row in zip(u1_list, codes)
+                    for b, c in zip(s1_list, row))
     return rows

@@ -332,10 +332,6 @@ class ReplayResult:
     closed: tuple[complex, complex, complex, complex]
     probe_time: float
 
-    @property
-    def max_defect(self) -> float:
-        return max(abs(m - c) for m, c in zip(self.measured, self.closed))
-
 
 def sample_admissible_data(rng, k: float) -> RiemannJumpData:
     """Random jump data strictly inside the overcompressive window.

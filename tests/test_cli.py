@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltashock.cli import main
 from deltashock.config import ConfigError, RunConfig, load_config
@@ -214,3 +219,121 @@ def test_unknown_command_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# Property tests over load_config + main, driven in-process with ``front``.
+# Every key a config may set, with a strategy for the text of an admissible
+# value.  Finite extremes (subnormal u1, sigma1 near the float maximum) are
+# included: they must end in exit 1, not in inf or nan in a table.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_ADMISSIBLE = {
+    ("data", "u0"): _FINITE,
+    ("data", "u1"): _FINITE,
+    ("data", "sigma0"): _FINITE,
+    ("data", "sigma1"): _FINITE,
+    ("data", "e0"): _FINITE,
+    ("data", "k"): st.floats(min_value=0.0, allow_infinity=False).map(repr),
+    ("grid", "t_max"): st.floats(min_value=0.0, exclude_min=True,
+                                 allow_infinity=False).map(repr),
+    ("grid", "t_points"): st.integers(2, 200).map(str),
+    ("kernel", "kind"): st.sampled_from(["quartic", "exponential"]),
+    ("kernel", "c"): _FINITE,
+    ("klimit", "t"): _FINITE,
+    ("klimit", "order_tol"): _FINITE,
+    ("riemann", "xi_min"): _FINITE,
+    ("riemann", "xi_max"): _FINITE,
+    ("riemann", "xi_points"): st.integers(1, 500).map(str),
+    ("riemann", "t"): _FINITE,
+    ("verify", "replay_samples"): st.integers(0, 5).map(str),
+}
+_NOT_A_FINITE_NUMBER = st.sampled_from(["fast", "", "nan", "inf", "-inf", "1e999", "1,2"])
+
+
+@st.composite
+def _admissible_config(draw):
+    """(section, key) -> value text of a config every rule accepts."""
+    keys = draw(st.sets(st.sampled_from(sorted(_ADMISSIBLE))))
+    entries = {key: draw(_ADMISSIBLE[key]) for key in keys}
+    grid = draw(st.sampled_from(["default", "powers", "list"]))
+    if grid == "powers":
+        lo = draw(st.integers(0, 16))
+        entries[("grid", "eps_pow_min")] = str(lo)
+        entries[("grid", "eps_pow_max")] = str(draw(st.integers(lo + 1, 20)))
+    elif grid == "list":
+        eps = sorted(draw(st.sets(st.floats(1e-6, 1.0), min_size=4, max_size=8)),
+                     reverse=True)
+        entries[("grid", "eps")] = ", ".join(map(repr, eps))
+    if draw(st.booleans()):
+        ks = draw(st.sets(st.floats(1e-3, 1.0), min_size=2, max_size=4))
+        entries[("klimit", "ks")] = " ".join(map(repr, ks))
+    return entries
+
+
+# One broken rule each, as (section, key) -> strategy for the value text.
+_VIOLATIONS = [
+    *[{key: _NOT_A_FINITE_NUMBER} for key in _ADMISSIBLE if key != ("kernel", "kind")],
+    {("data", "k"): st.floats(-10.0, -1e-300).map(repr)},
+    {("grid", "t_max"): st.floats(-10.0, 0.0).map(repr)},
+    {("grid", "t_points"): st.integers(-5, 1).map(str)},
+    {("grid", "t_points"): st.sampled_from(["2.5", "33.1"])},
+    {("verify", "replay_samples"): st.integers(-5, -1).map(str)},
+    {("kernel", "kind"): st.sampled_from(["gaussian", "", "quartic-bump"])},
+    {("grid", "eps"): st.sampled_from(["0.5, 0.25, 0.125", "0.5, 0.5, 0.25, 0.125",
+                                       "0.1, 0.2, 0.05, 0.01", "0.5, 0.25, 0, -0.1",
+                                       "0.5, 0.25, nan, 0.1", "", "a, b, c, d"])},
+    {("grid", "eps_pow_min"): st.just("8"), ("grid", "eps_pow_max"): st.just("8")},
+    {("grid", "eps_pow_min"): st.just("9"), ("grid", "eps_pow_max"): st.just("4")},
+    {("klimit", "ks"): st.sampled_from(["0.1", "0.1 0.1", "0.1 -0.05", "0.1 0",
+                                        "", "0.1 nan"])},
+]
+
+
+def _config_text(entries) -> str:
+    sections = {}
+    for (section, key), value in entries.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    return "".join(f"[{section}]\n" + "\n".join(lines) + "\n"
+                   for section, lines in sections.items())
+
+
+def _run_front(text: str):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.ini"
+        cfg.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["--config", str(cfg), "--out", str(Path(tmp) / "out"), "front"])
+    return rc, err.getvalue().splitlines()
+
+
+@given(_admissible_config())
+@settings(max_examples=60)
+def test_admissible_config_runs(entries):
+    rc, err = _run_front(_config_text(entries))
+    assert rc in (0, 1)
+    assert (rc == 0) == (err == [])
+    assert all(line.startswith("error:") for line in err) and len(err) <= 1
+
+
+@given(_admissible_config(), st.sampled_from(_VIOLATIONS), st.data())
+@settings(max_examples=80)
+def test_malformed_config_exits_two_with_one_line(entries, violation, data):
+    for key, strategy in violation.items():
+        entries[key] = data.draw(strategy)
+    if ("grid", "eps_pow_min") in violation:
+        entries.pop(("grid", "eps"), None)  # an eps list overrides the powers
+    rc, err = _run_front(_config_text(entries))
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
+@pytest.mark.parametrize("text", [
+    "u1 = 2.0\n",                        # no section header
+    "[data]\nu1 = 2.0\nu1 = 3.0\n",      # duplicate key
+    "[data]\n[data]\n",                  # duplicate section
+    "[data]\nthis line has no separator\n",
+])
+def test_unparseable_config_exits_two_with_one_line(text):
+    rc, err = _run_front(text)
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("config error:")

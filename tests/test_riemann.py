@@ -256,3 +256,78 @@ def test_regime_sweep_rows():
     assert rows0[0][3] == DELTA_REGIME
     rows0 = regime_sweep([-2.0], [0.5], [0.0])
     assert rows0[0][3] == NO_SOLUTION
+
+
+def _regime_oracle(left, right, k):
+    """Per-point regime: solve() for k > 0, the delta test alone at k = 0."""
+    if k == 0.0:
+        return DELTA_REGIME if delta_regime_test(left, right, k) else NO_SOLUTION
+    return solve(left, right, k).regime
+
+
+# Dyadic grid, step 1/16 on [-4, 4], u1 = 0 included: at u0 = sigma0 = 0
+# every boundary of the classification is hit exactly.
+DYADIC = np.arange(-64, 65) / 16.0
+SWEEP_KS = (0.0, 0.125, 0.5, 1.0, 3.0)
+
+
+@pytest.mark.parametrize("u0,sigma0", [(0.0, 0.0), (0.3, -0.7)])
+def test_regime_sweep_matches_per_point_solve(u0, sigma0):
+    rows = regime_sweep(DYADIC, DYADIC, SWEEP_KS, u0, sigma0)
+    assert len(rows) == len(SWEEP_KS) * DYADIC.size**2
+    expected = (
+        (float(u1), float(s1), k,
+         _regime_oracle(State(u0 + u1, sigma0 + s1), State(u0, sigma0), k))
+        for k in SWEEP_KS for u1 in DYADIC for s1 in DYADIC)
+    for got, want in zip(rows, expected):
+        assert got == want
+    assert {r[3] for r in rows} == {CLASSICAL, DELTA_REGIME, NO_SOLUTION}
+
+
+def test_dyadic_sweep_grid_hits_every_boundary():
+    right = State(0.0, 0.0)
+    hits = set()
+    for k in SWEEP_KS[1:]:
+        for u1 in DYADIC:
+            for s1 in DYADIC:
+                left = State(float(u1), float(s1))
+                data = RiemannJumpData(0.0, float(u1), 0.0, float(s1), 0.0, k)
+                if 0.0 in overcompressivity(data).margins:
+                    hits.add("margin = 0")
+                sol = classify_waves(left, right, k)
+                if sol.u_star == left.u:
+                    hits.add("no wave")
+                if sol.wave1.fastest == sol.wave2.slowest:
+                    hits.add("ordering tie")
+            if len(hits) == 3:
+                return
+    pytest.fail(f"grid hits only {sorted(hits)}")
+
+
+def test_regime_sweep_tiny_k_matches_solve():
+    # (sigma0 - sigma_left) / (2k) overflows to inf, as with Python floats
+    grid = [-1.0, -1e-300, 1e-300, 0.5, 2.0]
+    for k in (5e-324, 1e-310):
+        rows = regime_sweep(grid, grid, [k])
+        want = [solve(State(u1, s1), State(0.0, 0.0), k).regime
+                for u1 in grid for s1 in grid]
+        assert [r[3] for r in rows] == want
+
+
+@pytest.mark.parametrize("k", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+def test_regime_sweep_rejects_bad_k(k):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        regime_sweep([1.0], [0.0], [0.5, k])
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        regime_sweep([], [], [k])
+
+
+@pytest.mark.parametrize("u1s,s1s,u0,sigma0", [
+    ([np.nan], [0.0], 0.0, 0.0),
+    ([1.0], [np.inf], 0.0, 0.0),
+    ([1.0], [0.0], np.nan, 0.0),
+    ([1.0], [0.0], 0.0, -np.inf),
+])
+def test_regime_sweep_rejects_nonfinite_grid(u1s, s1s, u0, sigma0):
+    with pytest.raises(ValueError, match="finite"):
+        regime_sweep(u1s, s1s, [0.5], u0, sigma0)
