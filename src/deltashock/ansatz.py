@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .pairing import Piecewise, TestFunction, pair
 
 __all__ = [
     "DegenerateDataError",
+    "Front",
     "RiemannJumpData",
     "SingularSolution",
     "SmoothAnsatz",
@@ -39,6 +41,24 @@ __all__ = [
 
 class DegenerateDataError(ValueError):
     """Jump data on which the front dynamics is undefined (u1 = 0)."""
+
+
+class Front(Protocol):
+    """A front trajectory: position phi, point-mass amplitude e, correction p.
+
+    ``phi_dot`` and ``e_rate`` are the constant rates of phi and e.
+    """
+
+    phi_dot: float
+    e_rate: float
+
+    def phi(self, t): ...
+
+    def e(self, t): ...
+
+    def p(self, t) -> complex: ...
+
+    def p_dot(self, t) -> complex: ...
 
 
 @dataclass(frozen=True)
@@ -73,7 +93,22 @@ class RiemannJumpData:
     def plateau(self) -> float:
         if self.u1 == 0.0:
             raise DegenerateDataError("plateau level undefined for u1 = 0")
-        return plateau_constant(self.u1, self.sigma1)
+        return self.finite("plateau level 1/2 - sigma1/u1^2",
+                           lambda: plateau_constant(self.u1, self.sigma1))
+
+    def finite(self, quantity: str, compute) -> float:
+        """``compute()``, or an OverflowError naming the quantity and this data.
+
+        Plain float arithmetic on extreme data overflows (``**`` raises,
+        ``*`` and ``/`` give inf) or divides by a square that underflowed.
+        """
+        try:
+            value = compute()
+        except (OverflowError, ZeroDivisionError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise OverflowError(f"{quantity} is out of float range for {self}")
+        return value
 
 
 def _indicator_left(threshold: float) -> Piecewise:
@@ -87,14 +122,13 @@ _FULL_LINE = Piecewise(lambda x: np.ones_like(x), -math.inf, math.inf)
 class SingularSolution:
     """Distributional front solution determined by a trajectory.
 
-    ``front`` must expose ``phi(t)`` and ``e(t)``.  Pairings against test
-    functions are assembled from three primitives: the full integral of
-    the test function, its integral left of the front, and its value at
-    the front.
+    Pairings against test functions are assembled from three primitives:
+    the full integral of the test function, its integral left of the
+    front, and its value at the front.
     """
 
     data: RiemannJumpData
-    front: "object"
+    front: Front
 
     def u_pairing(self, t: float, phi_test: TestFunction) -> float:
         full = pair(_FULL_LINE, phi_test)
@@ -113,15 +147,13 @@ class SingularSolution:
 class SmoothAnsatz:
     """Smooth eps-family regularizing the singular front solution.
 
-    ``front`` supplies the trajectory: attributes ``phi_dot`` and
-    ``e_rate`` plus accessors ``phi(t)``, ``e(t)``, ``p(t)`` and
-    ``p_dot(t)``.  The velocity and stress share one step profile; the
-    plateau level defaults to the value pinned by the jump data and can
-    be overridden to study the cancellation mechanism it provides.
+    The velocity and stress share one step profile; the plateau level
+    defaults to the value pinned by the jump data and can be overridden
+    to study the cancellation mechanism it provides.
     """
 
     data: RiemannJumpData
-    front: "object"
+    front: Front
     kernel: MollifierKernel | None = None
     c: float | None = None
 

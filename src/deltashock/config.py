@@ -11,7 +11,8 @@ plus optional sections ``[klimit]`` (ks, t, order_tol), ``[riemann]``
 (xi_min, xi_max, xi_points, t) and ``[verify]`` (replay_samples).
 ``configs/worked.ini`` spells out the built-in defaults.
 
-Validation rules: every number must be finite; k >= 0; t_max > 0;
+Validation rules: every section and key must be one of those above;
+every number must be finite; k >= 0; t_max > 0;
 t_points >= 2; an explicit eps list has at least 4 positive, strictly
 decreasing values, and eps_pow_max exceeds eps_pow_min; ks holds at
 least 2 distinct positive values; replay_samples >= 0.  Configuration
@@ -61,6 +62,34 @@ class RunConfig:
 
         return RiemannJumpData(self.u0, self.u1, self.sigma0, self.sigma1,
                                self.e0, self.k)
+
+
+# Every key each section may set.
+_KEYS = {
+    "data": ("u0", "u1", "sigma0", "sigma1", "e0", "k"),
+    "grid": ("eps_pow_min", "eps_pow_max", "eps", "t_max", "t_points"),
+    "kernel": ("kind", "c"),
+    "klimit": ("ks", "t", "order_tol"),
+    "riemann": ("xi_min", "xi_max", "xi_points", "t"),
+    "verify": ("replay_samples",),
+}
+
+
+def _check_names(parser) -> None:
+    """Reject the sections and keys the format does not define.
+
+    A misspelt name would otherwise leave its default in force silently.
+    """
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}]")
+    for section in parser.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"unknown section [{section}]; expected one of "
+                              + ", ".join(f"[{name}]" for name in _KEYS))
+        for key in parser.options(section):
+            if key not in _KEYS[section]:
+                raise ConfigError(f"[{section}] unknown key {key!r}; expected one of "
+                                  + ", ".join(_KEYS[section]))
 
 
 def _get_float(parser, section, key, default):
@@ -130,6 +159,7 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"cannot parse {path}: {detail}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    _check_names(parser)
     defaults = RunConfig()
     kind = parser.get("kernel", "kind", fallback="quartic")
     from .kernels import canonical_kind

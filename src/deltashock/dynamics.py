@@ -59,14 +59,16 @@ def front_speed(data: RiemannJumpData) -> float:
     """
     if data.u1 == 0.0:
         raise DegenerateDataError("front speed undefined for u1 = 0")
-    return data.u0 + 0.5 * data.u1 - data.sigma1 / data.u1
+    return data.finite("front speed u0 + u1/2 - sigma1/u1",
+                       lambda: data.u0 + 0.5 * data.u1 - data.sigma1 / data.u1)
 
 
 def e_rate(data: RiemannJumpData) -> float:
     """Growth rate of the point-mass amplitude: sigma1^2/u1 - k^2 u1."""
     if data.u1 == 0.0:
         raise DegenerateDataError("amplitude rate undefined for u1 = 0")
-    return data.sigma1**2 / data.u1 - data.k**2 * data.u1
+    return data.finite("amplitude rate sigma1^2/u1 - k^2 u1",
+                       lambda: data.sigma1**2 / data.u1 - data.k**2 * data.u1)
 
 
 def _principal_p(e_val: float, omega0: float) -> complex:
@@ -75,7 +77,10 @@ def _principal_p(e_val: float, omega0: float) -> complex:
 
 @dataclass(frozen=True)
 class FrontTrajectory:
-    """Exactly linear front trajectory with the solved correction amplitude."""
+    """Exactly linear front trajectory with the solved correction amplitude.
+
+    One of the two :class:`ansatz.Front` implementations.
+    """
 
     phi_dot: float
     e_rate: float
@@ -115,7 +120,7 @@ class LinearTrajectory:
 
     Unlike :class:`FrontTrajectory`, ``p`` is an unconstrained linear
     function of time, so the defining relation between p and e can be
-    violated on purpose.
+    violated on purpose.  Also an :class:`ansatz.Front`.
     """
 
     phi_dot: float

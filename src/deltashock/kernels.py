@@ -13,6 +13,12 @@ From a kernel and a regularization length ``eps`` we build
 
 All evaluators are pure functions of immutable parameters and accept
 scalars or numpy arrays in the spatial argument.
+
+In the scaled variable y = xi/eps every profile is a power of eps times
+a function of y that depends on the kernel alone, and the step is affine
+in the plateau: h = h0 + c h1.  :func:`primitive_table` tabulates
+products of these functions once per kernel on fixed quadrature nodes
+in y, so pairings at any eps need no profile evaluation.
 """
 
 from __future__ import annotations
@@ -39,6 +45,9 @@ __all__ = [
     "plateau_constant",
     "exp_bump",
     "exp_bump_dy",
+    "PROFILE_EPS_POWERS",
+    "PrimitiveTable",
+    "primitive_table",
 ]
 
 QUARTIC = "quartic-polynomial-bump"
@@ -125,10 +134,13 @@ class MollifierKernel:
 
 def exp_bump(y, scale=1.0, lift=0.0):
     """``scale * exp(lift - 1/(1 - y^2))`` on |y| < 1, exactly 0 elsewhere."""
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    m = np.abs(y) < 1.0
-    out[m] = scale * np.exp(lift - 1.0 / (1.0 - y[m] ** 2))
+    # In floating point 1 - y^2 > 0 exactly when |y| < 1.
+    q = 1.0 - np.square(np.asarray(y, dtype=float))
+    inside = q > 0.0
+    if inside.all():
+        return np.asarray(scale * np.exp(lift - 1.0 / q))
+    out = np.zeros_like(q)
+    out[inside] = scale * np.exp(lift - 1.0 / q[inside])
     return out
 
 
@@ -285,3 +297,68 @@ class StepProfile:
         right = (xi > 3.0 * e) & (xi < 4.0 * e)
         out[right] = (1.0 - c) * self.kernel.value((2.0 * xi[right] - 7.0 * e) / e) * 2.0 / e
         return _maybe_scalar(out, scalar)
+
+
+# Each profile at eps is eps^power times the same profile at eps = 1
+# evaluated at y = xi/eps: the step h (as ``StepProfile.value(-xi)``) and
+# its derivative dh, the correction r and dr, the delta d and dd.
+PROFILE_EPS_POWERS = {"h": 0.0, "dh": -1.0, "r": -0.5, "dr": -1.5, "d": -1.0,
+                      "dd": -2.0}
+
+
+@dataclass(frozen=True, eq=False)
+class PrimitiveTable:
+    """Weighted profile products of one kernel on the front band in y = xi/eps.
+
+    ``y`` holds the nodes of ``band_quadrature(-4, 4, (-3, -1, 1, 3))``
+    on which some product is nonzero.  Column i of ``columns`` is the
+    weight times the c^j part of a product of profiles at eps = 1, for
+    ``(product, j) = keys[i]``; parts that vanish on every node have no
+    column.  On the nodes eps * y that part pairs to eps^powers[i] times
+    the column's sum (dxi = eps dy included).
+    """
+
+    y: np.ndarray
+    columns: np.ndarray
+    keys: tuple[tuple[tuple[str, ...], int], ...]
+    powers: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def primitive_table(kernel: MollifierKernel,
+                    products: tuple[tuple[str, ...], ...]) -> PrimitiveTable:
+    """The :class:`PrimitiveTable` of ``products``, built on first use.
+
+    A product is a tuple of profile names from :data:`PROFILE_EPS_POWERS`.
+    """
+    from .pairing import band_quadrature  # pairing builds on this module
+
+    y, w = band_quadrature(-4.0, 4.0, (-3.0, -1.0, 1.0, 3.0))
+    plain, unit = StepProfile(0.0, 1.0, kernel), StepProfile(1.0, 1.0, kernel)
+    h0, dh0 = plain.value(-y), plain.deriv(-y)
+    # Each profile as its coefficients of 1, c, c^2, ...
+    factors = {
+        "h": (h0, unit.value(-y) - h0),
+        "dh": (dh0, unit.deriv(-y) - dh0),
+        "r": (eval_correction(y, 1.0, kernel),),
+        "dr": (eval_correction_dx(y, 1.0, kernel),),
+        "d": (eval_delta_reg(y, 1.0, kernel),),
+        "dd": (eval_delta_reg_dx(y, 1.0, kernel),),
+    }
+    columns, keys, powers = [], [], []
+    for product in products:
+        poly = [w]
+        for name in product:
+            f = factors[name]
+            poly = [sum(poly[i] * f[j - i] for i in range(len(poly))
+                        if 0 <= j - i < len(f))
+                    for j in range(len(poly) + len(f) - 1)]
+        columns += poly
+        keys += [(product, j) for j in range(len(poly))]
+        powers += [1.0 + sum(PROFILE_EPS_POWERS[n] for n in product)] * len(poly)
+    # Nodes and columns where every entry is zero add nothing to a pairing.
+    columns = np.stack(columns, axis=-1)
+    nodes, cols = np.any(columns != 0.0, axis=1), np.any(columns != 0.0, axis=0)
+    return PrimitiveTable(y[nodes], columns[np.ix_(nodes, cols)],
+                          tuple(k for k, c in zip(keys, cols) if c),
+                          np.array(powers)[cols])

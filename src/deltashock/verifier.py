@@ -4,14 +4,21 @@ Substitutes the smooth ansatz into either system, pairs the residuals in
 space against a suite of test functions at each time, and checks that
 the pairings decay as eps -> 0.
 
-The pairings use moment tables in the moving frame xi = x - phi(t).  There
-the profiles depend on eps alone, and both residuals are sums of real
+In the moving frame xi = x - phi(t) both residuals are sums of real
 profile products (the basis rows) times per-time scalars built from p,
-p-dot and e.  For each eps the basis is evaluated once on the quadrature
-nodes :func:`pairing.pair` would use, weighted, and contracted with the
-test-function values of a block of times in one real matmul; the scalars
-finish each sum.  The result agrees with the cell-by-cell loop of
-:func:`pairing.pair` to 1e-12 of each cell's sum of |w f phi|.
+p-dot and e.  In y = xi/eps each product is a power of eps times a
+function of y that depends on the kernel alone, and a polynomial in the
+plateau c.  So the kernel's :func:`kernels.primitive_table`, built once,
+holds every product on the quadrature nodes of the front band in y with
+the weights folded in.  A pairing at any eps and time is then the
+test-function values on phi(t) + eps y times that table, one real matmul
+for a block of times; one small contraction per verdict applies the eps
+powers, c, the data and the per-time scalars.  A time whose front band a
+test support clips is summed on the nodes :func:`pairing.pair` uses,
+with the basis rows evaluated there.  Every cell agrees with the
+cell-by-cell loop of :func:`pairing.pair` to 1e-12 of its sum of
+|w f phi|, except where that loop's own residual is what is left of
+terms that cancel.
 
 The replay facility extracts the point-mass and dipole coefficients of
 both residuals numerically for an arbitrary trajectory and compares them
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import RiemannJumpData, SmoothAnsatz
+from .ansatz import Front, RiemannJumpData, SmoothAnsatz
 from .kernels import (
     MollifierKernel,
     eval_correction,
@@ -35,6 +42,7 @@ from .kernels import (
     eval_delta_reg_dx,
     exp_bump,
     make_kernel,
+    primitive_table,
 )
 from .pairing import (
     NEGLIGIBLE_RTOL,
@@ -69,7 +77,7 @@ DEFAULT_ORDER_FLOOR = 0.25
 DEFAULT_RATIO_CEILING = 5e-2
 # A block of time rows holds a (rows x nodes) array per test function, so a
 # node budget caps it and peak memory does not grow with the number of
-# times; on the unclipped band's 1280 nodes a block holds four rows.
+# times; on the quartic table's 1024 nodes a block holds five rows.
 _BLOCK_NODES = 5 * 1024
 # The replay probes the front here, and sampled data keep e(t) from zero.
 _PROBE_TIME = 1.0
@@ -108,32 +116,47 @@ def residual_integrand(ansatz: SmoothAnsatz, system_k: float, equation: str,
                      breaks[0], breaks[-1], breaks[1:-1])
 
 
-def _moment_basis(ansatz: SmoothAnsatz, system_k: float, xi, eps: float):
-    """Real basis rows of both residuals at moving-frame points xi = x - phi(t).
+def _basis_rows(ansatz: SmoothAnsatz, system_k: float):
+    """Both residuals' real basis rows, each as {profile product: coefficient}.
 
     Rows 0-4 are A and rows 5-7 are B in res_u = A . (1, p, p_dot, p^2, e)
     and res_sigma = B . (1, e, p); expanding :func:`_residual_values`
-    gives them.  Its p e term R D' vanishes: R and D have disjoint supports.
+    gives them.  A product names profiles of
+    :data:`kernels.PROFILE_EPS_POWERS`, all at xi = x - phi(t).  Its p e
+    term R D' vanishes: R and D have disjoint supports.
     """
-    d, front, kernel = ansatz.data, ansatz.front, ansatz.kernel
-    prof = ansatz.step(eps)
-    h, dh = prof.value(-xi), prof.deriv(-xi)
-    r, dr = eval_correction(xi, eps, kernel), eval_correction_dx(xi, eps, kernel)
-    dl, ddl = eval_delta_reg(xi, eps, kernel), eval_delta_reg_dx(xi, eps, kernel)
+    d, front = ansatz.data, ansatz.front
     u0, u1, s1, k2, v = d.u0, d.u1, d.sigma1, system_k**2, front.phi_dot
-    return np.array([
-        (u1 * v - u0 * u1 + s1 - u1**2 * h) * dh,
-        (u0 - v + u1 * h) * dr - u1 * r * dh,
-        r,
-        r * dr,
-        -ddl,
-        (s1 * v - u0 * s1 + k2 * u1 - u1 * s1 * h) * dh + front.e_rate * dl,
-        (u0 - v + u1 * h) * ddl,
-        -s1 * r * dh - k2 * dr,
-    ])
+    return (
+        {("dh",): u1 * v - u0 * u1 + s1, ("h", "dh"): -u1**2},
+        {("dr",): u0 - v, ("h", "dr"): u1, ("r", "dh"): -u1},
+        {("r",): 1.0},
+        {("r", "dr"): 1.0},
+        {("dd",): -1.0},
+        {("dh",): s1 * v - u0 * s1 + k2 * u1, ("h", "dh"): -u1 * s1,
+         ("d",): front.e_rate},
+        {("dd",): u0 - v, ("h", "dd"): u1},
+        {("r", "dh"): -s1, ("dr",): -k2},
+    )
 
 
-def _time_coeffs(front, times):
+def _moment_basis(ansatz: SmoothAnsatz, system_k: float, xi, eps: float):
+    """The rows of :func:`_basis_rows` at moving-frame points xi."""
+    kernel, prof = ansatz.kernel, ansatz.step(eps)
+    profiles = {
+        "h": prof.value(-xi),
+        "dh": prof.deriv(-xi),
+        "r": eval_correction(xi, eps, kernel),
+        "dr": eval_correction_dx(xi, eps, kernel),
+        "d": eval_delta_reg(xi, eps, kernel),
+        "dd": eval_delta_reg_dx(xi, eps, kernel),
+    }
+    return np.array([sum(coef * math.prod(profiles[n] for n in product)
+                         for product, coef in row.items())
+                     for row in _basis_rows(ansatz, system_k)])
+
+
+def _time_coeffs(front: Front, times):
     """phi(t) and the coefficients of the eight basis rows at each time."""
     phi = np.array([float(front.phi(t)) for t in times])
     e = np.array([float(front.e(t)) for t in times])
@@ -143,47 +166,74 @@ def _time_coeffs(front, times):
     return phi, np.stack([one, p, p_dot, p * p, e, one, e, p], axis=-1)
 
 
+def _test_values(phi_suite, tests, x, center: float, halfwidth: float):
+    """``TestFunction.value`` of the tests sharing one support, one bump for all."""
+    z = x - center
+    bump = exp_bump(z / halfwidth, lift=1.0)
+    return np.array([bump if phi_suite[i].modulation == PLAIN_BUMP else z * bump
+                     for i in tests])
+
+
 def _residual_pairings(ansatz: SmoothAnsatz, system_k: float, times, eps_grid,
                       phi_suite) -> np.ndarray:
     """Pairings of both residuals with every test function at every time.
 
     Returns a complex array indexed ``[eps, equation, test function, time]``,
     equations in the order (u, sigma).  Each entry is the cell's
-    ``pair(residual_integrand(...), phi)``, summed on the same nodes moved
-    to the frame xi = x - phi(t), to within 1e-12 of its sum of |w f phi|.
+    ``pair(residual_integrand(...), phi)``, summed as the module docstring
+    describes.
     """
+    # Read first, so that data whose plateau leaves the float range fails
+    # naming the plateau rather than on u1**2 inside a basis row.
+    c = ansatz.c_effective
     phi, coeffs = _time_coeffs(ansatz.front, times)
+    basis_rows = _basis_rows(ansatz, system_k)
+    table = primitive_table(ansatz.kernel,
+                            tuple(dict.fromkeys(p for row in basis_rows for p in row)))
     suite: dict[tuple[float, float], list[int]] = {}
     for i, tf in enumerate(phi_suite):
         suite.setdefault((tf.center, tf.halfwidth), []).append(i)
     out = np.zeros((len(eps_grid), 2, len(phi_suite), len(times)), dtype=complex)
-    for cells, eps in zip(out, eps_grid):
-        # Rows grouped by their band in xi, the front band clipped to the
-        # support: the rows a support does not clip share one.
-        edges = ansatz.band_edges(eps)
-        bands: dict = {}
-        for center, halfwidth in suite:
-            lo = np.maximum(edges[0], center - halfwidth - phi)
-            hi = np.minimum(edges[-1], center + halfwidth - phi)
-            for j in np.flatnonzero(lo < hi):
-                rows = bands.setdefault((lo[j], hi[j]), {})
-                rows.setdefault((center, halfwidth), []).append(j)
-        for (lo, hi), rows_by_test in bands.items():
-            xi, w = band_quadrature(lo, hi, edges[1:-1])
-            table = (_moment_basis(ansatz, system_k, xi, eps) * w).T
-            step = max(1, _BLOCK_NODES // len(xi))
+    # [eps, test function, time, table column]
+    moments = np.zeros((len(eps_grid), len(phi_suite), len(times), len(table.keys)))
+    step = max(1, _BLOCK_NODES // len(table.y))
+    for cells, table_moments, eps in zip(out, moments, eps_grid):
+        edges, nodes = ansatz.band_edges(eps), eps * table.y
+        band_lo, band_hi = phi + edges[0], phi + edges[-1]
+        clipped: dict = {}
+        for (center, halfwidth), tests in suite.items():
+            lo = np.maximum(band_lo, center - halfwidth)
+            hi = np.minimum(band_hi, center + halfwidth)
+            whole = (lo == band_lo) & (hi == band_hi)
+            cols, rows = np.array(tests)[:, None], np.flatnonzero(whole)
+            for block in (rows[k:k + step] for k in range(0, len(rows), step)):
+                psi = _test_values(phi_suite, tests, phi[block, None] + nodes,
+                                   center, halfwidth)
+                table_moments[cols, block] = psi @ table.columns
+            # Times at which the front stands still share a clipped band.
+            for j in np.flatnonzero((lo < hi) & ~whole):
+                rows_by_test = clipped.setdefault((phi[j], lo[j], hi[j]), {})
+                rows_by_test.setdefault((center, halfwidth), []).append(j)
+        for (at, lo, hi), rows_by_test in clipped.items():
+            # pair's own nodes and weights, in x: on a sliver of a subinterval
+            # that the support leaves, nodes built in xi move its weights by
+            # more than 1e-12.
+            x, w = band_quadrature(lo, hi, [at + b for b in edges[1:-1]])
+            basis = (_moment_basis(ansatz, system_k, x - at, eps) * w).T
             for (center, halfwidth), rows in rows_by_test.items():
                 tests = suite[center, halfwidth]
-                cols = np.array(tests)[:, None]
-                for block in (rows[k:k + step] for k in range(0, len(rows), step)):
-                    x = phi[block, None] + xi
-                    # TestFunction.value, with one bump per support
-                    bump = exp_bump((x - center) / halfwidth, lift=1.0)
-                    psi = np.array([bump if phi_suite[i].modulation == PLAIN_BUMP
-                                    else (x - center) * bump for i in tests])
-                    m, c = psi @ table, coeffs[block]
-                    cells[0, cols, block] = np.sum(m[..., :5] * c[:, :5], -1)
-                    cells[1, cols, block] = np.sum(m[..., 5:] * c[:, 5:], -1)
+                m = _test_values(phi_suite, tests, x, center, halfwidth) @ basis
+                cols, row_coeffs = np.array(tests)[:, None], coeffs[rows]
+                cells[0, cols, rows] = m[:, :5] @ row_coeffs[:, :5].T
+                cells[1, cols, rows] = m[:, 5:] @ row_coeffs[:, 5:].T
+    # [row, column]: each row's coefficient of each table column, c^j included
+    expansion = np.array([[row.get(product, 0.0) * c**j for product, j in table.keys]
+                          for row in basis_rows])
+    eps_powers = np.asarray(eps_grid, dtype=float)[:, None] ** table.powers
+    moments *= eps_powers[:, None, None]
+    out[:, 0] += np.einsum("estc,tc->est", moments, coeffs[:, :5] @ expansion[:5])
+    out[:, 1] += np.einsum("estc,tc->est", moments, coeffs[:, 5:] @ expansion[5:])
+    for cells, eps in zip(out, eps_grid):
         bad = np.argwhere(~np.isfinite(cells))
         if len(bad):
             raise NumericsError(f"non-finite residual pairing at eps={eps:g}, "
@@ -262,7 +312,8 @@ def default_t_grid(t_max: float = 1.0, points: int = 33):
     return np.linspace(0.0, float(t_max), points)
 
 
-def default_test_suite(front, t_max: float, eps_max: float) -> tuple[TestFunction, ...]:
+def default_test_suite(front: Front, t_max: float,
+                       eps_max: float) -> tuple[TestFunction, ...]:
     """Value- and slope-selecting bumps covering the front's range."""
     phi_end = float(front.phi(t_max))
     center = 0.5 * phi_end
@@ -356,7 +407,7 @@ def sample_admissible_data(rng, k: float) -> RiemannJumpData:
         return data
 
 
-def closed_form_coefficients(data: RiemannJumpData, trajectory, omega0: float,
+def closed_form_coefficients(data: RiemannJumpData, trajectory: Front, omega0: float,
                              system_k: float, c_built: float, t: float):
     """The four residual coefficients implied by the expansion algebra."""
     u0, u1, s1 = data.u0, data.u1, data.sigma1
@@ -371,7 +422,7 @@ def closed_form_coefficients(data: RiemannJumpData, trajectory, omega0: float,
     return (complex(a_u), complex(b_u), complex(a_sigma), complex(b_sigma))
 
 
-def replay_derivation(data: RiemannJumpData, trajectory,
+def replay_derivation(data: RiemannJumpData, trajectory: Front,
                       kernel: MollifierKernel | None = None,
                       t: float = _PROBE_TIME, eps_grid=None,
                       c: float | None = None) -> ReplayResult:

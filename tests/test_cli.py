@@ -83,24 +83,53 @@ def test_config_error_exits_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text,command", [
-    ("[grid]\nt_points = inf\n", "front"),
-    ("[grid]\nt_points = nan\n", "front"),
-    ("[data]\nu1 = nan\n", "front"),
-    ("[grid]\neps = 0.1, 0.05, nan, 0.01\n", "verify-expansions"),
-    ("[data]\nk = -1\n", "front"),
-    ("[grid]\nt_max = -1\n", "verify-solution"),
-    ("[grid]\nt_max = 0\n", "verify-solution"),
-    ("[klimit]\nks = 0.1\n", "k-limit"),
-    ("[verify]\nreplay_samples = -3\n", "verify-solution"),
+@pytest.mark.parametrize("text,command,named", [
+    ("[grid]\nt_points = inf\n", "front", "t_points"),
+    ("[grid]\nt_points = nan\n", "front", "t_points"),
+    ("[data]\nu1 = nan\n", "front", "u1"),
+    ("[grid]\neps = 0.1, 0.05, nan, 0.01\n", "verify-expansions", "eps"),
+    ("[data]\nk = -1\n", "front", "k"),
+    ("[grid]\nt_max = -1\n", "verify-solution", "t_max"),
+    ("[grid]\nt_max = 0\n", "verify-solution", "t_max"),
+    ("[klimit]\nks = 0.1\n", "k-limit", "ks"),
+    ("[verify]\nreplay_samples = -3\n", "verify-solution", "replay_samples"),
+    # a misspelt key or section used to run on the defaults with exit 0
+    ("[data]\nu_1 = 3.0\n", "front", "'u_1'"),
+    ("[dta]\nu1 = 3.0\n", "front", "[dta]"),
+    ("[data]\nu_1 = 3.0\n[dta]\nu1 = 3.0\n", "front", "'u_1'"),
+    ("[kernel]\nkind = quartic\nplateau = 0.2\n", "verify-expansions", "'plateau'"),
+    ("[DEFAULT]\nu1 = 3.0\n", "front", "[DEFAULT]"),
 ], ids=["t_points-inf", "t_points-nan", "u1-nan", "eps-nan", "k-negative",
-        "t_max-negative", "t_max-zero", "ks-single", "replay_samples-negative"])
-def test_out_of_range_config_exits_two(tmp_path, capsys, text, command):
+        "t_max-negative", "t_max-zero", "ks-single", "replay_samples-negative",
+        "unknown-key", "unknown-section", "unknown-key-and-section",
+        "unknown-kernel-key", "default-section"])
+def test_out_of_range_config_exits_two(tmp_path, capsys, text, command, named):
     cfg = write(tmp_path, text)
     rc = main(["--config", cfg, "--out", str(tmp_path), command])
     err = capsys.readouterr().err.splitlines()
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("config error:")
+    assert named in err[0]
+
+
+@pytest.mark.parametrize("text,command,quantity", [
+    ("u1 = 1e-300\nsigma1 = 1e300\n", "front", "front speed"),
+    ("u1 = 2.0\nsigma1 = 1e300\n", "front", "amplitude rate"),
+    ("u1 = 2.0\nk = 1e200\n", "k-limit", "amplitude rate"),
+    ("u1 = 1e200\nsigma1 = 0.5\n", "verify-solution", "plateau level"),
+    ("u1 = 1e-300\nsigma1 = 1e-300\n", "verify-expansions", "plateau level"),
+], ids=["speed", "rate-sigma1", "rate-k", "plateau-square-overflows",
+        "plateau-square-underflows"])
+def test_float_overflow_names_quantity_and_data(tmp_path, capsys, text, command,
+                                                 quantity):
+    # These used to print "error: (34, 'Numerical result out of range')" or
+    # "error: float division by zero".
+    cfg = write(tmp_path, "[data]\n" + text)
+    rc = main(["--config", cfg, "--out", str(tmp_path), command])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: " + quantity)
+    assert "out of float range for RiemannJumpData(" in err[0]
 
 
 def test_verify_expansions_outputs(tmp_path):
@@ -260,11 +289,14 @@ def _admissible_config(draw):
         entries[("grid", "eps_pow_min")] = str(lo)
         entries[("grid", "eps_pow_max")] = str(draw(st.integers(lo + 1, 20)))
     elif grid == "list":
-        eps = sorted(draw(st.sets(st.floats(1e-6, 1.0), min_size=4, max_size=8)),
+        eps = sorted(draw(st.sets(st.floats(0.0, exclude_min=True,
+                                            allow_infinity=False),
+                                  min_size=4, max_size=8)),
                      reverse=True)
         entries[("grid", "eps")] = ", ".join(map(repr, eps))
     if draw(st.booleans()):
-        ks = draw(st.sets(st.floats(1e-3, 1.0), min_size=2, max_size=4))
+        ks = draw(st.sets(st.floats(0.0, exclude_min=True, allow_infinity=False),
+                          min_size=2, max_size=4))
         entries[("klimit", "ks")] = " ".join(map(repr, ks))
     return entries
 
@@ -272,8 +304,9 @@ def _admissible_config(draw):
 # One broken rule each, as (section, key) -> strategy for the value text.
 _VIOLATIONS = [
     *[{key: _NOT_A_FINITE_NUMBER} for key in _ADMISSIBLE if key != ("kernel", "kind")],
-    {("data", "k"): st.floats(-10.0, -1e-300).map(repr)},
-    {("grid", "t_max"): st.floats(-10.0, 0.0).map(repr)},
+    {("data", "k"): st.floats(max_value=0.0, exclude_max=True,
+                              allow_infinity=False).map(repr)},
+    {("grid", "t_max"): st.floats(max_value=0.0, allow_infinity=False).map(repr)},
     {("grid", "t_points"): st.integers(-5, 1).map(str)},
     {("grid", "t_points"): st.sampled_from(["2.5", "33.1"])},
     {("verify", "replay_samples"): st.integers(-5, -1).map(str)},
@@ -313,6 +346,8 @@ def test_admissible_config_runs(entries):
     assert rc in (0, 1)
     assert (rc == 0) == (err == [])
     assert all(line.startswith("error:") for line in err) and len(err) <= 1
+    # an overflow names its quantity, not an errno tuple
+    assert not any(line.startswith("error: (") for line in err)
 
 
 @given(_admissible_config(), st.sampled_from(_VIOLATIONS), st.data())

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from deltashock.ansatz import DegenerateDataError, RiemannJumpData
+from deltashock.ansatz import DegenerateDataError, Front, RiemannJumpData
 from deltashock.dynamics import (
     FrontTrajectory,
     LinearTrajectory,
@@ -275,3 +275,24 @@ def test_trajectory_rows_columns(worked_data):
     rows = trajectory_rows(solve_front(worked_data, OMEGA0), [0.0, 1.0])
     assert rows[0] == (0.0, 0.0, 0.1, pytest.approx(math.sqrt(0.2 / OMEGA0)), 0.0)
     assert rows[1][1] == 0.75
+
+
+def test_trajectories_implement_front():
+    members = {"phi", "e", "p", "p_dot", *Front.__annotations__}
+    assert members == {"phi", "e", "p", "p_dot", "phi_dot", "e_rate"}
+    for traj in (solve_front(RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.1), OMEGA0),
+                 LinearTrajectory(0.5)):
+        assert all(hasattr(traj, name) for name in members)
+
+
+@pytest.mark.parametrize("data,quantity", [
+    (RiemannJumpData(0.0, 2.0, 0.0, 1e300), "amplitude rate"),
+    (RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.0, 1e200), "amplitude rate"),
+    (RiemannJumpData(0.0, 1e-300, 0.0, 1e300), "front speed"),
+])
+def test_overflowing_data_names_the_quantity(data, quantity):
+    # sigma1**2 used to raise a bare OverflowError: (34, 'Numerical result
+    # out of range'); sigma1/u1 used to give inf.
+    with pytest.raises(OverflowError, match=quantity) as info:
+        solve_front(data, OMEGA0)
+    assert repr(data) in str(info.value)

@@ -13,11 +13,14 @@ from deltashock.kernels import (
     StepProfile,
     canonical_kind,
     eval_correction,
+    eval_correction_dx,
     eval_delta_reg,
     eval_delta_reg_dx,
     make_kernel,
     plateau_constant,
+    primitive_table,
 )
+from deltashock.pairing import band_quadrature
 
 # Closed-form oracle: int_{-1}^{1} (1 - x^2)^2 dx = 2 (1 - 2/3 + 1/5) = 16/15,
 # so the unit-mass constant is 15/16 and
@@ -242,3 +245,28 @@ def test_step_value_range_properties(c, eps):
     lo, hi = min(0.0, c, 1.0), max(0.0, c, 1.0)
     assert np.all(vals >= lo - 1e-12)
     assert np.all(vals <= hi + 1e-12)
+
+
+def test_primitive_table_expands_products_in_c(kernel):
+    # Summed over powers of c, a product's columns are the weighted product
+    # of the profiles at eps = 1; the nodes left out carry zeros only.
+    c = 0.3
+    y, w = band_quadrature(-4.0, 4.0, (-3.0, -1.0, 1.0, 3.0))
+    prof = StepProfile(c, 1.0, kernel)
+    direct = {
+        ("h", "dh"): prof.value(-y) * prof.deriv(-y),
+        ("r", "dr"): (eval_correction(y, 1.0, kernel)
+                      * eval_correction_dx(y, 1.0, kernel)),
+        ("h", "dd"): prof.value(-y) * eval_delta_reg_dx(y, 1.0, kernel),
+    }
+    table = primitive_table(kernel, tuple(direct))
+    kept = np.isin(y, table.y)
+    assert np.array_equal(y[kept], table.y) and not np.any(kept[(-1 < y) & (y < 1)])
+    for product, power in zip(direct, (0.0, -1.0, -1.0)):
+        cols = [i for i, (p, _) in enumerate(table.keys) if p == product]
+        got = sum(c**table.keys[i][1] * table.columns[:, i] for i in cols)
+        expected = w * direct[product]
+        assert np.allclose(got, expected[kept], rtol=1e-13,
+                           atol=1e-14 * np.max(np.abs(expected)))
+        assert np.all(expected[~kept] == 0.0)
+        assert np.all(table.powers[cols] == power)

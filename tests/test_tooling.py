@@ -2,12 +2,17 @@
 
 The benchmark under ``perfbench/`` wraps package functions by name and is
 not collected with these tests, so a deletion in the package could break
-it silently.
+it silently.  Its ``cli`` workload times fresh processes, so import-time
+work in the package would show there; the CLI import is checked to stay
+lazy.
 """
 
 import importlib
 import importlib.util
+import json
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,3 +50,36 @@ def test_every_exported_name_exists():
         module = importlib.import_module(f"deltashock{'.' + name if name else ''}")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, (module.__name__, missing)
+
+
+_FRESH_CLI = """
+import json, sys
+import deltashock.cli
+from deltashock import kernels
+from deltashock.ansatz import RiemannJumpData, SmoothAnsatz
+from deltashock.dynamics import solve_front
+from deltashock.verifier import verify_weak_solution
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+after_import = (kernels.primitive_table.cache_info().currsize, scipy_modules())
+data = RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.1, 0.1)
+kernel = kernels.make_kernel("quartic")
+ansatz = SmoothAnsatz(data, solve_front(data, kernel.omega0), kernel)
+verify_weak_solution(ansatz, data.k)
+after_verdict = (kernels.primitive_table.cache_info().currsize, scipy_modules())
+print(json.dumps([after_import, after_verdict]))
+"""
+
+
+def test_cli_import_is_lazy():
+    # The cli benchmark times fresh processes: importing the CLI must build
+    # no primitive table, and no quartic verdict may load scipy.
+    src = Path(deltashock.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", _FRESH_CLI], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    after_import, after_verdict = json.loads(done.stdout)
+    assert after_import == [0, []]
+    assert after_verdict == [1, []]

@@ -146,18 +146,23 @@ def _assert_matches_per_cell(ansatz, system_k, phi_suite, t_grid, eps_grid,
     ref, l1 = _per_cell(ansatz, system_k, phi_suite, t_grid, eps_grid)
     got = _residual_pairings(ansatz, system_k, t_grid, eps_grid, phi_suite)
     assert np.all(np.abs(got - ref) <= 1e-12 * l1)
-    if report is None:
-        return
+    if report is not None:
+        assert ([(s.worst_t_per_eps, s.passed) for s in report.series]
+                == _loop_verdicts(ref, t_grid, eps_grid))
+
+
+def _loop_verdicts(ref, t_grid, eps_grid):
+    """(worst_t_per_eps, passed) of every report series, from reference cells."""
     expected = []
     for i_eq in range(2):
-        for i_phi in range(len(phi_suite)):
+        for i_phi in range(ref.shape[2]):
             cells = ref[:, i_eq, i_phi]
             for mags in (np.abs(cells.real), np.abs(cells.imag)):
                 worst = np.argmax(mags, axis=-1)
                 maxima = [float(m[i]) for m, i in zip(mags, worst)]
                 expected.append((tuple(float(t_grid[i]) for i in worst),
                                  _series_verdict(eps_grid, maxima)[2]))
-    assert [(s.worst_t_per_eps, s.passed) for s in report.series] == expected
+    return expected
 
 
 def test_batched_pairing_equals_per_cell_loop(worked_report, worked_report_k0,
@@ -196,19 +201,88 @@ def test_batched_pairing_clipped_and_disjoint_supports(worked_ansatz, worked_dat
     assert all(v == 0.0 for s in disjoint for v in s.max_pairing)
 
 
+# eps_max = 0.3 halved 7 times: eps * y differs in the last bits from the
+# nodes band_quadrature gives on [-4 eps, 4 eps], and at the coarse end the
+# front band is wider than the probes' support.
+NON_DYADIC_EPS = tuple(0.3 * 0.5**j for j in range(8))
+
+
+def test_non_dyadic_grid_moves_table_nodes(kernel):
+    table = kernels.primitive_table(kernel, (("r",), ("d",)))
+    moved = [eps for eps in NON_DYADIC_EPS
+             if not np.isin(eps * table.y,
+                            band_quadrature(-4 * eps, 4 * eps,
+                                            (-3 * eps, -eps, eps, 3 * eps))[0]).all()]
+    assert moved == list(NON_DYADIC_EPS)
+
+
+def test_table_pairing_equals_per_cell_loop_non_dyadic(worked_data, kernel):
+    ansatz = SmoothAnsatz(worked_data, solve_front(worked_data, kernel.omega0), kernel)
+    suite = default_test_suite(ansatz.front, 1.0, max(NON_DYADIC_EPS))
+    report = verify_weak_solution(ansatz, worked_data.k, phi_suite=suite,
+                                  eps_grid=NON_DYADIC_EPS)
+    _assert_matches_per_cell(ansatz, worked_data.k, suite, default_t_grid(),
+                             NON_DYADIC_EPS, report)
+
+
+def _terms_l1(ansatz, system_k, equation, t, eps, phi_test):
+    """Sum of |w phi| times the moduli of the residual's three terms.
+
+    Where the terms cancel, this and not the residual's own L1 bounds the
+    rounding of the reference ``pair(residual_integrand(...), phi)``.
+    """
+    f = residual_integrand(ansatz, system_k, equation, t, eps)
+    lo, hi = max(f.lo, phi_test.support[0]), min(f.hi, phi_test.support[1])
+    xs, ws = band_quadrature(lo, hi, f.breaks)
+    u, _ = ansatz.eval_fields(xs, t, eps)
+    u_t, u_x, s_t, s_x = ansatz.eval_derivatives(xs, t, eps)
+    if equation == "u":
+        terms = (u_t, u * u_x, s_x)
+    else:
+        terms = (s_t, u * s_x, system_k**2 * u_x)
+    return np.sum(np.abs(ws * phi_test.value(xs)) * sum(np.abs(v) for v in terms))
+
+
+def test_clipped_pairing_equals_per_cell_loop_non_dyadic(worked_data, kernel):
+    # At eps = 0.3 and t = 17/32 the supports (0.1, 0.7) leave of the band
+    # only the sliver (eps, 0.7 - phi) at the edge of R's support, where
+    # R'/R is large.  There the reference velocity residual is what is left
+    # of -p phi' R' + (u0 + u1 c) p R', which cancel exactly, and only the
+    # L1 of its terms bounds its rounding.  Every other cell meets the
+    # residual's own L1 bound.
+    ansatz = SmoothAnsatz(worked_data, solve_front(worked_data, kernel.omega0), kernel)
+    t_grid = default_t_grid()
+    ref, l1 = _per_cell(ansatz, worked_data.k, CLIPPED_SUITE, t_grid, NON_DYADIC_EPS)
+    got = _residual_pairings(ansatz, worked_data.k, t_grid, NON_DYADIC_EPS,
+                             CLIPPED_SUITE)
+    err = np.abs(got - ref)
+    for i_eps, i_eq, i_phi, i_t in np.argwhere(err > 1e-12 * l1):
+        assert (i_eps, i_eq, i_phi, i_t) in {(0, 0, 0, 17), (0, 0, 1, 17)}
+        assert err[i_eps, i_eq, i_phi, i_t] <= 1e-12 * _terms_l1(
+            ansatz, worked_data.k, "u", t_grid[i_t], NON_DYADIC_EPS[i_eps],
+            CLIPPED_SUITE[i_phi])
+    report = verify_weak_solution(ansatz, worked_data.k, phi_suite=CLIPPED_SUITE,
+                                  eps_grid=NON_DYADIC_EPS)
+    assert ([(s.worst_t_per_eps, s.passed) for s in report.series]
+            == _loop_verdicts(ref, t_grid, NON_DYADIC_EPS))
+
+
 def test_replay_pairing_equals_per_cell_loop(worked_data, kernel):
     # A free trajectory with imaginary p and a nonzero p rate exercises the
     # p, p_dot and p^2 rows with complex coefficients.
     traj = LinearTrajectory(0.7, -0.2, 0.3, 0.4j, 0.2 + 0.1j)
     ansatz = SmoothAnsatz(worked_data, traj, kernel)
-    _assert_matches_per_cell(ansatz, worked_data.k, point_probes(0.7),
-                             [1.0], default_eps_grid())
+    for eps_grid in (default_eps_grid(), NON_DYADIC_EPS,
+                     tuple(eps / 3 for eps in NON_DYADIC_EPS)):
+        _assert_matches_per_cell(ansatz, worked_data.k, point_probes(0.7),
+                                 [1.0], eps_grid)
 
 
-def test_default_verdict_evaluates_profiles_once_per_eps(monkeypatch, worked_ansatz,
-                                                         worked_data):
-    # The six profiles are evaluated once per eps on the moving-frame nodes,
-    # never through the pointwise field evaluators.
+def test_default_verdict_evaluates_profiles_once_per_kernel(monkeypatch, worked_ansatz,
+                                                            worked_data):
+    # The six profiles are evaluated once per kernel, on the primitive
+    # table's nodes in y, and never through the pointwise field evaluators:
+    # a second verdict with the same kernel evaluates no profile at all.
     calls = Counter()
 
     def counted(name, fn):
@@ -228,11 +302,17 @@ def test_default_verdict_evaluates_profiles_once_per_eps(monkeypatch, worked_ans
         for module in modules:
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counted(name, fn))
+    kernels.primitive_table.cache_clear()
     verify_weak_solution(worked_ansatz, worked_data.k)
-    n_eps = len(default_eps_grid())
-    assert dict(calls) == {name: n_eps for name in (
-        "value", "deriv", "eval_correction", "eval_correction_dx",
-        "eval_delta_reg", "eval_delta_reg_dx")}
+    # the step at c = 0 and at c = 1 gives h = h0 + c h1
+    assert dict(calls) == {"value": 2, "deriv": 2, "eval_correction": 1,
+                           "eval_correction_dx": 1, "eval_delta_reg": 1,
+                           "eval_delta_reg_dx": 1}
+    calls.clear()
+    verify_weak_solution(worked_ansatz, worked_data.k)
+    verify_weak_solution(SmoothAnsatz(worked_data, worked_ansatz.front,
+                                      worked_ansatz.kernel, c=0.2), 0.0)
+    assert not calls
 
 
 def test_nonfinite_residual_raises(worked_data, quartic):
@@ -252,6 +332,33 @@ def test_amplitude_zero_on_time_grid_raises(quartic):
     assert float(traj.e(0.5)) == 0.0 and 0.5 in default_t_grid()
     with pytest.raises(ZeroDivisionError):
         verify_weak_solution(SmoothAnsatz(data, traj, quartic), data.k)
+
+
+def test_pinned_verdict_next_to_amplitude_zero(quartic):
+    # e(t) = 0.1 - 0.2 t reaches 2.8e-17 at t = 0.5 on the grid, so p_dot is
+    # about -3e7 there.  The verdict fails on one eps^(1/2) series whose
+    # coarse head is pre-asymptotic: its order passes, its decay ratio does
+    # not.  The p_dot hazard itself passes: u / plain-bump / re decays like
+    # eps^(1/2) from pairings of order 1e7.
+    data = RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.1, 0.40311288741492746)
+    ansatz = SmoothAnsatz(data, solve_front(data, quartic.omega0), quartic)
+    report = verify_weak_solution(ansatz, data.k)
+    assert report.summary_line() == (
+        "FAIL weak-solution verification (k=0.403113): equation=sigma "
+        "phi=linear-times-bump@0.375(w=1.375) part=im eps=0.000244141 t=0.9375 "
+        "order=0.443 ratio=7.223e-02")
+    failed = [s for s in report.series if not s.passed]
+    assert [(s.equation, s.test_function, s.part) for s in failed] == [
+        ("sigma", "linear-times-bump@0.375(w=1.375)", "im")]
+    bad = failed[0]
+    assert bad.order > report.order_floor and bad.decay_ratio > report.ratio_ceiling
+    assert bad.worst_t_per_eps == (0.75, 0.84375, 0.90625) + (0.9375,) * 7
+    assert bad.max_pairing[:3] == pytest.approx((1.4273e-2, 1.3380e-2, 1.0586e-2),
+                                                rel=1e-4)
+    hazard = next(s for s in report.series if (s.equation, s.part) == ("u", "re")
+                  and s.test_function.startswith("plain-bump"))
+    assert hazard.passed and hazard.worst_t_per_eps == (0.5,) * 10
+    assert hazard.max_pairing[0] > 1e7 and hazard.max_pairing[-1] < 1e6
 
 
 def test_near_zero_series_pass(quartic, eps_grid):
