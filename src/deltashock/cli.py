@@ -286,6 +286,10 @@ def main(argv=None) -> int:
     except (DegenerateDataError, AdmissibilityError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
+    except MemoryError as exc:
+        # numpy's message names the size it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_MATH
 
 
 if __name__ == "__main__":

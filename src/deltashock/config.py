@@ -15,9 +15,10 @@ Validation rules: every section and key must be one of those above;
 every number must be finite; k >= 0; t_max > 0;
 t_points >= 2; an explicit eps list has at least 4 positive, strictly
 decreasing values, and eps_pow_max exceeds eps_pow_min; ks holds at
-least 2 distinct positive values; replay_samples >= 0.  Configuration
-problems raise :class:`ConfigError`; mathematical problems with valid
-configuration surface later from the library.
+least 2 distinct positive values; [klimit] t > 0 and order_tol > 0;
+xi_min < xi_max, xi_points >= 2 and [riemann] t > 0; replay_samples >= 0.
+Configuration problems raise :class:`ConfigError`; mathematical problems
+with valid configuration surface later from the library.
 """
 
 from __future__ import annotations
@@ -105,10 +106,19 @@ def _get_float(parser, section, key, default):
     return val
 
 
-def _get_int(parser, section, key, default):
+def _get_positive(parser, section, key, default):
+    val = _get_float(parser, section, key, default)
+    if val <= 0.0:
+        raise ConfigError(f"[{section}] {key} must be positive")
+    return val
+
+
+def _get_int(parser, section, key, default, least=-math.inf):
     val = _get_float(parser, section, key, default)
     if val != int(val):
         raise ConfigError(f"[{section}] {key} must be an integer")
+    if val < least:
+        raise ConfigError(f"[{section}] {key} must be at least {least}")
     return int(val)
 
 
@@ -179,16 +189,10 @@ def load_config(path: str | None) -> RunConfig:
     k = _get_float(parser, "data", "k", defaults.k)
     if k < 0.0:
         raise ConfigError("[data] k must be nonnegative")
-    t_max = _get_float(parser, "grid", "t_max", defaults.t_max)
-    if t_max <= 0.0:
-        raise ConfigError("[grid] t_max must be positive")
-    t_points = _get_int(parser, "grid", "t_points", defaults.t_points)
-    if t_points < 2:
-        raise ConfigError("[grid] t_points must be at least 2")
-    replay_samples = _get_int(parser, "verify", "replay_samples",
-                              defaults.replay_samples)
-    if replay_samples < 0:
-        raise ConfigError("[verify] replay_samples must be nonnegative")
+    xi_min = _get_float(parser, "riemann", "xi_min", defaults.xi_min)
+    xi_max = _get_float(parser, "riemann", "xi_max", defaults.xi_max)
+    if xi_min >= xi_max:
+        raise ConfigError("[riemann] xi_min must be below xi_max")
     return RunConfig(
         u0=_get_float(parser, "data", "u0", defaults.u0),
         u1=_get_float(parser, "data", "u1", defaults.u1),
@@ -199,16 +203,18 @@ def load_config(path: str | None) -> RunConfig:
         kernel_kind=kind,
         c=c,
         eps_grid=_parse_eps(parser),
-        t_max=t_max,
-        t_points=t_points,
+        t_max=_get_positive(parser, "grid", "t_max", defaults.t_max),
+        t_points=_get_int(parser, "grid", "t_points", defaults.t_points, least=2),
         klimit_ks=ks,
-        klimit_t=_get_float(parser, "klimit", "t", defaults.klimit_t),
-        klimit_order_tol=_get_float(parser, "klimit", "order_tol",
-                                    defaults.klimit_order_tol),
-        xi_min=_get_float(parser, "riemann", "xi_min", defaults.xi_min),
-        xi_max=_get_float(parser, "riemann", "xi_max", defaults.xi_max),
-        xi_points=_get_int(parser, "riemann", "xi_points", defaults.xi_points),
-        riemann_t=_get_float(parser, "riemann", "t", defaults.riemann_t),
-        replay_samples=replay_samples,
+        klimit_t=_get_positive(parser, "klimit", "t", defaults.klimit_t),
+        klimit_order_tol=_get_positive(parser, "klimit", "order_tol",
+                                       defaults.klimit_order_tol),
+        xi_min=xi_min,
+        xi_max=xi_max,
+        xi_points=_get_int(parser, "riemann", "xi_points", defaults.xi_points,
+                           least=2),
+        riemann_t=_get_positive(parser, "riemann", "t", defaults.riemann_t),
+        replay_samples=_get_int(parser, "verify", "replay_samples",
+                                defaults.replay_samples, least=0),
     )
 

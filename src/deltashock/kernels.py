@@ -19,11 +19,16 @@ a function of y that depends on the kernel alone, and the step is affine
 in the plateau: h = h0 + c h1.  :func:`primitive_table` tabulates
 products of these functions once per kernel on fixed quadrature nodes
 in y, so pairings at any eps need no profile evaluation.
+
+The package's one quadrature rule, composite Gauss-Legendre from
+:func:`band_quadrature`, lives here: every pairing, the primitive tables
+and the exponential kernel's mass, omega0 and antiderivative use it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +40,7 @@ __all__ = [
     "EXPONENTIAL",
     "KERNEL_KINDS",
     "MollifierKernel",
+    "band_quadrature",
     "canonical_kind",
     "make_kernel",
     "eval_correction",
@@ -68,7 +74,10 @@ _QUARTIC_NORM = 15.0 / 16.0
 _QUARTIC_OMEGA0 = 5.0 / 7.0
 
 _CDF_CHEB_DEGREE = 128
-_CDF_PANELS = 48
+
+GAUSS_NODES = 16
+PANELS_PER_SUBINTERVAL = 16
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_NODES)
 
 
 def _as_array(x):
@@ -87,7 +96,8 @@ class MollifierKernel:
     ``normalization`` is the multiplicative constant making the mass one
     and ``omega0`` is the integral of the squared kernel.  For the quartic
     bump both are exact rationals; for the exponential bump they are
-    computed once by adaptive quadrature and cached on the instance.
+    computed once with :func:`band_quadrature`, in the same pass that
+    samples its antiderivative, and cached.
     """
 
     kind: str
@@ -128,8 +138,23 @@ class MollifierKernel:
         if self.kind == QUARTIC:
             out[mid] = 0.5 + _QUARTIC_NORM * (ym - 2.0 * ym**3 / 3.0 + ym**5 / 5.0)
         else:
-            out[mid] = np.clip(_exp_cdf_interpolant()(ym), 0.0, 1.0)
+            out[mid] = np.clip(_exp_fit()[2](ym), 0.0, 1.0)
         return _maybe_scalar(out, scalar)
+
+
+def band_quadrature(lo: float, hi: float, cuts: Sequence[float]):
+    """Composite Gauss-Legendre nodes and weights on [lo, hi].
+
+    The band is split at every cut strictly inside it, and each subinterval
+    is cut into equal panels.
+    """
+    edges = np.array([lo, *(c for c in sorted(set(cuts)) if lo < c < hi), hi],
+                     dtype=float)
+    sub = np.linspace(edges[:-1], edges[1:], PANELS_PER_SUBINTERVAL + 1, axis=-1)
+    a = sub[:, :-1].reshape(-1, 1)
+    b = sub[:, 1:].reshape(-1, 1)
+    half = 0.5 * (b - a)
+    return (half * _GAUSS_X + 0.5 * (a + b)).ravel(), (half * _GAUSS_W).ravel()
 
 
 def exp_bump(y, scale=1.0, lift=0.0):
@@ -155,43 +180,23 @@ def exp_bump_dy(y, scale=1.0, lift=0.0):
 
 
 @lru_cache(maxsize=1)
-def _exp_constants():
-    from scipy.integrate import quad
+def _exp_fit():
+    """Normalization, omega0 and the Chebyshev fit of the CDF, exponential bump.
 
-    mass, _ = quad(lambda x: float(exp_bump(x)), -1.0, 1.0,
-                   epsabs=1e-15, epsrel=1e-13, limit=200)
-    norm = 1.0 / mass
-    sq, _ = quad(lambda x: (norm * float(exp_bump(x))) ** 2,
-                 -1.0, 1.0, epsabs=1e-15, epsrel=1e-13, limit=200)
-    return norm, sq
-
-
-@lru_cache(maxsize=1)
-def _exp_cdf_interpolant():
-    """Chebyshev fit of the exponential-bump antiderivative.
-
-    Sample values come from cumulative composite Gauss-Legendre so the fit
-    is limited by the interpolant, not by sample noise.
+    One pass of :func:`band_quadrature` cut at the Chebyshev fit points:
+    the running sum of the per-subinterval integrals is the unnormalized
+    CDF at every fit point and its last value is the mass.  The samples
+    are exact to rounding, so the fit is limited by the interpolant.
     """
-    norm, _ = _exp_constants()
-    nodes, weights = np.polynomial.legendre.leggauss(16)
     deg = _CDF_CHEB_DEGREE
     # Chebyshev points of the second kind on [-1, 1], ascending.
     pts = np.cos(np.pi * np.arange(deg + 1) / deg)[::-1]
-    vals = np.empty_like(pts)
-    acc = 0.0
-    prev = -1.0
-    for i, y in enumerate(pts):
-        if y > prev:
-            edges = np.linspace(prev, y, _CDF_PANELS + 1)
-            a = edges[:-1]
-            b = edges[1:]
-            xs = 0.5 * (b - a)[:, None] * nodes[None, :] + 0.5 * (a + b)[:, None]
-            acc += float(np.sum(0.5 * (b - a)[:, None] * weights[None, :]
-                                * norm * exp_bump(xs)))
-            prev = y
-        vals[i] = acc
-    return _cheb.Chebyshev.fit(pts, vals, deg, domain=[-1.0, 1.0])
+    y, w = band_quadrature(-1.0, 1.0, pts)
+    f = exp_bump(y)
+    cum = np.concatenate(([0.0], np.cumsum((w * f).reshape(deg, -1).sum(axis=1))))
+    norm = 1.0 / float(cum[-1])
+    omega0 = float(np.sum(w * (norm * f) ** 2))
+    return norm, omega0, _cheb.Chebyshev.fit(pts, norm * cum, deg, domain=[-1.0, 1.0])
 
 
 def canonical_kind(kind: str) -> str:
@@ -206,7 +211,7 @@ def canonical_kind(kind: str) -> str:
 def _kernel_for(canonical: str) -> MollifierKernel:
     if canonical == QUARTIC:
         return MollifierKernel(QUARTIC, _QUARTIC_NORM, _QUARTIC_OMEGA0)
-    norm, omega0 = _exp_constants()
+    norm, omega0, _ = _exp_fit()
     return MollifierKernel(EXPONENTIAL, norm, omega0)
 
 
@@ -331,8 +336,6 @@ def primitive_table(kernel: MollifierKernel,
 
     A product is a tuple of profile names from :data:`PROFILE_EPS_POWERS`.
     """
-    from .pairing import band_quadrature  # pairing builds on this module
-
     y, w = band_quadrature(-4.0, 4.0, (-3.0, -1.0, 1.0, 3.0))
     plain, unit = StepProfile(0.0, 1.0, kernel), StepProfile(1.0, 1.0, kernel)
     h0, dh0 = plain.value(-y), plain.deriv(-y)

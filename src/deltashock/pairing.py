@@ -3,9 +3,10 @@
 Pairs eps-families of piecewise-smooth functions against compactly
 supported test functions, extrapolates the eps -> 0 limit, estimates
 convergence orders, and extracts point-mass / dipole coefficients.  The
-quadrature is composite Gauss-Legendre with subintervals split at every
-declared breakpoint, so every integrand handed to :func:`pair` is smooth
-on each panel and the fixed-order rule is certifiable.
+quadrature is the package's one rule, ``kernels.band_quadrature``:
+composite Gauss-Legendre with subintervals split at every declared
+breakpoint, so every integrand handed to :func:`pair` is smooth on each
+panel and the fixed-order rule is certifiable.
 
 Pairings over (eps, test-function) grids are independent pure
 computations; results are reduced in grid order, so evaluation is
@@ -25,6 +26,7 @@ import numpy as np
 from .kernels import (
     MollifierKernel,
     StepProfile,
+    band_quadrature,
     eval_correction,
     eval_correction_dx,
     eval_delta_reg,
@@ -40,7 +42,6 @@ __all__ = [
     "Piecewise",
     "NumericsError",
     "ExtractionError",
-    "band_quadrature",
     "pair",
     "extrapolate_limit",
     "fit_loglog_slope",
@@ -57,10 +58,6 @@ __all__ = [
     "verify_lemma31",
     "default_eps_grid",
 ]
-
-GAUSS_NODES = 16
-PANELS_PER_SUBINTERVAL = 16
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_NODES)
 
 PLAIN_BUMP = "plain-bump"
 LINEAR_BUMP = "linear-times-bump"
@@ -155,21 +152,6 @@ class Piecewise:
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
-
-
-def band_quadrature(lo: float, hi: float, cuts: Sequence[float]):
-    """Composite Gauss-Legendre nodes and weights on [lo, hi].
-
-    The band is split at every cut strictly inside it, and each subinterval
-    is cut into equal panels; :func:`pair` integrates on these nodes.
-    """
-    edges = np.array([lo, *(c for c in sorted(set(cuts)) if lo < c < hi), hi],
-                     dtype=float)
-    sub = np.linspace(edges[:-1], edges[1:], PANELS_PER_SUBINTERVAL + 1, axis=-1)
-    a = sub[:, :-1].reshape(-1, 1)
-    b = sub[:, 1:].reshape(-1, 1)
-    half = 0.5 * (b - a)
-    return (half * _GAUSS_X + 0.5 * (a + b)).ravel(), (half * _GAUSS_W).ravel()
 
 
 def pair(f: Piecewise, phi):

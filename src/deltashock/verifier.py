@@ -36,6 +36,7 @@ import numpy as np
 from .ansatz import Front, RiemannJumpData, SmoothAnsatz
 from .kernels import (
     MollifierKernel,
+    band_quadrature,
     eval_correction,
     eval_correction_dx,
     eval_delta_reg,
@@ -50,7 +51,6 @@ from .pairing import (
     NumericsError,
     Piecewise,
     TestFunction,
-    band_quadrature,
     default_eps_grid,
     fit_order,
     point_coeffs,

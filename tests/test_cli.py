@@ -24,6 +24,10 @@ k = 0.1
 """
 
 
+# Data in the classical regime, so ``riemann`` tabulates the solution.
+CLASSICAL_INI = "[data]\nu1 = 2.0\nsigma1 = 1.0\nk = 1.0\n"
+
+
 def write(tmp_path, text, name="cfg.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -99,10 +103,19 @@ def test_config_error_exits_two(tmp_path, capsys):
     ("[data]\nu_1 = 3.0\n[dta]\nu1 = 3.0\n", "front", "'u_1'"),
     ("[kernel]\nkind = quartic\nplateau = 0.2\n", "verify-expansions", "'plateau'"),
     ("[DEFAULT]\nu1 = 3.0\n", "front", "[DEFAULT]"),
+    # these ran: a header-only riemann.csv, a PASS at t = -1, a FAIL always,
+    # or a traceback-free exit 1 from deep inside the solver
+    (CLASSICAL_INI + "[riemann]\nxi_points = 0\n", "riemann", "xi_points"),
+    (CLASSICAL_INI + "[riemann]\nxi_min = 1\nxi_max = -1\n", "riemann", "xi_min"),
+    (CLASSICAL_INI + "[riemann]\nt = 0\n", "riemann", "[riemann] t"),
+    ("[klimit]\nt = -1\n", "k-limit", "[klimit] t"),
+    ("[klimit]\norder_tol = 0\n", "k-limit", "order_tol"),
 ], ids=["t_points-inf", "t_points-nan", "u1-nan", "eps-nan", "k-negative",
         "t_max-negative", "t_max-zero", "ks-single", "replay_samples-negative",
         "unknown-key", "unknown-section", "unknown-key-and-section",
-        "unknown-kernel-key", "default-section"])
+        "unknown-kernel-key", "default-section", "xi_points-zero",
+        "xi-range-reversed", "riemann-t-zero", "klimit-t-negative",
+        "order_tol-zero"])
 def test_out_of_range_config_exits_two(tmp_path, capsys, text, command, named):
     cfg = write(tmp_path, text)
     rc = main(["--config", cfg, "--out", str(tmp_path), command])
@@ -130,6 +143,20 @@ def test_float_overflow_names_quantity_and_data(tmp_path, capsys, text, command,
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("error: " + quantity)
     assert "out of float range for RiemannJumpData(" in err[0]
+
+
+@pytest.mark.parametrize("text,command", [
+    ("[grid]\nt_points = 1e17\n", "front"),
+    (CLASSICAL_INI + "[riemann]\nxi_points = 1e17\n", "riemann"),
+], ids=["t_points", "xi_points"])
+def test_unallocatable_grid_exits_one_with_one_line(tmp_path, capsys, text, command):
+    # 1e17 float64 values (711 PiB) exceed any 64-bit address space, so the
+    # allocation fails at once; it used to end a 19-line traceback.
+    cfg = write(tmp_path, text)
+    rc = main(["--config", cfg, "--out", str(tmp_path), command])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: out of memory")
 
 
 def test_verify_expansions_outputs(tmp_path):
@@ -186,7 +213,7 @@ def test_verify_solution_replay_sweep(tmp_path, capsys):
 
 
 def test_riemann_command_worked(tmp_path, capsys):
-    cfg = write(tmp_path, "[data]\nu1 = 2.0\nsigma1 = 1.0\nk = 1.0\n")
+    cfg = write(tmp_path, CLASSICAL_INI)
     rc = main(["--config", cfg, "--out", str(tmp_path), "riemann"])
     assert rc == 0
     out = capsys.readouterr().out
@@ -255,6 +282,7 @@ def test_unknown_command_usage_error():
 # value.  Finite extremes (subnormal u1, sigma1 near the float maximum) are
 # included: they must end in exit 1, not in inf or nan in a table.
 _FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(repr)
 _ADMISSIBLE = {
     ("data", "u0"): _FINITE,
     ("data", "u1"): _FINITE,
@@ -267,14 +295,13 @@ _ADMISSIBLE = {
     ("grid", "t_points"): st.integers(2, 200).map(str),
     ("kernel", "kind"): st.sampled_from(["quartic", "exponential"]),
     ("kernel", "c"): _FINITE,
-    ("klimit", "t"): _FINITE,
-    ("klimit", "order_tol"): _FINITE,
-    ("riemann", "xi_min"): _FINITE,
-    ("riemann", "xi_max"): _FINITE,
-    ("riemann", "xi_points"): st.integers(1, 500).map(str),
-    ("riemann", "t"): _FINITE,
+    ("klimit", "t"): _POSITIVE,
+    ("klimit", "order_tol"): _POSITIVE,
+    ("riemann", "xi_points"): st.integers(2, 500).map(str),
+    ("riemann", "t"): _POSITIVE,
     ("verify", "replay_samples"): st.integers(0, 5).map(str),
 }
+_NON_POSITIVE = st.floats(max_value=0.0, allow_infinity=False).map(repr)
 _NOT_A_FINITE_NUMBER = st.sampled_from(["fast", "", "nan", "inf", "-inf", "1e999", "1,2"])
 
 
@@ -295,6 +322,12 @@ def _admissible_config(draw):
                      reverse=True)
         entries[("grid", "eps")] = ", ".join(map(repr, eps))
     if draw(st.booleans()):
+        xi_min, xi_max = sorted(draw(st.sets(st.floats(allow_nan=False,
+                                                       allow_infinity=False),
+                                             min_size=2, max_size=2)))
+        entries[("riemann", "xi_min")] = repr(xi_min)
+        entries[("riemann", "xi_max")] = repr(xi_max)
+    if draw(st.booleans()):
         ks = draw(st.sets(st.floats(0.0, exclude_min=True, allow_infinity=False),
                           min_size=2, max_size=4))
         entries[("klimit", "ks")] = " ".join(map(repr, ks))
@@ -303,7 +336,9 @@ def _admissible_config(draw):
 
 # One broken rule each, as (section, key) -> strategy for the value text.
 _VIOLATIONS = [
-    *[{key: _NOT_A_FINITE_NUMBER} for key in _ADMISSIBLE if key != ("kernel", "kind")],
+    *[{key: _NOT_A_FINITE_NUMBER}
+      for key in [*_ADMISSIBLE, ("riemann", "xi_min"), ("riemann", "xi_max")]
+      if key != ("kernel", "kind")],
     {("data", "k"): st.floats(max_value=0.0, exclude_max=True,
                               allow_infinity=False).map(repr)},
     {("grid", "t_max"): st.floats(max_value=0.0, allow_infinity=False).map(repr)},
@@ -318,6 +353,12 @@ _VIOLATIONS = [
     {("grid", "eps_pow_min"): st.just("9"), ("grid", "eps_pow_max"): st.just("4")},
     {("klimit", "ks"): st.sampled_from(["0.1", "0.1 0.1", "0.1 -0.05", "0.1 0",
                                         "", "0.1 nan"])},
+    {("klimit", "t"): _NON_POSITIVE},
+    {("klimit", "order_tol"): _NON_POSITIVE},
+    {("riemann", "xi_points"): st.integers(-5, 1).map(str)},
+    {("riemann", "t"): _NON_POSITIVE},
+    {("riemann", "xi_min"): st.floats(min_value=0.0, allow_infinity=False).map(repr),
+     ("riemann", "xi_max"): _NON_POSITIVE},
 ]
 
 

@@ -11,6 +11,7 @@ from deltashock.kernels import (
     EXPONENTIAL,
     QUARTIC,
     StepProfile,
+    band_quadrature,
     canonical_kind,
     eval_correction,
     eval_correction_dx,
@@ -20,7 +21,6 @@ from deltashock.kernels import (
     plateau_constant,
     primitive_table,
 )
-from deltashock.pairing import band_quadrature
 
 # Closed-form oracle: int_{-1}^{1} (1 - x^2)^2 dx = 2 (1 - 2/3 + 1/5) = 16/15,
 # so the unit-mass constant is 15/16 and
@@ -65,6 +65,22 @@ def test_omega0_exponential_cached_quadrature(exponential):
     assert exponential.omega0 > 0.0
     # same cached instance on repeated construction
     assert make_kernel("exponential") is exponential
+
+
+def test_exponential_constants_match_mpmath_to_rounding(exponential):
+    import mpmath as mp
+
+    with mp.workdps(40):
+        def bump(x):
+            return mp.exp(-1 / (1 - x * x))
+
+        mass = mp.quad(bump, [-1, 0, 1])
+        omega0 = mp.quad(lambda x: bump(x) ** 2, [-1, 0, 1]) / mass**2
+        assert abs(exponential.normalization * mass - 1) < 1e-15
+        assert abs(exponential.omega0 / omega0 - 1) < 1e-15
+        for y in np.linspace(-0.99, 0.99, 21):
+            ref = mp.quad(bump, [-1, mp.mpf(float(y))]) / mass
+            assert abs(exponential.cdf(y) - ref) < 5e-14, y
 
 
 @given(x=st.floats(-3.0, 3.0))

@@ -7,9 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from deltashock.kernels import StepProfile, eval_correction, eval_delta_reg
-from deltashock.pairing import (
+from deltashock.kernels import (
     GAUSS_NODES,
+    StepProfile,
+    band_quadrature,
+    eval_correction,
+    eval_delta_reg,
+)
+from deltashock.pairing import (
     ExtractionError,
     LEMMA_FAMILIES,
     NumericsError,
@@ -75,7 +80,7 @@ def test_pair_polynomial_exactness():
 
 def test_pair_exact_for_polynomial_times_polynomial_piece():
     # with a single panel, a polynomial integrand of degree <= 31 is exact
-    from deltashock.pairing import _GAUSS_W, _GAUSS_X, band_quadrature
+    from deltashock.kernels import _GAUSS_W, _GAUSS_X
 
     assert len(_GAUSS_X) == GAUSS_NODES == 16
     val = float(np.dot(_GAUSS_W, _GAUSS_X**30))

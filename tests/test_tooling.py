@@ -4,7 +4,7 @@ The benchmark under ``perfbench/`` wraps package functions by name and is
 not collected with these tests, so a deletion in the package could break
 it silently.  Its ``cli`` workload times fresh processes, so import-time
 work in the package would show there; the CLI import is checked to stay
-lazy.
+lazy and to load no third-party module but numpy.
 """
 
 import importlib
@@ -54,32 +54,42 @@ def test_every_exported_name_exists():
 
 _FRESH_CLI = """
 import json, sys
+bare = set(sys.modules)
+
+def loaded():
+    # Top-level non-stdlib modules loaded beyond a bare interpreter's.
+    return sorted({m.split(".")[0] for m in set(sys.modules) - bare}
+                  - set(sys.stdlib_module_names))
+
 import deltashock.cli
 from deltashock import kernels
 from deltashock.ansatz import RiemannJumpData, SmoothAnsatz
 from deltashock.dynamics import solve_front
-from deltashock.verifier import verify_weak_solution
+from deltashock.pairing import verify_lemma31
+from deltashock.verifier import replay_derivation, verify_weak_solution
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-after_import = (kernels.primitive_table.cache_info().currsize, scipy_modules())
+tables = [kernels.primitive_table.cache_info().currsize]
 data = RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.1, 0.1)
-kernel = kernels.make_kernel("quartic")
-ansatz = SmoothAnsatz(data, solve_front(data, kernel.omega0), kernel)
-verify_weak_solution(ansatz, data.k)
-after_verdict = (kernels.primitive_table.cache_info().currsize, scipy_modules())
-print(json.dumps([after_import, after_verdict]))
+for kind in ("quartic", "exponential"):
+    kernel = kernels.make_kernel(kind)
+    front = solve_front(data, kernel.omega0)
+    verify_weak_solution(SmoothAnsatz(data, front, kernel), data.k)
+    tables.append(kernels.primitive_table.cache_info().currsize)
+    replay_derivation(data, front, kernel)
+verify_lemma31(kernel, data.plateau())
+print(json.dumps([tables, loaded()]))
 """
 
 
 def test_cli_import_is_lazy():
     # The cli benchmark times fresh processes: importing the CLI must build
-    # no primitive table, and no quartic verdict may load scipy.
+    # no primitive table, each kernel's first verdict builds one, and a run
+    # of either kernel loads only the package and numpy, its one runtime
+    # dependency.
     src = Path(deltashock.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", _FRESH_CLI], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    after_import, after_verdict = json.loads(done.stdout)
-    assert after_import == [0, []]
-    assert after_verdict == [1, []]
+    tables, loaded = json.loads(done.stdout)
+    assert tables == [0, 1, 2]
+    assert loaded == ["deltashock", "numpy"]

@@ -10,12 +10,11 @@ import pytest
 from deltashock import kernels
 from deltashock.ansatz import RiemannJumpData, SmoothAnsatz
 from deltashock.dynamics import LinearTrajectory, overcompressivity, solve_front
-from deltashock.kernels import StepProfile
+from deltashock.kernels import StepProfile, band_quadrature
 from deltashock.pairing import (
     LINEAR_BUMP,
     NumericsError,
     TestFunction,
-    band_quadrature,
     default_eps_grid,
     pair,
     point_probes,
