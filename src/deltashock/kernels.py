@@ -16,9 +16,11 @@ scalars or numpy arrays in the spatial argument.
 
 In the scaled variable y = xi/eps every profile is a power of eps times
 a function of y that depends on the kernel alone, and the step is affine
-in the plateau: h = h0 + c h1.  :func:`primitive_table` tabulates
-products of these functions once per kernel on fixed quadrature nodes
-in y, so pairings at any eps need no profile evaluation.
+in the plateau: h = h0 + c h1.  :func:`product_columns` evaluates the
+c^j parts of products of these functions at any (xi, eps), scaled to
+eps = 1, and :func:`primitive_table` tabulates them once per kernel on
+fixed quadrature nodes in y, so pairings at any eps need no profile
+evaluation.
 
 The package's one quadrature rule, composite Gauss-Legendre from
 :func:`band_quadrature`, lives here: every pairing, the primitive tables
@@ -53,6 +55,7 @@ __all__ = [
     "exp_bump_dy",
     "PROFILE_EPS_POWERS",
     "PrimitiveTable",
+    "product_columns",
     "primitive_table",
 ]
 
@@ -329,39 +332,50 @@ class PrimitiveTable:
     powers: np.ndarray
 
 
-@lru_cache(maxsize=None)
-def primitive_table(kernel: MollifierKernel,
-                    products: tuple[tuple[str, ...], ...]) -> PrimitiveTable:
-    """The :class:`PrimitiveTable` of ``products``, built on first use.
+def product_columns(kernel: MollifierKernel, products: tuple[tuple[str, ...], ...],
+                    xi, eps: float, weights):
+    """Weighted c^j parts of profile products at moving-frame points (xi, eps).
 
-    A product is a tuple of profile names from :data:`PROFILE_EPS_POWERS`.
+    ``weights`` are quadrature weights in xi.  Returns ``(columns, keys,
+    powers)`` as in :class:`PrimitiveTable`, each column divided by
+    eps^powers[i]: on any nodes it pairs to eps^powers[i] times its sum.
     """
-    y, w = band_quadrature(-4.0, 4.0, (-3.0, -1.0, 1.0, 3.0))
-    plain, unit = StepProfile(0.0, 1.0, kernel), StepProfile(1.0, 1.0, kernel)
-    h0, dh0 = plain.value(-y), plain.deriv(-y)
+    plain, unit = StepProfile(0.0, eps, kernel), StepProfile(1.0, eps, kernel)
+    h0, dh0 = plain.value(-xi), plain.deriv(-xi)
     # Each profile as its coefficients of 1, c, c^2, ...
     factors = {
-        "h": (h0, unit.value(-y) - h0),
-        "dh": (dh0, unit.deriv(-y) - dh0),
-        "r": (eval_correction(y, 1.0, kernel),),
-        "dr": (eval_correction_dx(y, 1.0, kernel),),
-        "d": (eval_delta_reg(y, 1.0, kernel),),
-        "dd": (eval_delta_reg_dx(y, 1.0, kernel),),
+        "h": (h0, unit.value(-xi) - h0),
+        "dh": (dh0, unit.deriv(-xi) - dh0),
+        "r": (eval_correction(xi, eps, kernel),),
+        "dr": (eval_correction_dx(xi, eps, kernel),),
+        "d": (eval_delta_reg(xi, eps, kernel),),
+        "dd": (eval_delta_reg_dx(xi, eps, kernel),),
     }
     columns, keys, powers = [], [], []
     for product in products:
-        poly = [w]
+        poly = [weights]
         for name in product:
             f = factors[name]
             poly = [sum(poly[i] * f[j - i] for i in range(len(poly))
                         if 0 <= j - i < len(f))
                     for j in range(len(poly) + len(f) - 1)]
-        columns += poly
+        power = 1.0 + sum(PROFILE_EPS_POWERS[n] for n in product)
+        columns += [part * eps**-power for part in poly]
         keys += [(product, j) for j in range(len(poly))]
-        powers += [1.0 + sum(PROFILE_EPS_POWERS[n] for n in product)] * len(poly)
+        powers += [power] * len(poly)
+    return np.stack(columns, axis=-1), keys, np.array(powers)
+
+
+@lru_cache(maxsize=None)
+def primitive_table(kernel: MollifierKernel,
+                    products: tuple[tuple[str, ...], ...]) -> PrimitiveTable:
+    """The :class:`PrimitiveTable` of ``products``: :func:`product_columns` at eps = 1.
+
+    A product is a tuple of profile names from :data:`PROFILE_EPS_POWERS`.
+    """
+    y, w = band_quadrature(-4.0, 4.0, (-3.0, -1.0, 1.0, 3.0))
+    columns, keys, powers = product_columns(kernel, products, y, 1.0, w)
     # Nodes and columns where every entry is zero add nothing to a pairing.
-    columns = np.stack(columns, axis=-1)
     nodes, cols = np.any(columns != 0.0, axis=1), np.any(columns != 0.0, axis=0)
     return PrimitiveTable(y[nodes], columns[np.ix_(nodes, cols)],
-                          tuple(k for k, c in zip(keys, cols) if c),
-                          np.array(powers)[cols])
+                          tuple(k for k, c in zip(keys, cols) if c), powers[cols])

@@ -16,9 +16,9 @@ deterministic no matter how callers parallelize.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -130,9 +130,6 @@ class TestFunction:
 
     def __call__(self, x):
         return self.value(x)
-
-    def shifted(self, s: float) -> "TestFunction":
-        return TestFunction(self.center + s, self.halfwidth, self.modulation)
 
 
 @dataclass(frozen=True)
@@ -342,36 +339,29 @@ class PairingReport:
             for e, v, err in zip(self.eps_grid, self.values, self.abs_errors()):
                 writer.writerow([repr(e), repr(v), repr(err)])
 
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-
-
-def _series_report(label, eps_grid, values) -> PairingReport:
-    limit = extrapolate_limit(eps_grid, values)
-    est = estimate_order(eps_grid, values, limit)
-    return PairingReport(label, tuple(eps_grid), tuple(float(v) for v in values),
-                         float(limit), est.order, est.residual)
-
 
 @dataclass(frozen=True)
 class Extraction:
-    """Point-mass coefficient A and dipole coefficient B at one point."""
+    """Point-mass coefficient A and dipole coefficient B at one point.
+
+    ``a_fit``/``b_fit`` are the order fits of the two channels against
+    their limits.
+    """
 
     a: complex | float
     b: complex | float
     a_values: tuple
     b_values: tuple
     eps_grid: tuple[float, ...]
-    a_order: float
-    b_order: float
+    a_fit: OrderEstimate
+    b_fit: OrderEstimate
 
 
-def _check_convergence(label, eps_grid, values, limit):
+def _check_convergence(label, eps_grid, values, limit) -> OrderEstimate:
     errs = np.abs(np.asarray(values) - limit)
     scale = max(float(np.max(np.abs(values))), abs(limit), 1.0)
     if np.all(errs <= NEGLIGIBLE_RTOL * scale):
-        return ORDER_EXACT
+        return OrderEstimate(ORDER_EXACT, 0.0, 0)
     # Sign-crossing sequences (mixed-order error terms) defeat a log-log
     # fit, so non-convergence is judged by head-to-tail decay instead.
     head = float(np.max(errs[:3]))
@@ -381,7 +371,7 @@ def _check_convergence(label, eps_grid, values, limit):
             f"{label}: pairing sequence does not converge "
             f"(head error {head:.3e}, tail error {tail:.3e}, "
             f"values {list(values)})")
-    return estimate_order(eps_grid, values, limit).order
+    return estimate_order(eps_grid, values, limit)
 
 
 def point_probes(x0: float) -> tuple[TestFunction, TestFunction]:
@@ -400,10 +390,9 @@ def point_coeffs(eps_grid: Sequence[float], a_vals: Sequence,
     """
     a = extrapolate_limit(eps_grid, a_vals)
     b = -extrapolate_limit(eps_grid, b_vals)
-    a_order = _check_convergence("A-channel", eps_grid, a_vals, a)
-    b_order = _check_convergence("B-channel", eps_grid, b_vals, -b)
     return Extraction(a, b, tuple(a_vals), tuple(b_vals), tuple(eps_grid),
-                      a_order, b_order)
+                      _check_convergence("A-channel", eps_grid, a_vals, a),
+                      _check_convergence("B-channel", eps_grid, b_vals, -b))
 
 
 def extract_point_coeffs(family: Callable[[float], Piecewise], x0: float,
@@ -430,78 +419,46 @@ ORDER_FLOORS = {_R_CLASS: 0.49, _STEP_CLASS: 0.99}
 COEFF_TOL = 1e-6
 
 
-def _families(kernel: MollifierKernel, c: float):
-    # Builders return integrands with tight supports; breakpoints mark the
-    # edges of every factor's support inside the integration window.
-    def f_R(eps):
-        return Piecewise(lambda x: eval_correction(x, eps, kernel), eps, 3 * eps)
+# The twelve products of Lemma 3.1 at x0 = 0: name, factors, support and
+# the edges of every factor's support inside it (both in units of eps),
+# expected (A, B) as numbers or names of ``verify_lemma31``'s constants,
+# class, identically zero by supports.
+_LEMMA_TABLE = (
+    ("R", ("R",), (1, 3), (), (0.0, 0.0), _R_CLASS, False),
+    ("dR", ("dR",), (1, 3), (), (0.0, 0.0), _R_CLASS, False),
+    ("R2", ("R", "R"), (1, 3), (), ("omega0", 0.0), _R_CLASS, False),
+    ("RdR", ("R", "dR"), (1, 3), (), (0.0, "omega0/2"), _R_CLASS, False),
+    ("delta", ("delta",), (-3, -1), (), (1.0, 0.0), _STEP_CLASS, False),
+    ("ddelta", ("ddelta",), (-3, -1), (), (0.0, 1.0), _STEP_CLASS, False),
+    ("Rdelta", ("R", "delta"), (-3, 3), (-1, 1), (0.0, 0.0), _R_CLASS, True),
+    ("Rddelta", ("R", "ddelta"), (-3, 3), (-1, 1), (0.0, 0.0), _R_CLASS, True),
+    ("dH", ("dH",), (-4, 4), (-3, 3), (1.0, 0.0), _STEP_CLASS, False),
+    ("HdH", ("H", "dH"), (-4, 4), (-3, 3), (0.5, 0.0), _STEP_CLASS, False),
+    ("RdH", ("R", "dH"), (1, 4), (3,), (0.0, 0.0), _R_CLASS, False),
+    ("Hddelta", ("H", "ddelta"), (-3, -1), (), (0.0, "c"), _STEP_CLASS, False),
+)
 
-    def f_dR(eps):
-        return Piecewise(lambda x: eval_correction_dx(x, eps, kernel), eps, 3 * eps)
+LEMMA_FAMILIES = tuple(row[0] for row in _LEMMA_TABLE)
 
-    def f_R2(eps):
-        return Piecewise(lambda x: eval_correction(x, eps, kernel) ** 2, eps, 3 * eps)
-
-    def f_RdR(eps):
-        return Piecewise(
-            lambda x: eval_correction(x, eps, kernel) * eval_correction_dx(x, eps, kernel),
-            eps, 3 * eps)
-
-    def f_delta(eps):
-        return Piecewise(lambda x: eval_delta_reg(x, eps, kernel), -3 * eps, -eps)
-
-    def f_ddelta(eps):
-        return Piecewise(lambda x: eval_delta_reg_dx(x, eps, kernel), -3 * eps, -eps)
-
-    def f_Rdelta(eps):
-        return Piecewise(
-            lambda x: eval_correction(x, eps, kernel) * eval_delta_reg(x, eps, kernel),
-            -3 * eps, 3 * eps, (-eps, eps))
-
-    def f_Rddelta(eps):
-        return Piecewise(
-            lambda x: eval_correction(x, eps, kernel) * eval_delta_reg_dx(x, eps, kernel),
-            -3 * eps, 3 * eps, (-eps, eps))
-
-    def f_dH(eps):
-        prof = StepProfile(c, eps, kernel)
-        return Piecewise(prof.deriv, -4 * eps, 4 * eps, (-3 * eps, 3 * eps))
-
-    def f_HdH(eps):
-        prof = StepProfile(c, eps, kernel)
-        return Piecewise(lambda x: prof.value(x) * prof.deriv(x),
-                         -4 * eps, 4 * eps, (-3 * eps, 3 * eps))
-
-    def f_RdH(eps):
-        prof = StepProfile(c, eps, kernel)
-        return Piecewise(lambda x: eval_correction(x, eps, kernel) * prof.deriv(x),
-                         eps, 4 * eps, (3 * eps,))
-
-    def f_Hddelta(eps):
-        prof = StepProfile(c, eps, kernel)
-        return Piecewise(lambda x: prof.value(x) * eval_delta_reg_dx(x, eps, kernel),
-                         -3 * eps, -eps)
-
-    w0 = kernel.omega0
-    # name, builder, expected (A, B), class, identically-zero-by-supports
-    return [
-        ("R", f_R, 0.0, 0.0, _R_CLASS, False),
-        ("dR", f_dR, 0.0, 0.0, _R_CLASS, False),
-        ("R2", f_R2, w0, 0.0, _R_CLASS, False),
-        ("RdR", f_RdR, 0.0, 0.5 * w0, _R_CLASS, False),
-        ("delta", f_delta, 1.0, 0.0, _STEP_CLASS, False),
-        ("ddelta", f_ddelta, 0.0, 1.0, _STEP_CLASS, False),
-        ("Rdelta", f_Rdelta, 0.0, 0.0, _R_CLASS, True),
-        ("Rddelta", f_Rddelta, 0.0, 0.0, _R_CLASS, True),
-        ("dH", f_dH, 1.0, 0.0, _STEP_CLASS, False),
-        ("HdH", f_HdH, 0.5, 0.0, _STEP_CLASS, False),
-        ("RdH", f_RdH, 0.0, 0.0, _R_CLASS, False),
-        ("Hddelta", f_Hddelta, 0.0, c, _STEP_CLASS, False),
-    ]
+_KERNEL_FACTORS = {"R": eval_correction, "dR": eval_correction_dx,
+                   "delta": eval_delta_reg, "ddelta": eval_delta_reg_dx}
 
 
-LEMMA_FAMILIES = ("R", "dR", "R2", "RdR", "delta", "ddelta",
-                  "Rdelta", "Rddelta", "dH", "HdH", "RdH", "Hddelta")
+def _factor(name: str, x, step: StepProfile):
+    """A lemma factor at x; ``step`` is the step H, rising across x0 = 0."""
+    if name == "H":
+        return step.value(x)
+    if name == "dH":
+        return step.deriv(x)
+    return _KERNEL_FACTORS[name](x, step.eps, step.kernel)
+
+
+def _lemma_integrand(factors, support, cuts, kernel: MollifierKernel, c: float,
+                     eps: float) -> Piecewise:
+    """The product of the named factors at eps on its support."""
+    step = StepProfile(c, eps, kernel)
+    return Piecewise(lambda x: math.prod(_factor(n, x, step) for n in factors),
+                     support[0] * eps, support[1] * eps, tuple(b * eps for b in cuts))
 
 
 @dataclass(frozen=True)
@@ -549,21 +506,26 @@ def verify_lemma31(kernel: MollifierKernel, c: float,
         raise ValueError("eps grid must span at least 4 points")
     if math.log2(eps_grid[0] / eps_grid[-1]) < 3.0:
         raise ValueError("eps grid should span at least 3 dyadic decades")
+    constants = {"omega0": kernel.omega0, "omega0/2": 0.5 * kernel.omega0, "c": c}
     reports = []
-    for name, builder, exp_a, exp_b, klass, disjoint in _families(kernel, c):
-        ext = extract_point_coeffs(builder, 0.0, eps_grid)
-        a_rep = _series_report(f"{name}:A", eps_grid, ext.a_values)
-        b_rep = _series_report(f"{name}:B", eps_grid, ext.b_values)
+    for name, factors, support, cuts, expected, klass, disjoint in _LEMMA_TABLE:
+        family = partial(_lemma_integrand, factors, support, cuts, kernel, c)
+        exp_a, exp_b = (constants.get(v, v) for v in expected)
+        ext = extract_point_coeffs(family, 0.0, eps_grid)
+        a_rep = PairingReport(f"{name}:A", ext.eps_grid, ext.a_values, float(ext.a),
+                              ext.a_fit.order, ext.a_fit.residual)
+        b_rep = PairingReport(f"{name}:B", ext.eps_grid, ext.b_values, float(-ext.b),
+                              ext.b_fit.order, ext.b_fit.residual)
         max_abs = 0.0
         if disjoint:
             for eps in eps_grid:
-                f = builder(eps)
+                f = family(eps)
                 xs = np.linspace(f.lo, f.hi, 101)
                 max_abs = max(max_abs, float(np.max(np.abs(f.fn(xs)))))
         floor = ORDER_FLOORS[klass]
         coeff_ok = (abs(ext.a - exp_a) <= COEFF_TOL
                     and abs(ext.b - exp_b) <= COEFF_TOL)
-        order_ok = ext.a_order >= floor and ext.b_order >= floor
+        order_ok = ext.a_fit.order >= floor and ext.b_fit.order >= floor
         zero_ok = (not disjoint) or max_abs == 0.0
         reports.append(ExpansionReport(
             name, exp_a, exp_b, float(np.real(ext.a)), float(np.real(ext.b)),

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -157,6 +160,24 @@ def test_unallocatable_grid_exits_one_with_one_line(tmp_path, capsys, text, comm
     err = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("error: out of memory")
+
+
+def test_replay_sampler_that_finds_no_data_exits_one(tmp_path):
+    # At k = 1e17 the sampler's range 2k + 0.6 .. 2k + 3 for u1 rounds to
+    # 2k, the edge of the admissible window, so no draw is admissible; the
+    # sampler used to loop forever.  A fresh process, so a regression
+    # times out instead of hanging the suite.
+    cfg = write(tmp_path, "[data]\nu0 = 0\nu1 = 3e17\nsigma0 = 0\nsigma1 = 0\n"
+                          "e0 = 0.1\nk = 1e17\n[verify]\nreplay_samples = 1\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "deltashock", "--config", cfg, "--out", str(tmp_path),
+         "verify-solution"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=60)
+    err = done.stderr.splitlines()
+    assert done.returncode == 1
+    assert len(err) == 1 and err[0].startswith("error: ") and "k=1e+17" in err[0]
 
 
 def test_verify_expansions_outputs(tmp_path):

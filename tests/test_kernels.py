@@ -20,7 +20,9 @@ from deltashock.kernels import (
     make_kernel,
     plateau_constant,
     primitive_table,
+    product_columns,
 )
+from deltashock.pairing import default_eps_grid
 
 # Closed-form oracle: int_{-1}^{1} (1 - x^2)^2 dx = 2 (1 - 2/3 + 1/5) = 16/15,
 # so the unit-mass constant is 15/16 and
@@ -286,3 +288,27 @@ def test_primitive_table_expands_products_in_c(kernel):
                            atol=1e-14 * np.max(np.abs(expected)))
         assert np.all(expected[~kept] == 0.0)
         assert np.all(table.powers[cols] == power)
+
+
+# The products of the verifier's eight basis rows.
+BASIS_PRODUCTS = (("dh",), ("h", "dh"), ("dr",), ("h", "dr"), ("r", "dh"), ("r",),
+                  ("r", "dr"), ("dd",), ("d",), ("h", "dd"))
+
+
+def test_product_columns_at_eps_reproduce_the_table(kernel):
+    # On the nodes eps * y with weights eps * w the builder's columns,
+    # scaled to eps = 1, are the table's.  At a power of two the scaling is
+    # exact but for the half powers of eps.  At eps = 0.3 the node eps * y
+    # itself rounds, and the step's ramps amplify that through the kernel's
+    # slope: up to 27 ulp of the column's largest entry.
+    table = primitive_table(kernel, BASIS_PRODUCTS)
+    y, w = band_quadrature(-4.0, 4.0, (-3.0, -1.0, 1.0, 3.0))
+    kept = np.isin(y, table.y)
+    ulp = np.spacing(np.max(np.abs(table.columns), axis=0))
+    for eps in (*default_eps_grid(), 0.3):
+        columns, keys, powers = product_columns(kernel, BASIS_PRODUCTS, eps * y[kept],
+                                                eps, eps * w[kept])
+        cols = [keys.index(key) for key in table.keys]
+        assert np.array_equal(powers[cols], table.powers)
+        ulps = 2 if math.frexp(eps)[0] == 0.5 else 32
+        assert np.all(np.abs(columns[:, cols] - table.columns) <= ulps * ulp), eps

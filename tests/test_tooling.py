@@ -1,10 +1,11 @@
-"""The benchmark's tracer and every module's exports still resolve.
+"""The benchmark's tracer, its lemma names and every module's exports resolve.
 
-The benchmark under ``perfbench/`` wraps package functions by name and is
-not collected with these tests, so a deletion in the package could break
-it silently.  Its ``cli`` workload times fresh processes, so import-time
-work in the package would show there; the CLI import is checked to stay
-lazy and to load no third-party module but numpy.
+The benchmark under ``perfbench/`` wraps package functions by name, checks
+results by name and is not collected with these tests, so a deletion or a
+rename in the package could break it silently.  Its ``cli`` workload
+times fresh processes, so import-time work in the package would show
+there; the CLI import is checked to stay lazy and to load no third-party
+module but numpy.
 """
 
 import importlib
@@ -18,11 +19,13 @@ from pathlib import Path
 
 import deltashock
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load_perfbench(monkeypatch, name):
+    """perfbench/<name>.py as a module, read from its file and left as is."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their defining module up in sys.modules
     monkeypatch.setitem(sys.modules, spec.name, module)
@@ -34,13 +37,22 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     import deltashock.pairing as pairing
 
     original = pairing.pair
-    tracer = _load_tracing(monkeypatch).Tracer()
+    tracer = _load_perfbench(monkeypatch, "tracing").Tracer()
     try:
         tracer.install()  # raises if any target is missing
         assert pairing.pair is not original
     finally:
         tracer.uninstall()
     assert pairing.pair is original
+
+
+def test_benchmark_expects_every_lemma_family(monkeypatch):
+    # The extraction workload checks verify_lemma31's rows by name against
+    # its own closed forms; a renamed family would fail every operation.
+    from deltashock.pairing import LEMMA_FAMILIES
+
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    assert sorted(workloads.expected_expansions(5 / 7, 0.375)) == sorted(LEMMA_FAMILIES)
 
 
 def test_every_exported_name_exists():

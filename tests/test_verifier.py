@@ -277,16 +277,11 @@ def test_replay_pairing_equals_per_cell_loop(worked_data, kernel):
                                  [1.0], eps_grid)
 
 
-def test_default_verdict_evaluates_profiles_once_per_kernel(monkeypatch, worked_ansatz,
-                                                            worked_data):
-    # The six profiles are evaluated once per kernel, on the primitive
-    # table's nodes in y, and never through the pointwise field evaluators:
-    # a second verdict with the same kernel evaluates no profile at all.
-    calls = Counter()
-
+def _record_profile_calls(monkeypatch, record):
+    """Call ``record(name)`` on every profile and pointwise-field evaluation."""
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            record(name)
             return fn(*args, **kwargs)
         return wrapper
 
@@ -301,6 +296,15 @@ def test_default_verdict_evaluates_profiles_once_per_kernel(monkeypatch, worked_
         for module in modules:
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counted(name, fn))
+
+
+def test_default_verdict_evaluates_profiles_once_per_kernel(monkeypatch, worked_ansatz,
+                                                            worked_data):
+    # The six profiles are evaluated once per kernel, on the primitive
+    # table's nodes in y, and never through the pointwise field evaluators:
+    # a second verdict with the same kernel evaluates no profile at all.
+    calls = Counter()
+    _record_profile_calls(monkeypatch, lambda name: calls.update([name]))
     kernels.primitive_table.cache_clear()
     verify_weak_solution(worked_ansatz, worked_data.k)
     # the step at c = 0 and at c = 1 gives h = h0 + c h1
@@ -312,6 +316,37 @@ def test_default_verdict_evaluates_profiles_once_per_kernel(monkeypatch, worked_
     verify_weak_solution(SmoothAnsatz(worked_data, worked_ansatz.front,
                                       worked_ansatz.kernel, c=0.2), 0.0)
     assert not calls
+
+
+def test_clipped_verdict_evaluates_profiles_only_through_the_builder(
+        monkeypatch, worked_ansatz, worked_data):
+    # Clipped bands are summed on pair's own nodes in x, but their profiles
+    # come from kernels.product_columns, like the table's: no profile is
+    # evaluated outside it, and the pointwise field evaluators never run.
+    calls, inside = Counter(), []
+    builder = kernels.product_columns
+
+    def counted_builder(*args, **kwargs):
+        calls["product_columns"] += 1
+        inside.append(True)
+        try:
+            return builder(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("deltashock.") and getattr(module, "product_columns",
+                                                      None) is builder:
+            monkeypatch.setattr(module, "product_columns", counted_builder)
+    _record_profile_calls(monkeypatch,
+                          lambda name: calls.update([(name, bool(inside))]))
+    kernels.primitive_table.cache_clear()
+    verify_weak_solution(worked_ansatz, worked_data.k, phi_suite=CLIPPED_SUITE)
+    outside = [key for key in calls if isinstance(key, tuple) and not key[1]]
+    assert not outside
+    # the table, then each clipped band
+    assert calls["product_columns"] > 1
+    assert calls["value", True] == 2 * calls["product_columns"]
 
 
 def test_nonfinite_residual_raises(worked_data, quartic):
