@@ -136,6 +136,10 @@ def cmd_verify_solution(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
         print("FAIL inadmissible data: violated margin(s) "
               + "; ".join(adm.violated()))
         return EXIT_MATH
+    # Drawn first: a k that admits no sample is reported as such, before a
+    # verdict on its data can fail for another reason.
+    rng = np.random.default_rng(seed)
+    samples = [sample_admissible_data(rng, k=data.k) for _ in range(cfg.replay_samples)]
     kernel = make_kernel(cfg.kernel_kind)
     ansatz = SmoothAnsatz(data, solve_front(data, kernel.omega0), kernel)
     report = verify_weak_solution(ansatz, data.k,
@@ -143,11 +147,9 @@ def cmd_verify_solution(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
                                   eps_grid=cfg.eps_grid)
     payload = report.to_json_dict()
     replay_ok = True
-    if cfg.replay_samples > 0:
-        rng = np.random.default_rng(seed)
+    if samples:
         defects = []
-        for _ in range(cfg.replay_samples):
-            sample = sample_admissible_data(rng, k=data.k)
+        for sample in samples:
             res = replay_derivation(sample, solve_front(sample, kernel.omega0),
                                     kernel, eps_grid=cfg.eps_grid)
             defects.append(max(abs(m) for m in res.measured))

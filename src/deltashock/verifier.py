@@ -11,9 +11,12 @@ function of y that depends on the kernel alone, and a polynomial in the
 plateau c.  So the kernel's :func:`kernels.primitive_table`, built once,
 holds every product on the quadrature nodes of the front band in y with
 the weights folded in.  A pairing at any eps and time is then the
-test-function values on phi(t) + eps y times that table, one real matmul
-for a block of times; one small contraction per verdict applies the eps
-powers, c, the data and the per-time scalars.  A time whose front band a
+test-function values on phi(t) + eps y times that table.  The values of
+all times of one eps fill one buffer per verdict in place, bit for bit
+those of ``TestFunction.value``, and one real matmul pairs them; a long
+time grid is paired in blocks, so the buffer stays capped.  One small
+contraction per verdict applies the eps powers, c, the data and the
+per-time scalars.  A time whose front band a
 test support clips is summed on the nodes :func:`pairing.pair` uses:
 :func:`kernels.product_columns`, which also builds the table, evaluates
 the products there at (xi, eps), scaled to eps = 1, and the same
@@ -73,10 +76,15 @@ DEFAULT_ORDER_FLOOR = 0.25
 # is 2^{-4.5} ~ 0.044 over the default nine-step dyadic grid, so the decay
 # ceiling must sit above that for the slow family to pass honestly.
 DEFAULT_RATIO_CEILING = 5e-2
-# A block of time rows holds a (rows x nodes) array per test function, so a
-# node budget caps it and peak memory does not grow with the number of
-# times; on the quartic table's 1024 nodes a block holds five rows.
-_BLOCK_NODES = 5 * 1024
+# A block of time rows holds a (rows x nodes) array of each modulation, in
+# one buffer per verdict, so a node budget caps it and peak memory does not
+# grow with the number of times.  On the quartic table's 1024 nodes the
+# default 33 times of one eps form one block, and the buffer takes 528 KiB.
+_BLOCK_NODES = 33 * 1024
+# The nodes phi(t) + eps y resolve the front band while one ulp of phi(t)
+# stays below this fraction of the smallest eps: up to |phi| < 2^14 on the
+# default grids, whose smallest eps is 2^-12.
+_NODE_RESOLUTION = 1e-8
 # The replay probes the front here, and sampled data keep e(t) from zero.
 _PROBE_TIME = 1.0
 # Sampled data are admissible within a few draws for moderate k.
@@ -152,12 +160,28 @@ def _time_coeffs(front: Front, times):
     return phi, np.stack([one, p, p_dot, p * p, e, one, e, p], axis=-1)
 
 
-def _test_values(phi_suite, tests, x, center: float, halfwidth: float):
-    """``TestFunction.value`` of the tests sharing one support, one bump for all."""
-    z = x - center
-    bump = exp_bump(z / halfwidth, lift=1.0)
-    return np.array([bump if phi_suite[i].modulation == PLAIN_BUMP else z * bump
-                     for i in tests])
+def _test_values(psi, center: float, halfwidth: float):
+    """``TestFunction.value`` of both modulations on one support, in place.
+
+    On entry ``psi[1]`` holds the points x; on return ``psi[0]`` holds the
+    plain bump and ``psi[1]`` the linear-times-bump there.  Each float
+    operation is the one ``TestFunction.value`` makes, in its order, so the
+    values are its own bit for bit.
+    """
+    bump, z = psi
+    z -= center
+    np.divide(z, halfwidth, out=bump)
+    np.square(bump, out=bump)
+    np.subtract(1.0, bump, out=bump)
+    # q = 1 - (z/h)^2 > 0 exactly inside the support; nan fails too.
+    if bump.min() > 0.0:
+        np.divide(1.0, bump, out=bump)
+        np.subtract(1.0, bump, out=bump)
+        np.exp(bump, out=bump)
+    else:
+        bump[...] = exp_bump(z / halfwidth, lift=1.0)
+    z *= bump
+    return psi
 
 
 def _residual_pairings(ansatz: SmoothAnsatz, system_k: float, times, eps_grid,
@@ -167,21 +191,33 @@ def _residual_pairings(ansatz: SmoothAnsatz, system_k: float, times, eps_grid,
     Returns a complex array indexed ``[eps, equation, test function, time]``,
     equations in the order (u, sigma).  Each entry is the cell's
     ``pair(residual_integrand(...), phi)``, summed as the module docstring
-    describes.
+    describes.  Raises :class:`NumericsError` when a pairing is not finite,
+    and before pairing when one ulp of max |phi(t)| exceeds
+    ``_NODE_RESOLUTION`` of the smallest eps.
     """
     # Read first, so that data whose plateau leaves the float range fails
     # naming the plateau rather than on u1**2 inside a basis row.
     c = ansatz.c_effective
     phi, coeffs = _time_coeffs(ansatz.front, times)
+    reach, eps_min = float(np.max(np.abs(phi))), min(eps_grid)
+    if np.spacing(reach) > _NODE_RESOLUTION * eps_min:
+        raise NumericsError(
+            f"front position |phi(t)| = {reach:g} swamps eps = {eps_min:g}: one ulp "
+            f"of phi(t) exceeds {_NODE_RESOLUTION:g} eps, so the quadrature nodes "
+            f"phi(t) + eps y collapse")
     basis_rows = _basis_rows(ansatz, system_k)
     products = tuple(dict.fromkeys(p for row in basis_rows for p in row))
     table = primitive_table(ansatz.kernel, products)
     suite: dict[tuple[float, float], list[int]] = {}
     for i, tf in enumerate(phi_suite):
         suite.setdefault((tf.center, tf.halfwidth), []).append(i)
+    # each test's row in the values _test_values fills
+    modulation = np.array([int(tf.modulation != PLAIN_BUMP) for tf in phi_suite])
     # [eps, test function, time, table column]
     moments = np.zeros((len(eps_grid), len(phi_suite), len(times), len(table.keys)))
-    step = max(1, _BLOCK_NODES // len(table.y))
+    n_nodes = len(table.y)
+    step = max(1, _BLOCK_NODES // n_nodes)
+    buffer = np.empty(2 * min(step, len(times)) * n_nodes)
     for table_moments, eps in zip(moments, eps_grid):
         edges, nodes = ansatz.band_edges(eps), eps * table.y
         band_lo, band_hi = phi + edges[0], phi + edges[-1]
@@ -192,9 +228,13 @@ def _residual_pairings(ansatz: SmoothAnsatz, system_k: float, times, eps_grid,
             whole = (lo == band_lo) & (hi == band_hi)
             cols, rows = np.array(tests)[:, None], np.flatnonzero(whole)
             for block in (rows[k:k + step] for k in range(0, len(rows), step)):
-                psi = _test_values(phi_suite, tests, phi[block, None] + nodes,
-                                   center, halfwidth)
-                table_moments[cols, block] = psi @ table.columns
+                psi = buffer[:2 * len(block) * n_nodes].reshape(2, len(block), n_nodes)
+                np.add(phi[block, None], nodes, out=psi[1])
+                _test_values(psi, center, halfwidth)
+                # Stacked, not flattened to one (2 rows, nodes) product: a
+                # one-row block, as in the replay, then keeps numpy's
+                # vector-matrix kernel and its order of summation.
+                table_moments[cols, block] = (psi @ table.columns)[modulation[tests]]
             # Times at which the front stands still share a clipped band.
             for j in np.flatnonzero((lo < hi) & ~whole):
                 rows_by_test = clipped.setdefault((phi[j], lo[j], hi[j]), {})
@@ -208,8 +248,11 @@ def _residual_pairings(ansatz: SmoothAnsatz, system_k: float, times, eps_grid,
             columns = columns[:, [keys.index(key) for key in table.keys]]
             for (center, halfwidth), rows in rows_by_test.items():
                 tests = suite[center, halfwidth]
-                psi = _test_values(phi_suite, tests, x, center, halfwidth)
-                table_moments[np.array(tests)[:, None], rows] = (psi @ columns)[:, None]
+                psi = np.empty((2, len(x)))
+                psi[1] = x
+                pairs = _test_values(psi, center, halfwidth) @ columns
+                table_moments[np.array(tests)[:, None], rows] = \
+                    pairs[modulation[tests]][:, None]
     # [row, column]: each row's coefficient of each table column, c^j included
     expansion = np.array([[row.get(product, 0.0) * c**j for product, j in table.keys]
                           for row in basis_rows])

@@ -180,6 +180,22 @@ def test_replay_sampler_that_finds_no_data_exits_one(tmp_path):
     assert len(err) == 1 and err[0].startswith("error: ") and "k=1e+17" in err[0]
 
 
+def test_front_that_swamps_eps_exits_one_with_one_line(tmp_path, capsys):
+    # phi(t) reaches 1.5e17, where one ulp is 32, far wider than the front
+    # band 8 eps: the quadrature nodes collapse.  This used to print a FAIL
+    # verdict measured on rounding.
+    cfg = write(tmp_path, "[data]\nu0 = 0\nu1 = 3e17\nsigma0 = 0\nsigma1 = 0\n"
+                          "e0 = 0.1\nk = 1e17\n[verify]\nreplay_samples = 0\n")
+    rc = main(["--config", cfg, "--out", str(tmp_path), "verify-solution"])
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: front position |phi(t)| = ")
+    assert "eps = 0.000244141" in err[0]
+    assert captured.out == ""
+    assert not (tmp_path / "residual_report.json").exists()
+
+
 def test_verify_expansions_outputs(tmp_path):
     rc = main(["--out", str(tmp_path), "verify-expansions"])
     assert rc == 0

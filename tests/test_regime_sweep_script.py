@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import io
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from deltashock.riemann import (
     NO_SOLUTION,
     State,
     delta_regime_test,
+    regime_sweep,
     solve,
 )
 
@@ -64,6 +66,30 @@ def test_small_sweep_tables_and_counts(tmp_path):
         assert [float(r[1]) for r in rows[:9]] == list(grid)
         assert line == f"k = {k:g}: " + ", ".join(
             f"{r}={n}" for r, n in sorted(counts.items()))
+
+
+def _csv_writer_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def test_tables_are_bytes_csv_writer_writes(tmp_path):
+    proc = _run_script("--out", str(tmp_path), "--n", "17", "--ks", "0", "0.3", "2")
+    assert proc.returncode == 0, proc.stderr
+    grid = np.linspace(-4.0, 4.0, 17)
+    for k, tag in ((0.0, "0"), (0.3, "0p3"), (2.0, "2")):
+        rows = regime_sweep(grid[grid != 0.0], grid, [k])
+        want = _csv_writer_text([("u1", "sigma1", "k", "regime"), *rows])
+        assert (tmp_path / f"regimes_k{tag}.csv").read_bytes() == want.encode()
+
+
+def test_csv_text_keeps_the_sign_of_zero():
+    # 0.0 and -0.0 are equal dict keys with different text; repeats of a
+    # value are read from the cache.
+    rows = [(0.0, -0.0, 0.1, "classical"), (-0.0, 0.0, 0.1, "classical"),
+            (1e-300, 2.5, 0.1, DELTA_REGIME), (1e-300, 2.5, 0.1, NO_SOLUTION)]
+    assert _load_script().csv_text(rows) == _csv_writer_text(rows)
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -10,6 +10,7 @@ module but numpy.
 
 import importlib
 import importlib.util
+import itertools
 import json
 import os
 import pkgutil
@@ -53,6 +54,25 @@ def test_benchmark_expects_every_lemma_family(monkeypatch):
 
     workloads = _load_perfbench(monkeypatch, "workloads")
     assert sorted(workloads.expected_expansions(5 / 7, 0.375)) == sorted(LEMMA_FAMILIES)
+
+
+def test_gated_workloads_pass_their_own_checks(monkeypatch, tmp_path):
+    # The benchmark checks every output against its own closed forms, but
+    # its tests are not collected here.  The first operations of both gated
+    # workloads, run in this process, must pass those checks or fail as a
+    # counted known defect.
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    ops = itertools.chain(
+        itertools.islice(workloads.weak_solution_ops(1, tmp_path, in_process=True), 3),
+        itertools.islice(workloads.cli_ops(1, tmp_path / "cli", in_process=True),
+                         len(workloads.CLI_ROTATION)))
+    kinds = []
+    for op in ops:
+        check = op.check(op.run())
+        assert check.ok or check.known_defect, (op.kind, check.note)
+        kinds.append(op.kind)
+    assert kinds[:3] == ["verify_weak_solution"] * 3
+    assert sorted(kinds[3:]) == sorted(workloads.CLI_ROTATION)
 
 
 def test_every_exported_name_exists():

@@ -1,18 +1,21 @@
+import contextlib
 import json
 import math
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from deltashock import kernels
+from deltashock import kernels, verifier
 from deltashock.ansatz import RiemannJumpData, SmoothAnsatz
 from deltashock.dynamics import LinearTrajectory, overcompressivity, solve_front
 from deltashock.kernels import StepProfile, band_quadrature
 from deltashock.pairing import (
     LINEAR_BUMP,
+    PLAIN_BUMP,
     NumericsError,
     TestFunction,
     default_eps_grid,
@@ -22,6 +25,7 @@ from deltashock.pairing import (
 from deltashock.verifier import (
     _residual_pairings,
     _series_verdict,
+    _test_values,
     closed_form_coefficients,
     default_t_grid,
     default_test_suite,
@@ -275,6 +279,121 @@ def test_replay_pairing_equals_per_cell_loop(worked_data, kernel):
                      tuple(eps / 3 for eps in NON_DYADIC_EPS)):
         _assert_matches_per_cell(ansatz, worked_data.k, point_probes(0.7),
                                  [1.0], eps_grid)
+
+
+def _record_blocks(monkeypatch):
+    """The number of time rows of every whole-band block a verdict pairs."""
+    rows, fill = [], verifier._test_values
+
+    def recorded(psi, center, halfwidth):
+        if psi.ndim == 3:  # (modulation, time row, node); clipped bands are 2-D
+            rows.append(psi.shape[1])
+        return fill(psi, center, halfwidth)
+
+    monkeypatch.setattr(verifier, "_test_values", recorded)
+    return rows
+
+
+def test_default_verdict_pairs_one_block_per_eps(monkeypatch, worked_ansatz,
+                                                 worked_data):
+    blocks = _record_blocks(monkeypatch)
+    verify_weak_solution(worked_ansatz, worked_data.k)
+    assert blocks == [33] * len(default_eps_grid())
+
+
+def test_verdict_spanning_several_blocks_equals_per_cell_loop(monkeypatch, worked_ansatz,
+                                                              worked_data):
+    # 70 times are two full blocks of 33 and one of 4 at every eps.
+    eps_grid, t_grid = default_eps_grid(3, 7), np.linspace(0.0, 1.0, 70)
+    suite = default_test_suite(worked_ansatz.front, 1.0, max(eps_grid))
+    blocks = _record_blocks(monkeypatch)
+    report = verify_weak_solution(worked_ansatz, worked_data.k, phi_suite=suite,
+                                  t_grid=t_grid, eps_grid=eps_grid)
+    assert blocks == [33, 33, 4] * len(eps_grid)
+    _assert_matches_per_cell(worked_ansatz, worked_data.k, suite, t_grid, eps_grid,
+                             report)
+    # one time per block
+    monkeypatch.setattr(verifier, "_BLOCK_NODES", 1)
+    single = verify_weak_solution(worked_ansatz, worked_data.k, phi_suite=suite,
+                                  t_grid=t_grid, eps_grid=eps_grid)
+    assert ([(s.worst_t_per_eps, s.passed) for s in single.series]
+            == [(s.worst_t_per_eps, s.passed) for s in report.series])
+    assert blocks[-len(t_grid):] == [1] * len(t_grid)
+
+
+def test_test_values_are_test_function_values_bitwise():
+    # Inside a support 1 - y^2 >= 2e-3, so exp does not underflow.  On the
+    # edges of the dyadic support y = +-1 exactly, which takes exp_bump's
+    # masked path, as do points outside.  On the other support z / h and
+    # z * (1/h) differ, so the order of operations shows.
+    y = np.random.default_rng(0).uniform(-0.999, 0.999, 400)
+    for center, halfwidth, edges in ((0.5, 0.25, [0.25, 0.75]), (0.37, 0.29, [])):
+        inside = center + halfwidth * y
+        outside = np.array([-1e3, 0.0, center + 1.01 * halfwidth, 2.0])
+        for x in (inside, inside.reshape(8, 50),
+                  np.concatenate([inside, edges, outside])):
+            psi = np.empty((2, *x.shape))
+            psi[1] = x
+            with np.errstate(all="raise"):
+                _test_values(psi, center, halfwidth)
+                want = np.array([TestFunction(center, halfwidth, m).value(x)
+                                 for m in (PLAIN_BUMP, LINEAR_BUMP)])
+            assert psi.tobytes() == want.tobytes()
+
+
+def _traced_peak(fn):
+    """Peak bytes traced while ``fn`` runs, above what was traced before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_verdict_memory_is_capped_by_the_block_buffer(worked_ansatz, worked_data):
+    # One buffer per verdict holds a block's test-function values: 2 x 33
+    # times x 1024 nodes, 528 KiB on the quartic table.  Uncapped, 1025
+    # times would hold 16 MiB of them; only the result arrays, the moments
+    # and the complex pairings, may grow with the number of times.
+    k = worked_data.k
+    verify_weak_solution(worked_ansatz, k)  # builds the table outside the trace
+    assert _traced_peak(lambda: verify_weak_solution(worked_ansatz, k)) < 1 << 20
+    rows = verifier._basis_rows(worked_ansatz, k)
+    table = kernels.primitive_table(worked_ansatz.kernel,
+                                    tuple(dict.fromkeys(p for r in rows for p in r)))
+    times, cells = 1025, len(default_eps_grid()) * 2  # eps x test functions
+    results = cells * times * (len(table.keys) * 8 + 2 * 16)
+    t_grid = np.linspace(0.0, 1.0, times)
+    peak = _traced_peak(lambda: verify_weak_solution(worked_ansatz, k, t_grid=t_grid))
+    assert peak - results < 2 << 20
+
+
+def test_front_far_from_origin_passes_on_default_grids(quartic):
+    # u0 = 999.25 puts phi(t_max) at 1e3; one ulp of it is 1.1e-13, far
+    # below the resolution limit at eps = 2^-12.
+    data = RiemannJumpData(999.25, 2.0, 0.0, 0.5, 0.1, 0.1)
+    front = solve_front(data, quartic.omega0)
+    assert float(front.phi(1.0)) == 1e3
+    assert verify_weak_solution(SmoothAnsatz(data, front, quartic), data.k).passed
+
+
+@pytest.mark.parametrize("factor,outcome", [
+    (1.01, contextlib.nullcontext()),
+    (0.99, pytest.raises(NumericsError,
+                         match=r"\|phi\(t\)\| = 1000 swamps eps = 1\.1\d+e-05")),
+], ids=["above", "below"])
+def test_front_resolution_threshold(quartic, factor, outcome):
+    # The smallest eps just above and just below the one at which an ulp of
+    # |phi| = 1e3 is the resolution fraction of it.
+    data = RiemannJumpData(999.25, 2.0, 0.0, 0.5, 0.1, 0.1)
+    ansatz = SmoothAnsatz(data, solve_front(data, quartic.omega0), quartic)
+    eps_grid = (0.125, factor * np.spacing(1e3) / verifier._NODE_RESOLUTION)
+    with outcome:
+        verify_weak_solution(ansatz, data.k, t_grid=np.linspace(0.0, 1.0, 5),
+                             eps_grid=eps_grid)
 
 
 def _record_profile_calls(monkeypatch, record):
