@@ -16,31 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from deltashock.riemann import check_sweep_k, regime_sweep
-
-
-class _CsvFields(dict):
-    """The text ``csv.writer`` writes for each value, made on first use.
-
-    ``csv.writer`` applies ``repr`` to a float, and the header and regime
-    names need no quoting.  A zero is not kept: 0.0 and -0.0 are equal
-    keys with different text.
-    """
-
-    def __missing__(self, value):
-        text = repr(value) if isinstance(value, float) else str(value)
-        if value != 0.0:
-            self[value] = text
-        return text
-
-
-def csv_text(rows) -> str:
-    """``rows`` as ``csv.writer`` writes them, each distinct value formatted once.
-
-    A default sweep writes about 58k floats but only 161 distinct ones.
-    """
-    field = _CsvFields()
-    return "".join([f"{field[a]},{field[b]},{field[c]},{field[d]}\r\n"
-                    for a, b, c, d in rows])
+from deltashock.tables import write_table
 
 
 def main(argv=None) -> int:
@@ -66,9 +42,7 @@ def main(argv=None) -> int:
     for k in args.ks:
         rows = regime_sweep(u1s, s1s, [k])
         tag = f"{k:g}".replace(".", "p")
-        path = out / f"regimes_k{tag}.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write(csv_text([("u1", "sigma1", "k", "regime"), *rows]))
+        write_table(rows, ["u1", "sigma1", "k", "regime"], out / f"regimes_k{tag}")
         counts = {}
         for *_, regime in rows:
             counts[regime] = counts.get(regime, 0) + 1

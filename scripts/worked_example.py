@@ -10,7 +10,6 @@ small-k gap, writing plot-ready tables under --out.
 from __future__ import annotations
 
 import argparse
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -20,14 +19,8 @@ from deltashock.dynamics import solve_front, trajectory_rows
 from deltashock.kernels import make_kernel
 from deltashock.pairing import TestFunction, fit_loglog_slope
 from deltashock.riemann import k_limit_gap
+from deltashock.tables import write_table
 from deltashock.verifier import verify_weak_solution
-
-
-def write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def main() -> None:
@@ -45,12 +38,12 @@ def main() -> None:
         data = RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.1, k)
         traj = solve_front(data, kernel.omega0)
         tag = f"k{k:g}".replace(".", "p")
-        write_csv(out / f"front_{tag}.csv", ["t", "phi", "e", "re_p", "im_p"],
-                  trajectory_rows(traj, t_grid))
+        write_table(trajectory_rows(traj, t_grid), ["t", "phi", "e", "re_p", "im_p"],
+                    out / f"front_{tag}")
         ansatz = SmoothAnsatz(data, traj, kernel)
         xs = np.linspace(-1.5, 2.5, 801)
-        write_csv(out / f"fields_{tag}.csv", ["x", "re_u", "im_u", "sigma"],
-                  ansatz.snapshot_rows(1.0, args.eps, xs))
+        write_table(ansatz.snapshot_rows(1.0, args.eps, xs),
+                    ["x", "re_u", "im_u", "sigma"], out / f"fields_{tag}")
         report = verify_weak_solution(ansatz, k, t_grid=t_grid)
         print(report.summary_line())
         for s in report.series:
@@ -64,7 +57,7 @@ def main() -> None:
     ks = (0.1, 0.05, 0.025)
     gaps = [k_limit_gap(data, k, 1.0, phi_test) for k in ks]
     order, _ = fit_loglog_slope(ks, [abs(g) for g in gaps])
-    write_csv(out / "klimit.csv", ["k", "gap"], list(zip(ks, gaps)))
+    write_table(zip(ks, gaps), ["k", "gap"], out / "klimit")
     print(f"small-k stress gap order: {order:.4f} (the gap law is exactly "
           "quadratic in k)")
 

@@ -9,6 +9,7 @@ Subpackages:
 * :mod:`deltashock.dynamics`  closed-form front dynamics and admissibility
 * :mod:`deltashock.riemann`   classical Riemann solver and small-k limit study
 * :mod:`deltashock.verifier`  weak-solution verification and derivation replay
+* :mod:`deltashock.tables`    the one CSV/JSON table writer
 * :mod:`deltashock.cli`       config-driven command line front end
 """
 

@@ -9,14 +9,16 @@ Subcommands::
     k-limit             measure the small-k gap between singular solutions
 
 Exit codes: 0 success, 1 mathematical failure, 2 usage/config error.
-All file outputs are deterministic functions of the configuration.
+All file outputs are deterministic functions of the configuration.  Every
+table, the 24 expansion channel tables included, is written in the run's
+``--format`` by :func:`deltashock.tables.write_table`; reports are JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -41,6 +43,7 @@ from .riemann import (
     region_labels,
     solve,
 )
+from .tables import write_table
 from .verifier import (
     default_t_grid,
     replay_derivation,
@@ -55,27 +58,17 @@ EXIT_USAGE = 2
 K_GAP_TOL = 1e-10
 
 
-def _write_rows(rows, header, path: Path, fmt: str) -> None:
-    if fmt == "csv":
-        with open(path.with_suffix(".csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([v if isinstance(v, str) else repr(float(v))
-                                 for v in row])
-    else:
-        payload = [dict(zip(header, (v if isinstance(v, str) else float(v)
-                                     for v in row))) for row in rows]
-        with open(path.with_suffix(".json"), "w") as fh:
-            json.dump(payload, fh, indent=1)
-
-
 def _write_json(obj, path: Path) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=1)
 
 
 def cmd_verify_expansions(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
+    decades = math.log2(cfg.eps_grid[0] / cfg.eps_grid[-1])
+    if decades < 3.0:
+        print(f"config error: [grid] eps spans {decades:.3g} dyadic decades; "
+              "verify-expansions needs at least 3", file=sys.stderr)
+        return EXIT_USAGE
     kernel = make_kernel(cfg.kernel_kind)
     c_from_data = None
     try:
@@ -93,8 +86,10 @@ def cmd_verify_expansions(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int
     c_matches = c_from_data is None or abs(c - c_from_data) <= 1e-12
     reports = verify_lemma31(kernel, c, cfg.eps_grid)
     for rep in reports:
-        rep.a_report.write_csv(out / f"lemma31_{rep.name}_A.csv")
-        rep.b_report.write_csv(out / f"lemma31_{rep.name}_B.csv")
+        for channel, report in (("A", rep.a_report), ("B", rep.b_report)):
+            write_table(zip(report.eps_grid, report.values, report.abs_errors()),
+                        ["epsilon", "value", "abs-error-vs-limit"],
+                        out / f"lemma31_{rep.name}_{channel}", fmt)
     passed = all(r.passed for r in reports)
     _write_json({
         "kernel": kernel.kind,
@@ -121,7 +116,7 @@ def cmd_front(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
     kernel = make_kernel(cfg.kernel_kind)
     traj = solve_front(data, kernel.omega0)
     rows = trajectory_rows(traj, default_t_grid(cfg.t_max, cfg.t_points))
-    _write_rows(rows, ["t", "phi", "e", "re_p", "im_p"], out / "front", fmt)
+    write_table(rows, ["t", "phi", "e", "re_p", "im_p"], out / "front", fmt)
     adm = overcompressivity(data)
     print(f"front speed = {traj.phi_dot!r}, amplitude rate = {traj.e_rate!r}")
     print(f"admissible = {adm.admissible}; margins: "
@@ -184,10 +179,11 @@ def cmd_riemann(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
               "classical and the overcompressive regimes")
         return EXIT_MATH
     xi = np.linspace(cfg.xi_min, cfg.xi_max, cfg.xi_points)
-    u, sigma = eval_riemann(sol, xi * cfg.riemann_t, cfg.riemann_t)
-    labels = region_labels(sol, xi)
+    x = xi * cfg.riemann_t
+    u, sigma = eval_riemann(sol, x, cfg.riemann_t)
+    labels = region_labels(sol, x, cfg.riemann_t)
     rows = list(zip(map(float, xi), map(float, u), map(float, sigma), labels))
-    _write_rows(rows, ["xi", "u", "sigma", "region"], out / "riemann", fmt)
+    write_table(rows, ["xi", "u", "sigma", "region"], out / "riemann", fmt)
     print(f"u* = {sol.u_star!r}, sigma* = {sol.sigma_star!r}")
     for w in (sol.wave1, sol.wave2):
         if w.kind == "shock":
@@ -213,7 +209,7 @@ def cmd_k_limit(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
         rows.append((float(k), gap, expected, abs(gap - expected)))
     errs = [r[3] for r in rows]
     order, _ = fit_loglog_slope(cfg.klimit_ks, [abs(r[1]) for r in rows])
-    _write_rows(rows, ["k", "gap", "expected", "abs_err"], out / "klimit", fmt)
+    write_table(rows, ["k", "gap", "expected", "abs_err"], out / "klimit", fmt)
     print(f"fitted k-order: {order:.4f} (expected 2 within {cfg.klimit_order_tol:g})")
     ok = max(errs) <= K_GAP_TOL and abs(order - 2.0) <= cfg.klimit_order_tol
     print(("PASS" if ok else "FAIL")

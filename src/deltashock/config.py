@@ -13,12 +13,14 @@ plus optional sections ``[klimit]`` (ks, t, order_tol), ``[riemann]``
 
 Validation rules: every section and key must be one of those above;
 every number must be finite; k >= 0; t_max > 0;
-t_points >= 2; an explicit eps list has at least 4 positive, strictly
-decreasing values, and eps_pow_max exceeds eps_pow_min; ks holds at
-least 2 distinct positive values; [klimit] t > 0 and order_tol > 0;
+t_points >= 2; an eps grid, listed or of powers, has at least 4
+positive, strictly decreasing values (so eps_pow_max >= eps_pow_min + 3);
+ks holds at least 2 distinct positive values; [klimit] t > 0 and order_tol > 0;
 xi_min < xi_max, xi_points >= 2 and [riemann] t > 0; replay_samples >= 0.
 Configuration problems raise :class:`ConfigError`; mathematical problems
-with valid configuration surface later from the library.
+with valid configuration surface later from the library.  The
+``verify-expansions`` command also needs the eps grid to span at least 3
+dyadic decades, and rejects a narrower one as a configuration error.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ def _parse_eps(parser) -> tuple[float, ...]:
     pmax = _get_int(parser, "grid", "eps_pow_max", 12)
     if pmax <= pmin:
         raise ConfigError("[grid] eps_pow_max must exceed eps_pow_min")
-    return default_eps_grid(pmin, pmax)
+    return validate_eps_grid(default_eps_grid(pmin, pmax))
 
 
 def load_config(path: str | None) -> RunConfig:

@@ -15,7 +15,6 @@ deterministic no matter how callers parallelize.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -331,13 +330,6 @@ class PairingReport:
             "order": self.order if math.isfinite(self.order) else "exact",
             "fit_residual": self.fit_residual,
         }
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epsilon", "value", "abs-error-vs-limit"])
-            for e, v, err in zip(self.eps_grid, self.values, self.abs_errors()):
-                writer.writerow([repr(e), repr(v), repr(err)])
 
 
 @dataclass(frozen=True)

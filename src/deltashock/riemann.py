@@ -120,28 +120,27 @@ def intermediate_state(left: State, right: State, k: float) -> tuple[float, floa
     return u_star, sigma_star
 
 
-def _wave1(left: State, u_star: float, k: float, tol: float) -> Wave:
-    if abs(u_star - left.u) <= tol:
+def _wave1(left: State, u_star: float, k: float) -> Wave:
+    if abs(u_star - left.u) <= ZERO_STRENGTH_TOL:
         return Wave(1, "none")
     if u_star > left.u:
         return Wave(1, "rarefaction", fan=(left.u - k, u_star - k))
     return Wave(1, "shock", speed=0.5 * (left.u + u_star) - k)
 
 
-def _wave2(right: State, u_star: float, k: float, tol: float) -> Wave:
-    if abs(right.u - u_star) <= tol:
+def _wave2(right: State, u_star: float, k: float) -> Wave:
+    if abs(right.u - u_star) <= ZERO_STRENGTH_TOL:
         return Wave(2, "none")
     if right.u > u_star:
         return Wave(2, "rarefaction", fan=(u_star + k, right.u + k))
     return Wave(2, "shock", speed=0.5 * (u_star + right.u) + k)
 
 
-def classify_waves(left: State, right: State, k: float,
-                   strength_tol: float = ZERO_STRENGTH_TOL) -> RiemannSolution:
+def classify_waves(left: State, right: State, k: float) -> RiemannSolution:
     """Classical two-wave construction with its ordering check."""
     u_star, sigma_star = intermediate_state(left, right, k)
-    w1 = _wave1(left, u_star, k, strength_tol)
-    w2 = _wave2(right, u_star, k, strength_tol)
+    w1 = _wave1(left, u_star, k)
+    w2 = _wave2(right, u_star, k)
     ordered = w1.fastest <= w2.slowest + 1e-12
     regime = CLASSICAL if ordered else NO_SOLUTION
     return RiemannSolution(left, right, float(k), regime,
@@ -165,67 +164,55 @@ def solve(left: State, right: State, k: float) -> RiemannSolution:
     return classify_waves(left, right, k)
 
 
+_REGION_NAMES = ("left", "fan-1", "middle", "fan-2", "right")
+_LEFT, _FAN1, _MIDDLE, _FAN2, _RIGHT = range(len(_REGION_NAMES))
+
+
+def _regions(solution: RiemannSolution, x, t: float):
+    """xi = x/t, at least 1-d, and its region codes.  Regions may overlap
+    within the 1e-12 ordering tolerance: right beats left, a fan beats
+    both, and fan 2 beats fan 1."""
+    if solution.regime != CLASSICAL:
+        raise NotApplicableError(
+            f"pointwise evaluation needs a classical solution, got {solution.regime}")
+    if not t > 0.0:
+        raise ValueError("self-similar evaluation needs t > 0")
+    xi = np.atleast_1d(np.asarray(x, dtype=float) / float(t))
+    w1, w2 = solution.wave1, solution.wave2
+    codes = np.full(xi.shape, _MIDDLE, dtype=np.int8)
+    codes[xi < w1.slowest] = _LEFT
+    codes[xi > w2.fastest] = _RIGHT
+    if w1.kind == "rarefaction":
+        codes[(xi >= w1.slowest) & (xi <= w1.fastest)] = _FAN1
+    if w2.kind == "rarefaction":
+        codes[(xi >= w2.slowest) & (xi <= w2.fastest)] = _FAN2
+    return xi, codes
+
+
 def eval_riemann(solution: RiemannSolution, x, t: float):
     """Self-similar evaluation (u, sigma) of a classical solution.
 
     Inside a family-1 fan u = xi + k and sigma follows the 1-family line;
     inside a family-2 fan u = xi - k and sigma follows the 2-family line.
     """
-    if solution.regime != CLASSICAL:
-        raise NotApplicableError(
-            f"pointwise evaluation needs a classical solution, got {solution.regime}")
-    if not t > 0.0:
-        raise ValueError("self-similar evaluation needs t > 0")
-    xi = np.asarray(x, dtype=float) / float(t)
-    scalar = xi.ndim == 0
-    xi = np.atleast_1d(xi)
-    u = np.empty_like(xi)
-    sigma = np.empty_like(xi)
-    left, right = solution.left, solution.right
-    w1, w2 = solution.wave1, solution.wave2
-    k = solution.k
-    lo1, hi1 = w1.slowest, w1.fastest
-    lo2, hi2 = w2.slowest, w2.fastest
-    m_left = xi < lo1
-    m_fan1 = (w1.kind == "rarefaction") & (xi >= lo1) & (xi <= hi1)
-    m_right = xi > hi2
-    m_fan2 = (w2.kind == "rarefaction") & (xi >= lo2) & (xi <= hi2)
-    m_mid = ~(m_left | m_fan1 | m_fan2 | m_right)
-    u[m_left] = left.u
-    sigma[m_left] = left.sigma
-    u[m_right] = right.u
-    sigma[m_right] = right.sigma
-    u[m_mid] = solution.u_star
-    sigma[m_mid] = solution.sigma_star
-    if np.any(m_fan1):
-        uf = xi[m_fan1] + k
-        u[m_fan1] = uf
-        sigma[m_fan1] = left.sigma + k * (uf - left.u)
-    if np.any(m_fan2):
-        uf = xi[m_fan2] - k
-        u[m_fan2] = uf
-        sigma[m_fan2] = solution.sigma_star - k * (uf - solution.u_star)
-    if scalar:
+    xi, codes = _regions(solution, x, t)
+    left, right, k = solution.left, solution.right, solution.k
+    # Constant states by region code; the fans are filled in below.
+    u = np.array([left.u, 0.0, solution.u_star, 0.0, right.u])[codes]
+    sigma = np.array([left.sigma, 0.0, solution.sigma_star, 0.0, right.sigma])[codes]
+    fan1, fan2 = codes == _FAN1, codes == _FAN2
+    u[fan1] = xi[fan1] + k
+    sigma[fan1] = left.sigma + k * (u[fan1] - left.u)
+    u[fan2] = xi[fan2] - k
+    sigma[fan2] = solution.sigma_star - k * (u[fan2] - solution.u_star)
+    if np.ndim(x) == 0:
         return float(u[0]), float(sigma[0])
     return u, sigma
 
 
-def region_labels(solution: RiemannSolution, xi_grid) -> list[str]:
-    """Region of each similarity coordinate, for profile exports."""
-    labels = []
-    w1, w2 = solution.wave1, solution.wave2
-    for xi in np.asarray(xi_grid, dtype=float):
-        if xi < w1.slowest:
-            labels.append("left")
-        elif w1.kind == "rarefaction" and xi <= w1.fastest:
-            labels.append("fan-1")
-        elif xi > w2.fastest:
-            labels.append("right")
-        elif w2.kind == "rarefaction" and xi >= w2.slowest:
-            labels.append("fan-2")
-        else:
-            labels.append("middle")
-    return labels
+def region_labels(solution: RiemannSolution, x, t: float = 1.0) -> list[str]:
+    """Region of each point x at time t whose values :func:`eval_riemann` gives."""
+    return [_REGION_NAMES[c] for c in _regions(solution, x, t)[1]]
 
 
 def _require_admissible(data: RiemannJumpData) -> None:

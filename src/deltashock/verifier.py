@@ -59,7 +59,6 @@ from .pairing import (
 )
 
 __all__ = [
-    "residuals",
     "residual_integrand",
     "ResidualSeries",
     "SolutionReport",
@@ -98,26 +97,10 @@ def _residual_values(ansatz: SmoothAnsatz, system_k: float, x, t, eps: float):
     return u_t + u * u_x - s_x, s_t + u * s_x - system_k**2 * u_x
 
 
-def residuals(ansatz: SmoothAnsatz, system_k: float):
-    """Pointwise residual evaluators for both equations of the system.
-
-    The velocity residual is u_t + u u_x - sigma_x; the stress residual
-    is sigma_t + u sigma_x - k^2 u_x (k = 0 selects the degenerate
-    system).  Both are complex-valued when the correction amplitude is.
-    """
-
-    def res_u(x, t, eps):
-        return _residual_values(ansatz, system_k, x, t, eps)[0]
-
-    def res_sigma(x, t, eps):
-        return _residual_values(ansatz, system_k, x, t, eps)[1]
-
-    return res_u, res_sigma
-
-
 def residual_integrand(ansatz: SmoothAnsatz, system_k: float, equation: str,
                        t: float, eps: float) -> Piecewise:
-    """Residual at fixed time as a compactly supported integrand."""
+    """Residual of ``equation`` ("u" or "sigma") at fixed time as a
+    compactly supported integrand; complex when the amplitude is."""
     i = 0 if equation == "u" else 1
     breaks = ansatz.breakpoints(t, eps)
     return Piecewise(lambda x: _residual_values(ansatz, system_k, x, t, eps)[i],

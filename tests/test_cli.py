@@ -206,6 +206,58 @@ def test_verify_expansions_outputs(tmp_path):
     assert len(report["expansions"]) == 12
     assert (tmp_path / "lemma31_R2_A.csv").exists()
     assert (tmp_path / "lemma31_Hddelta_B.csv").exists()
+    delta = next(e for e in report["expansions"] if e["name"] == "delta")
+    lines = (tmp_path / "lemma31_delta_A.csv").read_text().strip().splitlines()
+    assert lines[0] == "epsilon,value,abs-error-vs-limit"
+    assert len(lines) == 1 + len(delta["A"]["epsilon"])
+    first = lines[1].split(",")
+    assert float(first[0]) == delta["A"]["epsilon"][0]
+    assert float(first[1]) == delta["A"]["value"][0]
+
+
+def test_verify_expansions_json_format_writes_json_channel_tables(tmp_path):
+    rc = main(["--out", str(tmp_path), "--format", "json", "verify-expansions"])
+    assert rc == 0
+    report = json.loads((tmp_path / "lemma31_report.json").read_text())
+    assert not list(tmp_path.glob("*.csv"))
+    tables = sorted(p.name for p in tmp_path.glob("lemma31_*_?.json"))
+    assert tables == sorted(f"lemma31_{e['name']}_{ch}.json"
+                            for e in report["expansions"] for ch in "AB")
+    assert len(tables) == 24
+    for entry in report["expansions"]:
+        for ch in "AB":
+            rows = json.loads((tmp_path / f"lemma31_{entry['name']}_{ch}.json").read_text())
+            assert [r["epsilon"] for r in rows] == entry[ch]["epsilon"]
+            assert [r["value"] for r in rows] == entry[ch]["value"]
+            assert all(set(r) == {"epsilon", "value", "abs-error-vs-limit"} for r in rows)
+
+
+@pytest.mark.parametrize("text,args,command,message", [
+    ("[grid]\neps = 0.125, 0.0625\n", [], "verify-solution", "at least 4 points"),
+    (None, ["--eps-min", "0.0625", "--eps-max", "0.125"], "verify-solution",
+     "at least 4 points"),
+    # a 2- or 3-point power grid used to run: a FAIL fitted on two eps, or
+    # an exit 1 from the expansion suite
+    ("[grid]\neps_pow_min = 3\neps_pow_max = 4\n", [], "verify-solution",
+     "at least 4 points"),
+    ("[grid]\neps_pow_min = 3\neps_pow_max = 4\n", [], "verify-expansions",
+     "at least 4 points"),
+    ("[grid]\neps_pow_min = 3\neps_pow_max = 5\n", [], "front", "at least 4 points"),
+    # four points that span less than 3 dyadic decades used to exit 1
+    ("[grid]\neps = 0.1, 0.09, 0.08, 0.07\n", [], "verify-expansions",
+     "[grid] eps spans 0.515 dyadic decades"),
+], ids=["list-2", "override-2", "powers-2-solution", "powers-2-expansions",
+        "powers-3", "list-narrow-expansions"])
+def test_short_eps_grid_exits_two_with_one_line(tmp_path, capsys, text, args, command,
+                                                 message):
+    cfg = ["--config", write(tmp_path, text)] if text else []
+    rc = main(cfg + args + ["--out", str(tmp_path / "out"), command])
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("config error:") and message in err[0]
+    assert captured.out == ""
+    assert not list((tmp_path / "out").glob("*"))
 
 
 def test_verify_expansions_c_mismatch_flagged(tmp_path, capsys):
@@ -260,6 +312,19 @@ def test_riemann_command_worked(tmp_path, capsys):
     assert lines[0] == "xi,u,sigma,region"
     assert len(lines) == 402
     assert lines[1].endswith("left") and lines[-1].endswith("right")
+
+
+def test_riemann_row_where_waves_overlap_is_labelled_by_its_values(tmp_path):
+    # The 1-shock lies 2^-45 right of the 2-fan's head; the first row holds
+    # fan-2 values and used to be labelled "left".
+    cfg = write(tmp_path, "[data]\nu0 = 1.25\nu1 = 0.75\nsigma0 = 0\n"
+                          "sigma1 = 0.3125000000000284\nk = 0.25\n"
+                          "[riemann]\nxi_min = 1.2499999999999432\nxi_max = 3.0\n"
+                          "xi_points = 2\n")
+    rc = main(["--config", cfg, "--out", str(tmp_path), "riemann"])
+    assert rc == 0
+    lines = (tmp_path / "riemann.csv").read_text().splitlines()
+    assert lines[1] == "1.2499999999999432,0.9999999999999432,0.06250000000001421,fan-2"
 
 
 def test_riemann_command_delta_regime(tmp_path, capsys):
@@ -351,7 +416,8 @@ def _admissible_config(draw):
     if grid == "powers":
         lo = draw(st.integers(0, 16))
         entries[("grid", "eps_pow_min")] = str(lo)
-        entries[("grid", "eps_pow_max")] = str(draw(st.integers(lo + 1, 20)))
+        # at least 4 points, so at least 3 dyadic decades
+        entries[("grid", "eps_pow_max")] = str(draw(st.integers(lo + 3, 20)))
     elif grid == "list":
         eps = sorted(draw(st.sets(st.floats(0.0, exclude_min=True,
                                             allow_infinity=False),
@@ -387,6 +453,8 @@ _VIOLATIONS = [
                                        "0.1, 0.2, 0.05, 0.01", "0.5, 0.25, 0, -0.1",
                                        "0.5, 0.25, nan, 0.1", "", "a, b, c, d"])},
     {("grid", "eps_pow_min"): st.just("8"), ("grid", "eps_pow_max"): st.just("8")},
+    {("grid", "eps_pow_min"): st.just("3"), ("grid", "eps_pow_max"): st.just("4")},
+    {("grid", "eps_pow_min"): st.just("3"), ("grid", "eps_pow_max"): st.just("5")},
     {("grid", "eps_pow_min"): st.just("9"), ("grid", "eps_pow_max"): st.just("4")},
     {("klimit", "ks"): st.sampled_from(["0.1", "0.1 0.1", "0.1 -0.05", "0.1 0",
                                         "", "0.1 nan"])},

@@ -3,6 +3,7 @@
 import csv
 import importlib.util
 import io
+import json
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from deltashock.riemann import (
     regime_sweep,
     solve,
 )
+from deltashock.tables import write_table
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "regime_sweep.py"
@@ -84,12 +86,37 @@ def test_tables_are_bytes_csv_writer_writes(tmp_path):
         assert (tmp_path / f"regimes_k{tag}.csv").read_bytes() == want.encode()
 
 
-def test_csv_text_keeps_the_sign_of_zero():
+def test_csv_text_keeps_the_sign_of_zero(tmp_path):
     # 0.0 and -0.0 are equal dict keys with different text; repeats of a
-    # value are read from the cache.
+    # value are read from the writer's cache.
+    header = ("u1", "sigma1", "k", "regime")
     rows = [(0.0, -0.0, 0.1, "classical"), (-0.0, 0.0, 0.1, "classical"),
             (1e-300, 2.5, 0.1, DELTA_REGIME), (1e-300, 2.5, 0.1, NO_SOLUTION)]
-    assert _load_script().csv_text(rows) == _csv_writer_text(rows)
+    write_table(rows, header, tmp_path / "signs")
+    assert (tmp_path / "signs.csv").read_bytes() == _csv_writer_text([header, *rows]).encode()
+
+
+_FRESH_SWEEP = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("regime_sweep_script", sys.argv[1])
+script = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(script)
+assert script.main(["--out", sys.argv[2], "--n", "3"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "deltashock")))
+"""
+
+
+def test_sweep_loads_only_the_modules_it_computes_with(tmp_path):
+    # The cli benchmark times the sweep as a fresh process: writing its
+    # tables must not load the CLI, the config reader or the verifier.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", _FRESH_SWEEP, str(SCRIPT), str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == [
+        "deltashock", "deltashock.ansatz", "deltashock.dynamics", "deltashock.kernels",
+        "deltashock.pairing", "deltashock.riemann", "deltashock.tables"]
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -184,6 +184,63 @@ def test_region_labels():
     assert region_labels(fan_sol, [2.5])[0] == "fan-2"
 
 
+# Repro data: the 1-shock lies 2^-45 right of the 2-fan's head, inside the
+# 1e-12 ordering tolerance, so xi = 1.2499999999999432 is both left of
+# wave 1 and inside fan 2.
+OVERLAP_LEFT = State(2.0, 0.3125000000000284)
+OVERLAP_RIGHT = State(1.25, 0.0)
+
+
+def test_region_label_where_waves_overlap_names_the_values_region():
+    sol = solve(OVERLAP_LEFT, OVERLAP_RIGHT, 0.25)
+    assert sol.regime == CLASSICAL
+    xi = 1.2499999999999432
+    assert xi < sol.wave1.slowest and sol.wave2.slowest <= xi <= sol.wave2.fastest
+    assert eval_riemann(sol, xi, 1.0) == (0.9999999999999432, 0.06250000000001421)
+    # it used to say "left", whose state is (2.0, 0.3125000000000284)
+    assert region_labels(sol, [xi]) == ["fan-2"]
+
+
+def _closed_form(sol, label, xi):
+    """(u, sigma) a region's closed form gives at xi, as the solver writes it."""
+    k = sol.k
+    if label == "left":
+        return sol.left.u, sol.left.sigma
+    if label == "right":
+        return sol.right.u, sol.right.sigma
+    if label == "middle":
+        return sol.u_star, sol.sigma_star
+    if label == "fan-1":
+        u = xi + k
+        return u, sol.left.sigma + k * (u - sol.left.u)
+    u = xi - k
+    return u, sol.sigma_star - k * (u - sol.u_star)
+
+
+def test_every_label_names_the_closed_form_of_its_values():
+    rng = np.random.default_rng(3)
+    seen = 0
+    cases = [(OVERLAP_LEFT, OVERLAP_RIGHT, 0.25), (State(0.0, 0.0), State(2.0, 0.0), 1.0)]
+    while seen < 50:
+        ul, sl, ur, sr = rng.uniform(-2, 2, size=4)
+        k = float(rng.uniform(0.3, 2.0))
+        if solve(State(ul, sl), State(ur, sr), k).regime == CLASSICAL:
+            cases.append((State(ul, sl), State(ur, sr), k))
+            seen += 1
+    for left, right, k in cases:
+        sol = solve(left, right, k)
+        edges = [e for w in (sol.wave1, sol.wave2) if w.kind != "none"
+                 for e in (w.slowest, w.fastest)]
+        xi = np.concatenate([np.linspace(-6.0, 6.0, 121),
+                             *[np.nextafter(e, [-np.inf, np.inf]) for e in edges],
+                             edges])
+        for t in (1.0, 0.7):
+            u, sigma = eval_riemann(sol, xi * t, t)
+            labels = region_labels(sol, xi * t, t)
+            for x, lab, u_x, s_x in zip(xi * t / t, labels, u, sigma):
+                assert (u_x, s_x) == _closed_form(sol, lab, x), (left, right, k, x, lab)
+
+
 def test_delta_regime_test_cases():
     assert delta_regime_test(State(2.0, 0.3), State(0.0, 0.3), 0.1)
     assert not delta_regime_test(State(0.0, 0.0), State(2.0, 0.0), 0.1)

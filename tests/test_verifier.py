@@ -31,7 +31,6 @@ from deltashock.verifier import (
     default_test_suite,
     replay_derivation,
     residual_integrand,
-    residuals,
     sample_admissible_data,
     verify_weak_solution,
 )
@@ -42,34 +41,32 @@ def test_constant_state_has_zero_residuals(quartic):
     data = RiemannJumpData(0.7, 0.0, -0.3, 0.0, 0.0, 0.2)
     traj = LinearTrajectory(0.4)
     ansatz = SmoothAnsatz(data, traj, quartic, c=0.0)
-    res_u, res_sigma = residuals(ansatz, 0.2)
     xs = np.linspace(-2, 2, 401)
-    assert np.max(np.abs(res_u(xs, 0.5, 0.1))) == 0.0
-    assert np.max(np.abs(res_sigma(xs, 0.5, 0.1))) == 0.0
+    for equation in ("u", "sigma"):
+        res = residual_integrand(ansatz, 0.2, equation, 0.5, 0.1)
+        assert np.max(np.abs(res(xs))) == 0.0
 
 
 def test_residual_supported_in_bands(worked_ansatz, worked_data):
-    res_u, res_sigma = residuals(worked_ansatz, worked_data.k)
     t, eps = 0.6, 0.05
     front = float(worked_ansatz.front.phi(t))
     outside = np.array([front - 4.1 * eps, front + 4.1 * eps, front - 2.0,
                         front + 2.0])
-    assert np.max(np.abs(res_u(outside, t, eps))) == 0.0
-    assert np.max(np.abs(res_sigma(outside, t, eps))) == 0.0
     inside = np.linspace(front - 4 * eps, front + 4 * eps, 801)
-    assert np.max(np.abs(res_u(inside, t, eps))) > 0.0
-    assert np.max(np.abs(res_sigma(inside, t, eps))) > 0.0
+    for equation in ("u", "sigma"):
+        res = residual_integrand(worked_ansatz, worked_data.k, equation, t, eps)
+        assert np.max(np.abs(res(outside))) == 0.0
+        assert np.max(np.abs(res(inside))) > 0.0
 
 
 def test_sigma_residual_k_dependence_is_pointwise(worked_ansatz):
     # residual(k) - residual(0) = -k^2 du/dx at every point
-    _, res_k = residuals(worked_ansatz, 0.3)
-    _, res_0 = residuals(worked_ansatz, 0.0)
     t, eps = 0.4, 0.08
     front = float(worked_ansatz.front.phi(t))
     xs = np.linspace(front - 4 * eps, front + 4 * eps, 501)
     _, u_x, _, _ = worked_ansatz.eval_derivatives(xs, t, eps)
-    diff = res_k(xs, t, eps) - res_0(xs, t, eps)
+    diff = (residual_integrand(worked_ansatz, 0.3, "sigma", t, eps)(xs)
+            - residual_integrand(worked_ansatz, 0.0, "sigma", t, eps)(xs))
     assert np.max(np.abs(diff + 0.3**2 * u_x)) < 1e-12
 
 
