@@ -145,8 +145,7 @@ def cmd_verify_solution(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
     if samples:
         defects = []
         for sample in samples:
-            res = replay_derivation(sample, solve_front(sample, kernel.omega0),
-                                    kernel, eps_grid=cfg.eps_grid)
+            res = replay_derivation(sample, solve_front(sample, kernel.omega0), kernel)
             defects.append(max(abs(m) for m in res.measured))
         replay_ok = max(defects) <= 1e-3
         payload["replay_max_coefficient"] = max(defects)

@@ -47,10 +47,7 @@ __all__ = [
     "OrderEstimate",
     "fit_order",
     "estimate_order",
-    "Extraction",
     "extract_point_coeffs",
-    "point_probes",
-    "point_coeffs",
     "PairingReport",
     "ExpansionReport",
     "LEMMA_FAMILIES",
@@ -311,10 +308,9 @@ def estimate_order(eps_grid: Sequence[float], values: Sequence, limit) -> OrderE
 class PairingReport:
     """Measured pairings of one eps-family against one test function."""
 
-    label: str
     eps_grid: tuple[float, ...]
-    values: tuple[float, ...]
-    extrapolated_limit: float
+    values: tuple[float | complex, ...]
+    extrapolated_limit: float | complex
     order: float
     fit_residual: float
 
@@ -323,30 +319,12 @@ class PairingReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "label": self.label,
             "epsilon": list(self.eps_grid),
             "value": list(self.values),
             "extrapolated_limit": self.extrapolated_limit,
             "order": self.order if math.isfinite(self.order) else "exact",
             "fit_residual": self.fit_residual,
         }
-
-
-@dataclass(frozen=True)
-class Extraction:
-    """Point-mass coefficient A and dipole coefficient B at one point.
-
-    ``a_fit``/``b_fit`` are the order fits of the two channels against
-    their limits.
-    """
-
-    a: complex | float
-    b: complex | float
-    a_values: tuple
-    b_values: tuple
-    eps_grid: tuple[float, ...]
-    a_fit: OrderEstimate
-    b_fit: OrderEstimate
 
 
 def _check_convergence(label, eps_grid, values, limit) -> OrderEstimate:
@@ -366,36 +344,24 @@ def _check_convergence(label, eps_grid, values, limit) -> OrderEstimate:
     return estimate_order(eps_grid, values, limit)
 
 
-def point_probes(x0: float) -> tuple[TestFunction, TestFunction]:
-    """The value- and slope-selecting test functions centred at x0."""
-    return (TestFunction(x0, _PROBE_HALFWIDTH, PLAIN_BUMP),
-            TestFunction(x0, _PROBE_HALFWIDTH, LINEAR_BUMP))
-
-
-def point_coeffs(eps_grid: Sequence[float], a_vals: Sequence,
-                 b_vals: Sequence) -> Extraction:
-    """Point-mass and dipole coefficients from pairings with the probes.
-
-    ``a_vals``/``b_vals`` are a family's pairings with the two
-    :func:`point_probes` at each eps; the limits are extrapolated and
-    :class:`ExtractionError` is raised when a sequence does not converge.
-    """
-    a = extrapolate_limit(eps_grid, a_vals)
-    b = -extrapolate_limit(eps_grid, b_vals)
-    return Extraction(a, b, tuple(a_vals), tuple(b_vals), tuple(eps_grid),
-                      _check_convergence("A-channel", eps_grid, a_vals, a),
-                      _check_convergence("B-channel", eps_grid, b_vals, -b))
-
-
 def extract_point_coeffs(family: Callable[[float], Piecewise], x0: float,
-                         eps_grid: Sequence[float]) -> Extraction:
-    """Coefficients of A*delta(x - x0) + B*delta'(x - x0) in a family limit.
+                         eps_grid: Sequence[float]) -> tuple[PairingReport, PairingReport]:
+    """A- and B-channel reports of a family paired with probes at x0.
 
-    The sign convention is <delta', phi> = -phi'(x0).
+    For a family tending to A*delta(x - x0) + B*delta'(x - x0) their limits
+    are A and -B: <delta', phi> = -phi'(x0).  Raises
+    :class:`ExtractionError` when a sequence does not converge.
     """
-    probes = point_probes(x0)
+    probes = (TestFunction(x0, _PROBE_HALFWIDTH, PLAIN_BUMP),
+              TestFunction(x0, _PROBE_HALFWIDTH, LINEAR_BUMP))
     vals = np.array([pair(family(eps), probes) for eps in eps_grid])
-    return point_coeffs(eps_grid, vals[:, 0].tolist(), vals[:, 1].tolist())
+    reports = []
+    for channel, values in zip("AB", vals.T.tolist()):
+        limit = extrapolate_limit(eps_grid, values)
+        fit = _check_convergence(f"{channel}-channel", eps_grid, values, limit)
+        reports.append(PairingReport(tuple(eps_grid), tuple(values), limit,
+                                     fit.order, fit.residual))
+    return tuple(reports)
 
 
 # --- the regularization-product expansion suite ---------------------------
@@ -478,8 +444,8 @@ class ExpansionReport:
             "support_disjoint": self.support_disjoint,
             "max_abs_sampled": self.max_abs_sampled,
             "passed": self.passed,
-            "A": self.a_report.to_json_dict(),
-            "B": self.b_report.to_json_dict(),
+            "A": {"label": f"{self.name}:A", **self.a_report.to_json_dict()},
+            "B": {"label": f"{self.name}:B", **self.b_report.to_json_dict()},
         }
 
 
@@ -503,11 +469,8 @@ def verify_lemma31(kernel: MollifierKernel, c: float,
     for name, factors, support, cuts, expected, klass, disjoint in _LEMMA_TABLE:
         family = partial(_lemma_integrand, factors, support, cuts, kernel, c)
         exp_a, exp_b = (constants.get(v, v) for v in expected)
-        ext = extract_point_coeffs(family, 0.0, eps_grid)
-        a_rep = PairingReport(f"{name}:A", ext.eps_grid, ext.a_values, float(ext.a),
-                              ext.a_fit.order, ext.a_fit.residual)
-        b_rep = PairingReport(f"{name}:B", ext.eps_grid, ext.b_values, float(-ext.b),
-                              ext.b_fit.order, ext.b_fit.residual)
+        a_rep, b_rep = extract_point_coeffs(family, 0.0, eps_grid)
+        a, b = a_rep.extrapolated_limit, -b_rep.extrapolated_limit
         max_abs = 0.0
         if disjoint:
             for eps in eps_grid:
@@ -515,12 +478,11 @@ def verify_lemma31(kernel: MollifierKernel, c: float,
                 xs = np.linspace(f.lo, f.hi, 101)
                 max_abs = max(max_abs, float(np.max(np.abs(f.fn(xs)))))
         floor = ORDER_FLOORS[klass]
-        coeff_ok = (abs(ext.a - exp_a) <= COEFF_TOL
-                    and abs(ext.b - exp_b) <= COEFF_TOL)
-        order_ok = ext.a_fit.order >= floor and ext.b_fit.order >= floor
+        coeff_ok = abs(a - exp_a) <= COEFF_TOL and abs(b - exp_b) <= COEFF_TOL
+        order_ok = a_rep.order >= floor and b_rep.order >= floor
         zero_ok = (not disjoint) or max_abs == 0.0
         reports.append(ExpansionReport(
-            name, exp_a, exp_b, float(np.real(ext.a)), float(np.real(ext.b)),
+            name, exp_a, exp_b, float(np.real(a)), float(np.real(b)),
             a_rep, b_rep, floor, disjoint, max_abs,
             bool(coeff_ok and order_ok and zero_ok)))
     return reports

@@ -24,10 +24,10 @@ contraction applies.  Every cell agrees with the cell-by-cell loop of
 :func:`pairing.pair` to 1e-12 of its sum of |w f phi|, except where that
 loop's own residual is what is left of terms that cancel.
 
-The replay facility extracts the point-mass and dipole coefficients of
-both residuals numerically for an arbitrary trajectory and compares them
-with the closed forms that define the front dynamics; with the solved
-trajectory all extracted coefficients must vanish.
+The replay facility reads the point-mass and dipole coefficients of both
+residuals for an arbitrary trajectory off the same table's moments and
+compares them with the closed forms that define the front dynamics; with
+the solved trajectory all of them must vanish.
 """
 
 from __future__ import annotations
@@ -49,13 +49,12 @@ from .kernels import (
 from .pairing import (
     NEGLIGIBLE_RTOL,
     PLAIN_BUMP,
+    ExtractionError,
     NumericsError,
     Piecewise,
     TestFunction,
     default_eps_grid,
     fit_order,
-    point_coeffs,
-    point_probes,
 )
 
 __all__ = [
@@ -133,6 +132,23 @@ def _basis_rows(ansatz: SmoothAnsatz, system_k: float):
     )
 
 
+def _expansion(ansatz: SmoothAnsatz, system_k: float, times):
+    """The basis rows' products, their primitive table, phi(t), and each
+    table column's coefficient in res_u and res_sigma as ``[time, column]``."""
+    # Read first, so that data whose plateau leaves the float range fails
+    # naming the plateau rather than on u1**2 inside a basis row.
+    c = ansatz.c_effective
+    basis_rows = _basis_rows(ansatz, system_k)
+    products = tuple(dict.fromkeys(p for row in basis_rows for p in row))
+    table = primitive_table(ansatz.kernel, products)
+    # [row, column]: each row's coefficient of each table column, c^j included
+    expansion = np.array([[row.get(product, 0.0) * c**j for product, j in table.keys]
+                          for row in basis_rows])
+    phi, coeffs = _time_coeffs(ansatz.front, times)
+    return (products, table, phi,
+            (coeffs[:, :5] @ expansion[:5], coeffs[:, 5:] @ expansion[5:]))
+
+
 def _time_coeffs(front: Front, times):
     """phi(t) and the coefficients of the eight basis rows at each time."""
     phi = np.array([float(front.phi(t)) for t in times])
@@ -178,19 +194,13 @@ def _residual_pairings(ansatz: SmoothAnsatz, system_k: float, times, eps_grid,
     and before pairing when one ulp of max |phi(t)| exceeds
     ``_NODE_RESOLUTION`` of the smallest eps.
     """
-    # Read first, so that data whose plateau leaves the float range fails
-    # naming the plateau rather than on u1**2 inside a basis row.
-    c = ansatz.c_effective
-    phi, coeffs = _time_coeffs(ansatz.front, times)
+    products, table, phi, weights = _expansion(ansatz, system_k, times)
     reach, eps_min = float(np.max(np.abs(phi))), min(eps_grid)
     if np.spacing(reach) > _NODE_RESOLUTION * eps_min:
         raise NumericsError(
             f"front position |phi(t)| = {reach:g} swamps eps = {eps_min:g}: one ulp "
             f"of phi(t) exceeds {_NODE_RESOLUTION:g} eps, so the quadrature nodes "
             f"phi(t) + eps y collapse")
-    basis_rows = _basis_rows(ansatz, system_k)
-    products = tuple(dict.fromkeys(p for row in basis_rows for p in row))
-    table = primitive_table(ansatz.kernel, products)
     suite: dict[tuple[float, float], list[int]] = {}
     for i, tf in enumerate(phi_suite):
         suite.setdefault((tf.center, tf.halfwidth), []).append(i)
@@ -215,8 +225,8 @@ def _residual_pairings(ansatz: SmoothAnsatz, system_k: float, times, eps_grid,
                 np.add(phi[block, None], nodes, out=psi[1])
                 _test_values(psi, center, halfwidth)
                 # Stacked, not flattened to one (2 rows, nodes) product: a
-                # one-row block, as in the replay, then keeps numpy's
-                # vector-matrix kernel and its order of summation.
+                # one-row block then keeps numpy's vector-matrix kernel and
+                # its order of summation.
                 table_moments[cols, block] = (psi @ table.columns)[modulation[tests]]
             # Times at which the front stands still share a clipped band.
             for j in np.flatnonzero((lo < hi) & ~whole):
@@ -236,14 +246,11 @@ def _residual_pairings(ansatz: SmoothAnsatz, system_k: float, times, eps_grid,
                 pairs = _test_values(psi, center, halfwidth) @ columns
                 table_moments[np.array(tests)[:, None], rows] = \
                     pairs[modulation[tests]][:, None]
-    # [row, column]: each row's coefficient of each table column, c^j included
-    expansion = np.array([[row.get(product, 0.0) * c**j for product, j in table.keys]
-                          for row in basis_rows])
     eps_powers = np.asarray(eps_grid, dtype=float)[:, None] ** table.powers
     moments *= eps_powers[:, None, None]
     out = np.zeros((len(eps_grid), 2, len(phi_suite), len(times)), dtype=complex)
-    out[:, 0] += np.einsum("estc,tc->est", moments, coeffs[:, :5] @ expansion[:5])
-    out[:, 1] += np.einsum("estc,tc->est", moments, coeffs[:, 5:] @ expansion[5:])
+    for i, equation_weights in enumerate(weights):
+        out[:, i] += np.einsum("estc,tc->est", moments, equation_weights)
     for cells, eps in zip(out, eps_grid):
         bad = np.argwhere(~np.isfinite(cells))
         if len(bad):
@@ -436,9 +443,8 @@ def closed_form_coefficients(data: RiemannJumpData, trajectory: Front, omega0: f
 
 def replay_derivation(data: RiemannJumpData, trajectory: Front,
                       kernel: MollifierKernel | None = None,
-                      t: float = _PROBE_TIME, eps_grid=None,
-                      c: float | None = None) -> ReplayResult:
-    """Extract residual coefficients for a trajectory with free coefficients.
+                      t: float = _PROBE_TIME, c: float | None = None) -> ReplayResult:
+    """Residual coefficients of a trajectory with free coefficients.
 
     The residuals are those of the system with the data's k.  The
     trajectory's rates are treated as unconstrained numbers; the
@@ -446,20 +452,32 @@ def replay_derivation(data: RiemannJumpData, trajectory: Front,
     the trajectory solves the front dynamics and the plateau level is the
     one pinned by the data.
 
-    On the exponential kernel the velocity point-mass coefficient a_u is
-    ill-conditioned: one ulp of the kernel's normalization moves it by up
-    to 9.5e-11 on values of about 1e-9, so measured coefficients near
-    1e-10 are noise.
+    A table column of eps power a pairs with psi to sum_n eps^(a + n)
+    M_n psi^(n)(phi(t)) / n!, with moments M_n = y^n @ column: A sums the
+    eps^0 terms with n = 0, and -B those with n = 1.  A group of terms of
+    negative exponent above ``NEGLIGIBLE_RTOL`` of its sum of |y^n w f|
+    leaves no limit and raises :class:`ExtractionError`.  The exponential
+    table's quadrature error puts a floor near 1e-9 on the coefficients.
     """
     kernel = kernel or make_kernel()
-    eps_grid = tuple(eps_grid) if eps_grid is not None else default_eps_grid()
     ansatz = SmoothAnsatz(data, trajectory, kernel, c=c)
-    probes = point_probes(float(trajectory.phi(t)))
-    # [eps, equation, probe]
-    vals = _residual_pairings(ansatz, data.k, [t], eps_grid, probes)[..., 0]
-    ext_u, ext_s = (point_coeffs(eps_grid, *vals[:, i].T.tolist()) for i in (0, 1))
-    measured = (complex(ext_u.a), complex(ext_u.b),
-                complex(ext_s.a), complex(ext_s.b))
+    _, table, _, weights = _expansion(ansatz, data.k, [t])
+    weights = np.concatenate(weights)  # [equation, column]
+    y_powers = np.stack([np.ones_like(table.y), table.y])
+    # [equation, n, column]: the coefficient of eps^(a + n) psi^(n)(phi) / n!
+    terms = (y_powers @ table.columns) * weights[:, None]
+    scale = (np.abs(y_powers) @ np.abs(table.columns)) * np.abs(weights)[:, None]
+    for n, power in sorted({(n, a) for n in (0, 1) for a in table.powers if a + n < 0}):
+        group = table.powers == power
+        for eq, total, bound in zip(("u", "sigma"), terms[:, n, group].sum(-1),
+                                    scale[:, n, group].sum(-1)):
+            if abs(total) > NEGLIGIBLE_RTOL * bound:
+                raise ExtractionError(
+                    f"{eq} residual at t={t:g}: its eps^{power + n:g} term is "
+                    f"{abs(total):.3e} against {bound:.3e}, so it has no limit")
+    a_u, a_sigma = terms[:, 0, table.powers == 0].sum(-1)
+    b_u, b_sigma = -terms[:, 1, table.powers == -1].sum(-1)
+    measured = (complex(a_u), complex(b_u), complex(a_sigma), complex(b_sigma))
     closed = closed_form_coefficients(data, trajectory, kernel.omega0,
                                       data.k, ansatz.c_effective, t)
     return ReplayResult(measured, closed, float(t))

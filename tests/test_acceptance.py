@@ -92,7 +92,7 @@ def test_criterion_04_derivation_replay(quartic):
         k = 0.0 if i % 2 == 0 else float(rng.uniform(0.02, 0.5))
         data = sample_admissible_data(rng, k)
         traj = solve_front(data, quartic.omega0)
-        on = replay_derivation(data, traj, quartic, eps_grid=EPS_GRID)
+        on = replay_derivation(data, traj, quartic)
         worst_on = max(worst_on, max(abs(m) for m in on.measured[:3]))
         free = LinearTrajectory(
             traj.phi_dot + float(rng.uniform(-0.5, 0.5)),
@@ -100,7 +100,7 @@ def test_criterion_04_derivation_replay(quartic):
             traj.e_rate + float(rng.uniform(-0.3, 0.3)),
             complex(traj.p(0.0)) + float(rng.uniform(-0.3, 0.3)),
             float(rng.uniform(-0.2, 0.2)))
-        off = replay_derivation(data, free, quartic, eps_grid=EPS_GRID)
+        off = replay_derivation(data, free, quartic)
         worst_match = max(worst_match, max(
             abs(m - c) for m, c in zip(off.measured[:3], off.closed[:3])))
     ok = worst_on <= 1e-3 and worst_match <= 1e-3

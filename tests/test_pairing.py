@@ -245,9 +245,9 @@ def test_extract_coeffs_correction_dipole(quartic, eps_grid):
             * eval_correction_dx(x, eps, quartic),
             eps, 3 * eps)
 
-    ext = extract_point_coeffs(family, 0.0, eps_grid)
-    assert abs(ext.a - 0.0) < 1e-6
-    assert abs(ext.b - 0.5 * quartic.omega0) < 1e-6
+    a_rep, b_rep = extract_point_coeffs(family, 0.0, eps_grid)
+    assert abs(a_rep.extrapolated_limit - 0.0) < 1e-6
+    assert abs(-b_rep.extrapolated_limit - 0.5 * quartic.omega0) < 1e-6
 
 
 def test_extract_coeffs_step_times_delta_dx(quartic, eps_grid):
@@ -258,19 +258,19 @@ def test_extract_coeffs_step_times_delta_dx(quartic, eps_grid):
         return Piecewise(lambda x: prof.value(x) * eval_delta_reg_dx(x, eps, quartic),
                          -3 * eps, -eps)
 
-    ext = extract_point_coeffs(family, 0.0, eps_grid)
-    assert abs(ext.a) < 1e-6
-    assert abs(ext.b - WORKED_C) < 1e-6
+    a_rep, b_rep = extract_point_coeffs(family, 0.0, eps_grid)
+    assert abs(a_rep.extrapolated_limit) < 1e-6
+    assert abs(-b_rep.extrapolated_limit - WORKED_C) < 1e-6
 
 
 def test_extract_coeffs_zero_family(eps_grid):
     def family(eps):
         return Piecewise(lambda x: np.zeros_like(x), -1.0, 1.0)
 
-    ext = extract_point_coeffs(family, 0.0, eps_grid)
-    assert ext.a == 0.0
-    assert ext.b == 0.0
-    assert math.isinf(ext.a_fit.order)
+    a_rep, b_rep = extract_point_coeffs(family, 0.0, eps_grid)
+    assert a_rep.extrapolated_limit == 0.0
+    assert -b_rep.extrapolated_limit == 0.0
+    assert math.isinf(a_rep.order)
 
 
 def test_extract_coeffs_nonconvergent_raises(eps_grid):

@@ -126,7 +126,10 @@ def test_sweep_loads_only_the_modules_it_computes_with(tmp_path):
     (["--ks", "0.5", "-1"], "finite and nonnegative"),
     (["--n", "-5"], "--n must be at least 1"),
     (["--n", "0"], "--n must be at least 1"),
-], ids=["k-negative", "k-nan", "k-inf", "second-k-negative", "n-negative", "n-zero"])
+    (["--ks", "0.1", "0.10000001"], "0.1 and 0.10000001 share the table name regimes_k0p1"),
+    (["--ks", "0.5", "1", "0.5"], "0.5 and 0.5 share the table name regimes_k0p5"),
+], ids=["k-negative", "k-nan", "k-inf", "second-k-negative", "n-negative", "n-zero",
+        "ks-same-name", "ks-duplicate"])
 def test_bad_input_exits_two_with_one_line(tmp_path, capsys, argv, message):
     out = tmp_path / "sweep"
     rc = _load_script().main(["--out", str(out)] + argv)

@@ -18,6 +18,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import deltashock
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -73,6 +75,17 @@ def test_gated_workloads_pass_their_own_checks(monkeypatch, tmp_path):
         kinds.append(op.kind)
     assert kinds[:3] == ["verify_weak_solution"] * 3
     assert sorted(kinds[3:]) == sorted(workloads.CLI_ROTATION)
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_extraction_workload_passes_its_own_checks(monkeypatch, seed):
+    # The ungated extraction workload is the benchmark's only path to the
+    # replay and the exponential lemma suite; its first operations, run in
+    # this process, must pass its checks.
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    for op in itertools.islice(workloads.extraction_ops(seed, in_process=True), 3):
+        check = op.check(op.run())
+        assert check.ok, (op.kind, check.note)
 
 
 def test_every_exported_name_exists():

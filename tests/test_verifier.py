@@ -16,11 +16,12 @@ from deltashock.kernels import StepProfile, band_quadrature
 from deltashock.pairing import (
     LINEAR_BUMP,
     PLAIN_BUMP,
+    ExtractionError,
     NumericsError,
     TestFunction,
     default_eps_grid,
+    extract_point_coeffs,
     pair,
-    point_probes,
 )
 from deltashock.verifier import (
     _residual_pairings,
@@ -104,7 +105,7 @@ def test_wrong_speed_fails_verification(worked_data, quartic, eps_grid):
     assert (f"eps={named.eps_grid[-1]:g} t={named.worst_t:g}"
             in report.summary_line())
     # the limiting point-mass coefficient is the jump times the offset
-    res = replay_derivation(worked_data, bad, quartic, eps_grid=eps_grid)
+    res = replay_derivation(worked_data, bad, quartic)
     assert res.measured[0] == pytest.approx(worked_data.u1 * 0.1, abs=1e-4)
 
 
@@ -272,10 +273,10 @@ def test_replay_pairing_equals_per_cell_loop(worked_data, kernel):
     # p, p_dot and p^2 rows with complex coefficients.
     traj = LinearTrajectory(0.7, -0.2, 0.3, 0.4j, 0.2 + 0.1j)
     ansatz = SmoothAnsatz(worked_data, traj, kernel)
+    probes = (TestFunction(0.7, 1.0), TestFunction(0.7, 1.0, LINEAR_BUMP))
     for eps_grid in (default_eps_grid(), NON_DYADIC_EPS,
                      tuple(eps / 3 for eps in NON_DYADIC_EPS)):
-        _assert_matches_per_cell(ansatz, worked_data.k, point_probes(0.7),
-                                 [1.0], eps_grid)
+        _assert_matches_per_cell(ansatz, worked_data.k, probes, [1.0], eps_grid)
 
 
 def _record_blocks(monkeypatch):
@@ -532,6 +533,77 @@ def test_pairing_magnitudes_uniform_in_t(worked_ansatz, worked_data):
             worked_ansatz, worked_data.k, equation, t, eps), phi_test)).real)
             for t in np.linspace(0.0, 1.0, 33)]
         assert max(vals) / min(vals) < 10.0
+
+
+def test_replay_matches_extraction_from_pairings(worked_data, kernel):
+    # An independent path to the four coefficients: each residual's
+    # integrand paired with the two probes at phi(t) over the default eps
+    # grid, and the limits extrapolated.  The free trajectory has imaginary
+    # p0 and a complex p rate, so the coefficients are complex.
+    traj = LinearTrajectory(0.7, -0.2, 0.3, 0.4j, 0.2 + 0.1j)
+    ansatz = SmoothAnsatz(worked_data, traj, kernel)
+    t = 1.0
+    extracted = []
+    for equation in ("u", "sigma"):
+        a_rep, b_rep = extract_point_coeffs(
+            lambda eps: residual_integrand(ansatz, worked_data.k, equation, t, eps),
+            float(traj.phi(t)), default_eps_grid())
+        extracted += [a_rep.extrapolated_limit, -b_rep.extrapolated_limit]
+    res = replay_derivation(worked_data, traj, kernel, t=t)
+    assert max(abs(m - x) for m, x in zip(res.measured, extracted)) <= 1e-6
+    assert max(abs(m - c) for m, c in zip(res.measured, res.closed)) <= 1e-6
+
+
+def _seeded_replays(kernel, n):
+    """Replays on ``default_rng(11)`` data, the odd ones on free trajectories."""
+    rng = np.random.default_rng(11)
+    for i in range(n):
+        data = sample_admissible_data(rng, (0.0, 0.1, 0.5)[i % 3])
+        traj = solve_front(data, kernel.omega0)
+        if i % 2:
+            traj = LinearTrajectory(
+                traj.phi_dot + float(rng.uniform(-0.5, 0.5)),
+                traj.e0 + float(rng.uniform(-0.2, 0.2)),
+                traj.e_rate + float(rng.uniform(-0.3, 0.3)),
+                complex(traj.p(0.0)) + complex(*rng.uniform(-0.3, 0.3, 2)),
+                complex(*rng.uniform(-0.2, 0.2, 2)))
+        yield data, traj
+
+
+def test_replay_quartic_coefficients_exact_to_rounding(quartic):
+    # The quartic table's moments are exact, so the replay meets the closed
+    # forms to rounding, on the solved and on free trajectories alike.
+    for data, traj in _seeded_replays(quartic, 20):
+        res = replay_derivation(data, traj, quartic)
+        assert max(abs(m - c) for m, c in zip(res.measured, res.closed)) <= 1e-13
+        if not isinstance(traj, LinearTrajectory):
+            assert max(abs(m) for m in res.measured) <= 1e-13
+
+
+def test_replay_exponential_well_conditioned(exponential):
+    # One ulp of the kernel's normalization moves no coefficient by more
+    # than rounding: no extrapolation amplifies it.
+    nudged = replace(exponential, normalization=np.nextafter(
+        exponential.normalization, np.inf))
+    for data, traj in _seeded_replays(exponential, 6):
+        ref = replay_derivation(data, traj, exponential).measured
+        got = replay_derivation(data, traj, nudged).measured
+        assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-13
+
+
+def test_replay_gate_rejects_a_term_of_negative_order(monkeypatch, worked_data, quartic):
+    # A product of two regularized deltas pairs to eps^-1 omega0 psi(phi):
+    # in a basis row it leaves the residual without an eps -> 0 limit.
+    rows = verifier._basis_rows
+
+    def mutant(ansatz, system_k):
+        u_rows = rows(ansatz, system_k)
+        return (*u_rows[:4], {**u_rows[4], ("d", "d"): 1.0}, *u_rows[5:])
+
+    monkeypatch.setattr(verifier, "_basis_rows", mutant)
+    traj = solve_front(worked_data, quartic.omega0)
+    with pytest.raises(ExtractionError, match=r"u residual at t=1: its eps\^-1 term"):
+        replay_derivation(worked_data, traj, quartic)
 
 
 def test_replay_on_shell_vanishes(worked_data, worked_data_k0, quartic):
