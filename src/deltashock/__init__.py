@@ -13,19 +13,4 @@ Subpackages:
 * :mod:`deltashock.cli`       config-driven command line front end
 """
 
-from .kernels import EXPONENTIAL, QUARTIC, MollifierKernel, StepProfile, make_kernel
-from .pairing import TestFunction, default_eps_grid, pair, verify_lemma31
-
-__all__ = [
-    "EXPONENTIAL",
-    "QUARTIC",
-    "MollifierKernel",
-    "StepProfile",
-    "make_kernel",
-    "TestFunction",
-    "default_eps_grid",
-    "pair",
-    "verify_lemma31",
-]
-
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ The file format is INI-style with three core sections::
                 t_max, t_points
     [kernel]    kind = quartic | exponential, optional plateau override c
 
-plus optional sections ``[klimit]`` (ks, t, order_tol), ``[riemann]``
+plus optional sections ``[klimit]`` (ks, t), ``[riemann]``
 (xi_min, xi_max, xi_points, t) and ``[verify]`` (replay_samples).
 ``configs/worked.ini`` spells out the built-in defaults.
 
@@ -15,7 +15,7 @@ Validation rules: every section and key must be one of those above;
 every number must be finite; k >= 0; t_max > 0;
 t_points >= 2; an eps grid, listed or of powers, has at least 4
 positive, strictly decreasing values (so eps_pow_max >= eps_pow_min + 3);
-ks holds at least 2 distinct positive values; [klimit] t > 0 and order_tol > 0;
+ks holds at least 2 distinct positive values; [klimit] t > 0;
 xi_min < xi_max, xi_points >= 2 and [riemann] t > 0; replay_samples >= 0.
 Configuration problems raise :class:`ConfigError`; mathematical problems
 with valid configuration surface later from the library.  The
@@ -53,7 +53,6 @@ class RunConfig:
     t_points: int = 33
     klimit_ks: tuple[float, ...] = (0.1, 0.05, 0.025)
     klimit_t: float = 1.0
-    klimit_order_tol: float = 0.01
     xi_min: float = -5.0
     xi_max: float = 5.0
     xi_points: int = 401
@@ -72,7 +71,7 @@ _KEYS = {
     "data": ("u0", "u1", "sigma0", "sigma1", "e0", "k"),
     "grid": ("eps_pow_min", "eps_pow_max", "eps", "t_max", "t_points"),
     "kernel": ("kind", "c"),
-    "klimit": ("ks", "t", "order_tol"),
+    "klimit": ("ks", "t"),
     "riemann": ("xi_min", "xi_max", "xi_points", "t"),
     "verify": ("replay_samples",),
 }
@@ -209,8 +208,6 @@ def load_config(path: str | None) -> RunConfig:
         t_points=_get_int(parser, "grid", "t_points", defaults.t_points, least=2),
         klimit_ks=ks,
         klimit_t=_get_positive(parser, "klimit", "t", defaults.klimit_t),
-        klimit_order_tol=_get_positive(parser, "klimit", "order_tol",
-                                       defaults.klimit_order_tol),
         xi_min=xi_min,
         xi_max=xi_max,
         xi_points=_get_int(parser, "riemann", "xi_points", defaults.xi_points,

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import DegenerateDataError, RiemannJumpData, SmoothAnsatz
-from .kernels import MollifierKernel, make_kernel
-from .pairing import Piecewise, TestFunction, default_eps_grid, extrapolate_limit, pair
+from .ansatz import DegenerateDataError, RiemannJumpData
+from .kernels import MollifierKernel, make_kernel, primitive_table
 
 __all__ = [
     "AdmissibilityError",
@@ -216,42 +215,28 @@ def volpert_scan(u_left: float, u_right: float, sigma_left: float,
     return float(worst[i]), float(ss[i])
 
 
-def volpert_product_pairing(data: RiemannJumpData, t: float,
-                            phi_test: TestFunction | None = None,
-                            kernel: MollifierKernel | None = None,
-                            eps_grid=None) -> float:
-    """Measured point-mass coefficient of u * dsigma/dx in the shock case.
+def volpert_product_pairing(data: RiemannJumpData,
+                            kernel: MollifierKernel | None = None) -> float:
+    """Point-mass coefficient of u * dsigma/dx in the shock case.
 
     Only defined when the point mass is absent for all time (e0 = 0 and
-    zero amplitude rate); the extrapolated coefficient then realizes the
-    averaged product -sigma1 (u0 + u1/2).
+    zero amplitude rate), so p vanishes too.  In the frame xi = x - phi(t)
+    the product is then -sigma1 (u0 dh + u1 h dh), both of eps power 0:
+    its coefficient is read off the column sums of the kernel's primitive
+    table, and realizes the averaged product -sigma1 (u0 + u1/2).
     """
     kernel = kernel or make_kernel()
-    eps_grid = tuple(eps_grid) if eps_grid is not None else default_eps_grid()
     rate = e_rate(data)
     scale = max(abs(data.sigma1**2 / data.u1), abs(data.k**2 * data.u1), 1.0)
     if abs(data.e0) > 1e-12 or abs(rate) > 1e-12 * scale:
         raise NotApplicableError(
             "the averaged-product identity is only claimed for pure shocks "
             f"(e0 = {data.e0}, e rate = {rate})")
-    traj = solve_front(data, kernel.omega0)
-    ansatz = SmoothAnsatz(data, traj, kernel)
-    front = float(traj.phi(t))
-    phi_test = phi_test or TestFunction(front, 1.0)
-    weight = float(phi_test.value(front))
-    if weight == 0.0:
-        raise ValueError("test function must not vanish at the front")
-
-    def integrand(eps):
-        def fn(x):
-            u, _ = ansatz.eval_fields(x, t, eps)
-            _, _, _, s_x = ansatz.eval_derivatives(x, t, eps)
-            return np.real(u) * s_x
-        breaks = ansatz.breakpoints(t, eps)
-        return Piecewise(fn, breaks[0], breaks[-1], breaks[1:-1])
-
-    values = [pair(integrand(eps), phi_test) for eps in eps_grid]
-    return float(extrapolate_limit(eps_grid, values)) / weight
+    table = primitive_table(kernel, (("dh",), ("h", "dh")))
+    row = {("dh",): data.u0, ("h", "dh"): data.u1}
+    c = data.plateau()
+    weights = np.array([row[product] * c**j for product, j in table.keys])
+    return float(-data.sigma1 * (table.columns.sum(axis=0) @ weights))
 
 
 def trajectory_rows(traj, t_grid) -> list[tuple[float, float, float, float, float]]:

@@ -394,12 +394,11 @@ class ReplayResult:
 
     ``a_u``/``b_u`` are the point-mass and dipole coefficients of the
     velocity residual, ``a_sigma``/``b_sigma`` those of the stress
-    residual, all measured at the front at the probe time.
+    residual, all measured at the front at the replay's time ``t``.
     """
 
     measured: tuple[complex, complex, complex, complex]
     closed: tuple[complex, complex, complex, complex]
-    probe_time: float
 
 
 def sample_admissible_data(rng, k: float) -> RiemannJumpData:
@@ -480,4 +479,4 @@ def replay_derivation(data: RiemannJumpData, trajectory: Front,
     measured = (complex(a_u), complex(b_u), complex(a_sigma), complex(b_sigma))
     closed = closed_form_coefficients(data, trajectory, kernel.omega0,
                                       data.k, ansatz.c_effective, t)
-    return ReplayResult(measured, closed, float(t))
+    return ReplayResult(measured, closed)

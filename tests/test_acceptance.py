@@ -155,8 +155,7 @@ def test_criterion_07_shock_recovery(quartic):
         traj = solve_front(data, quartic.omega0)
         worst_e = max(worst_e, max(abs(float(traj.e(t)))
                                    for t in np.linspace(0, 2, 9)))
-        coeff = volpert_product_pairing(data, 1.0, kernel=quartic,
-                                        eps_grid=EPS_GRID)
+        coeff = volpert_product_pairing(data, kernel=quartic)
         expected = -data.sigma1 * (data.u0 + data.u1 / 2)
         worst_coeff = max(worst_coeff, abs(coeff - expected))
     ok = worst_e <= 1e-12 and worst_coeff <= 1e-4

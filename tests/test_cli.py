@@ -232,26 +232,22 @@ def test_verify_expansions_json_format_writes_json_channel_tables(tmp_path):
             assert all(set(r) == {"epsilon", "value", "abs-error-vs-limit"} for r in rows)
 
 
-@pytest.mark.parametrize("text,args,command,message", [
-    ("[grid]\neps = 0.125, 0.0625\n", [], "verify-solution", "at least 4 points"),
-    (None, ["--eps-min", "0.0625", "--eps-max", "0.125"], "verify-solution",
-     "at least 4 points"),
+@pytest.mark.parametrize("text,command,message", [
+    ("[grid]\neps = 0.125, 0.0625\n", "verify-solution", "at least 4 points"),
     # a 2- or 3-point power grid used to run: a FAIL fitted on two eps, or
     # an exit 1 from the expansion suite
-    ("[grid]\neps_pow_min = 3\neps_pow_max = 4\n", [], "verify-solution",
+    ("[grid]\neps_pow_min = 3\neps_pow_max = 4\n", "verify-solution",
      "at least 4 points"),
-    ("[grid]\neps_pow_min = 3\neps_pow_max = 4\n", [], "verify-expansions",
+    ("[grid]\neps_pow_min = 3\neps_pow_max = 4\n", "verify-expansions",
      "at least 4 points"),
-    ("[grid]\neps_pow_min = 3\neps_pow_max = 5\n", [], "front", "at least 4 points"),
+    ("[grid]\neps_pow_min = 3\neps_pow_max = 5\n", "front", "at least 4 points"),
     # four points that span less than 3 dyadic decades used to exit 1
-    ("[grid]\neps = 0.1, 0.09, 0.08, 0.07\n", [], "verify-expansions",
+    ("[grid]\neps = 0.1, 0.09, 0.08, 0.07\n", "verify-expansions",
      "[grid] eps spans 0.515 dyadic decades"),
-], ids=["list-2", "override-2", "powers-2-solution", "powers-2-expansions",
+], ids=["list-2", "powers-2-solution", "powers-2-expansions",
         "powers-3", "list-narrow-expansions"])
-def test_short_eps_grid_exits_two_with_one_line(tmp_path, capsys, text, args, command,
-                                                 message):
-    cfg = ["--config", write(tmp_path, text)] if text else []
-    rc = main(cfg + args + ["--out", str(tmp_path / "out"), command])
+def test_short_eps_grid_exits_two_with_one_line(tmp_path, capsys, text, command, message):
+    rc = main(["--config", write(tmp_path, text), "--out", str(tmp_path / "out"), command])
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert rc == 2
@@ -273,7 +269,8 @@ def test_verify_expansions_c_mismatch_flagged(tmp_path, capsys):
 
 
 def test_verify_solution_pass_and_report(tmp_path, capsys):
-    rc = main(["--out", str(tmp_path), "--eps-min", "0.001", "verify-solution"])
+    cfg = write(tmp_path, "[grid]\neps_pow_max = 9\n")
+    rc = main(["--config", cfg, "--out", str(tmp_path), "verify-solution"])
     assert rc == 0
     report = json.loads((tmp_path / "residual_report.json").read_text())
     assert report["passed"] is True
@@ -363,14 +360,16 @@ def test_outputs_are_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_eps_override_validation(capsys):
-    rc = main(["--eps-min", "0.5", "--eps-max", "0.1", "front"])
-    assert rc == 2
-    assert "eps-min" in capsys.readouterr().err
-    # an infinite eps-max used to halve forever without reaching eps-min
-    rc = main(["--eps-max", "inf", "front"])
-    assert rc == 2
-    assert "eps-max" in capsys.readouterr().err
+@pytest.mark.parametrize("flag", ["--eps-min", "--eps-max"])
+def test_eps_flags_are_gone(tmp_path, capsys, flag):
+    # [grid] is the one place an eps grid is set
+    with pytest.raises(SystemExit) as exc:
+        main([f"{flag}=0.001", "--out", str(tmp_path), "front"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag}=0.001" in captured.err
+    assert captured.out == ""
+    assert not list(tmp_path.glob("*"))
 
 
 def test_unknown_command_usage_error():
@@ -398,7 +397,6 @@ _ADMISSIBLE = {
     ("kernel", "kind"): st.sampled_from(["quartic", "exponential"]),
     ("kernel", "c"): _FINITE,
     ("klimit", "t"): _POSITIVE,
-    ("klimit", "order_tol"): _POSITIVE,
     ("riemann", "xi_points"): st.integers(2, 500).map(str),
     ("riemann", "t"): _POSITIVE,
     ("verify", "replay_samples"): st.integers(0, 5).map(str),
@@ -459,6 +457,7 @@ _VIOLATIONS = [
     {("klimit", "ks"): st.sampled_from(["0.1", "0.1 0.1", "0.1 -0.05", "0.1 0",
                                         "", "0.1 nan"])},
     {("klimit", "t"): _NON_POSITIVE},
+    # a verdict bound is no key: any value is unknown and rejected
     {("klimit", "order_tol"): _NON_POSITIVE},
     {("riemann", "xi_points"): st.integers(-5, 1).map(str)},
     {("riemann", "t"): _NON_POSITIVE},

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from deltashock.ansatz import DegenerateDataError, Front, RiemannJumpData
+from deltashock.ansatz import DegenerateDataError, Front, RiemannJumpData, SmoothAnsatz
 from deltashock.dynamics import (
     FrontTrajectory,
     LinearTrajectory,
@@ -21,6 +21,8 @@ from deltashock.dynamics import (
     volpert_relations,
     volpert_scan,
 )
+from deltashock.kernels import make_kernel
+from deltashock.pairing import Piecewise, default_eps_grid, extract_point_coeffs
 
 OMEGA0 = 5.0 / 7.0
 
@@ -255,20 +257,66 @@ def test_volpert_scan_positive_floor():
 
 def test_volpert_product_pairing_worked(quartic):
     data = RiemannJumpData(0.0, 2.0, 0.0, -2.0, 0.0, 1.0)
-    coeff = volpert_product_pairing(data, 1.0, kernel=quartic)
+    coeff = volpert_product_pairing(data, kernel=quartic)
     assert coeff == pytest.approx(2.0, abs=1e-4)
 
 
 def test_volpert_product_pairing_zero_stress(quartic):
     data = RiemannJumpData(0.0, 2.0, 0.0, 0.0, 0.0, 0.0)
-    assert volpert_product_pairing(data, 0.5, kernel=quartic) == pytest.approx(
+    assert volpert_product_pairing(data, kernel=quartic) == pytest.approx(
         0.0, abs=1e-8)
 
 
 def test_volpert_product_pairing_requires_shock_case(quartic):
     with pytest.raises(NotApplicableError):
         volpert_product_pairing(RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.1, 0.1),
-                                1.0, kernel=quartic)
+                                kernel=quartic)
+
+
+def _shock_cases():
+    """Acceptance criterion 7's shock-curve data: sigma1 = +-k u1, e0 = 0."""
+    cases = [RiemannJumpData(0.0, 2.0, 0.0, -2.0, 0.0, 1.0),
+             RiemannJumpData(0.0, 2.0, 0.0, 2.0, 0.0, 1.0)]
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        u1 = float(rng.uniform(0.5, 3.0))
+        k = float(rng.uniform(0.05, 1.0))
+        sgn = 1.0 if rng.random() < 0.5 else -1.0
+        cases.append(RiemannJumpData(float(rng.uniform(-1, 1)), u1,
+                                     float(rng.uniform(-1, 1)), sgn * k * u1,
+                                     0.0, k))
+    return cases
+
+
+@pytest.mark.parametrize("kind,tol", [("quartic", 1e-13), ("exponential", 1e-11)])
+def test_volpert_product_pairing_exact_on_shock_curves(kind, tol):
+    # The quartic table's column sums are exact; the exponential ones carry
+    # the table's quadrature error.
+    kernel = make_kernel(kind)
+    for data in _shock_cases():
+        expected = -data.sigma1 * (data.u0 + data.u1 / 2)
+        assert abs(volpert_product_pairing(data, kernel) - expected) <= tol
+
+
+def test_volpert_product_pairing_matches_measured_pairings(kernel):
+    # An independent path: Re(u) * dsigma/dx of the ansatz paired with the
+    # probes at the front over the default eps grid, and the point-mass
+    # limit extrapolated.
+    t = 1.0
+    for data in _shock_cases():
+        traj = solve_front(data, kernel.omega0)
+        ansatz = SmoothAnsatz(data, traj, kernel)
+
+        def family(eps):
+            def fn(x):
+                u, _ = ansatz.eval_fields(x, t, eps)
+                return np.real(u) * ansatz.eval_derivatives(x, t, eps)[3]
+            breaks = ansatz.breakpoints(t, eps)
+            return Piecewise(fn, breaks[0], breaks[-1], breaks[1:-1])
+
+        a_rep, _ = extract_point_coeffs(family, float(traj.phi(t)), default_eps_grid())
+        assert abs(volpert_product_pairing(data, kernel)
+                   - a_rep.extrapolated_limit) <= 1e-6
 
 
 def test_trajectory_rows_columns(worked_data):

@@ -126,6 +126,18 @@ print(json.dumps([tables, loaded()]))
 """
 
 
+def test_package_import_loads_no_submodule():
+    # Each subcommand and script imports the modules it computes with; the
+    # package itself re-exports nothing, so it loads none of them.
+    src = Path(deltashock.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, deltashock; "
+         "print(sorted(m for m in sys.modules if m.startswith('deltashock.')))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def test_cli_import_is_lazy():
     # The cli benchmark times fresh processes: importing the CLI must build
     # no primitive table, each kernel's first verdict builds one, and a run
