@@ -46,7 +46,8 @@ class DegenerateDataError(ValueError):
 class Front(Protocol):
     """A front trajectory: position phi, point-mass amplitude e, correction p.
 
-    ``phi_dot`` and ``e_rate`` are the constant rates of phi and e.
+    ``phi_dot`` and ``e_rate`` are the constant rates of phi and e.  Each
+    method takes one time or an array of times.
     """
 
     phi_dot: float

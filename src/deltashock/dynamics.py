@@ -100,9 +100,9 @@ class FrontTrajectory:
 
     def p_dot(self, t) -> complex:
         p_val = self.p(t)
-        if p_val == 0:
-            if self.e_rate == 0.0:
-                return 0.0 + 0.0j
+        if self.e_rate == 0.0:
+            return 0.0 * p_val
+        if np.any(p_val == 0):
             raise ZeroDivisionError(
                 "p_dot is singular where e(t) crosses zero with nonzero rate")
         return self.e_rate / (self.omega0 * p_val)
@@ -135,10 +135,10 @@ class LinearTrajectory:
         return self.e0 + self.e_rate * np.asarray(t, dtype=float)
 
     def p(self, t) -> complex:
-        return self.p0 + self.p_rate * complex(t)
+        return self.p0 + self.p_rate * np.asarray(t, dtype=complex)
 
     def p_dot(self, t) -> complex:
-        return complex(self.p_rate)
+        return np.full(np.shape(t), complex(self.p_rate))
 
 
 def solve_front(data: RiemannJumpData, omega0: float | None = None) -> FrontTrajectory:

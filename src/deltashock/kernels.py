@@ -20,7 +20,12 @@ in the plateau: h = h0 + c h1.  :func:`product_columns` evaluates the
 c^j parts of products of these functions at any (xi, eps), scaled to
 eps = 1, and :func:`primitive_table` tabulates them once per kernel on
 fixed quadrature nodes in y, so pairings at any eps need no profile
-evaluation.
+evaluation.  The table holds a ladder of rungs, the same rule on 1, 2, 4,
+8 and 16 panels per subinterval: the quartic products are polynomials of
+degree at most 10 on each subinterval, which one panel integrates
+exactly, so a pairing at small eps needs only enough nodes to resolve
+the test function across the band, 8 eps wide.  The exponential profiles
+need every panel at every eps, so its ladder has the finest rung alone.
 
 The package's one quadrature rule, composite Gauss-Legendre from
 :func:`band_quadrature`, lives here: every pairing, the primitive tables
@@ -33,6 +38,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -55,6 +61,7 @@ __all__ = [
     "exp_bump_dy",
     "PROFILE_EPS_POWERS",
     "PrimitiveTable",
+    "Rung",
     "product_columns",
     "primitive_table",
 ]
@@ -145,15 +152,16 @@ class MollifierKernel:
         return _maybe_scalar(out, scalar)
 
 
-def band_quadrature(lo: float, hi: float, cuts: Sequence[float]):
+def band_quadrature(lo: float, hi: float, cuts: Sequence[float],
+                    panels: int = PANELS_PER_SUBINTERVAL):
     """Composite Gauss-Legendre nodes and weights on [lo, hi].
 
     The band is split at every cut strictly inside it, and each subinterval
-    is cut into equal panels.
+    is cut into ``panels`` equal panels.
     """
     edges = np.array([lo, *(c for c in sorted(set(cuts)) if lo < c < hi), hi],
                      dtype=float)
-    sub = np.linspace(edges[:-1], edges[1:], PANELS_PER_SUBINTERVAL + 1, axis=-1)
+    sub = np.linspace(edges[:-1], edges[1:], panels + 1, axis=-1)
     a = sub[:, :-1].reshape(-1, 1)
     b = sub[:, 1:].reshape(-1, 1)
     half = 0.5 * (b - a)
@@ -314,22 +322,55 @@ PROFILE_EPS_POWERS = {"h": 0.0, "dh": -1.0, "r": -0.5, "dr": -1.5, "d": -1.0,
                       "dd": -2.0}
 
 
+# Panels per subinterval of each rung of a kernel's table, coarsest first.
+_RUNGS = {QUARTIC: (1, 2, 4, 8, PANELS_PER_SUBINTERVAL),
+          EXPONENTIAL: (PANELS_PER_SUBINTERVAL,)}
+# A rung serves eps when its panels, measured in x, are no longer than those
+# of the finest rung at this eps, the default grid's coarsest.
+_RUNG_EPS = 2.0**-3
+
+
+class Rung(NamedTuple):
+    """One rung of a :class:`PrimitiveTable`: its nodes in y and columns."""
+
+    panels: int
+    y: np.ndarray
+    columns: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class PrimitiveTable:
     """Weighted profile products of one kernel on the front band in y = xi/eps.
 
-    ``y`` holds the nodes of ``band_quadrature(-4, 4, (-3, -1, 1, 3))``
-    on which some product is nonzero.  Column i of ``columns`` is the
-    weight times the c^j part of a product of profiles at eps = 1, for
+    Each of ``rungs``, coarsest first, holds the nodes of
+    ``band_quadrature(-4, 4, (-3, -1, 1, 3), panels)`` on which some
+    product is nonzero.  Column i of a rung's ``columns`` is the weight
+    times the c^j part of a product of profiles at eps = 1, for
     ``(product, j) = keys[i]``; parts that vanish on every node have no
     column.  On the nodes eps * y that part pairs to eps^powers[i] times
-    the column's sum (dxi = eps dy included).
+    the column's sum (dxi = eps dy included).  ``y`` and ``columns`` are
+    the finest rung's, :data:`PANELS_PER_SUBINTERVAL` panels.
     """
 
-    y: np.ndarray
-    columns: np.ndarray
+    rungs: tuple[Rung, ...]
     keys: tuple[tuple[tuple[str, ...], int], ...]
     powers: np.ndarray
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.rungs[-1].y
+
+    @property
+    def columns(self) -> np.ndarray:
+        return self.rungs[-1].columns
+
+    def at(self, eps: float) -> Rung:
+        """The coarsest rung whose panels at ``eps``, measured in x, are no
+        longer than the finest rung's at eps = 2^-3, else the finest: on the
+        quartic table 2^ceil(log2(128 eps)) panels, clipped to 1..16."""
+        need = PANELS_PER_SUBINTERVAL * eps / _RUNG_EPS
+        return next((rung for rung in self.rungs if rung.panels >= need),
+                    self.rungs[-1])
 
 
 def product_columns(kernel: MollifierKernel, products: tuple[tuple[str, ...], ...],
@@ -372,10 +413,19 @@ def primitive_table(kernel: MollifierKernel,
     """The :class:`PrimitiveTable` of ``products``: :func:`product_columns` at eps = 1.
 
     A product is a tuple of profile names from :data:`PROFILE_EPS_POWERS`.
+    Every rung's nodes go through one :func:`product_columns` call, so each
+    profile is evaluated once per table.
     """
-    y, w = band_quadrature(-4.0, 4.0, (-3.0, -1.0, 1.0, 3.0))
+    panels = _RUNGS[kernel.kind]
+    rules = [band_quadrature(-4.0, 4.0, (-3.0, -1.0, 1.0, 3.0), n) for n in panels]
+    y, w = (np.concatenate(parts) for parts in zip(*rules))
     columns, keys, powers = product_columns(kernel, products, y, 1.0, w)
     # Nodes and columns where every entry is zero add nothing to a pairing.
-    nodes, cols = np.any(columns != 0.0, axis=1), np.any(columns != 0.0, axis=0)
-    return PrimitiveTable(y[nodes], columns[np.ix_(nodes, cols)],
-                          tuple(k for k, c in zip(keys, cols) if c), powers[cols])
+    cols = np.any(columns != 0.0, axis=0)
+    ends = np.cumsum([len(rule[0]) for rule in rules])[:-1]
+    rungs = []
+    for n, y_n, columns_n in zip(panels, np.split(y, ends), np.split(columns, ends)):
+        nodes = np.any(columns_n != 0.0, axis=1)
+        rungs.append(Rung(n, y_n[nodes], columns_n[np.ix_(nodes, cols)]))
+    return PrimitiveTable(tuple(rungs), tuple(k for k, c in zip(keys, cols) if c),
+                          powers[cols])

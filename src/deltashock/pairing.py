@@ -252,12 +252,20 @@ def extrapolate_limit(eps_grid, values) -> complex | float:
 
 
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]):
-    """Least-squares slope and fit residual of log ys against log xs."""
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.asarray(ys, dtype=float))
-    coeffs, diag = np.polynomial.polynomial.polyfit(lx, ly, 1, full=True)
-    resid = float(np.sqrt(diag[0][0] / len(lx))) if len(diag[0]) else 0.0
-    return float(coeffs[1]), resid
+    """Least-squares slope and fit residual of log ys against log xs.
+
+    The slope is sum(dx dy) / sum(dx^2) over the logs' deviations from
+    their means, and the residual sqrt(SSR / n); with two points the line
+    passes through both, and the residual is 0.
+    """
+    dx = np.log(np.asarray(xs, dtype=float))
+    dy = np.log(np.asarray(ys, dtype=float))
+    dx -= dx.mean()
+    dy -= dy.mean()
+    slope = float(dx @ dy / (dx @ dx))
+    if len(dx) < 3:
+        return slope, 0.0
+    return slope, float(np.sqrt(np.sum((dy - slope * dx) ** 2) / len(dx)))
 
 
 @dataclass(frozen=True)

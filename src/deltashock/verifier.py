@@ -11,13 +11,20 @@ function of y that depends on the kernel alone, and a polynomial in the
 plateau c.  So the kernel's :func:`kernels.primitive_table`, built once,
 holds every product on the quadrature nodes of the front band in y with
 the weights folded in.  A pairing at any eps and time is then the
-test-function values on phi(t) + eps y times that table.  The values of
-all times of one eps fill one buffer per verdict in place, bit for bit
-those of ``TestFunction.value``, and one real matmul pairs them; a long
-time grid is paired in blocks, so the buffer stays capped.  One small
-contraction per verdict applies the eps powers, c, the data and the
-per-time scalars.  A time whose front band a
-test support clips is summed on the nodes :func:`pairing.pair` uses:
+test-function values on the nodes times that table.  Each eps takes the
+table's coarsest rung whose panels, measured in x, are no longer than
+the finest rung's at eps = 2^-3: on the quartic table 1024 nodes at
+eps = 2^-3 and 64 from eps = 2^-7 on, as the test function varies on a
+scale of order 1 across a band 8 eps wide.  The test function is
+evaluated at offsets from its centre, (phi(t) - center) + eps y, so a
+node next to the centre keeps the relative accuracy of eps y.  The
+values of all times of one eps fill one buffer per verdict in place,
+and one real matmul pairs them; a long time grid is paired in blocks,
+so the buffer stays capped.  One small contraction per verdict applies
+the eps powers, c, the data and the per-time scalars, which come from
+one call of each trajectory method over the time grid.  A time whose
+front band a test support clips is summed on the nodes
+:func:`pairing.pair` uses:
 :func:`kernels.product_columns`, which also builds the table, evaluates
 the products there at (xi, eps), scaled to eps = 1, and the same
 contraction applies.  Every cell agrees with the cell-by-cell loop of
@@ -76,12 +83,15 @@ DEFAULT_ORDER_FLOOR = 0.25
 DEFAULT_RATIO_CEILING = 5e-2
 # A block of time rows holds a (rows x nodes) array of each modulation, in
 # one buffer per verdict, so a node budget caps it and peak memory does not
-# grow with the number of times.  On the quartic table's 1024 nodes the
-# default 33 times of one eps form one block, and the buffer takes 528 KiB.
+# grow with the number of times.  Blocks and buffer are sized on the
+# table's finest rung: on the quartic table's 1024 nodes the default 33
+# times of one eps form one block, and the buffer takes 528 KiB.  A coarser
+# rung pairs the same blocks of times in a part of the buffer.
 _BLOCK_NODES = 33 * 1024
-# The nodes phi(t) + eps y resolve the front band while one ulp of phi(t)
-# stays below this fraction of the smallest eps: up to |phi| < 2^14 on the
-# default grids, whose smallest eps is 2^-12.
+# The offsets (phi(t) - center) + eps y and the clipped bands' nodes in x
+# resolve the front band while one ulp of phi(t) stays below this fraction
+# of the smallest eps: up to |phi| < 2^14 on the default grids, whose
+# smallest eps is 2^-12.
 _NODE_RESOLUTION = 1e-8
 # The replay probes the front here, and sampled data keep e(t) from zero.
 _PROBE_TIME = 1.0
@@ -150,25 +160,25 @@ def _expansion(ansatz: SmoothAnsatz, system_k: float, times):
 
 
 def _time_coeffs(front: Front, times):
-    """phi(t) and the coefficients of the eight basis rows at each time."""
-    phi = np.array([float(front.phi(t)) for t in times])
-    e = np.array([float(front.e(t)) for t in times])
-    p = np.array([complex(front.p(t)) for t in times])
-    p_dot = np.array([complex(front.p_dot(t)) for t in times])
+    """phi(t) and the coefficients of the eight basis rows at each time.
+
+    ``times`` is an array of times or one time; each trajectory method is
+    called once on it.
+    """
+    phi, e, p, p_dot = (np.atleast_1d(method(times)) for method in
+                        (front.phi, front.e, front.p, front.p_dot))
     one = np.ones_like(p)
     return phi, np.stack([one, p, p_dot, p * p, e, one, e, p], axis=-1)
 
 
-def _test_values(psi, center: float, halfwidth: float):
-    """``TestFunction.value`` of both modulations on one support, in place.
+def _test_values(psi, halfwidth: float):
+    """Both modulations of a test function of halfwidth h, in place.
 
-    On entry ``psi[1]`` holds the points x; on return ``psi[0]`` holds the
-    plain bump and ``psi[1]`` the linear-times-bump there.  Each float
-    operation is the one ``TestFunction.value`` makes, in its order, so the
-    values are its own bit for bit.
+    On entry ``psi[1]`` holds offsets z from the support's centre; on
+    return ``psi[0]`` holds the plain bump ``exp_bump(z / h, lift=1)`` and
+    ``psi[1]`` the linear-times-bump, z times that, bit for bit.
     """
     bump, z = psi
-    z -= center
     np.divide(z, halfwidth, out=bump)
     np.square(bump, out=bump)
     np.subtract(1.0, bump, out=bump)
@@ -208,11 +218,11 @@ def _residual_pairings(ansatz: SmoothAnsatz, system_k: float, times, eps_grid,
     modulation = np.array([int(tf.modulation != PLAIN_BUMP) for tf in phi_suite])
     # [eps, test function, time, table column]
     moments = np.zeros((len(eps_grid), len(phi_suite), len(times), len(table.keys)))
-    n_nodes = len(table.y)
-    step = max(1, _BLOCK_NODES // n_nodes)
-    buffer = np.empty(2 * min(step, len(times)) * n_nodes)
+    step = max(1, _BLOCK_NODES // len(table.y))
+    buffer = np.empty(2 * min(step, len(times)) * len(table.y))
     for table_moments, eps in zip(moments, eps_grid):
-        edges, nodes = ansatz.band_edges(eps), eps * table.y
+        rung = table.at(eps)
+        edges, nodes, n_nodes = ansatz.band_edges(eps), eps * rung.y, len(rung.y)
         band_lo, band_hi = phi + edges[0], phi + edges[-1]
         clipped: dict = {}
         for (center, halfwidth), tests in suite.items():
@@ -220,14 +230,15 @@ def _residual_pairings(ansatz: SmoothAnsatz, system_k: float, times, eps_grid,
             hi = np.minimum(band_hi, center + halfwidth)
             whole = (lo == band_lo) & (hi == band_hi)
             cols, rows = np.array(tests)[:, None], np.flatnonzero(whole)
+            offset = phi - center
             for block in (rows[k:k + step] for k in range(0, len(rows), step)):
                 psi = buffer[:2 * len(block) * n_nodes].reshape(2, len(block), n_nodes)
-                np.add(phi[block, None], nodes, out=psi[1])
-                _test_values(psi, center, halfwidth)
+                np.add(offset[block, None], nodes, out=psi[1])
+                _test_values(psi, halfwidth)
                 # Stacked, not flattened to one (2 rows, nodes) product: a
                 # one-row block then keeps numpy's vector-matrix kernel and
                 # its order of summation.
-                table_moments[cols, block] = (psi @ table.columns)[modulation[tests]]
+                table_moments[cols, block] = (psi @ rung.columns)[modulation[tests]]
             # Times at which the front stands still share a clipped band.
             for j in np.flatnonzero((lo < hi) & ~whole):
                 rows_by_test = clipped.setdefault((phi[j], lo[j], hi[j]), {})
@@ -242,8 +253,8 @@ def _residual_pairings(ansatz: SmoothAnsatz, system_k: float, times, eps_grid,
             for (center, halfwidth), rows in rows_by_test.items():
                 tests = suite[center, halfwidth]
                 psi = np.empty((2, len(x)))
-                psi[1] = x
-                pairs = _test_values(psi, center, halfwidth) @ columns
+                psi[1] = x - center
+                pairs = _test_values(psi, halfwidth) @ columns
                 table_moments[np.array(tests)[:, None], rows] = \
                     pairs[modulation[tests]][:, None]
     eps_powers = np.asarray(eps_grid, dtype=float)[:, None] ** table.powers
@@ -460,7 +471,7 @@ def replay_derivation(data: RiemannJumpData, trajectory: Front,
     """
     kernel = kernel or make_kernel()
     ansatz = SmoothAnsatz(data, trajectory, kernel, c=c)
-    _, table, _, weights = _expansion(ansatz, data.k, [t])
+    _, table, _, weights = _expansion(ansatz, data.k, t)
     weights = np.concatenate(weights)  # [equation, column]
     y_powers = np.stack([np.ones_like(table.y), table.y])
     # [equation, n, column]: the coefficient of eps^(a + n) psi^(n)(phi) / n!

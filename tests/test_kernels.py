@@ -312,3 +312,35 @@ def test_product_columns_at_eps_reproduce_the_table(kernel):
         assert np.array_equal(powers[cols], table.powers)
         ulps = 2 if math.frexp(eps)[0] == 0.5 else 32
         assert np.all(np.abs(columns[:, cols] - table.columns) <= ulps * ulp), eps
+
+
+def test_rung_choice_per_kernel(kernel):
+    # The coarsest rung whose panels at eps, in x, are no longer than the
+    # finest rung's at eps = 2^-3: min(16, 2^ceil(log2(128 eps))) panels on
+    # the quartic table, every panel at every eps on the exponential one.
+    table = primitive_table(kernel, BASIS_PRODUCTS)
+    got = [table.at(eps).panels for eps in (*default_eps_grid(), 0.3)]
+    if kernel.kind == QUARTIC:
+        assert got == [16, 8, 4, 2] + [1] * 6 + [16]
+        # the band's four subintervals that carry a product, 16 nodes a panel
+        assert [len(table.at(eps).y) for eps in default_eps_grid()] == [
+            1024, 512, 256, 128] + [64] * 6
+    else:
+        assert got == [16] * 11
+    finest = table.rungs[-1]
+    assert table.at(0.3) is finest
+    assert table.y is finest.y and table.columns is finest.columns
+
+
+def test_quartic_rungs_share_the_finest_moments(quartic):
+    # The quartic products are polynomials of degree at most 10 on each
+    # subinterval, so one panel of 16 nodes already integrates them and
+    # their first moments exactly.
+    table = primitive_table(quartic, BASIS_PRODUCTS)
+    assert [rung.panels for rung in table.rungs] == [1, 2, 4, 8, 16]
+    for rung in table.rungs:
+        for n in range(4):
+            moments = rung.y**n @ rung.columns
+            finest = table.y**n @ table.columns
+            l1 = np.abs(table.y) ** n @ np.abs(table.columns)
+            assert np.all(np.abs(moments - finest) <= 2e-15 * l1), (rung.panels, n)

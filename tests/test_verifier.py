@@ -12,7 +12,7 @@ import pytest
 from deltashock import kernels, verifier
 from deltashock.ansatz import RiemannJumpData, SmoothAnsatz
 from deltashock.dynamics import LinearTrajectory, overcompressivity, solve_front
-from deltashock.kernels import StepProfile, band_quadrature
+from deltashock.kernels import StepProfile, band_quadrature, exp_bump
 from deltashock.pairing import (
     LINEAR_BUMP,
     PLAIN_BUMP,
@@ -283,13 +283,28 @@ def _record_blocks(monkeypatch):
     """The number of time rows of every whole-band block a verdict pairs."""
     rows, fill = [], verifier._test_values
 
-    def recorded(psi, center, halfwidth):
+    def recorded(psi, *args):
         if psi.ndim == 3:  # (modulation, time row, node); clipped bands are 2-D
             rows.append(psi.shape[1])
-        return fill(psi, center, halfwidth)
+        return fill(psi, *args)
 
     monkeypatch.setattr(verifier, "_test_values", recorded)
     return rows
+
+
+def test_default_verdict_fills_the_rungs_nodes(monkeypatch, worked_ansatz, worked_data):
+    # A count that needs no timer: each modulation of a default quartic
+    # verdict takes 33 times the rungs' 1024 + 512 + 256 + 128 + 6 x 64 nodes,
+    # where the finest rung at every eps would take 33 x 10 x 1024.
+    nodes, fill = [], verifier._test_values
+
+    def counted(psi, *args):
+        nodes.append(psi[1].size)
+        return fill(psi, *args)
+
+    monkeypatch.setattr(verifier, "_test_values", counted)
+    verify_weak_solution(worked_ansatz, worked_data.k)
+    assert sum(nodes) == 33 * 2304
 
 
 def test_default_verdict_pairs_one_block_per_eps(monkeypatch, worked_ansatz,
@@ -320,23 +335,76 @@ def test_verdict_spanning_several_blocks_equals_per_cell_loop(monkeypatch, worke
 
 
 def test_test_values_are_test_function_values_bitwise():
-    # Inside a support 1 - y^2 >= 2e-3, so exp does not underflow.  On the
-    # edges of the dyadic support y = +-1 exactly, which takes exp_bump's
-    # masked path, as do points outside.  On the other support z / h and
+    # The values at offsets z from the centre are exp_bump(z / h, lift=1)
+    # and z times that, bit for bit.  Inside a support 1 - y^2 >= 2e-3, so
+    # exp does not underflow.  At z = +-h, y = +-1 exactly, which takes
+    # exp_bump's masked path, as do offsets outside.  For h = 0.29, z / h and
     # z * (1/h) differ, so the order of operations shows.
     y = np.random.default_rng(0).uniform(-0.999, 0.999, 400)
-    for center, halfwidth, edges in ((0.5, 0.25, [0.25, 0.75]), (0.37, 0.29, [])):
-        inside = center + halfwidth * y
-        outside = np.array([-1e3, 0.0, center + 1.01 * halfwidth, 2.0])
-        for x in (inside, inside.reshape(8, 50),
+    for halfwidth in (0.25, 0.29):
+        inside = halfwidth * y
+        edges = [-halfwidth, halfwidth]
+        outside = np.array([-1e3, -0.5, 1.01 * halfwidth, 1.5])
+        for z in (inside, inside.reshape(8, 50),
                   np.concatenate([inside, edges, outside])):
-            psi = np.empty((2, *x.shape))
-            psi[1] = x
+            psi = np.empty((2, *z.shape))
+            psi[1] = z
             with np.errstate(all="raise"):
-                _test_values(psi, center, halfwidth)
-                want = np.array([TestFunction(center, halfwidth, m).value(x)
-                                 for m in (PLAIN_BUMP, LINEAR_BUMP)])
-            assert psi.tobytes() == want.tobytes()
+                _test_values(psi, halfwidth)
+                bump = exp_bump(z / halfwidth, lift=1.0)
+            assert psi.tobytes() == np.array([bump, z * bump]).tobytes()
+
+
+def _long_double_pairings(ansatz, system_k, times, eps_grid, center, halfwidth):
+    """Reference whole-band pairings with the plain and the linear bump on
+    one support, and the L1 of their terms, as ``[eps, equation, modulation,
+    time]``.
+
+    The products are tabulated on 32 panels per subinterval, twice the
+    finest rung, and the test functions are evaluated and every sum taken
+    in long double, at offsets from the centre.  The L1 is the sum of
+    |psi w f| over every node and column, times eps^a and the moduli of the
+    per-time coefficients.
+    """
+    products, table, phi, weights = verifier._expansion(ansatz, system_k, times)
+    y, w = band_quadrature(-4.0, 4.0, (-3.0, -1.0, 1.0, 3.0), 32)
+    columns, keys, _ = kernels.product_columns(ansatz.kernel, products, y, 1.0, w)
+    columns = columns[:, [keys.index(key) for key in table.keys]]
+    ld = np.longdouble
+    y, exact = y.astype(ld), columns.astype(ld)
+    shape = (len(eps_grid), 2, 2, len(times))
+    ref, l1 = np.zeros(shape, dtype=np.clongdouble), np.zeros(shape)
+    for i, eps in enumerate(eps_grid):
+        powers = ld(eps) ** table.powers.astype(ld)
+        z = (phi.astype(ld) - ld(center))[:, None] + ld(eps) * y
+        q = 1 - (z / ld(halfwidth)) ** 2
+        bump = np.where(q > 0, np.exp(1 - 1 / np.where(q > 0, q, 1)), 0)
+        psi = np.stack([bump, z * bump])
+        terms = np.dot(psi, exact) * powers  # np.dot: twice matmul's speed here
+        scale = (np.abs(psi).astype(float) @ np.abs(columns)) * powers.astype(float)
+        for e, coeffs in enumerate(weights):
+            ref[i, e] = np.sum(terms * coeffs.astype(np.clongdouble), axis=-1)
+            l1[i, e] = np.sum(scale * np.abs(coeffs), axis=-1)
+    return ref, l1
+
+
+def test_whole_band_pairings_match_a_long_double_reference(quartic):
+    # The rungs coarser than the finest lose no accuracy: every whole-band
+    # pairing is within 1e-15 of its terms' L1 of the reference.  Offsets
+    # phi(t) + eps y from which the centre is subtracted afterwards round at
+    # the ulp of phi(t), at t = 1/2 where phi(t) is the centre 2e-14 of L1
+    # on one rung of 64 nodes.
+    rng = np.random.default_rng(2024)
+    eps_grid, times = default_eps_grid(), default_t_grid()
+    for i in range(10):
+        data = sample_admissible_data(rng, (0.0, 0.1, 0.5)[i % 3])
+        ansatz = SmoothAnsatz(data, solve_front(data, quartic.omega0), quartic)
+        suite = default_test_suite(ansatz.front, 1.0, max(eps_grid))
+        assert [tf.modulation for tf in suite] == [PLAIN_BUMP, LINEAR_BUMP]
+        got = _residual_pairings(ansatz, data.k, times, eps_grid, suite)
+        ref, l1 = _long_double_pairings(ansatz, data.k, times, eps_grid,
+                                        suite[0].center, suite[0].halfwidth)
+        assert np.all(np.abs(got - ref).astype(float) <= 1e-15 * l1), i
 
 
 def _traced_peak(fn):
