@@ -19,6 +19,7 @@ from typing import Protocol
 import numpy as np
 
 from .kernels import (
+    BAND_EDGES,
     MollifierKernel,
     StepProfile,
     eval_correction,
@@ -47,7 +48,8 @@ class Front(Protocol):
     """A front trajectory: position phi, point-mass amplitude e, correction p.
 
     ``phi_dot`` and ``e_rate`` are the constant rates of phi and e.  Each
-    method takes one time or an array of times.
+    method takes a time or an array of times and returns numpy values of
+    its shape, complex for p and p_dot.
     """
 
     phi_dot: float
@@ -57,9 +59,9 @@ class Front(Protocol):
 
     def e(self, t): ...
 
-    def p(self, t) -> complex: ...
+    def p(self, t): ...
 
-    def p_dot(self, t) -> complex: ...
+    def p_dot(self, t): ...
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,7 @@ class SmoothAnsatz:
         return StepProfile(self.c_effective, eps, self.kernel)
 
     def eval_fields(self, x, t: float, eps: float):
-        """Pointwise (u, sigma) at fixed time; u is complex."""
+        """Pointwise (u, sigma) at fixed time, of x's shape; u is complex."""
         d = self.data
         prof = self.step(eps)
         phi = float(self.front.phi(t))
@@ -178,17 +180,13 @@ class SmoothAnsatz:
         p = complex(self.front.p(t))
         x = np.asarray(x, dtype=float)
         step_val = prof.value(phi - x)
-        u = (d.u0 + d.u1 * np.asarray(step_val)
-             + p * np.asarray(eval_correction(x - phi, eps, self.kernel)))
-        sigma = (d.sigma0 + d.sigma1 * np.asarray(step_val)
-                 + e * np.asarray(eval_delta_reg(x - phi, eps, self.kernel)))
-        u = np.asarray(u, dtype=complex)
-        if u.ndim == 0:
-            return complex(u[()]), float(np.asarray(sigma)[()])
+        u = d.u0 + d.u1 * step_val + p * eval_correction(x - phi, eps, self.kernel)
+        sigma = (d.sigma0 + d.sigma1 * step_val
+                 + e * eval_delta_reg(x - phi, eps, self.kernel))
         return u, sigma
 
     def eval_derivatives(self, x, t: float, eps: float):
-        """Exact chain-rule derivatives (du/dt, du/dx, dsigma/dt, dsigma/dx)."""
+        """Exact derivatives (du/dt, du/dx, dsigma/dt, dsigma/dx), of x's shape."""
         d = self.data
         prof = self.step(eps)
         phi_dot = self.front.phi_dot
@@ -198,25 +196,20 @@ class SmoothAnsatz:
         p = complex(self.front.p(t))
         p_dot = complex(self.front.p_dot(t))
         x = np.asarray(x, dtype=float)
-        h_prime = np.asarray(prof.deriv(phi - x))
-        r_val = np.asarray(eval_correction(x - phi, eps, self.kernel))
-        r_prime = np.asarray(eval_correction_dx(x - phi, eps, self.kernel))
-        d_val = np.asarray(eval_delta_reg(x - phi, eps, self.kernel))
-        d_prime = np.asarray(eval_delta_reg_dx(x - phi, eps, self.kernel))
+        h_prime = prof.deriv(phi - x)
+        r_val = eval_correction(x - phi, eps, self.kernel)
+        r_prime = eval_correction_dx(x - phi, eps, self.kernel)
+        d_val = eval_delta_reg(x - phi, eps, self.kernel)
+        d_prime = eval_delta_reg_dx(x - phi, eps, self.kernel)
         u_t = d.u1 * phi_dot * h_prime + p_dot * r_val - p * phi_dot * r_prime
         u_x = -d.u1 * h_prime + p * r_prime
         s_t = d.sigma1 * phi_dot * h_prime + e_dot * d_val - e * phi_dot * d_prime
         s_x = -d.sigma1 * h_prime + e * d_prime
-        u_t = np.asarray(u_t, dtype=complex)
-        u_x = np.asarray(u_x, dtype=complex)
-        if u_t.ndim == 0:
-            return (complex(u_t[()]), complex(u_x[()]),
-                    float(np.asarray(s_t)[()]), float(np.asarray(s_x)[()]))
-        return u_t, u_x, np.asarray(s_t, dtype=float), np.asarray(s_x, dtype=float)
+        return u_t, u_x, s_t, s_x
 
     def band_edges(self, eps: float) -> tuple[float, ...]:
         """Edges of the regularization bands in the frame xi = x - phi(t)."""
-        return tuple(s * eps for s in (-4.0, -3.0, -1.0, 1.0, 3.0, 4.0))
+        return tuple(s * eps for s in BAND_EDGES)
 
     def breakpoints(self, t: float, eps: float) -> tuple[float, ...]:
         """Edges of the regularization bands around the front."""

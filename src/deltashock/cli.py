@@ -182,10 +182,10 @@ def cmd_riemann(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
         print("FAIL no solution constructed: data is outside both the "
               "classical and the overcompressive regimes")
         return EXIT_MATH
+    # The solution is self-similar: its table at t = 1 is its table in xi.
     xi = np.linspace(cfg.xi_min, cfg.xi_max, cfg.xi_points)
-    x = xi * cfg.riemann_t
-    u, sigma = eval_riemann(sol, x, cfg.riemann_t)
-    labels = region_labels(sol, x, cfg.riemann_t)
+    u, sigma = eval_riemann(sol, xi, 1.0)
+    labels = region_labels(sol, xi)
     rows = list(zip(map(float, xi), map(float, u), map(float, sigma), labels))
     write_table(rows, ["xi", "u", "sigma", "region"], out / "riemann", fmt)
     print(f"u* = {sol.u_star!r}, sigma* = {sol.sigma_star!r}")

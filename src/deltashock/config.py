@@ -8,7 +8,7 @@ The file format is INI-style with three core sections::
     [kernel]    kind = quartic | exponential, optional plateau override c
 
 plus optional sections ``[klimit]`` (ks, t), ``[riemann]``
-(xi_min, xi_max, xi_points, t) and ``[verify]`` (replay_samples).
+(xi_min, xi_max, xi_points) and ``[verify]`` (replay_samples).
 ``configs/worked.ini`` spells out the built-in defaults.
 
 Validation rules: every section and key must be one of those above;
@@ -16,7 +16,7 @@ every number must be finite; k >= 0; t_max > 0;
 t_points >= 2; an eps grid, listed or of powers, has at least 4
 positive, strictly decreasing values (so eps_pow_max >= eps_pow_min + 3);
 ks holds at least 2 distinct positive values; [klimit] t > 0;
-xi_min < xi_max, xi_points >= 2 and [riemann] t > 0; replay_samples >= 0.
+xi_min < xi_max and xi_points >= 2; replay_samples >= 0.
 Configuration problems raise :class:`ConfigError`; mathematical problems
 with valid configuration surface later from the library.  The
 ``verify-expansions`` command also needs the eps grid to span at least 3
@@ -56,7 +56,6 @@ class RunConfig:
     xi_min: float = -5.0
     xi_max: float = 5.0
     xi_points: int = 401
-    riemann_t: float = 1.0
     replay_samples: int = 0
 
     def jump_data(self):
@@ -72,7 +71,7 @@ _KEYS = {
     "grid": ("eps_pow_min", "eps_pow_max", "eps", "t_max", "t_points"),
     "kernel": ("kind", "c"),
     "klimit": ("ks", "t"),
-    "riemann": ("xi_min", "xi_max", "xi_points", "t"),
+    "riemann": ("xi_min", "xi_max", "xi_points"),
     "verify": ("replay_samples",),
 }
 
@@ -212,7 +211,6 @@ def load_config(path: str | None) -> RunConfig:
         xi_max=xi_max,
         xi_points=_get_int(parser, "riemann", "xi_points", defaults.xi_points,
                            least=2),
-        riemann_t=_get_positive(parser, "riemann", "t", defaults.riemann_t),
         replay_samples=_get_int(parser, "verify", "replay_samples",
                                 defaults.replay_samples, least=0),
     )

@@ -14,7 +14,6 @@ integration exists only as a test oracle.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -70,10 +69,6 @@ def e_rate(data: RiemannJumpData) -> float:
                        lambda: data.sigma1**2 / data.u1 - data.k**2 * data.u1)
 
 
-def _principal_p(e_val: float, omega0: float) -> complex:
-    return cmath.sqrt(complex(2.0 * e_val / omega0, 0.0))
-
-
 @dataclass(frozen=True)
 class FrontTrajectory:
     """Exactly linear front trajectory with the solved correction amplitude.
@@ -92,13 +87,10 @@ class FrontTrajectory:
     def e(self, t):
         return self.e0 + self.e_rate * np.asarray(t, dtype=float)
 
-    def p(self, t) -> complex:
-        e_val = self.e(t)
-        if np.ndim(e_val) == 0:
-            return _principal_p(float(e_val), self.omega0)
-        return np.sqrt(np.asarray(2.0 * e_val / self.omega0, dtype=complex))
+    def p(self, t):
+        return np.sqrt(np.asarray(2.0 * self.e(t) / self.omega0, dtype=complex))
 
-    def p_dot(self, t) -> complex:
+    def p_dot(self, t):
         p_val = self.p(t)
         if self.e_rate == 0.0:
             return 0.0 * p_val
@@ -107,7 +99,7 @@ class FrontTrajectory:
                 "p_dot is singular where e(t) crosses zero with nonzero rate")
         return self.e_rate / (self.omega0 * p_val)
 
-    def defect(self, t) -> complex:
+    def defect(self, t):
         """Residual of the defining relation p^2 omega0 / 2 - e (should be 0)."""
         p_val = self.p(t)
         return 0.5 * p_val * p_val * self.omega0 - self.e(t)
@@ -134,10 +126,10 @@ class LinearTrajectory:
     def e(self, t):
         return self.e0 + self.e_rate * np.asarray(t, dtype=float)
 
-    def p(self, t) -> complex:
+    def p(self, t):
         return self.p0 + self.p_rate * np.asarray(t, dtype=complex)
 
-    def p_dot(self, t) -> complex:
+    def p_dot(self, t):
         return np.full(np.shape(t), complex(self.p_rate))
 
 
@@ -241,9 +233,7 @@ def volpert_product_pairing(data: RiemannJumpData,
 
 def trajectory_rows(traj, t_grid) -> list[tuple[float, float, float, float, float]]:
     """Rows (t, phi, e, Re p, Im p) for table export."""
-    rows = []
-    for t in np.asarray(t_grid, dtype=float):
-        p_val = complex(traj.p(float(t)))
-        rows.append((float(t), float(traj.phi(float(t))), float(traj.e(float(t))),
-                     p_val.real, p_val.imag))
-    return rows
+    t = np.asarray(t_grid, dtype=float)
+    p = traj.p(t)
+    return list(zip(t.tolist(), traj.phi(t).tolist(), traj.e(t).tolist(),
+                    p.real.tolist(), p.imag.tolist()))

@@ -11,8 +11,8 @@ From a kernel and a regularization length ``eps`` we build
   |xi| <= 3 eps and smooth ramps on the bands (-4 eps, -3 eps) and
   (3 eps, 4 eps), built as affinely rescaled kernel antiderivatives.
 
-All evaluators are pure functions of immutable parameters and accept
-scalars or numpy arrays in the spatial argument.
+All evaluators are pure functions of immutable parameters and return
+numpy values of the shape of their spatial argument, 0-d for a scalar.
 
 In the scaled variable y = xi/eps every profile is a power of eps times
 a function of y that depends on the kernel alone, and the step is affine
@@ -60,6 +60,7 @@ __all__ = [
     "exp_bump",
     "exp_bump_dy",
     "PROFILE_EPS_POWERS",
+    "BAND_EDGES",
     "PrimitiveTable",
     "Rung",
     "product_columns",
@@ -90,15 +91,6 @@ PANELS_PER_SUBINTERVAL = 16
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_NODES)
 
 
-def _as_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _maybe_scalar(out, scalar):
-    return float(out[()]) if scalar else out
-
-
 @dataclass(frozen=True)
 class MollifierKernel:
     """Even unit-mass bump supported in (-1, 1).
@@ -115,17 +107,17 @@ class MollifierKernel:
     omega0: float
 
     def value(self, y):
-        y, scalar = _as_array(y)
+        y = np.asarray(y, dtype=float)
         if self.kind == QUARTIC:
             out = np.zeros_like(y)
             m = np.abs(y) < 1.0
             out[m] = self.normalization * (1.0 - y[m] ** 2) ** 2
         else:
             out = exp_bump(y, self.normalization)
-        return _maybe_scalar(out, scalar)
+        return out
 
     def deriv(self, y):
-        y, scalar = _as_array(y)
+        y = np.asarray(y, dtype=float)
         if self.kind == QUARTIC:
             out = np.zeros_like(y)
             m = np.abs(y) < 1.0
@@ -133,11 +125,11 @@ class MollifierKernel:
             out[m] = self.normalization * (-4.0) * ym * (1.0 - ym**2)
         else:
             out = exp_bump_dy(y, self.normalization)
-        return _maybe_scalar(out, scalar)
+        return out
 
     def cdf(self, y):
         """Antiderivative of the kernel, 0 at -1 and 1 at +1."""
-        y, scalar = _as_array(y)
+        y = np.asarray(y, dtype=float)
         out = np.empty_like(y)
         lo = y <= -1.0
         hi = y >= 1.0
@@ -149,7 +141,7 @@ class MollifierKernel:
             out[mid] = 0.5 + _QUARTIC_NORM * (ym - 2.0 * ym**3 / 3.0 + ym**5 / 5.0)
         else:
             out[mid] = np.clip(_exp_fit()[2](ym), 0.0, 1.0)
-        return _maybe_scalar(out, scalar)
+        return out
 
 
 def band_quadrature(lo: float, hi: float, cuts: Sequence[float],
@@ -284,13 +276,8 @@ class StepProfile:
     def __post_init__(self):
         _check_eps(self.eps)
 
-    @property
-    def breakpoints(self) -> tuple[float, float, float, float]:
-        e = self.eps
-        return (-4.0 * e, -3.0 * e, 3.0 * e, 4.0 * e)
-
     def value(self, xi):
-        xi, scalar = _as_array(xi)
+        xi = np.asarray(xi, dtype=float)
         e = self.eps
         c = self.c
         out = np.empty_like(xi)
@@ -301,10 +288,10 @@ class StepProfile:
         out[left] = c * self.kernel.cdf((2.0 * xi[left] + 7.0 * e) / e)
         right = (xi > 3.0 * e) & (xi < 4.0 * e)
         out[right] = c + (1.0 - c) * self.kernel.cdf((2.0 * xi[right] - 7.0 * e) / e)
-        return _maybe_scalar(out, scalar)
+        return out
 
     def deriv(self, xi):
-        xi, scalar = _as_array(xi)
+        xi = np.asarray(xi, dtype=float)
         e = self.eps
         c = self.c
         out = np.zeros_like(xi)
@@ -312,7 +299,7 @@ class StepProfile:
         out[left] = c * self.kernel.value((2.0 * xi[left] + 7.0 * e) / e) * 2.0 / e
         right = (xi > 3.0 * e) & (xi < 4.0 * e)
         out[right] = (1.0 - c) * self.kernel.value((2.0 * xi[right] - 7.0 * e) / e) * 2.0 / e
-        return _maybe_scalar(out, scalar)
+        return out
 
 
 # Each profile at eps is eps^power times the same profile at eps = 1
@@ -320,6 +307,9 @@ class StepProfile:
 # its derivative dh, the correction r and dr, the delta d and dd.
 PROFILE_EPS_POWERS = {"h": 0.0, "dh": -1.0, "r": -0.5, "dr": -1.5, "d": -1.0,
                       "dd": -2.0}
+# The front band's edges in y = xi/eps, where the supports end: the step's
+# ramps (-4, -3) and (3, 4), the delta's (-3, -1), the correction's (1, 3).
+BAND_EDGES = (-4.0, -3.0, -1.0, 1.0, 3.0, 4.0)
 
 
 # Panels per subinterval of each rung of a kernel's table, coarsest first.
@@ -342,8 +332,8 @@ class Rung(NamedTuple):
 class PrimitiveTable:
     """Weighted profile products of one kernel on the front band in y = xi/eps.
 
-    Each of ``rungs``, coarsest first, holds the nodes of
-    ``band_quadrature(-4, 4, (-3, -1, 1, 3), panels)`` on which some
+    Each of ``rungs``, coarsest first, holds the nodes of the ``panels``
+    rule of :func:`band_quadrature` cut at :data:`BAND_EDGES` on which some
     product is nonzero.  Column i of a rung's ``columns`` is the weight
     times the c^j part of a product of profiles at eps = 1, for
     ``(product, j) = keys[i]``; parts that vanish on every node have no
@@ -417,7 +407,8 @@ def primitive_table(kernel: MollifierKernel,
     profile is evaluated once per table.
     """
     panels = _RUNGS[kernel.kind]
-    rules = [band_quadrature(-4.0, 4.0, (-3.0, -1.0, 1.0, 3.0), n) for n in panels]
+    lo, *cuts, hi = BAND_EDGES
+    rules = [band_quadrature(lo, hi, cuts, n) for n in panels]
     y, w = (np.concatenate(parts) for parts in zip(*rules))
     columns, keys, powers = product_columns(kernel, products, y, 1.0, w)
     # Nodes and columns where every entry is zero add nothing to a pairing.

@@ -465,7 +465,8 @@ def verify_lemma31(kernel: MollifierKernel, c: float,
     test function, the coefficients are extrapolated over the eps grid,
     and the measured decay orders are compared against the family's floor.
     The two support-disjoint products are additionally sampled pointwise
-    and must vanish identically.
+    and must vanish identically.  A sequence that does not converge raises
+    :class:`ExtractionError` naming its family and channel.
     """
     eps_grid = tuple(eps_grid) if eps_grid is not None else default_eps_grid()
     if len(eps_grid) < 4:
@@ -477,7 +478,10 @@ def verify_lemma31(kernel: MollifierKernel, c: float,
     for name, factors, support, cuts, expected, klass, disjoint in _LEMMA_TABLE:
         family = partial(_lemma_integrand, factors, support, cuts, kernel, c)
         exp_a, exp_b = (constants.get(v, v) for v in expected)
-        a_rep, b_rep = extract_point_coeffs(family, 0.0, eps_grid)
+        try:
+            a_rep, b_rep = extract_point_coeffs(family, 0.0, eps_grid)
+        except ExtractionError as exc:
+            raise ExtractionError(f"{name} {exc}") from exc
         a, b = a_rep.extrapolated_limit, -b_rep.extrapolated_limit
         max_abs = 0.0
         if disjoint:

@@ -169,7 +169,7 @@ _LEFT, _FAN1, _MIDDLE, _FAN2, _RIGHT = range(len(_REGION_NAMES))
 
 
 def _regions(solution: RiemannSolution, x, t: float):
-    """xi = x/t, at least 1-d, and its region codes.  Regions may overlap
+    """xi = x/t and its region codes, of x's shape.  Regions may overlap
     within the 1e-12 ordering tolerance: right beats left, a fan beats
     both, and fan 2 beats fan 1."""
     if solution.regime != CLASSICAL:
@@ -177,7 +177,7 @@ def _regions(solution: RiemannSolution, x, t: float):
             f"pointwise evaluation needs a classical solution, got {solution.regime}")
     if not t > 0.0:
         raise ValueError("self-similar evaluation needs t > 0")
-    xi = np.atleast_1d(np.asarray(x, dtype=float) / float(t))
+    xi = np.asarray(x, dtype=float) / float(t)
     w1, w2 = solution.wave1, solution.wave2
     codes = np.full(xi.shape, _MIDDLE, dtype=np.int8)
     codes[xi < w1.slowest] = _LEFT
@@ -190,29 +190,27 @@ def _regions(solution: RiemannSolution, x, t: float):
 
 
 def eval_riemann(solution: RiemannSolution, x, t: float):
-    """Self-similar evaluation (u, sigma) of a classical solution.
+    """Self-similar evaluation (u, sigma) of a classical solution, of x's shape.
 
     Inside a family-1 fan u = xi + k and sigma follows the 1-family line;
     inside a family-2 fan u = xi - k and sigma follows the 2-family line.
     """
     xi, codes = _regions(solution, x, t)
     left, right, k = solution.left, solution.right, solution.k
-    # Constant states by region code; the fans are filled in below.
-    u = np.array([left.u, 0.0, solution.u_star, 0.0, right.u])[codes]
-    sigma = np.array([left.sigma, 0.0, solution.sigma_star, 0.0, right.sigma])[codes]
+    # Constant states by region code (``...`` keeps 0-d an array); fans below.
+    u = np.array([left.u, 0.0, solution.u_star, 0.0, right.u])[codes, ...]
+    sigma = np.array([left.sigma, 0.0, solution.sigma_star, 0.0, right.sigma])[codes, ...]
     fan1, fan2 = codes == _FAN1, codes == _FAN2
     u[fan1] = xi[fan1] + k
     sigma[fan1] = left.sigma + k * (u[fan1] - left.u)
     u[fan2] = xi[fan2] - k
     sigma[fan2] = solution.sigma_star - k * (u[fan2] - solution.u_star)
-    if np.ndim(x) == 0:
-        return float(u[0]), float(sigma[0])
     return u, sigma
 
 
 def region_labels(solution: RiemannSolution, x, t: float = 1.0) -> list[str]:
     """Region of each point x at time t whose values :func:`eval_riemann` gives."""
-    return [_REGION_NAMES[c] for c in _regions(solution, x, t)[1]]
+    return [_REGION_NAMES[c] for c in np.atleast_1d(_regions(solution, x, t)[1])]
 
 
 def _require_admissible(data: RiemannJumpData) -> None:

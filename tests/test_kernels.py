@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from deltashock.ansatz import RiemannJumpData
 from deltashock.kernels import (
+    BAND_EDGES,
     EXPONENTIAL,
     QUARTIC,
     StepProfile,
@@ -211,13 +212,27 @@ def test_step_band_integrals(kernel):
 
 def test_step_c1_junctions(kernel):
     prof = StepProfile(0.2, 0.05, kernel)
-    for xi in prof.breakpoints:
+    for xi in (s * prof.eps for s in BAND_EDGES if abs(s) >= 3.0):
         inner = prof.deriv(xi - 1e-300) if xi > 0 else prof.deriv(xi + 1e-300)
         assert abs(prof.deriv(xi)) < 1e-10
         assert abs(inner - prof.deriv(xi)) < 1e-10
         left = prof.value(np.nextafter(xi, -np.inf))
         right = prof.value(np.nextafter(xi, np.inf))
         assert abs(left - right) < 1e-10
+
+
+def test_profiles_keep_the_shape_of_their_argument(kernel):
+    # A 0-d argument gives a 0-d array equal to element 0 of the call on a
+    # 1-element array, bit for bit, inside, on and outside every support.
+    prof = StepProfile(0.3, 0.05, kernel)
+    ys = (-1.5, -1.0, -0.999, -0.4, 0.0, 0.25, 0.999, 1.0, 1.5)
+    calls = [(f, y) for f in (kernel.value, kernel.deriv, kernel.cdf) for y in ys]
+    calls += [(f, s * prof.eps) for f in (prof.value, prof.deriv)
+              for s in (-4.5, *BAND_EDGES, -3.5, -2.0, 0.0, 3.5, 4.5)]
+    for f, y in calls:
+        got, one = f(np.float64(y)), f(np.array([y]))
+        assert isinstance(got, np.ndarray) and got.shape == (), (f, y)
+        assert got.tobytes() == one[0].tobytes(), (f, y)
 
 
 def test_step_derivative_matches_finite_difference(kernel):
