@@ -183,7 +183,7 @@ class SmoothAnsatz:
         u = d.u0 + d.u1 * step_val + p * eval_correction(x - phi, eps, self.kernel)
         sigma = (d.sigma0 + d.sigma1 * step_val
                  + e * eval_delta_reg(x - phi, eps, self.kernel))
-        return u, sigma
+        return np.asarray(u), np.asarray(sigma)
 
     def eval_derivatives(self, x, t: float, eps: float):
         """Exact derivatives (du/dt, du/dx, dsigma/dt, dsigma/dx), of x's shape."""
@@ -205,16 +205,12 @@ class SmoothAnsatz:
         u_x = -d.u1 * h_prime + p * r_prime
         s_t = d.sigma1 * phi_dot * h_prime + e_dot * d_val - e * phi_dot * d_prime
         s_x = -d.sigma1 * h_prime + e * d_prime
-        return u_t, u_x, s_t, s_x
-
-    def band_edges(self, eps: float) -> tuple[float, ...]:
-        """Edges of the regularization bands in the frame xi = x - phi(t)."""
-        return tuple(s * eps for s in BAND_EDGES)
+        return tuple(np.asarray(v) for v in (u_t, u_x, s_t, s_x))
 
     def breakpoints(self, t: float, eps: float) -> tuple[float, ...]:
         """Edges of the regularization bands around the front."""
         phi = self.front.phi(t)
-        return tuple(phi + b for b in self.band_edges(eps))
+        return tuple(phi + s * eps for s in BAND_EDGES)
 
     def u_integrand(self, t: float, eps: float) -> Piecewise:
         return Piecewise(lambda x: self.eval_fields(x, t, eps)[0],

@@ -22,14 +22,11 @@ values of all times of one eps fill one buffer per verdict in place,
 and one real matmul pairs them; a long time grid is paired in blocks,
 so the buffer stays capped.  One small contraction per verdict applies
 the eps powers, c, the data and the per-time scalars, which come from
-one call of each trajectory method over the time grid.  A time whose
-front band a test support clips is summed on the nodes
-:func:`pairing.pair` uses:
-:func:`kernels.product_columns`, which also builds the table, evaluates
-the products there at (xi, eps), scaled to eps = 1, and the same
-contraction applies.  Every cell agrees with the cell-by-cell loop of
-:func:`pairing.pair` to 1e-12 of its sum of |w f phi|, except where that
-loop's own residual is what is left of terms that cancel.
+one call of each trajectory method over the time grid.  The verdict's
+test functions are a plain and a linear bump on one support that holds
+the front band at every time and eps, so every pairing is a whole-band
+sum on the table's nodes, and every cell agrees with the cell-by-cell
+loop of :func:`pairing.pair` to 1e-12 of its sum of |w f phi|.
 
 The replay facility reads the point-mass and dipole coefficients of both
 residuals for an arbitrary trajectory off the same table's moments and
@@ -45,15 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import Front, RiemannJumpData, SmoothAnsatz
-from .kernels import (
-    MollifierKernel,
-    band_quadrature,
-    exp_bump,
-    make_kernel,
-    primitive_table,
-    product_columns,
-)
+from .kernels import MollifierKernel, exp_bump, make_kernel, primitive_table
 from .pairing import (
+    LINEAR_BUMP,
     NEGLIGIBLE_RTOL,
     PLAIN_BUMP,
     ExtractionError,
@@ -88,10 +79,9 @@ DEFAULT_RATIO_CEILING = 5e-2
 # times of one eps form one block, and the buffer takes 528 KiB.  A coarser
 # rung pairs the same blocks of times in a part of the buffer.
 _BLOCK_NODES = 33 * 1024
-# The offsets (phi(t) - center) + eps y and the clipped bands' nodes in x
-# resolve the front band while one ulp of phi(t) stays below this fraction
-# of the smallest eps: up to |phi| < 2^14 on the default grids, whose
-# smallest eps is 2^-12.
+# The offsets (phi(t) - center) + eps y resolve the front band while one
+# ulp of phi(t) stays below this fraction of the smallest eps: up to
+# |phi| < 2^14 on the default grids, whose smallest eps is 2^-12.
 _NODE_RESOLUTION = 1e-8
 # The replay probes the front here, and sampled data keep e(t) from zero.
 _PROBE_TIME = 1.0
@@ -123,8 +113,8 @@ def _basis_rows(ansatz: SmoothAnsatz, system_k: float):
     and res_sigma = B . (1, e, p); expanding :func:`_residual_values`
     gives them.  A product names profiles of
     :data:`kernels.PROFILE_EPS_POWERS`, all at xi = x - phi(t), and is a
-    key of the products :func:`kernels.product_columns` evaluates, on the
-    table's nodes and on clipped bands alike.  Its p e term R D' vanishes:
+    key of the products :func:`kernels.product_columns` evaluates on the
+    table's nodes.  Its p e term R D' vanishes:
     R and D have disjoint supports.
     """
     d, front = ansatz.data, ansatz.front
@@ -143,7 +133,7 @@ def _basis_rows(ansatz: SmoothAnsatz, system_k: float):
 
 
 def _expansion(ansatz: SmoothAnsatz, system_k: float, times):
-    """The basis rows' products, their primitive table, phi(t), and each
+    """The primitive table of the basis rows' products, phi(t), and each
     table column's coefficient in res_u and res_sigma as ``[time, column]``."""
     # Read first, so that data whose plateau leaves the float range fails
     # naming the plateau rather than on u1**2 inside a basis row.
@@ -155,8 +145,7 @@ def _expansion(ansatz: SmoothAnsatz, system_k: float, times):
     expansion = np.array([[row.get(product, 0.0) * c**j for product, j in table.keys]
                           for row in basis_rows])
     phi, coeffs = _time_coeffs(ansatz.front, times)
-    return (products, table, phi,
-            (coeffs[:, :5] @ expansion[:5], coeffs[:, 5:] @ expansion[5:]))
+    return table, phi, (coeffs[:, :5] @ expansion[:5], coeffs[:, 5:] @ expansion[5:])
 
 
 def _time_coeffs(front: Front, times):
@@ -194,9 +183,11 @@ def _test_values(psi, halfwidth: float):
 
 
 def _residual_pairings(ansatz: SmoothAnsatz, system_k: float, times, eps_grid,
-                      phi_suite) -> np.ndarray:
-    """Pairings of both residuals with every test function at every time.
+                      suite) -> np.ndarray:
+    """Pairings of both residuals with both test functions at every time.
 
+    ``suite`` is the plain and the linear bump of :func:`default_test_suite`
+    on the same times and eps, whose one support holds every front band.
     Returns a complex array indexed ``[eps, equation, test function, time]``,
     equations in the order (u, sigma).  Each entry is the cell's
     ``pair(residual_integrand(...), phi)``, summed as the module docstring
@@ -204,62 +195,34 @@ def _residual_pairings(ansatz: SmoothAnsatz, system_k: float, times, eps_grid,
     and before pairing when one ulp of max |phi(t)| exceeds
     ``_NODE_RESOLUTION`` of the smallest eps.
     """
-    products, table, phi, weights = _expansion(ansatz, system_k, times)
+    table, phi, weights = _expansion(ansatz, system_k, times)
     reach, eps_min = float(np.max(np.abs(phi))), min(eps_grid)
     if np.spacing(reach) > _NODE_RESOLUTION * eps_min:
         raise NumericsError(
             f"front position |phi(t)| = {reach:g} swamps eps = {eps_min:g}: one ulp "
             f"of phi(t) exceeds {_NODE_RESOLUTION:g} eps, so the quadrature nodes "
             f"phi(t) + eps y collapse")
-    suite: dict[tuple[float, float], list[int]] = {}
-    for i, tf in enumerate(phi_suite):
-        suite.setdefault((tf.center, tf.halfwidth), []).append(i)
-    # each test's row in the values _test_values fills
-    modulation = np.array([int(tf.modulation != PLAIN_BUMP) for tf in phi_suite])
+    offset, halfwidth = phi - suite[0].center, suite[0].halfwidth
     # [eps, test function, time, table column]
-    moments = np.zeros((len(eps_grid), len(phi_suite), len(times), len(table.keys)))
+    moments = np.empty((len(eps_grid), 2, len(times), len(table.keys)))
     step = max(1, _BLOCK_NODES // len(table.y))
     buffer = np.empty(2 * min(step, len(times)) * len(table.y))
     for table_moments, eps in zip(moments, eps_grid):
         rung = table.at(eps)
-        edges, nodes, n_nodes = ansatz.band_edges(eps), eps * rung.y, len(rung.y)
-        band_lo, band_hi = phi + edges[0], phi + edges[-1]
-        clipped: dict = {}
-        for (center, halfwidth), tests in suite.items():
-            lo = np.maximum(band_lo, center - halfwidth)
-            hi = np.minimum(band_hi, center + halfwidth)
-            whole = (lo == band_lo) & (hi == band_hi)
-            cols, rows = np.array(tests)[:, None], np.flatnonzero(whole)
-            offset = phi - center
-            for block in (rows[k:k + step] for k in range(0, len(rows), step)):
-                psi = buffer[:2 * len(block) * n_nodes].reshape(2, len(block), n_nodes)
-                np.add(offset[block, None], nodes, out=psi[1])
-                _test_values(psi, halfwidth)
-                # Stacked, not flattened to one (2 rows, nodes) product: a
-                # one-row block then keeps numpy's vector-matrix kernel and
-                # its order of summation.
-                table_moments[cols, block] = (psi @ rung.columns)[modulation[tests]]
-            # Times at which the front stands still share a clipped band.
-            for j in np.flatnonzero((lo < hi) & ~whole):
-                rows_by_test = clipped.setdefault((phi[j], lo[j], hi[j]), {})
-                rows_by_test.setdefault((center, halfwidth), []).append(j)
-        for (at, lo, hi), rows_by_test in clipped.items():
-            # pair's own nodes and weights, in x: on a sliver of a subinterval
-            # that the support leaves, nodes built in xi move its weights by
-            # more than 1e-12.
-            x, w = band_quadrature(lo, hi, [at + b for b in edges[1:-1]])
-            columns, keys, _ = product_columns(ansatz.kernel, products, x - at, eps, w)
-            columns = columns[:, [keys.index(key) for key in table.keys]]
-            for (center, halfwidth), rows in rows_by_test.items():
-                tests = suite[center, halfwidth]
-                psi = np.empty((2, len(x)))
-                psi[1] = x - center
-                pairs = _test_values(psi, halfwidth) @ columns
-                table_moments[np.array(tests)[:, None], rows] = \
-                    pairs[modulation[tests]][:, None]
+        nodes = eps * rung.y
+        for start in range(0, len(times), step):
+            block = slice(start, start + step)
+            rows = offset[block, None]
+            psi = buffer[:2 * rows.size * nodes.size].reshape(2, rows.size, nodes.size)
+            np.add(rows, nodes, out=psi[1])
+            _test_values(psi, halfwidth)
+            # Stacked, not flattened to one (2 rows, nodes) product: a
+            # one-row block then keeps numpy's vector-matrix kernel and
+            # its order of summation.
+            table_moments[:, block] = psi @ rung.columns
     eps_powers = np.asarray(eps_grid, dtype=float)[:, None] ** table.powers
     moments *= eps_powers[:, None, None]
-    out = np.zeros((len(eps_grid), 2, len(phi_suite), len(times)), dtype=complex)
+    out = np.zeros((len(eps_grid), 2, 2, len(times)), dtype=complex)
     for i, equation_weights in enumerate(weights):
         out[:, i] += np.einsum("estc,tc->est", moments, equation_weights)
     for cells, eps in zip(out, eps_grid):
@@ -341,14 +304,17 @@ def default_t_grid(t_max: float = 1.0, points: int = 33):
     return np.linspace(0.0, float(t_max), points)
 
 
-def default_test_suite(front: Front, t_max: float,
+def default_test_suite(front: Front, t_grid,
                        eps_max: float) -> tuple[TestFunction, ...]:
-    """Value- and slope-selecting bumps covering the front's range."""
-    phi_end = float(front.phi(t_max))
-    center = 0.5 * phi_end
-    halfwidth = max(1.0, abs(phi_end) / 2.0 + 0.5 + 4.0 * eps_max)
-    return (TestFunction(center, halfwidth, "plain-bump"),
-            TestFunction(center, halfwidth, "linear-times-bump"))
+    """Value- and slope-selecting bumps on one support that holds the front
+    band [phi(t) - 4 eps, phi(t) + 4 eps] at every time of ``t_grid`` and
+    every eps up to ``eps_max``, with a margin of 1/2 beyond it."""
+    phi = front.phi(np.asarray(t_grid, dtype=float))
+    lo, hi = float(np.min(phi)), float(np.max(phi))
+    center = 0.5 * lo + 0.5 * hi
+    halfwidth = max(1.0, 0.5 * hi - 0.5 * lo + 0.5 + 4.0 * eps_max)
+    return (TestFunction(center, halfwidth, PLAIN_BUMP),
+            TestFunction(center, halfwidth, LINEAR_BUMP))
 
 
 def _series_verdict(eps_grid, values):
@@ -366,24 +332,23 @@ def _series_verdict(eps_grid, values):
 
 
 def verify_weak_solution(ansatz: SmoothAnsatz, system_k: float,
-                         phi_suite=None, t_grid=None, eps_grid=None) -> SolutionReport:
+                         t_grid=None, eps_grid=None) -> SolutionReport:
     """Verify the weak-asymptotic-solution contract on grids.
 
-    For every test function and every time the residuals are paired in
-    space; the report carries, per equation and test function, the
-    max-over-time pairing magnitude at each eps (real and imaginary
-    parts separately) with the time it occurs at, the measured decay
-    order, and a PASS verdict.
+    For both test functions of :func:`default_test_suite` and every time
+    of ``t_grid`` the residuals are paired in space; the report carries,
+    per equation and test function, the max-over-time pairing magnitude
+    at each eps (real and imaginary parts separately) with the time it
+    occurs at, the measured decay order, and a PASS verdict.
     """
     eps_grid = tuple(eps_grid) if eps_grid is not None else default_eps_grid()
     t_grid = np.asarray(t_grid if t_grid is not None else default_t_grid(), dtype=float)
-    if phi_suite is None:
-        phi_suite = default_test_suite(ansatz.front, float(t_grid[-1]), max(eps_grid))
+    suite = default_test_suite(ansatz.front, t_grid, max(eps_grid))
     # [eps, equation, test function, time]
-    vals = _residual_pairings(ansatz, system_k, t_grid, eps_grid, phi_suite)
+    vals = _residual_pairings(ansatz, system_k, t_grid, eps_grid, suite)
     series = []
     for i_eq, equation in enumerate(("u", "sigma")):
-        for i_phi, phi_test in enumerate(phi_suite):
+        for i_phi, phi_test in enumerate(suite):
             label = (f"{phi_test.modulation}@{phi_test.center:g}"
                      f"(w={phi_test.halfwidth:g})")
             cell = vals[:, i_eq, i_phi]
@@ -471,7 +436,7 @@ def replay_derivation(data: RiemannJumpData, trajectory: Front,
     """
     kernel = kernel or make_kernel()
     ansatz = SmoothAnsatz(data, trajectory, kernel, c=c)
-    _, table, _, weights = _expansion(ansatz, data.k, t)
+    table, _, weights = _expansion(ansatz, data.k, t)
     weights = np.concatenate(weights)  # [equation, column]
     y_powers = np.stack([np.ones_like(table.y), table.y])
     # [equation, n, column]: the coefficient of eps^(a + n) psi^(n)(phi) / n!

@@ -224,7 +224,8 @@ def test_fields_keep_the_shape_of_x(quartic):
             for method in (ansatz.eval_fields, ansatz.eval_derivatives):
                 one = method(np.array([x]), t, eps)
                 for got, want in zip(method(np.float64(x), t, eps), one):
-                    assert np.shape(got) == () and want.shape == (1,)
+                    assert isinstance(got, np.ndarray) and got.shape == ()
+                    assert want.shape == (1,)
                     assert got.dtype == want.dtype
                     assert _bits(got) == _bits(want[0])
 

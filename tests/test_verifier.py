@@ -109,22 +109,16 @@ def test_wrong_speed_fails_verification(worked_data, quartic, eps_grid):
     assert res.measured[0] == pytest.approx(worked_data.u1 * 0.1, abs=1e-4)
 
 
-# The worked front runs from 0 to 0.75: the first two supports cut into the
-# front band near both ends of the time grid, the third never meets it.
-CLIPPED_SUITE = (TestFunction(0.4, 0.3), TestFunction(0.4, 0.3, LINEAR_BUMP),
-                 TestFunction(5.0, 1.0))
-
-
-def _per_cell(ansatz, system_k, phi_suite, t_grid, eps_grid):
+def _per_cell(ansatz, system_k, suite, t_grid, eps_grid):
     """Reference: one ``pair`` call per (eps, equation, test function, t).
 
     Also returns, per cell, the L1 norm sum |w f phi| of that quadrature sum,
     the scale its rounding error is measured against.
     """
-    shape = (len(eps_grid), 2, len(phi_suite), len(t_grid))
+    shape = (len(eps_grid), 2, len(suite), len(t_grid))
     vals, l1 = np.zeros(shape, dtype=complex), np.zeros(shape)
     for idx in np.ndindex(shape):
-        eps, phi_test = eps_grid[idx[0]], phi_suite[idx[2]]
+        eps, phi_test = eps_grid[idx[0]], suite[idx[2]]
         f = residual_integrand(ansatz, system_k, ("u", "sigma")[idx[1]],
                                t_grid[idx[3]], eps)
         samples = []  # the integrand samples pair takes, reused for L1
@@ -137,15 +131,15 @@ def _per_cell(ansatz, system_k, phi_suite, t_grid, eps_grid):
     return vals, l1
 
 
-def _assert_matches_per_cell(ansatz, system_k, phi_suite, t_grid, eps_grid,
-                             report=None):
-    """Moment-table pairings agree with the per-cell loop to 1e-12 of L1.
+def _assert_matches_per_cell(ansatz, system_k, t_grid, eps_grid, report=None):
+    """Moment-table pairings with the default suite agree with the per-cell
+    loop to 1e-12 of L1.
 
-    Cells a support misses have L1 = 0 and must be exactly 0.  With a
-    report, its verdicts and worst times must equal those of the loop.
+    With a report, its verdicts and worst times must equal those of the loop.
     """
-    ref, l1 = _per_cell(ansatz, system_k, phi_suite, t_grid, eps_grid)
-    got = _residual_pairings(ansatz, system_k, t_grid, eps_grid, phi_suite)
+    suite = default_test_suite(ansatz.front, t_grid, max(eps_grid))
+    ref, l1 = _per_cell(ansatz, system_k, suite, t_grid, eps_grid)
+    got = _residual_pairings(ansatz, system_k, t_grid, eps_grid, suite)
     assert np.all(np.abs(got - ref) <= 1e-12 * l1)
     if report is not None:
         assert ([(s.worst_t_per_eps, s.passed) for s in report.series]
@@ -168,11 +162,10 @@ def _loop_verdicts(ref, t_grid, eps_grid):
 
 def test_batched_pairing_equals_per_cell_loop(worked_report, worked_report_k0,
                                               worked_ansatz, worked_ansatz_k0):
-    suite = default_test_suite(worked_ansatz.front, 1.0, max(default_eps_grid()))
     for report, ansatz in ((worked_report, worked_ansatz),
                            (worked_report_k0, worked_ansatz_k0)):
-        _assert_matches_per_cell(ansatz, report.system_k, suite,
-                                 default_t_grid(), default_eps_grid(), report)
+        _assert_matches_per_cell(ansatz, report.system_k, default_t_grid(),
+                                 default_eps_grid(), report)
         for s, blob in zip(report.series, report.to_json_dict()["series"]):
             assert s.worst_t == s.worst_t_per_eps[-1] == blob["worst_t"]
             assert blob["worst_t_per_eps"] == list(s.worst_t_per_eps)
@@ -183,28 +176,12 @@ def test_batched_pairing_equals_per_cell_loop_exponential(worked_data, exponenti
     ansatz = SmoothAnsatz(worked_data, solve_front(worked_data, exponential.omega0),
                           exponential)
     eps_grid = default_eps_grid(3, 7)
-    for suite in (default_test_suite(ansatz.front, 1.0, max(eps_grid)),
-                  CLIPPED_SUITE):
-        report = verify_weak_solution(ansatz, worked_data.k, phi_suite=suite,
-                                      eps_grid=eps_grid)
-        _assert_matches_per_cell(ansatz, worked_data.k, suite, default_t_grid(),
-                                 eps_grid, report)
-
-
-def test_batched_pairing_clipped_and_disjoint_supports(worked_ansatz, worked_data):
-    eps_grid = default_eps_grid(3, 8)
-    report = verify_weak_solution(worked_ansatz, worked_data.k,
-                                  phi_suite=CLIPPED_SUITE, eps_grid=eps_grid)
-    _assert_matches_per_cell(worked_ansatz, worked_data.k, CLIPPED_SUITE,
-                             default_t_grid(), eps_grid, report)
-    disjoint = [s for s in report.series if s.test_function.endswith("@5(w=1)")]
-    assert len(disjoint) == 4
-    assert all(v == 0.0 for s in disjoint for v in s.max_pairing)
+    report = verify_weak_solution(ansatz, worked_data.k, eps_grid=eps_grid)
+    _assert_matches_per_cell(ansatz, worked_data.k, default_t_grid(), eps_grid, report)
 
 
 # eps_max = 0.3 halved 7 times: eps * y differs in the last bits from the
-# nodes band_quadrature gives on [-4 eps, 4 eps], and at the coarse end the
-# front band is wider than the probes' support.
+# nodes band_quadrature gives on [-4 eps, 4 eps], on which pair sums.
 NON_DYADIC_EPS = tuple(0.3 * 0.5**j for j in range(8))
 
 
@@ -219,53 +196,9 @@ def test_non_dyadic_grid_moves_table_nodes(kernel):
 
 def test_table_pairing_equals_per_cell_loop_non_dyadic(worked_data, kernel):
     ansatz = SmoothAnsatz(worked_data, solve_front(worked_data, kernel.omega0), kernel)
-    suite = default_test_suite(ansatz.front, 1.0, max(NON_DYADIC_EPS))
-    report = verify_weak_solution(ansatz, worked_data.k, phi_suite=suite,
-                                  eps_grid=NON_DYADIC_EPS)
-    _assert_matches_per_cell(ansatz, worked_data.k, suite, default_t_grid(),
-                             NON_DYADIC_EPS, report)
-
-
-def _terms_l1(ansatz, system_k, equation, t, eps, phi_test):
-    """Sum of |w phi| times the moduli of the residual's three terms.
-
-    Where the terms cancel, this and not the residual's own L1 bounds the
-    rounding of the reference ``pair(residual_integrand(...), phi)``.
-    """
-    f = residual_integrand(ansatz, system_k, equation, t, eps)
-    lo, hi = max(f.lo, phi_test.support[0]), min(f.hi, phi_test.support[1])
-    xs, ws = band_quadrature(lo, hi, f.breaks)
-    u, _ = ansatz.eval_fields(xs, t, eps)
-    u_t, u_x, s_t, s_x = ansatz.eval_derivatives(xs, t, eps)
-    if equation == "u":
-        terms = (u_t, u * u_x, s_x)
-    else:
-        terms = (s_t, u * s_x, system_k**2 * u_x)
-    return np.sum(np.abs(ws * phi_test.value(xs)) * sum(np.abs(v) for v in terms))
-
-
-def test_clipped_pairing_equals_per_cell_loop_non_dyadic(worked_data, kernel):
-    # At eps = 0.3 and t = 17/32 the supports (0.1, 0.7) leave of the band
-    # only the sliver (eps, 0.7 - phi) at the edge of R's support, where
-    # R'/R is large.  There the reference velocity residual is what is left
-    # of -p phi' R' + (u0 + u1 c) p R', which cancel exactly, and only the
-    # L1 of its terms bounds its rounding.  Every other cell meets the
-    # residual's own L1 bound.
-    ansatz = SmoothAnsatz(worked_data, solve_front(worked_data, kernel.omega0), kernel)
-    t_grid = default_t_grid()
-    ref, l1 = _per_cell(ansatz, worked_data.k, CLIPPED_SUITE, t_grid, NON_DYADIC_EPS)
-    got = _residual_pairings(ansatz, worked_data.k, t_grid, NON_DYADIC_EPS,
-                             CLIPPED_SUITE)
-    err = np.abs(got - ref)
-    for i_eps, i_eq, i_phi, i_t in np.argwhere(err > 1e-12 * l1):
-        assert (i_eps, i_eq, i_phi, i_t) in {(0, 0, 0, 17), (0, 0, 1, 17)}
-        assert err[i_eps, i_eq, i_phi, i_t] <= 1e-12 * _terms_l1(
-            ansatz, worked_data.k, "u", t_grid[i_t], NON_DYADIC_EPS[i_eps],
-            CLIPPED_SUITE[i_phi])
-    report = verify_weak_solution(ansatz, worked_data.k, phi_suite=CLIPPED_SUITE,
-                                  eps_grid=NON_DYADIC_EPS)
-    assert ([(s.worst_t_per_eps, s.passed) for s in report.series]
-            == _loop_verdicts(ref, t_grid, NON_DYADIC_EPS))
+    report = verify_weak_solution(ansatz, worked_data.k, eps_grid=NON_DYADIC_EPS)
+    _assert_matches_per_cell(ansatz, worked_data.k, default_t_grid(), NON_DYADIC_EPS,
+                             report)
 
 
 def test_replay_pairing_equals_per_cell_loop(worked_data, kernel):
@@ -273,19 +206,17 @@ def test_replay_pairing_equals_per_cell_loop(worked_data, kernel):
     # p, p_dot and p^2 rows with complex coefficients.
     traj = LinearTrajectory(0.7, -0.2, 0.3, 0.4j, 0.2 + 0.1j)
     ansatz = SmoothAnsatz(worked_data, traj, kernel)
-    probes = (TestFunction(0.7, 1.0), TestFunction(0.7, 1.0, LINEAR_BUMP))
     for eps_grid in (default_eps_grid(), NON_DYADIC_EPS,
                      tuple(eps / 3 for eps in NON_DYADIC_EPS)):
-        _assert_matches_per_cell(ansatz, worked_data.k, probes, [1.0], eps_grid)
+        _assert_matches_per_cell(ansatz, worked_data.k, [1.0], eps_grid)
 
 
 def _record_blocks(monkeypatch):
-    """The number of time rows of every whole-band block a verdict pairs."""
+    """The number of time rows of every block a verdict pairs."""
     rows, fill = [], verifier._test_values
 
     def recorded(psi, *args):
-        if psi.ndim == 3:  # (modulation, time row, node); clipped bands are 2-D
-            rows.append(psi.shape[1])
+        rows.append(psi.shape[1])  # (modulation, time row, node)
         return fill(psi, *args)
 
     monkeypatch.setattr(verifier, "_test_values", recorded)
@@ -318,17 +249,15 @@ def test_verdict_spanning_several_blocks_equals_per_cell_loop(monkeypatch, worke
                                                               worked_data):
     # 70 times are two full blocks of 33 and one of 4 at every eps.
     eps_grid, t_grid = default_eps_grid(3, 7), np.linspace(0.0, 1.0, 70)
-    suite = default_test_suite(worked_ansatz.front, 1.0, max(eps_grid))
     blocks = _record_blocks(monkeypatch)
-    report = verify_weak_solution(worked_ansatz, worked_data.k, phi_suite=suite,
-                                  t_grid=t_grid, eps_grid=eps_grid)
+    report = verify_weak_solution(worked_ansatz, worked_data.k, t_grid=t_grid,
+                                  eps_grid=eps_grid)
     assert blocks == [33, 33, 4] * len(eps_grid)
-    _assert_matches_per_cell(worked_ansatz, worked_data.k, suite, t_grid, eps_grid,
-                             report)
+    _assert_matches_per_cell(worked_ansatz, worked_data.k, t_grid, eps_grid, report)
     # one time per block
     monkeypatch.setattr(verifier, "_BLOCK_NODES", 1)
-    single = verify_weak_solution(worked_ansatz, worked_data.k, phi_suite=suite,
-                                  t_grid=t_grid, eps_grid=eps_grid)
+    single = verify_weak_solution(worked_ansatz, worked_data.k, t_grid=t_grid,
+                                  eps_grid=eps_grid)
     assert ([(s.worst_t_per_eps, s.passed) for s in single.series]
             == [(s.worst_t_per_eps, s.passed) for s in report.series])
     assert blocks[-len(t_grid):] == [1] * len(t_grid)
@@ -366,7 +295,8 @@ def _long_double_pairings(ansatz, system_k, times, eps_grid, center, halfwidth):
     |psi w f| over every node and column, times eps^a and the moduli of the
     per-time coefficients.
     """
-    products, table, phi, weights = verifier._expansion(ansatz, system_k, times)
+    table, phi, weights = verifier._expansion(ansatz, system_k, times)
+    products = tuple(dict.fromkeys(product for product, _ in table.keys))
     y, w = band_quadrature(-4.0, 4.0, (-3.0, -1.0, 1.0, 3.0), 32)
     columns, keys, _ = kernels.product_columns(ansatz.kernel, products, y, 1.0, w)
     columns = columns[:, [keys.index(key) for key in table.keys]]
@@ -399,7 +329,7 @@ def test_whole_band_pairings_match_a_long_double_reference(quartic):
     for i in range(10):
         data = sample_admissible_data(rng, (0.0, 0.1, 0.5)[i % 3])
         ansatz = SmoothAnsatz(data, solve_front(data, quartic.omega0), quartic)
-        suite = default_test_suite(ansatz.front, 1.0, max(eps_grid))
+        suite = default_test_suite(ansatz.front, times, max(eps_grid))
         assert [tf.modulation for tf in suite] == [PLAIN_BUMP, LINEAR_BUMP]
         got = _residual_pairings(ansatz, data.k, times, eps_grid, suite)
         ref, l1 = _long_double_pairings(ansatz, data.k, times, eps_grid,
@@ -501,37 +431,6 @@ def test_default_verdict_evaluates_profiles_once_per_kernel(monkeypatch, worked_
     verify_weak_solution(SmoothAnsatz(worked_data, worked_ansatz.front,
                                       worked_ansatz.kernel, c=0.2), 0.0)
     assert not calls
-
-
-def test_clipped_verdict_evaluates_profiles_only_through_the_builder(
-        monkeypatch, worked_ansatz, worked_data):
-    # Clipped bands are summed on pair's own nodes in x, but their profiles
-    # come from kernels.product_columns, like the table's: no profile is
-    # evaluated outside it, and the pointwise field evaluators never run.
-    calls, inside = Counter(), []
-    builder = kernels.product_columns
-
-    def counted_builder(*args, **kwargs):
-        calls["product_columns"] += 1
-        inside.append(True)
-        try:
-            return builder(*args, **kwargs)
-        finally:
-            inside.pop()
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("deltashock.") and getattr(module, "product_columns",
-                                                      None) is builder:
-            monkeypatch.setattr(module, "product_columns", counted_builder)
-    _record_profile_calls(monkeypatch,
-                          lambda name: calls.update([(name, bool(inside))]))
-    kernels.primitive_table.cache_clear()
-    verify_weak_solution(worked_ansatz, worked_data.k, phi_suite=CLIPPED_SUITE)
-    outside = [key for key in calls if isinstance(key, tuple) and not key[1]]
-    assert not outside
-    # the table, then each clipped band
-    assert calls["product_columns"] > 1
-    assert calls["value", True] == 2 * calls["product_columns"]
 
 
 def test_nonfinite_residual_raises(worked_data, quartic):
@@ -744,8 +643,49 @@ def test_sample_admissible_data_is_admissible():
 
 
 def test_default_test_suite_covers_front(worked_ansatz):
-    suite = default_test_suite(worked_ansatz.front, 1.0, 2.0**-3)
+    suite = default_test_suite(worked_ansatz.front, default_t_grid(), 2.0**-3)
     assert len(suite) == 2
     lo, hi = suite[0].support
     assert lo < 0.0 - 4 * 2.0**-3 and hi > 0.75 + 4 * 2.0**-3
     assert {tf.modulation for tf in suite} == {"plain-bump", "linear-times-bump"}
+
+
+# Ascending and descending, from t = 0 and offset from it.
+_SUITE_GRIDS = {"ascending": np.linspace(0.0, 1.0, 33),
+                "descending": np.linspace(1.0, 0.0, 33),
+                "offset": np.linspace(0.5, 2.0, 25),
+                "offset-descending": np.linspace(2.0, 0.5, 25)}
+
+
+@pytest.mark.parametrize("t_grid", _SUITE_GRIDS.values(), ids=_SUITE_GRIDS.keys())
+def test_default_test_suite_holds_every_front_band(quartic, t_grid):
+    # Fronts of either direction: u0 is drawn from [-1, 1].
+    rng, eps_max = np.random.default_rng(2024), 2.0**-3
+    for i in range(30):
+        data = sample_admissible_data(rng, (0.0, 0.1, 0.5)[i % 3])
+        front = solve_front(data, quartic.omega0)
+        suite = default_test_suite(front, t_grid, eps_max)
+        assert [tf.modulation for tf in suite] == [PLAIN_BUMP, LINEAR_BUMP]
+        assert suite[0].support == suite[1].support
+        lo, hi = suite[0].support
+        phi = front.phi(t_grid)
+        assert np.all(lo <= phi - 4 * eps_max) and np.all(phi + 4 * eps_max <= hi), i
+
+
+def _verdict(report):
+    return [(s.equation, s.test_function, s.part, s.max_pairing, s.order,
+             s.decay_ratio, s.passed) for s in report.series]
+
+
+def test_descending_time_grid_gives_the_ascending_verdict(quartic):
+    # On the first data the front ends at phi(1) = 3.75: a suite taken
+    # at the last time of a descending grid alone would sit at 0.
+    rng = np.random.default_rng(7)
+    cases = [RiemannJumpData(3.0, 2.0, 0.0, 0.5, 0.1, 0.1)]
+    cases += [sample_admissible_data(rng, k) for k in (0.0, 0.1, 0.5)]
+    for data in cases:
+        ansatz = SmoothAnsatz(data, solve_front(data, quartic.omega0), quartic)
+        for grid in (np.linspace(0.0, 1.0, 33), np.linspace(0.5, 2.0, 25)):
+            up = verify_weak_solution(ansatz, data.k, t_grid=grid)
+            down = verify_weak_solution(ansatz, data.k, t_grid=grid[::-1])
+            assert _verdict(down) == _verdict(up)
