@@ -39,8 +39,6 @@ __all__ = [
     "trajectory_rows",
 ]
 
-_SHOCK_TOL = 1e-12
-
 
 class AdmissibilityError(ValueError):
     """Raised when jump data violates the overcompressivity window."""

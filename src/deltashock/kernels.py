@@ -23,9 +23,9 @@ fixed quadrature nodes in y, so pairings at any eps need no profile
 evaluation.  The table holds a ladder of rungs, the same rule on 1, 2, 4,
 8 and 16 panels per subinterval: the quartic products are polynomials of
 degree at most 10 on each subinterval, which one panel integrates
-exactly, so a pairing at small eps needs only enough nodes to resolve
-the test function across the band, 8 eps wide.  The exponential profiles
-need every panel at every eps, so its ladder has the finest rung alone.
+exactly, so only the test function needs nodes, and one panel resolves
+it across the band, 8 eps wide, up to eps = 2^-3.  The exponential
+profiles need every panel at every eps, so its ladder has one rung.
 
 The package's one quadrature rule, composite Gauss-Legendre from
 :func:`band_quadrature`, lives here: every pairing, the primitive tables
@@ -315,9 +315,9 @@ BAND_EDGES = (-4.0, -3.0, -1.0, 1.0, 3.0, 4.0)
 # Panels per subinterval of each rung of a kernel's table, coarsest first.
 _RUNGS = {QUARTIC: (1, 2, 4, 8, PANELS_PER_SUBINTERVAL),
           EXPONENTIAL: (PANELS_PER_SUBINTERVAL,)}
-# A rung serves eps when its panels, measured in x, are no longer than those
-# of the finest rung at this eps, the default grid's coarsest.
-_RUNG_EPS = 2.0**-3
+# A rung of n panels per subinterval serves every eps up to n times this:
+# its panels, in x, are no longer than one panel at eps = 2^-3.
+_EPS_PER_PANEL = 2.0**-3
 
 
 class Rung(NamedTuple):
@@ -356,9 +356,9 @@ class PrimitiveTable:
 
     def at(self, eps: float) -> Rung:
         """The coarsest rung whose panels at ``eps``, measured in x, are no
-        longer than the finest rung's at eps = 2^-3, else the finest: on the
-        quartic table 2^ceil(log2(128 eps)) panels, clipped to 1..16."""
-        need = PANELS_PER_SUBINTERVAL * eps / _RUNG_EPS
+        longer than one panel at eps = 2^-3, else the finest: on the quartic
+        table 2^ceil(log2(8 eps)) panels, clipped to 1..16."""
+        need = eps / _EPS_PER_PANEL
         return next((rung for rung in self.rungs if rung.panels >= need),
                     self.rungs[-1])
 

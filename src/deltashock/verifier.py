@@ -13,20 +13,20 @@ holds every product on the quadrature nodes of the front band in y with
 the weights folded in.  A pairing at any eps and time is then the
 test-function values on the nodes times that table.  Each eps takes the
 table's coarsest rung whose panels, measured in x, are no longer than
-the finest rung's at eps = 2^-3: on the quartic table 1024 nodes at
-eps = 2^-3 and 64 from eps = 2^-7 on, as the test function varies on a
-scale of order 1 across a band 8 eps wide.  The test function is
-evaluated at offsets from its centre, (phi(t) - center) + eps y, so a
-node next to the centre keeps the relative accuracy of eps y.  The
-values of all times of one eps fill one buffer per verdict in place,
-and one real matmul pairs them; a long time grid is paired in blocks,
-so the buffer stays capped.  One small contraction per verdict applies
-the eps powers, c, the data and the per-time scalars, which come from
-one call of each trajectory method over the time grid.  The verdict's
-test functions are a plain and a linear bump on one support that holds
-the front band at every time and eps, so every pairing is a whole-band
-sum on the table's nodes, and every cell agrees with the cell-by-cell
-loop of :func:`pairing.pair` to 1e-12 of its sum of |w f phi|.
+one panel at eps = 2^-3: on the quartic table 64 nodes at every eps of
+the default grid.  The test function is evaluated at offsets from its
+centre, (phi(t) - center) + eps y, so a node next to the centre keeps
+the relative accuracy of eps y.  Consecutive eps on one rung fill one
+buffer per verdict in place at all times, and one stacked real matmul
+pairs them; a long time grid is paired in blocks, so the buffer stays
+capped.  One small contraction applies the eps powers, c, the data and
+the per-time scalars, which come from one call of each trajectory method
+over the time grid, and the eight series are fitted in one array pass.
+The verdict's test functions are a plain and a linear bump on one
+support that holds the front band at every time and eps, so every
+pairing is a whole-band sum on the table's nodes, and every cell agrees
+with the cell-by-cell loop of :func:`pairing.pair` to 1e-12 of its sum
+of |w f phi|.
 
 The replay facility reads the point-mass and dipole coefficients of both
 residuals for an arbitrary trajectory off the same table's moments and
@@ -72,12 +72,10 @@ DEFAULT_ORDER_FLOOR = 0.25
 # is 2^{-4.5} ~ 0.044 over the default nine-step dyadic grid, so the decay
 # ceiling must sit above that for the slow family to pass honestly.
 DEFAULT_RATIO_CEILING = 5e-2
-# A block of time rows holds a (rows x nodes) array of each modulation, in
-# one buffer per verdict, so a node budget caps it and peak memory does not
-# grow with the number of times.  Blocks and buffer are sized on the
-# table's finest rung: on the quartic table's 1024 nodes the default 33
-# times of one eps form one block, and the buffer takes 528 KiB.  A coarser
-# rung pairs the same blocks of times in a part of the buffer.
+# A block holds an (eps x time rows x nodes) array of each modulation in one
+# buffer per verdict, sized by this node budget on the finest rung (33 times
+# of 1024 nodes, 528 KiB), so peak memory does not grow with the number of
+# times.  A rung of 1/n of those nodes pairs up to n consecutive eps at once.
 _BLOCK_NODES = 33 * 1024
 # The offsets (phi(t) - center) + eps y resolve the front band while one
 # ulp of phi(t) stays below this fraction of the smallest eps: up to
@@ -191,9 +189,9 @@ def _residual_pairings(ansatz: SmoothAnsatz, system_k: float, times, eps_grid,
     Returns a complex array indexed ``[eps, equation, test function, time]``,
     equations in the order (u, sigma).  Each entry is the cell's
     ``pair(residual_integrand(...), phi)``, summed as the module docstring
-    describes.  Raises :class:`NumericsError` when a pairing is not finite,
-    and before pairing when one ulp of max |phi(t)| exceeds
-    ``_NODE_RESOLUTION`` of the smallest eps.
+    describes.  Raises :class:`NumericsError` naming the first cell whose
+    pairing is not finite, and before pairing when one ulp of max |phi(t)|
+    exceeds ``_NODE_RESOLUTION`` of the smallest eps.
     """
     table, phi, weights = _expansion(ansatz, system_k, times)
     reach, eps_min = float(np.max(np.abs(phi))), min(eps_grid)
@@ -202,34 +200,40 @@ def _residual_pairings(ansatz: SmoothAnsatz, system_k: float, times, eps_grid,
             f"front position |phi(t)| = {reach:g} swamps eps = {eps_min:g}: one ulp "
             f"of phi(t) exceeds {_NODE_RESOLUTION:g} eps, so the quadrature nodes "
             f"phi(t) + eps y collapse")
-    offset, halfwidth = phi - suite[0].center, suite[0].halfwidth
-    # [eps, test function, time, table column]
-    moments = np.empty((len(eps_grid), 2, len(times), len(table.keys)))
+    eps, offset = np.asarray(eps_grid, dtype=float), phi - suite[0].center
+    # [test function, eps, time, table column]
+    moments = np.empty((2, len(eps), len(times), len(table.keys)))
     step = max(1, _BLOCK_NODES // len(table.y))
     buffer = np.empty(2 * min(step, len(times)) * len(table.y))
-    for table_moments, eps in zip(moments, eps_grid):
-        rung = table.at(eps)
-        nodes = eps * rung.y
-        for start in range(0, len(times), step):
-            block = slice(start, start + step)
-            rows = offset[block, None]
-            psi = buffer[:2 * rows.size * nodes.size].reshape(2, rows.size, nodes.size)
-            np.add(rows, nodes, out=psi[1])
-            _test_values(psi, halfwidth)
-            # Stacked, not flattened to one (2 rows, nodes) product: a
-            # one-row block then keeps numpy's vector-matrix kernel and
-            # its order of summation.
-            table_moments[:, block] = psi @ rung.columns
-    eps_powers = np.asarray(eps_grid, dtype=float)[:, None] ** table.powers
-    moments *= eps_powers[:, None, None]
-    out = np.zeros((len(eps_grid), 2, 2, len(times)), dtype=complex)
-    for i, equation_weights in enumerate(weights):
-        out[:, i] += np.einsum("estc,tc->est", moments, equation_weights)
-    for cells, eps in zip(out, eps_grid):
-        bad = np.argwhere(~np.isfinite(cells))
-        if len(bad):
-            raise NumericsError(f"non-finite residual pairing at eps={eps:g}, "
-                                f"t={times[bad[0][-1]]:g}")
+    # An overflow, as at a huge eps, is named by the finiteness check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = 0
+        while first < len(eps):
+            # Consecutive eps on one rung, as many as the buffer holds.
+            rung = table.at(eps[first])
+            last, end = first + 1, min(len(eps), first + len(table.y) // len(rung.y))
+            while last < end and table.at(eps[last]) is rung:
+                last += 1
+            nodes = eps[first:last, None] * rung.y
+            for start in range(0, len(times), step):
+                block = slice(start, start + step)
+                rows = offset[block, None]
+                psi = buffer[:2 * rows.size * nodes.size].reshape(
+                    2, len(nodes), rows.size, rung.y.size)
+                np.add(rows, nodes[:, None], out=psi[1])
+                _test_values(psi, suite[0].halfwidth)
+                # Stacked, not flattened: each (time rows, nodes) product keeps
+                # its kernel and order of summation, one row vector-matrix.
+                moments[:, first:last, block] = psi @ rung.columns
+            first = last
+        moments *= (eps[:, None] ** table.powers)[:, None]
+        out = np.stack([np.einsum("fetc,tc->eft", moments, equation_weights)
+                        for equation_weights in weights], axis=1)
+    if not np.isfinite(out).all():
+        e, i, f, t = np.argwhere(~np.isfinite(out))[0]
+        raise NumericsError(f"non-finite residual pairing at equation="
+                            f"{('u', 'sigma')[i]}, phi={suite[f].modulation}, "
+                            f"eps={eps[e]:g}, t={times[t]:g}")
     return out
 
 
@@ -317,18 +321,20 @@ def default_test_suite(front: Front, t_grid,
             TestFunction(center, halfwidth, LINEAR_BUMP))
 
 
-def _series_verdict(eps_grid, values):
-    vals = np.asarray(values, dtype=float)
-    scale = float(np.max(vals)) if len(vals) else 0.0
-    if scale <= NEGLIGIBLE_RTOL:
-        return math.inf, 0.0, True
-    ratio = float(vals[-1] / vals[0]) if vals[0] > 0.0 else 0.0
+def _series_verdicts(eps_grid, maxima):
+    """Order, decay ratio and PASS flag of each series of ``maxima``, an
+    array ``[series, eps]`` of max-over-time pairings, as arrays."""
+    scale = np.max(maxima, axis=-1)
+    negligible = scale <= NEGLIGIBLE_RTOL
+    ratio = np.divide(maxima[:, -1], maxima[:, 0], out=np.zeros(len(maxima)),
+                      where=(maxima[:, 0] > 0.0) & ~negligible)
     # Order over the full grid: the acceptance contract quantifies decay
     # across the whole eps range, not just the asymptotic tail.
-    est = fit_order(eps_grid, vals, NEGLIGIBLE_RTOL * scale)
-    passed = est.points_used < 2 or (est.order > DEFAULT_ORDER_FLOOR
-                                     and ratio < DEFAULT_RATIO_CEILING)
-    return est.order, ratio, passed
+    est = fit_order(eps_grid, maxima, NEGLIGIBLE_RTOL * scale)
+    order = np.where(negligible, math.inf, est.order)
+    passed = negligible | (est.points_used < 2) | (
+        (order > DEFAULT_ORDER_FLOOR) & (ratio < DEFAULT_RATIO_CEILING))
+    return order, ratio, passed
 
 
 def verify_weak_solution(ansatz: SmoothAnsatz, system_k: float,
@@ -346,19 +352,16 @@ def verify_weak_solution(ansatz: SmoothAnsatz, system_k: float,
     suite = default_test_suite(ansatz.front, t_grid, max(eps_grid))
     # [eps, equation, test function, time]
     vals = _residual_pairings(ansatz, system_k, t_grid, eps_grid, suite)
-    series = []
-    for i_eq, equation in enumerate(("u", "sigma")):
-        for i_phi, phi_test in enumerate(suite):
-            label = (f"{phi_test.modulation}@{phi_test.center:g}"
-                     f"(w={phi_test.halfwidth:g})")
-            cell = vals[:, i_eq, i_phi]
-            for part, mags in (("re", np.abs(cell.real)), ("im", np.abs(cell.imag))):
-                worst = np.argmax(mags, axis=-1)
-                maxima = [float(m[i]) for m, i in zip(mags, worst)]
-                order, ratio, ok = _series_verdict(eps_grid, maxima)
-                series.append(ResidualSeries(
-                    equation, label, part, tuple(eps_grid), tuple(maxima),
-                    tuple(float(t_grid[i]) for i in worst), order, ratio, ok))
+    # [series, eps, time], series in the order (equation, test function, part)
+    mags = np.abs(np.stack([vals.real, vals.imag], axis=3)).transpose(1, 2, 3, 0, 4)
+    mags = mags.reshape(8, len(eps_grid), len(t_grid))
+    worst, maxima = np.argmax(mags, axis=-1), np.max(mags, axis=-1)
+    verdicts = zip(*(v.tolist() for v in _series_verdicts(eps_grid, maxima)))
+    keys = [(equation, f"{tf.modulation}@{tf.center:g}(w={tf.halfwidth:g})", part)
+            for equation in ("u", "sigma") for tf in suite for part in ("re", "im")]
+    series = [ResidualSeries(*key, tuple(eps_grid), tuple(m), tuple(t_grid[w].tolist()),
+                             *verdict)
+              for key, m, w, verdict in zip(keys, maxima.tolist(), worst, verdicts)]
     passed = all(s.passed for s in series)
     return SolutionReport(float(system_k), passed, DEFAULT_ORDER_FLOOR,
                           DEFAULT_RATIO_CEILING, tuple(series))

@@ -196,6 +196,21 @@ def test_front_that_swamps_eps_exits_one_with_one_line(tmp_path, capsys):
     assert not (tmp_path / "residual_report.json").exists()
 
 
+def test_huge_eps_exits_one_naming_the_cell(tmp_path, capsys):
+    # At eps = 1e300 the linear bump's pairing times eps^a overflows; the
+    # inf reaches the verdict's finiteness check, which names the cell,
+    # instead of an overflow error that names nothing.
+    cfg = write(tmp_path, "[data]\nu0 = 0\nu1 = 2\nsigma0 = 0\nsigma1 = 0.5\n"
+                          "e0 = 0.1\nk = 0.1\n[grid]\neps = 1e300, 1, 0.5, 0.25\n")
+    rc = main(["--config", cfg, "--out", str(tmp_path), "verify-solution"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.splitlines() == [
+        "error: non-finite residual pairing at equation=u, "
+        "phi=linear-times-bump, eps=1e+300, t=0"]
+    assert captured.out == ""
+
+
 def test_verify_expansions_outputs(tmp_path):
     rc = main(["--out", str(tmp_path), "verify-expansions"])
     assert rc == 0

@@ -330,20 +330,19 @@ def test_product_columns_at_eps_reproduce_the_table(kernel):
 
 
 def test_rung_choice_per_kernel(kernel):
-    # The coarsest rung whose panels at eps, in x, are no longer than the
-    # finest rung's at eps = 2^-3: min(16, 2^ceil(log2(128 eps))) panels on
-    # the quartic table, every panel at every eps on the exponential one.
+    # The coarsest rung whose panels at eps, in x, are no longer than one
+    # panel at eps = 2^-3: min(16, 2^ceil(log2(8 eps))) panels on the
+    # quartic table, every panel at every eps on the exponential one.
     table = primitive_table(kernel, BASIS_PRODUCTS)
     got = [table.at(eps).panels for eps in (*default_eps_grid(), 0.3)]
     if kernel.kind == QUARTIC:
-        assert got == [16, 8, 4, 2] + [1] * 6 + [16]
+        assert got == [1] * 10 + [4]
         # the band's four subintervals that carry a product, 16 nodes a panel
-        assert [len(table.at(eps).y) for eps in default_eps_grid()] == [
-            1024, 512, 256, 128] + [64] * 6
+        assert [len(table.at(eps).y) for eps in default_eps_grid()] == [64] * 10
     else:
         assert got == [16] * 11
     finest = table.rungs[-1]
-    assert table.at(0.3) is finest
+    assert table.at(2.0) is finest
     assert table.y is finest.y and table.columns is finest.columns
 
 

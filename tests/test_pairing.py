@@ -27,6 +27,7 @@ from deltashock.pairing import (
     extract_point_coeffs,
     extrapolate_limit,
     fit_loglog_slope,
+    fit_order,
     pair,
     verify_lemma31,
 )
@@ -224,6 +225,34 @@ def test_loglog_slope_agrees_with_polyfit():
             assert resid == pytest.approx(want, rel=1e-12, abs=1e-12 * abs(slope))
 
 
+@given(eps=st.lists(st.floats(1e-4, 1.0), min_size=2, max_size=10, unique=True),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_fit_order_on_a_stack_equals_each_series_alone(eps, data):
+    # Errors of zero, below and above each series' floor, so that some
+    # series keep fewer than two points and take the +inf sentinel.
+    eps = sorted(eps, reverse=True)
+    series = data.draw(st.integers(1, 6))
+    errs = np.array(data.draw(st.lists(
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 1e3)),
+                 min_size=len(eps), max_size=len(eps)),
+        min_size=series, max_size=series)))
+    floors = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=series,
+                                         max_size=series)))
+    stacked = fit_order(eps, errs, floors)
+    for i in range(series):
+        alone = fit_order(eps, errs[i], floors[i])
+        assert stacked.points_used[i] == alone.points_used
+        assert alone.points_used == np.count_nonzero(errs[i] > floors[i])
+        if alone.points_used < 2:
+            assert stacked.order[i] == alone.order == math.inf
+            assert stacked.residual[i] == alone.residual == 0.0
+        else:
+            assert stacked.order[i] == pytest.approx(alone.order, rel=1e-15)
+            assert stacked.residual[i] == pytest.approx(alone.residual, rel=1e-15,
+                                                        abs=1e-15)
+
+
 def test_correction_pairing_order_half(quartic, eps_grid):
     # <R, phi> = sqrt(eps) * int omega(y) phi(2 eps + eps y) dy = Theta(sqrt(eps))
     phi = TestFunction(0.0, 1.0)
@@ -319,6 +348,17 @@ def test_verify_lemma31_exponential_kernel(exponential):
     worst = max(max(abs(r.measured_a - r.expected_a),
                     abs(r.measured_b - r.expected_b)) for r in reports)
     assert worst < 1e-6
+
+
+@pytest.mark.parametrize("c", [-0.3, 0.25, 0.9])
+def test_lemma_products_that_touch_vanish_pointwise(kernel, c):
+    # R lives on (1, 3) eps and dH on |y| in (3, 4) eps: RdH is zero, like
+    # the two products with the delta, and all three are sampled pointwise.
+    reports = {r.name: r for r in verify_lemma31(kernel, c)}
+    assert all(r.passed for r in reports.values())
+    assert [n for n, r in reports.items() if r.support_disjoint] == [
+        "Rdelta", "Rddelta", "RdH"]
+    assert reports["RdH"].max_abs_sampled == 0.0
 
 
 def test_verify_lemma31_grid_validation(quartic):

@@ -25,7 +25,7 @@ from deltashock.pairing import (
 )
 from deltashock.verifier import (
     _residual_pairings,
-    _series_verdict,
+    _series_verdicts,
     _test_values,
     closed_form_coefficients,
     default_t_grid,
@@ -156,7 +156,7 @@ def _loop_verdicts(ref, t_grid, eps_grid):
                 worst = np.argmax(mags, axis=-1)
                 maxima = [float(m[i]) for m, i in zip(mags, worst)]
                 expected.append((tuple(float(t_grid[i]) for i in worst),
-                                 _series_verdict(eps_grid, maxima)[2]))
+                                 bool(_series_verdicts(eps_grid, np.array([maxima]))[2][0])))
     return expected
 
 
@@ -212,11 +212,11 @@ def test_replay_pairing_equals_per_cell_loop(worked_data, kernel):
 
 
 def _record_blocks(monkeypatch):
-    """The number of time rows of every block a verdict pairs."""
+    """The numbers of eps and of time rows of every block a verdict pairs."""
     rows, fill = [], verifier._test_values
 
     def recorded(psi, *args):
-        rows.append(psi.shape[1])  # (modulation, time row, node)
+        rows.append(psi.shape[1:3])  # (modulation, eps, time row, node)
         return fill(psi, *args)
 
     monkeypatch.setattr(verifier, "_test_values", recorded)
@@ -225,8 +225,9 @@ def _record_blocks(monkeypatch):
 
 def test_default_verdict_fills_the_rungs_nodes(monkeypatch, worked_ansatz, worked_data):
     # A count that needs no timer: each modulation of a default quartic
-    # verdict takes 33 times the rungs' 1024 + 512 + 256 + 128 + 6 x 64 nodes,
-    # where the finest rung at every eps would take 33 x 10 x 1024.
+    # verdict takes 33 times the one-panel rung's 64 nodes at each of the
+    # ten eps, in one call, where the finest rung at every eps would take
+    # 33 x 10 x 1024.
     nodes, fill = [], verifier._test_values
 
     def counted(psi, *args):
@@ -235,24 +236,46 @@ def test_default_verdict_fills_the_rungs_nodes(monkeypatch, worked_ansatz, worke
 
     monkeypatch.setattr(verifier, "_test_values", counted)
     verify_weak_solution(worked_ansatz, worked_data.k)
-    assert sum(nodes) == 33 * 2304
+    assert nodes == [33 * 10 * 64]
 
 
-def test_default_verdict_pairs_one_block_per_eps(monkeypatch, worked_ansatz,
-                                                 worked_data):
+def test_default_verdict_blocks_per_kernel(monkeypatch, worked_data, kernel):
+    # Consecutive eps on one rung share a block as long as it fits the
+    # buffer of 33 times of the finest rung: on the quartic table every
+    # default eps takes the one-panel rung, 1/16 of the finest, so the ten
+    # eps are one block; the exponential table has the finest rung alone,
+    # so each eps is a block of its own.
+    ansatz = SmoothAnsatz(worked_data, solve_front(worked_data, kernel.omega0), kernel)
     blocks = _record_blocks(monkeypatch)
+    verify_weak_solution(ansatz, worked_data.k)
+    if kernel.kind == kernels.QUARTIC:
+        assert blocks == [(10, 33)]
+    else:
+        assert blocks == [(1, 33)] * 10
+
+
+def test_default_verdict_fits_its_series_once(monkeypatch, worked_ansatz, worked_data):
+    # The eight series are fitted in one array pass: one fit_order call on
+    # the stack [series, eps].
+    stacks, fit = [], verifier.fit_order
+
+    def counted(eps, errs, floor):
+        stacks.append(np.shape(errs))
+        return fit(eps, errs, floor)
+
+    monkeypatch.setattr(verifier, "fit_order", counted)
     verify_weak_solution(worked_ansatz, worked_data.k)
-    assert blocks == [33] * len(default_eps_grid())
+    assert stacks == [(8, 10)]
 
 
 def test_verdict_spanning_several_blocks_equals_per_cell_loop(monkeypatch, worked_ansatz,
                                                               worked_data):
-    # 70 times are two full blocks of 33 and one of 4 at every eps.
+    # 70 times are two full blocks of 33 and one of 4, each of all five eps.
     eps_grid, t_grid = default_eps_grid(3, 7), np.linspace(0.0, 1.0, 70)
     blocks = _record_blocks(monkeypatch)
     report = verify_weak_solution(worked_ansatz, worked_data.k, t_grid=t_grid,
                                   eps_grid=eps_grid)
-    assert blocks == [33, 33, 4] * len(eps_grid)
+    assert blocks == [(5, 33), (5, 33), (5, 4)]
     _assert_matches_per_cell(worked_ansatz, worked_data.k, t_grid, eps_grid, report)
     # one time per block
     monkeypatch.setattr(verifier, "_BLOCK_NODES", 1)
@@ -260,7 +283,7 @@ def test_verdict_spanning_several_blocks_equals_per_cell_loop(monkeypatch, worke
                                   eps_grid=eps_grid)
     assert ([(s.worst_t_per_eps, s.passed) for s in single.series]
             == [(s.worst_t_per_eps, s.passed) for s in report.series])
-    assert blocks[-len(t_grid):] == [1] * len(t_grid)
+    assert blocks[-len(t_grid):] == [(5, 1)] * len(t_grid)
 
 
 def test_test_values_are_test_function_values_bitwise():
@@ -318,23 +341,38 @@ def _long_double_pairings(ansatz, system_k, times, eps_grid, center, halfwidth):
     return ref, l1
 
 
-def test_whole_band_pairings_match_a_long_double_reference(quartic):
-    # The rungs coarser than the finest lose no accuracy: every whole-band
-    # pairing is within 1e-15 of its terms' L1 of the reference.  Offsets
-    # phi(t) + eps y from which the centre is subtracted afterwards round at
-    # the ulp of phi(t), at t = 1/2 where phi(t) is the centre 2e-14 of L1
-    # on one rung of 64 nodes.
+def _assert_matches_long_double(kernel, eps_grid):
+    """Whole-band pairings at the default times on 10 seeded data sets are
+    within 1e-15 of their terms' L1 of the long-double reference."""
     rng = np.random.default_rng(2024)
-    eps_grid, times = default_eps_grid(), default_t_grid()
+    times = default_t_grid()
     for i in range(10):
         data = sample_admissible_data(rng, (0.0, 0.1, 0.5)[i % 3])
-        ansatz = SmoothAnsatz(data, solve_front(data, quartic.omega0), quartic)
+        ansatz = SmoothAnsatz(data, solve_front(data, kernel.omega0), kernel)
         suite = default_test_suite(ansatz.front, times, max(eps_grid))
         assert [tf.modulation for tf in suite] == [PLAIN_BUMP, LINEAR_BUMP]
         got = _residual_pairings(ansatz, data.k, times, eps_grid, suite)
         ref, l1 = _long_double_pairings(ansatz, data.k, times, eps_grid,
                                         suite[0].center, suite[0].halfwidth)
         assert np.all(np.abs(got - ref).astype(float) <= 1e-15 * l1), i
+
+
+def test_whole_band_pairings_match_a_long_double_reference(quartic):
+    # The one-panel rung that every default eps takes loses no accuracy:
+    # every whole-band pairing is within 1e-15 of its terms' L1 of the
+    # reference.  Offsets phi(t) + eps y from which the centre is subtracted
+    # afterwards round at the ulp of phi(t), at t = 1/2 where phi(t) is the
+    # centre 2e-14 of L1 on one rung of 64 nodes.
+    _assert_matches_long_double(quartic, default_eps_grid())
+
+
+def test_coarse_eps_rungs_match_a_long_double_reference(quartic, worked_ansatz):
+    # The rungs of 8, 4, 4, 2 and 1 panels serve these eps; they resolve
+    # the test function across bands up to 8 wide as well.
+    eps_grid = (1.0, 0.5, 0.3, 0.2, 0.125)
+    table = verifier._expansion(worked_ansatz, 0.0, 0.0)[0]
+    assert [table.at(eps).panels for eps in eps_grid] == [8, 4, 4, 2, 1]
+    _assert_matches_long_double(quartic, eps_grid)
 
 
 def _traced_peak(fn):
@@ -437,8 +475,12 @@ def test_nonfinite_residual_raises(worked_data, quartic):
     traj = solve_front(worked_data, quartic.omega0)
     bad = LinearTrajectory(traj.phi_dot, traj.e0, traj.e_rate,
                            complex(traj.p(0.0)), math.nan)
-    with pytest.raises(NumericsError, match=r"eps=0\.125, t=0\b"):
+    # p-dot is nan at every time, and it multiplies only the u residual.
+    with pytest.raises(NumericsError) as raised:
         verify_weak_solution(SmoothAnsatz(worked_data, bad, quartic), worked_data.k)
+    assert str(raised.value) == (
+        "non-finite residual pairing at equation=u, "
+        "phi=plain-bump, eps=0.125, t=0")
 
 
 def test_amplitude_zero_on_time_grid_raises(quartic):
