@@ -4,8 +4,9 @@
 Classifies (u1, sigma1, k) grids as classical, delta-shock, or neither,
 and writes one CSV per k value for plotting, named by the k's ``:g``
 text.  Every k must be finite and nonnegative, no two ks may share a
-table name, and --n must be at least 1; otherwise the script writes
-nothing, prints one error line and exits 2.
+table name, --n must be at least 1 and --out must be or become a
+directory; otherwise the script writes nothing, prints one error line
+and exits 2.
 """
 
 from __future__ import annotations
@@ -41,7 +42,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
 
     u1s = np.linspace(-4.0, 4.0, args.n)
     u1s = u1s[u1s != 0.0]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
@@ -29,7 +29,9 @@ from .kernels import (
     make_kernel,
     plateau_constant,
 )
-from .pairing import Piecewise, TestFunction, pair
+
+if TYPE_CHECKING:
+    from .pairing import Piecewise, TestFunction
 
 __all__ = [
     "DegenerateDataError",
@@ -114,13 +116,6 @@ class RiemannJumpData:
         return value
 
 
-def _indicator_left(threshold: float) -> Piecewise:
-    return Piecewise(lambda x: np.ones_like(x), -math.inf, threshold)
-
-
-_FULL_LINE = Piecewise(lambda x: np.ones_like(x), -math.inf, math.inf)
-
-
 @dataclass(frozen=True)
 class SingularSolution:
     """Distributional front solution determined by a trajectory.
@@ -133,15 +128,20 @@ class SingularSolution:
     data: RiemannJumpData
     front: Front
 
+    def _integrals(self, t: float, phi_test: TestFunction):
+        """phi(t), and the integrals of phi_test over the line and left of phi(t)."""
+        from .pairing import Piecewise, pair
+
+        front = float(self.front.phi(t))
+        full = pair(Piecewise(np.ones_like), phi_test)
+        return front, full, pair(Piecewise(np.ones_like, hi=front), phi_test)
+
     def u_pairing(self, t: float, phi_test: TestFunction) -> float:
-        full = pair(_FULL_LINE, phi_test)
-        left = pair(_indicator_left(float(self.front.phi(t))), phi_test)
+        _, full, left = self._integrals(t, phi_test)
         return float(self.data.u0 * full + self.data.u1 * left)
 
     def sigma_pairing(self, t: float, phi_test: TestFunction) -> float:
-        full = pair(_FULL_LINE, phi_test)
-        front = float(self.front.phi(t))
-        left = pair(_indicator_left(front), phi_test)
+        front, full, left = self._integrals(t, phi_test)
         atom = float(self.front.e(t)) * float(phi_test.value(front))
         return float(self.data.sigma0 * full + self.data.sigma1 * left + atom)
 
@@ -213,10 +213,14 @@ class SmoothAnsatz:
         return tuple(phi + s * eps for s in BAND_EDGES)
 
     def u_integrand(self, t: float, eps: float) -> Piecewise:
+        from .pairing import Piecewise
+
         return Piecewise(lambda x: self.eval_fields(x, t, eps)[0],
                          -math.inf, math.inf, self.breakpoints(t, eps))
 
     def sigma_integrand(self, t: float, eps: float) -> Piecewise:
+        from .pairing import Piecewise
+
         return Piecewise(lambda x: self.eval_fields(x, t, eps)[1],
                          -math.inf, math.inf, self.breakpoints(t, eps))
 

@@ -21,39 +21,13 @@ table, the 24 expansion channel tables included, is written in the run's
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .ansatz import DegenerateDataError, SmoothAnsatz
 from .config import ConfigError, RunConfig, load_config
-from .dynamics import (
-    AdmissibilityError,
-    overcompressivity,
-    solve_front,
-    trajectory_rows,
-)
-from .kernels import make_kernel
-from .pairing import TestFunction, fit_loglog_slope, verify_lemma31
-from .riemann import (
-    CLASSICAL,
-    DELTA_REGIME,
-    State,
-    eval_riemann,
-    k_limit_gap,
-    region_labels,
-    solve,
-)
-from .tables import write_table
-from .verifier import (
-    default_t_grid,
-    replay_derivation,
-    sample_admissible_data,
-    verify_weak_solution,
-)
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -64,11 +38,18 @@ K_ORDER_TOL = 0.01
 
 
 def _write_json(obj, path: Path) -> None:
+    import json
+
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=1)
 
 
 def cmd_verify_expansions(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
+    from .ansatz import DegenerateDataError
+    from .kernels import make_kernel
+    from .pairing import verify_lemma31
+    from .tables import write_table
+
     decades = math.log2(cfg.eps_grid[0] / cfg.eps_grid[-1])
     if decades < 3.0:
         print(f"config error: [grid] eps spans {decades:.3g} dyadic decades; "
@@ -117,6 +98,10 @@ def cmd_verify_expansions(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int
 
 
 def cmd_front(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
+    from .dynamics import overcompressivity, solve_front, trajectory_rows
+    from .kernels import default_t_grid, make_kernel
+    from .tables import write_table
+
     data = cfg.jump_data()
     kernel = make_kernel(cfg.kernel_kind)
     traj = solve_front(data, kernel.omega0)
@@ -130,6 +115,11 @@ def cmd_front(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
 
 
 def cmd_verify_solution(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
+    from .ansatz import SmoothAnsatz
+    from .dynamics import overcompressivity, solve_front
+    from .kernels import default_t_grid, make_kernel
+    from .verifier import replay_derivation, sample_admissible_data, verify_weak_solution
+
     data = cfg.jump_data()
     adm = overcompressivity(data)
     if not adm.admissible:
@@ -164,6 +154,10 @@ def cmd_verify_solution(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
 
 
 def cmd_riemann(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
+    from .dynamics import solve_front
+    from .riemann import CLASSICAL, DELTA_REGIME, State, eval_riemann, region_labels, solve
+    from .tables import write_table
+
     data = cfg.jump_data()
     left = State(*data.left_state)
     right = State(*data.right_state)
@@ -200,6 +194,11 @@ def cmd_riemann(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
 
 
 def cmd_k_limit(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
+    from .dynamics import solve_front
+    from .pairing import TestFunction, fit_loglog_slope
+    from .riemann import k_limit_gap
+    from .tables import write_table
+
     data = cfg.jump_data()
     t = cfg.klimit_t
     # The front and its test function do not depend on k.
@@ -230,6 +229,13 @@ _COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy seeds its generators from integers >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deltashock",
@@ -241,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory for report and table files")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="tabular output format")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_seed, default=0,
                         help="seed for randomized property sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
@@ -258,12 +264,16 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         # A value that overflows or turns nan is a failure, not a result.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return _COMMANDS[args.command](cfg, out, args.format, args.seed)
-    except (DegenerateDataError, AdmissibilityError, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
     except MemoryError as exc:

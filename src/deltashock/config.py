@@ -29,7 +29,7 @@ import configparser
 import math
 from dataclasses import dataclass
 
-from .pairing import default_eps_grid
+from .kernels import canonical_kind, default_eps_grid
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
 
@@ -162,8 +162,8 @@ def load_config(path: str | None) -> RunConfig:
         return RunConfig()
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         # configparser spreads its messages over lines; the CLI prints one.
         detail = " ".join(str(exc).split())
         raise ConfigError(f"cannot parse {path}: {detail}") from exc
@@ -172,8 +172,6 @@ def load_config(path: str | None) -> RunConfig:
     _check_names(parser)
     defaults = RunConfig()
     kind = parser.get("kernel", "kind", fallback="quartic")
-    from .kernels import canonical_kind
-
     try:
         kind = canonical_kind(kind)
     except ValueError as exc:

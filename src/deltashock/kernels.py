@@ -30,6 +30,9 @@ profiles need every panel at every eps, so its ladder has one rung.
 The package's one quadrature rule, composite Gauss-Legendre from
 :func:`band_quadrature`, lives here: every pairing, the primitive tables
 and the exponential kernel's mass, omega0 and antiderivative use it.
+Its nodes and the Chebyshev fit are made on first use, so importing this
+module loads no ``numpy.polynomial``.  Every layer imports this module, so
+the default eps and time grids live here too.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 __all__ = [
     "QUARTIC",
@@ -65,6 +67,8 @@ __all__ = [
     "Rung",
     "product_columns",
     "primitive_table",
+    "default_eps_grid",
+    "default_t_grid",
 ]
 
 QUARTIC = "quartic-polynomial-bump"
@@ -88,7 +92,12 @@ _CDF_CHEB_DEGREE = 128
 
 GAUSS_NODES = 16
 PANELS_PER_SUBINTERVAL = 16
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_NODES)
+
+
+@lru_cache(maxsize=1)
+def _gauss_rule():
+    """The :data:`GAUSS_NODES`-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(GAUSS_NODES)
 
 
 @dataclass(frozen=True)
@@ -157,7 +166,8 @@ def band_quadrature(lo: float, hi: float, cuts: Sequence[float],
     a = sub[:, :-1].reshape(-1, 1)
     b = sub[:, 1:].reshape(-1, 1)
     half = 0.5 * (b - a)
-    return (half * _GAUSS_X + 0.5 * (a + b)).ravel(), (half * _GAUSS_W).ravel()
+    x, w = _gauss_rule()
+    return (half * x + 0.5 * (a + b)).ravel(), (half * w).ravel()
 
 
 def exp_bump(y, scale=1.0, lift=0.0):
@@ -199,7 +209,8 @@ def _exp_fit():
     cum = np.concatenate(([0.0], np.cumsum((w * f).reshape(deg, -1).sum(axis=1))))
     norm = 1.0 / float(cum[-1])
     omega0 = float(np.sum(w * (norm * f) ** 2))
-    return norm, omega0, _cheb.Chebyshev.fit(pts, norm * cum, deg, domain=[-1.0, 1.0])
+    return norm, omega0, np.polynomial.Chebyshev.fit(pts, norm * cum, deg,
+                                                     domain=[-1.0, 1.0])
 
 
 def canonical_kind(kind: str) -> str:
@@ -221,6 +232,18 @@ def _kernel_for(canonical: str) -> MollifierKernel:
 def make_kernel(kind: str = QUARTIC) -> MollifierKernel:
     """Build a kernel of the requested family with its constants cached."""
     return _kernel_for(canonical_kind(kind))
+
+
+def default_eps_grid(pow_min: int = 3, pow_max: int = 12) -> tuple[float, ...]:
+    """Dyadic grid 2^-pow_min .. 2^-pow_max, strictly decreasing."""
+    if pow_max <= pow_min:
+        raise ValueError("pow_max must exceed pow_min")
+    return tuple(2.0 ** (-j) for j in range(pow_min, pow_max + 1))
+
+
+def default_t_grid(t_max: float = 1.0, points: int = 33):
+    """Equispaced grid on [0, t_max] used for the uniform-in-t maxima."""
+    return np.linspace(0.0, float(t_max), points)
 
 
 def _check_eps(eps: float) -> float:

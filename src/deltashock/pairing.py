@@ -26,6 +26,7 @@ from .kernels import (
     MollifierKernel,
     StepProfile,
     band_quadrature,
+    default_eps_grid,
     eval_correction,
     eval_correction_dx,
     eval_delta_reg,
@@ -52,7 +53,6 @@ __all__ = [
     "ExpansionReport",
     "LEMMA_FAMILIES",
     "verify_lemma31",
-    "default_eps_grid",
 ]
 
 PLAIN_BUMP = "plain-bump"
@@ -75,13 +75,6 @@ class NumericsError(ArithmeticError):
 
 class ExtractionError(ArithmeticError):
     """Raised when a coefficient extraction does not converge."""
-
-
-def default_eps_grid(pow_min: int = 3, pow_max: int = 12) -> tuple[float, ...]:
-    """Dyadic grid 2^-pow_min .. 2^-pow_max, strictly decreasing."""
-    if pow_max <= pow_min:
-        raise ValueError("pow_max must exceed pow_min")
-    return tuple(2.0 ** (-j) for j in range(pow_min, pow_max + 1))
 
 
 @dataclass(frozen=True)

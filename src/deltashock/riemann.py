@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,7 +32,9 @@ from .dynamics import (
     overcompressivity_margins,
     solve_front,
 )
-from .pairing import TestFunction
+
+if TYPE_CHECKING:
+    from .pairing import TestFunction
 
 __all__ = [
     "CLASSICAL",

@@ -42,7 +42,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import Front, RiemannJumpData, SmoothAnsatz
-from .kernels import MollifierKernel, exp_bump, make_kernel, primitive_table
+from .kernels import (
+    MollifierKernel,
+    default_eps_grid,
+    default_t_grid,
+    exp_bump,
+    make_kernel,
+    primitive_table,
+)
 from .pairing import (
     LINEAR_BUMP,
     NEGLIGIBLE_RTOL,
@@ -51,7 +58,6 @@ from .pairing import (
     NumericsError,
     Piecewise,
     TestFunction,
-    default_eps_grid,
     fit_order,
 )
 
@@ -60,7 +66,6 @@ __all__ = [
     "ResidualSeries",
     "SolutionReport",
     "default_test_suite",
-    "default_t_grid",
     "verify_weak_solution",
     "ReplayResult",
     "replay_derivation",
@@ -301,11 +306,6 @@ class SolutionReport:
     def equation_orders(self, equation: str, part: str = "re") -> list[float]:
         return [s.order for s in self.series
                 if s.equation == equation and s.part == part]
-
-
-def default_t_grid(t_max: float = 1.0, points: int = 33):
-    """Equispaced grid on [0, t_max] used for the uniform-in-t maxima."""
-    return np.linspace(0.0, float(t_max), points)
 
 
 def default_test_suite(front: Front, t_grid,

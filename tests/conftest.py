@@ -4,8 +4,7 @@ from hypothesis import HealthCheck, settings
 
 from deltashock.ansatz import RiemannJumpData, SmoothAnsatz
 from deltashock.dynamics import solve_front
-from deltashock.kernels import EXPONENTIAL, QUARTIC, make_kernel
-from deltashock.pairing import default_eps_grid
+from deltashock.kernels import EXPONENTIAL, QUARTIC, default_eps_grid, make_kernel
 from deltashock.verifier import verify_weak_solution
 
 settings.register_profile(

@@ -18,13 +18,13 @@ from deltashock.dynamics import (
     volpert_scan,
 )
 from deltashock.kernels import (
+    default_eps_grid,
     eval_correction,
     eval_delta_reg,
     eval_delta_reg_dx,
 )
 from deltashock.pairing import (
     TestFunction,
-    default_eps_grid,
     fit_loglog_slope,
     verify_lemma31,
 )

@@ -403,6 +403,38 @@ def test_unknown_command_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["front", "riemann", "verify-solution"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "-1", "--out", str(tmp_path / "out"), command])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --seed: expected a non-negative integer, got '-1'" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/below"], ids=["is-a-file", "below-a-file"])
+def test_out_that_cannot_be_a_directory_exits_two_with_one_line(tmp_path, capsys, out):
+    (tmp_path / "file").write_text("")
+    rc = main(["--out", str(tmp_path / out), "front"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: --out {tmp_path / out}: ")
+    assert captured.out == ""
+
+
+def test_config_that_is_not_utf8_exits_two_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_bytes(b"\xff\xfe[data]\nu1 = 2.0\n")
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "front"])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith(f"config error: cannot parse {cfg}: ")
+    assert not (tmp_path / "out").exists()
+
+
 # Property tests over load_config + main, driven in-process with ``front``.
 # Every key a config may set, with a strategy for the text of an admissible
 # value.  Finite extremes (subnormal u1, sigma1 near the float maximum) are

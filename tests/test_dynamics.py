@@ -21,10 +21,10 @@ from deltashock.dynamics import (
     volpert_relations,
     volpert_scan,
 )
-from deltashock.kernels import make_kernel
-from deltashock.pairing import Piecewise, default_eps_grid, extract_point_coeffs
+from deltashock.kernels import default_eps_grid, default_t_grid, make_kernel
+from deltashock.pairing import Piecewise, extract_point_coeffs
 from deltashock.riemann import State, eval_riemann, region_labels, solve
-from deltashock.verifier import default_t_grid, replay_derivation, sample_admissible_data
+from deltashock.verifier import replay_derivation, sample_admissible_data
 
 OMEGA0 = 5.0 / 7.0
 

@@ -14,6 +14,7 @@ from deltashock.kernels import (
     StepProfile,
     band_quadrature,
     canonical_kind,
+    default_eps_grid,
     eval_correction,
     eval_correction_dx,
     eval_delta_reg,
@@ -23,7 +24,6 @@ from deltashock.kernels import (
     primitive_table,
     product_columns,
 )
-from deltashock.pairing import default_eps_grid
 
 # Closed-form oracle: int_{-1}^{1} (1 - x^2)^2 dx = 2 (1 - 2/3 + 1/5) = 16/15,
 # so the unit-mass constant is 15/16 and

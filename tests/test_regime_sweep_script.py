@@ -108,7 +108,8 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "deltashock
 
 def test_sweep_loads_only_the_modules_it_computes_with(tmp_path):
     # The cli benchmark times the sweep as a fresh process: writing its
-    # tables must not load the CLI, the config reader or the verifier.
+    # tables must not load the CLI, the config reader, the pairing engine
+    # or the verifier.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -116,7 +117,7 @@ def test_sweep_loads_only_the_modules_it_computes_with(tmp_path):
                           capture_output=True, text=True, env=env, timeout=60, check=True)
     assert json.loads(done.stdout.splitlines()[-1]) == [
         "deltashock", "deltashock.ansatz", "deltashock.dynamics", "deltashock.kernels",
-        "deltashock.pairing", "deltashock.riemann", "deltashock.tables"]
+        "deltashock.riemann", "deltashock.tables"]
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -139,6 +140,15 @@ def test_bad_input_exits_two_with_one_line(tmp_path, capsys, argv, message):
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_out_that_cannot_be_a_directory_exits_two_with_one_line(tmp_path):
+    (tmp_path / "file").write_text("")
+    proc = _run_script("--out", str(tmp_path / "file" / "below"), "--n", "3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: --out {tmp_path / 'file' / 'below'}: "
+                                        "Not a directory"]
 
 
 def test_bad_input_sets_the_process_exit_status(tmp_path):

@@ -5,7 +5,8 @@ results by name and is not collected with these tests, so a deletion or a
 rename in the package could break it silently.  Its ``cli`` workload
 times fresh processes, so import-time work in the package would show
 there; the CLI import is checked to stay lazy and to load no third-party
-module but numpy.
+module but numpy, and each subcommand to load only the package modules
+it computes with.
 """
 
 import importlib
@@ -40,7 +41,12 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     import deltashock.pairing as pairing
 
     original = pairing.pair
-    tracer = _load_perfbench(monkeypatch, "tracing").Tracer()
+    tracing = _load_perfbench(monkeypatch, "tracing")
+    # The CLI loads each layer only when a subcommand runs; the benchmark's
+    # workloads import every layer before the tracer is installed.
+    for module, _, _ in tracing.TARGETS:
+        importlib.import_module(f"deltashock.{module}")
+    tracer = tracing.Tracer()
     try:
         tracer.install()  # raises if any target is missing
         assert pairing.pair is not original
@@ -150,3 +156,41 @@ def test_cli_import_is_lazy():
     tables, loaded = json.loads(done.stdout)
     assert tables == [0, 1, 2]
     assert loaded == ["deltashock", "numpy"]
+
+
+_FRESH_COMMAND = """
+import json, runpy, sys
+sys.argv = ["deltashock", *sys.argv[1:]]
+try:
+    runpy.run_module("deltashock", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "deltashock"),
+                  "numpy.polynomial" in sys.modules]))
+"""
+
+_CLI_LOADS = ["deltashock", "deltashock.cli", "deltashock.config", "deltashock.kernels"]
+
+
+@pytest.mark.parametrize("config,command,modules", [
+    ("worked", "front", ["ansatz", "dynamics", "tables"]),
+    ("riemann", "riemann", ["ansatz", "dynamics", "riemann", "tables"]),
+    ("worked", "k-limit", ["ansatz", "dynamics", "pairing", "riemann", "tables"]),
+    ("worked", "verify-expansions", ["ansatz", "pairing", "tables"]),
+    ("worked", "verify-solution", ["ansatz", "dynamics", "pairing", "verifier"]),
+])
+def test_each_command_loads_only_the_modules_it_computes_with(tmp_path, config,
+                                                              command, modules):
+    # The cli benchmark times fresh processes, so a subcommand pays for every
+    # module it loads.  On the quartic kernel only the commands that pair
+    # load numpy.polynomial, for the Gauss rule.
+    root = Path(deltashock.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_COMMAND, "--config",
+         str(root / "configs" / f"{config}.ini"), "--out", str(tmp_path), command],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    code, loaded, polynomial = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0, done.stderr
+    assert loaded == sorted(_CLI_LOADS + [f"deltashock.{m}" for m in modules])
+    assert polynomial == ("pairing" in modules)

@@ -12,14 +12,19 @@ import pytest
 from deltashock import kernels, verifier
 from deltashock.ansatz import RiemannJumpData, SmoothAnsatz
 from deltashock.dynamics import LinearTrajectory, overcompressivity, solve_front
-from deltashock.kernels import StepProfile, band_quadrature, exp_bump
+from deltashock.kernels import (
+    StepProfile,
+    band_quadrature,
+    default_eps_grid,
+    default_t_grid,
+    exp_bump,
+)
 from deltashock.pairing import (
     LINEAR_BUMP,
     PLAIN_BUMP,
     ExtractionError,
     NumericsError,
     TestFunction,
-    default_eps_grid,
     extract_point_coeffs,
     pair,
 )
@@ -28,7 +33,6 @@ from deltashock.verifier import (
     _series_verdicts,
     _test_values,
     closed_form_coefficients,
-    default_t_grid,
     default_test_suite,
     replay_derivation,
     residual_integrand,
