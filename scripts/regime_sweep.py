@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from deltashock.riemann import check_sweep_k, regime_sweep
-from deltashock.tables import write_table
+from deltashock.riemann import REGIMES, check_sweep_k, regime_sweep
+from deltashock.tables import write_columns
 
 
 def main(argv=None) -> int:
@@ -48,16 +48,26 @@ def main(argv=None) -> int:
         print(f"error: --out {args.out}: {exc.strerror}", file=sys.stderr)
         return 2
 
-    u1s = np.linspace(-4.0, 4.0, args.n)
-    u1s = u1s[u1s != 0.0]
-    s1s = np.linspace(-4.0, 4.0, args.n)
-    for tag, k in tables.items():
-        rows = regime_sweep(u1s, s1s, [k])
-        write_table(rows, ["u1", "sigma1", "k", "regime"], out / f"regimes_k{tag}")
-        counts = {}
-        for *_, regime in rows:
-            counts[regime] = counts.get(regime, 0) + 1
-        print(f"k = {k:g}: " + ", ".join(f"{r}={n}" for r, n in sorted(counts.items())))
+    try:
+        u1s = np.linspace(-4.0, 4.0, args.n)
+        u1s = u1s[u1s != 0.0]
+        s1s = np.linspace(-4.0, 4.0, args.n)
+        grids = regime_sweep(u1s, s1s, tables.values())
+        # The table columns; rows run over u1, then sigma1, as the grid does.
+        u1_column = np.repeat(u1s, s1s.size).tolist()
+        s1_column = np.tile(s1s, u1s.size).tolist()
+        for (tag, k), codes in zip(tables.items(), grids):
+            codes = codes.ravel()
+            write_columns([u1_column, s1_column, [k] * codes.size,
+                           map(REGIMES.__getitem__, codes.tolist())],
+                          ["u1", "sigma1", "k", "regime"], out / f"regimes_k{tag}")
+            counts = np.bincount(codes, minlength=len(REGIMES)).tolist()
+            print(f"k = {k:g}: " + ", ".join(f"{r}={n}" for r, n
+                                             in sorted(zip(REGIMES, counts)) if n))
+    except MemoryError as exc:
+        # numpy's message names the size it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -13,8 +13,7 @@ real.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, NamedTuple, Protocol
 
 import numpy as np
 
@@ -66,16 +65,7 @@ class Front(Protocol):
     def p_dot(self, t): ...
 
 
-@dataclass(frozen=True)
-class RiemannJumpData:
-    """Constant background plus a single jump at x = 0.
-
-    Convention: jumps are left minus right, so the left states are
-    (u0 + u1, sigma0 + sigma1) and the right states (u0, sigma0).  ``e0``
-    is the initial amplitude of the point mass in the stress, ``k`` the
-    system parameter (k = 0 selects the degenerate system).
-    """
-
+class _JumpFields(NamedTuple):
     u0: float
     u1: float
     sigma0: float
@@ -83,9 +73,25 @@ class RiemannJumpData:
     e0: float = 0.0
     k: float = 0.0
 
-    def __post_init__(self):
+
+class RiemannJumpData(_JumpFields):
+    """Constant background plus a single jump at x = 0.
+
+    Convention: jumps are left minus right, so the left states are
+    (u0 + u1, sigma0 + sigma1) and the right states (u0, sigma0).  ``e0``
+    is the initial amplitude of the point mass in the stress, ``k`` the
+    system parameter (k = 0 selects the degenerate system).  Construction
+    rejects k < 0; ``_replace`` and ``_make`` bypass that check, so the
+    package builds data by calling the class.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.k < 0.0:
             raise ValueError("k must be nonnegative")
+        return self
 
     @property
     def left_state(self) -> tuple[float, float]:
@@ -116,8 +122,7 @@ class RiemannJumpData:
         return value
 
 
-@dataclass(frozen=True)
-class SingularSolution:
+class SingularSolution(NamedTuple):
     """Distributional front solution determined by a trajectory.
 
     Pairings against test functions are assembled from three primitives:
@@ -146,23 +151,27 @@ class SingularSolution:
         return float(self.data.sigma0 * full + self.data.sigma1 * left + atom)
 
 
-@dataclass(frozen=True)
-class SmoothAnsatz:
-    """Smooth eps-family regularizing the singular front solution.
-
-    The velocity and stress share one step profile; the plateau level
-    defaults to the value pinned by the jump data and can be overridden
-    to study the cancellation mechanism it provides.
-    """
-
+class _AnsatzFields(NamedTuple):
     data: RiemannJumpData
     front: Front
     kernel: MollifierKernel | None = None
     c: float | None = None
 
-    def __post_init__(self):
-        if self.kernel is None:
-            object.__setattr__(self, "kernel", make_kernel())
+
+class SmoothAnsatz(_AnsatzFields):
+    """Smooth eps-family regularizing the singular front solution.
+
+    The velocity and stress share one step profile; the plateau level
+    defaults to the value pinned by the jump data and can be overridden
+    to study the cancellation mechanism it provides.  The kernel defaults
+    to the quartic one.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        return self if self.kernel is not None else self._replace(kernel=make_kernel())
 
     @property
     def c_effective(self) -> float:

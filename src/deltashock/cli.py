@@ -210,6 +210,11 @@ def cmd_k_limit(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
         gap = k_limit_gap(data, k, t, phi_test)
         expected = -(k**2) * data.u1 * t * weight
         rows.append((float(k), gap, expected, abs(gap - expected)))
+    zero = next((k for k, gap, *_ in rows if gap == 0.0), None)
+    if zero is not None:
+        print(f"error: the gap at k = {zero:g} rounds to 0 (k^2 u1 t is below the "
+              "rounding of e(t)); the fitted k-order needs nonzero gaps", file=sys.stderr)
+        return EXIT_MATH
     errs = [r[3] for r in rows]
     order, _ = fit_loglog_slope(cfg.klimit_ks, [abs(r[1]) for r in rows])
     write_table(rows, ["k", "gap", "expected", "abs_err"], out / "klimit", fmt)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kernels import canonical_kind, default_eps_grid
 
@@ -38,8 +38,7 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     u0: float = 0.0
     u1: float = 2.0
     sigma0: float = 0.0

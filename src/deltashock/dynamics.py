@@ -15,7 +15,7 @@ integration exists only as a test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +67,7 @@ def e_rate(data: RiemannJumpData) -> float:
                        lambda: data.sigma1**2 / data.u1 - data.k**2 * data.u1)
 
 
-@dataclass(frozen=True)
-class FrontTrajectory:
+class FrontTrajectory(NamedTuple):
     """Exactly linear front trajectory with the solved correction amplitude.
 
     One of the two :class:`ansatz.Front` implementations.
@@ -103,8 +102,7 @@ class FrontTrajectory:
         return 0.5 * p_val * p_val * self.omega0 - self.e(t)
 
 
-@dataclass(frozen=True)
-class LinearTrajectory:
+class LinearTrajectory(NamedTuple):
     """Trajectory with freely chosen coefficients (for derivation replay).
 
     Unlike :class:`FrontTrajectory`, ``p`` is an unconstrained linear
@@ -141,8 +139,7 @@ def solve_front(data: RiemannJumpData, omega0: float | None = None) -> FrontTraj
 _MARGIN_LABELS = ("u1 - 2k", "sigma1/u1 + (u1/2 - k)", "(u1/2 - k) - sigma1/u1")
 
 
-@dataclass(frozen=True)
-class Admissibility:
+class Admissibility(NamedTuple):
     """Overcompressivity verdict with the three signed slack quantities."""
 
     admissible: bool

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -100,8 +99,7 @@ def _gauss_rule():
     return np.polynomial.legendre.leggauss(GAUSS_NODES)
 
 
-@dataclass(frozen=True)
-class MollifierKernel:
+class MollifierKernel(NamedTuple):
     """Even unit-mass bump supported in (-1, 1).
 
     ``normalization`` is the multiplicative constant making the mass one
@@ -282,22 +280,28 @@ def plateau_constant(u1: float, sigma1: float) -> float:
     return 0.5 - sigma1 / u1**2
 
 
-@dataclass(frozen=True)
-class StepProfile:
+class _StepFields(NamedTuple):
+    c: float
+    eps: float
+    kernel: MollifierKernel
+
+
+class StepProfile(_StepFields):
     """C^1 regularized step with a plateau at ``c`` on |xi| <= 3 eps.
 
     The value is exactly 0 for xi <= -4 eps and exactly 1 for
     xi >= 4 eps.  The ramps are rescaled kernel antiderivatives, so the
     profile is C^1 with derivative vanishing outside the two transition
-    bands.
+    bands.  Construction rejects eps <= 0; ``_replace`` and ``_make``
+    bypass that check, so the package builds profiles by calling the class.
     """
 
-    c: float
-    eps: float
-    kernel: MollifierKernel
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_eps(self.eps)
+        return self
 
     def value(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -351,7 +355,6 @@ class Rung(NamedTuple):
     columns: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
 class PrimitiveTable:
     """Weighted profile products of one kernel on the front band in y = xi/eps.
 
@@ -362,12 +365,15 @@ class PrimitiveTable:
     ``(product, j) = keys[i]``; parts that vanish on every node have no
     column.  On the nodes eps * y that part pairs to eps^powers[i] times
     the column's sum (dxi = eps dy included).  ``y`` and ``columns`` are
-    the finest rung's, :data:`PANELS_PER_SUBINTERVAL` panels.
+    the finest rung's, :data:`PANELS_PER_SUBINTERVAL` panels.  Tables
+    compare by identity.
     """
 
-    rungs: tuple[Rung, ...]
-    keys: tuple[tuple[tuple[str, ...], int], ...]
-    powers: np.ndarray
+    __slots__ = ("rungs", "keys", "powers")
+
+    def __init__(self, rungs: tuple[Rung, ...],
+                 keys: tuple[tuple[tuple[str, ...], int], ...], powers: np.ndarray):
+        self.rungs, self.keys, self.powers = rungs, keys, powers
 
     @property
     def y(self) -> np.ndarray:

@@ -12,15 +12,15 @@ carries a stress jump.
 
 ``solve`` answers one problem at a time.  ``regime_sweep`` classifies a
 whole (u1, sigma1) grid per k in one numpy broadcast pass that repeats
-``solve``'s float expressions in the same order, so every row equals the
-per-point answer; at k = 0 only the singular-front test applies.
+``solve``'s float expressions in the same order, and returns the grid of
+regime codes, indices into ``REGIMES``: every code names the per-point
+answer.  At k = 0 only the singular-front test applies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "CLASSICAL",
     "DELTA_REGIME",
     "NO_SOLUTION",
+    "REGIMES",
     "State",
     "Wave",
     "RiemannSolution",
@@ -62,14 +63,12 @@ NO_SOLUTION = "no-solution-constructed"
 ZERO_STRENGTH_TOL = 1e-11
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     u: float
     sigma: float
 
 
-@dataclass(frozen=True)
-class Wave:
+class Wave(NamedTuple):
     """One wave of the self-similar pattern.
 
     Shocks carry a speed; rarefactions carry the fan interval
@@ -98,8 +97,7 @@ class Wave:
         return -math.inf if self.family == 1 else math.inf
 
 
-@dataclass(frozen=True)
-class RiemannSolution:
+class RiemannSolution(NamedTuple):
     left: State
     right: State
     k: float
@@ -234,8 +232,9 @@ def k_limit_gap(data: RiemannJumpData, k: float, t: float,
     """
     if not k > 0.0:
         raise ValueError("k must be positive")
-    data_k = replace(data, k=float(k))
-    data_0 = replace(data, k=0.0)
+    # Built by the constructor, which checks k; ``_replace`` would not.
+    data_k = RiemannJumpData(*data[:-1], float(k))
+    data_0 = RiemannJumpData(*data[:-1], 0.0)
     _require_admissible(data_k)
     _require_admissible(data_0)
     sol_k = SingularSolution(data_k, solve_front(data_k))
@@ -247,9 +246,9 @@ def k_limit_gap(data: RiemannJumpData, k: float, t: float,
     raise ValueError(f"unknown component {component!r}")
 
 
-# Regime codes of the array pass in :func:`regime_sweep`, indexing this tuple.
-_REGIMES = (CLASSICAL, DELTA_REGIME, NO_SOLUTION)
-_CLASSICAL_CODE, _DELTA_CODE, _NO_SOLUTION_CODE = range(len(_REGIMES))
+# The regimes that the codes of :func:`regime_sweep` index.
+REGIMES = (CLASSICAL, DELTA_REGIME, NO_SOLUTION)
+_CLASSICAL_CODE, _DELTA_CODE, _NO_SOLUTION_CODE = range(len(REGIMES))
 
 
 def check_sweep_k(k) -> float:
@@ -293,10 +292,12 @@ def _regime_codes(u1, s1, k: float, u0: float, sigma0: float) -> np.ndarray:
 
 
 def regime_sweep(u1_values, sigma1_values, k_values,
-                 u0: float = 0.0, sigma0: float = 0.0):
-    """Regime classification over a grid of jumps, for phase diagrams.
+                 u0: float = 0.0, sigma0: float = 0.0) -> np.ndarray:
+    """Regime codes over a grid of jumps, for phase diagrams.
 
-    Rows ``(u1, sigma1, k, regime)`` run over k, then u1, then sigma1.
+    Entry ``[i, j, l]`` of the int8 result, of shape (len(k_values),
+    len(u1_values), len(sigma1_values)), indexes :data:`REGIMES` with the
+    regime of the jump (u1_values[j], sigma1_values[l]) at k_values[i].
     Each k is one array pass over the grid (see :func:`_regime_codes`).
     Raises ValueError for a k that is negative or not finite, and for
     non-finite grid values or background state.
@@ -308,11 +309,7 @@ def regime_sweep(u1_values, sigma1_values, k_values,
     if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(s1))
             and math.isfinite(u0) and math.isfinite(sigma0)):
         raise ValueError("sweep grid and background state must be finite")
-    u1_list, s1_list = u1.tolist(), s1.tolist()
-    rows = []
-    for k in ks:
-        codes = _regime_codes(u1, s1, k, u0, sigma0).tolist()
-        rows.extend((a, b, k, _REGIMES[c])
-                    for a, row in zip(u1_list, codes)
-                    for b, c in zip(s1_list, row))
-    return rows
+    codes = np.empty((len(ks), u1.size, s1.size), dtype=np.int8)
+    for i, k in enumerate(ks):
+        codes[i] = _regime_codes(u1, s1, k, u0, sigma0)
+    return codes

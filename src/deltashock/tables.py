@@ -1,7 +1,8 @@
 """The one writer of the lab's tables; it imports nothing of the package.
 
 CSV is the text ``csv.writer`` writes, each distinct value formatted
-once; JSON is a list of one object per row, keyed by the header.
+once; JSON is a list of one object per row, keyed by the header.  A
+table is given as its rows or as its columns.
 """
 
 from __future__ import annotations
@@ -23,14 +24,21 @@ def write_table(rows, header, stem, fmt: str = "csv") -> None:
     when ``fmt`` is "json".  A number is written as ``repr(float(v))`` in
     CSV and as a float in JSON; a string (a label, which needs no quoting)
     as it is."""
+    write_columns(list(zip(*rows)), header, stem, fmt)
+
+
+def write_columns(columns, header, stem, fmt: str = "csv") -> None:
+    """:func:`write_table` of the table whose i-th column is ``columns[i]``,
+    for tables made column by column from arrays."""
     with open(f"{stem}.{fmt}", "w", newline="" if fmt == "csv" else None) as fh:
         if fmt == "csv":
             # Formatted a column at a time: ``map`` runs the lookups in C.
             get = _Fields().__getitem__
-            columns = [map(get, column) for column in zip(header, *rows)]
-            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+            lines = map(",".join, zip(*(map(get, column) for column in columns)))
+            fh.write("\r\n".join([",".join(header), *lines]) + "\r\n")
         else:
             import json  # only JSON runs pay for it
 
             json.dump([dict(zip(header, (v if isinstance(v, str) else float(v)
-                                         for v in row))) for row in rows], fh, indent=1)
+                                         for v in row))) for row in zip(*columns)],
+                      fh, indent=1)

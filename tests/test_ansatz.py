@@ -8,14 +8,58 @@ from deltashock.ansatz import (
     SingularSolution,
     SmoothAnsatz,
 )
+from deltashock.config import RunConfig
 from deltashock.dynamics import LinearTrajectory, solve_front
+from deltashock.kernels import StepProfile, make_kernel, product_columns
 from deltashock.pairing import (
     TestFunction,
+    _lemma_integrand,
     estimate_order,
     extrapolate_limit,
     fit_loglog_slope,
     pair,
 )
+from deltashock.riemann import State, solve
+from deltashock.verifier import sample_admissible_data
+
+
+_QUARTIC = make_kernel()
+_WORKED = RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.1, 0.1)
+_K_NEG, _EPS_NEG = "k must be nonnegative", "eps must be positive"
+
+
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda: RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.1, -0.1), _K_NEG,
+                 id="data-positional"),
+    pytest.param(lambda: RiemannJumpData(u0=0.0, u1=2.0, sigma0=0.0, sigma1=0.5, k=-0.1),
+                 _K_NEG, id="data-keywords"),
+    pytest.param(lambda: RunConfig(k=-0.1).jump_data(), _K_NEG, id="config"),
+    pytest.param(lambda: solve(State(2.0, 0.5), State(0.0, 0.0), -0.1), _K_NEG, id="solve"),
+    pytest.param(lambda: sample_admissible_data(np.random.default_rng(0), -0.1), _K_NEG,
+                 id="sampler"),
+    pytest.param(lambda: StepProfile(0.5, 0.0, _QUARTIC), _EPS_NEG, id="step-positional"),
+    pytest.param(lambda: StepProfile(c=0.5, eps=-0.1, kernel=_QUARTIC), _EPS_NEG,
+                 id="step-keywords"),
+    pytest.param(lambda: SmoothAnsatz(_WORKED, solve_front(_WORKED)).step(0.0), _EPS_NEG,
+                 id="ansatz-step"),
+    pytest.param(lambda: product_columns(_QUARTIC, (("h",),), np.zeros(1), -1.0, np.ones(1)),
+                 _EPS_NEG, id="table-columns"),
+    pytest.param(lambda: _lemma_integrand(("H",), (-4, 4), (), _QUARTIC, 0.5, 0.0), _EPS_NEG,
+                 id="lemma-integrand"),
+])
+def test_records_validate_on_every_construction_path(build, message):
+    # The records are named tuples: validation lives in the constructor,
+    # which every path of the package goes through.
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_ansatz_defaults_its_kernel(worked_data):
+    front = solve_front(worked_data)
+    for ansatz in (SmoothAnsatz(worked_data, front), SmoothAnsatz(worked_data, front, c=0.3),
+                   SmoothAnsatz(data=worked_data, front=front, kernel=None)):
+        assert ansatz.kernel == make_kernel() and type(ansatz) is SmoothAnsatz
+    assert SmoothAnsatz(worked_data, front, c=0.3).c == 0.3
 
 
 def test_jump_data_states_and_validation():

@@ -375,6 +375,21 @@ def test_k_limit_command(tmp_path, capsys):
     assert gap == pytest.approx(-0.02, abs=1e-10)
 
 
+@pytest.mark.parametrize("ks,zero", [("1e-200, 2e-200", "1e-200"), ("1e-170, 0.1", "1e-170")],
+                         ids=["both-zero", "first-zero"])
+def test_k_limit_gap_that_rounds_to_zero_is_named(tmp_path, capsys, ks, zero):
+    # k^2 u1 t below the rounding of e(t) makes the gap exactly 0; the
+    # k-order fit used to end in "error: divide by zero encountered in log".
+    cfg = write(tmp_path, f"[klimit]\nks = {ks}\n")
+    rc = main(["--config", cfg, "--out", str(tmp_path), "k-limit"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: the gap at k = {zero} rounds to 0")
+    assert "k-order needs nonzero gaps" in err[0]
+
+
 def test_outputs_are_deterministic(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

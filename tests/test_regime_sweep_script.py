@@ -15,6 +15,7 @@ import pytest
 from deltashock.riemann import (
     DELTA_REGIME,
     NO_SOLUTION,
+    REGIMES,
     State,
     delta_regime_test,
     regime_sweep,
@@ -80,8 +81,11 @@ def test_tables_are_bytes_csv_writer_writes(tmp_path):
     proc = _run_script("--out", str(tmp_path), "--n", "17", "--ks", "0", "0.3", "2")
     assert proc.returncode == 0, proc.stderr
     grid = np.linspace(-4.0, 4.0, 17)
+    u1s = grid[grid != 0.0]
     for k, tag in ((0.0, "0"), (0.3, "0p3"), (2.0, "2")):
-        rows = regime_sweep(grid[grid != 0.0], grid, [k])
+        codes = regime_sweep(u1s, grid, [k])[0]
+        rows = [(float(u1), float(s1), k, REGIMES[c])
+                for u1, row in zip(u1s, codes) for s1, c in zip(grid, row)]
         want = _csv_writer_text([("u1", "sigma1", "k", "regime"), *rows])
         assert (tmp_path / f"regimes_k{tag}.csv").read_bytes() == want.encode()
 
@@ -103,21 +107,24 @@ script = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(script)
 assert script.main(["--out", sys.argv[2], "--n", "3"]) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "deltashock")))
+print(json.dumps("dataclasses" in sys.modules))
 """
 
 
 def test_sweep_loads_only_the_modules_it_computes_with(tmp_path):
     # The cli benchmark times the sweep as a fresh process: writing its
     # tables must not load the CLI, the config reader, the pairing engine
-    # or the verifier.
+    # or the verifier, nor build a dataclass (each costs about a millisecond).
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     done = subprocess.run([sys.executable, "-c", _FRESH_SWEEP, str(SCRIPT), str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=60, check=True)
-    assert json.loads(done.stdout.splitlines()[-1]) == [
+    *_, loaded, dataclasses = done.stdout.splitlines()
+    assert json.loads(loaded) == [
         "deltashock", "deltashock.ansatz", "deltashock.dynamics", "deltashock.kernels",
         "deltashock.riemann", "deltashock.tables"]
+    assert json.loads(dataclasses) is False
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -149,6 +156,23 @@ def test_out_that_cannot_be_a_directory_exits_two_with_one_line(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [f"error: --out {tmp_path / 'file' / 'below'}: "
                                         "Not a directory"]
+
+
+def test_grid_too_large_to_allocate_exits_one_with_one_line(tmp_path, capsys, monkeypatch):
+    script = _load_script()
+
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(99999, 100000) and data type float64")
+
+    monkeypatch.setattr(script, "regime_sweep", too_large)
+    rc = script.main(["--out", str(tmp_path), "--n", "3"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: out of memory: Unable to allocate 74.5 GiB for an array with shape "
+        "(99999, 100000) and data type float64"]
 
 
 def test_bad_input_sets_the_process_exit_status(tmp_path):

@@ -15,6 +15,7 @@ from deltashock.riemann import (
     CLASSICAL,
     DELTA_REGIME,
     NO_SOLUTION,
+    REGIMES,
     State,
     classify_waves,
     delta_regime_test,
@@ -302,16 +303,26 @@ def test_k_limit_gap_rejects_inadmissible():
         k_limit_gap(bad, 0.5, 1.0, TestFunction(0.0, 1.0))
 
 
+def _sweep_rows(u1s, s1s, ks, *background):
+    """The sweep's regime codes as rows (u1, sigma1, k, regime): k, then u1,
+    then sigma1."""
+    codes = regime_sweep(u1s, s1s, ks, *background)
+    assert codes.shape == (len(ks), len(u1s), len(s1s)) and codes.dtype == np.int8
+    return [(float(u1), float(s1), float(k), REGIMES[c])
+            for k, grid in zip(ks, codes.tolist())
+            for u1, row in zip(u1s, grid) for s1, c in zip(s1s, row)]
+
+
 def test_regime_sweep_rows():
-    rows = regime_sweep([2.0, -1.0], [0.0, 3.0], [0.1])
+    rows = _sweep_rows([2.0, -1.0], [0.0, 3.0], [0.1])
     assert len(rows) == 4
     regimes = {(u1, s1): regime for u1, s1, _, regime in rows}
     assert regimes[(2.0, 0.0)] == DELTA_REGIME
     assert regimes[(-1.0, 0.0)] == CLASSICAL
     # k = 0 rows never report a classical solution
-    rows0 = regime_sweep([2.0], [0.5], [0.0])
+    rows0 = _sweep_rows([2.0], [0.5], [0.0])
     assert rows0[0][3] == DELTA_REGIME
-    rows0 = regime_sweep([-2.0], [0.5], [0.0])
+    rows0 = _sweep_rows([-2.0], [0.5], [0.0])
     assert rows0[0][3] == NO_SOLUTION
 
 
@@ -330,7 +341,7 @@ SWEEP_KS = (0.0, 0.125, 0.5, 1.0, 3.0)
 
 @pytest.mark.parametrize("u0,sigma0", [(0.0, 0.0), (0.3, -0.7)])
 def test_regime_sweep_matches_per_point_solve(u0, sigma0):
-    rows = regime_sweep(DYADIC, DYADIC, SWEEP_KS, u0, sigma0)
+    rows = _sweep_rows(DYADIC, DYADIC, SWEEP_KS, u0, sigma0)
     assert len(rows) == len(SWEEP_KS) * DYADIC.size**2
     expected = (
         (float(u1), float(s1), k,
@@ -365,7 +376,7 @@ def test_regime_sweep_tiny_k_matches_solve():
     # (sigma0 - sigma_left) / (2k) overflows to inf, as with Python floats
     grid = [-1.0, -1e-300, 1e-300, 0.5, 2.0]
     for k in (5e-324, 1e-310):
-        rows = regime_sweep(grid, grid, [k])
+        rows = _sweep_rows(grid, grid, [k])
         want = [solve(State(u1, s1), State(0.0, 0.0), k).regime
                 for u1 in grid for s1 in grid]
         assert [r[3] for r in rows] == want

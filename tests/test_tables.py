@@ -17,7 +17,7 @@ import pytest
 
 from deltashock.cli import main
 from deltashock.pairing import LEMMA_FAMILIES
-from deltashock.tables import write_table
+from deltashock.tables import write_columns, write_table
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -91,3 +91,17 @@ def test_json_rows_are_header_keyed_objects(tmp_path):
         {"x": 0.5, "u": -0.0, "region": "left"},
         {"x": 1.0, "u": 2.5, "region": "fan-2"}]
 
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [
+    [(0.5, -0.0, "left"), (1, 2.5, "fan-2"), (-0.0, 0.0, "left")],
+    [],
+], ids=["rows", "empty"])
+def test_columns_write_the_bytes_their_rows_write(tmp_path, fmt, rows):
+    header = ["x", "u", "region"]
+    write_table(rows, header, tmp_path / "rows", fmt)
+    write_columns([[row[i] for row in rows] for i in range(3)], header,
+                  tmp_path / "columns", fmt)
+    assert ((tmp_path / "columns").with_suffix(f".{fmt}").read_bytes()
+            == (tmp_path / "rows").with_suffix(f".{fmt}").read_bytes())

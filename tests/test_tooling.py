@@ -166,7 +166,7 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "deltashock"),
-                  "numpy.polynomial" in sys.modules]))
+                  "numpy.polynomial" in sys.modules, "dataclasses" in sys.modules]))
 """
 
 _CLI_LOADS = ["deltashock", "deltashock.cli", "deltashock.config", "deltashock.kernels"]
@@ -183,14 +183,16 @@ def test_each_command_loads_only_the_modules_it_computes_with(tmp_path, config,
                                                               command, modules):
     # The cli benchmark times fresh processes, so a subcommand pays for every
     # module it loads.  On the quartic kernel only the commands that pair
-    # load numpy.polynomial, for the Gauss rule.
+    # load numpy.polynomial, for the Gauss rule, and dataclasses, whose
+    # classes each cost about a millisecond to build.
     root = Path(deltashock.__file__).resolve().parents[2]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     done = subprocess.run(
         [sys.executable, "-c", _FRESH_COMMAND, "--config",
          str(root / "configs" / f"{config}.ini"), "--out", str(tmp_path), command],
         env=env, capture_output=True, text=True, timeout=120, check=True)
-    code, loaded, polynomial = json.loads(done.stdout.splitlines()[-1])
+    code, loaded, polynomial, dataclasses = json.loads(done.stdout.splitlines()[-1])
     assert code == 0, done.stderr
     assert loaded == sorted(_CLI_LOADS + [f"deltashock.{m}" for m in modules])
     assert polynomial == ("pairing" in modules)
+    assert dataclasses == ("pairing" in modules)

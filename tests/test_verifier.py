@@ -596,7 +596,7 @@ def test_replay_quartic_coefficients_exact_to_rounding(quartic):
 def test_replay_exponential_well_conditioned(exponential):
     # One ulp of the kernel's normalization moves no coefficient by more
     # than rounding: no extrapolation amplifies it.
-    nudged = replace(exponential, normalization=np.nextafter(
+    nudged = exponential._replace(normalization=np.nextafter(
         exponential.normalization, np.inf))
     for data, traj in _seeded_replays(exponential, 6):
         ref = replay_derivation(data, traj, exponential).measured
