@@ -10,8 +10,6 @@ delta amplitude (imaginary p) need no special casing; the stress stays
 real.
 """
 
-from __future__ import annotations
-
 import math
 from typing import TYPE_CHECKING, NamedTuple, Protocol
 
@@ -133,7 +131,7 @@ class SingularSolution(NamedTuple):
     data: RiemannJumpData
     front: Front
 
-    def _integrals(self, t: float, phi_test: TestFunction):
+    def _integrals(self, t: float, phi_test: "TestFunction"):
         """phi(t), and the integrals of phi_test over the line and left of phi(t)."""
         from .pairing import Piecewise, pair
 
@@ -141,11 +139,11 @@ class SingularSolution(NamedTuple):
         full = pair(Piecewise(np.ones_like), phi_test)
         return front, full, pair(Piecewise(np.ones_like, hi=front), phi_test)
 
-    def u_pairing(self, t: float, phi_test: TestFunction) -> float:
+    def u_pairing(self, t: float, phi_test: "TestFunction") -> float:
         _, full, left = self._integrals(t, phi_test)
         return float(self.data.u0 * full + self.data.u1 * left)
 
-    def sigma_pairing(self, t: float, phi_test: TestFunction) -> float:
+    def sigma_pairing(self, t: float, phi_test: "TestFunction") -> float:
         front, full, left = self._integrals(t, phi_test)
         atom = float(self.front.e(t)) * float(phi_test.value(front))
         return float(self.data.sigma0 * full + self.data.sigma1 * left + atom)
@@ -221,13 +219,13 @@ class SmoothAnsatz(_AnsatzFields):
         phi = self.front.phi(t)
         return tuple(phi + s * eps for s in BAND_EDGES)
 
-    def u_integrand(self, t: float, eps: float) -> Piecewise:
+    def u_integrand(self, t: float, eps: float) -> "Piecewise":
         from .pairing import Piecewise
 
         return Piecewise(lambda x: self.eval_fields(x, t, eps)[0],
                          -math.inf, math.inf, self.breakpoints(t, eps))
 
-    def sigma_integrand(self, t: float, eps: float) -> Piecewise:
+    def sigma_integrand(self, t: float, eps: float) -> "Piecewise":
         from .pairing import Piecewise
 
         return Piecewise(lambda x: self.eval_fields(x, t, eps)[1],

@@ -23,8 +23,6 @@ with valid configuration surface later from the library.  The
 dyadic decades, and rejects a narrower one as a configuration error.
 """
 
-from __future__ import annotations
-
 import configparser
 import math
 from typing import NamedTuple

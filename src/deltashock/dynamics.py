@@ -12,8 +12,6 @@ with nonnegative imaginary part while e < 0).  A numerical ODE
 integration exists only as a test oracle.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -30,12 +30,10 @@ profiles need every panel at every eps, so its ladder has one rung.
 The package's one quadrature rule, composite Gauss-Legendre from
 :func:`band_quadrature`, lives here: every pairing, the primitive tables
 and the exponential kernel's mass, omega0 and antiderivative use it.
-Its nodes and the Chebyshev fit are made on first use, so importing this
-module loads no ``numpy.polynomial``.  Every layer imports this module, so
-the default eps and time grids live here too.
+Its nodes are literals and the Chebyshev fit is made on first use, so
+only the exponential kernel loads ``numpy.polynomial``.  Every layer
+imports this module, so the default eps and time grids live here too.
 """
-
-from __future__ import annotations
 
 import math
 from collections.abc import Sequence
@@ -93,10 +91,24 @@ GAUSS_NODES = 16
 PANELS_PER_SUBINTERVAL = 16
 
 
+# The positive nodes, ascending, and weights of the 16-point Gauss-Legendre
+# rule on [-1, 1]: numpy's ``leggauss(16)``, which is symmetric to the bit,
+# without importing ``numpy.polynomial``.
+_GAUSS_HALF = ((0.09501250983763744, 0.18945061045506864),
+               (0.2816035507792589, 0.18260341504492364),
+               (0.45801677765722737, 0.16915651939500265),
+               (0.6178762444026438, 0.1495959888165767),
+               (0.755404408355003, 0.12462897125553407),
+               (0.8656312023878318, 0.0951585116824926),
+               (0.9445750230732326, 0.062253523938647456),
+               (0.9894009349916499, 0.027152459411754176))
+
+
 @lru_cache(maxsize=1)
 def _gauss_rule():
     """The :data:`GAUSS_NODES`-point Gauss-Legendre nodes and weights on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(GAUSS_NODES)
+    x, w = np.array(_GAUSS_HALF).T
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
 class MollifierKernel(NamedTuple):

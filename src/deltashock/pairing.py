@@ -13,16 +13,14 @@ computations; results are reduced in grid order, so evaluation is
 deterministic no matter how callers parallelize.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .kernels import (
+    PROFILE_EPS_POWERS,
     MollifierKernel,
     StepProfile,
     band_quadrature,
@@ -77,26 +75,32 @@ class ExtractionError(ArithmeticError):
     """Raised when a coefficient extraction does not converge."""
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class _TestFields(NamedTuple):
+    center: float = 0.0
+    halfwidth: float = 1.0
+    modulation: str = PLAIN_BUMP
+
+
+class TestFunction(_TestFields):
     """Smooth compactly supported test function with exact derivative.
 
     ``plain-bump`` is normalized to value 1 and slope 0 at the center;
     ``linear-times-bump`` has value 0 and slope 1 there.  Together the two
     isolate the point-mass and dipole coefficients of a local expansion.
+    Construction rejects a halfwidth <= 0 and an unknown modulation;
+    ``_replace`` and ``_make`` bypass that check.
     """
 
     __test__ = False  # not a pytest class, despite the name
+    __slots__ = ()
 
-    center: float = 0.0
-    halfwidth: float = 1.0
-    modulation: str = PLAIN_BUMP
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.halfwidth <= 0.0:
             raise ValueError("halfwidth must be positive")
         if self.modulation not in (PLAIN_BUMP, LINEAR_BUMP):
             raise ValueError(f"unknown modulation {self.modulation!r}")
+        return self
 
     @property
     def support(self) -> tuple[float, float]:
@@ -139,21 +143,25 @@ class Piecewise:
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
 
+    def band(self, phi: TestFunction) -> tuple[float, float]:
+        """The interval ``pair`` integrates f * phi over: both supports clipped."""
+        return (max(self.lo, phi.support[0]), min(self.hi, phi.support[1]))
+
 
 def pair(f: Piecewise, phi):
     """Integral of f * phi by composite Gauss-Legendre on split panels.
 
     Returns 0.0 exactly when the supports do not intersect.  The result is
     complex when the integrand produces complex samples.  ``phi`` may also
-    be a sequence of test functions with one support; f is then sampled
-    once and the result is an array with one pairing per test function.
+    be a sequence of test functions that clip f to one band
+    (:meth:`Piecewise.band`); f is then sampled once and the result is an
+    array with one pairing per test function.
     """
     phis = [phi] if isinstance(phi, TestFunction) else list(phi)
-    support = phis[0].support
-    if any(p.support != support for p in phis):
-        raise ValueError("test functions paired together must share one support")
-    lo = max(f.lo, support[0])
-    hi = min(f.hi, support[1])
+    bands = {f.band(p) for p in phis}
+    if len(bands) > 1:
+        raise ValueError("test functions paired together must clip f to one band")
+    ((lo, hi),) = bands
     totals = np.zeros(len(phis))
     if lo < hi:
         xs, ws = band_quadrature(lo, hi, f.breaks)
@@ -265,8 +273,7 @@ def fit_loglog_slope(xs: Sequence[float], ys, where=True):
     return slope[()], resid[()]
 
 
-@dataclass(frozen=True)
-class OrderEstimate:
+class OrderEstimate(NamedTuple):
     """Decay order alpha (larger = faster) and log-log fit residual, per series."""
 
     order: float | np.ndarray
@@ -288,11 +295,20 @@ def fit_order(eps: Sequence[float], errs, floor) -> OrderEstimate:
     return OrderEstimate(np.where(used >= 2, slope, ORDER_EXACT)[()], resid, used[()])
 
 
+def _errors(values, limit):
+    """|values - limit| along the last axis, and each series' scale: the
+    largest of 1, |limit| and its |values|."""
+    limit = np.asarray(limit)
+    scale = np.maximum(np.max(np.abs(values), axis=-1, initial=1.0), np.abs(limit))
+    return np.abs(values - limit[..., None]), scale
+
+
 def estimate_order(eps_grid: Sequence[float], values: Sequence, limit) -> OrderEstimate:
     """Order of |values - limit| over the five smallest eps values.
 
-    A sequence equal to its limit to machine precision reports the
-    +infinity sentinel.
+    ``values`` is one series or a stack ``[series, eps]`` with one limit
+    per series.  A sequence equal to its limit to machine precision
+    reports the +infinity sentinel.
     """
     eps = np.asarray(eps_grid, dtype=float)
     if len(eps) < 4:
@@ -300,15 +316,13 @@ def estimate_order(eps_grid: Sequence[float], values: Sequence, limit) -> OrderE
     if np.any(np.diff(eps) >= 0.0):
         raise ValueError("eps grid must be strictly decreasing")
     vals = np.asarray(values)
-    if len(vals) != len(eps):
+    if vals.shape[-1] != len(eps):
         raise ValueError("values and eps grid must have equal length")
-    errs = np.abs(vals - limit)
-    scale = max(float(np.max(np.abs(vals))), abs(limit), 1.0)
-    return fit_order(eps[-_ORDER_TAIL:], errs[-_ORDER_TAIL:], NEGLIGIBLE_RTOL * scale)
+    errs, scale = _errors(vals, limit)
+    return fit_order(eps[-_ORDER_TAIL:], errs[..., -_ORDER_TAIL:], NEGLIGIBLE_RTOL * scale)
 
 
-@dataclass(frozen=True)
-class PairingReport:
+class PairingReport(NamedTuple):
     """Measured pairings of one eps-family against one test function."""
 
     eps_grid: tuple[float, ...]
@@ -330,21 +344,35 @@ class PairingReport:
         }
 
 
-def _check_convergence(label, eps_grid, values, limit) -> OrderEstimate:
-    errs = np.abs(np.asarray(values) - limit)
-    scale = max(float(np.max(np.abs(values))), abs(limit), 1.0)
-    if np.all(errs <= NEGLIGIBLE_RTOL * scale):
-        return OrderEstimate(ORDER_EXACT, 0.0, 0)
-    # Sign-crossing sequences (mixed-order error terms) defeat a log-log
-    # fit, so non-convergence is judged by head-to-tail decay instead.
-    head = float(np.max(errs[:3]))
-    tail = float(np.min(errs[-3:]))
-    if tail > 0.5 * head and tail > 1e-8 * scale:
+def _check_convergence(labels, eps_grid, values, limits) -> OrderEstimate:
+    """:func:`estimate_order` of a stack of series ``[series, eps]``.
+
+    Sign-crossing sequences (mixed-order error terms) defeat a log-log fit,
+    so non-convergence is judged by head-to-tail decay instead: the first
+    series whose finest errors are not below half its coarsest raises
+    :class:`ExtractionError` naming its label.
+    """
+    errs, scale = _errors(values, limits)
+    head, tail = np.max(errs[:, :3], axis=-1), np.min(errs[:, -3:], axis=-1)
+    stuck = np.flatnonzero((tail > 0.5 * head) & (tail > 1e-8 * scale))
+    if stuck.size:
+        i = stuck[0]
         raise ExtractionError(
-            f"{label}: pairing sequence does not converge "
-            f"(head error {head:.3e}, tail error {tail:.3e}, "
-            f"values {list(values)})")
-    return estimate_order(eps_grid, values, limit)
+            f"{labels[i]}: pairing sequence does not converge "
+            f"(head error {head[i]:.3e}, tail error {tail[i]:.3e}, "
+            f"values {values[i].tolist()})")
+    return estimate_order(eps_grid, values, limits)
+
+
+def _channel_reports(labels, eps_grid, values) -> list[PairingReport]:
+    """A :class:`PairingReport` per series of ``values``, ``[series, eps]``,
+    its limit extrapolated and all orders fitted in one pass."""
+    rows = values.tolist()
+    limits = [extrapolate_limit(eps_grid, row) for row in rows]
+    fit = _check_convergence(labels, eps_grid, values, np.array(limits))
+    return [PairingReport(tuple(eps_grid), tuple(row), limit, order, residual)
+            for row, limit, order, residual
+            in zip(rows, limits, fit.order.tolist(), fit.residual.tolist())]
 
 
 def extract_point_coeffs(family: Callable[[float], Piecewise], x0: float,
@@ -358,13 +386,7 @@ def extract_point_coeffs(family: Callable[[float], Piecewise], x0: float,
     probes = (TestFunction(x0, _PROBE_HALFWIDTH, PLAIN_BUMP),
               TestFunction(x0, _PROBE_HALFWIDTH, LINEAR_BUMP))
     vals = np.array([pair(family(eps), probes) for eps in eps_grid])
-    reports = []
-    for channel, values in zip("AB", vals.T.tolist()):
-        limit = extrapolate_limit(eps_grid, values)
-        fit = _check_convergence(f"{channel}-channel", eps_grid, values, limit)
-        reports.append(PairingReport(tuple(eps_grid), tuple(values), limit,
-                                     fit.order, fit.residual))
-    return tuple(reports)
+    return tuple(_channel_reports(("A-channel", "B-channel"), eps_grid, vals.T))
 
 
 # --- the regularization-product expansion suite ---------------------------
@@ -403,6 +425,10 @@ LEMMA_FAMILIES = tuple(row[0] for row in _LEMMA_TABLE)
 
 _KERNEL_FACTORS = {"R": eval_correction, "dR": eval_correction_dx,
                    "delta": eval_delta_reg, "ddelta": eval_delta_reg_dx}
+# A factor at eps is eps^power times the factor at eps = 1 evaluated at x/eps,
+# the power of its profile in ``kernels``.
+_FACTOR_EPS_POWERS = {name: PROFILE_EPS_POWERS[profile] for name, profile in (
+    ("R", "r"), ("dR", "dr"), ("delta", "d"), ("ddelta", "dd"), ("H", "h"), ("dH", "dh"))}
 
 
 def _factor(name: str, x, step: StepProfile):
@@ -422,8 +448,7 @@ def _lemma_integrand(factors, support, cuts, kernel: MollifierKernel, c: float,
                      support[0] * eps, support[1] * eps, tuple(b * eps for b in cuts))
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
+class ExpansionReport(NamedTuple):
     """Verification record for one regularization-product family."""
 
     name: str
@@ -452,35 +477,79 @@ class ExpansionReport:
         }
 
 
+def _pair_by_band(f: Piecewise, probes) -> np.ndarray:
+    """``pair(f, probes)``, one call per band the probes clip f to."""
+    bands = [f.band(p) for p in probes]
+    out = np.empty(len(probes))
+    for band in dict.fromkeys(bands):
+        group = [i for i, b in enumerate(bands) if b == band]
+        out[group] = pair(f, [probes[i] for i in group])
+    return out
+
+
+def _lemma_pairings(kernel: MollifierKernel, c: float, eps_grid: Sequence[float]):
+    """Each lemma family's pairings with the probes of
+    :func:`extract_point_coeffs` at x0 = 0, ``[family, channel, eps]``, and
+    the largest |sample| of each family whose supports at most touch.
+
+    A family at eps is eps^q g(x/eps), with g the family at eps = 1 and q
+    its factors' eps powers summed, so its pairing with a probe phi is
+    eps^(q + 1) times that of g with phi(eps y), itself a test function in
+    y (the linear one over eps).  So each family is sampled once, in y, and
+    paired with the probes of every eps together, in one :func:`pair` call
+    per band they clip g to: one call unless an eps above 1/4 clips it.
+    Raises :class:`NumericsError` naming the family, channel and eps of
+    the first pairing that is not finite.
+    """
+    eps = np.array(eps_grid)
+    probes = [TestFunction(0.0, _PROBE_HALFWIDTH / e, modulation)
+              for e in eps_grid for modulation in (PLAIN_BUMP, LINEAR_BUMP)]
+    values, peaks = [], []
+    for name, factors, support, cuts, _, _, disjoint in _LEMMA_TABLE:
+        g = _lemma_integrand(factors, support, cuts, kernel, c, 1.0)
+        q = sum(_FACTOR_EPS_POWERS[n] for n in factors)
+        # Exact scaling: every member vanishes where g does.
+        peak = float(np.max(np.abs(g(np.linspace(g.lo, g.hi, 101))))) if disjoint else 0.0
+        # A power of a huge or tiny eps may overflow; a pairing is named below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairings = (_pair_by_band(g, probes).reshape(-1, 2)
+                        * eps[:, None] ** (q + np.array([1.0, 2.0]))).T
+            peaks.append(peak and peak * float(np.max(eps**q)))
+        if not np.isfinite(pairings).all():
+            channel, e = np.argwhere(~np.isfinite(pairings))[0]
+            raise NumericsError(f"non-finite lemma pairing at family={name}, "
+                                f"channel={'AB'[channel]}, eps={eps_grid[e]:g}")
+        values.append(pairings)
+    return np.array(values), peaks
+
+
 def verify_lemma31(kernel: MollifierKernel, c: float,
                    eps_grid: Sequence[float] | None = None) -> list[ExpansionReport]:
     """Measure all twelve regularization-product expansions at x0 = 0.
 
     Each family is paired against a value-selecting and a slope-selecting
-    test function, the coefficients are extrapolated over the eps grid,
-    and the measured decay orders are compared against the family's floor.
-    The three products whose factors' supports at most touch are also
-    sampled pointwise and must vanish identically.  A sequence that does not converge raises
-    :class:`ExtractionError` naming its family and channel.
+    test function (:func:`_lemma_pairings`), the coefficients are
+    extrapolated over the eps grid, and the measured decay orders, fitted
+    for all 24 series in one pass, are compared against the family's
+    floor.  The three products whose factors' supports at most touch are
+    also sampled pointwise and must vanish identically.  A sequence that
+    does not converge raises :class:`ExtractionError` naming its family and
+    channel.
     """
     eps_grid = tuple(eps_grid) if eps_grid is not None else default_eps_grid()
     if len(eps_grid) < 4:
         raise ValueError("eps grid must span at least 4 points")
     if math.log2(eps_grid[0] / eps_grid[-1]) < 3.0:
         raise ValueError("eps grid should span at least 3 dyadic decades")
+    values, peaks = _lemma_pairings(kernel, c, eps_grid)
+    labels = [f"{name} {channel}-channel" for name in LEMMA_FAMILIES for channel in "AB"]
+    channels = _channel_reports(labels, eps_grid, values.reshape(-1, len(eps_grid)))
     constants = {"omega0": kernel.omega0, "omega0/2": 0.5 * kernel.omega0, "c": c}
     reports = []
-    for name, factors, support, cuts, expected, klass, disjoint in _LEMMA_TABLE:
-        family = partial(_lemma_integrand, factors, support, cuts, kernel, c)
+    for (name, _, _, _, expected, klass, disjoint), a_rep, b_rep, max_abs in zip(
+            _LEMMA_TABLE, channels[::2], channels[1::2], peaks):
         exp_a, exp_b = (constants.get(v, v) for v in expected)
-        try:
-            a_rep, b_rep = extract_point_coeffs(family, 0.0, eps_grid)
-        except ExtractionError as exc:
-            raise ExtractionError(f"{name} {exc}") from exc
         a, b = a_rep.extrapolated_limit, -b_rep.extrapolated_limit
-        sampled = [family(eps) for eps in eps_grid] if disjoint else []
-        max_abs = max((float(np.max(np.abs(f(np.linspace(f.lo, f.hi, 101)))))
-                       for f in sampled), default=0.0)
         floor = ORDER_FLOORS[klass]
         coeff_ok = abs(a - exp_a) <= COEFF_TOL and abs(b - exp_b) <= COEFF_TOL
         order_ok = a_rep.order >= floor and b_rep.order >= floor

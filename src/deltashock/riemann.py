@@ -17,8 +17,6 @@ regime codes, indices into ``REGIMES``: every code names the per-point
 answer.  At k = 0 only the singular-front test applies.
 """
 
-from __future__ import annotations
-
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -223,7 +221,7 @@ def _require_admissible(data: RiemannJumpData) -> None:
 
 
 def k_limit_gap(data: RiemannJumpData, k: float, t: float,
-                phi_test: TestFunction, component: str = "sigma") -> float:
+                phi_test: "TestFunction", component: str = "sigma") -> float:
     """Pairing gap between the singular solutions at parameter k and at 0.
 
     The front speed is k-independent, so the bounded parts cancel exactly

@@ -34,10 +34,8 @@ compares them with the closed forms that define the front dynamics; with
 the solved trajectory all of them must vanish.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -242,8 +240,7 @@ def _residual_pairings(ansatz: SmoothAnsatz, system_k: float, times, eps_grid,
     return out
 
 
-@dataclass(frozen=True)
-class ResidualSeries:
+class ResidualSeries(NamedTuple):
     """Max-over-time residual pairings of one equation against one test fn."""
 
     equation: str
@@ -276,8 +273,7 @@ class ResidualSeries:
         }
 
 
-@dataclass(frozen=True)
-class SolutionReport:
+class SolutionReport(NamedTuple):
     system_k: float
     passed: bool
     order_floor: float
@@ -367,8 +363,7 @@ def verify_weak_solution(ansatz: SmoothAnsatz, system_k: float,
                           DEFAULT_RATIO_CEILING, tuple(series))
 
 
-@dataclass(frozen=True)
-class ReplayResult:
+class ReplayResult(NamedTuple):
     """Extracted residual coefficients next to their closed forms.
 
     ``a_u``/``b_u`` are the point-mass and dipole coefficients of the

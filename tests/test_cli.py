@@ -281,6 +281,21 @@ def test_lemma_failure_names_its_family_and_channel(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: dR B-channel: ")
 
 
+def test_nonfinite_lemma_pairing_names_its_cell(tmp_path, capsys):
+    # At eps = 2^-1000 the Rddelta family's power eps^-1.5 overflows.  The
+    # suite names the first pairing that is not finite, instead of a
+    # divide-by-zero error that names nothing.
+    cfg = write(tmp_path, "[grid]\neps_pow_min = 1000\neps_pow_max = 1010\n")
+    rc = main(["--config", cfg, "--out", str(tmp_path), "verify-expansions"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.splitlines() == [
+        "error: non-finite lemma pairing at family=Rddelta, channel=A, "
+        f"eps={2.0**-1000:g}"]
+    assert captured.out == ""
+    assert not (tmp_path / "lemma31_report.json").exists()
+
+
 def test_verify_expansions_c_mismatch_flagged(tmp_path, capsys):
     cfg = write(tmp_path, WORKED_INI + "\n[kernel]\nkind = quartic\nc = 0.2\n")
     rc = main(["--config", cfg, "--out", str(tmp_path), "verify-expansions"])

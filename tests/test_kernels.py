@@ -41,6 +41,18 @@ def gauss_integral(fn, lo, hi, panels=64):
     return float(np.sum(ws * fn(xs)))
 
 
+def test_gauss_rule_literals_are_leggauss_bitwise():
+    # The rule is written out so that pairing loads no numpy.polynomial; it
+    # must be numpy's rule to the bit, so every pairing stays unchanged.
+    from deltashock.kernels import GAUSS_NODES, _gauss_rule
+
+    nodes, weights = _gauss_rule()
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(GAUSS_NODES)
+    assert nodes.dtype == weights.dtype == np.float64
+    assert nodes.tobytes() == want_nodes.tobytes()
+    assert weights.tobytes() == want_weights.tobytes()
+
+
 def test_quartic_normalization_closed_form():
     raw_mass, _ = quad(lambda x: (1 - x * x) ** 2, -1, 1, epsabs=1e-14)
     assert raw_mass == pytest.approx(16.0 / 15.0, abs=1e-13)

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from deltashock import pairing
 from deltashock.kernels import (
     GAUSS_NODES,
     StepProfile,
@@ -121,6 +121,26 @@ def test_pair_sequence_samples_once_and_matches_single_pairs():
         pair(f, (TestFunction(0.2, 1.1), TestFunction(0.3, 1.1)))
 
 
+def test_pair_probes_that_clip_f_to_one_band_sample_it_once():
+    # Different supports, each holding f's: every probe clips f to f's own
+    # band, so one sampling serves them all, as each pairing alone.
+    calls = []
+
+    def fn(x):
+        calls.append(x.size)
+        return np.cos(3.0 * x) + x
+
+    f = Piecewise(fn, -0.5, 0.7, (0.1,))
+    tests = (TestFunction(0.1, 2.0), TestFunction(-0.3, 3.0, "linear-times-bump"),
+             TestFunction(0.0, 5.0), TestFunction(0.4, 1.2, "linear-times-bump"))
+    vals = pair(f, tests)
+    assert len(calls) == 1
+    assert vals.tolist() == [pair(f, tf) for tf in tests]
+    # one probe that clips f differently still raises
+    with pytest.raises(ValueError, match="one band"):
+        pair(f, tests + (TestFunction(0.0, 0.6),))
+
+
 def test_pair_accuracy_on_wide_bump():
     f = Piecewise(lambda x: np.ones_like(x), -math.inf, math.inf)
     phi = TestFunction(0.3, 1.7)
@@ -156,7 +176,7 @@ def test_pair_translation_covariance(s):
     phi = TestFunction(0.25, 1.0)
     shifted_f = Piecewise(lambda x: f.value(x - s), -0.8 + s, 0.8 + s)
     lhs = pair(shifted_f, phi)
-    rhs = pair(Piecewise(f.value, -0.8, 0.8), replace(phi, center=phi.center - s))
+    rhs = pair(Piecewise(f.value, -0.8, 0.8), phi._replace(center=phi.center - s))
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -360,6 +380,58 @@ def test_lemma_products_that_touch_vanish_pointwise(kernel, c):
     assert [n for n, r in reports.items() if r.support_disjoint] == [
         "Rdelta", "Rddelta", "RdH"]
     assert reports["RdH"].max_abs_sampled == 0.0
+
+
+_PROBES = (TestFunction(0.0, 1.0), TestFunction(0.0, 1.0, "linear-times-bump"))
+_CLIPPING_GRID = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 0.004)
+
+
+@pytest.mark.parametrize("grid", [
+    default_eps_grid(), default_eps_grid(2, 9), (0.2, 0.1, 0.05, 0.02, 0.01, 0.004),
+    _CLIPPING_GRID], ids=["default", "2-9", "non-dyadic", "clipping"])
+def test_one_pass_lemma_pairings_match_per_eps_pairings(kernel, grid):
+    # The suite pairs each family once, in y = x/eps, with the probes of
+    # every eps.  Each value is the family at that eps paired alone with
+    # the probes in x, within 1e-11 of its series' largest value.  Up to
+    # eps = 1/4 every probe holds every family's support in y; eps = 1/2
+    # clips most families, whose probes are then paired in two groups.
+    for c in (-0.3, 0.25, 0.713880724, 0.9):
+        got, _ = pairing._lemma_pairings(kernel, c, grid)
+        want = np.array([
+            np.array([pair(pairing._lemma_integrand(factors, support, cuts, kernel, c,
+                                                    eps), _PROBES)
+                      for eps in grid]).T
+            for _, factors, support, cuts, *_ in pairing._LEMMA_TABLE])
+        assert got.shape == want.shape == (12, 2, len(grid))
+        scale = np.max(np.abs(want), axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-11 * scale), c
+
+
+def test_coarse_eps_that_clips_a_family_gives_its_extraction_error(quartic):
+    # eps = 1/2 clips R, dR and more to part of their supports; their probes
+    # are paired apart, and dR's B-channel still fails as it always has.
+    with pytest.raises(ExtractionError,
+                       match=r"^dR B-channel: pairing sequence does not converge"):
+        verify_lemma31(quartic, WORKED_C, eps_grid=_CLIPPING_GRID)
+
+
+def test_lemma_suite_pairs_each_family_once_and_fits_once(monkeypatch, quartic):
+    pairs, fits = [], []
+
+    def counted_pair(f, phi):
+        pairs.append(len(phi))
+        return pair(f, phi)
+
+    def counted_fit(eps, errs, floor):
+        fits.append(np.shape(errs))
+        return fit_order(eps, errs, floor)
+
+    monkeypatch.setattr(pairing, "pair", counted_pair)
+    monkeypatch.setattr(pairing, "fit_order", counted_fit)
+    reports = verify_lemma31(quartic, WORKED_C)
+    assert all(r.passed for r in reports)
+    assert pairs == [2 * len(default_eps_grid())] * 12
+    assert fits == [(24, 5)]
 
 
 def test_verify_lemma31_grid_validation(quartic):

@@ -103,6 +103,26 @@ def test_every_exported_name_exists():
         assert not missing, (module.__name__, missing)
 
 
+def test_no_record_has_string_annotations():
+    # Under ``from __future__ import annotations`` a NamedTuple compiles a
+    # ForwardRef per field when its class is built, at every start-up; the
+    # modules that define records evaluate their annotations instead.
+    records = []
+    for info in pkgutil.iter_modules(deltashock.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"deltashock.{info.name}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and cls.__module__ == module.__name__
+                    and "__annotations__" in vars(cls)):
+                records.append(cls)
+                strings = [name for name, kind in vars(cls)["__annotations__"].items()
+                           if isinstance(kind, str)]
+                assert not strings, (cls, strings)
+    assert {"RunConfig", "_TestFields", "ExpansionReport", "Piecewise"} <= {
+        cls.__name__ for cls in records}
+
+
 _FRESH_CLI = """
 import json, sys
 bare = set(sys.modules)
@@ -172,6 +192,21 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "del
 _CLI_LOADS = ["deltashock", "deltashock.cli", "deltashock.config", "deltashock.kernels"]
 
 
+def _fresh_command(tmp_path, config, command):
+    """Run a subcommand in a fresh interpreter: its exit code, the package
+    modules it loaded, and whether it loaded numpy.polynomial and
+    dataclasses."""
+    root = Path(deltashock.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_COMMAND, "--config", str(config),
+         "--out", str(tmp_path), command],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    code, *loads = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0, done.stderr
+    return loads
+
+
 @pytest.mark.parametrize("config,command,modules", [
     ("worked", "front", ["ansatz", "dynamics", "tables"]),
     ("riemann", "riemann", ["ansatz", "dynamics", "riemann", "tables"]),
@@ -182,17 +217,26 @@ _CLI_LOADS = ["deltashock", "deltashock.cli", "deltashock.config", "deltashock.k
 def test_each_command_loads_only_the_modules_it_computes_with(tmp_path, config,
                                                               command, modules):
     # The cli benchmark times fresh processes, so a subcommand pays for every
-    # module it loads.  On the quartic kernel only the commands that pair
-    # load numpy.polynomial, for the Gauss rule, and dataclasses, whose
-    # classes each cost about a millisecond to build.
+    # module it loads.  On the quartic kernel no command loads
+    # numpy.polynomial (the Gauss rule is literals), and only the commands
+    # that pair load dataclasses, for ``Piecewise``: a frozen dataclass
+    # costs about a millisecond to build.
     root = Path(deltashock.__file__).resolve().parents[2]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    done = subprocess.run(
-        [sys.executable, "-c", _FRESH_COMMAND, "--config",
-         str(root / "configs" / f"{config}.ini"), "--out", str(tmp_path), command],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    code, loaded, polynomial, dataclasses = json.loads(done.stdout.splitlines()[-1])
-    assert code == 0, done.stderr
+    loaded, polynomial, dataclasses = _fresh_command(
+        tmp_path, root / "configs" / f"{config}.ini", command)
     assert loaded == sorted(_CLI_LOADS + [f"deltashock.{m}" for m in modules])
-    assert polynomial == ("pairing" in modules)
+    assert not polynomial
     assert dataclasses == ("pairing" in modules)
+
+
+def test_only_the_exponential_kernel_loads_numpy_polynomial(tmp_path):
+    # Its CDF is a Chebyshev fit, made on first use.
+    root = Path(deltashock.__file__).resolve().parents[2]
+    text = (root / "configs" / "worked.ini").read_text()
+    assert "kind = quartic" in text
+    config = tmp_path / "exponential.ini"
+    config.write_text(text.replace("kind = quartic", "kind = exponential"))
+    loaded, polynomial, _ = _fresh_command(tmp_path, config, "verify-expansions")
+    assert loaded == sorted(_CLI_LOADS + ["deltashock.ansatz", "deltashock.pairing",
+                                          "deltashock.tables"])
+    assert polynomial

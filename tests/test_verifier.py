@@ -379,6 +379,18 @@ def test_coarse_eps_rungs_match_a_long_double_reference(quartic, worked_ansatz):
     _assert_matches_long_double(quartic, eps_grid)
 
 
+def test_eps_above_one_takes_the_finest_rung_and_matches_a_long_double_reference(
+        quartic, worked_ansatz):
+    # The counter-example to a one-panel ladder: with every eps on one panel
+    # per subinterval, the pairings at eps = 8 sit 6.6e-11 of L1 from the
+    # reference, as 16 nodes then span the test function across a band 64
+    # wide.  The finest rung, which every eps here takes, holds 1e-15.
+    eps_grid = (8.0, 6.0, 4.0, 3.0)
+    table = verifier._expansion(worked_ansatz, 0.0, 0.0)[0]
+    assert [table.at(eps).panels for eps in eps_grid] == [16] * 4
+    _assert_matches_long_double(quartic, eps_grid)
+
+
 def _traced_peak(fn):
     """Peak bytes traced while ``fn`` runs, above what was traced before."""
     tracemalloc.start()
