@@ -207,8 +207,8 @@ def volpert_product_pairing(data: RiemannJumpData,
     Only defined when the point mass is absent for all time (e0 = 0 and
     zero amplitude rate), so p vanishes too.  In the frame xi = x - phi(t)
     the product is then -sigma1 (u0 dh + u1 h dh), both of eps power 0:
-    its coefficient is read off the column sums of the kernel's primitive
-    table, and realizes the averaged product -sigma1 (u0 + u1/2).
+    its coefficient, the table's zeroth moments times the product's column
+    weights, realizes the averaged product -sigma1 (u0 + u1/2).
     """
     kernel = kernel or make_kernel()
     rate = e_rate(data)
@@ -218,10 +218,8 @@ def volpert_product_pairing(data: RiemannJumpData,
             "the averaged-product identity is only claimed for pure shocks "
             f"(e0 = {data.e0}, e rate = {rate})")
     table = primitive_table(kernel, (("dh",), ("h", "dh")))
-    row = {("dh",): data.u0, ("h", "dh"): data.u1}
-    c = data.plateau()
-    weights = np.array([row[product] * c**j for product, j in table.keys])
-    return float(-data.sigma1 * (table.columns.sum(axis=0) @ weights))
+    weights = table.weights([{("dh",): data.u0, ("h", "dh"): data.u1}], data.plateau())
+    return float(-data.sigma1 * (table.moments(0)[0][0] @ weights[0]))
 
 
 def trajectory_rows(traj, t_grid) -> list[tuple[float, float, float, float, float]]:

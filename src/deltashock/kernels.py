@@ -19,13 +19,13 @@ a function of y that depends on the kernel alone, and the step is affine
 in the plateau: h = h0 + c h1.  :func:`product_columns` evaluates the
 c^j parts of products of these functions at any (xi, eps), scaled to
 eps = 1, and :func:`primitive_table` tabulates them once per kernel on
-fixed quadrature nodes in y, so pairings at any eps need no profile
-evaluation.  The table holds a ladder of rungs, the same rule on 1, 2, 4,
-8 and 16 panels per subinterval: the quartic products are polynomials of
-degree at most 10 on each subinterval, which one panel integrates
-exactly, so only the test function needs nodes, and one panel resolves
-it across the band, 8 eps wide, up to eps = 2^-3.  The exponential
-profiles need every panel at every eps, so its ladder has one rung.
+fixed quadrature nodes in y: pairings at any eps need no profile
+evaluation, and exact eps -> 0 limits are its moments.  Its rungs are the
+same rule on 1, 2, 4, 8 and 16 panels per subinterval: the quartic
+products are polynomials of degree at most 10 on each subinterval, which
+one panel integrates exactly, so only the test function needs nodes, and
+one panel resolves it across the band, 8 eps wide, up to eps = 2^-3.
+The exponential profiles need every panel at every eps: one rung.
 
 The package's one quadrature rule, composite Gauss-Legendre from
 :func:`band_quadrature`, lives here: every pairing, the primitive tables
@@ -376,9 +376,8 @@ class PrimitiveTable:
     times the c^j part of a product of profiles at eps = 1, for
     ``(product, j) = keys[i]``; parts that vanish on every node have no
     column.  On the nodes eps * y that part pairs to eps^powers[i] times
-    the column's sum (dxi = eps dy included).  ``y`` and ``columns`` are
-    the finest rung's, :data:`PANELS_PER_SUBINTERVAL` panels.  Tables
-    compare by identity.
+    the column's sum (dxi = eps dy included): its exact eps -> 0 limits
+    are :meth:`moments`.  Tables compare by identity.
     """
 
     __slots__ = ("rungs", "keys", "powers")
@@ -387,13 +386,17 @@ class PrimitiveTable:
                  keys: tuple[tuple[tuple[str, ...], int], ...], powers: np.ndarray):
         self.rungs, self.keys, self.powers = rungs, keys, powers
 
-    @property
-    def y(self) -> np.ndarray:
-        return self.rungs[-1].y
+    def moments(self, n_max: int):
+        """The moments M_n = y^n @ columns of the finest rung and their
+        cancellation scale |y|^n @ |columns|, both ``[n, column]``, n <= n_max."""
+        _, y, columns = self.rungs[-1]
+        y_powers = y ** np.arange(n_max + 1)[:, None]
+        return y_powers @ columns, np.abs(y_powers) @ np.abs(columns)
 
-    @property
-    def columns(self) -> np.ndarray:
-        return self.rungs[-1].columns
+    def weights(self, rows, c: float) -> np.ndarray:
+        """``[row, column]``: each row, {product: coefficient}, weighs column
+        (product, j) by that product's coefficient times c^j."""
+        return np.array([[row.get(p, 0.0) * c**j for p, j in self.keys] for row in rows])
 
     def at(self, eps: float) -> Rung:
         """The coarsest rung whose panels at ``eps``, measured in x, are no

@@ -168,7 +168,9 @@ def pair(f: Piecewise, phi):
         fv = np.asarray(f.fn(xs))
         finite = np.isfinite(fv)
         if not np.all(finite):
-            raise NumericsError(f"non-finite integrand sample near x={xs[~finite][:3]}")
+            err = NumericsError(f"non-finite integrand sample near x={xs[~finite][:3]}")
+            err.points = xs[~finite][:3]  # for a caller that names its own variable
+            raise err
         weighted = ws * fv
         totals = np.array([np.sum(weighted * p.value(xs)) for p in phis])
     if not isinstance(phi, TestFunction):
@@ -498,8 +500,8 @@ def _lemma_pairings(kernel: MollifierKernel, c: float, eps_grid: Sequence[float]
     y (the linear one over eps).  So each family is sampled once, in y, and
     paired with the probes of every eps together, in one :func:`pair` call
     per band they clip g to: one call unless an eps above 1/4 clips it.
-    Raises :class:`NumericsError` naming the family, channel and eps of
-    the first pairing that is not finite.
+    Raises :class:`NumericsError` naming the family of the first sample,
+    in y, or the family, channel and eps of the first pairing not finite.
     """
     eps = np.array(eps_grid)
     probes = [TestFunction(0.0, _PROBE_HALFWIDTH / e, modulation)
@@ -512,7 +514,12 @@ def _lemma_pairings(kernel: MollifierKernel, c: float, eps_grid: Sequence[float]
         peak = float(np.max(np.abs(g(np.linspace(g.lo, g.hi, 101))))) if disjoint else 0.0
         # A power of a huge or tiny eps may overflow; a pairing is named below.
         with np.errstate(over="ignore", invalid="ignore"):
-            pairings = (_pair_by_band(g, probes).reshape(-1, 2)
+            try:
+                sampled = _pair_by_band(g, probes)
+            except NumericsError as exc:
+                raise NumericsError(f"non-finite lemma sample at family={name} "
+                                    f"near y={exc.points}") from None
+            pairings = (sampled.reshape(-1, 2)
                         * eps[:, None] ** (q + np.array([1.0, 2.0]))).T
             peaks.append(peak and peak * float(np.max(eps**q)))
         if not np.isfinite(pairings).all():

@@ -14,7 +14,8 @@ carries a stress jump.
 whole (u1, sigma1) grid per k in one numpy broadcast pass that repeats
 ``solve``'s float expressions in the same order, and returns the grid of
 regime codes, indices into ``REGIMES``: every code names the per-point
-answer.  At k = 0 only the singular-front test applies.
+answer.  At k = 0 only the singular-front test applies.  ``k_limit_gap``
+compares the singular solutions at k and at 0 by their point masses.
 """
 
 import math
@@ -22,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .ansatz import RiemannJumpData, SingularSolution
+from .ansatz import RiemannJumpData
 from .dynamics import (
     AdmissibilityError,
     NotApplicableError,
@@ -224,9 +225,9 @@ def k_limit_gap(data: RiemannJumpData, k: float, t: float,
                 phi_test: "TestFunction", component: str = "sigma") -> float:
     """Pairing gap between the singular solutions at parameter k and at 0.
 
-    The front speed is k-independent, so the bounded parts cancel exactly
-    and the stress gap reduces to the amplitude difference at the front:
-    -k^2 u1 t phi_test(front).  The velocity gap vanishes identically.
+    Only the point mass depends on k, so the velocity gap is exactly 0 and
+    the stress gap is (e_k - e_0)(t) phi_test(phi(t)) = -k^2 u1 t
+    phi_test(phi(t)): the solved amplitudes, subtracted before weighing.
     """
     if not k > 0.0:
         raise ValueError("k must be positive")
@@ -235,12 +236,12 @@ def k_limit_gap(data: RiemannJumpData, k: float, t: float,
     data_0 = RiemannJumpData(*data[:-1], 0.0)
     _require_admissible(data_k)
     _require_admissible(data_0)
-    sol_k = SingularSolution(data_k, solve_front(data_k))
-    sol_0 = SingularSolution(data_0, solve_front(data_0))
+    front_k, front_0 = solve_front(data_k), solve_front(data_0)
     if component == "sigma":
-        return sol_k.sigma_pairing(t, phi_test) - sol_0.sigma_pairing(t, phi_test)
+        e_gap = float(front_k.e(t)) - float(front_0.e(t))
+        return e_gap * float(phi_test.value(float(front_k.phi(t))))
     if component == "u":
-        return sol_k.u_pairing(t, phi_test) - sol_0.u_pairing(t, phi_test)
+        return 0.0
     raise ValueError(f"unknown component {component!r}")
 
 

@@ -135,30 +135,21 @@ def _basis_rows(ansatz: SmoothAnsatz, system_k: float):
 
 def _expansion(ansatz: SmoothAnsatz, system_k: float, times):
     """The primitive table of the basis rows' products, phi(t), and each
-    table column's coefficient in res_u and res_sigma as ``[time, column]``."""
+    table column's coefficient in res_u and res_sigma as ``[time, column]``,
+    at an array of times or one time."""
     # Read first, so that data whose plateau leaves the float range fails
     # naming the plateau rather than on u1**2 inside a basis row.
     c = ansatz.c_effective
     basis_rows = _basis_rows(ansatz, system_k)
     products = tuple(dict.fromkeys(p for row in basis_rows for p in row))
     table = primitive_table(ansatz.kernel, products)
-    # [row, column]: each row's coefficient of each table column, c^j included
-    expansion = np.array([[row.get(product, 0.0) * c**j for product, j in table.keys]
-                          for row in basis_rows])
-    phi, coeffs = _time_coeffs(ansatz.front, times)
-    return table, phi, (coeffs[:, :5] @ expansion[:5], coeffs[:, 5:] @ expansion[5:])
-
-
-def _time_coeffs(front: Front, times):
-    """phi(t) and the coefficients of the eight basis rows at each time.
-
-    ``times`` is an array of times or one time; each trajectory method is
-    called once on it.
-    """
+    weights = table.weights(basis_rows, c)
+    front = ansatz.front
     phi, e, p, p_dot = (np.atleast_1d(method(times)) for method in
                         (front.phi, front.e, front.p, front.p_dot))
     one = np.ones_like(p)
-    return phi, np.stack([one, p, p_dot, p * p, e, one, e, p], axis=-1)
+    coeffs = np.stack([one, p, p_dot, p * p, e, one, e, p], axis=-1)  # [time, row]
+    return table, phi, (coeffs[:, :5] @ weights[:5], coeffs[:, 5:] @ weights[5:])
 
 
 def _test_values(psi, halfwidth: float):
@@ -206,15 +197,16 @@ def _residual_pairings(ansatz: SmoothAnsatz, system_k: float, times, eps_grid,
     eps, offset = np.asarray(eps_grid, dtype=float), phi - suite[0].center
     # [test function, eps, time, table column]
     moments = np.empty((2, len(eps), len(times), len(table.keys)))
-    step = max(1, _BLOCK_NODES // len(table.y))
-    buffer = np.empty(2 * min(step, len(times)) * len(table.y))
+    nodes_max = len(table.rungs[-1].y)
+    step = max(1, _BLOCK_NODES // nodes_max)
+    buffer = np.empty(2 * min(step, len(times)) * nodes_max)
     # An overflow, as at a huge eps, is named by the finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
         first = 0
         while first < len(eps):
             # Consecutive eps on one rung, as many as the buffer holds.
             rung = table.at(eps[first])
-            last, end = first + 1, min(len(eps), first + len(table.y) // len(rung.y))
+            last, end = first + 1, min(len(eps), first + nodes_max // len(rung.y))
             while last < end and table.at(eps[last]) is rung:
                 last += 1
             nodes = eps[first:last, None] * rung.y
@@ -425,21 +417,20 @@ def replay_derivation(data: RiemannJumpData, trajectory: Front,
     the trajectory solves the front dynamics and the plateau level is the
     one pinned by the data.
 
-    A table column of eps power a pairs with psi to sum_n eps^(a + n)
-    M_n psi^(n)(phi(t)) / n!, with moments M_n = y^n @ column: A sums the
-    eps^0 terms with n = 0, and -B those with n = 1.  A group of terms of
-    negative exponent above ``NEGLIGIBLE_RTOL`` of its sum of |y^n w f|
-    leaves no limit and raises :class:`ExtractionError`.  The exponential
-    table's quadrature error puts a floor near 1e-9 on the coefficients.
+    Each coefficient is the table's :meth:`kernels.PrimitiveTable.moments`
+    times the basis rows' column weights: A sums the eps^0 terms with
+    n = 0, and -B those with n = 1.  A group of terms of negative exponent
+    above ``NEGLIGIBLE_RTOL`` of its cancellation scale leaves no limit
+    and raises :class:`ExtractionError`.  The exponential table's
+    quadrature error puts a floor near 1e-9 on the coefficients.
     """
     kernel = kernel or make_kernel()
     ansatz = SmoothAnsatz(data, trajectory, kernel, c=c)
     table, _, weights = _expansion(ansatz, data.k, t)
     weights = np.concatenate(weights)  # [equation, column]
-    y_powers = np.stack([np.ones_like(table.y), table.y])
+    moments, scale = table.moments(1)
     # [equation, n, column]: the coefficient of eps^(a + n) psi^(n)(phi) / n!
-    terms = (y_powers @ table.columns) * weights[:, None]
-    scale = (np.abs(y_powers) @ np.abs(table.columns)) * np.abs(weights)[:, None]
+    terms, scale = moments * weights[:, None], scale * np.abs(weights)[:, None]
     for n, power in sorted({(n, a) for n in (0, 1) for a in table.powers if a + n < 0}):
         group = table.powers == power
         for eq, total, bound in zip(("u", "sigma"), terms[:, n, group].sum(-1),

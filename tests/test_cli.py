@@ -296,6 +296,20 @@ def test_nonfinite_lemma_pairing_names_its_cell(tmp_path, capsys):
     assert not (tmp_path / "lemma31_report.json").exists()
 
 
+@pytest.mark.parametrize("kind,c", [("quartic", "1e200"), ("exponential", "1e300")])
+def test_nonfinite_lemma_sample_names_its_family(tmp_path, capsys, kind, c):
+    # H dH ~ c^2 overflows.  The family is sampled once at eps = 1, so its
+    # sample points are named in y = x/eps, with the family.
+    cfg = write(tmp_path, f"[kernel]\nkind = {kind}\nc = {c}\n")
+    rc = main(["--config", cfg, "--out", str(tmp_path), "verify-expansions"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error: non-finite lemma sample at family=HdH near y=[-3.99"), err
+    assert captured.out == ""
+
+
 def test_verify_expansions_c_mismatch_flagged(tmp_path, capsys):
     cfg = write(tmp_path, WORKED_INI + "\n[kernel]\nkind = quartic\nc = 0.2\n")
     rc = main(["--config", cfg, "--out", str(tmp_path), "verify-expansions"])
@@ -403,6 +417,18 @@ def test_k_limit_gap_that_rounds_to_zero_is_named(tmp_path, capsys, ks, zero):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: the gap at k = {zero} rounds to 0")
     assert "k-order needs nonzero gaps" in err[0]
+
+
+@pytest.mark.parametrize("sigma0", ["1e6", "-1e6"])
+def test_k_limit_passes_with_a_large_background_stress(tmp_path, capsys, sigma0):
+    # The bounded parts sigma0 int psi + sigma1 int_left psi do not depend on
+    # k; the gap is the amplitudes' difference alone, so their rounding at
+    # sigma0 = 1e6 cannot reach K_GAP_TOL.
+    cfg = write(tmp_path, f"[data]\nsigma0 = {sigma0}\n")
+    rc = main(["--config", cfg, "--out", str(tmp_path), "k-limit"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert out[-1].startswith("PASS small-k gap law"), out
 
 
 def test_outputs_are_deterministic(tmp_path):

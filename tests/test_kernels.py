@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from deltashock.ansatz import RiemannJumpData
+from deltashock.dynamics import LinearTrajectory, volpert_product_pairing
 from deltashock.kernels import (
     BAND_EDGES,
     EXPONENTIAL,
     QUARTIC,
+    PrimitiveTable,
     StepProfile,
     band_quadrature,
     canonical_kind,
@@ -24,6 +27,7 @@ from deltashock.kernels import (
     primitive_table,
     product_columns,
 )
+from deltashock.verifier import replay_derivation
 
 # Closed-form oracle: int_{-1}^{1} (1 - x^2)^2 dx = 2 (1 - 2/3 + 1/5) = 16/15,
 # so the unit-mass constant is 15/16 and
@@ -305,11 +309,12 @@ def test_primitive_table_expands_products_in_c(kernel):
         ("h", "dd"): prof.value(-y) * eval_delta_reg_dx(y, 1.0, kernel),
     }
     table = primitive_table(kernel, tuple(direct))
-    kept = np.isin(y, table.y)
-    assert np.array_equal(y[kept], table.y) and not np.any(kept[(-1 < y) & (y < 1)])
+    finest = table.rungs[-1]
+    kept = np.isin(y, finest.y)
+    assert np.array_equal(y[kept], finest.y) and not np.any(kept[(-1 < y) & (y < 1)])
     for product, power in zip(direct, (0.0, -1.0, -1.0)):
         cols = [i for i, (p, _) in enumerate(table.keys) if p == product]
-        got = sum(c**table.keys[i][1] * table.columns[:, i] for i in cols)
+        got = sum(c**table.keys[i][1] * finest.columns[:, i] for i in cols)
         expected = w * direct[product]
         assert np.allclose(got, expected[kept], rtol=1e-13,
                            atol=1e-14 * np.max(np.abs(expected)))
@@ -329,16 +334,17 @@ def test_product_columns_at_eps_reproduce_the_table(kernel):
     # itself rounds, and the step's ramps amplify that through the kernel's
     # slope: up to 27 ulp of the column's largest entry.
     table = primitive_table(kernel, BASIS_PRODUCTS)
+    finest = table.rungs[-1]
     y, w = band_quadrature(-4.0, 4.0, (-3.0, -1.0, 1.0, 3.0))
-    kept = np.isin(y, table.y)
-    ulp = np.spacing(np.max(np.abs(table.columns), axis=0))
+    kept = np.isin(y, finest.y)
+    ulp = np.spacing(np.max(np.abs(finest.columns), axis=0))
     for eps in (*default_eps_grid(), 0.3):
         columns, keys, powers = product_columns(kernel, BASIS_PRODUCTS, eps * y[kept],
                                                 eps, eps * w[kept])
         cols = [keys.index(key) for key in table.keys]
         assert np.array_equal(powers[cols], table.powers)
         ulps = 2 if math.frexp(eps)[0] == 0.5 else 32
-        assert np.all(np.abs(columns[:, cols] - table.columns) <= ulps * ulp), eps
+        assert np.all(np.abs(columns[:, cols] - finest.columns) <= ulps * ulp), eps
 
 
 def test_rung_choice_per_kernel(kernel):
@@ -353,9 +359,7 @@ def test_rung_choice_per_kernel(kernel):
         assert [len(table.at(eps).y) for eps in default_eps_grid()] == [64] * 10
     else:
         assert got == [16] * 11
-    finest = table.rungs[-1]
-    assert table.at(2.0) is finest
-    assert table.y is finest.y and table.columns is finest.columns
+    assert table.at(2.0) is table.rungs[-1]
 
 
 def test_quartic_rungs_share_the_finest_moments(quartic):
@@ -364,9 +368,130 @@ def test_quartic_rungs_share_the_finest_moments(quartic):
     # their first moments exactly.
     table = primitive_table(quartic, BASIS_PRODUCTS)
     assert [rung.panels for rung in table.rungs] == [1, 2, 4, 8, 16]
+    finest, l1 = table.moments(3)
     for rung in table.rungs:
         for n in range(4):
             moments = rung.y**n @ rung.columns
-            finest = table.y**n @ table.columns
-            l1 = np.abs(table.y) ** n @ np.abs(table.columns)
-            assert np.all(np.abs(moments - finest) <= 2e-15 * l1), (rung.panels, n)
+            assert np.all(np.abs(moments - finest[n]) <= 2e-15 * l1[n]), (rung.panels, n)
+
+
+
+# --- exact moments of the quartic table -------------------------------------
+# A polynomial in y is a tuple of Fractions, lowest power first; a piecewise
+# polynomial on the band is {subinterval index: polynomial}, 0 elsewhere.
+_SUBINTERVALS = ((-4, -3), (-3, -1), (-1, 1), (1, 3), (3, 4))
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, z in enumerate(b):
+            out[i + j] += x * z
+    return tuple(out)
+
+
+def _poly_add(a, b):
+    return tuple(sum(p[i] for p in (a, b) if i < len(p))
+                 for i in range(max(len(a), len(b))))
+
+
+def _integral(poly, lo, hi, n):
+    """int_lo^hi y^n poly(y) dy."""
+    return sum(coef * Fraction(hi**(k + n + 1) - lo**(k + n + 1), k + n + 1)
+               for k, coef in enumerate(poly))
+
+
+def _poly_at(p, scale, shift, factor=1):
+    """factor * p(scale * y + shift)."""
+    out = (Fraction(0),)
+    for coef in reversed(p):
+        out = _poly_add(_poly_mul(out, (Fraction(shift), Fraction(scale))), (coef,))
+    return tuple(factor * v for v in out)
+
+
+_Q_KERNEL = tuple(Fraction(15, 16) * v for v in (1, 0, -2, 0, 1))  # (1 - s^2)^2
+_Q_DERIV = tuple(Fraction(15, 16) * v for v in (0, -4, 0, 4))
+_Q_CDF = (Fraction(1, 2),
+          *(Fraction(15, 16) * v for v in (1, 0, Fraction(-2, 3), 0, Fraction(1, 5))))
+_ONE = (Fraction(1),)
+# Each profile at eps = 1 as its c^0 and c^1 parts, as product_columns
+# forms them: h(y) = StepProfile.value(-y), dh(y) = StepProfile.deriv(-y).
+_EXACT_FACTORS = {
+    "h": ({0: _poly_at(_Q_CDF, -2, -7)},
+          {0: _poly_add(_ONE, _poly_at(_Q_CDF, -2, -7, -1)),
+           1: _ONE, 2: _ONE, 3: _ONE, 4: _poly_at(_Q_CDF, -2, 7)}),
+    "dh": ({0: _poly_at(_Q_KERNEL, -2, -7, 2)},
+           {0: _poly_at(_Q_KERNEL, -2, -7, -2), 4: _poly_at(_Q_KERNEL, -2, 7, 2)}),
+    "r": ({3: _poly_at(_Q_KERNEL, 1, -2)},),
+    "dr": ({3: _poly_at(_Q_DERIV, 1, -2)},),
+    "d": ({1: _poly_at(_Q_KERNEL, 1, 2)},),
+    "dd": ({1: _poly_at(_Q_DERIV, 1, 2)},),
+}
+
+
+def _exact_quartic_moments(product, n_max):
+    """The c^j parts of a product of quartic profiles at eps = 1, each as
+    its exact moments int y^n part(y) dy, n = 0..n_max, over the band."""
+    parts = [{i: _ONE for i in range(len(_SUBINTERVALS))}]
+    for name in product:
+        factor = _EXACT_FACTORS[name]
+        out = [{} for _ in range(len(parts) + len(factor) - 1)]
+        for j, part in enumerate(parts):
+            for m, piece in enumerate(factor):
+                for i in part.keys() & piece.keys():
+                    term = _poly_mul(part[i], piece[i])
+                    out[j + m][i] = _poly_add(out[j + m].get(i, (Fraction(0),)), term)
+        parts = out
+    return [[sum(_integral(poly, *_SUBINTERVALS[i], n) for i, poly in part.items())
+             for n in range(n_max + 1)]
+            for part in parts]
+
+
+def test_quartic_moments_are_exact(quartic):
+    # Every quartic column is a piecewise polynomial with rational
+    # coefficients, so its moments are exact rationals.  The table's match
+    # them to a few ulps of the column's L1 scale, its largest |y|^n @ |column|
+    # for n <= 3: at most 2.0 times 2^-52 of it today.
+    table = primitive_table(quartic, BASIS_PRODUCTS)
+    moments, scale = table.moments(3)
+    exact = {product: _exact_quartic_moments(product, 3) for product in BASIS_PRODUCTS}
+    for i, (product, j) in enumerate(table.keys):
+        bound = 4 * 2.0**-52 * Fraction(float(np.max(scale[:, i])))
+        for n in range(4):
+            err = abs(Fraction(float(moments[n, i])) - exact[product][j][n])
+            assert err <= bound, (product, j, n)
+    # A part the table drops vanishes on the band.
+    kept = set(table.keys)
+    for product, parts in exact.items():
+        for j, part in enumerate(parts):
+            if (product, j) not in kept:
+                assert not any(part), (product, j)
+
+
+def test_weights_take_each_products_coefficient_times_c_powers(kernel):
+    table = primitive_table(kernel, (("dh",), ("h", "dh")))
+    rows = [{("dh",): 2.0, ("h", "dh"): -3.0}, {("h", "dh"): 0.5}]
+    c = 0.3
+    weights = table.weights(rows, c)
+    assert weights.shape == (2, len(table.keys))
+    for col, (product, j) in enumerate(table.keys):
+        for row, got in zip(rows, weights[:, col]):
+            assert got == row.get(product, 0.0) * c**j
+
+
+def test_exact_limits_read_the_table_moments(kernel, monkeypatch):
+    # The replay and the averaged product read every table moment through
+    # PrimitiveTable.moments: scaling it scales both by the same factor.
+    free = LinearTrajectory(0.9, 0.2, 0.3, 0.4 + 0.1j, 0.2)
+    data = RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.1, 0.1)
+    shock = RiemannJumpData(0.3, 2.0, 0.0, -2.0, 0.0, 1.0)
+    before = (replay_derivation(data, free, kernel).measured,
+              volpert_product_pairing(shock, kernel))
+    moments = PrimitiveTable.moments
+    monkeypatch.setattr(PrimitiveTable, "moments",
+                        lambda self, n: tuple(m * (1 + 1e-3) for m in moments(self, n)))
+    after = (replay_derivation(data, free, kernel).measured,
+             volpert_product_pairing(shock, kernel))
+    for old, new in zip((*before[0], before[1]), (*after[0], after[1])):
+        assert old != 0.0
+        assert abs(new - (1 + 1e-3) * old) <= 1e-13 * abs(old)

@@ -192,7 +192,7 @@ NON_DYADIC_EPS = tuple(0.3 * 0.5**j for j in range(8))
 def test_non_dyadic_grid_moves_table_nodes(kernel):
     table = kernels.primitive_table(kernel, (("r",), ("d",)))
     moved = [eps for eps in NON_DYADIC_EPS
-             if not np.isin(eps * table.y,
+             if not np.isin(eps * table.rungs[-1].y,
                             band_quadrature(-4 * eps, 4 * eps,
                                             (-3 * eps, -eps, eps, 3 * eps))[0]).all()]
     assert moved == list(NON_DYADIC_EPS)
