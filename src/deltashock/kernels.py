@@ -63,7 +63,9 @@ __all__ = [
     "PrimitiveTable",
     "Rung",
     "product_columns",
+    "product_power",
     "primitive_table",
+    "check_eps_grid",
     "default_eps_grid",
     "default_t_grid",
 ]
@@ -251,6 +253,16 @@ def default_eps_grid(pow_min: int = 3, pow_max: int = 12) -> tuple[float, ...]:
     return tuple(2.0 ** (-j) for j in range(pow_min, pow_max + 1))
 
 
+def check_eps_grid(eps_grid) -> tuple[float, ...]:
+    """``eps_grid`` as floats; ValueError naming it unless every eps is
+    positive and finite and the grid strictly decreasing."""
+    grid = tuple(float(e) for e in eps_grid)
+    if not all(math.inf > a > b >= 0.0 for a, b in zip(grid, grid[1:] + (0.0,))):
+        raise ValueError(f"eps grid {grid} must be positive, finite and strictly "
+                         "decreasing")
+    return grid
+
+
 def default_t_grid(t_max: float = 1.0, points: int = 33):
     """Equispaced grid on [0, t_max] used for the uniform-in-t maxima."""
     return np.linspace(0.0, float(t_max), points)
@@ -407,6 +419,12 @@ class PrimitiveTable:
                     self.rungs[-1])
 
 
+def product_power(product: tuple[str, ...]) -> float:
+    """The eps power of a product's columns: its profiles' powers summed,
+    plus 1 for dxi = eps dy."""
+    return 1.0 + sum(PROFILE_EPS_POWERS[n] for n in product)
+
+
 def product_columns(kernel: MollifierKernel, products: tuple[tuple[str, ...], ...],
                     xi, eps: float, weights):
     """Weighted c^j parts of profile products at moving-frame points (xi, eps).
@@ -434,7 +452,7 @@ def product_columns(kernel: MollifierKernel, products: tuple[tuple[str, ...], ..
             poly = [sum(poly[i] * f[j - i] for i in range(len(poly))
                         if 0 <= j - i < len(f))
                     for j in range(len(poly) + len(f) - 1)]
-        power = 1.0 + sum(PROFILE_EPS_POWERS[n] for n in product)
+        power = product_power(product)
         columns += [part * eps**-power for part in poly]
         keys += [(product, j) for j in range(len(poly))]
         powers += [power] * len(poly)

@@ -6,7 +6,9 @@ convergence orders, and extracts point-mass / dipole coefficients.  The
 quadrature is the package's one rule, ``kernels.band_quadrature``:
 composite Gauss-Legendre with subintervals split at every declared
 breakpoint, so every integrand handed to :func:`pair` is smooth on each
-panel and the fixed-order rule is certifiable.
+panel and the fixed-order rule is certifiable.  The Lemma 3.1 suite
+evaluates no profile: each family is a product of the kernel's
+:func:`kernels.primitive_table`, paired at every eps in one matmul.
 
 Pairings over (eps, test-function) grids are independent pure
 computations; results are reduced in grid order, so evaluation is
@@ -20,17 +22,14 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .kernels import (
-    PROFILE_EPS_POWERS,
     MollifierKernel,
-    StepProfile,
     band_quadrature,
+    check_eps_grid,
     default_eps_grid,
-    eval_correction,
-    eval_correction_dx,
-    eval_delta_reg,
-    eval_delta_reg_dx,
     exp_bump,
     exp_bump_dy,
+    primitive_table,
+    product_power,
 )
 
 __all__ = [
@@ -50,6 +49,7 @@ __all__ = [
     "PairingReport",
     "ExpansionReport",
     "LEMMA_FAMILIES",
+    "LEMMA_PRODUCTS",
     "verify_lemma31",
 ]
 
@@ -63,7 +63,8 @@ ORDER_EXACT = math.inf
 NEGLIGIBLE_RTOL = 1e-13
 # Decay orders of extracted coefficients are fitted on the finest points.
 _ORDER_TAIL = 5
-# Halfwidth of the two test functions that probe a point expansion.
+# Halfwidth of the two test functions that probe a point expansion; the
+# Lemma 3.1 suite widens it to 4 eps_max, its largest band, when that is more.
 _PROBE_HALFWIDTH = 1.0
 
 
@@ -143,22 +144,18 @@ class Piecewise:
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
 
-    def band(self, phi: TestFunction) -> tuple[float, float]:
-        """The interval ``pair`` integrates f * phi over: both supports clipped."""
-        return (max(self.lo, phi.support[0]), min(self.hi, phi.support[1]))
-
 
 def pair(f: Piecewise, phi):
     """Integral of f * phi by composite Gauss-Legendre on split panels.
 
     Returns 0.0 exactly when the supports do not intersect.  The result is
     complex when the integrand produces complex samples.  ``phi`` may also
-    be a sequence of test functions that clip f to one band
-    (:meth:`Piecewise.band`); f is then sampled once and the result is an
+    be a sequence of test functions that clip f to one band, its support
+    and theirs intersected; f is then sampled once and the result is an
     array with one pairing per test function.
     """
     phis = [phi] if isinstance(phi, TestFunction) else list(phi)
-    bands = {f.band(p) for p in phis}
+    bands = {(max(f.lo, p.support[0]), min(f.hi, p.support[1])) for p in phis}
     if len(bands) > 1:
         raise ValueError("test functions paired together must clip f to one band")
     ((lo, hi),) = bands
@@ -168,9 +165,7 @@ def pair(f: Piecewise, phi):
         fv = np.asarray(f.fn(xs))
         finite = np.isfinite(fv)
         if not np.all(finite):
-            err = NumericsError(f"non-finite integrand sample near x={xs[~finite][:3]}")
-            err.points = xs[~finite][:3]  # for a caller that names its own variable
-            raise err
+            raise NumericsError(f"non-finite integrand sample near x={xs[~finite][:3]}")
         weighted = ws * fv
         totals = np.array([np.sum(weighted * p.value(xs)) for p in phis])
     if not isinstance(phi, TestFunction):
@@ -312,11 +307,9 @@ def estimate_order(eps_grid: Sequence[float], values: Sequence, limit) -> OrderE
     per series.  A sequence equal to its limit to machine precision
     reports the +infinity sentinel.
     """
-    eps = np.asarray(eps_grid, dtype=float)
+    eps = np.array(check_eps_grid(eps_grid))
     if len(eps) < 4:
         raise ValueError("need at least 4 grid points")
-    if np.any(np.diff(eps) >= 0.0):
-        raise ValueError("eps grid must be strictly decreasing")
     vals = np.asarray(values)
     if vals.shape[-1] != len(eps):
         raise ValueError("values and eps grid must have equal length")
@@ -404,50 +397,32 @@ ORDER_FLOORS = {_R_CLASS: 0.49, _STEP_CLASS: 0.99}
 COEFF_TOL = 1e-6
 
 
-# The twelve products of Lemma 3.1 at x0 = 0: name, factors, support and
-# the edges of every factor's support inside it (both in units of eps),
-# expected (A, B) as numbers or names of ``verify_lemma31``'s constants,
-# class, identically zero by supports.
+# The twelve products of Lemma 3.1 at x0 = 0, each a product of the
+# primitive table's profiles (R -> r, dR -> dr, delta -> d, ddelta -> dd,
+# H -> h, dH -> dh): name, profiles, expected (A, B) as numbers or names
+# of ``verify_lemma31``'s constants, class, identically zero by supports.
 _LEMMA_TABLE = (
-    ("R", ("R",), (1, 3), (), (0.0, 0.0), _R_CLASS, False),
-    ("dR", ("dR",), (1, 3), (), (0.0, 0.0), _R_CLASS, False),
-    ("R2", ("R", "R"), (1, 3), (), ("omega0", 0.0), _R_CLASS, False),
-    ("RdR", ("R", "dR"), (1, 3), (), (0.0, "omega0/2"), _R_CLASS, False),
-    ("delta", ("delta",), (-3, -1), (), (1.0, 0.0), _STEP_CLASS, False),
-    ("ddelta", ("ddelta",), (-3, -1), (), (0.0, 1.0), _STEP_CLASS, False),
-    ("Rdelta", ("R", "delta"), (-3, 3), (-1, 1), (0.0, 0.0), _R_CLASS, True),
-    ("Rddelta", ("R", "ddelta"), (-3, 3), (-1, 1), (0.0, 0.0), _R_CLASS, True),
-    ("dH", ("dH",), (-4, 4), (-3, 3), (1.0, 0.0), _STEP_CLASS, False),
-    ("HdH", ("H", "dH"), (-4, 4), (-3, 3), (0.5, 0.0), _STEP_CLASS, False),
-    ("RdH", ("R", "dH"), (1, 4), (3,), (0.0, 0.0), _R_CLASS, True),
-    ("Hddelta", ("H", "ddelta"), (-3, -1), (), (0.0, "c"), _STEP_CLASS, False),
+    ("R", ("r",), (0.0, 0.0), _R_CLASS, False),
+    ("dR", ("dr",), (0.0, 0.0), _R_CLASS, False),
+    ("R2", ("r", "r"), ("omega0", 0.0), _R_CLASS, False),
+    ("RdR", ("r", "dr"), (0.0, "omega0/2"), _R_CLASS, False),
+    ("delta", ("d",), (1.0, 0.0), _STEP_CLASS, False),
+    ("ddelta", ("dd",), (0.0, 1.0), _STEP_CLASS, False),
+    ("Rdelta", ("r", "d"), (0.0, 0.0), _R_CLASS, True),
+    ("Rddelta", ("r", "dd"), (0.0, 0.0), _R_CLASS, True),
+    ("dH", ("dh",), (1.0, 0.0), _STEP_CLASS, False),
+    ("HdH", ("h", "dh"), (0.5, 0.0), _STEP_CLASS, False),
+    ("RdH", ("r", "dh"), (0.0, 0.0), _R_CLASS, True),
+    ("Hddelta", ("h", "dd"), (0.0, "c"), _STEP_CLASS, False),
 )
 
 LEMMA_FAMILIES = tuple(row[0] for row in _LEMMA_TABLE)
-
-_KERNEL_FACTORS = {"R": eval_correction, "dR": eval_correction_dx,
-                   "delta": eval_delta_reg, "ddelta": eval_delta_reg_dx}
-# A factor at eps is eps^power times the factor at eps = 1 evaluated at x/eps,
-# the power of its profile in ``kernels``.
-_FACTOR_EPS_POWERS = {name: PROFILE_EPS_POWERS[profile] for name, profile in (
-    ("R", "r"), ("dR", "dr"), ("delta", "d"), ("ddelta", "dd"), ("H", "h"), ("dH", "dh"))}
-
-
-def _factor(name: str, x, step: StepProfile):
-    """A lemma factor at x; ``step`` is the step H, rising across x0 = 0."""
-    if name == "H":
-        return step.value(x)
-    if name == "dH":
-        return step.deriv(x)
-    return _KERNEL_FACTORS[name](x, step.eps, step.kernel)
-
-
-def _lemma_integrand(factors, support, cuts, kernel: MollifierKernel, c: float,
-                     eps: float) -> Piecewise:
-    """The product of the named factors at eps on its support."""
-    step = StepProfile(c, eps, kernel)
-    return Piecewise(lambda x: math.prod(_factor(n, x, step) for n in factors),
-                     support[0] * eps, support[1] * eps, tuple(b * eps for b in cuts))
+LEMMA_PRODUCTS = tuple(row[1] for row in _LEMMA_TABLE)
+# The lemma's H rises across x0, but the table's h is ``StepProfile.value(-xi)``:
+# dH and H dH are the table's products reflected, y -> -y, which negates
+# their pairing with the odd probe.  H ddelta is (h, dd), as h = c on dd's
+# support, and R dH vanishes as (r, dh) does.
+_REFLECTED = ("dH", "HdH")
 
 
 class ExpansionReport(NamedTuple):
@@ -479,55 +454,45 @@ class ExpansionReport(NamedTuple):
         }
 
 
-def _pair_by_band(f: Piecewise, probes) -> np.ndarray:
-    """``pair(f, probes)``, one call per band the probes clip f to."""
-    bands = [f.band(p) for p in probes]
-    out = np.empty(len(probes))
-    for band in dict.fromkeys(bands):
-        group = [i for i, b in enumerate(bands) if b == band]
-        out[group] = pair(f, [probes[i] for i in group])
-    return out
-
-
 def _lemma_pairings(kernel: MollifierKernel, c: float, eps_grid: Sequence[float]):
-    """Each lemma family's pairings with the probes of
-    :func:`extract_point_coeffs` at x0 = 0, ``[family, channel, eps]``, and
-    the largest |sample| of each family whose supports at most touch.
+    """Each lemma family's pairings with a plain and a linear probe at
+    x0 = 0, ``[family, channel, eps]``, and each family's largest |entry|
+    on the table's finest rung, 0.0 for a family with no column.
 
-    A family at eps is eps^q g(x/eps), with g the family at eps = 1 and q
-    its factors' eps powers summed, so its pairing with a probe phi is
-    eps^(q + 1) times that of g with phi(eps y), itself a test function in
-    y (the linear one over eps).  So each family is sampled once, in y, and
-    paired with the probes of every eps together, in one :func:`pair` call
-    per band they clip g to: one call unless an eps above 1/4 clips it.
-    Raises :class:`NumericsError` naming the family of the first sample,
-    in y, or the family, channel and eps of the first pairing not finite.
+    A family at eps pairs with a probe phi to eps^q, q its
+    :func:`kernels.product_power`, times its table columns, weighted by
+    c^j, summed against phi(eps y).  So one matmul of the probes at eps y
+    on the finest rung pairs every family at every eps.  The probes'
+    halfwidth, max(1, 4 eps_max) in x, holds every family's band.  Raises
+    :class:`NumericsError` naming the family and c when c^2 overflows, or
+    the family, channel and eps of the first pairing not finite.
     """
-    eps = np.array(eps_grid)
-    probes = [TestFunction(0.0, _PROBE_HALFWIDTH / e, modulation)
-              for e in eps_grid for modulation in (PLAIN_BUMP, LINEAR_BUMP)]
-    values, peaks = [], []
-    for name, factors, support, cuts, _, _, disjoint in _LEMMA_TABLE:
-        g = _lemma_integrand(factors, support, cuts, kernel, c, 1.0)
-        q = sum(_FACTOR_EPS_POWERS[n] for n in factors)
-        # Exact scaling: every member vanishes where g does.
-        peak = float(np.max(np.abs(g(np.linspace(g.lo, g.hi, 101))))) if disjoint else 0.0
-        # A power of a huge or tiny eps may overflow; a pairing is named below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                sampled = _pair_by_band(g, probes)
-            except NumericsError as exc:
-                raise NumericsError(f"non-finite lemma sample at family={name} "
-                                    f"near y={exc.points}") from None
-            pairings = (sampled.reshape(-1, 2)
-                        * eps[:, None] ** (q + np.array([1.0, 2.0]))).T
-            peaks.append(peak and peak * float(np.max(eps**q)))
-        if not np.isfinite(pairings).all():
-            channel, e = np.argwhere(~np.isfinite(pairings))[0]
-            raise NumericsError(f"non-finite lemma pairing at family={name}, "
-                                f"channel={'AB'[channel]}, eps={eps_grid[e]:g}")
-        values.append(pairings)
-    return np.array(values), peaks
+    table = primitive_table(kernel, LEMMA_PRODUCTS)
+    try:
+        weights = table.weights([{product: 1.0} for product in LEMMA_PRODUCTS], float(c))
+    except OverflowError:
+        name = next(n for n, p in zip(LEMMA_FAMILIES, LEMMA_PRODUCTS) if (p, 2) in table.keys)
+        raise NumericsError(f"non-finite lemma weight at family={name}: "
+                            f"c^2 overflows at c={c:g}") from None
+    eps = np.asarray(eps_grid, dtype=float)
+    _, y, columns = table.rungs[-1]
+    x = eps[:, None] * y
+    halfwidth = max(_PROBE_HALFWIDTH, 4.0 * eps[0])
+    probes = np.stack([TestFunction(0.0, halfwidth, modulation).value(x)
+                       for modulation in (PLAIN_BUMP, LINEAR_BUMP)], axis=1)
+    powers = np.array([product_power(p) for p in LEMMA_PRODUCTS])
+    # A large c or a power of a huge or tiny eps may overflow; named below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        family_columns = columns @ weights.T  # [node, family]
+        values = (probes @ family_columns) * (eps[:, None] ** powers)[:, None]
+        values = values.transpose(2, 1, 0)
+    values[[LEMMA_FAMILIES.index(name) for name in _REFLECTED], 1] *= -1.0
+    if not np.isfinite(values).all():
+        family, channel, e = np.argwhere(~np.isfinite(values))[0]
+        raise NumericsError(f"non-finite lemma pairing at family="
+                            f"{LEMMA_FAMILIES[family]}, channel={'AB'[channel]}, "
+                            f"eps={eps[e]:g}")
+    return values, np.max(np.abs(family_columns), axis=0)
 
 
 def verify_lemma31(kernel: MollifierKernel, c: float,
@@ -538,12 +503,13 @@ def verify_lemma31(kernel: MollifierKernel, c: float,
     test function (:func:`_lemma_pairings`), the coefficients are
     extrapolated over the eps grid, and the measured decay orders, fitted
     for all 24 series in one pass, are compared against the family's
-    floor.  The three products whose factors' supports at most touch are
-    also sampled pointwise and must vanish identically.  A sequence that
-    does not converge raises :class:`ExtractionError` naming its family and
-    channel.
+    floor.  The three products whose factors' supports at most touch must
+    have no column in the primitive table, which holds every product
+    nonzero on some node.  An eps grid that is not positive, finite and
+    strictly decreasing raises ValueError.  A sequence that does not
+    converge raises :class:`ExtractionError` naming its family and channel.
     """
-    eps_grid = tuple(eps_grid) if eps_grid is not None else default_eps_grid()
+    eps_grid = check_eps_grid(eps_grid if eps_grid is not None else default_eps_grid())
     if len(eps_grid) < 4:
         raise ValueError("eps grid must span at least 4 points")
     if math.log2(eps_grid[0] / eps_grid[-1]) < 3.0:
@@ -553,16 +519,16 @@ def verify_lemma31(kernel: MollifierKernel, c: float,
     channels = _channel_reports(labels, eps_grid, values.reshape(-1, len(eps_grid)))
     constants = {"omega0": kernel.omega0, "omega0/2": 0.5 * kernel.omega0, "c": c}
     reports = []
-    for (name, _, _, _, expected, klass, disjoint), a_rep, b_rep, max_abs in zip(
-            _LEMMA_TABLE, channels[::2], channels[1::2], peaks):
+    for (name, _, expected, klass, disjoint), a_rep, b_rep, peak in zip(
+            _LEMMA_TABLE, channels[::2], channels[1::2], peaks.tolist()):
         exp_a, exp_b = (constants.get(v, v) for v in expected)
         a, b = a_rep.extrapolated_limit, -b_rep.extrapolated_limit
         floor = ORDER_FLOORS[klass]
         coeff_ok = abs(a - exp_a) <= COEFF_TOL and abs(b - exp_b) <= COEFF_TOL
         order_ok = a_rep.order >= floor and b_rep.order >= floor
-        zero_ok = (not disjoint) or max_abs == 0.0
+        max_abs = peak if disjoint else 0.0
         reports.append(ExpansionReport(
             name, exp_a, exp_b, float(np.real(a)), float(np.real(b)),
             a_rep, b_rep, floor, disjoint, max_abs,
-            bool(coeff_ok and order_ok and zero_ok)))
+            bool(coeff_ok and order_ok and max_abs == 0.0)))
     return reports

@@ -42,6 +42,7 @@ import numpy as np
 from .ansatz import Front, RiemannJumpData, SmoothAnsatz
 from .kernels import (
     MollifierKernel,
+    check_eps_grid,
     default_eps_grid,
     default_t_grid,
     exp_bump,
@@ -333,9 +334,10 @@ def verify_weak_solution(ansatz: SmoothAnsatz, system_k: float,
     of ``t_grid`` the residuals are paired in space; the report carries,
     per equation and test function, the max-over-time pairing magnitude
     at each eps (real and imaginary parts separately) with the time it
-    occurs at, the measured decay order, and a PASS verdict.
+    occurs at, the measured decay order, and a PASS verdict.  An eps grid
+    that is not positive, finite and strictly decreasing raises ValueError.
     """
-    eps_grid = tuple(eps_grid) if eps_grid is not None else default_eps_grid()
+    eps_grid = check_eps_grid(eps_grid if eps_grid is not None else default_eps_grid())
     t_grid = np.asarray(t_grid if t_grid is not None else default_t_grid(), dtype=float)
     suite = default_test_suite(ansatz.front, t_grid, max(eps_grid))
     # [eps, equation, test function, time]

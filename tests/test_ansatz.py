@@ -13,7 +13,6 @@ from deltashock.dynamics import LinearTrajectory, solve_front
 from deltashock.kernels import StepProfile, make_kernel, product_columns
 from deltashock.pairing import (
     TestFunction,
-    _lemma_integrand,
     estimate_order,
     extrapolate_limit,
     fit_loglog_slope,
@@ -44,8 +43,6 @@ _K_NEG, _EPS_NEG = "k must be nonnegative", "eps must be positive"
                  id="ansatz-step"),
     pytest.param(lambda: product_columns(_QUARTIC, (("h",),), np.zeros(1), -1.0, np.ones(1)),
                  _EPS_NEG, id="table-columns"),
-    pytest.param(lambda: _lemma_integrand(("H",), (-4, 4), (), _QUARTIC, 0.5, 0.0), _EPS_NEG,
-                 id="lemma-integrand"),
 ])
 def test_records_validate_on_every_construction_path(build, message):
     # The records are named tuples: validation lives in the constructor,

@@ -298,15 +298,14 @@ def test_nonfinite_lemma_pairing_names_its_cell(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind,c", [("quartic", "1e200"), ("exponential", "1e300")])
 def test_nonfinite_lemma_sample_names_its_family(tmp_path, capsys, kind, c):
-    # H dH ~ c^2 overflows.  The family is sampled once at eps = 1, so its
-    # sample points are named in y = x/eps, with the family.
+    # H dH ~ c^2 overflows in its table column's weight: the error names
+    # the family and c, in one line.
     cfg = write(tmp_path, f"[kernel]\nkind = {kind}\nc = {c}\n")
     rc = main(["--config", cfg, "--out", str(tmp_path), "verify-expansions"])
     captured = capsys.readouterr()
     assert rc == 1
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith(
-        "error: non-finite lemma sample at family=HdH near y=[-3.99"), err
+    assert captured.err.splitlines() == [
+        f"error: non-finite lemma weight at family=HdH: c^2 overflows at c={float(c):g}"]
     assert captured.out == ""
 
 

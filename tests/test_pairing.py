@@ -9,14 +9,18 @@ from scipy.integrate import quad
 
 from deltashock import pairing
 from deltashock.kernels import (
+    BAND_EDGES,
     GAUSS_NODES,
     StepProfile,
     band_quadrature,
     default_eps_grid,
     eval_correction,
+    eval_correction_dx,
     eval_delta_reg,
+    eval_delta_reg_dx,
 )
 from deltashock.pairing import (
+    ORDER_FLOORS,
     ExtractionError,
     LEMMA_FAMILIES,
     NumericsError,
@@ -374,7 +378,8 @@ def test_verify_lemma31_exponential_kernel(exponential):
 @pytest.mark.parametrize("c", [-0.3, 0.25, 0.9])
 def test_lemma_products_that_touch_vanish_pointwise(kernel, c):
     # R lives on (1, 3) eps and dH on |y| in (3, 4) eps: RdH is zero, like
-    # the two products with the delta, and all three are sampled pointwise.
+    # the two products with the delta, so none of the three has a column in
+    # the primitive table.
     reports = {r.name: r for r in verify_lemma31(kernel, c)}
     assert all(r.passed for r in reports.values())
     assert [n for n, r in reports.items() if r.support_disjoint] == [
@@ -382,7 +387,23 @@ def test_lemma_products_that_touch_vanish_pointwise(kernel, c):
     assert reports["RdH"].max_abs_sampled == 0.0
 
 
-_PROBES = (TestFunction(0.0, 1.0), TestFunction(0.0, 1.0, "linear-times-bump"))
+_LEMMA_FACTORS = {"r": eval_correction, "dr": eval_correction_dx, "d": eval_delta_reg,
+                  "dd": eval_delta_reg_dx}
+
+
+def _lemma_integrand(product, kernel, c, eps):
+    """The lemma family of ``product`` at eps in x, on the front band.
+
+    Its step H = ``StepProfile`` rises across x0 = 0, as in the lemma, so
+    the table's falling h and its dh enter as H(x) and H'(x).
+    """
+    step = StepProfile(c, eps, kernel)
+    factors = {"h": step.value, "dh": step.deriv,
+               **{n: (lambda x, f=f: f(x, eps, kernel)) for n, f in _LEMMA_FACTORS.items()}}
+    lo, *cuts, hi = (b * eps for b in BAND_EDGES)
+    return Piecewise(lambda x: math.prod(factors[n](x) for n in product), lo, hi, tuple(cuts))
+
+
 _CLIPPING_GRID = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 0.004)
 
 
@@ -390,29 +411,33 @@ _CLIPPING_GRID = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 0.004)
     default_eps_grid(), default_eps_grid(2, 9), (0.2, 0.1, 0.05, 0.02, 0.01, 0.004),
     _CLIPPING_GRID], ids=["default", "2-9", "non-dyadic", "clipping"])
 def test_one_pass_lemma_pairings_match_per_eps_pairings(kernel, grid):
-    # The suite pairs each family once, in y = x/eps, with the probes of
-    # every eps.  Each value is the family at that eps paired alone with
-    # the probes in x, within 1e-11 of its series' largest value.  Up to
-    # eps = 1/4 every probe holds every family's support in y; eps = 1/2
-    # clips most families, whose probes are then paired in two groups.
+    # The suite pairs each family's table column in y = x/eps with the
+    # probes of every eps.  Each value is the family at that eps paired
+    # alone with the probes in x, within 1e-11 of its series' largest
+    # value.  The probes' halfwidth is max(1, 4 eps_max), so at eps = 1/2
+    # they still hold every family's support.
+    halfwidth = max(1.0, 4.0 * grid[0])
+    probes = (TestFunction(0.0, halfwidth), TestFunction(0.0, halfwidth, "linear-times-bump"))
     for c in (-0.3, 0.25, 0.713880724, 0.9):
         got, _ = pairing._lemma_pairings(kernel, c, grid)
         want = np.array([
-            np.array([pair(pairing._lemma_integrand(factors, support, cuts, kernel, c,
-                                                    eps), _PROBES)
+            np.array([pair(_lemma_integrand(product, kernel, c, eps), probes)
                       for eps in grid]).T
-            for _, factors, support, cuts, *_ in pairing._LEMMA_TABLE])
+            for product in pairing.LEMMA_PRODUCTS])
         assert got.shape == want.shape == (12, 2, len(grid))
         scale = np.max(np.abs(want), axis=-1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-11 * scale), c
 
 
-def test_coarse_eps_that_clips_a_family_gives_its_extraction_error(quartic):
-    # eps = 1/2 clips R, dR and more to part of their supports; their probes
-    # are paired apart, and dR's B-channel still fails as it always has.
-    with pytest.raises(ExtractionError,
-                       match=r"^dR B-channel: pairing sequence does not converge"):
-        verify_lemma31(quartic, WORKED_C, eps_grid=_CLIPPING_GRID)
+def test_coarse_eps_widens_the_probes_over_every_family(quartic):
+    # At eps = 1/2 probes of halfwidth 1 would clip most families; they
+    # widen to 4 eps_max = 2 and hold every family, so the suite runs to
+    # its verdict: on so coarse a grid every family that is not zero fails
+    # its coefficient or order gate.
+    reports = verify_lemma31(quartic, WORKED_C, eps_grid=_CLIPPING_GRID)
+    assert [r.name for r in reports if r.passed] == ["Rdelta", "Rddelta", "RdH"]
+    dr = reports[LEMMA_FAMILIES.index("dR")]
+    assert dr.b_report.order < ORDER_FLOORS["correction"]
 
 
 def test_lemma_suite_pairs_each_family_once_and_fits_once(monkeypatch, quartic):
@@ -430,7 +455,7 @@ def test_lemma_suite_pairs_each_family_once_and_fits_once(monkeypatch, quartic):
     monkeypatch.setattr(pairing, "fit_order", counted_fit)
     reports = verify_lemma31(quartic, WORKED_C)
     assert all(r.passed for r in reports)
-    assert pairs == [2 * len(default_eps_grid())] * 12
+    assert pairs == []
     assert fits == [(24, 5)]
 
 
@@ -447,3 +472,15 @@ def test_default_eps_grid_shape():
     assert all(a > b for a, b in zip(grid, grid[1:]))
     with pytest.raises(ValueError):
         default_eps_grid(5, 5)
+
+
+@pytest.mark.parametrize("grid", [
+    (1.0, 0.5, 0.1, 0.0), (1.0, 0.5, 0.1, -0.01), (0.01, 0.1, 0.002, 0.001),
+    (1.0, 0.5, 0.5, 0.1), (math.inf, 1.0, 0.1, 0.01), (1.0, math.nan, 0.1, 0.01),
+], ids=["zero", "negative", "increasing", "repeated", "inf", "nan"])
+def test_lemma_suite_rejects_a_bad_eps_grid_naming_it(quartic, grid):
+    # eps = 0 used to raise ZeroDivisionError, and a negative eps the
+    # probes' "halfwidth must be positive".
+    with pytest.raises(ValueError, match=rf"^eps grid \({grid[0]!r}, .* must be positive, "
+                                         "finite and strictly decreasing$"):
+        verify_lemma31(quartic, WORKED_C, eps_grid=grid)

@@ -94,6 +94,38 @@ def test_extraction_workload_passes_its_own_checks(monkeypatch, seed):
         assert check.ok, (op.kind, check.note)
 
 
+def test_extraction_check_sees_a_perturbed_lemma_table(monkeypatch):
+    # The lemma suite reads every family from its kernel's primitive table,
+    # not through ``pair``.  Scaled by 1 + 1e-3, that table's columns must
+    # fail the extraction workload's check beyond its coefficient tolerance.
+    from deltashock import kernels, pairing
+
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    table = kernels.primitive_table(kernels.make_kernel(kernels.EXPONENTIAL),
+                                    pairing.LEMMA_PRODUCTS)
+    monkeypatch.setattr(table, "rungs", tuple(rung._replace(columns=rung.columns * 1.001)
+                                              for rung in table.rungs))
+    op = next(workloads.extraction_ops(5, in_process=True))
+    check = op.check(op.run())
+    assert not check.ok and not check.known_defect
+    assert check.coeff_err > workloads.EXPANSION_TOL
+
+
+@pytest.mark.parametrize("command", ["verify-expansions", "front", "verify-solution",
+                                     "riemann", "k-limit"])
+def test_no_subcommand_calls_pair(monkeypatch, tmp_path, command):
+    # ``pair`` and ``Piecewise`` are the tests' per-cell oracle: no run of
+    # the lab goes through them.
+    from deltashock import cli, pairing
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pairing.pair was called")
+
+    monkeypatch.setattr(pairing, "pair", refuse)
+    config = Path(deltashock.__file__).resolve().parents[2] / "configs" / "worked.ini"
+    assert cli.main(["--config", str(config), "--out", str(tmp_path), command]) == 0
+
+
 def test_every_exported_name_exists():
     names = [m.name for m in pkgutil.iter_modules(deltashock.__path__)
              if m.name != "__main__"]

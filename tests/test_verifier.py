@@ -747,3 +747,23 @@ def test_descending_time_grid_gives_the_ascending_verdict(quartic):
             up = verify_weak_solution(ansatz, data.k, t_grid=grid)
             down = verify_weak_solution(ansatz, data.k, t_grid=grid[::-1])
             assert _verdict(down) == _verdict(up)
+
+
+# Grids a direct call used to accept: eps = 0 failed naming the front
+# position, and an increasing grid gave a verdict with head and tail swapped.
+BAD_EPS_GRIDS = pytest.mark.parametrize("grid", [
+    (1.0, 0.5, 0.1, 0.0), (0.1, 0.05, 0.01, -0.001), (0.01, 0.1, 0.002, 0.001),
+    (0.1, 0.05, 0.05, 0.01), (math.inf, 0.1, 0.01, 0.001), (0.1, math.nan, 0.01, 0.001),
+], ids=["zero", "negative", "increasing", "repeated", "inf", "nan"])
+
+
+@BAD_EPS_GRIDS
+def test_verdict_rejects_a_bad_eps_grid_naming_it(worked_ansatz, grid):
+    with pytest.raises(ValueError, match=rf"^eps grid \({grid[0]!r}, .* must be positive, "
+                                         "finite and strictly decreasing$"):
+        verify_weak_solution(worked_ansatz, 0.1, eps_grid=grid)
+
+
+def test_verdict_keeps_two_point_grids(worked_ansatz):
+    report = verify_weak_solution(worked_ansatz, 0.1, eps_grid=(0.125, 0.0625))
+    assert all(s.eps_grid == (0.125, 0.0625) for s in report.series)
