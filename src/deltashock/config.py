@@ -27,7 +27,7 @@ import configparser
 import math
 from typing import NamedTuple
 
-from .kernels import canonical_kind, default_eps_grid
+from .kernels import canonical_kind, check_eps_grid, default_eps_grid
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
 
@@ -131,26 +131,22 @@ def _parse_float_list(raw, where):
     return vals
 
 
-def validate_eps_grid(eps_grid) -> tuple[float, ...]:
-    eps_grid = tuple(float(e) for e in eps_grid)
-    if len(eps_grid) < 4:
-        raise ConfigError("eps grid needs at least 4 points")
-    if any(e <= 0.0 for e in eps_grid):
-        raise ConfigError("eps grid values must be positive")
-    if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
-        raise ConfigError("eps grid must be strictly decreasing")
-    return eps_grid
-
-
 def _parse_eps(parser) -> tuple[float, ...]:
-    if parser.has_option("grid", "eps"):
-        return validate_eps_grid(_parse_float_list(parser.get("grid", "eps"),
-                                                   "[grid] eps"))
-    pmin = _get_int(parser, "grid", "eps_pow_min", 3)
-    pmax = _get_int(parser, "grid", "eps_pow_max", 12)
-    if pmax <= pmin:
-        raise ConfigError("[grid] eps_pow_max must exceed eps_pow_min")
-    return validate_eps_grid(default_eps_grid(pmin, pmax))
+    """The [grid] eps grid, listed or of powers; :class:`ConfigError` unless it keeps
+    the rules of ``kernels.default_eps_grid`` and ``check_eps_grid``, with 4+ points."""
+    listed = parser.has_option("grid", "eps")
+    if listed:
+        grid = _parse_float_list(parser.get("grid", "eps"), "[grid] eps")
+    else:
+        pmin = _get_int(parser, "grid", "eps_pow_min", 3)
+        pmax = _get_int(parser, "grid", "eps_pow_max", 12)
+    try:
+        grid = check_eps_grid(grid if listed else default_eps_grid(pmin, pmax))
+    except ValueError as exc:
+        raise ConfigError(f"[grid] {exc}") from exc
+    if len(grid) < 4:
+        raise ConfigError("eps grid needs at least 4 points")
+    return grid
 
 
 def load_config(path: str | None) -> RunConfig:

@@ -207,8 +207,8 @@ def volpert_product_pairing(data: RiemannJumpData,
     Only defined when the point mass is absent for all time (e0 = 0 and
     zero amplitude rate), so p vanishes too.  In the frame xi = x - phi(t)
     the product is then -sigma1 (u0 dh + u1 h dh), both of eps power 0:
-    its coefficient, the table's zeroth moments times the product's column
-    weights, realizes the averaged product -sigma1 (u0 + u1/2).
+    its coefficient, the table's limit of the product's column weights,
+    realizes the averaged product -sigma1 (u0 + u1/2).
     """
     kernel = kernel or make_kernel()
     rate = e_rate(data)
@@ -219,7 +219,7 @@ def volpert_product_pairing(data: RiemannJumpData,
             f"(e0 = {data.e0}, e rate = {rate})")
     table = primitive_table(kernel, (("dh",), ("h", "dh")))
     weights = table.weights([{("dh",): data.u0, ("h", "dh"): data.u1}], data.plateau())
-    return float(-data.sigma1 * (table.moments(0)[0][0] @ weights[0]))
+    return float(-data.sigma1 * table.limits(weights, ["u dsigma/dx"])[0][0])
 
 
 def trajectory_rows(traj, t_grid) -> list[tuple[float, float, float, float, float]]:

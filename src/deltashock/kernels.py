@@ -61,6 +61,7 @@ __all__ = [
     "PROFILE_EPS_POWERS",
     "BAND_EDGES",
     "PrimitiveTable",
+    "ExtractionError",
     "Rung",
     "product_columns",
     "product_power",
@@ -91,6 +92,14 @@ _CDF_CHEB_DEGREE = 128
 
 GAUSS_NODES = 16
 PANELS_PER_SUBINTERVAL = 16
+
+# Error floor (relative to the series scale) below which a sequence is
+# treated as already converged, or a residual as negligible.
+NEGLIGIBLE_RTOL = 1e-13
+
+
+class ExtractionError(ArithmeticError):
+    """Raised when an eps -> 0 limit does not exist."""
 
 
 # The positive nodes, ascending, and weights of the 16-point Gauss-Legendre
@@ -389,7 +398,7 @@ class PrimitiveTable:
     ``(product, j) = keys[i]``; parts that vanish on every node have no
     column.  On the nodes eps * y that part pairs to eps^powers[i] times
     the column's sum (dxi = eps dy included): its exact eps -> 0 limits
-    are :meth:`moments`.  Tables compare by identity.
+    are :meth:`limits`, read off :meth:`moments`.  Tables compare by identity.
     """
 
     __slots__ = ("rungs", "keys", "powers")
@@ -409,6 +418,25 @@ class PrimitiveTable:
         """``[row, column]``: each row, {product: coefficient}, weighs column
         (product, j) by that product's coefficient times c^j."""
         return np.array([[row.get(p, 0.0) * c**j for p, j in self.keys] for row in rows])
+
+    def limits(self, weights, names):
+        """The eps -> 0 limits A delta + B delta' of the rows of ``weights``,
+        ``[row, column]``, as arrays (A, B): A sums the eps^0 terms of n = 0,
+        -B those of n = 1.  A group of terms of negative exponent above
+        ``NEGLIGIBLE_RTOL`` of its cancellation scale leaves no limit and
+        raises :class:`ExtractionError`, naming its row by ``names``."""
+        moments, scale = self.moments(1)
+        # [row, n, column]: the coefficient of eps^(a + n) phi^(n)(0) / n!
+        terms, scale = moments * weights[:, None], scale * np.abs(weights)[:, None]
+        for n, power in sorted({(n, a) for n in (0, 1) for a in self.powers if a + n < 0}):
+            group = self.powers == power
+            for name, total, bound in zip(names, terms[:, n, group].sum(-1),
+                                          scale[:, n, group].sum(-1)):
+                if abs(total) > NEGLIGIBLE_RTOL * bound:
+                    raise ExtractionError(
+                        f"{name}: its eps^{power + n:g} term is {abs(total):.3e} "
+                        f"against {bound:.3e}, so it has no limit")
+        return terms[:, 0, self.powers == 0].sum(-1), -terms[:, 1, self.powers == -1].sum(-1)
 
     def at(self, eps: float) -> Rung:
         """The coarsest rung whose panels at ``eps``, measured in x, are no

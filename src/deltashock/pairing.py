@@ -1,14 +1,14 @@
 """Distributional pairing engine.
 
-Pairs eps-families of piecewise-smooth functions against compactly
-supported test functions, extrapolates the eps -> 0 limit, estimates
-convergence orders, and extracts point-mass / dipole coefficients.  The
-quadrature is the package's one rule, ``kernels.band_quadrature``:
-composite Gauss-Legendre with subintervals split at every declared
-breakpoint, so every integrand handed to :func:`pair` is smooth on each
-panel and the fixed-order rule is certifiable.  The Lemma 3.1 suite
-evaluates no profile: each family is a product of the kernel's
-:func:`kernels.primitive_table`, paired at every eps in one matmul.
+Pairs eps-families against compactly supported test functions,
+estimates convergence orders, and verifies Lemma 3.1's point-mass /
+dipole coefficients.  The quadrature is ``kernels.band_quadrature``,
+split at every declared breakpoint, so every integrand handed to
+:func:`pair` is smooth on each panel.  :func:`pair` and the extrapolated
+limits of :func:`extract_point_coeffs` are the tests' independent oracle.
+The Lemma 3.1 suite evaluates no profile: each family is a product of
+:func:`kernels.primitive_table`, paired at every eps in one matmul, and
+its limits are :meth:`kernels.PrimitiveTable.limits`, exact.
 
 Pairings over (eps, test-function) grids are independent pure
 computations; results are reduced in grid order, so evaluation is
@@ -22,6 +22,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .kernels import (
+    NEGLIGIBLE_RTOL,
+    ExtractionError,
     MollifierKernel,
     band_quadrature,
     check_eps_grid,
@@ -58,9 +60,6 @@ LINEAR_BUMP = "linear-times-bump"
 
 ORDER_EXACT = math.inf
 
-# Error floor (relative to the series scale) below which a sequence is
-# treated as already converged, or a residual as negligible.
-NEGLIGIBLE_RTOL = 1e-13
 # Decay orders of extracted coefficients are fitted on the finest points.
 _ORDER_TAIL = 5
 # Halfwidth of the two test functions that probe a point expansion; the
@@ -70,10 +69,6 @@ _PROBE_HALFWIDTH = 1.0
 
 class NumericsError(ArithmeticError):
     """Raised when a quadrature sample or a residual pairing is non-finite."""
-
-
-class ExtractionError(ArithmeticError):
-    """Raised when a coefficient extraction does not converge."""
 
 
 class _TestFields(NamedTuple):
@@ -339,8 +334,8 @@ class PairingReport(NamedTuple):
         }
 
 
-def _check_convergence(labels, eps_grid, values, limits) -> OrderEstimate:
-    """:func:`estimate_order` of a stack of series ``[series, eps]``.
+def _check_convergence(labels, values, limits) -> None:
+    """Check that each series of ``values``, ``[series, eps]``, tends to its limit.
 
     Sign-crossing sequences (mixed-order error terms) defeat a log-log fit,
     so non-convergence is judged by head-to-tail decay instead: the first
@@ -356,18 +351,15 @@ def _check_convergence(labels, eps_grid, values, limits) -> OrderEstimate:
             f"{labels[i]}: pairing sequence does not converge "
             f"(head error {head[i]:.3e}, tail error {tail[i]:.3e}, "
             f"values {values[i].tolist()})")
-    return estimate_order(eps_grid, values, limits)
 
 
-def _channel_reports(labels, eps_grid, values) -> list[PairingReport]:
+def _channel_reports(eps_grid, values, limits) -> list[PairingReport]:
     """A :class:`PairingReport` per series of ``values``, ``[series, eps]``,
-    its limit extrapolated and all orders fitted in one pass."""
-    rows = values.tolist()
-    limits = [extrapolate_limit(eps_grid, row) for row in rows]
-    fit = _check_convergence(labels, eps_grid, values, np.array(limits))
+    and of its limit in ``limits``, all orders fitted in one pass."""
+    fit = estimate_order(eps_grid, values, limits)
     return [PairingReport(tuple(eps_grid), tuple(row), limit, order, residual)
-            for row, limit, order, residual
-            in zip(rows, limits, fit.order.tolist(), fit.residual.tolist())]
+            for row, limit, order, residual in zip(
+                values.tolist(), limits.tolist(), fit.order.tolist(), fit.residual.tolist())]
 
 
 def extract_point_coeffs(family: Callable[[float], Piecewise], x0: float,
@@ -380,8 +372,10 @@ def extract_point_coeffs(family: Callable[[float], Piecewise], x0: float,
     """
     probes = (TestFunction(x0, _PROBE_HALFWIDTH, PLAIN_BUMP),
               TestFunction(x0, _PROBE_HALFWIDTH, LINEAR_BUMP))
-    vals = np.array([pair(family(eps), probes) for eps in eps_grid])
-    return tuple(_channel_reports(("A-channel", "B-channel"), eps_grid, vals.T))
+    vals = np.array([pair(family(eps), probes) for eps in eps_grid]).T
+    limits = np.array([extrapolate_limit(eps_grid, row) for row in vals.tolist()])
+    _check_convergence(("A-channel", "B-channel"), vals, limits)
+    return tuple(_channel_reports(eps_grid, vals, limits))
 
 
 # --- the regularization-product expansion suite ---------------------------
@@ -455,9 +449,9 @@ class ExpansionReport(NamedTuple):
 
 
 def _lemma_pairings(kernel: MollifierKernel, c: float, eps_grid: Sequence[float]):
-    """Each lemma family's pairings with a plain and a linear probe at
-    x0 = 0, ``[family, channel, eps]``, and each family's largest |entry|
-    on the table's finest rung, 0.0 for a family with no column.
+    """Each lemma family's pairings with a plain and a linear probe at x0 = 0,
+    ``[family, channel, eps]``, their limits ``[family, channel]``, and each
+    family's largest |entry| on the finest rung, 0.0 with no column.
 
     A family at eps pairs with a probe phi to eps^q, q its
     :func:`kernels.product_power`, times its table columns, weighted by
@@ -465,7 +459,8 @@ def _lemma_pairings(kernel: MollifierKernel, c: float, eps_grid: Sequence[float]
     on the finest rung pairs every family at every eps.  The probes'
     halfwidth, max(1, 4 eps_max) in x, holds every family's band.  Raises
     :class:`NumericsError` naming the family and c when c^2 overflows, or
-    the family, channel and eps of the first pairing not finite.
+    the family, channel and eps of the first pairing not finite; then the
+    limits, the table's (A, -B), raise :class:`ExtractionError` if absent.
     """
     table = primitive_table(kernel, LEMMA_PRODUCTS)
     try:
@@ -486,13 +481,18 @@ def _lemma_pairings(kernel: MollifierKernel, c: float, eps_grid: Sequence[float]
         family_columns = columns @ weights.T  # [node, family]
         values = (probes @ family_columns) * (eps[:, None] ** powers)[:, None]
         values = values.transpose(2, 1, 0)
-    values[[LEMMA_FAMILIES.index(name) for name in _REFLECTED], 1] *= -1.0
     if not np.isfinite(values).all():
         family, channel, e = np.argwhere(~np.isfinite(values))[0]
         raise NumericsError(f"non-finite lemma pairing at family="
                             f"{LEMMA_FAMILIES[family]}, channel={'AB'[channel]}, "
                             f"eps={eps[e]:g}")
-    return values, np.max(np.abs(family_columns), axis=0)
+    # Near c = 1e154 the limits' cancellation scale overflows, not the limits.
+    with np.errstate(over="ignore"):
+        a, b = table.limits(weights, [f"lemma family {name}" for name in LEMMA_FAMILIES])
+    limits = np.stack([a, -b], axis=-1)  # <delta', phi> = -phi'(0)
+    for series in values, limits:
+        series[[LEMMA_FAMILIES.index(name) for name in _REFLECTED], 1] *= -1.0
+    return values, limits, np.max(np.abs(family_columns), axis=0)
 
 
 def verify_lemma31(kernel: MollifierKernel, c: float,
@@ -500,35 +500,33 @@ def verify_lemma31(kernel: MollifierKernel, c: float,
     """Measure all twelve regularization-product expansions at x0 = 0.
 
     Each family is paired against a value-selecting and a slope-selecting
-    test function (:func:`_lemma_pairings`), the coefficients are
-    extrapolated over the eps grid, and the measured decay orders, fitted
-    for all 24 series in one pass, are compared against the family's
-    floor.  The three products whose factors' supports at most touch must
-    have no column in the primitive table, which holds every product
-    nonzero on some node.  An eps grid that is not positive, finite and
-    strictly decreasing raises ValueError.  A sequence that does not
-    converge raises :class:`ExtractionError` naming its family and channel.
+    test function (:func:`_lemma_pairings`), its coefficients are the
+    table's exact limits, and the decay orders towards them, fitted for
+    all 24 series in one pass, are compared against the family's floor.
+    The three products whose factors' supports at most touch must have no
+    column in the primitive table, which holds every product nonzero on
+    some node.  An eps grid that is not positive, finite and strictly
+    decreasing raises ValueError.  A family whose terms of negative eps
+    power do not cancel raises :class:`ExtractionError` naming it.
     """
     eps_grid = check_eps_grid(eps_grid if eps_grid is not None else default_eps_grid())
     if len(eps_grid) < 4:
         raise ValueError("eps grid must span at least 4 points")
     if math.log2(eps_grid[0] / eps_grid[-1]) < 3.0:
         raise ValueError("eps grid should span at least 3 dyadic decades")
-    values, peaks = _lemma_pairings(kernel, c, eps_grid)
-    labels = [f"{name} {channel}-channel" for name in LEMMA_FAMILIES for channel in "AB"]
-    channels = _channel_reports(labels, eps_grid, values.reshape(-1, len(eps_grid)))
+    values, limits, peaks = _lemma_pairings(kernel, c, eps_grid)
+    channels = _channel_reports(eps_grid, values.reshape(-1, len(eps_grid)), limits.ravel())
     constants = {"omega0": kernel.omega0, "omega0/2": 0.5 * kernel.omega0, "c": c}
     reports = []
     for (name, _, expected, klass, disjoint), a_rep, b_rep, peak in zip(
             _LEMMA_TABLE, channels[::2], channels[1::2], peaks.tolist()):
         exp_a, exp_b = (constants.get(v, v) for v in expected)
-        a, b = a_rep.extrapolated_limit, -b_rep.extrapolated_limit
+        a, b = a_rep.extrapolated_limit, 0.0 - b_rep.extrapolated_limit  # B = 0 as +0.0
         floor = ORDER_FLOORS[klass]
         coeff_ok = abs(a - exp_a) <= COEFF_TOL and abs(b - exp_b) <= COEFF_TOL
         order_ok = a_rep.order >= floor and b_rep.order >= floor
         max_abs = peak if disjoint else 0.0
         reports.append(ExpansionReport(
-            name, exp_a, exp_b, float(np.real(a)), float(np.real(b)),
-            a_rep, b_rep, floor, disjoint, max_abs,
+            name, exp_a, exp_b, a, b, a_rep, b_rep, floor, disjoint, max_abs,
             bool(coeff_ok and order_ok and max_abs == 0.0)))
     return reports

@@ -41,6 +41,7 @@ import numpy as np
 
 from .ansatz import Front, RiemannJumpData, SmoothAnsatz
 from .kernels import (
+    NEGLIGIBLE_RTOL,
     MollifierKernel,
     check_eps_grid,
     default_eps_grid,
@@ -51,9 +52,7 @@ from .kernels import (
 )
 from .pairing import (
     LINEAR_BUMP,
-    NEGLIGIBLE_RTOL,
     PLAIN_BUMP,
-    ExtractionError,
     NumericsError,
     Piecewise,
     TestFunction,
@@ -419,30 +418,17 @@ def replay_derivation(data: RiemannJumpData, trajectory: Front,
     the trajectory solves the front dynamics and the plateau level is the
     one pinned by the data.
 
-    Each coefficient is the table's :meth:`kernels.PrimitiveTable.moments`
-    times the basis rows' column weights: A sums the eps^0 terms with
-    n = 0, and -B those with n = 1.  A group of terms of negative exponent
-    above ``NEGLIGIBLE_RTOL`` of its cancellation scale leaves no limit
-    and raises :class:`ExtractionError`.  The exponential table's
-    quadrature error puts a floor near 1e-9 on the coefficients.
+    Each coefficient is the table's exact limit,
+    :meth:`kernels.PrimitiveTable.limits` of the basis rows' column
+    weights, which raises :class:`ExtractionError` for a residual with a
+    term of negative eps power.  The exponential table's quadrature error
+    puts a floor near 1e-9 on the coefficients.
     """
     kernel = kernel or make_kernel()
     ansatz = SmoothAnsatz(data, trajectory, kernel, c=c)
     table, _, weights = _expansion(ansatz, data.k, t)
-    weights = np.concatenate(weights)  # [equation, column]
-    moments, scale = table.moments(1)
-    # [equation, n, column]: the coefficient of eps^(a + n) psi^(n)(phi) / n!
-    terms, scale = moments * weights[:, None], scale * np.abs(weights)[:, None]
-    for n, power in sorted({(n, a) for n in (0, 1) for a in table.powers if a + n < 0}):
-        group = table.powers == power
-        for eq, total, bound in zip(("u", "sigma"), terms[:, n, group].sum(-1),
-                                    scale[:, n, group].sum(-1)):
-            if abs(total) > NEGLIGIBLE_RTOL * bound:
-                raise ExtractionError(
-                    f"{eq} residual at t={t:g}: its eps^{power + n:g} term is "
-                    f"{abs(total):.3e} against {bound:.3e}, so it has no limit")
-    a_u, a_sigma = terms[:, 0, table.powers == 0].sum(-1)
-    b_u, b_sigma = -terms[:, 1, table.powers == -1].sum(-1)
+    (a_u, a_sigma), (b_u, b_sigma) = table.limits(
+        np.concatenate(weights), [f"{eq} residual at t={t:g}" for eq in ("u", "sigma")])
     measured = (complex(a_u), complex(b_u), complex(a_sigma), complex(b_sigma))
     closed = closed_form_coefficients(data, trajectory, kernel.omega0,
                                       data.k, ansatz.c_effective, t)

@@ -4,7 +4,13 @@ from hypothesis import HealthCheck, settings
 
 from deltashock.ansatz import RiemannJumpData, SmoothAnsatz
 from deltashock.dynamics import solve_front
-from deltashock.kernels import EXPONENTIAL, QUARTIC, default_eps_grid, make_kernel
+from deltashock.kernels import (
+    EXPONENTIAL,
+    QUARTIC,
+    PrimitiveTable,
+    default_eps_grid,
+    make_kernel,
+)
 from deltashock.verifier import verify_weak_solution
 
 settings.register_profile(
@@ -65,3 +71,20 @@ def worked_report(worked_ansatz, worked_data):
 def worked_report_k0(worked_ansatz_k0):
     return verify_weak_solution(worked_ansatz_k0, 0.0,
                                 t_grid=np.linspace(0.0, 1.0, 33))
+
+
+@pytest.fixture
+def ddelta_without_limit(monkeypatch):
+    """Perturb the zeroth moment of the table's ``dd`` column by 1e-6.
+
+    Its eps^-1 term, which cancels, then no longer vanishes: the Lemma 3.1
+    family ddelta has no eps -> 0 limit.
+    """
+    moments = PrimitiveTable.moments
+
+    def perturbed(self, n_max):
+        m, scale = moments(self, n_max)
+        m[0, self.keys.index((("dd",), 0))] += 1e-6
+        return m, scale
+
+    monkeypatch.setattr(PrimitiveTable, "moments", perturbed)

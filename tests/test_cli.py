@@ -272,13 +272,32 @@ def test_short_eps_grid_exits_two_with_one_line(tmp_path, capsys, text, command,
 
 
 def test_lemma_failure_names_its_family_and_channel(tmp_path, capsys):
-    # 4 points over 3 dyadic decades pass every config rule, but the dR
-    # family's B-channel does not converge on so coarse a grid.
+    # 4 points over 3 dyadic decades pass every config rule.  The limits
+    # are exact, but on so coarse a grid five series decay below their
+    # order floor: their families FAIL, and the report names the channels.
     cfg = write(tmp_path, "[grid]\neps_pow_min = 3\neps_pow_max = 6\n")
     rc = main(["--config", cfg, "--out", str(tmp_path), "verify-expansions"])
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
     assert rc == 1
-    assert len(err) == 1 and err[0].startswith("error: dR B-channel: ")
+    assert captured.err == ""
+    out = captured.out.splitlines()
+    assert [line.split()[1] for line in out if line.startswith("FAIL ")] == [
+        "R", "dR", "delta", "dH", "HdH", "expansion"]
+    report = json.loads((tmp_path / "lemma31_report.json").read_text())
+    slow = {(e["name"], ch): round(e[ch]["order"], 3) for e in report["expansions"]
+            for ch in "AB" if e[ch]["order"] != "exact" and e[ch]["order"] < e["order_floor"]}
+    assert slow == {("R", "A"): 0.469, ("dR", "B"): 0.396, ("delta", "B"): 0.966,
+                    ("dH", "B"): 0.892, ("HdH", "B"): 0.886}
+
+
+def test_lemma_family_without_a_limit_exits_one_with_one_line(tmp_path, capsys,
+                                                             ddelta_without_limit):
+    rc = main(["--out", str(tmp_path), "verify-expansions"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: lemma family ddelta: its eps^-1 term")
 
 
 def test_nonfinite_lemma_pairing_names_its_cell(tmp_path, capsys):
@@ -307,6 +326,18 @@ def test_nonfinite_lemma_sample_names_its_family(tmp_path, capsys, kind, c):
     assert captured.err.splitlines() == [
         f"error: non-finite lemma weight at family=HdH: c^2 overflows at c={float(c):g}"]
     assert captured.out == ""
+
+
+def test_plateau_near_overflow_reaches_a_verdict(tmp_path, capsys):
+    # c^2 = 1e308 is finite, but the exact limits' cancellation scale
+    # overflows.  The suite still reaches its verdict instead of a bare
+    # numpy overflow message: rounding at this scale fails the H dH family.
+    cfg = write(tmp_path, "[kernel]\nc = 1e154\n")
+    rc = main(["--config", cfg, "--out", str(tmp_path), "verify-expansions"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.err == ""
+    fails = [line.split()[1] for line in captured.out.splitlines() if line.startswith("FAIL")]
+    assert "HdH" in fails and fails[-1] == "expansion"
 
 
 def test_verify_expansions_c_mismatch_flagged(tmp_path, capsys):

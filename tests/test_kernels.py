@@ -27,6 +27,7 @@ from deltashock.kernels import (
     primitive_table,
     product_columns,
 )
+from deltashock.pairing import verify_lemma31
 from deltashock.verifier import replay_derivation
 
 # Closed-form oracle: int_{-1}^{1} (1 - x^2)^2 dx = 2 (1 - 2/3 + 1/5) = 16/15,
@@ -480,18 +481,24 @@ def test_weights_take_each_products_coefficient_times_c_powers(kernel):
 
 
 def test_exact_limits_read_the_table_moments(kernel, monkeypatch):
-    # The replay and the averaged product read every table moment through
-    # PrimitiveTable.moments: scaling it scales both by the same factor.
+    # The replay, the averaged product and the Lemma 3.1 suite read every
+    # table moment through PrimitiveTable.moments: scaling it scales each
+    # of their limits by the same factor.
     free = LinearTrajectory(0.9, 0.2, 0.3, 0.4 + 0.1j, 0.2)
     data = RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.1, 0.1)
     shock = RiemannJumpData(0.3, 2.0, 0.0, -2.0, 0.0, 1.0)
-    before = (replay_derivation(data, free, kernel).measured,
-              volpert_product_pairing(shock, kernel))
+
+    def limits():
+        lemma = [m for r in verify_lemma31(kernel, 0.375) for m in (r.measured_a, r.measured_b)]
+        return [*replay_derivation(data, free, kernel).measured,
+                volpert_product_pairing(shock, kernel), *lemma]
+
+    before = limits()
     moments = PrimitiveTable.moments
     monkeypatch.setattr(PrimitiveTable, "moments",
                         lambda self, n: tuple(m * (1 + 1e-3) for m in moments(self, n)))
-    after = (replay_derivation(data, free, kernel).measured,
-             volpert_product_pairing(shock, kernel))
-    for old, new in zip((*before[0], before[1]), (*after[0], after[1])):
-        assert old != 0.0
+    # 4 replay coefficients, the averaged product and the 7 lemma
+    # coefficients that are not exactly 0, which must stay 0.
+    assert all(before[:5]) and sum(map(bool, before[5:])) == 7
+    for old, new in zip(before, limits()):
         assert abs(new - (1 + 1e-3) * old) <= 1e-13 * abs(old)

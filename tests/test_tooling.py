@@ -114,14 +114,16 @@ def test_extraction_check_sees_a_perturbed_lemma_table(monkeypatch):
 @pytest.mark.parametrize("command", ["verify-expansions", "front", "verify-solution",
                                      "riemann", "k-limit"])
 def test_no_subcommand_calls_pair(monkeypatch, tmp_path, command):
-    # ``pair`` and ``Piecewise`` are the tests' per-cell oracle: no run of
-    # the lab goes through them.
+    # ``pair``, ``Piecewise`` and the extrapolated limits are the tests'
+    # per-cell oracle: no run of the lab goes through them.  Every exact
+    # limit is read from a primitive table's moments.
     from deltashock import cli, pairing
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("pairing.pair was called")
+    for name in ("pair", "extrapolate_limit", "extract_point_coeffs"):
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"pairing.{name} was called")
 
-    monkeypatch.setattr(pairing, "pair", refuse)
+        monkeypatch.setattr(pairing, name, refuse)
     config = Path(deltashock.__file__).resolve().parents[2] / "configs" / "worked.ini"
     assert cli.main(["--config", str(config), "--out", str(tmp_path), command]) == 0
 
