@@ -86,9 +86,11 @@ def cmd_verify_expansions(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int
         "expansions": [r.to_json_dict() for r in reports],
     }, out / "lemma31_report.json")
     for r in reports:
+        # Fixed point, or scientific notation from 1e6 up.
+        a, b, ea, eb = (f"{v:+.8e}" if abs(v) >= 1e6 else f"{v:+.8f}"
+                        for v in (r.measured_a, r.measured_b, r.expected_a, r.expected_b))
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name:9s} "
-              f"measured=({r.measured_a:+.8f}, {r.measured_b:+.8f}) "
-              f"expected=({r.expected_a:+.8f}, {r.expected_b:+.8f})")
+              f"measured=({a}, {b}) expected=({ea}, {eb})")
     if not c_matches:
         print(f"note: configured c={c:g} differs from the data value "
               f"{c_from_data:g}; measured step-times-delta coefficient "

@@ -89,7 +89,7 @@ class FrontTrajectory(NamedTuple):
         p_val = self.p(t)
         if self.e_rate == 0.0:
             return 0.0 * p_val
-        if np.any(p_val == 0):
+        if not p_val.all():
             raise ZeroDivisionError(
                 "p_dot is singular where e(t) crosses zero with nonzero rate")
         return self.e_rate / (self.omega0 * p_val)

@@ -263,12 +263,13 @@ def default_eps_grid(pow_min: int = 3, pow_max: int = 12) -> tuple[float, ...]:
 
 
 def check_eps_grid(eps_grid) -> tuple[float, ...]:
-    """``eps_grid`` as floats; ValueError naming it unless every eps is
-    positive and finite and the grid strictly decreasing."""
+    """``eps_grid`` as floats; ValueError naming its first value that is not
+    positive, finite and below the one before."""
     grid = tuple(float(e) for e in eps_grid)
-    if not all(math.inf > a > b >= 0.0 for a, b in zip(grid, grid[1:] + (0.0,))):
-        raise ValueError(f"eps grid {grid} must be positive, finite and strictly "
-                         "decreasing")
+    for i, (before, eps) in enumerate(zip((math.inf,) + grid, grid)):
+        if not 0.0 < eps < before:
+            raise ValueError("eps grid must be positive, finite and strictly decreasing: "
+                             f"eps[{i}] = {eps!r}" + (f" after {before!r}" if i else ""))
     return grid
 
 

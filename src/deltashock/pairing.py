@@ -252,16 +252,15 @@ def fit_loglog_slope(xs: Sequence[float], ys, where=True):
     sum(dx dy) / sum(dx^2) over the logs' deviations from their means, nan
     below two points, and the residual sqrt(SSR / n), 0 below three.
     """
-    keep = np.broadcast_to(where, np.shape(ys))
-    n = np.count_nonzero(keep, axis=-1)
-    logs = (np.log(np.asarray(xs, dtype=float)) * keep, np.log(np.where(keep, ys, 1.0)))
-    dx, dy = ((d - d.sum(axis=-1, keepdims=True) / np.maximum(n, 1)[..., None]) * keep
-              for d in logs)
-    sxx = np.sum(dx * dx, axis=-1)
-    slope = np.divide(np.sum(dx * dy, axis=-1), sxx, out=np.full_like(sxx, np.nan),
-                      where=n >= 2)
-    ssr = np.sum((dy - slope[..., None] * dx) ** 2, axis=-1)
-    resid = np.sqrt(np.divide(ssr, n, out=np.zeros_like(ssr), where=n >= 3))
+    # A float mask: multiplying by it rounds as by the bool, without a cast.
+    keep = np.where(where, 1.0, np.zeros(np.shape(ys)))
+    n = keep.sum(-1)
+    m = np.maximum(n, 1.0)
+    logs = (np.log(np.asarray(xs, dtype=float)) * keep, np.log(np.where(where, ys, 1.0)))
+    dx, dy = ((d - d.sum(-1, keepdims=True) / m[..., None]) * keep for d in logs)
+    slope = (dx * dy).sum(-1) / np.where(n >= 2, (dx * dx).sum(-1), np.nan)
+    ssr = ((dy - slope[..., None] * dx) ** 2).sum(-1)
+    resid = np.sqrt(np.where(n >= 3, ssr, 0.0) / m)
     return slope[()], resid[()]
 
 
@@ -282,7 +281,7 @@ def fit_order(eps: Sequence[float], errs, floor) -> OrderEstimate:
     """
     errs = np.asarray(errs, dtype=float)
     keep = errs > np.asarray(floor, dtype=float)[..., None]
-    used = np.count_nonzero(keep, axis=-1)
+    used = keep.sum(-1)
     slope, resid = fit_loglog_slope(eps, errs, keep)
     return OrderEstimate(np.where(used >= 2, slope, ORDER_EXACT)[()], resid, used[()])
 

@@ -340,6 +340,35 @@ def test_plateau_near_overflow_reaches_a_verdict(tmp_path, capsys):
     assert "HdH" in fails and fails[-1] == "expansion"
 
 
+def test_huge_coefficients_print_in_scientific_notation(tmp_path, capsys):
+    # With c = 1e154 the dH, HdH and Hddelta coefficients reach 1e291, which
+    # a fixed-point format printed with hundreds of digits.  From 1e6 up
+    # they print in scientific notation; below it the bytes are unchanged.
+    cfg = write(tmp_path, "[kernel]\nc = 1e154\n")
+    rc = main(["--config", cfg, "--out", str(tmp_path), "verify-expansions"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    families = [line for line in lines if line.split()[1] != "expansion"
+                and line.startswith(("PASS", "FAIL"))]
+    assert len(families) == 12 and max(len(line) for line in families) <= 100
+    assert ("PASS R2        measured=(+0.71428571, +0.00000000) "
+            "expected=(+0.71428571, +0.00000000)") in families
+    assert ("FAIL Hddelta   measured=(+0.00000000, +1.00000000e+154) "
+            "expected=(+0.00000000, +1.00000000e+154)") in families
+
+
+def test_eps_powers_past_the_subnormals_exit_two_with_one_short_line(tmp_path, capsys):
+    # 2^-1075 rounds to 0.0: the message names that first bad value and its
+    # index, where it used to echo all eleven values of the grid.
+    cfg = write(tmp_path, "[grid]\neps_pow_min = 1070\neps_pow_max = 1080\n")
+    rc = main(["--config", cfg, "--out", str(tmp_path / "out"), "verify-solution"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "config error: [grid] eps grid must be positive, finite and strictly "
+        "decreasing: eps[5] = 0.0 after 5e-324"]
+
+
 def test_verify_expansions_c_mismatch_flagged(tmp_path, capsys):
     cfg = write(tmp_path, WORKED_INI + "\n[kernel]\nkind = quartic\nc = 0.2\n")
     rc = main(["--config", cfg, "--out", str(tmp_path), "verify-expansions"])

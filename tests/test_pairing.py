@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -487,13 +488,18 @@ def test_default_eps_grid_shape():
         default_eps_grid(5, 5)
 
 
-@pytest.mark.parametrize("grid", [
-    (1.0, 0.5, 0.1, 0.0), (1.0, 0.5, 0.1, -0.01), (0.01, 0.1, 0.002, 0.001),
-    (1.0, 0.5, 0.5, 0.1), (math.inf, 1.0, 0.1, 0.01), (1.0, math.nan, 0.1, 0.01),
+@pytest.mark.parametrize("grid,named", [
+    ((1.0, 0.5, 0.1, 0.0), "eps[3] = 0.0 after 0.1"),
+    ((1.0, 0.5, 0.1, -0.01), "eps[3] = -0.01 after 0.1"),
+    ((0.01, 0.1, 0.002, 0.001), "eps[1] = 0.1 after 0.01"),
+    ((1.0, 0.5, 0.5, 0.1), "eps[2] = 0.5 after 0.5"),
+    ((math.inf, 1.0, 0.1, 0.01), "eps[0] = inf"),
+    ((1.0, math.nan, 0.1, 0.01), "eps[1] = nan after 1.0"),
 ], ids=["zero", "negative", "increasing", "repeated", "inf", "nan"])
-def test_lemma_suite_rejects_a_bad_eps_grid_naming_it(quartic, grid):
+def test_lemma_suite_rejects_a_bad_eps_grid_naming_it(quartic, grid, named):
     # eps = 0 used to raise ZeroDivisionError, and a negative eps the
-    # probes' "halfwidth must be positive".
-    with pytest.raises(ValueError, match=rf"^eps grid \({grid[0]!r}, .* must be positive, "
-                                         "finite and strictly decreasing$"):
+    # probes' "halfwidth must be positive".  The message names the first
+    # bad value, its index and the value before it.
+    with pytest.raises(ValueError, match=r"^eps grid must be positive, finite and strictly "
+                                         rf"decreasing: {re.escape(named)}$"):
         verify_lemma31(quartic, WORKED_C, eps_grid=grid)

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -213,6 +214,49 @@ def test_replay_pairing_equals_per_cell_loop(worked_data, kernel):
     for eps_grid in (default_eps_grid(), NON_DYADIC_EPS,
                      tuple(eps / 3 for eps in NON_DYADIC_EPS)):
         _assert_matches_per_cell(ansatz, worked_data.k, [1.0], eps_grid)
+
+
+# e(t) = 0.1 - 0.2 t reaches 2.8e-17 at t = 0.5 on the default grid (see
+# test_pinned_verdict_next_to_amplitude_zero): pairings of about 1e7.
+NEAR_ZERO_AMPLITUDE = RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.1, 0.40311288741492746)
+
+
+def _sign_changing_data():
+    """The third data set of ``default_rng(2024)`` (k = 0.5): e(t) turns
+    negative at t = 0.158, inside the default time grid."""
+    rng = np.random.default_rng(2024)
+    data = [sample_admissible_data(rng, k) for k in (0.0, 0.1, 0.5)][-1]
+    rate = data.sigma1**2 / data.u1 - data.k**2 * data.u1
+    assert data.e0 > 0.0 > data.e0 + rate
+    return data
+
+
+@pytest.mark.parametrize("data", [NEAR_ZERO_AMPLITUDE, _sign_changing_data()],
+                         ids=["amplitude-near-zero", "amplitude-changes-sign"])
+def test_split_contraction_equals_per_cell_loop_where_p_turns_imaginary(data, kernel):
+    # p is real while e(t) > 0 and imaginary after, so both halves of the
+    # complex coefficients, contracted as real columns, carry the pairings.
+    ansatz = SmoothAnsatz(data, solve_front(data, kernel.omega0), kernel)
+    t_grid = default_t_grid()
+    p = ansatz.front.p(t_grid)
+    assert np.any(p.imag == 0.0) and np.any(p.imag > 0.0)
+    report = verify_weak_solution(ansatz, data.k)
+    _assert_matches_per_cell(ansatz, data.k, t_grid, default_eps_grid(), report)
+
+
+def test_default_grids_are_shared_and_read_only(worked_ansatz, worked_data):
+    # A verdict with default arguments equals, bit for bit, one given the
+    # default grids explicitly; the time grid it shares cannot be written.
+    shared = verifier._DEFAULT_T_GRID
+    assert shared.tobytes() == default_t_grid().tobytes()
+    assert verifier._DEFAULT_EPS_GRID == default_eps_grid()
+    assert not shared.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        shared[0] = 1.0
+    default = verify_weak_solution(worked_ansatz, worked_data.k)
+    explicit = verify_weak_solution(worked_ansatz, worked_data.k, t_grid=default_t_grid(),
+                                    eps_grid=default_eps_grid())
+    assert repr(default) == repr(explicit)
 
 
 def _record_blocks(monkeypatch):
@@ -751,16 +795,21 @@ def test_descending_time_grid_gives_the_ascending_verdict(quartic):
 
 # Grids a direct call used to accept: eps = 0 failed naming the front
 # position, and an increasing grid gave a verdict with head and tail swapped.
-BAD_EPS_GRIDS = pytest.mark.parametrize("grid", [
-    (1.0, 0.5, 0.1, 0.0), (0.1, 0.05, 0.01, -0.001), (0.01, 0.1, 0.002, 0.001),
-    (0.1, 0.05, 0.05, 0.01), (math.inf, 0.1, 0.01, 0.001), (0.1, math.nan, 0.01, 0.001),
+# The message names the first bad value, its index and the value before it.
+BAD_EPS_GRIDS = pytest.mark.parametrize("grid,named", [
+    ((1.0, 0.5, 0.1, 0.0), "eps[3] = 0.0 after 0.1"),
+    ((0.1, 0.05, 0.01, -0.001), "eps[3] = -0.001 after 0.01"),
+    ((0.01, 0.1, 0.002, 0.001), "eps[1] = 0.1 after 0.01"),
+    ((0.1, 0.05, 0.05, 0.01), "eps[2] = 0.05 after 0.05"),
+    ((math.inf, 0.1, 0.01, 0.001), "eps[0] = inf"),
+    ((0.1, math.nan, 0.01, 0.001), "eps[1] = nan after 0.1"),
 ], ids=["zero", "negative", "increasing", "repeated", "inf", "nan"])
 
 
 @BAD_EPS_GRIDS
-def test_verdict_rejects_a_bad_eps_grid_naming_it(worked_ansatz, grid):
-    with pytest.raises(ValueError, match=rf"^eps grid \({grid[0]!r}, .* must be positive, "
-                                         "finite and strictly decreasing$"):
+def test_verdict_rejects_a_bad_eps_grid_naming_it(worked_ansatz, grid, named):
+    with pytest.raises(ValueError, match=r"^eps grid must be positive, finite and strictly "
+                                         rf"decreasing: {re.escape(named)}$"):
         verify_weak_solution(worked_ansatz, 0.1, eps_grid=grid)
 
 
