@@ -6,7 +6,9 @@ and writes one CSV per k value for plotting, named by the k's ``:g``
 text.  Every k must be finite and nonnegative, no two ks may share a
 table name, --n must be at least 1 and --out must be or become a
 directory; otherwise the script writes nothing, prints one error line
-and exits 2.
+and exits 2.  So it does, with --out made but no table written, for a k
+so small that the classical intermediate state of some jump of the grid
+leaves the float range.
 """
 
 from __future__ import annotations
@@ -64,6 +66,9 @@ def main(argv=None) -> int:
             counts = np.bincount(codes, minlength=len(REGIMES)).tolist()
             print(f"k = {k:g}: " + ", ".join(f"{r}={n}" for r, n
                                              in sorted(zip(REGIMES, counts)) if n))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except MemoryError as exc:
         # numpy's message names the size it could not allocate
         print(f"error: out of memory: {exc}", file=sys.stderr)

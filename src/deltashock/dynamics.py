@@ -145,8 +145,14 @@ class Admissibility(NamedTuple):
     labels: tuple[str, str, str] = _MARGIN_LABELS
 
     def violated(self) -> list[str]:
-        return [f"{lab} = {m:.6g}" for lab, m in zip(self.labels, self.margins)
-                if not m > 0.0]
+        """"label = margin" for each margin not > 0.  A margin that is not
+        finite names its degenerate jump instead: nan is u1 = 0, where
+        sigma1/u1 is undefined, and +-inf a margin out of float range."""
+        return list(dict.fromkeys(
+            f"{lab} = {m:.6g}" if math.isfinite(m)
+            else "sigma1/u1 is undefined at u1 = 0" if math.isnan(m)
+            else f"{lab} is out of float range"
+            for lab, m in zip(self.labels, self.margins) if not m > 0.0))
 
 
 def overcompressivity(data: RiemannJumpData) -> Admissibility:

@@ -2,17 +2,26 @@
 
 Pairs eps-families against compactly supported test functions,
 estimates convergence orders, and verifies Lemma 3.1's point-mass /
-dipole coefficients.  The quadrature is ``kernels.band_quadrature``,
-split at every declared breakpoint, so every integrand handed to
-:func:`pair` is smooth on each panel.  :func:`pair` and the extrapolated
-limits of :func:`extract_point_coeffs` are the tests' independent oracle.
-The Lemma 3.1 suite evaluates no profile: each family is a product of
-:func:`kernels.primitive_table`, paired at every eps in one matmul, and
-its limits are :meth:`kernels.PrimitiveTable.limits`, exact.
+dipole coefficients.
 
-Pairings over (eps, test-function) grids are independent pure
-computations; results are reduced in grid order, so evaluation is
-deterministic no matter how callers parallelize.
+:func:`pair_table` is the one runtime pairing: weight rows on the columns
+of a :func:`kernels.primitive_table` (the Lemma 3.1 families at one time,
+or both residuals at every time of a verdict) against a plain and a linear
+bump on one support.  Each eps takes the table's coarsest rung whose
+panels, measured in x, are no longer than one panel at eps = 2^-3: on the
+quartic table 64 nodes at every eps of the default grid.  The test
+function is evaluated at offsets (phi(t) - center) + eps y from its
+centre, so a node next to the centre keeps the relative accuracy of eps y.
+Consecutive eps on one rung fill one capped buffer in place, a block of
+times at once; one stacked real matmul gives their moments, scaled by the
+eps powers, and one real matmul per time contracts them with the weights.
+The suite's limits are :meth:`kernels.PrimitiveTable.limits`, exact.
+
+:func:`pair`, on ``kernels.band_quadrature`` split at every declared
+breakpoint, and the extrapolated limits of :func:`extract_point_coeffs`
+are the tests' independent oracle.  Pairings over (eps, test-function)
+grids are independent pure computations; results are reduced in grid
+order, so evaluation is deterministic no matter how callers parallelize.
 """
 
 import math
@@ -22,16 +31,17 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .kernels import (
+    BAND_EDGES,
     NEGLIGIBLE_RTOL,
     ExtractionError,
     MollifierKernel,
+    PrimitiveTable,
     band_quadrature,
     check_eps_grid,
     default_eps_grid,
     exp_bump,
     exp_bump_dy,
     primitive_table,
-    product_power,
 )
 
 __all__ = [
@@ -377,6 +387,118 @@ def extract_point_coeffs(family: Callable[[float], Piecewise], x0: float,
     return tuple(_channel_reports(eps_grid, vals, limits))
 
 
+# --- the table-pairing engine ----------------------------------------------
+
+# A block holds an (eps x time rows x nodes) array of each modulation in one
+# buffer per call, sized by this node budget on the finest rung (33 times
+# of 1024 nodes, 528 KiB), so peak memory does not grow with the number of
+# times.  A rung of 1/n of those nodes pairs up to n consecutive eps at once.
+_BLOCK_NODES = 33 * 1024
+# The offsets (phi(t) - center) + eps y resolve the front band while one
+# ulp of phi(t) stays below this fraction of the smallest eps: up to
+# |phi| < 2^14 on the default grids, whose smallest eps is 2^-12.
+_NODE_RESOLUTION = 1e-8
+# A band nearer the support's edge than this, in x, takes the finest rung:
+# there the quartic two-panel rung at eps = 1/4 misses the bump's fall by
+# 4e-12 of L1 with a support of halfwidth 1, and by 1e-15 with 0.04 to spare.
+_EDGE_MARGIN = 0.25
+
+
+def _test_values(psi, halfwidth: float):
+    """Both modulations of a test function of halfwidth h, in place.
+
+    On entry ``psi[1]`` holds offsets z from the support's centre; on
+    return ``psi[0]`` holds the plain bump ``exp_bump(z / h, lift=1)`` and
+    ``psi[1]`` the linear-times-bump, z times that, bit for bit.
+    """
+    bump, z = psi
+    np.divide(z, halfwidth, out=bump)
+    np.square(bump, out=bump)
+    np.subtract(1.0, bump, out=bump)
+    # q = 1 - (z/h)^2 > 0 exactly inside the support; nan fails too.
+    if bump.min() > 0.0:
+        np.divide(1.0, bump, out=bump)
+        np.subtract(1.0, bump, out=bump)
+        np.exp(bump, out=bump)
+    else:
+        bump[...] = exp_bump(z / halfwidth, lift=1.0)
+    z *= bump
+    return psi
+
+
+def pair_table(table: PrimitiveTable, weights, phi, center: float, halfwidth: float,
+               eps_grid: Sequence[float], cell: Callable) -> np.ndarray:
+    """Pairings of weighted table columns with a plain and a linear bump.
+
+    ``weights`` is ``[row, time, column]``, real or complex, with the front
+    at ``phi[time]``; both test functions sit on one support of ``center``
+    and ``halfwidth`` that holds every front band.  Returns ``[eps, row,
+    test function, time]`` of the weights' dtype, a view of a real ``[time,
+    test function, eps, (row, Re/Im)]`` array, summed as the module
+    docstring says.  :class:`NumericsError` names the first cell whose own
+    terms are not finite as "non-finite " + ``cell(row, test function, eps,
+    time)``, and is raised too when one ulp of max |phi| exceeds
+    ``_NODE_RESOLUTION`` of the smallest eps.
+    """
+    reach, eps_min = float(np.max(np.abs(phi))), min(eps_grid)
+    if np.spacing(reach) > _NODE_RESOLUTION * eps_min:
+        raise NumericsError(
+            f"front position |phi(t)| = {reach:g} swamps eps = {eps_min:g}: one ulp "
+            f"of phi(t) exceeds {_NODE_RESOLUTION:g} eps, so the quadrature nodes "
+            f"phi(t) + eps y collapse")
+    eps, offset = np.asarray(eps_grid, dtype=float), phi - center
+    times = len(offset)
+    inner = halfwidth - _EDGE_MARGIN - float(np.max(np.abs(offset)))
+
+    def rung_at(e):
+        return table.at(e) if BAND_EDGES[-1] * e <= inner else table.rungs[-1]
+
+    moments = np.empty((times, 2, len(eps), len(table.keys)))  # [time, test fn, eps, column]
+    nodes_max = len(table.rungs[-1].y)
+    step = max(1, _BLOCK_NODES // nodes_max)
+    buffer = np.empty(2 * min(step, times) * nodes_max)
+    # An overflow, as at a huge eps, is named by the finiteness check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = 0
+        while first < len(eps):
+            # Consecutive eps on one rung, as many as the buffer holds: a
+            # falling eps never takes a finer rung, so search from the last.
+            rung = rung_at(eps_grid[first])
+            last = min(len(eps), first + nodes_max // len(rung.y))
+            while last - 1 > first and rung_at(eps_grid[last - 1]) is not rung:
+                last -= 1
+            nodes = eps[first:last, None] * rung.y
+            for start in range(0, times, step):
+                block = slice(start, start + step)
+                rows = offset[block, None]
+                psi = buffer[:2 * rows.size * nodes.size].reshape(
+                    2, len(nodes), rows.size, rung.y.size)
+                np.add(rows, nodes[:, None], out=psi[1])
+                _test_values(psi, halfwidth)
+                # Stacked, not flattened: each (time rows, nodes) product keeps
+                # its kernel and order of summation, one row vector-matrix.
+                np.matmul(psi, rung.columns,
+                          out=moments[block, :, first:last].transpose(1, 2, 0, 3))
+            first = last
+        # The eps powers scale the summed moments: scaling each node's column
+        # rounds every term of a cancelling sum, 1.4e-15 of L1 at eps = 8.
+        moments *= eps[:, None] ** table.powers
+        # Per time, [(test function, eps), column] @ [column, (row, Re/Im)].
+        pairings = np.matmul(moments.reshape(times, -1, len(table.keys)),
+                             weights.transpose(1, 2, 0).view(float))
+    out = pairings.view(weights.dtype).reshape(times, 2, len(eps), -1).transpose(2, 3, 1, 0)
+    if not np.isfinite(pairings).all():
+        # A zero weight times an infinite moment is nan in the matmul but no
+        # term of its row: a cell is named by its own terms where they fail.
+        w = weights.transpose(1, 2, 0)[:, None, None]  # [time, 1, 1, column, row]
+        with np.errstate(over="ignore", invalid="ignore"):
+            own = np.where(w != 0.0, moments[..., None] * w, 0.0).sum(-2)
+        bad = ~np.isfinite(own.transpose(2, 3, 1, 0))
+        e, i, f, t = np.argwhere(bad if bad.any() else ~np.isfinite(out))[0]
+        raise NumericsError(f"non-finite {cell(i, f, e, t)}")
+    return out
+
+
 # --- the regularization-product expansion suite ---------------------------
 
 # Family classes determine the asymptotic decay floor asserted by the
@@ -452,14 +574,13 @@ def _lemma_pairings(kernel: MollifierKernel, c: float, eps_grid: Sequence[float]
     ``[family, channel, eps]``, their limits ``[family, channel]``, and each
     family's largest |entry| on the finest rung, 0.0 with no column.
 
-    A family at eps pairs with a probe phi to eps^q, q its
-    :func:`kernels.product_power`, times its table columns, weighted by
-    c^j, summed against phi(eps y).  So one matmul of the probes at eps y
-    on the finest rung pairs every family at every eps.  The probes'
-    halfwidth, max(1, 4 eps_max) in x, holds every family's band.  Raises
-    :class:`NumericsError` naming the family and c when c^2 overflows, or
-    the family, channel and eps of the first pairing not finite; then the
-    limits, the table's (A, -B), raise :class:`ExtractionError` if absent.
+    A family weighs its product's (product, j) columns by c^j, and the suite
+    is :func:`pair_table` of those rows at one time, with phi = 0 and the
+    probes' halfwidth max(1, 4 eps_max), which holds every family's band.
+    Raises :class:`NumericsError` naming the family and c when c^2
+    overflows, or the family, channel and eps of the first pairing not
+    finite; then the limits, the table's (A, -B), raise
+    :class:`ExtractionError` if absent.
     """
     table = primitive_table(kernel, LEMMA_PRODUCTS)
     try:
@@ -468,30 +589,18 @@ def _lemma_pairings(kernel: MollifierKernel, c: float, eps_grid: Sequence[float]
         name = next(n for n, p in zip(LEMMA_FAMILIES, LEMMA_PRODUCTS) if (p, 2) in table.keys)
         raise NumericsError(f"non-finite lemma weight at family={name}: "
                             f"c^2 overflows at c={c:g}") from None
-    eps = np.asarray(eps_grid, dtype=float)
-    _, y, columns = table.rungs[-1]
-    x = eps[:, None] * y
-    halfwidth = max(_PROBE_HALFWIDTH, 4.0 * eps[0])
-    probes = np.stack([TestFunction(0.0, halfwidth, modulation).value(x)
-                       for modulation in (PLAIN_BUMP, LINEAR_BUMP)], axis=1)
-    powers = np.array([product_power(p) for p in LEMMA_PRODUCTS])
-    # A large c or a power of a huge or tiny eps may overflow; named below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        family_columns = columns @ weights.T  # [node, family]
-        values = (probes @ family_columns) * (eps[:, None] ** powers)[:, None]
-        values = values.transpose(2, 1, 0)
-    if not np.isfinite(values).all():
-        family, channel, e = np.argwhere(~np.isfinite(values))[0]
-        raise NumericsError(f"non-finite lemma pairing at family="
-                            f"{LEMMA_FAMILIES[family]}, channel={'AB'[channel]}, "
-                            f"eps={eps[e]:g}")
+    halfwidth = max(_PROBE_HALFWIDTH, 4.0 * eps_grid[0])
+    values = pair_table(table, weights[:, None], np.zeros(1), 0.0, halfwidth, eps_grid,
+                        lambda i, f, e, t: f"lemma pairing at family={LEMMA_FAMILIES[i]}, "
+                        f"channel={'AB'[f]}, eps={eps_grid[e]:g}")[..., 0].transpose(1, 2, 0)
     # Near c = 1e154 the limits' cancellation scale overflows, not the limits.
     with np.errstate(over="ignore"):
         a, b = table.limits(weights, [f"lemma family {name}" for name in LEMMA_FAMILIES])
+        peaks = np.max(np.abs(table.rungs[-1].columns @ weights.T), axis=0)
     limits = np.stack([a, -b], axis=-1)  # <delta', phi> = -phi'(0)
     for series in values, limits:
         series[[LEMMA_FAMILIES.index(name) for name in _REFLECTED], 1] *= -1.0
-    return values, limits, np.max(np.abs(family_columns), axis=0)
+    return values, limits, peaks
 
 
 def verify_lemma31(kernel: MollifierKernel, c: float,

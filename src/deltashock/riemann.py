@@ -111,12 +111,16 @@ def intermediate_state(left: State, right: State, k: float) -> tuple[float, floa
     """Intersection of the two straight wave curves.
 
     As k -> 0 with a stress jump the intersection escapes to infinity,
-    which is why the degenerate system has no classical solution.
+    which is why the degenerate system has no classical solution.  Where
+    it leaves the float range, as for a tiny k, OverflowError names it.
     """
     if k <= 0.0:
         raise ValueError("classical wave curves need k > 0")
     u_star = 0.5 * (left.u + right.u) + (right.sigma - left.sigma) / (2.0 * k)
     sigma_star = left.sigma + k * (u_star - left.u)
+    if not (math.isfinite(u_star) and math.isfinite(sigma_star)):
+        raise OverflowError(f"intermediate state (u*, sigma*) is out of float range "
+                            f"for left={left}, right={right}, k={k!r}")
     return u_star, sigma_star
 
 
@@ -265,20 +269,22 @@ def _regime_codes(u1, s1, k: float, u0: float, sigma0: float) -> np.ndarray:
     (delta test first, then the two-wave ordering), so each code names
     ``solve(State(u0 + u1, sigma0 + s1), State(u0, sigma0), k).regime``.
     At k = 0 only the delta test runs, as the classical solver refuses
-    k = 0.
+    k = 0.  Where ``solve`` raises, as the intermediate state leaves the
+    float range, ValueError names the jump.
     """
     left_u = (u0 + u1)[:, None]
     left_sigma = (sigma0 + s1)[None, :]
     du = left_u - u0
     ds = left_sigma - sigma0
     # Python floats overflow to inf silently (tiny k, tiny u1); so does this.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         ratio = np.divide(ds, du, out=np.full((u1.size, s1.size), math.nan),
                           where=du != 0.0)
         m1, m2, m3 = overcompressivity_margins(du, ratio, k)
         codes = np.full(ratio.shape, _NO_SOLUTION_CODE, dtype=np.int8)
         if k > 0.0:
             u_star = 0.5 * (left_u + u0) + (sigma0 - left_sigma) / (2.0 * k)
+            sigma_star = left_sigma + k * (u_star - left_u)
             fastest1 = np.where(np.abs(u_star - left_u) <= ZERO_STRENGTH_TOL, -math.inf,
                                 np.where(u_star > left_u, u_star - k,
                                          0.5 * (left_u + u_star) - k))
@@ -286,7 +292,15 @@ def _regime_codes(u1, s1, k: float, u0: float, sigma0: float) -> np.ndarray:
                                 np.where(u0 > u_star, u_star + k,
                                          0.5 * (u_star + u0) + k))
             codes[fastest1 <= slowest2 + 1e-12] = _CLASSICAL_CODE
-    codes[(m1 > 0.0) & (m2 > 0.0) & (m3 > 0.0)] = _DELTA_CODE
+    delta = (m1 > 0.0) & (m2 > 0.0) & (m3 > 0.0)
+    codes[delta] = _DELTA_CODE
+    if k > 0.0:
+        lost = np.argwhere(~delta & ~np.isfinite(sigma_star))
+        if lost.size:
+            i, j = lost[0]
+            raise ValueError(f"at k={k!r} the intermediate state (u*, sigma*) of the jump "
+                             f"u1={float(u1[i])!r}, sigma1={float(s1[j])!r} is out of "
+                             f"float range")
     return codes
 
 
@@ -298,8 +312,10 @@ def regime_sweep(u1_values, sigma1_values, k_values,
     len(u1_values), len(sigma1_values)), indexes :data:`REGIMES` with the
     regime of the jump (u1_values[j], sigma1_values[l]) at k_values[i].
     Each k is one array pass over the grid (see :func:`_regime_codes`).
-    Raises ValueError for a k that is negative or not finite, and for
-    non-finite grid values or background state.
+    Raises ValueError for a k that is negative or not finite, for
+    non-finite grid values or background state, and for a jump outside the
+    delta regime whose intermediate state leaves the float range, which
+    :func:`solve` rejects (a tiny k): the grid is rejected, not coded.
     """
     ks = [check_sweep_k(k) for k in k_values]
     u1 = np.asarray(u1_values, dtype=float)

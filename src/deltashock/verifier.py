@@ -6,25 +6,13 @@ the pairings decay as eps -> 0.
 
 In the moving frame xi = x - phi(t) both residuals are sums of real
 profile products (the basis rows) times per-time scalars built from p,
-p-dot and e.  In y = xi/eps each product is a power of eps times a
-function of y that depends on the kernel alone, and a polynomial in the
-plateau c.  So the kernel's :func:`kernels.primitive_table`, built once,
-holds every product on the quadrature nodes of the front band in y with
-the weights folded in.  Each eps takes the table's coarsest rung whose
-panels, measured in x, are no longer than one panel at eps = 2^-3: on the
-quartic table 64 nodes at every eps of the default grid.  The test
-function is evaluated at offsets (phi(t) - center) + eps y from its
-centre, so a node next to the centre keeps the relative accuracy of
-eps y.  Consecutive eps on one rung fill one capped buffer in place, a
-block of times at once, and one stacked real matmul gives their moments,
-scaled by the eps powers.  One real matmul per time then contracts the
-moments with Re and Im of both residuals' column coefficients, in which
-c, the data and one call of each trajectory method over the time grid
-meet; the eight series are fitted in one array pass.  The verdict's test
-functions are a plain and a linear bump on one support that holds the
-front band at every time and eps, so every pairing is a whole-band sum
-on the table's nodes, and every cell agrees with the cell-by-cell loop
-of :func:`pairing.pair` to 1e-12 of its sum of |w f phi|.
+p-dot and e.  So they are weight rows on the columns of the kernel's
+:func:`kernels.primitive_table`, built once, in which c, the data and one
+call of each trajectory method over the time grid meet, and
+:func:`pairing.pair_table` pairs them with a plain and a linear bump on one
+support that holds the front band at every time and eps.  Every cell
+agrees with the cell-by-cell loop of :func:`pairing.pair` to 1e-12 of its
+sum of |w f phi|, and the eight series are fitted in one array pass.
 
 The replay facility reads the point-mass and dipole coefficients of both
 residuals for an arbitrary trajectory off the same table's moments and
@@ -44,17 +32,16 @@ from .kernels import (
     check_eps_grid,
     default_eps_grid,
     default_t_grid,
-    exp_bump,
     make_kernel,
     primitive_table,
 )
 from .pairing import (
     LINEAR_BUMP,
     PLAIN_BUMP,
-    NumericsError,
     Piecewise,
     TestFunction,
     fit_order,
+    pair_table,
 )
 
 __all__ = [
@@ -73,15 +60,6 @@ DEFAULT_ORDER_FLOOR = 0.25
 # is 2^{-4.5} ~ 0.044 over the default nine-step dyadic grid, so the decay
 # ceiling must sit above that for the slow family to pass honestly.
 DEFAULT_RATIO_CEILING = 5e-2
-# A block holds an (eps x time rows x nodes) array of each modulation in one
-# buffer per verdict, sized by this node budget on the finest rung (33 times
-# of 1024 nodes, 528 KiB), so peak memory does not grow with the number of
-# times.  A rung of 1/n of those nodes pairs up to n consecutive eps at once.
-_BLOCK_NODES = 33 * 1024
-# The offsets (phi(t) - center) + eps y resolve the front band while one
-# ulp of phi(t) stays below this fraction of the smallest eps: up to
-# |phi| < 2^14 on the default grids, whose smallest eps is 2^-12.
-_NODE_RESOLUTION = 1e-8
 # A verdict's default grids; the shared time grid is read-only.
 _DEFAULT_EPS_GRID = default_eps_grid()
 _DEFAULT_T_GRID = default_t_grid()
@@ -155,97 +133,6 @@ def _expansion(ansatz: SmoothAnsatz, system_k: float, times):
     np.matmul(coeffs[:, :5], weights[:5], out=equations[..., 0])
     np.matmul(coeffs[:, 5:], weights[5:], out=equations[..., 1])
     return table, phi, equations.transpose(2, 0, 1)
-
-
-def _test_values(psi, halfwidth: float):
-    """Both modulations of a test function of halfwidth h, in place.
-
-    On entry ``psi[1]`` holds offsets z from the support's centre; on
-    return ``psi[0]`` holds the plain bump ``exp_bump(z / h, lift=1)`` and
-    ``psi[1]`` the linear-times-bump, z times that, bit for bit.
-    """
-    bump, z = psi
-    np.divide(z, halfwidth, out=bump)
-    np.square(bump, out=bump)
-    np.subtract(1.0, bump, out=bump)
-    # q = 1 - (z/h)^2 > 0 exactly inside the support; nan fails too.
-    if bump.min() > 0.0:
-        np.divide(1.0, bump, out=bump)
-        np.subtract(1.0, bump, out=bump)
-        np.exp(bump, out=bump)
-    else:
-        bump[...] = exp_bump(z / halfwidth, lift=1.0)
-    z *= bump
-    return psi
-
-
-def _residual_pairings(ansatz: SmoothAnsatz, system_k: float, times, eps_grid,
-                      suite) -> np.ndarray:
-    """:func:`_pair_expansion` of the residuals' :func:`_expansion`."""
-    return _pair_expansion(_expansion(ansatz, system_k, times), times, eps_grid, suite)
-
-
-def _pair_expansion(expansion, times, eps_grid, suite) -> np.ndarray:
-    """Pairings of both residuals with both test functions at every time.
-
-    ``suite`` is the plain and the linear bump of :func:`default_test_suite`
-    on the same times and eps, whose one support holds every front band.
-    Returns a complex ``[eps, equation (u, sigma), test function, time]``
-    view of a real ``[time, test function, eps, (equation, Re/Im)]`` array:
-    each cell's ``pair(residual_integrand(...), phi)``, summed as the module
-    docstring describes.  Raises :class:`NumericsError` naming the first
-    cell whose pairing is not finite, and before pairing when one ulp of
-    max |phi(t)| exceeds ``_NODE_RESOLUTION`` of the smallest eps.
-    """
-    table, phi, weights = expansion
-    reach, eps_min = float(np.max(np.abs(phi))), min(eps_grid)
-    if np.spacing(reach) > _NODE_RESOLUTION * eps_min:
-        raise NumericsError(
-            f"front position |phi(t)| = {reach:g} swamps eps = {eps_min:g}: one ulp "
-            f"of phi(t) exceeds {_NODE_RESOLUTION:g} eps, so the quadrature nodes "
-            f"phi(t) + eps y collapse")
-    eps, offset = np.asarray(eps_grid, dtype=float), phi - suite[0].center
-    # [time, test function, eps, table column]
-    moments = np.empty((len(times), 2, len(eps), len(table.keys)))
-    nodes_max = len(table.rungs[-1].y)
-    step = max(1, _BLOCK_NODES // nodes_max)
-    buffer = np.empty(2 * min(step, len(times)) * nodes_max)
-    # An overflow, as at a huge eps, is named by the finiteness check below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        first = 0
-        while first < len(eps):
-            # Consecutive eps on one rung, as many as the buffer holds: a
-            # falling eps never takes a finer rung, so search from the last.
-            rung = table.at(eps_grid[first])
-            last = min(len(eps), first + nodes_max // len(rung.y))
-            while last - 1 > first and table.at(eps_grid[last - 1]) is not rung:
-                last -= 1
-            nodes = eps[first:last, None] * rung.y
-            for start in range(0, len(times), step):
-                block = slice(start, start + step)
-                rows = offset[block, None]
-                psi = buffer[:2 * rows.size * nodes.size].reshape(
-                    2, len(nodes), rows.size, rung.y.size)
-                np.add(rows, nodes[:, None], out=psi[1])
-                _test_values(psi, suite[0].halfwidth)
-                # Stacked, not flattened: each (time rows, nodes) product keeps
-                # its kernel and order of summation, one row vector-matrix.
-                np.matmul(psi, rung.columns,
-                          out=moments[block, :, first:last].transpose(1, 2, 0, 3))
-            first = last
-        # The eps powers scale the summed moments: scaling each node's column
-        # rounds every term of a cancelling sum, 1.4e-15 of L1 at eps = 8.
-        moments *= eps[:, None] ** table.powers
-        # Per time, [(test function, eps), column] @ [column, (equation, Re/Im)].
-        pairings = np.matmul(moments.reshape(len(times), -1, len(table.keys)),
-                             weights.transpose(1, 2, 0).view(float))
-    out = pairings.view(complex).reshape(len(times), 2, len(eps), 2).transpose(2, 3, 1, 0)
-    if not np.isfinite(pairings).all():
-        e, i, f, t = np.argwhere(~np.isfinite(out))[0]
-        raise NumericsError(f"non-finite residual pairing at equation="
-                            f"{('u', 'sigma')[i]}, phi={suite[f].modulation}, "
-                            f"eps={eps[e]:g}, t={times[t]:g}")
-    return out
 
 
 class ResidualSeries(NamedTuple):
@@ -358,10 +245,13 @@ def verify_weak_solution(ansatz: SmoothAnsatz, system_k: float,
     """
     eps_grid = _DEFAULT_EPS_GRID if eps_grid is None else check_eps_grid(eps_grid)
     t_grid = _DEFAULT_T_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
-    expansion = _expansion(ansatz, system_k, t_grid)
-    suite = _suite_around(expansion[1], eps_grid[0])
+    table, phi, weights = _expansion(ansatz, system_k, t_grid)
+    suite = _suite_around(phi, eps_grid[0])
     # The real array under the pairings: [time, test function, eps, equation, part]
-    vals = _pair_expansion(expansion, t_grid, eps_grid, suite).transpose(3, 2, 0, 1)
+    vals = pair_table(table, weights, phi, suite[0].center, suite[0].halfwidth, eps_grid,
+                      lambda i, f, e, t: f"residual pairing at equation={('u', 'sigma')[i]}, "
+                      f"phi={suite[f].modulation}, eps={eps_grid[e]:g}, t={t_grid[t]:g}"
+                      ).transpose(3, 2, 0, 1)
     mags = np.abs(vals.view(float)).reshape(len(t_grid), 2, len(eps_grid), 2, 2)
     # [series, eps, time], series in the order (equation, test function, part)
     mags = mags.transpose(3, 1, 4, 2, 0).reshape(8, len(eps_grid), len(t_grid))

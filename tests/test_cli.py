@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -301,16 +302,17 @@ def test_lemma_family_without_a_limit_exits_one_with_one_line(tmp_path, capsys,
 
 
 def test_nonfinite_lemma_pairing_names_its_cell(tmp_path, capsys):
-    # At eps = 2^-1000 the Rddelta family's power eps^-1.5 overflows.  The
-    # suite names the first pairing that is not finite, instead of a
+    # At eps = 2^-1024 the RdR family's eps^-1 term overflows.  The suite
+    # names the first pairing that is not finite by its own terms, not a
+    # family whose zero weight meets that infinite moment, instead of a
     # divide-by-zero error that names nothing.
-    cfg = write(tmp_path, "[grid]\neps_pow_min = 1000\neps_pow_max = 1010\n")
+    cfg = write(tmp_path, "[grid]\neps_pow_min = 1023\neps_pow_max = 1033\n")
     rc = main(["--config", cfg, "--out", str(tmp_path), "verify-expansions"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.splitlines() == [
-        "error: non-finite lemma pairing at family=Rddelta, channel=A, "
-        f"eps={2.0**-1000:g}"]
+        "error: non-finite lemma pairing at family=RdR, channel=A, "
+        f"eps={2.0**-1024:g}"]
     assert captured.out == ""
     assert not (tmp_path / "lemma31_report.json").exists()
 
@@ -399,6 +401,21 @@ def test_verify_solution_inadmissible_names_margin(tmp_path, capsys):
     assert "(u1/2 - k) - sigma1/u1" in out
 
 
+@pytest.mark.parametrize("u1,named", [
+    ("0.0", "sigma1/u1 is undefined at u1 = 0"),
+    ("-0.0", "sigma1/u1 is undefined at u1 = 0"),
+    ("1.38e-316", "(u1/2 - k) - sigma1/u1 is out of float range"),
+], ids=["zero", "negative-zero", "subnormal"])
+def test_verify_solution_names_a_degenerate_jump(tmp_path, capsys, u1, named):
+    # The margins with sigma1/u1 used to print as nan (u1 = 0) or -inf.
+    cfg = write(tmp_path, WORKED_INI.replace("u1 = 2.0", f"u1 = {u1}"))
+    rc = main(["--config", cfg, "--out", str(tmp_path), "verify-solution"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.err == ""
+    assert captured.out.splitlines() == [
+        f"FAIL inadmissible data: violated margin(s) u1 - 2k = -0.2; {named}"]
+
+
 def test_verify_solution_replay_sweep(tmp_path, capsys):
     cfg = write(tmp_path, WORKED_INI + "\n[verify]\nreplay_samples = 2\n")
     rc = main(["--config", cfg, "--out", str(tmp_path), "--seed", "7",
@@ -449,6 +466,29 @@ def test_riemann_command_k_zero_exits_one(tmp_path, capsys):
     rc = main(["--config", cfg, "--out", str(tmp_path), "riemann"])
     assert rc == 1
     assert "k > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data,left,right,k", [
+    ("u0 = -0.857\nu1 = 0.843\nsigma1 = -1.42\nk = 1.38e-316\n",
+     (-0.014000000000000012, -1.42), (-0.857, 0.0), "1.38e-316"),
+    ("u0 = -2.124270810934185\nsigma1 = -1.119393568452709e+237\n"
+     "k = 1.0521564180223287e-287\n",
+     (-0.1242708109341848, -1.119393568452709e+237), (-2.124270810934185, 0.0),
+     "1.0521564180223287e-287"),
+    ("u1 = 4.0\nsigma1 = 1.0\nk = 1e308\n", (4.0, 1.0), (0.0, 0.0), "1e+308"),
+], ids=["subnormal-k", "tiny-k", "huge-k"])
+def test_riemann_intermediate_state_out_of_float_range_exits_one(tmp_path, capsys, data,
+                                                                 left, right, k):
+    # u* (tiny k) or sigma* (huge k) used to print as inf, with exit 0.
+    cfg = write(tmp_path, f"[data]\n{data}")
+    rc = main(["--config", cfg, "--out", str(tmp_path), "riemann"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: intermediate state (u*, sigma*) is out of float range for "
+        f"left=State(u={left[0]!r}, sigma={left[1]!r}), "
+        f"right=State(u={right[0]!r}, sigma={right[1]!r}), k={k}"]
+    assert not (tmp_path / "riemann.csv").exists()
 
 
 def test_k_limit_command(tmp_path, capsys):
@@ -550,19 +590,23 @@ def test_config_that_is_not_utf8_exits_two_with_one_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-# Property tests over load_config + main, driven in-process with ``front``.
-# Every key a config may set, with a strategy for the text of an admissible
-# value.  Finite extremes (subnormal u1, sigma1 near the float maximum) are
-# included: they must end in exit 1, not in inf or nan in a table.
-_FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
-_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(repr)
+# Property tests over load_config + main, driven in-process.  Every key a
+# config may set, with a strategy for the text of an admissible value.
+# Finite extremes, subnormal up to the float maximum, are drawn often: they
+# must end in exit 1 with one line, not in inf or nan in a table or a line.
+_EXTREMES = (5e-324, 1.38e-316, 2.2250738585072014e-308, 1e-300, 1e-150,
+             1e150, 1e300, 1e308, 1.7976931348623157e308)
+_POSITIVE = st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                      st.sampled_from(_EXTREMES)).map(repr)
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(_EXTREMES + tuple(-x for x in _EXTREMES))).map(repr)
 _ADMISSIBLE = {
     ("data", "u0"): _FINITE,
     ("data", "u1"): _FINITE,
     ("data", "sigma0"): _FINITE,
     ("data", "sigma1"): _FINITE,
     ("data", "e0"): _FINITE,
-    ("data", "k"): st.floats(min_value=0.0, allow_infinity=False).map(repr),
+    ("data", "k"): st.one_of(st.just("0.0"), _POSITIVE),
     ("grid", "t_max"): st.floats(min_value=0.0, exclude_min=True,
                                  allow_infinity=False).map(repr),
     ("grid", "t_points"): st.integers(2, 200).map(str),
@@ -588,9 +632,11 @@ def _admissible_config(draw):
         # at least 4 points, so at least 3 dyadic decades
         entries[("grid", "eps_pow_max")] = str(draw(st.integers(lo + 3, 20)))
     elif grid == "list":
+        # spanning at least 3 dyadic decades, as verify-expansions needs
         eps = sorted(draw(st.sets(st.floats(0.0, exclude_min=True,
                                             allow_infinity=False),
-                                  min_size=4, max_size=8)),
+                                  min_size=4, max_size=8)
+                          .filter(lambda eps: max(eps) >= 8.0 * min(eps))),
                      reverse=True)
         entries[("grid", "eps")] = ", ".join(map(repr, eps))
     if draw(st.booleans()):
@@ -644,25 +690,38 @@ def _config_text(entries) -> str:
                    for section, lines in sections.items())
 
 
-def _run_front(text: str):
+def _run(text: str, command: str = "front"):
+    """Exit code, stdout and stderr lines of one in-process run."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.ini"
         cfg.write_text(text)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = main(["--config", str(cfg), "--out", str(Path(tmp) / "out"), "front"])
-    return rc, err.getvalue().splitlines()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["--config", str(cfg), "--out", str(Path(tmp) / "out"), command])
+    return rc, out.getvalue(), err.getvalue().splitlines()
 
 
-@given(_admissible_config())
-@settings(max_examples=60)
-def test_admissible_config_runs(entries):
-    rc, err = _run_front(_config_text(entries))
+def _assert_runs(text: str, command: str):
+    rc, out, err = _run(text, command)
     assert rc in (0, 1)
-    assert (rc == 0) == (err == [])
     assert all(line.startswith("error:") for line in err) and len(err) <= 1
     # an overflow names its quantity, not an errno tuple
     assert not any(line.startswith("error: (") for line in err)
+    if rc == 0:
+        assert err == [] and not {"nan", "inf"} & set(re.findall(r"[a-z]+", out.lower()))
+
+
+_COMMANDS = ("front", "riemann", "k-limit", "verify-expansions", "verify-solution")
+
+
+@given(_admissible_config())
+@settings(max_examples=60, deadline=None)
+def test_admissible_config_runs(entries):
+    # Every subcommand exits 0 or 1 with at most one error line, and a run
+    # that succeeds prints no nan or inf.
+    for command in _COMMANDS:
+        _assert_runs(_config_text(entries), command)
+
 
 
 @given(_admissible_config(), st.sampled_from(_VIOLATIONS), st.data())
@@ -672,7 +731,7 @@ def test_malformed_config_exits_two_with_one_line(entries, violation, data):
         entries[key] = data.draw(strategy)
     if ("grid", "eps_pow_min") in violation:
         entries.pop(("grid", "eps"), None)  # an eps list overrides the powers
-    rc, err = _run_front(_config_text(entries))
+    rc, _, err = _run(_config_text(entries))
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("config error:")
 
@@ -684,6 +743,6 @@ def test_malformed_config_exits_two_with_one_line(entries, violation, data):
     "[data]\nthis line has no separator\n",
 ])
 def test_unparseable_config_exits_two_with_one_line(text):
-    rc, err = _run_front(text)
+    rc, _, err = _run(text)
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("config error:")

@@ -19,6 +19,7 @@ from deltashock.kernels import (
     eval_correction_dx,
     eval_delta_reg,
     eval_delta_reg_dx,
+    primitive_table,
 )
 from deltashock.pairing import (
     ORDER_FLOORS,
@@ -428,6 +429,29 @@ def test_one_pass_lemma_pairings_match_per_eps_pairings(kernel, grid):
         assert got.shape == want.shape == (12, 2, len(grid))
         scale = np.max(np.abs(want), axis=-1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-11 * scale), c
+
+
+@pytest.mark.parametrize("grid", [
+    default_eps_grid(), default_eps_grid(2, 9), (0.2, 0.1, 0.05, 0.02, 0.01, 0.004),
+    _CLIPPING_GRID], ids=["default", "2-9", "non-dyadic", "clipping"])
+def test_lemma_pairings_on_the_ladder_match_the_finest_rung(monkeypatch, quartic, grid):
+    # The suite pairs on the table's ladder, 64 nodes at every default eps,
+    # and each pairing is within 1.25e-15 of its terms' L1 of the finest
+    # rung's.  The largest gap, 1.24e-15, is R2's A at eps = 2^-7 on every
+    # plateau: 8 ulps of omega0.
+    table = primitive_table(quartic, pairing.LEMMA_PRODUCTS)
+    _, y, columns = table.rungs[-1]
+    halfwidth = max(1.0, 4.0 * grid[0])
+    probes = (TestFunction(0.0, halfwidth), TestFunction(0.0, halfwidth, "linear-times-bump"))
+    for c in (-0.3, 0.25, 0.713880724, 0.9):
+        ladder, *_ = pairing._lemma_pairings(quartic, c, grid)
+        with monkeypatch.context() as patched:
+            patched.setattr(type(table), "at", lambda self, eps: self.rungs[-1])
+            finest, *_ = pairing._lemma_pairings(quartic, c, grid)
+        weights = np.abs(table.weights([{p: 1.0} for p in pairing.LEMMA_PRODUCTS], c))
+        l1 = np.array([(np.abs([probe.value(eps * y) for probe in probes]) @ np.abs(columns)
+                        * eps**table.powers) @ weights.T for eps in grid]).transpose(2, 1, 0)
+        assert np.all(np.abs(ladder - finest) <= 1.25e-15 * l1), c
 
 
 def test_coarse_eps_widens_the_probes_over_every_family(quartic):

@@ -149,6 +149,19 @@ def test_bad_input_exits_two_with_one_line(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+def test_k_too_small_for_the_intermediate_state_exits_two_with_one_line(tmp_path, capsys):
+    # At k = 1e-320 the classical u* of most jumps leaves the float range,
+    # where solve raises: no regime code would name its answer.
+    out = tmp_path / "sweep"
+    rc = _load_script().main(["--out", str(out), "--n", "3", "--ks", "0.5", "1e-320"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: at k=1e-320 the intermediate state (u*, sigma*) of the jump "
+        "u1=-4.0, sigma1=-4.0 is out of float range"]
+    assert list(out.iterdir()) == []
+
+
 def test_out_that_cannot_be_a_directory_exits_two_with_one_line(tmp_path):
     (tmp_path / "file").write_text("")
     proc = _run_script("--out", str(tmp_path / "file" / "below"), "--n", "3")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -352,6 +354,22 @@ def test_regime_sweep_matches_per_point_solve(u0, sigma0):
     assert {r[3] for r in rows} == {CLASSICAL, DELTA_REGIME, NO_SOLUTION}
 
 
+@pytest.mark.parametrize("left,right,k", [
+    (State(-0.014000000000000012, -1.42), State(-0.857, 0.0), 1.38e-316),
+    (State(4.0, 1.0), State(0.0, 0.0), 1e308),
+], ids=["u-star", "sigma-star"])
+def test_intermediate_state_out_of_float_range_is_rejected(left, right, k):
+    # solve raises where the intermediate state leaves the float range, so
+    # no regime code names its answer there: the sweep rejects the grid.
+    with pytest.raises(OverflowError, match=r"^intermediate state \(u\*, sigma\*\) is out"):
+        solve(left, right, k)
+    u1, s1 = left.u - right.u, left.sigma - right.sigma
+    with pytest.raises(ValueError, match=re.escape(
+            f"at k={k!r} the intermediate state (u*, sigma*) of the jump "
+            f"u1={u1!r}, sigma1={s1!r} is out of float range")):
+        regime_sweep([u1, 1.0], [s1], [0.5, k], right.u, right.sigma)
+
+
 def test_dyadic_sweep_grid_hits_every_boundary():
     right = State(0.0, 0.0)
     hits = set()
@@ -373,13 +391,23 @@ def test_dyadic_sweep_grid_hits_every_boundary():
 
 
 def test_regime_sweep_tiny_k_matches_solve():
-    # (sigma0 - sigma_left) / (2k) overflows to inf, as with Python floats
+    # (sigma0 - sigma_left) / (2k) overflows for most of these jumps: solve
+    # rejects each such jump, and so does a sweep of it; the sweep gives
+    # solve's regime at every other jump.
     grid = [-1.0, -1e-300, 1e-300, 0.5, 2.0]
+    rejected = 0
     for k in (5e-324, 1e-310):
-        rows = _sweep_rows(grid, grid, [k])
-        want = [solve(State(u1, s1), State(0.0, 0.0), k).regime
-                for u1 in grid for s1 in grid]
-        assert [r[3] for r in rows] == want
+        for u1 in grid:
+            for s1 in grid:
+                try:
+                    want = solve(State(u1, s1), State(0.0, 0.0), k).regime
+                except OverflowError:
+                    rejected += 1
+                    with pytest.raises(ValueError, match="out of float range$"):
+                        regime_sweep([u1], [s1], [k])
+                else:
+                    assert _sweep_rows([u1], [s1], [k])[0][3] == want
+    assert 0 < rejected < 2 * len(grid) ** 2
 
 
 @pytest.mark.parametrize("k", [-1.0, -1e-300, np.nan, np.inf, -np.inf])

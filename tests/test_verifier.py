@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from deltashock import kernels, verifier
+from deltashock import kernels, pairing, verifier
 from deltashock.ansatz import RiemannJumpData, SmoothAnsatz
 from deltashock.dynamics import LinearTrajectory, overcompressivity, solve_front
 from deltashock.kernels import (
@@ -26,13 +26,13 @@ from deltashock.pairing import (
     ExtractionError,
     NumericsError,
     TestFunction,
+    _test_values,
     extract_point_coeffs,
     pair,
+    pair_table,
 )
 from deltashock.verifier import (
-    _residual_pairings,
     _series_verdicts,
-    _test_values,
     closed_form_coefficients,
     default_test_suite,
     replay_derivation,
@@ -134,6 +134,14 @@ def _per_cell(ansatz, system_k, suite, t_grid, eps_grid):
             xs, ws = band_quadrature(lo, hi, f.breaks)
             l1[idx] = np.sum(np.abs(ws * samples[0] * phi_test.value(xs)))
     return vals, l1
+
+
+def _residual_pairings(ansatz, system_k, times, eps_grid, suite):
+    """The engine's pairings of the residuals' expansion with ``suite``,
+    ``[eps, equation, test function, time]``."""
+    table, phi, weights = verifier._expansion(ansatz, system_k, times)
+    return pair_table(table, weights, phi, suite[0].center, suite[0].halfwidth,
+                      eps_grid, lambda *cell: f"residual pairing at {cell}")
 
 
 def _assert_matches_per_cell(ansatz, system_k, t_grid, eps_grid, report=None):
@@ -261,13 +269,13 @@ def test_default_grids_are_shared_and_read_only(worked_ansatz, worked_data):
 
 def _record_blocks(monkeypatch):
     """The numbers of eps and of time rows of every block a verdict pairs."""
-    rows, fill = [], verifier._test_values
+    rows, fill = [], pairing._test_values
 
     def recorded(psi, *args):
         rows.append(psi.shape[1:3])  # (modulation, eps, time row, node)
         return fill(psi, *args)
 
-    monkeypatch.setattr(verifier, "_test_values", recorded)
+    monkeypatch.setattr(pairing, "_test_values", recorded)
     return rows
 
 
@@ -276,13 +284,13 @@ def test_default_verdict_fills_the_rungs_nodes(monkeypatch, worked_ansatz, worke
     # verdict takes 33 times the one-panel rung's 64 nodes at each of the
     # ten eps, in one call, where the finest rung at every eps would take
     # 33 x 10 x 1024.
-    nodes, fill = [], verifier._test_values
+    nodes, fill = [], pairing._test_values
 
     def counted(psi, *args):
         nodes.append(psi[1].size)
         return fill(psi, *args)
 
-    monkeypatch.setattr(verifier, "_test_values", counted)
+    monkeypatch.setattr(pairing, "_test_values", counted)
     verify_weak_solution(worked_ansatz, worked_data.k)
     assert nodes == [33 * 10 * 64]
 
@@ -293,13 +301,17 @@ def test_default_verdict_blocks_per_kernel(monkeypatch, worked_data, kernel):
     # default eps takes the one-panel rung, 1/16 of the finest, so the ten
     # eps are one block; the exponential table has the finest rung alone,
     # so each eps is a block of its own.
+    # The Lemma 3.1 suite goes through the same engine at one time.
     ansatz = SmoothAnsatz(worked_data, solve_front(worked_data, kernel.omega0), kernel)
     blocks = _record_blocks(monkeypatch)
     verify_weak_solution(ansatz, worked_data.k)
+    verdict = blocks[:]
+    blocks.clear()
+    pairing.verify_lemma31(kernel, ansatz.c_effective)
     if kernel.kind == kernels.QUARTIC:
-        assert blocks == [(10, 33)]
+        assert (verdict, blocks) == ([(10, 33)], [(10, 1)])
     else:
-        assert blocks == [(1, 33)] * 10
+        assert (verdict, blocks) == ([(1, 33)] * 10, [(1, 1)] * 10)
 
 
 def test_default_verdict_fits_its_series_once(monkeypatch, worked_ansatz, worked_data):
@@ -326,7 +338,7 @@ def test_verdict_spanning_several_blocks_equals_per_cell_loop(monkeypatch, worke
     assert blocks == [(5, 33), (5, 33), (5, 4)]
     _assert_matches_per_cell(worked_ansatz, worked_data.k, t_grid, eps_grid, report)
     # one time per block
-    monkeypatch.setattr(verifier, "_BLOCK_NODES", 1)
+    monkeypatch.setattr(pairing, "_BLOCK_NODES", 1)
     single = verify_weak_solution(worked_ansatz, worked_data.k, t_grid=t_grid,
                                   eps_grid=eps_grid)
     assert ([(s.worst_t_per_eps, s.passed) for s in single.series]
@@ -484,7 +496,7 @@ def test_front_resolution_threshold(quartic, factor, outcome):
     # |phi| = 1e3 is the resolution fraction of it.
     data = RiemannJumpData(999.25, 2.0, 0.0, 0.5, 0.1, 0.1)
     ansatz = SmoothAnsatz(data, solve_front(data, quartic.omega0), quartic)
-    eps_grid = (0.125, factor * np.spacing(1e3) / verifier._NODE_RESOLUTION)
+    eps_grid = (0.125, factor * np.spacing(1e3) / pairing._NODE_RESOLUTION)
     with outcome:
         verify_weak_solution(ansatz, data.k, t_grid=np.linspace(0.0, 1.0, 5),
                              eps_grid=eps_grid)
