@@ -42,6 +42,7 @@ from .kernels import (
     exp_bump,
     exp_bump_dy,
     primitive_table,
+    product_power,
 )
 
 __all__ = [
@@ -392,7 +393,8 @@ def extract_point_coeffs(family: Callable[[float], Piecewise], x0: float,
 # A block holds an (eps x time rows x nodes) array of each modulation in one
 # buffer per call, sized by this node budget on the finest rung (33 times
 # of 1024 nodes, 528 KiB), so peak memory does not grow with the number of
-# times.  A rung of 1/n of those nodes pairs up to n consecutive eps at once.
+# times.  A rung of 1/n of those nodes pairs up to n consecutive eps at once,
+# and a call at one time, as the Lemma 3.1 suite's, up to 33 eps per block.
 _BLOCK_NODES = 33 * 1024
 # The offsets (phi(t) - center) + eps y resolve the front band while one
 # ulp of phi(t) stays below this fraction of the smallest eps: up to
@@ -435,13 +437,13 @@ def pair_table(table: PrimitiveTable, weights, phi, center: float, halfwidth: fl
     and ``halfwidth`` that holds every front band.  Returns ``[eps, row,
     test function, time]`` of the weights' dtype, a view of a real ``[time,
     test function, eps, (row, Re/Im)]`` array, summed as the module
-    docstring says.  :class:`NumericsError` names the first cell whose own
-    terms are not finite as "non-finite " + ``cell(row, test function, eps,
-    time)``, and is raised too when one ulp of max |phi| exceeds
-    ``_NODE_RESOLUTION`` of the smallest eps.
+    docstring says.  :class:`NumericsError` names the first cell not finite
+    as "non-finite " + ``cell(row, test function, eps, time)``, and is raised
+    too when one ulp of max |phi| > 0 exceeds ``_NODE_RESOLUTION`` of the
+    smallest eps.
     """
     reach, eps_min = float(np.max(np.abs(phi))), min(eps_grid)
-    if np.spacing(reach) > _NODE_RESOLUTION * eps_min:
+    if reach > 0.0 and np.spacing(reach) > _NODE_RESOLUTION * eps_min:
         raise NumericsError(
             f"front position |phi(t)| = {reach:g} swamps eps = {eps_min:g}: one ulp "
             f"of phi(t) exceeds {_NODE_RESOLUTION:g} eps, so the quadrature nodes "
@@ -456,7 +458,10 @@ def pair_table(table: PrimitiveTable, weights, phi, center: float, halfwidth: fl
     moments = np.empty((times, 2, len(eps), len(table.keys)))  # [time, test fn, eps, column]
     nodes_max = len(table.rungs[-1].y)
     step = max(1, _BLOCK_NODES // nodes_max)
-    buffer = np.empty(2 * min(step, times) * nodes_max)
+    height = min(step, times)
+    # Fewer times than a block holds leave room for more eps of them.
+    capacity = height * nodes_max * min(len(eps), step // height)
+    buffer = np.empty(2 * capacity)
     # An overflow, as at a huge eps, is named by the finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
         first = 0
@@ -464,7 +469,7 @@ def pair_table(table: PrimitiveTable, weights, phi, center: float, halfwidth: fl
             # Consecutive eps on one rung, as many as the buffer holds: a
             # falling eps never takes a finer rung, so search from the last.
             rung = rung_at(eps_grid[first])
-            last = min(len(eps), first + nodes_max // len(rung.y))
+            last = min(len(eps), first + capacity // (height * len(rung.y)))
             while last - 1 > first and rung_at(eps_grid[last - 1]) is not rung:
                 last -= 1
             nodes = eps[first:last, None] * rung.y
@@ -488,13 +493,7 @@ def pair_table(table: PrimitiveTable, weights, phi, center: float, halfwidth: fl
                              weights.transpose(1, 2, 0).view(float))
     out = pairings.view(weights.dtype).reshape(times, 2, len(eps), -1).transpose(2, 3, 1, 0)
     if not np.isfinite(pairings).all():
-        # A zero weight times an infinite moment is nan in the matmul but no
-        # term of its row: a cell is named by its own terms where they fail.
-        w = weights.transpose(1, 2, 0)[:, None, None]  # [time, 1, 1, column, row]
-        with np.errstate(over="ignore", invalid="ignore"):
-            own = np.where(w != 0.0, moments[..., None] * w, 0.0).sum(-2)
-        bad = ~np.isfinite(own.transpose(2, 3, 1, 0))
-        e, i, f, t = np.argwhere(bad if bad.any() else ~np.isfinite(out))[0]
+        e, i, f, t = np.argwhere(~np.isfinite(out))[0]
         raise NumericsError(f"non-finite {cell(i, f, e, t)}")
     return out
 
@@ -538,6 +537,10 @@ LEMMA_PRODUCTS = tuple(row[1] for row in _LEMMA_TABLE)
 # their pairing with the odd probe.  H ddelta is (h, dd), as h = c on dd's
 # support, and R dH vanishes as (r, dh) does.
 _REFLECTED = ("dH", "HdH")
+# A family is of order eps^q, q its product_power, even with no column to
+# carry it, as R ddelta's eps^-1.5: on a grid where that overflows, so does
+# the family's pairing.
+_LEMMA_POWERS = np.array([[product_power(p)] for p in LEMMA_PRODUCTS])
 
 
 class ExpansionReport(NamedTuple):
@@ -614,14 +617,22 @@ def verify_lemma31(kernel: MollifierKernel, c: float,
     The three products whose factors' supports at most touch must have no
     column in the primitive table, which holds every product nonzero on
     some node.  An eps grid that is not positive, finite and strictly
-    decreasing raises ValueError.  A family whose terms of negative eps
-    power do not cancel raises :class:`ExtractionError` naming it.
+    decreasing raises ValueError, and one on which a family's eps power
+    overflows raises :class:`NumericsError` naming the family and eps.  A
+    family whose terms of negative eps power do not cancel raises
+    :class:`ExtractionError` naming it.
     """
     eps_grid = check_eps_grid(eps_grid if eps_grid is not None else default_eps_grid())
     if len(eps_grid) < 4:
         raise ValueError("eps grid must span at least 4 points")
     if math.log2(eps_grid[0] / eps_grid[-1]) < 3.0:
         raise ValueError("eps grid should span at least 3 dyadic decades")
+    with np.errstate(over="ignore"):
+        scales = np.asarray(eps_grid) ** _LEMMA_POWERS
+    if not np.isfinite(scales).all():
+        i, e = np.argwhere(~np.isfinite(scales))[0]
+        raise NumericsError(f"non-finite lemma pairing at family={LEMMA_FAMILIES[i]}, "
+                            f"channel=A, eps={eps_grid[e]:g}")
     values, limits, peaks = _lemma_pairings(kernel, c, eps_grid)
     channels = _channel_reports(eps_grid, values.reshape(-1, len(eps_grid)), limits.ravel())
     constants = {"omega0": kernel.omega0, "omega0/2": 0.5 * kernel.omega0, "c": c}

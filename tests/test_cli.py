@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltashock.cli import main
@@ -302,19 +302,29 @@ def test_lemma_family_without_a_limit_exits_one_with_one_line(tmp_path, capsys,
 
 
 def test_nonfinite_lemma_pairing_names_its_cell(tmp_path, capsys):
-    # At eps = 2^-1024 the RdR family's eps^-1 term overflows.  The suite
-    # names the first pairing that is not finite by its own terms, not a
-    # family whose zero weight meets that infinite moment, instead of a
+    # At eps = 2^-1000 the Rddelta family's power eps^-1.5 overflows.  The
+    # suite names the first pairing that is not finite, instead of a
     # divide-by-zero error that names nothing.
-    cfg = write(tmp_path, "[grid]\neps_pow_min = 1023\neps_pow_max = 1033\n")
+    cfg = write(tmp_path, "[grid]\neps_pow_min = 1000\neps_pow_max = 1010\n")
     rc = main(["--config", cfg, "--out", str(tmp_path), "verify-expansions"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.splitlines() == [
-        "error: non-finite lemma pairing at family=RdR, channel=A, "
-        f"eps={2.0**-1024:g}"]
+        "error: non-finite lemma pairing at family=Rddelta, channel=A, "
+        f"eps={2.0**-1000:g}"]
     assert captured.out == ""
     assert not (tmp_path / "lemma31_report.json").exists()
+
+
+def test_subnormal_lemma_eps_names_the_first_family_that_overflows(tmp_path, capsys):
+    # At eps = 1e-310 RdR's eps^-1 overflows, before eps = 1e-320 is small
+    # enough that the nodes eps y lose their relative precision.
+    cfg = write(tmp_path, "[grid]\neps = 1e-300, 1e-305, 1e-310, 1e-320\n")
+    rc = main(["--config", cfg, "--out", str(tmp_path), "verify-expansions"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: non-finite lemma pairing at family=RdR, channel=A, eps=1e-310"]
 
 
 @pytest.mark.parametrize("kind,c", [("quartic", "1e200"), ("exponential", "1e300")])
@@ -707,6 +717,9 @@ def _assert_runs(text: str, command: str):
     assert all(line.startswith("error:") for line in err) and len(err) <= 1
     # an overflow names its quantity, not an errno tuple
     assert not any(line.startswith("error: (") for line in err)
+    if rc == 1 and err == []:
+        # a silent exit 1 is a FAIL verdict, which front alone never prints
+        assert command != "front" and re.search(r"^FAIL ", out, re.M)
     if rc == 0:
         assert err == [] and not {"nan", "inf"} & set(re.findall(r"[a-z]+", out.lower()))
 
@@ -716,12 +729,14 @@ _COMMANDS = ("front", "riemann", "k-limit", "verify-expansions", "verify-solutio
 
 @given(_admissible_config())
 @settings(max_examples=60, deadline=None)
+# riemann and k-limit print a FAIL verdict and exit 1 with no error line
+@example({("data", "u1"): "0.0", ("data", "e0"): "0.0"})
+@example({("data", "e0"): "1048576.0"})
 def test_admissible_config_runs(entries):
     # Every subcommand exits 0 or 1 with at most one error line, and a run
     # that succeeds prints no nan or inf.
     for command in _COMMANDS:
         _assert_runs(_config_text(entries), command)
-
 
 
 @given(_admissible_config(), st.sampled_from(_VIOLATIONS), st.data())
