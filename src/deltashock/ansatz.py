@@ -1,17 +1,17 @@
-"""Singular front solution, jump initial data, and the smooth eps-family.
+"""Jump initial data, the front trajectory protocol, and the smooth eps-family.
 
-The singular solution carries a bounded jump in the velocity u and a
-bounded jump plus a traveling point mass e(t) * delta(x - phi(t)) in the
-stress sigma.  The smooth ansatz regularizes both fields with a shared
-plateau step profile, adds the sqrt(eps)-scaled correction p(t) * R to
-the velocity, and replaces the point mass by the regularized delta.  The
+The singular solution has a bounded jump in the velocity u and a bounded
+jump plus a traveling point mass e(t) * delta(x - phi(t)) in the stress
+sigma.  The smooth ansatz regularizes both fields with a shared plateau
+step profile, adds the sqrt(eps)-scaled correction p(t) * R to the
+velocity, and replaces the point mass by the regularized delta.  The
 velocity is complex-valued throughout so that trajectories with negative
 delta amplitude (imaginary p) need no special casing; the stress stays
 real.
 """
 
 import math
-from typing import TYPE_CHECKING, NamedTuple, Protocol
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -27,14 +27,10 @@ from .kernels import (
     plateau_constant,
 )
 
-if TYPE_CHECKING:
-    from .pairing import Piecewise, TestFunction
-
 __all__ = [
     "DegenerateDataError",
     "Front",
     "RiemannJumpData",
-    "SingularSolution",
     "SmoothAnsatz",
 ]
 
@@ -120,35 +116,6 @@ class RiemannJumpData(_JumpFields):
         return value
 
 
-class SingularSolution(NamedTuple):
-    """Distributional front solution determined by a trajectory.
-
-    Pairings against test functions are assembled from three primitives:
-    the full integral of the test function, its integral left of the
-    front, and its value at the front.
-    """
-
-    data: RiemannJumpData
-    front: Front
-
-    def _integrals(self, t: float, phi_test: "TestFunction"):
-        """phi(t), and the integrals of phi_test over the line and left of phi(t)."""
-        from .pairing import Piecewise, pair
-
-        front = float(self.front.phi(t))
-        full = pair(Piecewise(np.ones_like), phi_test)
-        return front, full, pair(Piecewise(np.ones_like, hi=front), phi_test)
-
-    def u_pairing(self, t: float, phi_test: "TestFunction") -> float:
-        _, full, left = self._integrals(t, phi_test)
-        return float(self.data.u0 * full + self.data.u1 * left)
-
-    def sigma_pairing(self, t: float, phi_test: "TestFunction") -> float:
-        front, full, left = self._integrals(t, phi_test)
-        atom = float(self.front.e(t)) * float(phi_test.value(front))
-        return float(self.data.sigma0 * full + self.data.sigma1 * left + atom)
-
-
 class _AnsatzFields(NamedTuple):
     data: RiemannJumpData
     front: Front
@@ -218,18 +185,6 @@ class SmoothAnsatz(_AnsatzFields):
         """Edges of the regularization bands around the front."""
         phi = self.front.phi(t)
         return tuple(phi + s * eps for s in BAND_EDGES)
-
-    def u_integrand(self, t: float, eps: float) -> "Piecewise":
-        from .pairing import Piecewise
-
-        return Piecewise(lambda x: self.eval_fields(x, t, eps)[0],
-                         -math.inf, math.inf, self.breakpoints(t, eps))
-
-    def sigma_integrand(self, t: float, eps: float) -> "Piecewise":
-        from .pairing import Piecewise
-
-        return Piecewise(lambda x: self.eval_fields(x, t, eps)[1],
-                         -math.inf, math.inf, self.breakpoints(t, eps))
 
     def snapshot_rows(self, t: float, eps: float, x_grid) -> list[tuple[float, float, float, float]]:
         """Rows (x, Re u, Im u, sigma) on a grid, ready for CSV export."""

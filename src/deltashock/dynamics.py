@@ -1,4 +1,4 @@
-"""Closed-form singular-front dynamics and jump-relation checks.
+"""Closed-form singular-front dynamics, admissibility and the shock-case product.
 
 The front position and point-mass amplitude obey constant-rate ODEs, so
 the trajectories are exact linear functions of time:
@@ -8,8 +8,10 @@ the trajectories are exact linear functions of time:
 
 and the correction amplitude solves p(t)^2 * omega0 / 2 = e(t) on the
 principal branch (real and nonnegative while e >= 0, purely imaginary
-with nonnegative imaginary part while e < 0).  A numerical ODE
-integration exists only as a test oracle.
+with nonnegative imaginary part while e < 0).  In the shock case
+:func:`volpert_product_pairing` reads the averaged product u * dsigma/dx
+off the primitive table.  A numerical ODE integration and the Volpert
+jump relations are test oracles only.
 """
 
 import math
@@ -31,8 +33,6 @@ __all__ = [
     "Admissibility",
     "overcompressivity",
     "overcompressivity_margins",
-    "volpert_relations",
-    "volpert_scan",
     "volpert_product_pairing",
     "trajectory_rows",
 ]
@@ -93,11 +93,6 @@ class FrontTrajectory(NamedTuple):
             raise ZeroDivisionError(
                 "p_dot is singular where e(t) crosses zero with nonzero rate")
         return self.e_rate / (self.omega0 * p_val)
-
-    def defect(self, t):
-        """Residual of the defining relation p^2 omega0 / 2 - e (should be 0)."""
-        p_val = self.p(t)
-        return 0.5 * p_val * p_val * self.omega0 - self.e(t)
 
 
 class LinearTrajectory(NamedTuple):
@@ -178,32 +173,6 @@ def overcompressivity_margins(u1, ratio, k):
     """
     half_window = 0.5 * u1 - k
     return u1 - 2.0 * k, ratio + half_window, half_window - ratio
-
-
-def volpert_relations(u_left: float, u_right: float, sigma_left: float,
-                      sigma_right: float, s: float) -> tuple[float, float]:
-    """Residuals of the two averaged jump relations at candidate speed s.
-
-    The second residual with a nonzero stress jump forces s to the mean
-    velocity, after which the first forces the stress jump to vanish:
-    no bounded-variation solution carries a stress jump when k = 0.
-    """
-    du = u_left - u_right
-    dsigma = sigma_left - sigma_right
-    r1 = -s * du + 0.5 * (u_left**2 - u_right**2) - dsigma
-    r2 = -s * dsigma + 0.5 * (u_left + u_right) * dsigma
-    return (r1, r2)
-
-
-def volpert_scan(u_left: float, u_right: float, sigma_left: float,
-                 sigma_right: float, s_min: float = -10.0, s_max: float = 10.0,
-                 n: int = 2001) -> tuple[float, float]:
-    """Minimum over a speed grid of max(|r1|, |r2|), with its argmin."""
-    ss = np.linspace(s_min, s_max, n)
-    r1, r2 = volpert_relations(u_left, u_right, sigma_left, sigma_right, ss)
-    worst = np.maximum(np.abs(r1), np.abs(r2))
-    i = int(np.argmin(worst))
-    return float(worst[i]), float(ss[i])
 
 
 def volpert_product_pairing(data: RiemannJumpData,

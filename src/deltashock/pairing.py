@@ -40,7 +40,6 @@ from .kernels import (
     check_eps_grid,
     default_eps_grid,
     exp_bump,
-    exp_bump_dy,
     primitive_table,
     product_power,
 )
@@ -89,7 +88,7 @@ class _TestFields(NamedTuple):
 
 
 class TestFunction(_TestFields):
-    """Smooth compactly supported test function with exact derivative.
+    """Smooth compactly supported test function.
 
     ``plain-bump`` is normalized to value 1 and slope 0 at the center;
     ``linear-times-bump`` has value 0 and slope 1 there.  Together the two
@@ -119,14 +118,6 @@ class TestFunction(_TestFields):
         if self.modulation == PLAIN_BUMP:
             return exp_bump(y, lift=1.0)
         return (x - self.center) * exp_bump(y, lift=1.0)
-
-    def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        y = (x - self.center) / self.halfwidth
-        if self.modulation == PLAIN_BUMP:
-            return exp_bump_dy(y, lift=1.0) / self.halfwidth
-        return (exp_bump(y, lift=1.0)
-                + (x - self.center) * exp_bump_dy(y, lift=1.0) / self.halfwidth)
 
     def __call__(self, x):
         return self.value(x)

@@ -194,21 +194,11 @@ class SolutionReport(NamedTuple):
             "series": [s.to_json_dict() for s in self.series],
         }
 
-    def equation_orders(self, equation: str, part: str = "re") -> list[float]:
-        return [s.order for s in self.series
-                if s.equation == equation and s.part == part]
 
-
-def default_test_suite(front: Front, t_grid,
-                       eps_max: float) -> tuple[TestFunction, ...]:
+def default_test_suite(phi, eps_max: float) -> tuple[TestFunction, ...]:
     """Value- and slope-selecting bumps on one support that holds the front
-    band [phi(t) - 4 eps, phi(t) + 4 eps] at every time of ``t_grid`` and
-    every eps up to ``eps_max``, with a margin of 1/2 beyond it."""
-    return _suite_around(front.phi(np.asarray(t_grid, dtype=float)), eps_max)
-
-
-def _suite_around(phi, eps_max: float) -> tuple[TestFunction, ...]:
-    """:func:`default_test_suite` of the front positions ``phi``."""
+    band [phi - 4 eps, phi + 4 eps] at every front position of the array
+    ``phi`` and every eps up to ``eps_max``, with a margin of 1/2 beyond it."""
     lo, hi = float(phi.min()), float(phi.max())
     center = 0.5 * lo + 0.5 * hi
     halfwidth = max(1.0, 0.5 * hi - 0.5 * lo + 0.5 + 4.0 * eps_max)
@@ -246,7 +236,7 @@ def verify_weak_solution(ansatz: SmoothAnsatz, system_k: float,
     eps_grid = _DEFAULT_EPS_GRID if eps_grid is None else check_eps_grid(eps_grid)
     t_grid = _DEFAULT_T_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
     table, phi, weights = _expansion(ansatz, system_k, t_grid)
-    suite = _suite_around(phi, eps_grid[0])
+    suite = default_test_suite(phi, eps_grid[0])
     # The real array under the pairings: [time, test function, eps, equation, part]
     vals = pair_table(table, weights, phi, suite[0].center, suite[0].halfwidth, eps_grid,
                       lambda i, f, e, t: f"residual pairing at equation={('u', 'sigma')[i]}, "

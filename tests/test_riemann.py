@@ -118,7 +118,7 @@ def test_classify_zero_strength_wave_stable():
 
 
 def test_lax_ordering_on_classical_solutions():
-    from deltashock.dynamics import volpert_relations
+    from oracle import volpert_relations
 
     rng = np.random.default_rng(3)
     seen = 0
