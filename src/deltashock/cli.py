@@ -8,9 +8,10 @@ Subcommands::
     riemann             solve and tabulate the classical Riemann problem
     k-limit             measure the small-k gap between singular solutions
 
-Global flags: ``--config``, ``--out``, ``--format`` and ``--seed``.  Every
-grid, the eps grid included, is set in the config file (see
-:mod:`deltashock.config`), and the verdict tolerances are constants here.
+Flags, before or after the subcommand: ``--config``, ``--out``,
+``--format`` and ``--seed``.  Every grid, the eps grid included, is set
+in the config file (see :mod:`deltashock.config`), and the verdict
+tolerances are constants here.
 
 Exit codes: 0 success, 1 mathematical failure, 2 usage/config error.
 All file outputs are deterministic functions of the configuration.  Every
@@ -256,9 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="tabular output format")
     parser.add_argument("--seed", type=_seed, default=0,
                         help="seed for randomized property sweeps")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sub.add_parser(name)
+    parser.add_argument("command", choices=_COMMANDS, help="subcommand to run")
     return parser
 
 

@@ -252,7 +252,8 @@ def fit_loglog_slope(xs: Sequence[float], ys, where=True):
     Along the last axis of ``ys``, one series or a stack ``[series,
     point]``, over the points where ``where`` holds: the slope is
     sum(dx dy) / sum(dx^2) over the logs' deviations from their means, nan
-    below two points, and the residual sqrt(SSR / n), 0 below three.
+    below two points or when sum(dx^2) = 0, as for equal logs, and the
+    residual sqrt(SSR / n), 0 below three.  Neither nan warns.
     """
     # A float mask: multiplying by it rounds as by the bool, without a cast.
     keep = np.where(where, 1.0, np.zeros(np.shape(ys)))
@@ -260,7 +261,8 @@ def fit_loglog_slope(xs: Sequence[float], ys, where=True):
     m = np.maximum(n, 1.0)
     logs = (np.log(np.asarray(xs, dtype=float)) * keep, np.log(np.where(where, ys, 1.0)))
     dx, dy = ((d - d.sum(-1, keepdims=True) / m[..., None]) * keep for d in logs)
-    slope = (dx * dy).sum(-1) / np.where(n >= 2, (dx * dx).sum(-1), np.nan)
+    spread = (dx * dx).sum(-1)
+    slope = (dx * dy).sum(-1) / np.where((n >= 2) & (spread > 0.0), spread, np.nan)
     ssr = ((dy - slope[..., None] * dx) ** 2).sum(-1)
     resid = np.sqrt(np.where(n >= 3, ssr, 0.0) / m)
     return slope[()], resid[()]
@@ -279,7 +281,8 @@ def fit_order(eps: Sequence[float], errs, floor) -> OrderEstimate:
 
     ``errs`` is one series or a stack ``[series, eps]`` with one floor per
     series; with fewer than two errors above its floor a series has
-    converged, and its order is the +infinity sentinel.
+    converged, and its order is the +infinity sentinel.  Errors kept at eps
+    whose logs do not spread keep the fit's nan, which fails every order gate.
     """
     errs = np.asarray(errs, dtype=float)
     keep = errs > np.asarray(floor, dtype=float)[..., None]
@@ -532,6 +535,10 @@ _REFLECTED = ("dH", "HdH")
 # carry it, as R ddelta's eps^-1.5: on a grid where that overflows, so does
 # the family's pairing.
 _LEMMA_POWERS = np.array([[product_power(p)] for p in LEMMA_PRODUCTS])
+# The eps^-1 families' node sums cancel only to rounding, about 2^-52 of
+# their size.  Scaled by 1/eps that rounding overtakes their O(eps) decay
+# near sqrt(2^-52), as in a finite difference, and their fits read noise.
+_LEMMA_EPS_MIN = 2.0**-26
 
 
 class ExpansionReport(NamedTuple):
@@ -609,7 +616,8 @@ def verify_lemma31(kernel: MollifierKernel, c: float,
     column in the primitive table, which holds every product nonzero on
     some node.  An eps grid that is not positive, finite and strictly
     decreasing raises ValueError, and one on which a family's eps power
-    overflows raises :class:`NumericsError` naming the family and eps.  A
+    overflows raises :class:`NumericsError` naming the family and eps; past
+    that, a grid reaching below ``_LEMMA_EPS_MIN`` raises ValueError.  A
     family whose terms of negative eps power do not cancel raises
     :class:`ExtractionError` naming it.
     """
@@ -624,6 +632,10 @@ def verify_lemma31(kernel: MollifierKernel, c: float,
         i, e = np.argwhere(~np.isfinite(scales))[0]
         raise NumericsError(f"non-finite lemma pairing at family={LEMMA_FAMILIES[i]}, "
                             f"channel=A, eps={eps_grid[e]:g}")
+    if eps_grid[-1] < _LEMMA_EPS_MIN:
+        raise ValueError(f"lemma suite eps grid reaches eps = {eps_grid[-1]:g}, below "
+                         f"2^-26 = {_LEMMA_EPS_MIN:g}: there the rounding of the eps^-1 "
+                         "families' sums, scaled by 1/eps, swamps their decay")
     values, limits, peaks = _lemma_pairings(kernel, c, eps_grid)
     channels = _channel_reports(eps_grid, values.reshape(-1, len(eps_grid)), limits.ravel())
     constants = {"omega0": kernel.omega0, "omega0/2": 0.5 * kernel.omega0, "c": c}

@@ -327,6 +327,30 @@ def test_subnormal_lemma_eps_names_the_first_family_that_overflows(tmp_path, cap
         "error: non-finite lemma pairing at family=RdR, channel=A, eps=1e-310"]
 
 
+@pytest.mark.parametrize("kind", ["quartic", "exponential"])
+def test_lemma_grid_below_two_to_the_minus_26_exits_one_with_one_line(tmp_path, capsys,
+                                                                       kind):
+    # Below 2^-26 the eps^-1 families' rounding, scaled by 1/eps, outgrows
+    # their decay: 2^-19 .. 2^-28 printed FAIL rows whose measured and
+    # expected coefficients agreed.  The grid is rejected, and the grid
+    # that ends at the bound still passes.
+    out = tmp_path / "out"
+    cfg = write(tmp_path, f"[kernel]\nkind = {kind}\n[grid]\neps_pow_min = 19\n"
+                          "eps_pow_max = 28\n")
+    rc = main(["--config", cfg, "--out", str(out), "verify-expansions"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: lemma suite eps grid reaches eps = {2.0**-28:g}, below 2^-26 = "
+        f"{2.0**-26:g}: there the rounding of the eps^-1 families' sums, scaled by "
+        "1/eps, swamps their decay"]
+    assert not list(out.iterdir())
+    cfg = write(tmp_path, f"[kernel]\nkind = {kind}\n[grid]\neps_pow_min = 17\n"
+                          "eps_pow_max = 26\n")
+    assert main(["--config", cfg, "--out", str(out), "verify-expansions"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("PASS expansion suite")
+
+
 @pytest.mark.parametrize("kind,c", [("quartic", "1e200"), ("exponential", "1e300")])
 def test_nonfinite_lemma_sample_names_its_family(tmp_path, capsys, kind, c):
     # H dH ~ c^2 overflows in its table column's weight: the error names
@@ -566,6 +590,20 @@ def test_unknown_command_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_help_exits_zero_and_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert all(name in text for name in
+               ("verify-expansions", "front", "verify-solution", "riemann", "k-limit"))
+
+
+def test_options_may_follow_the_subcommand(tmp_path, capsys):
+    assert main(["front", "--out", str(tmp_path), "--format", "json"]) == 0
+    assert (tmp_path / "front.json").exists()
 
 
 @pytest.mark.parametrize("command", ["front", "riemann", "verify-solution"])

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -253,22 +253,31 @@ def test_loglog_slope_agrees_with_polyfit():
             assert resid == pytest.approx(want, rel=1e-12, abs=1e-12 * abs(slope))
 
 
-@given(eps=st.lists(st.floats(1e-4, 1.0), min_size=2, max_size=10, unique=True),
-       data=st.data())
-@settings(max_examples=60, deadline=None)
-def test_fit_order_on_a_stack_equals_each_series_alone(eps, data):
-    # Errors of zero, below and above each series' floor, so that some
-    # series keep fewer than two points and take the +inf sentinel.
-    eps = sorted(eps, reverse=True)
-    series = data.draw(st.integers(1, 6))
-    errs = np.array(data.draw(st.lists(
+@st.composite
+def _stacked_errors(draw):
+    """(eps, errs, floors): a falling eps grid, and errors of zero, below and
+    above each series' floor, so that some series keep fewer than two
+    points and take the +inf sentinel."""
+    eps = sorted(draw(st.lists(st.floats(1e-4, 1.0), min_size=2, max_size=10,
+                               unique=True)), reverse=True)
+    series = draw(st.integers(1, 6))
+    errs = draw(st.lists(
         st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 1e3)),
                  min_size=len(eps), max_size=len(eps)),
-        min_size=series, max_size=series)))
-    floors = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=series,
-                                         max_size=series)))
+        min_size=series, max_size=series))
+    floors = draw(st.lists(st.floats(0.0, 1.0), min_size=series, max_size=series))
+    return eps, errs, floors
+
+
+@given(_stacked_errors())
+@settings(max_examples=60, deadline=None)
+# The two kept eps have equal logs: a nan order, without a warning.
+@example(([1.0, 1.0000000000000002e-4, 1e-4], [[0.0, 1.0, 1.0]], [0.0]))
+def test_fit_order_on_a_stack_equals_each_series_alone(case):
+    eps, errs, floors = case
+    errs, floors = np.array(errs), np.array(floors)
     stacked = fit_order(eps, errs, floors)
-    for i in range(series):
+    for i in range(len(errs)):
         alone = fit_order(eps, errs[i], floors[i])
         assert stacked.points_used[i] == alone.points_used
         assert alone.points_used == np.count_nonzero(errs[i] > floors[i])
@@ -276,9 +285,15 @@ def test_fit_order_on_a_stack_equals_each_series_alone(eps, data):
             assert stacked.order[i] == alone.order == math.inf
             assert stacked.residual[i] == alone.residual == 0.0
         else:
-            assert stacked.order[i] == pytest.approx(alone.order, rel=1e-15)
+            assert stacked.order[i] == pytest.approx(alone.order, rel=1e-15, nan_ok=True)
             assert stacked.residual[i] == pytest.approx(alone.residual, rel=1e-15,
-                                                        abs=1e-15)
+                                                        abs=1e-15, nan_ok=True)
+
+
+def test_fit_order_keeps_nan_for_kept_eps_of_equal_logs():
+    # Such a series fails the order gates instead of passing as +inf.
+    fit = fit_order([1.0, 1.0000000000000002e-4, 1e-4], [0.0, 1.0, 1.0], 0.0)
+    assert math.isnan(fit.order) and fit.points_used == 2
 
 
 def test_correction_pairing_order_half(quartic, eps_grid):
