@@ -5,7 +5,7 @@ Subpackages:
 
 * :mod:`deltashock.kernels`   mollifier kernels and regularized profiles
 * :mod:`deltashock.pairing`   distributional pairing and coefficient extraction
-* :mod:`deltashock.ansatz`    singular solution and smooth eps-family
+* :mod:`deltashock.ansatz`    jump data and the smooth eps-family
 * :mod:`deltashock.dynamics`  closed-form front dynamics and admissibility
 * :mod:`deltashock.riemann`   classical Riemann solver and small-k limit study
 * :mod:`deltashock.verifier`  weak-solution verification and derivation replay

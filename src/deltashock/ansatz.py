@@ -1,10 +1,10 @@
 """Jump initial data, the front trajectory protocol, and the smooth eps-family.
 
-The singular solution has a bounded jump in the velocity u and a bounded
-jump plus a traveling point mass e(t) * delta(x - phi(t)) in the stress
-sigma.  The smooth ansatz regularizes both fields with a shared plateau
-step profile, adds the sqrt(eps)-scaled correction p(t) * R to the
-velocity, and replaces the point mass by the regularized delta.  The
+The singular solution carries a bounded jump in the velocity u and a
+bounded jump plus a traveling point mass e(t) * delta(x - phi(t)) in the
+stress sigma.  The smooth ansatz regularizes both fields with a shared
+plateau step profile, adds the sqrt(eps)-scaled correction p(t) * R to
+the velocity, and replaces the point mass by the regularized delta.  The
 velocity is complex-valued throughout so that trajectories with negative
 delta amplitude (imaginary p) need no special casing; the stress stays
 real.

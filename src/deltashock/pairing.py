@@ -261,8 +261,8 @@ def fit_loglog_slope(xs: Sequence[float], ys, where=True):
     m = np.maximum(n, 1.0)
     logs = (np.log(np.asarray(xs, dtype=float)) * keep, np.log(np.where(where, ys, 1.0)))
     dx, dy = ((d - d.sum(-1, keepdims=True) / m[..., None]) * keep for d in logs)
-    spread = (dx * dx).sum(-1)
-    slope = (dx * dy).sum(-1) / np.where((n >= 2) & (spread > 0.0), spread, np.nan)
+    spread = (dx * dx).sum(-1)  # 0 below two points, as for equal logs
+    slope = (dx * dy).sum(-1) / np.where(spread > 0.0, spread, np.nan)
     ssr = ((dy - slope[..., None] * dx) ** 2).sum(-1)
     resid = np.sqrt(np.where(n >= 3, ssr, 0.0) / m)
     return slope[()], resid[()]
@@ -280,9 +280,8 @@ def fit_order(eps: Sequence[float], errs, floor) -> OrderEstimate:
     """Log-log decay order of the errors above ``floor``, series by series.
 
     ``errs`` is one series or a stack ``[series, eps]`` with one floor per
-    series; with fewer than two errors above its floor a series has
-    converged, and its order is the +infinity sentinel.  Errors kept at eps
-    whose logs do not spread keep the fit's nan, which fails every order gate.
+    series.  A series with fewer than two errors above its floor has
+    converged, order +inf (a sentinel); one kept at eps of equal logs, nan.
     """
     errs = np.asarray(errs, dtype=float)
     keep = errs > np.asarray(floor, dtype=float)[..., None]
@@ -535,9 +534,8 @@ _REFLECTED = ("dH", "HdH")
 # carry it, as R ddelta's eps^-1.5: on a grid where that overflows, so does
 # the family's pairing.
 _LEMMA_POWERS = np.array([[product_power(p)] for p in LEMMA_PRODUCTS])
-# The eps^-1 families' node sums cancel only to rounding, about 2^-52 of
-# their size.  Scaled by 1/eps that rounding overtakes their O(eps) decay
-# near sqrt(2^-52), as in a finite difference, and their fits read noise.
+# Below sqrt(2^-52) the eps^-1 families' rounding, scaled by 1/eps, outgrows
+# their O(eps) decay, as in a finite difference, and their fits read noise.
 _LEMMA_EPS_MIN = 2.0**-26
 
 
@@ -616,10 +614,9 @@ def verify_lemma31(kernel: MollifierKernel, c: float,
     column in the primitive table, which holds every product nonzero on
     some node.  An eps grid that is not positive, finite and strictly
     decreasing raises ValueError, and one on which a family's eps power
-    overflows raises :class:`NumericsError` naming the family and eps; past
-    that, a grid reaching below ``_LEMMA_EPS_MIN`` raises ValueError.  A
-    family whose terms of negative eps power do not cancel raises
-    :class:`ExtractionError` naming it.
+    overflows raises :class:`NumericsError` naming the family and eps, and
+    then one below ``_LEMMA_EPS_MIN`` ValueError.  A family whose terms of
+    negative eps power do not cancel raises :class:`ExtractionError`.
     """
     eps_grid = check_eps_grid(eps_grid if eps_grid is not None else default_eps_grid())
     if len(eps_grid) < 4:
