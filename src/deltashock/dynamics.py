@@ -129,15 +129,13 @@ def solve_front(data: RiemannJumpData, omega0: float | None = None) -> FrontTraj
     return FrontTrajectory(front_speed(data), e_rate(data), data.e0, float(omega0))
 
 
-_MARGIN_LABELS = ("u1 - 2k", "sigma1/u1 + (u1/2 - k)", "(u1/2 - k) - sigma1/u1")
-
-
 class Admissibility(NamedTuple):
     """Overcompressivity verdict with the three signed slack quantities."""
 
     admissible: bool
     margins: tuple[float, float, float]
-    labels: tuple[str, str, str] = _MARGIN_LABELS
+    # The margins' names: a class attribute, not a field.
+    labels = ("u1 - 2k", "sigma1/u1 + (u1/2 - k)", "(u1/2 - k) - sigma1/u1")
 
     def violated(self) -> list[str]:
         """"label = margin" for each margin not > 0.  A margin that is not

@@ -10,12 +10,13 @@ data admitting neither construction yields a no-solution-constructed
 outcome.  The solver refuses k = 0, where no bounded-variation solution
 carries a stress jump.
 
-``solve`` answers one problem at a time.  ``regime_sweep`` classifies a
-whole (u1, sigma1) grid per k in one numpy broadcast pass that repeats
-``solve``'s float expressions in the same order, and returns the grid of
-regime codes, indices into ``REGIMES``: every code names the per-point
-answer.  At k = 0 only the singular-front test applies.  ``k_limit_gap``
-compares the singular solutions at k and at 0 by their point masses.
+One broadcast construction gives the delta-window flag, the
+intermediate state and both waves for any array of jumps: ``solve``
+runs it at one point, and ``regime_sweep`` on a whole (u1, sigma1) grid
+per k, returning the grid of regime codes, indices into ``REGIMES``:
+every code names the per-point answer.  At k = 0 only the
+singular-front test applies.  ``k_limit_gap`` compares the singular
+solutions at k and at 0 by their point masses.
 """
 
 import math
@@ -43,7 +44,6 @@ __all__ = [
     "State",
     "Wave",
     "RiemannSolution",
-    "intermediate_state",
     "classify_waves",
     "solve",
     "eval_riemann",
@@ -68,32 +68,23 @@ class State(NamedTuple):
 
 
 class Wave(NamedTuple):
-    """One wave of the self-similar pattern.
-
-    Shocks carry a speed; rarefactions carry the fan interval
-    (head, tail) in the similarity variable xi = x/t.
+    """One wave of the self-similar pattern, spanning [slowest, fastest] in
+    xi = x/t: a shock's one speed, or a rarefaction's fan (head, tail).  An
+    absent wave sits at -inf (family 1) or +inf (family 2).
     """
 
     family: int
     kind: str  # "shock" | "rarefaction" | "none"
-    speed: float | None = None
-    fan: tuple[float, float] | None = None
+    slowest: float
+    fastest: float
 
     @property
-    def fastest(self) -> float:
-        if self.kind == "shock":
-            return self.speed
-        if self.kind == "rarefaction":
-            return self.fan[1]
-        return -math.inf if self.family == 1 else math.inf
+    def speed(self) -> float | None:
+        return self.slowest if self.kind == "shock" else None
 
     @property
-    def slowest(self) -> float:
-        if self.kind == "shock":
-            return self.speed
-        if self.kind == "rarefaction":
-            return self.fan[0]
-        return -math.inf if self.family == 1 else math.inf
+    def fan(self) -> tuple[float, float] | None:
+        return (self.slowest, self.fastest) if self.kind == "rarefaction" else None
 
 
 class RiemannSolution(NamedTuple):
@@ -107,65 +98,84 @@ class RiemannSolution(NamedTuple):
     wave2: Wave | None = None
 
 
-def intermediate_state(left: State, right: State, k: float) -> tuple[float, float]:
-    """Intersection of the two straight wave curves.
+_KINDS = ("none", "rarefaction", "shock")
 
-    As k -> 0 with a stress jump the intersection escapes to infinity,
-    which is why the degenerate system has no classical solution.  Where
-    it leaves the float range, as for a tiny k, OverflowError names it.
+
+def _wave(back, ahead, c, absent):
+    """Kind code (into ``_KINDS``), slowest and fastest speed of the wave
+    from velocity ``back`` to ``ahead`` whose characteristics run at u + c."""
+    none, fan = np.abs(ahead - back) <= ZERO_STRENGTH_TOL, ahead > back
+    shock = 0.5 * (back + ahead) + c
+    return (np.where(none, 0, np.where(fan, 1, 2)),
+            np.where(none, absent, np.where(fan, back + c, shock)),
+            np.where(none, absent, np.where(fan, ahead + c, shock)))
+
+
+def _construct(left_u, left_sigma, right_u, right_sigma, k: float):
+    """The Riemann construction of every jump from left to right, broadcast.
+
+    Returns the overcompressive-window flag, u*, sigma*, both waves as
+    :func:`_wave` gives them, and whether wave 1 ends before wave 2 starts
+    (within 1e-12).  Overflow and division by zero (u1 = 0, a tiny or zero
+    k) give inf or nan quietly, as Python floats do; callers reject a
+    non-finite intermediate state.
     """
+    with np.errstate(all="ignore"):
+        left_u, left_sigma, right_u, right_sigma = map(
+            np.float64, (left_u, left_sigma, right_u, right_sigma))
+        u1, sigma1 = left_u - right_u, left_sigma - right_sigma
+        m1, m2, m3 = overcompressivity_margins(u1, np.where(u1 != 0.0, sigma1 / u1, math.nan), k)
+        u_star = 0.5 * (left_u + right_u) + (right_sigma - left_sigma) / (2.0 * k)
+        sigma_star = left_sigma + k * (u_star - left_u)
+        wave1 = _wave(left_u, u_star, -k, -math.inf)
+        wave2 = _wave(u_star, right_u, k, math.inf)
+        ordered = wave1[2] <= wave2[1] + 1e-12
+    return (m1 > 0.0) & (m2 > 0.0) & (m3 > 0.0), u_star, sigma_star, wave1, wave2, ordered
+
+
+def _at_point(left: State, right: State, k: float):
+    """:func:`_construct` at one jump; ValueError for k < 0."""
+    if k < 0.0:
+        raise ValueError("k must be nonnegative")
+    return _construct(*left, *right, k)
+
+
+def _classical(left: State, right: State, k: float, built) -> RiemannSolution:
+    """The classical solution of one jump from its construction."""
     if k <= 0.0:
         raise ValueError("classical wave curves need k > 0")
-    u_star = 0.5 * (left.u + right.u) + (right.sigma - left.sigma) / (2.0 * k)
-    sigma_star = left.sigma + k * (u_star - left.u)
+    _, u_star, sigma_star, wave1, wave2, ordered = built
     if not (math.isfinite(u_star) and math.isfinite(sigma_star)):
         raise OverflowError(f"intermediate state (u*, sigma*) is out of float range "
                             f"for left={left}, right={right}, k={k!r}")
-    return u_star, sigma_star
-
-
-def _wave1(left: State, u_star: float, k: float) -> Wave:
-    if abs(u_star - left.u) <= ZERO_STRENGTH_TOL:
-        return Wave(1, "none")
-    if u_star > left.u:
-        return Wave(1, "rarefaction", fan=(left.u - k, u_star - k))
-    return Wave(1, "shock", speed=0.5 * (left.u + u_star) - k)
-
-
-def _wave2(right: State, u_star: float, k: float) -> Wave:
-    if abs(right.u - u_star) <= ZERO_STRENGTH_TOL:
-        return Wave(2, "none")
-    if right.u > u_star:
-        return Wave(2, "rarefaction", fan=(u_star + k, right.u + k))
-    return Wave(2, "shock", speed=0.5 * (u_star + right.u) + k)
+    w1, w2 = (Wave(family, _KINDS[kind], float(slowest), float(fastest))
+              for family, (kind, slowest, fastest) in ((1, wave1), (2, wave2)))
+    return RiemannSolution(left, right, float(k), CLASSICAL if ordered else NO_SOLUTION,
+                           float(u_star), float(sigma_star), w1, w2)
 
 
 def classify_waves(left: State, right: State, k: float) -> RiemannSolution:
-    """Classical two-wave construction with its ordering check."""
-    u_star, sigma_star = intermediate_state(left, right, k)
-    w1 = _wave1(left, u_star, k)
-    w2 = _wave2(right, u_star, k)
-    ordered = w1.fastest <= w2.slowest + 1e-12
-    regime = CLASSICAL if ordered else NO_SOLUTION
-    return RiemannSolution(left, right, float(k), regime,
-                           u_star, sigma_star, w1, w2)
+    """Classical two-wave construction with its ordering check.
+
+    As k -> 0 with a stress jump the intermediate state escapes to
+    infinity, which is why the degenerate system has no classical
+    solution.  Where it leaves the float range, as for a tiny k,
+    OverflowError names it.
+    """
+    return _classical(left, right, k, _construct(*left, *right, k))
 
 
 def delta_regime_test(left: State, right: State, k: float) -> bool:
     """True iff the data falls in the overcompressive singular-front window."""
-    u1 = left.u - right.u
-    if u1 == 0.0:
-        return False
-    data = RiemannJumpData(right.u, u1, right.sigma, left.sigma - right.sigma,
-                           0.0, k)
-    return overcompressivity(data).admissible
+    return bool(_at_point(left, right, k)[0])
 
 
 def solve(left: State, right: State, k: float) -> RiemannSolution:
     """Full regime dispatch: singular front, classical, or neither."""
-    if delta_regime_test(left, right, k):
+    built = _at_point(left, right, k)
+    if built[0]:
         return RiemannSolution(left, right, float(k), DELTA_REGIME)
-    return classify_waves(left, right, k)
+    return _classical(left, right, k, built)
 
 
 _REGION_NAMES = ("left", "fan-1", "middle", "fan-2", "right")
@@ -231,7 +241,9 @@ def k_limit_gap(data: RiemannJumpData, k: float, t: float,
 
     Only the point mass depends on k, so the velocity gap is exactly 0 and
     the stress gap is (e_k - e_0)(t) phi_test(phi(t)) = -k^2 u1 t
-    phi_test(phi(t)): the solved amplitudes, subtracted before weighing.
+    phi_test(phi(t)), formed from the two solved amplitude rates times t:
+    e0 cancels exactly.  The gap is exactly 0 where k^2 u1 is below the
+    rounding of the amplitude rate.
     """
     if not k > 0.0:
         raise ValueError("k must be positive")
@@ -242,8 +254,8 @@ def k_limit_gap(data: RiemannJumpData, k: float, t: float,
     _require_admissible(data_0)
     front_k, front_0 = solve_front(data_k), solve_front(data_0)
     if component == "sigma":
-        e_gap = float(front_k.e(t)) - float(front_0.e(t))
-        return e_gap * float(phi_test.value(float(front_k.phi(t))))
+        return ((front_k.e_rate - front_0.e_rate) * t
+                * float(phi_test.value(float(front_k.phi(t)))))
     if component == "u":
         return 0.0
     raise ValueError(f"unknown component {component!r}")
@@ -262,57 +274,17 @@ def check_sweep_k(k) -> float:
     return k
 
 
-def _regime_codes(u1, s1, k: float, u0: float, sigma0: float) -> np.ndarray:
-    """Regime code of every (u1, sigma1) pair at one k, as an int8 grid.
-
-    One broadcast pass with the float expressions of :func:`solve`
-    (delta test first, then the two-wave ordering), so each code names
-    ``solve(State(u0 + u1, sigma0 + s1), State(u0, sigma0), k).regime``.
-    At k = 0 only the delta test runs, as the classical solver refuses
-    k = 0.  Where ``solve`` raises, as the intermediate state leaves the
-    float range, ValueError names the jump.
-    """
-    left_u = (u0 + u1)[:, None]
-    left_sigma = (sigma0 + s1)[None, :]
-    du = left_u - u0
-    ds = left_sigma - sigma0
-    # Python floats overflow to inf silently (tiny k, tiny u1); so does this.
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = np.divide(ds, du, out=np.full((u1.size, s1.size), math.nan),
-                          where=du != 0.0)
-        m1, m2, m3 = overcompressivity_margins(du, ratio, k)
-        codes = np.full(ratio.shape, _NO_SOLUTION_CODE, dtype=np.int8)
-        if k > 0.0:
-            u_star = 0.5 * (left_u + u0) + (sigma0 - left_sigma) / (2.0 * k)
-            sigma_star = left_sigma + k * (u_star - left_u)
-            fastest1 = np.where(np.abs(u_star - left_u) <= ZERO_STRENGTH_TOL, -math.inf,
-                                np.where(u_star > left_u, u_star - k,
-                                         0.5 * (left_u + u_star) - k))
-            slowest2 = np.where(np.abs(u0 - u_star) <= ZERO_STRENGTH_TOL, math.inf,
-                                np.where(u0 > u_star, u_star + k,
-                                         0.5 * (u_star + u0) + k))
-            codes[fastest1 <= slowest2 + 1e-12] = _CLASSICAL_CODE
-    delta = (m1 > 0.0) & (m2 > 0.0) & (m3 > 0.0)
-    codes[delta] = _DELTA_CODE
-    if k > 0.0:
-        lost = np.argwhere(~delta & ~np.isfinite(sigma_star))
-        if lost.size:
-            i, j = lost[0]
-            raise ValueError(f"at k={k!r} the intermediate state (u*, sigma*) of the jump "
-                             f"u1={float(u1[i])!r}, sigma1={float(s1[j])!r} is out of "
-                             f"float range")
-    return codes
-
-
 def regime_sweep(u1_values, sigma1_values, k_values,
                  u0: float = 0.0, sigma0: float = 0.0) -> np.ndarray:
     """Regime codes over a grid of jumps, for phase diagrams.
 
     Entry ``[i, j, l]`` of the int8 result, of shape (len(k_values),
-    len(u1_values), len(sigma1_values)), indexes :data:`REGIMES` with the
-    regime of the jump (u1_values[j], sigma1_values[l]) at k_values[i].
-    Each k is one array pass over the grid (see :func:`_regime_codes`).
-    Raises ValueError for a k that is negative or not finite, for
+    len(u1_values), len(sigma1_values)), indexes :data:`REGIMES` with
+    ``solve(State(u0 + u1, sigma0 + sigma1), State(u0, sigma0), k).regime``
+    for the jump (u1_values[j], sigma1_values[l]) at k = k_values[i].
+    Each k is one pass of :func:`solve`'s construction over the grid.  At
+    k = 0 only the delta test applies, as the classical solver refuses
+    k = 0.  Raises ValueError for a k that is negative or not finite, for
     non-finite grid values or background state, and for a jump outside the
     delta regime whose intermediate state leaves the float range, which
     :func:`solve` rejects (a tiny k): the grid is rejected, not coded.
@@ -324,7 +296,17 @@ def regime_sweep(u1_values, sigma1_values, k_values,
     if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(s1))
             and math.isfinite(u0) and math.isfinite(sigma0)):
         raise ValueError("sweep grid and background state must be finite")
+    left_u, left_sigma = (u0 + u1)[:, None], (sigma0 + s1)[None, :]
     codes = np.empty((len(ks), u1.size, s1.size), dtype=np.int8)
     for i, k in enumerate(ks):
-        codes[i] = _regime_codes(u1, s1, k, u0, sigma0)
+        delta, _, sigma_star, _, _, ordered = _construct(left_u, left_sigma, u0, sigma0, k)
+        classical = k > 0.0
+        lost = np.argwhere(classical & ~delta & ~np.isfinite(sigma_star))
+        if lost.size:
+            j, m = lost[0]
+            raise ValueError(f"at k={k!r} the intermediate state (u*, sigma*) of the jump "
+                             f"u1={float(u1[j])!r}, sigma1={float(s1[m])!r} is out of "
+                             f"float range")
+        codes[i] = np.where(delta, _DELTA_CODE,
+                            np.where(classical & ordered, _CLASSICAL_CODE, _NO_SOLUTION_CODE))
     return codes

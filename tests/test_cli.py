@@ -540,8 +540,9 @@ def test_k_limit_command(tmp_path, capsys):
 @pytest.mark.parametrize("ks,zero", [("1e-200, 2e-200", "1e-200"), ("1e-170, 0.1", "1e-170")],
                          ids=["both-zero", "first-zero"])
 def test_k_limit_gap_that_rounds_to_zero_is_named(tmp_path, capsys, ks, zero):
-    # k^2 u1 t below the rounding of e(t) makes the gap exactly 0; the
-    # k-order fit used to end in "error: divide by zero encountered in log".
+    # k^2 u1 below the rounding of the amplitude rate makes the gap exactly
+    # 0; the k-order fit used to end in "error: divide by zero encountered
+    # in log".
     cfg = write(tmp_path, f"[klimit]\nks = {ks}\n")
     rc = main(["--config", cfg, "--out", str(tmp_path), "k-limit"])
     captured = capsys.readouterr()
@@ -558,6 +559,16 @@ def test_k_limit_passes_with_a_large_background_stress(tmp_path, capsys, sigma0)
     # k; the gap is the amplitudes' difference alone, so their rounding at
     # sigma0 = 1e6 cannot reach K_GAP_TOL.
     cfg = write(tmp_path, f"[data]\nsigma0 = {sigma0}\n")
+    rc = main(["--config", cfg, "--out", str(tmp_path), "k-limit"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert out[-1].startswith("PASS small-k gap law"), out
+
+
+def test_k_limit_passes_with_a_large_initial_amplitude(tmp_path, capsys):
+    # e(t) ~ 1e7 is rounded to about 1e-9; the gap is formed from the two
+    # amplitude rates, in which e0 cancels exactly.
+    cfg = write(tmp_path, "[data]\ne0 = 1e7\n")
     rc = main(["--config", cfg, "--out", str(tmp_path), "k-limit"])
     out = capsys.readouterr().out.splitlines()
     assert rc == 0

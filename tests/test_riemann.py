@@ -22,7 +22,6 @@ from deltashock.riemann import (
     classify_waves,
     delta_regime_test,
     eval_riemann,
-    intermediate_state,
     k_limit_gap,
     regime_sweep,
     region_labels,
@@ -47,7 +46,8 @@ def shock_speed_oracle(ul, sl, ur, sr):
 
 
 def test_intermediate_state_worked():
-    u_star, s_star = intermediate_state(WORKED_LEFT, WORKED_RIGHT, 1.0)
+    sol = classify_waves(WORKED_LEFT, WORKED_RIGHT, 1.0)
+    u_star, s_star = sol.u_star, sol.sigma_star
     assert (u_star, s_star) == (0.5, -0.5)
     oracle = line_intersection_oracle(WORKED_LEFT, WORKED_RIGHT, 1.0)
     assert u_star == pytest.approx(oracle[0], abs=1e-12)
@@ -56,22 +56,23 @@ def test_intermediate_state_worked():
 
 def test_intermediate_state_constant_data():
     s = State(0.7, -0.3)
-    assert intermediate_state(s, s, 0.4) == (0.7, -0.3)
+    sol = classify_waves(s, s, 0.4)
+    assert (sol.u_star, sol.sigma_star) == (0.7, -0.3)
 
 
 def test_intermediate_state_blows_up_as_k_vanishes():
     left, right = State(1.0, 1.0), State(0.0, 0.0)
     mean = 0.5 * (left.u + right.u)
     for k in (1e-2, 1e-4, 1e-6):
-        u_star, _ = intermediate_state(left, right, k)
+        u_star = classify_waves(left, right, k).u_star
         assert u_star - mean == pytest.approx(
             (right.sigma - left.sigma) / (2 * k), rel=1e-12)
-    assert abs(intermediate_state(left, right, 1e-6)[0]) > 1e5
+    assert abs(classify_waves(left, right, 1e-6).u_star) > 1e5
 
 
 def test_intermediate_state_rejects_nonpositive_k():
     with pytest.raises(ValueError):
-        intermediate_state(WORKED_LEFT, WORKED_RIGHT, 0.0)
+        classify_waves(WORKED_LEFT, WORKED_RIGHT, 0.0)
 
 
 @given(ul=st.floats(-3, 3), sl=st.floats(-3, 3), ur=st.floats(-3, 3),
@@ -79,7 +80,8 @@ def test_intermediate_state_rejects_nonpositive_k():
 @settings(max_examples=150)
 def test_intermediate_state_sits_on_both_lines(ul, sl, ur, sr, k):
     left, right = State(ul, sl), State(ur, sr)
-    u_star, s_star = intermediate_state(left, right, k)
+    sol = classify_waves(left, right, k)
+    u_star, s_star = sol.u_star, sol.sigma_star
     assert s_star == pytest.approx(sl + k * (u_star - ul), abs=1e-12)
     assert sr == pytest.approx(s_star - k * (ur - u_star), abs=1e-12)
 
@@ -104,6 +106,8 @@ def test_classify_two_rarefactions():
     assert sol.u_star == 1.0 and sol.sigma_star == 1.0
     assert sol.wave1.kind == "rarefaction" and sol.wave1.fan == (-1.0, 0.0)
     assert sol.wave2.kind == "rarefaction" and sol.wave2.fan == (2.0, 3.0)
+    for w in (sol.wave1, sol.wave2):
+        assert w.fan == (w.slowest, w.fastest) and w.speed is None
 
 
 def test_classify_zero_strength_wave_stable():
@@ -111,6 +115,15 @@ def test_classify_zero_strength_wave_stable():
     left, right = State(1.0, 0.5), State(0.0, 0.5 + 1.0 * 1.0)
     sol = classify_waves(left, right, 1.0)
     assert sol.wave1.kind == "none"
+    # an absent wave spans -inf (family 1) or +inf (family 2); a shock its speed
+    assert (sol.wave1.slowest, sol.wave1.fastest) == (-np.inf, -np.inf)
+    assert sol.wave1.speed is None and sol.wave1.fan is None
+    assert sol.wave2.kind == "shock" and sol.wave2.fan is None
+    assert sol.wave2.speed == sol.wave2.slowest == sol.wave2.fastest == 1.5
+    # data on the 1-family line: wave 2 is the absent one
+    mirror = classify_waves(State(0.0, 0.0), State(1.0, 1.0), 1.0)
+    assert mirror.wave1.kind == "rarefaction" and mirror.wave2.kind == "none"
+    assert (mirror.wave2.slowest, mirror.wave2.fastest) == (np.inf, np.inf)
     for wiggle in (1e-12, -1e-12):
         sol2 = classify_waves(State(left.u + wiggle, left.sigma), right, 1.0)
         assert sol2.wave1.kind == "none"
