@@ -9,18 +9,19 @@ The file format is INI-style with three core sections::
 
 plus optional sections ``[klimit]`` (ks, t), ``[riemann]``
 (xi_min, xi_max, xi_points) and ``[verify]`` (replay_samples).
-``configs/worked.ini`` spells out the built-in defaults.
+``configs/worked.ini`` spells out the built-in defaults.  The plateau
+override c applies to ``verify-expansions`` and ``verify-solution``.
 
 Validation rules: every section and key must be one of those above;
-every number must be finite; k >= 0; t_max > 0;
-t_points >= 2; an eps grid, listed or of powers, has at least 4
-positive, strictly decreasing values (so eps_pow_max >= eps_pow_min + 3);
-ks holds at least 2 distinct positive values; [klimit] t > 0;
-xi_min < xi_max and xi_points >= 2; replay_samples >= 0.
-Configuration problems raise :class:`ConfigError`; mathematical problems
-with valid configuration surface later from the library.  The
-``verify-expansions`` command also needs the eps grid to span at least 3
-dyadic decades, and rejects a narrower one as a configuration error.
+every number must be finite; k >= 0; t_max > 0; t_points >= 2; the eps
+grid is listed or of powers, not both, with at least 4 positive,
+strictly decreasing values (so eps_pow_max >= eps_pow_min + 3, and
+eps_pow_min >= -1023: 2^1024 overflows); ks holds at least 2 distinct
+positive values; [klimit] t > 0; xi_min < xi_max and xi_points >= 2;
+replay_samples >= 0.  Configuration problems raise :class:`ConfigError`;
+mathematical problems with valid configuration surface later from the
+library.  ``verify-expansions`` also rejects, as a configuration error,
+an eps grid spanning under 3 dyadic decades.
 """
 
 import configparser
@@ -62,64 +63,39 @@ class RunConfig(NamedTuple):
                                self.e0, self.k)
 
 
-# Every key each section may set.
-_KEYS = {
-    "data": ("u0", "u1", "sigma0", "sigma1", "e0", "k"),
-    "grid": ("eps_pow_min", "eps_pow_max", "eps", "t_max", "t_points"),
-    "kernel": ("kind", "c"),
-    "klimit": ("ks", "t"),
-    "riemann": ("xi_min", "xi_max", "xi_points"),
-    "verify": ("replay_samples",),
-}
-
-
-def _check_names(parser) -> None:
-    """Reject the sections and keys the format does not define.
-
-    A misspelt name would otherwise leave its default in force silently.
-    """
-    if parser.defaults():
-        raise ConfigError(f"unknown section [{parser.default_section}]")
-    for section in parser.sections():
-        if section not in _KEYS:
-            raise ConfigError(f"unknown section [{section}]; expected one of "
-                              + ", ".join(f"[{name}]" for name in _KEYS))
-        for key in parser.options(section):
-            if key not in _KEYS[section]:
-                raise ConfigError(f"[{section}] unknown key {key!r}; expected one of "
-                                  + ", ".join(_KEYS[section]))
-
-
-def _get_float(parser, section, key, default):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
+# A reader maps a value's text and its "[section] key" to the value or a ConfigError.
+def _number(raw, where):
     try:
         val = float(raw)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
+        raise ConfigError(f"{where} = {raw!r} is not a number") from exc
     if not math.isfinite(val):
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
+        raise ConfigError(f"{where} = {raw!r} is not finite")
     return val
 
 
-def _get_positive(parser, section, key, default):
-    val = _get_float(parser, section, key, default)
-    if val <= 0.0:
-        raise ConfigError(f"[{section}] {key} must be positive")
-    return val
+def _bounded(rule):
+    """A reader of numbers that are ``rule``: "positive" (> 0) or "nonnegative" (>= 0)."""
+    def read(raw, where):
+        val = _number(raw, where)
+        if val < 0.0 or val == 0.0 and rule == "positive":
+            raise ConfigError(f"{where} must be {rule}")
+        return val
+    return read
 
 
-def _get_int(parser, section, key, default, least=-math.inf):
-    val = _get_float(parser, section, key, default)
-    if val != int(val):
-        raise ConfigError(f"[{section}] {key} must be an integer")
-    if val < least:
-        raise ConfigError(f"[{section}] {key} must be at least {least}")
-    return int(val)
+def _integer(least=-math.inf):
+    def read(raw, where):
+        val = _number(raw, where)
+        if val != int(val):
+            raise ConfigError(f"{where} must be an integer")
+        if val < least:
+            raise ConfigError(f"{where} must be at least {least}")
+        return int(val)
+    return read
 
 
-def _parse_float_list(raw, where):
+def _numbers(raw, where):
     try:
         vals = tuple(float(tok) for tok in raw.replace(",", " ").split())
     except ValueError as exc:
@@ -131,17 +107,59 @@ def _parse_float_list(raw, where):
     return vals
 
 
-def _parse_eps(parser) -> tuple[float, ...]:
-    """The [grid] eps grid, listed or of powers; :class:`ConfigError` unless it keeps
-    the rules of ``kernels.default_eps_grid`` and ``check_eps_grid``, with 4+ points."""
-    listed = parser.has_option("grid", "eps")
-    if listed:
-        grid = _parse_float_list(parser.get("grid", "eps"), "[grid] eps")
-    else:
-        pmin = _get_int(parser, "grid", "eps_pow_min", 3)
-        pmax = _get_int(parser, "grid", "eps_pow_max", 12)
+def _ks(raw, where):
+    ks = _numbers(raw, where)
+    if any(k <= 0.0 for k in ks):
+        raise ConfigError(f"{where} must be positive")
+    if len(set(ks)) < 2:
+        raise ConfigError(f"{where} needs at least 2 distinct values")
+    return ks
+
+
+def _kind(raw, where):
     try:
-        grid = check_eps_grid(grid if listed else default_eps_grid(pmin, pmax))
+        return canonical_kind(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[kernel] {exc}") from exc
+
+
+# Every key a file may set: (section, key) -> (RunConfig field, reader).
+# The eps powers fill no field; _eps_grid turns them into eps_grid.
+_TABLE = {
+    ("data", "u0"): ("u0", _number),
+    ("data", "u1"): ("u1", _number),
+    ("data", "sigma0"): ("sigma0", _number),
+    ("data", "sigma1"): ("sigma1", _number),
+    ("data", "e0"): ("e0", _number),
+    ("data", "k"): ("k", _bounded("nonnegative")),
+    ("grid", "eps_pow_min"): ("eps_pow_min", _integer(-1023)),
+    ("grid", "eps_pow_max"): ("eps_pow_max", _integer()),
+    ("grid", "eps"): ("eps_grid", _numbers),
+    ("grid", "t_max"): ("t_max", _bounded("positive")),
+    ("grid", "t_points"): ("t_points", _integer(2)),
+    ("kernel", "kind"): ("kernel_kind", _kind),
+    ("kernel", "c"): ("c", _number),
+    ("klimit", "ks"): ("klimit_ks", _ks),
+    ("klimit", "t"): ("klimit_t", _bounded("positive")),
+    ("riemann", "xi_min"): ("xi_min", _number),
+    ("riemann", "xi_max"): ("xi_max", _number),
+    ("riemann", "xi_points"): ("xi_points", _integer(2)),
+    ("verify", "replay_samples"): ("replay_samples", _integer(0)),
+}
+
+
+def _eps_grid(values) -> tuple[float, ...]:
+    """The eps grid of ``values``, listed or of powers (3 and 12 unless set, popped);
+    :class:`ConfigError` if both are set or it breaks a grid rule or has under 4 points."""
+    listed = values.get("eps_grid")
+    for key in ("eps_pow_min", "eps_pow_max"):
+        if listed and key in values:
+            raise ConfigError(f"[grid] {key} cannot be set beside an eps list")
+    # From 2^-1075 on every power rounds to 0, which check_eps_grid names: build no further.
+    pmin = values.pop("eps_pow_min", 3)
+    pmax = min(values.pop("eps_pow_max", 12), max(pmin + 1, 1075))
+    try:
+        grid = check_eps_grid(listed or default_eps_grid(pmin, pmax))
     except ValueError as exc:
         raise ConfigError(f"[grid] {exc}") from exc
     if len(grid) < 4:
@@ -155,54 +173,29 @@ def load_config(path: str | None) -> RunConfig:
         return RunConfig()
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path, encoding="utf-8")
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"config file not found: {path}")
+        sections = {section: parser.items(section) for section in parser.sections()}
     except (configparser.Error, UnicodeDecodeError) as exc:
-        # configparser spreads its messages over lines; the CLI prints one.
-        detail = " ".join(str(exc).split())
-        raise ConfigError(f"cannot parse {path}: {detail}") from exc
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-    _check_names(parser)
-    defaults = RunConfig()
-    kind = parser.get("kernel", "kind", fallback="quartic")
-    try:
-        kind = canonical_kind(kind)
-    except ValueError as exc:
-        raise ConfigError(f"[kernel] {exc}") from exc
-    c = _get_float(parser, "kernel", "c", None)
-    ks = defaults.klimit_ks
-    if parser.has_option("klimit", "ks"):
-        ks = _parse_float_list(parser.get("klimit", "ks"), "[klimit] ks")
-        if any(k <= 0.0 for k in ks):
-            raise ConfigError("[klimit] ks must be positive")
-        if len(set(ks)) < 2:
-            raise ConfigError("[klimit] ks needs at least 2 distinct values")
-    k = _get_float(parser, "data", "k", defaults.k)
-    if k < 0.0:
-        raise ConfigError("[data] k must be nonnegative")
-    xi_min = _get_float(parser, "riemann", "xi_min", defaults.xi_min)
-    xi_max = _get_float(parser, "riemann", "xi_max", defaults.xi_max)
-    if xi_min >= xi_max:
+        # Syntax, encoding and %-reference errors (items() interpolates), on one line.
+        raise ConfigError(f"cannot parse {path}: {' '.join(str(exc).split())}") from exc
+    # A misspelt name would otherwise leave its default in force silently.
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}]")
+    values = {}
+    for section, items in sections.items():
+        keys = [key for name, key in _TABLE if name == section]
+        if not keys:
+            raise ConfigError(f"unknown section [{section}]; expected one of "
+                              + ", ".join(dict.fromkeys(f"[{name}]" for name, _ in _TABLE)))
+        for key, raw in items:
+            if key not in keys:
+                raise ConfigError(f"[{section}] unknown key {key!r}; expected one of "
+                                  + ", ".join(keys))
+            field, read_value = _TABLE[section, key]
+            values[field] = read_value(raw, f"[{section}] {key}")
+    values["eps_grid"] = _eps_grid(values)
+    cfg = RunConfig(**values)
+    if cfg.xi_min >= cfg.xi_max:
         raise ConfigError("[riemann] xi_min must be below xi_max")
-    return RunConfig(
-        u0=_get_float(parser, "data", "u0", defaults.u0),
-        u1=_get_float(parser, "data", "u1", defaults.u1),
-        sigma0=_get_float(parser, "data", "sigma0", defaults.sigma0),
-        sigma1=_get_float(parser, "data", "sigma1", defaults.sigma1),
-        e0=_get_float(parser, "data", "e0", defaults.e0),
-        k=k,
-        kernel_kind=kind,
-        c=c,
-        eps_grid=_parse_eps(parser),
-        t_max=_get_positive(parser, "grid", "t_max", defaults.t_max),
-        t_points=_get_int(parser, "grid", "t_points", defaults.t_points, least=2),
-        klimit_ks=ks,
-        klimit_t=_get_positive(parser, "klimit", "t", defaults.klimit_t),
-        xi_min=xi_min,
-        xi_max=xi_max,
-        xi_points=_get_int(parser, "riemann", "xi_points", defaults.xi_points,
-                           least=2),
-        replay_samples=_get_int(parser, "verify", "replay_samples",
-                                defaults.replay_samples, least=0),
-    )
-
+    return cfg

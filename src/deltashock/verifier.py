@@ -37,6 +37,7 @@ from .kernels import (
 )
 from .pairing import (
     LINEAR_BUMP,
+    NumericsError,
     PLAIN_BUMP,
     Piecewise,
     TestFunction,
@@ -123,7 +124,10 @@ def _expansion(ansatz: SmoothAnsatz, system_k: float, times):
     basis_rows = _basis_rows(ansatz, system_k)
     products = tuple(dict.fromkeys(p for row in basis_rows for p in row))
     table = primitive_table(ansatz.kernel, products)
-    weights = table.weights(basis_rows, c)
+    try:
+        weights = table.weights(basis_rows, c)
+    except OverflowError:
+        raise NumericsError(f"non-finite residual weight: c^2 overflows at c={c:g}") from None
     front = ansatz.front
     phi, e, p, p_dot = (np.atleast_1d(method(times)) for method in
                         (front.phi, front.e, front.p, front.p_dot))

@@ -1,3 +1,4 @@
+import configparser
 import contextlib
 import io
 import json
@@ -13,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltashock.cli import main
-from deltashock.config import ConfigError, RunConfig, load_config
+from deltashock.config import _TABLE, ConfigError, RunConfig, load_config
+from deltashock.kernels import default_eps_grid
 
 SHIPPED_WORKED = Path(__file__).resolve().parents[1] / "configs" / "worked.ini"
 
@@ -41,6 +43,16 @@ def write(tmp_path, text, name="cfg.ini"):
 def test_load_config_defaults_match_shipped_file():
     assert load_config(str(SHIPPED_WORKED)) == RunConfig()
     assert load_config(None) == RunConfig()
+
+
+def test_shipped_file_sets_every_key():
+    # A key missing from worked.ini equals its default, so the test above
+    # cannot see it.  The file spells out every key but the eps list, which
+    # excludes the powers, and the plateau override, whose default is the data's.
+    parser = configparser.ConfigParser()
+    parser.read(SHIPPED_WORKED, encoding="utf-8")
+    shipped = {(section, key) for section in parser.sections() for key in parser[section]}
+    assert shipped == set(_TABLE) - {("grid", "eps"), ("kernel", "c")}
 
 
 def test_load_config_errors(tmp_path):
@@ -114,12 +126,22 @@ def test_config_error_exits_two(tmp_path, capsys):
     (CLASSICAL_INI + "[riemann]\nt = 0\n", "riemann", "[riemann] unknown key 't'"),
     ("[klimit]\nt = -1\n", "k-limit", "[klimit] t"),
     ("[klimit]\norder_tol = 0\n", "k-limit", "order_tol"),
+    # an eps list used to drop the powers beside it unread, even malformed ones
+    ("[grid]\neps = 0.5, 0.25, 0.125, 0.0625\neps_pow_min = 3\n", "front",
+     "[grid] eps_pow_min cannot be set beside an eps list"),
+    ("[grid]\neps = 0.5, 0.25, 0.125, 0.0625\neps_pow_min = fast\n", "front",
+     "[grid] eps_pow_min = 'fast' is not a number"),
+    ("[grid]\neps_pow_max = 12\neps = 0.5, 0.25, 0.125, 0.0625\n", "front",
+     "[grid] eps_pow_max cannot be set beside an eps list"),
+    # 2^1100 overflowed: a traceback
+    ("[grid]\neps_pow_min = -1100\n", "front", "[grid] eps_pow_min must be at least -1023"),
 ], ids=["t_points-inf", "t_points-nan", "u1-nan", "eps-nan", "k-negative",
         "t_max-negative", "t_max-zero", "ks-single", "replay_samples-negative",
         "unknown-key", "unknown-section", "unknown-key-and-section",
         "unknown-kernel-key", "default-section", "xi_points-zero",
         "xi-range-reversed", "riemann-t-zero", "klimit-t-negative",
-        "order_tol-zero"])
+        "order_tol-zero", "eps-and-pow-min", "eps-and-pow-min-malformed",
+        "pow-max-and-eps", "eps_pow_min-overflows"])
 def test_out_of_range_config_exits_two(tmp_path, capsys, text, command, named):
     cfg = write(tmp_path, text)
     rc = main(["--config", cfg, "--out", str(tmp_path), command])
@@ -405,6 +427,18 @@ def test_eps_powers_past_the_subnormals_exit_two_with_one_short_line(tmp_path, c
         "decreasing: eps[5] = 0.0 after 5e-324"]
 
 
+def test_huge_eps_pow_max_builds_no_huge_grid(tmp_path, monkeypatch):
+    # Every power from 2^-1075 on rounds to 0.0, so the grid is rejected at
+    # its first zero; eps_pow_max = 1e300 used to build 1e300 floats first.
+    def bounded_grid(pow_min, pow_max):
+        assert pow_max <= 1075, pow_max
+        return default_eps_grid(pow_min, pow_max)
+
+    monkeypatch.setattr("deltashock.config.default_eps_grid", bounded_grid)
+    with pytest.raises(ConfigError, match=r"^\[grid\] .*: eps\[1072\] = 0.0 after 5e-324$"):
+        load_config(write(tmp_path, "[grid]\neps_pow_max = 1e300\n"))
+
+
 def test_verify_expansions_c_mismatch_flagged(tmp_path, capsys):
     cfg = write(tmp_path, WORKED_INI + "\n[kernel]\nkind = quartic\nc = 0.2\n")
     rc = main(["--config", cfg, "--out", str(tmp_path), "verify-expansions"])
@@ -448,6 +482,34 @@ def test_verify_solution_names_a_degenerate_jump(tmp_path, capsys, u1, named):
     assert rc == 1 and captured.err == ""
     assert captured.out.splitlines() == [
         f"FAIL inadmissible data: violated margin(s) u1 - 2k = -0.2; {named}"]
+
+
+def test_verify_solution_follows_the_configured_plateau(tmp_path, capsys):
+    # [kernel] c used to be read and ignored here: the report was the
+    # default run's.  Off the data's plateau 0.375 the stress dipoles no
+    # longer cancel, and the verdict fails on the sigma equation.
+    cfg = write(tmp_path, WORKED_INI + "\n[kernel]\nc = 0.3\n")
+    rc = main(["--config", cfg, "--out", str(tmp_path), "verify-solution"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert out[0] == ("note: configured c=0.3 differs from the data value 0.375; "
+                      "measured step-times-delta coefficient follows the configured plateau")
+    assert out[1].startswith("FAIL weak-solution verification (k=0.1): equation=sigma ")
+    assert "order=0.203" in out[1]
+    report = json.loads((tmp_path / "residual_report.json").read_text())
+    assert report["passed"] is False
+
+
+@pytest.mark.parametrize("c", ["1e200", "-1.7976931348623157e308"])
+def test_configured_plateau_whose_square_overflows_is_named(tmp_path, capsys, c):
+    # The residual weights carry c^2; this used to print
+    # "error: (34, 'Numerical result out of range')".
+    cfg = write(tmp_path, f"[kernel]\nc = {c}\n")
+    rc = main(["--config", cfg, "--out", str(tmp_path), "verify-solution"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: non-finite residual weight: c^2 overflows at c={float(c):g}"]
 
 
 def test_verify_solution_replay_sweep(tmp_path, capsys):
@@ -559,6 +621,16 @@ def test_k_limit_passes_with_a_large_background_stress(tmp_path, capsys, sigma0)
     # k; the gap is the amplitudes' difference alone, so their rounding at
     # sigma0 = 1e6 cannot reach K_GAP_TOL.
     cfg = write(tmp_path, f"[data]\nsigma0 = {sigma0}\n")
+    rc = main(["--config", cfg, "--out", str(tmp_path), "k-limit"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert out[-1].startswith("PASS small-k gap law"), out
+
+
+def test_k_limit_bound_scales_with_the_gap(tmp_path, capsys):
+    # At t = 1e300 the gaps reach 2e298 and their rounding 3.5e282; the
+    # absolute bound 1e-10 failed a gap law that holds to 2e-16 relative.
+    cfg = write(tmp_path, "[klimit]\nt = 1e300\n")
     rc = main(["--config", cfg, "--out", str(tmp_path), "k-limit"])
     out = capsys.readouterr().out.splitlines()
     assert rc == 0
@@ -738,6 +810,10 @@ _VIOLATIONS = [
     {("riemann", "xi_points"): st.integers(-5, 1).map(str)},
     {("riemann", "xi_min"): st.floats(min_value=0.0, allow_infinity=False).map(repr),
      ("riemann", "xi_max"): _NON_POSITIVE},
+    # an eps list and a power: both set, neither wins
+    *[{("grid", "eps"): st.just("0.5, 0.25, 0.125, 0.0625"), ("grid", key): value}
+      for key in ("eps_pow_min", "eps_pow_max")
+      for value in (st.integers(0, 20).map(str), _NOT_A_FINITE_NUMBER)],
 ]
 
 
@@ -793,8 +869,8 @@ def test_admissible_config_runs(entries):
 def test_malformed_config_exits_two_with_one_line(entries, violation, data):
     for key, strategy in violation.items():
         entries[key] = data.draw(strategy)
-    if ("grid", "eps_pow_min") in violation:
-        entries.pop(("grid", "eps"), None)  # an eps list overrides the powers
+    if ("grid", "eps_pow_min") in violation and ("grid", "eps") not in violation:
+        entries.pop(("grid", "eps"), None)  # so the powers' own rule is what fails
     rc, _, err = _run(_config_text(entries))
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("config error:")
@@ -805,6 +881,7 @@ def test_malformed_config_exits_two_with_one_line(entries, violation, data):
     "[data]\nu1 = 2.0\nu1 = 3.0\n",      # duplicate key
     "[data]\n[data]\n",                  # duplicate section
     "[data]\nthis line has no separator\n",
+    "[data]\nu1 = 5%\n",                  # a bad interpolation: was a traceback
 ])
 def test_unparseable_config_exits_two_with_one_line(text):
     rc, _, err = _run(text)

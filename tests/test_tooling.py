@@ -6,15 +6,17 @@ rename in the package could break it silently.  Its ``cli`` workload
 times fresh processes, so import-time work in the package would show
 there; the CLI import is checked to stay lazy and to load no third-party
 module but numpy, and each subcommand to load only the package modules
-it computes with.
+it computes with.  Every third-party import is a declared dependency.
 """
 
+import ast
 import importlib
 import importlib.util
 import itertools
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +25,8 @@ import pytest
 
 import deltashock
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load_perfbench(monkeypatch, name):
@@ -135,6 +138,42 @@ def test_every_exported_name_exists():
         module = importlib.import_module(f"deltashock{'.' + name if name else ''}")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, (module.__name__, missing)
+
+
+def _third_party_imports(folder: Path) -> dict[str, list[str]]:
+    """The top-level name of every module imported under ``folder`` that is
+    neither stdlib nor the package nor a module at the folder's top, with
+    the files that import it."""
+    local = {"deltashock"} | {path.stem for path in folder.glob("*.py")}
+    found = {}
+    for path in sorted(folder.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for top in {name.split(".")[0] for name in names}:
+                if top not in sys.stdlib_module_names and top not in local:
+                    found.setdefault(top, []).append(path.name)
+    return found
+
+
+def test_every_third_party_import_is_declared():
+    # The package and its scripts run on numpy alone, and a clean install
+    # of the ``test`` extra must collect every test module.
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    runtime, extra = ({re.match(r"[A-Za-z0-9_.-]+", req)[0].lower() for req in reqs}
+                      for reqs in (project["dependencies"],
+                                   project["optional-dependencies"]["test"]))
+    assert runtime == {"numpy"}
+    for folder, allowed in (("src", runtime), ("scripts", runtime),
+                            ("tests", runtime | extra)):
+        undeclared = {name: files for name, files in _third_party_imports(ROOT / folder).items()
+                      if name not in allowed}
+        assert not undeclared, (folder, undeclared)
 
 
 def test_no_record_has_string_annotations():
