@@ -25,13 +25,19 @@ same rule on 1, 2, 4, 8 and 16 panels per subinterval: the quartic
 products are polynomials of degree at most 10 on each subinterval, which
 one panel integrates exactly, so only the test function needs nodes, and
 one panel resolves it across the band, 8 eps wide, up to eps = 2^-3.
-The exponential profiles need every panel at every eps: one rung.
+A quartic panel has 10 Gauss nodes, exact to degree 19, as the one-panel
+rung at eps = 2^-3 also spans the test function across the band: against
+a long-double reference on 32 panels, the pairings of 20 seeded data sets
+at every default eps read at most 3.1e-16 of their L1 (2.2e-16 on 16
+nodes), where 8 nodes miss with 5.8e-12 at eps = 2^-3.  The exponential
+profiles need every panel of 16 nodes at every eps: one rung.
 
 The package's one quadrature rule, composite Gauss-Legendre from
 :func:`band_quadrature`, lives here: every pairing, the primitive tables
-and the exponential kernel's mass, omega0 and antiderivative use it.
-Its nodes are literals and the Chebyshev fit is made on first use, so
-only the exponential kernel loads ``numpy.polynomial``.  Every layer
+and the exponential kernel's mass, omega0 and antiderivative use it, on
+16 nodes a panel but for the quartic table's 10.  Its nodes are literals
+and the Chebyshev fit is made on first use, so only the exponential
+kernel loads ``numpy.polynomial``.  Every layer
 imports this module, so the default eps and time grids live here too.
 """
 
@@ -91,6 +97,9 @@ _QUARTIC_OMEGA0 = 5.0 / 7.0
 _CDF_CHEB_DEGREE = 128
 
 GAUSS_NODES = 16
+# Nodes of a quartic table's panel: 6 integrate its products, polynomials of
+# degree at most 10 on a subinterval, exactly; the test function needs 10.
+QUARTIC_GAUSS_NODES = 10
 PANELS_PER_SUBINTERVAL = 16
 
 # Error floor (relative to the series scale) below which a sequence is
@@ -102,23 +111,30 @@ class ExtractionError(ArithmeticError):
     """Raised when an eps -> 0 limit does not exist."""
 
 
-# The positive nodes, ascending, and weights of the 16-point Gauss-Legendre
-# rule on [-1, 1]: numpy's ``leggauss(16)``, which is symmetric to the bit,
-# without importing ``numpy.polynomial``.
-_GAUSS_HALF = ((0.09501250983763744, 0.18945061045506864),
-               (0.2816035507792589, 0.18260341504492364),
-               (0.45801677765722737, 0.16915651939500265),
-               (0.6178762444026438, 0.1495959888165767),
-               (0.755404408355003, 0.12462897125553407),
-               (0.8656312023878318, 0.0951585116824926),
-               (0.9445750230732326, 0.062253523938647456),
-               (0.9894009349916499, 0.027152459411754176))
+# The positive nodes, ascending, and weights of the n-point Gauss-Legendre
+# rules on [-1, 1], by n: numpy's ``leggauss(n)``, which is symmetric to the
+# bit for both, without importing ``numpy.polynomial``.
+_GAUSS_HALF = {
+    GAUSS_NODES: ((0.09501250983763744, 0.18945061045506864),
+                  (0.2816035507792589, 0.18260341504492364),
+                  (0.45801677765722737, 0.16915651939500265),
+                  (0.6178762444026438, 0.1495959888165767),
+                  (0.755404408355003, 0.12462897125553407),
+                  (0.8656312023878318, 0.0951585116824926),
+                  (0.9445750230732326, 0.062253523938647456),
+                  (0.9894009349916499, 0.027152459411754176)),
+    QUARTIC_GAUSS_NODES: ((0.14887433898163122, 0.2955242247147528),
+                          (0.4333953941292472, 0.2692667193099965),
+                          (0.6794095682990244, 0.219086362515982),
+                          (0.8650633666889845, 0.1494513491505804),
+                          (0.9739065285171717, 0.06667134430868814)),
+}
 
 
-@lru_cache(maxsize=1)
-def _gauss_rule():
-    """The :data:`GAUSS_NODES`-point Gauss-Legendre nodes and weights on [-1, 1]."""
-    x, w = np.array(_GAUSS_HALF).T
+@lru_cache(maxsize=None)
+def _gauss_rule(nodes: int = GAUSS_NODES):
+    """The ``nodes``-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    x, w = np.array(_GAUSS_HALF[nodes]).T
     return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
@@ -175,11 +191,11 @@ class MollifierKernel(NamedTuple):
 
 
 def band_quadrature(lo: float, hi: float, cuts: Sequence[float],
-                    panels: int = PANELS_PER_SUBINTERVAL):
+                    panels: int = PANELS_PER_SUBINTERVAL, nodes: int = GAUSS_NODES):
     """Composite Gauss-Legendre nodes and weights on [lo, hi].
 
     The band is split at every cut strictly inside it, and each subinterval
-    is cut into ``panels`` equal panels.
+    is cut into ``panels`` equal panels of ``nodes`` nodes, 16 or 10.
     """
     edges = np.array([lo, *(c for c in sorted(set(cuts)) if lo < c < hi), hi],
                      dtype=float)
@@ -187,7 +203,7 @@ def band_quadrature(lo: float, hi: float, cuts: Sequence[float],
     a = sub[:, :-1].reshape(-1, 1)
     b = sub[:, 1:].reshape(-1, 1)
     half = 0.5 * (b - a)
-    x, w = _gauss_rule()
+    x, w = _gauss_rule(nodes)
     return (half * x + 0.5 * (a + b)).ravel(), (half * w).ravel()
 
 
@@ -373,9 +389,11 @@ PROFILE_EPS_POWERS = {"h": 0.0, "dh": -1.0, "r": -0.5, "dr": -1.5, "d": -1.0,
 BAND_EDGES = (-4.0, -3.0, -1.0, 1.0, 3.0, 4.0)
 
 
-# Panels per subinterval of each rung of a kernel's table, coarsest first.
+# Panels per subinterval of each rung of a kernel's table, coarsest first,
+# and the Gauss nodes of each panel.
 _RUNGS = {QUARTIC: (1, 2, 4, 8, PANELS_PER_SUBINTERVAL),
           EXPONENTIAL: (PANELS_PER_SUBINTERVAL,)}
+_PANEL_NODES = {QUARTIC: QUARTIC_GAUSS_NODES, EXPONENTIAL: GAUSS_NODES}
 # A rung of n panels per subinterval serves every eps up to n times this:
 # its panels, in x, are no longer than one panel at eps = 2^-3.
 _EPS_PER_PANEL = 2.0**-3
@@ -393,20 +411,24 @@ class PrimitiveTable:
     """Weighted profile products of one kernel on the front band in y = xi/eps.
 
     Each of ``rungs``, coarsest first, holds the nodes of the ``panels``
-    rule of :func:`band_quadrature` cut at :data:`BAND_EDGES` on which some
-    product is nonzero.  Column i of a rung's ``columns`` is the weight
-    times the c^j part of a product of profiles at eps = 1, for
+    rule of :func:`band_quadrature`, of the kernel's nodes a panel, cut at
+    :data:`BAND_EDGES` on which some product is nonzero.  Column i of a
+    rung's ``columns`` is the weight times the c^j part of a product of profiles at eps = 1, for
     ``(product, j) = keys[i]``; parts that vanish on every node have no
     column.  On the nodes eps * y that part pairs to eps^powers[i] times
     the column's sum (dxi = eps dy included): its exact eps -> 0 limits
     are :meth:`limits`, read off :meth:`moments`.  Tables compare by identity.
     """
 
-    __slots__ = ("rungs", "keys", "powers")
+    __slots__ = ("rungs", "keys", "powers", "_columns")
 
     def __init__(self, rungs: tuple[Rung, ...],
                  keys: tuple[tuple[tuple[str, ...], int], ...], powers: np.ndarray):
         self.rungs, self.keys, self.powers = rungs, keys, powers
+        # Each product's columns, as (column, j) of its c^j parts.
+        self._columns = {}
+        for i, (product, j) in enumerate(keys):
+            self._columns.setdefault(product, []).append((i, j))
 
     def moments(self, n_max: int):
         """The moments M_n = y^n @ columns of the finest rung and their
@@ -417,8 +439,18 @@ class PrimitiveTable:
 
     def weights(self, rows, c: float) -> np.ndarray:
         """``[row, column]``: each row, {product: coefficient}, weighs column
-        (product, j) by that product's coefficient times c^j."""
-        return np.array([[row.get(p, 0.0) * c**j for p, j in self.keys] for row in rows])
+        (product, j) by that product's coefficient times c^j, and a product
+        it lacks by 0.0 times c^j.  OverflowError if some c^j overflows."""
+        c_powers = [c**j for j in range(1 + max(j for _, j in self.keys))]
+        zeros = [0.0 * c_powers[j] for _, j in self.keys]
+        out = []
+        for row in rows:
+            weights = zeros.copy()
+            for product, coefficient in row.items():
+                for i, j in self._columns.get(product, ()):
+                    weights[i] = coefficient * c_powers[j]
+            out.append(weights)
+        return np.array(out)
 
     def limits(self, weights, names):
         """The eps -> 0 limits A delta + B delta' of the rows of ``weights``,
@@ -499,7 +531,7 @@ def primitive_table(kernel: MollifierKernel,
     """
     panels = _RUNGS[kernel.kind]
     lo, *cuts, hi = BAND_EDGES
-    rules = [band_quadrature(lo, hi, cuts, n) for n in panels]
+    rules = [band_quadrature(lo, hi, cuts, n, _PANEL_NODES[kernel.kind]) for n in panels]
     y, w = (np.concatenate(parts) for parts in zip(*rules))
     columns, keys, powers = product_columns(kernel, products, y, 1.0, w)
     # Nodes and columns where every entry is zero add nothing to a pairing.

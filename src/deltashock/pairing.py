@@ -9,7 +9,7 @@ of a :func:`kernels.primitive_table` (the Lemma 3.1 families at one time,
 or both residuals at every time of a verdict) against a plain and a linear
 bump on one support.  Each eps takes the table's coarsest rung whose
 panels, measured in x, are no longer than one panel at eps = 2^-3: on the
-quartic table 64 nodes at every eps of the default grid.  The test
+quartic table 40 nodes at every eps of the default grid.  The test
 function is evaluated at offsets (phi(t) - center) + eps y from its
 centre, so a node next to the centre keeps the relative accuracy of eps y.
 Consecutive eps on one rung fill one capped buffer in place, a block of
@@ -26,6 +26,8 @@ order, so evaluation is deterministic no matter how callers parallelize.
 
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import mul, sub
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -55,7 +57,6 @@ __all__ = [
     "extrapolate_limit",
     "fit_loglog_slope",
     "OrderEstimate",
-    "fit_order",
     "estimate_order",
     "extract_point_coeffs",
     "PairingReport",
@@ -246,48 +247,63 @@ def extrapolate_limit(eps_grid, values) -> complex | float:
     return aitken_full
 
 
-def fit_loglog_slope(xs: Sequence[float], ys, where=True):
-    """Least-squares slope and fit residual of log ys against log xs.
-
-    Along the last axis of ``ys``, one series or a stack ``[series,
-    point]``, over the points where ``where`` holds: the slope is
-    sum(dx dy) / sum(dx^2) over the logs' deviations from their means, nan
-    below two points or when sum(dx^2) = 0, as for equal logs, and the
-    residual sqrt(SSR / n), 0 below three.  Neither nan warns.
-    """
-    # A float mask: multiplying by it rounds as by the bool, without a cast.
-    keep = np.where(where, 1.0, np.zeros(np.shape(ys)))
-    n = keep.sum(-1)
-    m = np.maximum(n, 1.0)
-    logs = (np.log(np.asarray(xs, dtype=float)) * keep, np.log(np.where(where, ys, 1.0)))
-    dx, dy = ((d - d.sum(-1, keepdims=True) / m[..., None]) * keep for d in logs)
-    spread = (dx * dx).sum(-1)  # 0 below two points, as for equal logs
-    slope = (dx * dy).sum(-1) / np.where(spread > 0.0, spread, np.nan)
-    ssr = ((dy - slope[..., None] * dx) ** 2).sum(-1)
-    resid = np.sqrt(np.where(n >= 3, ssr, 0.0) / m)
-    return slope[()], resid[()]
-
-
 class OrderEstimate(NamedTuple):
-    """Decay order alpha (larger = faster) and log-log fit residual, per series."""
+    """Decay order alpha (larger = faster) and log-log fit residual: floats
+    for one series, tuples of floats for a stack."""
 
-    order: float | np.ndarray
-    residual: float | np.ndarray
-    points_used: int | np.ndarray
+    order: float | tuple[float, ...]
+    residual: float | tuple[float, ...]
 
 
-def fit_order(eps: Sequence[float], errs, floor) -> OrderEstimate:
-    """Log-log decay order of the errors above ``floor``, series by series.
+def _deviations(logs: list[float]):
+    """The deviations of ``logs`` from their mean, and their sum of squares."""
+    n = len(logs)
+    mean = sum(logs) / n
+    dev = list(map(sub, logs, repeat(mean, n)))
+    return dev, sum(map(mul, dev, dev))
 
-    ``errs`` is one series or a stack ``[series, eps]`` with one floor per
-    series.  A series with fewer than two errors above its floor has
-    converged, order +inf (a sentinel); one kept at eps of equal logs, nan.
+
+def fit_loglog_slope(xs: Sequence[float], ys, floor=0.0) -> OrderEstimate:
+    """Least-squares slope of log ys against log xs over the points where
+    ys > ``floor``, and its fit residual: the package's one slope fit, on
+    Python floats.
+
+    ``ys`` is one series, or a stack ``[series, point]`` with one floor per
+    series, whose orders and residuals come as tuples.  The slope is
+    sum(dx dy) / sum(dx^2) over the logs' deviations from their means: +inf,
+    the sentinel of a converged series, below two points above the floor,
+    and nan when sum(dx^2) = 0, as for equal logs.  The residual is
+    sqrt(SSR / n), 0 below three points.  Neither nan raises or warns.
     """
-    errs = np.asarray(errs, dtype=float)
-    keep = errs > np.asarray(floor, dtype=float)[..., None]
-    used = keep.sum(-1)
-    slope, resid = fit_loglog_slope(eps, errs, keep)
-    return OrderEstimate(np.where(used >= 2, slope, ORDER_EXACT)[()], resid, used[()])
+    log_xs = list(map(math.log, xs))
+    rows = ys.tolist() if isinstance(ys, np.ndarray) else list(ys)
+    single = not isinstance(rows[0], (list, tuple, np.ndarray))
+    if single:
+        rows, floor = [rows], [float(floor)]
+    elif isinstance(floor, np.ndarray):
+        floor = floor.tolist()
+    every = _deviations(log_xs)  # shared by the series that keep every point
+    orders, residuals = [], []
+    for row, low in zip(rows, floor):
+        keep = [y > low for y in row]
+        if all(keep):
+            (dx, spread), log_ys = every, list(map(math.log, row))
+        elif keep.count(True) >= 2:
+            (dx, spread), log_ys = (_deviations(list(compress(log_xs, keep))),
+                                    list(map(math.log, compress(row, keep))))
+        else:
+            orders.append(ORDER_EXACT)
+            residuals.append(0.0)
+            continue
+        n = len(dx)
+        dy, _ = _deviations(log_ys)
+        slope = sum(map(mul, dx, dy)) / spread if spread > 0.0 else math.nan
+        misfit = list(map(sub, dy, map(mul, dx, repeat(slope, n))))
+        orders.append(slope)
+        residuals.append(math.sqrt(sum(map(mul, misfit, misfit)) / n) if n >= 3 else 0.0)
+    if single:
+        return OrderEstimate(orders[0], residuals[0])
+    return OrderEstimate(tuple(orders), tuple(residuals))
 
 
 def _errors(values, limit):
@@ -312,7 +328,8 @@ def estimate_order(eps_grid: Sequence[float], values: Sequence, limit) -> OrderE
     if vals.shape[-1] != len(eps):
         raise ValueError("values and eps grid must have equal length")
     errs, scale = _errors(vals, limit)
-    return fit_order(eps[-_ORDER_TAIL:], errs[..., -_ORDER_TAIL:], NEGLIGIBLE_RTOL * scale)
+    return fit_loglog_slope(eps[-_ORDER_TAIL:], errs[..., -_ORDER_TAIL:],
+                            NEGLIGIBLE_RTOL * scale)
 
 
 class PairingReport(NamedTuple):
@@ -362,7 +379,7 @@ def _channel_reports(eps_grid, values, limits) -> list[PairingReport]:
     fit = estimate_order(eps_grid, values, limits)
     return [PairingReport(tuple(eps_grid), tuple(row), limit, order, residual)
             for row, limit, order, residual in zip(
-                values.tolist(), limits.tolist(), fit.order.tolist(), fit.residual.tolist())]
+                values.tolist(), limits.tolist(), fit.order, fit.residual)]
 
 
 def extract_point_coeffs(family: Callable[[float], Piecewise], x0: float,
@@ -384,18 +401,21 @@ def extract_point_coeffs(family: Callable[[float], Piecewise], x0: float,
 # --- the table-pairing engine ----------------------------------------------
 
 # A block holds an (eps x time rows x nodes) array of each modulation in one
-# buffer per call, sized by this node budget on the finest rung (33 times
-# of 1024 nodes, 528 KiB), so peak memory does not grow with the number of
-# times.  A rung of 1/n of those nodes pairs up to n consecutive eps at once,
-# and a call at one time, as the Lemma 3.1 suite's, up to 33 eps per block.
+# buffer per call, sized by this node budget on the finest rung (52 times of
+# the quartic table's 640 nodes, 520 KiB; 33 of the exponential table's
+# 1024, 528 KiB), so peak memory does not grow with the number of times.  A
+# rung of 1/n of those nodes pairs up to n consecutive eps at once, and a
+# call at one time, as the Lemma 3.1 suite's, up to 52 or 33 eps per block.
 _BLOCK_NODES = 33 * 1024
 # The offsets (phi(t) - center) + eps y resolve the front band while one
 # ulp of phi(t) stays below this fraction of the smallest eps: up to
 # |phi| < 2^14 on the default grids, whose smallest eps is 2^-12.
 _NODE_RESOLUTION = 1e-8
 # A band nearer the support's edge than this, in x, takes the finest rung:
-# there the quartic two-panel rung at eps = 1/4 misses the bump's fall by
-# 4e-12 of L1 with a support of halfwidth 1, and by 1e-15 with 0.04 to spare.
+# there the quartic two-panel rung misses the bump's fall.  With the Lemma
+# 3.1 families on a support of halfwidth 1 it misses by 1.2e-8 of L1 at
+# eps = 1/4, where the band reaches the edge, by 2.2e-14 at a margin of 0.1,
+# and holds 1e-15 from a margin of 0.14 on, 0.11 to spare.
 _EDGE_MARGIN = 0.25
 
 

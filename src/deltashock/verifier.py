@@ -12,7 +12,7 @@ call of each trajectory method over the time grid meet, and
 :func:`pairing.pair_table` pairs them with a plain and a linear bump on one
 support that holds the front band at every time and eps.  Every cell
 agrees with the cell-by-cell loop of :func:`pairing.pair` to 1e-12 of its
-sum of |w f phi|, and the eight series are fitted in one array pass.
+sum of |w f phi|, and the eight series are fitted in one slope-fit call.
 
 The replay facility reads the point-mass and dipole coefficients of both
 residuals for an arbitrary trajectory off the same table's moments and
@@ -41,7 +41,7 @@ from .pairing import (
     PLAIN_BUMP,
     Piecewise,
     TestFunction,
-    fit_order,
+    fit_loglog_slope,
     pair_table,
 )
 
@@ -211,19 +211,22 @@ def default_test_suite(phi, eps_max: float) -> tuple[TestFunction, ...]:
 
 
 def _series_verdicts(eps_grid, maxima):
-    """Order, decay ratio and PASS flag of each series of ``maxima``, an
-    array ``[series, eps]`` of max-over-time pairings, as arrays."""
-    scale = maxima.max(-1)
-    negligible = scale <= NEGLIGIBLE_RTOL
-    ratio = np.divide(maxima[:, -1], maxima[:, 0], out=np.zeros(len(maxima)),
-                      where=(maxima[:, 0] > 0.0) & ~negligible)
+    """Order, decay ratio and PASS flag of each series of ``maxima``, rows
+    ``[series][eps]`` of max-over-time pairings, as three tuples."""
+    scales = [max(row) for row in maxima]
     # Order over the full grid: the acceptance contract quantifies decay
     # across the whole eps range, not just the asymptotic tail.  It is +inf,
     # a pass, for a series negligible or with under two points above its floor.
-    est = fit_order(eps_grid, maxima, NEGLIGIBLE_RTOL * scale)
-    order = np.where(negligible, math.inf, est.order)
-    return order, ratio, np.isinf(order) | ((order > DEFAULT_ORDER_FLOOR)
-                                            & (ratio < DEFAULT_RATIO_CEILING))
+    fit = fit_loglog_slope(eps_grid, maxima, [NEGLIGIBLE_RTOL * s for s in scales])
+    verdicts = []
+    for row, scale, order in zip(maxima, scales, fit.order):
+        if scale <= NEGLIGIBLE_RTOL:
+            order, ratio = math.inf, 0.0
+        else:
+            ratio = row[-1] / row[0] if row[0] > 0.0 else 0.0
+        verdicts.append((order, ratio, math.isinf(order) or (
+            order > DEFAULT_ORDER_FLOOR and ratio < DEFAULT_RATIO_CEILING)))
+    return tuple(zip(*verdicts))
 
 
 def verify_weak_solution(ansatz: SmoothAnsatz, system_k: float,
@@ -249,14 +252,14 @@ def verify_weak_solution(ansatz: SmoothAnsatz, system_k: float,
     mags = np.abs(vals.view(float)).reshape(len(t_grid), 2, len(eps_grid), 2, 2)
     # [series, eps, time], series in the order (equation, test function, part)
     mags = mags.transpose(3, 1, 4, 2, 0).reshape(8, len(eps_grid), len(t_grid))
-    worst, maxima = mags.argmax(-1), mags.max(-1)
+    worst, maxima = mags.argmax(-1), mags.max(-1).tolist()
     labels = [f"{tf.modulation}@{tf.center:g}(w={tf.halfwidth:g})" for tf in suite]
     keys = [(equation, label, part)
             for equation in ("u", "sigma") for label in labels for part in ("re", "im")]
-    verdicts = (v.tolist() for v in _series_verdicts(eps_grid, maxima))
-    series = tuple(ResidualSeries(*key, eps_grid, tuple(m), tuple(w), *verdict)
-                   for key, m, w, *verdict in zip(keys, maxima.tolist(),
-                                                  t_grid[worst].tolist(), *verdicts))
+    series = tuple(ResidualSeries(*key, eps_grid, tuple(m), tuple(w), order, ratio, passed)
+                   for key, m, w, order, ratio, passed in zip(
+                       keys, maxima, t_grid[worst].tolist(),
+                       *_series_verdicts(eps_grid, maxima)))
     return SolutionReport(float(system_k), all(s.passed for s in series),
                           DEFAULT_ORDER_FLOOR, DEFAULT_RATIO_CEILING, series)
 

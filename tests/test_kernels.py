@@ -12,7 +12,9 @@ from deltashock.dynamics import LinearTrajectory, volpert_product_pairing
 from deltashock.kernels import (
     BAND_EDGES,
     EXPONENTIAL,
+    GAUSS_NODES,
     QUARTIC,
+    QUARTIC_GAUSS_NODES,
     PrimitiveTable,
     StepProfile,
     band_quadrature,
@@ -26,6 +28,8 @@ from deltashock.kernels import (
     plateau_constant,
     primitive_table,
     product_columns,
+    _PANEL_NODES,
+    _gauss_rule,
 )
 from deltashock.pairing import verify_lemma31
 from deltashock.verifier import replay_derivation
@@ -47,15 +51,15 @@ def gauss_integral(fn, lo, hi, panels=64):
 
 
 def test_gauss_rule_literals_are_leggauss_bitwise():
-    # The rule is written out so that pairing loads no numpy.polynomial; it
-    # must be numpy's rule to the bit, so every pairing stays unchanged.
-    from deltashock.kernels import GAUSS_NODES, _gauss_rule
-
-    nodes, weights = _gauss_rule()
-    want_nodes, want_weights = np.polynomial.legendre.leggauss(GAUSS_NODES)
-    assert nodes.dtype == weights.dtype == np.float64
-    assert nodes.tobytes() == want_nodes.tobytes()
-    assert weights.tobytes() == want_weights.tobytes()
+    # Both rules, of 16 and of 10 nodes, are written out so that pairing
+    # loads no numpy.polynomial; each must be numpy's rule to the bit, so
+    # every pairing stays unchanged.
+    for count in (GAUSS_NODES, QUARTIC_GAUSS_NODES):
+        nodes, weights = _gauss_rule(count)
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(count)
+        assert nodes.dtype == weights.dtype == np.float64
+        assert nodes.tobytes() == want_nodes.tobytes(), count
+        assert weights.tobytes() == want_weights.tobytes(), count
 
 
 def test_quartic_normalization_closed_form():
@@ -301,7 +305,7 @@ def test_primitive_table_expands_products_in_c(kernel):
     # Summed over powers of c, a product's columns are the weighted product
     # of the profiles at eps = 1; the nodes left out carry zeros only.
     c = 0.3
-    y, w = band_quadrature(-4.0, 4.0, (-3.0, -1.0, 1.0, 3.0))
+    y, w = band_quadrature(-4.0, 4.0, (-3.0, -1.0, 1.0, 3.0), 16, _PANEL_NODES[kernel.kind])
     prof = StepProfile(c, 1.0, kernel)
     direct = {
         ("h", "dh"): prof.value(-y) * prof.deriv(-y),
@@ -336,7 +340,7 @@ def test_product_columns_at_eps_reproduce_the_table(kernel):
     # slope: up to 27 ulp of the column's largest entry.
     table = primitive_table(kernel, BASIS_PRODUCTS)
     finest = table.rungs[-1]
-    y, w = band_quadrature(-4.0, 4.0, (-3.0, -1.0, 1.0, 3.0))
+    y, w = band_quadrature(-4.0, 4.0, (-3.0, -1.0, 1.0, 3.0), 16, _PANEL_NODES[kernel.kind])
     kept = np.isin(y, finest.y)
     ulp = np.spacing(np.max(np.abs(finest.columns), axis=0))
     for eps in (*default_eps_grid(), 0.3):
@@ -356,8 +360,8 @@ def test_rung_choice_per_kernel(kernel):
     got = [table.at(eps).panels for eps in (*default_eps_grid(), 0.3)]
     if kernel.kind == QUARTIC:
         assert got == [1] * 10 + [4]
-        # the band's four subintervals that carry a product, 16 nodes a panel
-        assert [len(table.at(eps).y) for eps in default_eps_grid()] == [64] * 10
+        # the band's four subintervals that carry a product, 10 nodes a panel
+        assert [len(table.at(eps).y) for eps in default_eps_grid()] == [40] * 10
     else:
         assert got == [16] * 11
     assert table.at(2.0) is table.rungs[-1]
@@ -365,7 +369,7 @@ def test_rung_choice_per_kernel(kernel):
 
 def test_quartic_rungs_share_the_finest_moments(quartic):
     # The quartic products are polynomials of degree at most 10 on each
-    # subinterval, so one panel of 16 nodes already integrates them and
+    # subinterval, so one panel of 10 nodes already integrates them and
     # their first moments exactly.
     table = primitive_table(quartic, BASIS_PRODUCTS)
     assert [rung.panels for rung in table.rungs] == [1, 2, 4, 8, 16]

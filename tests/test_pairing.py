@@ -33,7 +33,6 @@ from deltashock.pairing import (
     extract_point_coeffs,
     extrapolate_limit,
     fit_loglog_slope,
-    fit_order,
     pair,
     verify_lemma31,
 )
@@ -273,15 +272,13 @@ def _stacked_errors(draw):
 @settings(max_examples=60, deadline=None)
 # The two kept eps have equal logs: a nan order, without a warning.
 @example(([1.0, 1.0000000000000002e-4, 1e-4], [[0.0, 1.0, 1.0]], [0.0]))
-def test_fit_order_on_a_stack_equals_each_series_alone(case):
+def test_loglog_slope_on_a_stack_equals_each_series_alone(case):
     eps, errs, floors = case
     errs, floors = np.array(errs), np.array(floors)
-    stacked = fit_order(eps, errs, floors)
+    stacked = fit_loglog_slope(eps, errs, floors)
     for i in range(len(errs)):
-        alone = fit_order(eps, errs[i], floors[i])
-        assert stacked.points_used[i] == alone.points_used
-        assert alone.points_used == np.count_nonzero(errs[i] > floors[i])
-        if alone.points_used < 2:
+        alone = fit_loglog_slope(eps, errs[i], floors[i])
+        if np.count_nonzero(errs[i] > floors[i]) < 2:
             assert stacked.order[i] == alone.order == math.inf
             assert stacked.residual[i] == alone.residual == 0.0
         else:
@@ -290,10 +287,10 @@ def test_fit_order_on_a_stack_equals_each_series_alone(case):
                                                         abs=1e-15, nan_ok=True)
 
 
-def test_fit_order_keeps_nan_for_kept_eps_of_equal_logs():
+def test_loglog_slope_keeps_nan_for_kept_eps_of_equal_logs():
     # Such a series fails the order gates instead of passing as +inf.
-    fit = fit_order([1.0, 1.0000000000000002e-4, 1e-4], [0.0, 1.0, 1.0], 0.0)
-    assert math.isnan(fit.order) and fit.points_used == 2
+    fit = fit_loglog_slope([1.0, 1.0000000000000002e-4, 1e-4], [0.0, 1.0, 1.0], 0.0)
+    assert math.isnan(fit.order) and fit.residual == 0.0
 
 
 def test_correction_pairing_order_half(quartic, eps_grid):
@@ -451,10 +448,10 @@ def test_one_pass_lemma_pairings_match_per_eps_pairings(kernel, grid):
     default_eps_grid(), default_eps_grid(2, 9), (0.2, 0.1, 0.05, 0.02, 0.01, 0.004),
     _CLIPPING_GRID], ids=["default", "2-9", "non-dyadic", "clipping"])
 def test_lemma_pairings_on_the_ladder_match_the_finest_rung(monkeypatch, quartic, grid):
-    # The suite pairs on the table's ladder, 64 nodes at every default eps,
+    # The suite pairs on the table's ladder, 40 nodes at every default eps,
     # and each pairing is within 1.25e-15 of its terms' L1 of the finest
-    # rung's.  The largest gap, 1.24e-15, is R2's A at eps = 2^-7 on every
-    # plateau: 8 ulps of omega0.
+    # rung's.  The largest gap, 1.0e-15, is R2's B at eps = 2^-3 with
+    # c = -0.3 (1.24e-15 on 16-node panels, R2's A at eps = 2^-7).
     table = primitive_table(quartic, pairing.LEMMA_PRODUCTS)
     _, y, columns = table.rungs[-1]
     halfwidth = max(1.0, 4.0 * grid[0])
@@ -503,10 +500,10 @@ def test_lemma_suite_pairs_each_family_once_and_fits_once(monkeypatch, quartic):
 
     def counted_fit(eps, errs, floor):
         fits.append(np.shape(errs))
-        return fit_order(eps, errs, floor)
+        return fit_loglog_slope(eps, errs, floor)
 
     monkeypatch.setattr(pairing, "pair", counted_pair)
-    monkeypatch.setattr(pairing, "fit_order", counted_fit)
+    monkeypatch.setattr(pairing, "fit_loglog_slope", counted_fit)
     reports = verify_lemma31(quartic, WORKED_C)
     assert all(r.passed for r in reports)
     assert pairs == []

@@ -282,9 +282,9 @@ def _record_blocks(monkeypatch):
 
 def test_default_verdict_fills_the_rungs_nodes(monkeypatch, worked_ansatz, worked_data):
     # A count that needs no timer: each modulation of a default quartic
-    # verdict takes 33 times the one-panel rung's 64 nodes at each of the
+    # verdict takes 33 times the one-panel rung's 40 nodes at each of the
     # ten eps, in one call, where the finest rung at every eps would take
-    # 33 x 10 x 1024.
+    # 33 x 10 x 640.
     nodes, fill = [], pairing._test_values
 
     def counted(psi, *args):
@@ -293,7 +293,7 @@ def test_default_verdict_fills_the_rungs_nodes(monkeypatch, worked_ansatz, worke
 
     monkeypatch.setattr(pairing, "_test_values", counted)
     verify_weak_solution(worked_ansatz, worked_data.k)
-    assert nodes == [33 * 10 * 64]
+    assert nodes == [33 * 10 * 40]
 
 
 def test_default_verdict_blocks_per_kernel(monkeypatch, worked_data, kernel):
@@ -316,27 +316,29 @@ def test_default_verdict_blocks_per_kernel(monkeypatch, worked_data, kernel):
 
 
 def test_default_verdict_fits_its_series_once(monkeypatch, worked_ansatz, worked_data):
-    # The eight series are fitted in one array pass: one fit_order call on
+    # The eight series are fitted in one pass: one fit_loglog_slope call on
     # the stack [series, eps].
-    stacks, fit = [], verifier.fit_order
+    stacks, fit = [], verifier.fit_loglog_slope
 
     def counted(eps, errs, floor):
         stacks.append(np.shape(errs))
         return fit(eps, errs, floor)
 
-    monkeypatch.setattr(verifier, "fit_order", counted)
+    monkeypatch.setattr(verifier, "fit_loglog_slope", counted)
     verify_weak_solution(worked_ansatz, worked_data.k)
     assert stacks == [(8, 10)]
 
 
 def test_verdict_spanning_several_blocks_equals_per_cell_loop(monkeypatch, worked_ansatz,
                                                               worked_data):
-    # 70 times are two full blocks of 33 and one of 4, each of all five eps.
-    eps_grid, t_grid = default_eps_grid(3, 7), np.linspace(0.0, 1.0, 70)
+    # 108 times are two full blocks of 52, the times of the budget's nodes
+    # on the quartic table's finest rung of 640, and one of 4, each of all
+    # five eps.
+    eps_grid, t_grid = default_eps_grid(3, 7), np.linspace(0.0, 1.0, 108)
     blocks = _record_blocks(monkeypatch)
     report = verify_weak_solution(worked_ansatz, worked_data.k, t_grid=t_grid,
                                   eps_grid=eps_grid)
-    assert blocks == [(5, 33), (5, 33), (5, 4)]
+    assert blocks == [(5, 52), (5, 52), (5, 4)]
     _assert_matches_per_cell(worked_ansatz, worked_data.k, t_grid, eps_grid, report)
     # one time per block
     monkeypatch.setattr(pairing, "_BLOCK_NODES", 1)
@@ -402,9 +404,9 @@ def _long_double_pairings(ansatz, system_k, times, eps_grid, center, halfwidth):
     return ref, l1
 
 
-def _assert_matches_long_double(kernel, eps_grid):
-    """Whole-band pairings at the default times on 10 seeded data sets are
-    within 1e-15 of their terms' L1 of the long-double reference."""
+def _long_double_cells(kernel, eps_grid):
+    """Whole-band pairings at the default times on 10 seeded data sets, with
+    the long-double reference and its L1, per data set."""
     rng = np.random.default_rng(2024)
     times = default_t_grid()
     for i in range(10):
@@ -413,8 +415,14 @@ def _assert_matches_long_double(kernel, eps_grid):
         suite = default_test_suite(ansatz.front.phi(times), max(eps_grid))
         assert [tf.modulation for tf in suite] == [PLAIN_BUMP, LINEAR_BUMP]
         got = _residual_pairings(ansatz, data.k, times, eps_grid, suite)
-        ref, l1 = _long_double_pairings(ansatz, data.k, times, eps_grid,
-                                        suite[0].center, suite[0].halfwidth)
+        yield (got, *_long_double_pairings(ansatz, data.k, times, eps_grid,
+                                           suite[0].center, suite[0].halfwidth))
+
+
+def _assert_matches_long_double(kernel, eps_grid):
+    """Whole-band pairings at the default times on 10 seeded data sets are
+    within 1e-15 of their terms' L1 of the long-double reference."""
+    for i, (got, ref, l1) in enumerate(_long_double_cells(kernel, eps_grid)):
         assert np.all(np.abs(got - ref).astype(float) <= 1e-15 * l1), i
 
 
@@ -423,8 +431,30 @@ def test_whole_band_pairings_match_a_long_double_reference(quartic):
     # every whole-band pairing is within 1e-15 of its terms' L1 of the
     # reference.  Offsets phi(t) + eps y from which the centre is subtracted
     # afterwards round at the ulp of phi(t), at t = 1/2 where phi(t) is the
-    # centre 2e-14 of L1 on one rung of 64 nodes.
+    # centre 1.9e-14 of L1 on one rung of 40 nodes.
     _assert_matches_long_double(quartic, default_eps_grid())
+
+
+def test_eight_node_panels_miss_the_long_double_bound(monkeypatch, quartic):
+    # Why a quartic panel has 10 nodes: the products need 6, but at
+    # eps = 2^-3 the one-panel rung also spans the test function across the
+    # band.  Panels of leggauss(8) then sit up to 5.5e-12 of L1 from the
+    # reference, and the table's 10 nodes hold 1e-15.
+    eps_grid = (2.0**-3,)
+    _assert_matches_long_double(quartic, eps_grid)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    monkeypatch.setitem(kernels._GAUSS_HALF, 8, tuple(zip(nodes[4:], weights[4:])))
+    monkeypatch.setitem(kernels._PANEL_NODES, kernels.QUARTIC, 8)
+    kernels.primitive_table.cache_clear()
+    try:
+        # one panel on (-3, -1), the one subinterval of dd
+        assert len(kernels.primitive_table(quartic, (("dd",),)).at(eps_grid[0]).y) == 8
+        gaps = [np.max(np.abs(got - ref).astype(float) / l1)
+                for got, ref, l1 in _long_double_cells(quartic, eps_grid)]
+    finally:
+        kernels.primitive_table.cache_clear()
+        kernels._gauss_rule.cache_clear()
+    assert max(gaps) > 1e-12
 
 
 def test_coarse_eps_rungs_match_a_long_double_reference(quartic, worked_ansatz):
@@ -461,8 +491,8 @@ def _traced_peak(fn):
 
 
 def test_verdict_memory_is_capped_by_the_block_buffer(worked_ansatz, worked_data):
-    # One buffer per verdict holds a block's test-function values: 2 x 33
-    # times x 1024 nodes, 528 KiB on the quartic table.  Uncapped, 1025
+    # One buffer per verdict holds a block's test-function values: 2 x 52
+    # times x 640 nodes, 520 KiB on the quartic table.  Uncapped, 1025
     # times would hold 16 MiB of them; only the result arrays, the moments
     # and the complex pairings, may grow with the number of times.
     k = worked_data.k
