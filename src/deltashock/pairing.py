@@ -6,8 +6,10 @@ dipole coefficients.
 
 :func:`pair_table` is the one runtime pairing: weight rows on the columns
 of a :func:`kernels.primitive_table` (the Lemma 3.1 families at one time,
-or both residuals at every time of a verdict) against a plain and a linear
-bump on one support.  Each eps takes the table's coarsest rung whose
+or both residuals at every time of a verdict) against the plain and the
+linear bump of :func:`default_test_suite`, the one rule that places test
+functions: one support that holds every front band [phi - 4 eps, phi + 4
+eps] with a margin of 1/2.  Each eps takes the table's coarsest rung whose
 panels, measured in x, are no longer than one panel at eps = 2^-3: on the
 quartic table 40 nodes at every eps of the default grid.  The test
 function is evaluated at offsets (phi(t) - center) + eps y from its
@@ -18,10 +20,11 @@ eps powers, and one real matmul per time contracts them with the weights.
 The suite's limits are :meth:`kernels.PrimitiveTable.limits`, exact.
 
 :func:`pair`, on ``kernels.band_quadrature`` split at every declared
-breakpoint, and the extrapolated limits of :func:`extract_point_coeffs`
-are the tests' independent oracle.  Pairings over (eps, test-function)
-grids are independent pure computations; results are reduced in grid
-order, so evaluation is deterministic no matter how callers parallelize.
+breakpoint, and the extrapolated limits of :func:`extract_point_coeffs`,
+on the same rule's probes, are the tests' independent oracle.  Pairings
+over (eps, test-function) grids are independent pure computations;
+results are reduced in grid order, so evaluation is deterministic no
+matter how callers parallelize.
 """
 
 import math
@@ -33,7 +36,6 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .kernels import (
-    BAND_EDGES,
     NEGLIGIBLE_RTOL,
     ExtractionError,
     MollifierKernel,
@@ -43,16 +45,15 @@ from .kernels import (
     default_eps_grid,
     exp_bump,
     primitive_table,
-    product_power,
 )
 
 __all__ = [
     "PLAIN_BUMP",
     "LINEAR_BUMP",
     "TestFunction",
+    "default_test_suite",
     "Piecewise",
     "NumericsError",
-    "ExtractionError",
     "pair",
     "extrapolate_limit",
     "fit_loglog_slope",
@@ -73,9 +74,6 @@ ORDER_EXACT = math.inf
 
 # Decay orders of extracted coefficients are fitted on the finest points.
 _ORDER_TAIL = 5
-# Halfwidth of the two test functions that probe a point expansion; the
-# Lemma 3.1 suite widens it to 4 eps_max, its largest band, when that is more.
-_PROBE_HALFWIDTH = 1.0
 
 
 class NumericsError(ArithmeticError):
@@ -122,6 +120,23 @@ class TestFunction(_TestFields):
 
     def __call__(self, x):
         return self.value(x)
+
+
+def default_test_suite(phi, eps_max: float) -> tuple[TestFunction, ...]:
+    """Value- and slope-selecting bumps on one support that holds the front
+    band [phi - 4 eps, phi + 4 eps] at every front position of the array
+    ``phi`` and every eps up to ``eps_max``, with a margin of 1/2 beyond it.
+
+    The package's one rule for placing test functions: :func:`pair_table`,
+    and so the verdict and the Lemma 3.1 suite, and the oracle
+    :func:`extract_point_coeffs` take their probes from it.  The halfwidth
+    is at least 1, and is 1 at a single front for eps_max up to 1/8.
+    """
+    lo, hi = float(phi.min()), float(phi.max())
+    center = 0.5 * lo + 0.5 * hi
+    halfwidth = max(1.0, 0.5 * hi - 0.5 * lo + 0.5 + 4.0 * eps_max)
+    return (TestFunction(center, halfwidth, PLAIN_BUMP),
+            TestFunction(center, halfwidth, LINEAR_BUMP))
 
 
 @dataclass(frozen=True)
@@ -286,15 +301,15 @@ def fit_loglog_slope(xs: Sequence[float], ys, floor=0.0) -> OrderEstimate:
     orders, residuals = [], []
     for row, low in zip(rows, floor):
         keep = [y > low for y in row]
-        if all(keep):
-            (dx, spread), log_ys = every, list(map(math.log, row))
-        elif keep.count(True) >= 2:
-            (dx, spread), log_ys = (_deviations(list(compress(log_xs, keep))),
-                                    list(map(math.log, compress(row, keep))))
-        else:
+        if keep.count(True) < 2:
             orders.append(ORDER_EXACT)
             residuals.append(0.0)
             continue
+        if all(keep):
+            (dx, spread), log_ys = every, list(map(math.log, row))
+        else:
+            (dx, spread), log_ys = (_deviations(list(compress(log_xs, keep))),
+                                    list(map(math.log, compress(row, keep))))
         n = len(dx)
         dy, _ = _deviations(log_ys)
         slope = sum(map(mul, dx, dy)) / spread if spread > 0.0 else math.nan
@@ -384,14 +399,14 @@ def _channel_reports(eps_grid, values, limits) -> list[PairingReport]:
 
 def extract_point_coeffs(family: Callable[[float], Piecewise], x0: float,
                          eps_grid: Sequence[float]) -> tuple[PairingReport, PairingReport]:
-    """A- and B-channel reports of a family paired with probes at x0.
+    """A- and B-channel reports of a family paired with the probes of
+    :func:`default_test_suite` at the one front x0 and the grid's largest eps.
 
     For a family tending to A*delta(x - x0) + B*delta'(x - x0) their limits
     are A and -B: <delta', phi> = -phi'(x0).  Raises
     :class:`ExtractionError` when a sequence does not converge.
     """
-    probes = (TestFunction(x0, _PROBE_HALFWIDTH, PLAIN_BUMP),
-              TestFunction(x0, _PROBE_HALFWIDTH, LINEAR_BUMP))
+    probes = default_test_suite(np.full(1, float(x0)), max(eps_grid))
     vals = np.array([pair(family(eps), probes) for eps in eps_grid]).T
     limits = np.array([extrapolate_limit(eps_grid, row) for row in vals.tolist()])
     _check_convergence(("A-channel", "B-channel"), vals, limits)
@@ -411,12 +426,6 @@ _BLOCK_NODES = 33 * 1024
 # ulp of phi(t) stays below this fraction of the smallest eps: up to
 # |phi| < 2^14 on the default grids, whose smallest eps is 2^-12.
 _NODE_RESOLUTION = 1e-8
-# A band nearer the support's edge than this, in x, takes the finest rung:
-# there the quartic two-panel rung misses the bump's fall.  With the Lemma
-# 3.1 families on a support of halfwidth 1 it misses by 1.2e-8 of L1 at
-# eps = 1/4, where the band reaches the edge, by 2.2e-14 at a margin of 0.1,
-# and holds 1e-15 from a margin of 0.14 on, 0.11 to spare.
-_EDGE_MARGIN = 0.25
 
 
 def _test_values(psi, halfwidth: float):
@@ -441,19 +450,20 @@ def _test_values(psi, halfwidth: float):
     return psi
 
 
-def pair_table(table: PrimitiveTable, weights, phi, center: float, halfwidth: float,
-               eps_grid: Sequence[float], cell: Callable) -> np.ndarray:
+def pair_table(table: PrimitiveTable, weights, phi, eps_grid: Sequence[float],
+               cell: Callable) -> tuple[tuple[TestFunction, ...], np.ndarray]:
     """Pairings of weighted table columns with a plain and a linear bump.
 
     ``weights`` is ``[row, time, column]``, real or complex, with the front
-    at ``phi[time]``; both test functions sit on one support of ``center``
-    and ``halfwidth`` that holds every front band.  Returns ``[eps, row,
-    test function, time]`` of the weights' dtype, a view of a real ``[time,
-    test function, eps, (row, Re/Im)]`` array, summed as the module
-    docstring says.  :class:`NumericsError` names the first cell not finite
-    as "non-finite " + ``cell(row, test function, eps, time)``, and is raised
-    too when one ulp of max |phi| > 0 exceeds ``_NODE_RESOLUTION`` of the
-    smallest eps.
+    at ``phi[time]``; the test functions are :func:`default_test_suite` of
+    ``phi`` and the largest eps, whose support keeps every front band 1/2
+    inside it, so every eps pairs on ``table.at(eps)``.  Returns that suite
+    and the pairings ``[eps, row, test function, time]`` of the weights'
+    dtype, a view of a real ``[time, test function, eps, (row, Re/Im)]``
+    array, summed as the module docstring says.  :class:`NumericsError`
+    names the first cell not finite as "non-finite " + ``cell(row, test
+    function, eps, time)``, and is raised too when one ulp of max |phi| > 0
+    exceeds ``_NODE_RESOLUTION`` of the smallest eps.
     """
     reach, eps_min = float(np.max(np.abs(phi))), min(eps_grid)
     if reach > 0.0 and np.spacing(reach) > _NODE_RESOLUTION * eps_min:
@@ -461,13 +471,10 @@ def pair_table(table: PrimitiveTable, weights, phi, center: float, halfwidth: fl
             f"front position |phi(t)| = {reach:g} swamps eps = {eps_min:g}: one ulp "
             f"of phi(t) exceeds {_NODE_RESOLUTION:g} eps, so the quadrature nodes "
             f"phi(t) + eps y collapse")
+    suite = default_test_suite(phi, max(eps_grid))
+    center, halfwidth = suite[0].center, suite[0].halfwidth
     eps, offset = np.asarray(eps_grid, dtype=float), phi - center
     times = len(offset)
-    inner = halfwidth - _EDGE_MARGIN - float(np.max(np.abs(offset)))
-
-    def rung_at(e):
-        return table.at(e) if BAND_EDGES[-1] * e <= inner else table.rungs[-1]
-
     moments = np.empty((times, 2, len(eps), len(table.keys)))  # [time, test fn, eps, column]
     nodes_max = len(table.rungs[-1].y)
     step = max(1, _BLOCK_NODES // nodes_max)
@@ -481,9 +488,9 @@ def pair_table(table: PrimitiveTable, weights, phi, center: float, halfwidth: fl
         while first < len(eps):
             # Consecutive eps on one rung, as many as the buffer holds: a
             # falling eps never takes a finer rung, so search from the last.
-            rung = rung_at(eps_grid[first])
+            rung = table.at(eps_grid[first])
             last = min(len(eps), first + capacity // (height * len(rung.y)))
-            while last - 1 > first and rung_at(eps_grid[last - 1]) is not rung:
+            while last - 1 > first and table.at(eps_grid[last - 1]) is not rung:
                 last -= 1
             nodes = eps[first:last, None] * rung.y
             for start in range(0, times, step):
@@ -508,7 +515,7 @@ def pair_table(table: PrimitiveTable, weights, phi, center: float, halfwidth: fl
     if not np.isfinite(pairings).all():
         e, i, f, t = np.argwhere(~np.isfinite(out))[0]
         raise NumericsError(f"non-finite {cell(i, f, e, t)}")
-    return out
+    return suite, out
 
 
 # --- the regularization-product expansion suite ---------------------------
@@ -550,10 +557,6 @@ LEMMA_PRODUCTS = tuple(row[1] for row in _LEMMA_TABLE)
 # their pairing with the odd probe.  H ddelta is (h, dd), as h = c on dd's
 # support, and R dH vanishes as (r, dh) does.
 _REFLECTED = ("dH", "HdH")
-# A family is of order eps^q, q its product_power, even with no column to
-# carry it, as R ddelta's eps^-1.5: on a grid where that overflows, so does
-# the family's pairing.
-_LEMMA_POWERS = np.array([[product_power(p)] for p in LEMMA_PRODUCTS])
 # Below sqrt(2^-52) the eps^-1 families' rounding, scaled by 1/eps, outgrows
 # their O(eps) decay, as in a finite difference, and their fits read noise.
 _LEMMA_EPS_MIN = 2.0**-26
@@ -594,8 +597,9 @@ def _lemma_pairings(kernel: MollifierKernel, c: float, eps_grid: Sequence[float]
     family's largest |entry| on the finest rung, 0.0 with no column.
 
     A family weighs its product's (product, j) columns by c^j, and the suite
-    is :func:`pair_table` of those rows at one time, with phi = 0 and the
-    probes' halfwidth max(1, 4 eps_max), which holds every family's band.
+    is :func:`pair_table` of those rows at one time with phi = 0: its probes
+    are :func:`default_test_suite` there, of halfwidth max(1, 1/2 + 4
+    eps_max), which holds every family's band 1/2 inside.
     Raises :class:`NumericsError` naming the family and c when c^2
     overflows, or the family, channel and eps of the first pairing not
     finite; then the limits, the table's (A, -B), raise
@@ -608,10 +612,10 @@ def _lemma_pairings(kernel: MollifierKernel, c: float, eps_grid: Sequence[float]
         name = next(n for n, p in zip(LEMMA_FAMILIES, LEMMA_PRODUCTS) if (p, 2) in table.keys)
         raise NumericsError(f"non-finite lemma weight at family={name}: "
                             f"c^2 overflows at c={c:g}") from None
-    halfwidth = max(_PROBE_HALFWIDTH, 4.0 * eps_grid[0])
-    values = pair_table(table, weights[:, None], np.zeros(1), 0.0, halfwidth, eps_grid,
-                        lambda i, f, e, t: f"lemma pairing at family={LEMMA_FAMILIES[i]}, "
-                        f"channel={'AB'[f]}, eps={eps_grid[e]:g}")[..., 0].transpose(1, 2, 0)
+    _, values = pair_table(table, weights[:, None], np.zeros(1), eps_grid,
+                           lambda i, f, e, t: f"lemma pairing at family={LEMMA_FAMILIES[i]}, "
+                           f"channel={'AB'[f]}, eps={eps_grid[e]:g}")
+    values = values[..., 0].transpose(1, 2, 0)
     # Near c = 1e154 the limits' cancellation scale overflows, not the limits.
     with np.errstate(over="ignore"):
         a, b = table.limits(weights, [f"lemma family {name}" for name in LEMMA_FAMILIES])
@@ -633,22 +637,16 @@ def verify_lemma31(kernel: MollifierKernel, c: float,
     The three products whose factors' supports at most touch must have no
     column in the primitive table, which holds every product nonzero on
     some node.  An eps grid that is not positive, finite and strictly
-    decreasing raises ValueError, and one on which a family's eps power
-    overflows raises :class:`NumericsError` naming the family and eps, and
-    then one below ``_LEMMA_EPS_MIN`` ValueError.  A family whose terms of
-    negative eps power do not cancel raises :class:`ExtractionError`.
+    decreasing, of fewer than 4 points or 3 dyadic decades, or reaching
+    below ``_LEMMA_EPS_MIN`` raises ValueError; a family's eps power
+    overflows only far below that bound.  A family whose terms of negative
+    eps power do not cancel raises :class:`ExtractionError`.
     """
     eps_grid = check_eps_grid(eps_grid if eps_grid is not None else default_eps_grid())
     if len(eps_grid) < 4:
         raise ValueError("eps grid must span at least 4 points")
     if math.log2(eps_grid[0] / eps_grid[-1]) < 3.0:
         raise ValueError("eps grid should span at least 3 dyadic decades")
-    with np.errstate(over="ignore"):
-        scales = np.asarray(eps_grid) ** _LEMMA_POWERS
-    if not np.isfinite(scales).all():
-        i, e = np.argwhere(~np.isfinite(scales))[0]
-        raise NumericsError(f"non-finite lemma pairing at family={LEMMA_FAMILIES[i]}, "
-                            f"channel=A, eps={eps_grid[e]:g}")
     if eps_grid[-1] < _LEMMA_EPS_MIN:
         raise ValueError(f"lemma suite eps grid reaches eps = {eps_grid[-1]:g}, below "
                          f"2^-26 = {_LEMMA_EPS_MIN:g}: there the rounding of the eps^-1 "

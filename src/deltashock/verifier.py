@@ -9,10 +9,11 @@ profile products (the basis rows) times per-time scalars built from p,
 p-dot and e.  So they are weight rows on the columns of the kernel's
 :func:`kernels.primitive_table`, built once, in which c, the data and one
 call of each trajectory method over the time grid meet, and
-:func:`pairing.pair_table` pairs them with a plain and a linear bump on one
-support that holds the front band at every time and eps.  Every cell
-agrees with the cell-by-cell loop of :func:`pairing.pair` to 1e-12 of its
-sum of |w f phi|, and the eight series are fitted in one slope-fit call.
+:func:`pairing.pair_table` pairs them with the plain and the linear bump of
+:func:`pairing.default_test_suite`, on one support that holds the front
+band at every time and eps.  Every cell agrees with the cell-by-cell loop
+of :func:`pairing.pair` to 1e-12 of its sum of |w f phi|, and the eight
+series are fitted in one slope-fit call.
 
 The replay facility reads the point-mass and dipole coefficients of both
 residuals for an arbitrary trajectory off the same table's moments and
@@ -40,7 +41,6 @@ from .pairing import (
     NumericsError,
     PLAIN_BUMP,
     Piecewise,
-    TestFunction,
     fit_loglog_slope,
     pair_table,
 )
@@ -49,7 +49,6 @@ __all__ = [
     "residual_integrand",
     "ResidualSeries",
     "SolutionReport",
-    "default_test_suite",
     "verify_weak_solution",
     "ReplayResult",
     "replay_derivation",
@@ -199,17 +198,6 @@ class SolutionReport(NamedTuple):
         }
 
 
-def default_test_suite(phi, eps_max: float) -> tuple[TestFunction, ...]:
-    """Value- and slope-selecting bumps on one support that holds the front
-    band [phi - 4 eps, phi + 4 eps] at every front position of the array
-    ``phi`` and every eps up to ``eps_max``, with a margin of 1/2 beyond it."""
-    lo, hi = float(phi.min()), float(phi.max())
-    center = 0.5 * lo + 0.5 * hi
-    halfwidth = max(1.0, 0.5 * hi - 0.5 * lo + 0.5 + 4.0 * eps_max)
-    return (TestFunction(center, halfwidth, PLAIN_BUMP),
-            TestFunction(center, halfwidth, LINEAR_BUMP))
-
-
 def _series_verdicts(eps_grid, maxima):
     """Order, decay ratio and PASS flag of each series of ``maxima``, rows
     ``[series][eps]`` of max-over-time pairings, as three tuples."""
@@ -233,22 +221,28 @@ def verify_weak_solution(ansatz: SmoothAnsatz, system_k: float,
                          t_grid=None, eps_grid=None) -> SolutionReport:
     """Verify the weak-asymptotic-solution contract on grids.
 
-    For both test functions of :func:`default_test_suite` and every time
-    of ``t_grid`` the residuals are paired in space; the report carries,
-    per equation and test function, the max-over-time pairing magnitude
-    at each eps (real and imaginary parts separately) with the time it
-    occurs at, the measured decay order, and a PASS verdict.  An eps grid
-    that is not positive, finite and strictly decreasing raises ValueError.
+    For both test functions of :func:`pairing.default_test_suite` and every
+    time of ``t_grid`` the residuals are paired in space; the report
+    carries, per equation and test function, the max-over-time pairing
+    magnitude at each eps (real and imaginary parts separately) with the
+    time it occurs at, the measured decay order, and a PASS verdict.  An
+    eps grid that is not positive, finite and strictly decreasing, or of
+    fewer than 2 points, and a time grid that is empty or not 1-D raise
+    ValueError.
     """
     eps_grid = _DEFAULT_EPS_GRID if eps_grid is None else check_eps_grid(eps_grid)
+    if len(eps_grid) < 2:
+        raise ValueError(f"eps grid must span at least 2 points, got {len(eps_grid)}")
     t_grid = _DEFAULT_T_GRID if t_grid is None else np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or not t_grid.size:
+        raise ValueError(f"time grid must be a non-empty 1-D array, got shape {t_grid.shape}")
     table, phi, weights = _expansion(ansatz, system_k, t_grid)
-    suite = default_test_suite(phi, eps_grid[0])
+    suite, vals = pair_table(
+        table, weights, phi, eps_grid,
+        lambda i, f, e, t: f"residual pairing at equation={('u', 'sigma')[i]}, "
+        f"phi={(PLAIN_BUMP, LINEAR_BUMP)[f]}, eps={eps_grid[e]:g}, t={t_grid[t]:g}")
     # The real array under the pairings: [time, test function, eps, equation, part]
-    vals = pair_table(table, weights, phi, suite[0].center, suite[0].halfwidth, eps_grid,
-                      lambda i, f, e, t: f"residual pairing at equation={('u', 'sigma')[i]}, "
-                      f"phi={suite[f].modulation}, eps={eps_grid[e]:g}, t={t_grid[t]:g}"
-                      ).transpose(3, 2, 0, 1)
+    vals = vals.transpose(3, 2, 0, 1)
     mags = np.abs(vals.view(float)).reshape(len(t_grid), 2, len(eps_grid), 2, 2)
     # [series, eps, time], series in the order (equation, test function, part)
     mags = mags.transpose(3, 1, 4, 2, 0).reshape(8, len(eps_grid), len(t_grid))

@@ -323,30 +323,34 @@ def test_lemma_family_without_a_limit_exits_one_with_one_line(tmp_path, capsys,
     assert len(err) == 1 and err[0].startswith("error: lemma family ddelta: its eps^-1 term")
 
 
-def test_nonfinite_lemma_pairing_names_its_cell(tmp_path, capsys):
-    # At eps = 2^-1000 the Rddelta family's power eps^-1.5 overflows.  The
-    # suite names the first pairing that is not finite, instead of a
-    # divide-by-zero error that names nothing.
+def test_lemma_grid_at_two_to_the_minus_1000_exits_one_on_the_grid_bound(tmp_path,
+                                                                          capsys):
+    # At eps = 2^-1000 the Rddelta family's power eps^-1.5 overflows, but
+    # the grid is rejected first, far above that, by the 2^-26 bound.
     cfg = write(tmp_path, "[grid]\neps_pow_min = 1000\neps_pow_max = 1010\n")
     rc = main(["--config", cfg, "--out", str(tmp_path), "verify-expansions"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.splitlines() == [
-        "error: non-finite lemma pairing at family=Rddelta, channel=A, "
-        f"eps={2.0**-1000:g}"]
+        f"error: lemma suite eps grid reaches eps = {2.0**-1010:g}, below 2^-26 = "
+        f"{2.0**-26:g}: there the rounding of the eps^-1 families' sums, scaled by "
+        "1/eps, swamps their decay"]
     assert captured.out == ""
     assert not (tmp_path / "lemma31_report.json").exists()
 
 
-def test_subnormal_lemma_eps_names_the_first_family_that_overflows(tmp_path, capsys):
-    # At eps = 1e-310 RdR's eps^-1 overflows, before eps = 1e-320 is small
-    # enough that the nodes eps y lose their relative precision.
+def test_subnormal_lemma_eps_exits_one_on_the_grid_bound(tmp_path, capsys):
+    # At eps = 1e-310 RdR's eps^-1 overflows; the 2^-26 bound names the
+    # grid's smallest eps instead.
     cfg = write(tmp_path, "[grid]\neps = 1e-300, 1e-305, 1e-310, 1e-320\n")
     rc = main(["--config", cfg, "--out", str(tmp_path), "verify-expansions"])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err.splitlines() == [
-        "error: non-finite lemma pairing at family=RdR, channel=A, eps=1e-310"]
+        f"error: lemma suite eps grid reaches eps = {1e-320:g}, below 2^-26 = "
+        f"{2.0**-26:g}: there the rounding of the eps^-1 families' sums, scaled by "
+        "1/eps, swamps their decay"]
+    assert not (tmp_path / "lemma31_report.json").exists()
 
 
 @pytest.mark.parametrize("kind", ["quartic", "exponential"])

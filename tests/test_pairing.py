@@ -29,6 +29,7 @@ from deltashock.pairing import (
     OrderEstimate,
     Piecewise,
     TestFunction,
+    default_test_suite,
     estimate_order,
     extract_point_coeffs,
     extrapolate_limit,
@@ -287,6 +288,15 @@ def test_loglog_slope_on_a_stack_equals_each_series_alone(case):
                                                         abs=1e-15, nan_ok=True)
 
 
+def test_loglog_slope_below_two_points_is_exact_with_every_point_kept():
+    # One point above the floor is the +inf sentinel of a converged series,
+    # whether the floor drops others or, as here, there are no others.
+    assert fit_loglog_slope([0.1], [0.5]) == (math.inf, 0.0)
+    assert fit_loglog_slope([0.1, 0.05], [0.5, 0.0]) == (math.inf, 0.0)
+    assert fit_loglog_slope([0.1], [[0.5], [0.0]], [0.0, 0.0]) == ((math.inf,) * 2,
+                                                                  (0.0,) * 2)
+
+
 def test_loglog_slope_keeps_nan_for_kept_eps_of_equal_logs():
     # Such a series fails the order gates instead of passing as +inf.
     fit = fit_loglog_slope([1.0, 1.0000000000000002e-4, 1e-4], [0.0, 1.0, 1.0], 0.0)
@@ -429,10 +439,9 @@ def test_one_pass_lemma_pairings_match_per_eps_pairings(kernel, grid):
     # The suite pairs each family's table column in y = x/eps with the
     # probes of every eps.  Each value is the family at that eps paired
     # alone with the probes in x, within 1e-11 of its series' largest
-    # value.  The probes' halfwidth is max(1, 4 eps_max), so at eps = 1/2
+    # value.  The probes are the default suite at phi = 0, so at eps = 1/2
     # they still hold every family's support.
-    halfwidth = max(1.0, 4.0 * grid[0])
-    probes = (TestFunction(0.0, halfwidth), TestFunction(0.0, halfwidth, "linear-times-bump"))
+    probes = default_test_suite(np.zeros(1), grid[0])
     for c in (-0.3, 0.25, 0.713880724, 0.9):
         got, *_ = pairing._lemma_pairings(kernel, c, grid)
         want = np.array([
@@ -454,8 +463,7 @@ def test_lemma_pairings_on_the_ladder_match_the_finest_rung(monkeypatch, quartic
     # c = -0.3 (1.24e-15 on 16-node panels, R2's A at eps = 2^-7).
     table = primitive_table(quartic, pairing.LEMMA_PRODUCTS)
     _, y, columns = table.rungs[-1]
-    halfwidth = max(1.0, 4.0 * grid[0])
-    probes = (TestFunction(0.0, halfwidth), TestFunction(0.0, halfwidth, "linear-times-bump"))
+    probes = default_test_suite(np.zeros(1), grid[0])
     for c in (-0.3, 0.25, 0.713880724, 0.9):
         ladder, *_ = pairing._lemma_pairings(quartic, c, grid)
         with monkeypatch.context() as patched:
@@ -467,10 +475,41 @@ def test_lemma_pairings_on_the_ladder_match_the_finest_rung(monkeypatch, quartic
         assert np.all(np.abs(ladder - finest) <= 1.25e-15 * l1), c
 
 
+@pytest.mark.parametrize("grid", [default_eps_grid(2, 9), _CLIPPING_GRID],
+                         ids=["2-9", "clipping"])
+def test_lemma_suite_pairs_every_eps_on_its_rung_half_inside_the_probes(monkeypatch,
+                                                                        quartic, grid):
+    # At eps_max = 1/4 and 1/2 the probes widen to 1/2 + 4 eps_max, so every
+    # family's band [-4 eps, 4 eps] sits at least 1/2 inside their support
+    # and every eps pairs on ``table.at(eps)``: with that rung's columns
+    # doubled, every pairing doubles exactly.
+    table = primitive_table(quartic, pairing.LEMMA_PRODUCTS)
+    at, suites = type(table).at, []
+    doubled = {rung.panels: rung._replace(columns=2.0 * rung.columns) for rung in table.rungs}
+
+    def recorded(*args):
+        suite, values = pair_table(*args)
+        suites.append(suite)
+        return suite, values
+
+    pair_table = pairing.pair_table
+    monkeypatch.setattr(pairing, "pair_table", recorded)
+    values, *_ = pairing._lemma_pairings(quartic, WORKED_C, grid)
+    ((plain, linear),) = suites
+    assert plain.support == linear.support == (-0.5 - 4 * grid[0], 0.5 + 4 * grid[0])
+    for eps in grid:
+        lo, hi = plain.support
+        assert lo + 0.5 <= -4 * eps and 4 * eps + 0.5 <= hi
+    monkeypatch.setattr(type(table), "at", lambda self, eps: doubled[at(self, eps).panels])
+    twice, *_ = pairing._lemma_pairings(quartic, WORKED_C, grid)
+    assert np.array_equal(twice, 2.0 * values)
+    assert len({at(table, eps).panels for eps in grid}) > 1
+
+
 def test_coarse_eps_widens_the_probes_over_every_family(quartic):
     # At eps = 1/2 probes of halfwidth 1 would clip most families; they
-    # widen to 4 eps_max = 2 and hold every family, so the suite runs to
-    # its verdict.  Against the table's exact limits every family passes
+    # widen to 1/2 + 4 eps_max = 2.5 and hold every family, so the suite
+    # runs to its verdict.  Against the table's exact limits every family passes
     # even on so coarse a grid; the slowest series is dR's B channel, whose
     # order sits just above its floor.
     reports = verify_lemma31(quartic, WORKED_C, eps_grid=_CLIPPING_GRID)

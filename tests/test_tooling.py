@@ -140,6 +140,19 @@ def test_every_exported_name_exists():
         assert not missing, (module.__name__, missing)
 
 
+def test_every_exported_function_and_class_is_defined_where_it_is_exported():
+    # One home per name: a function or class in a module's ``__all__`` is
+    # defined there, not re-exported from another module.
+    for info in pkgutil.iter_modules(deltashock.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"deltashock.{info.name}")
+        foreign = [name for name in getattr(module, "__all__", ())
+                   if callable(obj := getattr(module, name))
+                   and obj.__module__ != module.__name__]
+        assert not foreign, (module.__name__, foreign)
+
+
 def _third_party_imports(folder: Path) -> dict[str, list[str]]:
     """The top-level name of every module imported under ``folder`` that is
     neither stdlib nor the package nor a module at the folder's top, with

@@ -27,6 +27,7 @@ from deltashock.pairing import (
     NumericsError,
     TestFunction,
     _test_values,
+    default_test_suite,
     extract_point_coeffs,
     pair,
     pair_table,
@@ -34,7 +35,6 @@ from deltashock.pairing import (
 from deltashock.verifier import (
     _series_verdicts,
     closed_form_coefficients,
-    default_test_suite,
     replay_derivation,
     residual_integrand,
     sample_admissible_data,
@@ -138,11 +138,13 @@ def _per_cell(ansatz, system_k, suite, t_grid, eps_grid):
 
 
 def _residual_pairings(ansatz, system_k, times, eps_grid, suite):
-    """The engine's pairings of the residuals' expansion with ``suite``,
-    ``[eps, equation, test function, time]``."""
+    """The engine's pairings of the residuals' expansion, ``[eps, equation,
+    test function, time]``, with the test functions it places: ``suite``."""
     table, phi, weights = verifier._expansion(ansatz, system_k, times)
-    return pair_table(table, weights, phi, suite[0].center, suite[0].halfwidth,
-                      eps_grid, lambda *cell: f"residual pairing at {cell}")
+    placed, pairings = pair_table(table, weights, phi, eps_grid,
+                                  lambda *cell: f"residual pairing at {cell}")
+    assert placed == suite
+    return pairings
 
 
 def _assert_matches_per_cell(ansatz, system_k, t_grid, eps_grid, report=None):
@@ -802,19 +804,28 @@ _SUITE_GRIDS = {"ascending": np.linspace(0.0, 1.0, 33),
                 "offset-descending": np.linspace(2.0, 0.5, 25)}
 
 
+def _assert_holds_every_band_half_inside(phi, eps_max):
+    suite = default_test_suite(phi, eps_max)
+    assert [tf.modulation for tf in suite] == [PLAIN_BUMP, LINEAR_BUMP]
+    assert suite[0].support == suite[1].support
+    lo, hi = suite[0].support
+    # 1/2 to the rounding of centre and halfwidth
+    margin = min(np.min(phi - 4 * eps_max - lo), np.min(hi - phi - 4 * eps_max))
+    assert margin >= 0.5 - 1e-12
+
+
 @pytest.mark.parametrize("t_grid", _SUITE_GRIDS.values(), ids=_SUITE_GRIDS.keys())
 def test_default_test_suite_holds_every_front_band(quartic, t_grid):
-    # Fronts of either direction: u0 is drawn from [-1, 1].
-    rng, eps_max = np.random.default_rng(2024), 2.0**-3
+    # Fronts of either direction: u0 is drawn from [-1, 1].  Every band
+    # [phi - 4 eps, phi + 4 eps] sits at least 1/2 inside the support, as
+    # do the lemma suite's at phi = 0 on grids up to eps_max = 4.
+    rng = np.random.default_rng(2024)
     for i in range(30):
         data = sample_admissible_data(rng, (0.0, 0.1, 0.5)[i % 3])
         front = solve_front(data, quartic.omega0)
-        phi = front.phi(t_grid)
-        suite = default_test_suite(phi, eps_max)
-        assert [tf.modulation for tf in suite] == [PLAIN_BUMP, LINEAR_BUMP]
-        assert suite[0].support == suite[1].support
-        lo, hi = suite[0].support
-        assert np.all(lo <= phi - 4 * eps_max) and np.all(phi + 4 * eps_max <= hi), i
+        _assert_holds_every_band_half_inside(front.phi(t_grid), 2.0**-3)
+    for j in range(-2, 4):
+        _assert_holds_every_band_half_inside(np.zeros(1), 2.0**-j)
 
 
 def _verdict(report):
@@ -854,6 +865,23 @@ def test_verdict_rejects_a_bad_eps_grid_naming_it(worked_ansatz, grid, named):
     with pytest.raises(ValueError, match=r"^eps grid must be positive, finite and strictly "
                                          rf"decreasing: {re.escape(named)}$"):
         verify_weak_solution(worked_ansatz, 0.1, eps_grid=grid)
+
+
+def test_verdict_rejects_a_one_point_eps_grid(worked_ansatz):
+    # Its one pairing per series has no slope: the fit's +inf sentinel
+    # would pass it.
+    with pytest.raises(ValueError, match=r"^eps grid must span at least 2 points, got 1$"):
+        verify_weak_solution(worked_ansatz, 0.1, eps_grid=(0.125,))
+
+
+@pytest.mark.parametrize("t_grid,shape", [
+    (np.array([]), "(0,)"), (default_t_grid().reshape(3, 11), "(3, 11)"),
+    (np.float64(0.5), "()")], ids=["empty", "2-D", "0-D"])
+def test_verdict_rejects_a_time_grid_that_is_not_a_non_empty_row(worked_ansatz, t_grid,
+                                                                 shape):
+    with pytest.raises(ValueError, match=r"^time grid must be a non-empty 1-D array, got "
+                                         rf"shape {re.escape(shape)}$"):
+        verify_weak_solution(worked_ansatz, 0.1, t_grid=t_grid)
 
 
 def test_verdict_keeps_two_point_grids(worked_ansatz):
