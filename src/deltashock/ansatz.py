@@ -44,7 +44,8 @@ class Front(Protocol):
 
     ``phi_dot`` and ``e_rate`` are the constant rates of phi and e.  Each
     method takes a time or an array of times and returns numpy values of
-    its shape, complex for p and p_dot.
+    its shape, complex for p and p_dot; ``evaluate`` returns all four, as
+    the four methods give them, from one evaluation of e and of p.
     """
 
     phi_dot: float
@@ -57,6 +58,8 @@ class Front(Protocol):
     def p(self, t): ...
 
     def p_dot(self, t): ...
+
+    def evaluate(self, t): ...
 
 
 class _JumpFields(NamedTuple):

@@ -83,16 +83,30 @@ class FrontTrajectory(NamedTuple):
         return self.e0 + self.e_rate * np.asarray(t, dtype=float)
 
     def p(self, t):
-        return np.sqrt(np.asarray(2.0 * self.e(t) / self.omega0, dtype=complex))
+        return self._root(self.e(t))
 
     def p_dot(self, t):
-        p_val = self.p(t)
+        return self._rate(self.p(t))
+
+    def evaluate(self, t):
+        """(phi, e, p, p_dot) at t, each as its method gives it, with e and
+        p evaluated once."""
+        e = self.e(t)
+        p = self._root(e)
+        return self.phi(t), e, p, self._rate(p)
+
+    def _root(self, e):
+        """p of the amplitude e: the principal root of 2 e / omega0."""
+        return np.sqrt(np.asarray(2.0 * e / self.omega0, dtype=complex))
+
+    def _rate(self, p):
+        """p_dot of the correction amplitude p."""
         if self.e_rate == 0.0:
-            return 0.0 * p_val
-        if not p_val.all():
+            return 0.0 * p
+        if not p.all():
             raise ZeroDivisionError(
                 "p_dot is singular where e(t) crosses zero with nonzero rate")
-        return self.e_rate / (self.omega0 * p_val)
+        return self.e_rate / (self.omega0 * p)
 
 
 class LinearTrajectory(NamedTuple):
@@ -120,6 +134,10 @@ class LinearTrajectory(NamedTuple):
 
     def p_dot(self, t):
         return np.full(np.shape(t), complex(self.p_rate))
+
+    def evaluate(self, t):
+        """(phi, e, p, p_dot) at t, each as its method gives it."""
+        return self.phi(t), self.e(t), self.p(t), self.p_dot(t)
 
 
 def solve_front(data: RiemannJumpData, omega0: float | None = None) -> FrontTrajectory:
@@ -173,6 +191,10 @@ def overcompressivity_margins(u1, ratio, k):
     return u1 - 2.0 * k, ratio + half_window, half_window - ratio
 
 
+# The shock case's product u0 dh + u1 h dh as one row of (row, product) pairs.
+_VOLPERT_LAYOUT = ((0, ("dh",)), (0, ("h", "dh")))
+
+
 def volpert_product_pairing(data: RiemannJumpData,
                             kernel: MollifierKernel | None = None) -> float:
     """Point-mass coefficient of u * dsigma/dx in the shock case.
@@ -191,7 +213,7 @@ def volpert_product_pairing(data: RiemannJumpData,
             "the averaged-product identity is only claimed for pure shocks "
             f"(e0 = {data.e0}, e rate = {rate})")
     table = primitive_table(kernel, (("dh",), ("h", "dh")))
-    weights = table.weights([{("dh",): data.u0, ("h", "dh"): data.u1}], data.plateau())
+    weights = table.weights(_VOLPERT_LAYOUT, (data.u0, data.u1), data.plateau())
     return float(-data.sigma1 * table.limits(weights, ["u dsigma/dx"])[0][0])
 
 

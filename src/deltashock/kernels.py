@@ -420,15 +420,14 @@ class PrimitiveTable:
     are :meth:`limits`, read off :meth:`moments`.  Tables compare by identity.
     """
 
-    __slots__ = ("rungs", "keys", "powers", "_columns")
+    __slots__ = ("rungs", "keys", "powers", "_c_orders", "_c_terms", "_scatter")
 
     def __init__(self, rungs: tuple[Rung, ...],
                  keys: tuple[tuple[tuple[str, ...], int], ...], powers: np.ndarray):
         self.rungs, self.keys, self.powers = rungs, keys, powers
-        # Each product's columns, as (column, j) of its c^j parts.
-        self._columns = {}
-        for i, (product, j) in enumerate(keys):
-            self._columns.setdefault(product, []).append((i, j))
+        self._c_orders = np.array([j for _, j in keys])  # j of each column
+        self._c_terms = 1 + max(j for _, j in keys)
+        self._scatter = {}  # layout -> its index array, built on first use
 
     def moments(self, n_max: int):
         """The moments M_n = y^n @ columns of the finest rung and their
@@ -437,20 +436,32 @@ class PrimitiveTable:
         y_powers = y ** np.arange(n_max + 1)[:, None]
         return y_powers @ columns, np.abs(y_powers) @ np.abs(columns)
 
-    def weights(self, rows, c: float) -> np.ndarray:
-        """``[row, column]``: each row, {product: coefficient}, weighs column
-        (product, j) by that product's coefficient times c^j, and a product
-        it lacks by 0.0 times c^j.  OverflowError if some c^j overflows."""
-        c_powers = [c**j for j in range(1 + max(j for _, j in self.keys))]
-        zeros = [0.0 * c_powers[j] for _, j in self.keys]
-        out = []
-        for row in rows:
-            weights = zeros.copy()
-            for product, coefficient in row.items():
-                for i, j in self._columns.get(product, ()):
-                    weights[i] = coefficient * c_powers[j]
-            out.append(weights)
-        return np.array(out)
+    def weights(self, layout, coefficients, c: float) -> np.ndarray:
+        """``[row, column]`` weights of the rows a layout declares.
+
+        ``layout`` is a tuple of (row, product) pairs and ``coefficients``
+        one number per pair, in its order: column (product, j) of that row
+        takes the coefficient times c^j, and every column no pair fills 0.0
+        times c^j.  A product without columns adds nothing.  One gather
+        through an index array, built on a layout's first call, places
+        them.  OverflowError if some c^j overflows.
+        """
+        index = self._scatter.get(layout)
+        if index is None:
+            index = self._scatter[layout] = self._scatter_index(layout)
+        c_powers = np.array([c**j for j in range(self._c_terms)], dtype=float)
+        return np.array((*coefficients, 0.0))[index] * c_powers[self._c_orders]
+
+    def _scatter_index(self, layout):
+        """``[row, column]``: the pair of ``layout`` that fills each cell,
+        the last if several do, and ``len(layout)`` where none does."""
+        columns = {}
+        for i, (product, _) in enumerate(self.keys):
+            columns.setdefault(product, []).append(i)
+        index = np.full((1 + max(row for row, _ in layout), len(self.keys)), len(layout))
+        for entry, (row, product) in enumerate(layout):
+            index[row, columns.get(product, [])] = entry
+        return index
 
     def limits(self, weights, names):
         """The eps -> 0 limits A delta + B delta' of the rows of ``weights``,

@@ -17,6 +17,10 @@ centre, so a node next to the centre keeps the relative accuracy of eps y.
 Consecutive eps on one rung fill one capped buffer in place, a block of
 times at once; one stacked real matmul gives their moments, scaled by the
 eps powers, and one real matmul per time contracts them with the weights.
+The blocks, their nodes eps y and the eps-power scale depend only on the
+table, the eps grid, the number of times and the block budget: a pairing
+plan, built once per such tuple in a bounded cache.  Weights and
+pairings are real arrays in the layout they are computed in, time first.
 The suite's limits are :meth:`kernels.PrimitiveTable.limits`, exact.
 
 :func:`pair`, on ``kernels.band_quadrature`` split at every declared
@@ -29,6 +33,7 @@ matter how callers parallelize.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, repeat
 from operator import mul, sub
 from typing import Callable, NamedTuple, Sequence
@@ -132,7 +137,11 @@ def default_test_suite(phi, eps_max: float) -> tuple[TestFunction, ...]:
     :func:`extract_point_coeffs` take their probes from it.  The halfwidth
     is at least 1, and is 1 at a single front for eps_max up to 1/8.
     """
-    lo, hi = float(phi.min()), float(phi.max())
+    return _suite_over(float(phi.min()), float(phi.max()), eps_max)
+
+
+def _suite_over(lo: float, hi: float, eps_max: float) -> tuple[TestFunction, ...]:
+    """:func:`default_test_suite` of fronts from ``lo`` to ``hi``."""
     center = 0.5 * lo + 0.5 * hi
     halfwidth = max(1.0, 0.5 * hi - 0.5 * lo + 0.5 + 4.0 * eps_max)
     return (TestFunction(center, halfwidth, PLAIN_BUMP),
@@ -270,12 +279,11 @@ class OrderEstimate(NamedTuple):
     residual: float | tuple[float, ...]
 
 
-def _deviations(logs: list[float]):
-    """The deviations of ``logs`` from their mean, and their sum of squares."""
+def _deviations(logs: list[float]) -> list[float]:
+    """The deviations of ``logs`` from their mean."""
     n = len(logs)
     mean = sum(logs) / n
-    dev = list(map(sub, logs, repeat(mean, n)))
-    return dev, sum(map(mul, dev, dev))
+    return list(map(sub, logs, repeat(mean, n)))
 
 
 def fit_loglog_slope(xs: Sequence[float], ys, floor=0.0) -> OrderEstimate:
@@ -297,7 +305,8 @@ def fit_loglog_slope(xs: Sequence[float], ys, floor=0.0) -> OrderEstimate:
         rows, floor = [rows], [float(floor)]
     elif isinstance(floor, np.ndarray):
         floor = floor.tolist()
-    every = _deviations(log_xs)  # shared by the series that keep every point
+    dx = _deviations(log_xs)
+    every = dx, sum(map(mul, dx, dx))  # shared by the series that keep every point
     orders, residuals = [], []
     for row, low in zip(rows, floor):
         keep = [y > low for y in row]
@@ -308,10 +317,10 @@ def fit_loglog_slope(xs: Sequence[float], ys, floor=0.0) -> OrderEstimate:
         if all(keep):
             (dx, spread), log_ys = every, list(map(math.log, row))
         else:
-            (dx, spread), log_ys = (_deviations(list(compress(log_xs, keep))),
-                                    list(map(math.log, compress(row, keep))))
+            dx = _deviations(list(compress(log_xs, keep)))
+            spread, log_ys = sum(map(mul, dx, dx)), list(map(math.log, compress(row, keep)))
         n = len(dx)
-        dy, _ = _deviations(log_ys)
+        dy = _deviations(log_ys)
         slope = sum(map(mul, dx, dy)) / spread if spread > 0.0 else math.nan
         misfit = list(map(sub, dy, map(mul, dx, repeat(slope, n))))
         orders.append(slope)
@@ -450,72 +459,106 @@ def _test_values(psi, halfwidth: float):
     return psi
 
 
+class _Plan(NamedTuple):
+    """What :func:`pair_table` needs of a table, an eps grid, a number of
+    times and a block budget: the same on every call that shares them."""
+
+    blocks: tuple[tuple[slice, np.ndarray, np.ndarray], ...]  # eps, eps*y, columns
+    step: int  # times per block
+    buffer: int  # length of the test-function buffer
+    scale: np.ndarray  # eps^powers, [eps, column]
+
+
+# A plan holds its grid's nodes: 4 KiB on the quartic table at the default
+# eps grid, 80 KiB on the exponential one.
+@lru_cache(maxsize=16)
+def _pairing_plan(table: PrimitiveTable, eps_grid: tuple[float, ...], times: int,
+                  block_nodes: int) -> _Plan:
+    """The blocks of :func:`pair_table`: each a run of consecutive eps on
+    one rung, with the nodes eps * y of each eps and the rung's columns,
+    as many eps as a buffer of ``block_nodes`` finest-rung nodes per time
+    row holds, and the eps-power scale of the moments.  Built once per
+    argument tuple; it holds constants of the grids, never a pairing."""
+    eps = np.asarray(eps_grid, dtype=float)
+    nodes_max = len(table.rungs[-1].y)
+    step = max(1, block_nodes // nodes_max)
+    height = min(step, times)
+    # Fewer times than a block holds leave room for more eps of them.
+    capacity = height * nodes_max * min(len(eps), step // height)
+    blocks, first = [], 0
+    while first < len(eps):
+        # Consecutive eps on one rung, as many as the buffer holds: a
+        # falling eps never takes a finer rung, so search from the last.
+        rung = table.at(eps_grid[first])
+        last = min(len(eps), first + capacity // (height * len(rung.y)))
+        while last - 1 > first and table.at(eps_grid[last - 1]) is not rung:
+            last -= 1
+        nodes = eps[first:last, None] * rung.y
+        blocks.append((slice(first, last), nodes, rung.columns))
+        first = last
+    # An overflow, as at a huge eps, is named by pair_table's finiteness check.
+    with np.errstate(over="ignore"):
+        scale = eps[:, None] ** table.powers
+    for shared in (scale, *(nodes for _, nodes, _ in blocks)):
+        shared.flags.writeable = False  # every call with these arguments reads them
+    return _Plan(tuple(blocks), step, 2 * capacity, scale)
+
+
 def pair_table(table: PrimitiveTable, weights, phi, eps_grid: Sequence[float],
                cell: Callable) -> tuple[tuple[TestFunction, ...], np.ndarray]:
     """Pairings of weighted table columns with a plain and a linear bump.
 
-    ``weights`` is ``[row, time, column]``, real or complex, with the front
-    at ``phi[time]``; the test functions are :func:`default_test_suite` of
+    ``weights`` is real ``[time, column, row]``, with the front at
+    ``phi[time]``; the test functions are :func:`default_test_suite` of
     ``phi`` and the largest eps, whose support keeps every front band 1/2
     inside it, so every eps pairs on ``table.at(eps)``.  Returns that suite
-    and the pairings ``[eps, row, test function, time]`` of the weights'
-    dtype, a view of a real ``[time, test function, eps, (row, Re/Im)]``
-    array, summed as the module docstring says.  :class:`NumericsError`
-    names the first cell not finite as "non-finite " + ``cell(row, test
+    and the real pairings ``[time, test function, eps, row]``, summed as
+    the module docstring says, on the blocks of a plan built once per
+    (table, eps grid, number of times, ``_BLOCK_NODES``).
+    :class:`NumericsError` names the first cell not finite, in the order
+    (eps, row, test function, time), as "non-finite " + ``cell(row, test
     function, eps, time)``, and is raised too when one ulp of max |phi| > 0
     exceeds ``_NODE_RESOLUTION`` of the smallest eps.
     """
-    reach, eps_min = float(np.max(np.abs(phi))), min(eps_grid)
-    if reach > 0.0 and np.spacing(reach) > _NODE_RESOLUTION * eps_min:
+    lo, hi = float(phi.min()), float(phi.max())
+    reach, eps_min = max(-lo, hi), min(eps_grid)
+    # An infinite or nan front is named by the finiteness check below.
+    if 0.0 < reach < math.inf and math.ulp(reach) > _NODE_RESOLUTION * eps_min:
         raise NumericsError(
             f"front position |phi(t)| = {reach:g} swamps eps = {eps_min:g}: one ulp "
             f"of phi(t) exceeds {_NODE_RESOLUTION:g} eps, so the quadrature nodes "
             f"phi(t) + eps y collapse")
-    suite = default_test_suite(phi, max(eps_grid))
-    center, halfwidth = suite[0].center, suite[0].halfwidth
-    eps, offset = np.asarray(eps_grid, dtype=float), phi - center
-    times = len(offset)
-    moments = np.empty((times, 2, len(eps), len(table.keys)))  # [time, test fn, eps, column]
-    nodes_max = len(table.rungs[-1].y)
-    step = max(1, _BLOCK_NODES // nodes_max)
-    height = min(step, times)
-    # Fewer times than a block holds leave room for more eps of them.
-    capacity = height * nodes_max * min(len(eps), step // height)
-    buffer = np.empty(2 * capacity)
+    suite = _suite_over(lo, hi, max(eps_grid))
+    halfwidth, offset = suite[0].halfwidth, phi - suite[0].center
+    times, columns = len(offset), len(table.keys)
+    plan = _pairing_plan(table, tuple(eps_grid), times, _BLOCK_NODES)
+    step = plan.step
+    moments = np.empty((times, 2, len(eps_grid), columns))  # [time, test fn, eps, column]
+    buffer = np.empty(plan.buffer)
     # An overflow, as at a huge eps, is named by the finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        first = 0
-        while first < len(eps):
-            # Consecutive eps on one rung, as many as the buffer holds: a
-            # falling eps never takes a finer rung, so search from the last.
-            rung = table.at(eps_grid[first])
-            last = min(len(eps), first + capacity // (height * len(rung.y)))
-            while last - 1 > first and table.at(eps_grid[last - 1]) is not rung:
-                last -= 1
-            nodes = eps[first:last, None] * rung.y
+        for span, nodes, rung_columns in plan.blocks:
             for start in range(0, times, step):
                 block = slice(start, start + step)
                 rows = offset[block, None]
                 psi = buffer[:2 * rows.size * nodes.size].reshape(
-                    2, len(nodes), rows.size, rung.y.size)
+                    2, len(nodes), rows.size, nodes.shape[1])
                 np.add(rows, nodes[:, None], out=psi[1])
                 _test_values(psi, halfwidth)
                 # Stacked, not flattened: each (time rows, nodes) product keeps
                 # its kernel and order of summation, one row vector-matrix.
-                np.matmul(psi, rung.columns,
-                          out=moments[block, :, first:last].transpose(1, 2, 0, 3))
-            first = last
+                np.matmul(psi, rung_columns,
+                          out=moments[block, :, span].transpose(1, 2, 0, 3))
         # The eps powers scale the summed moments: scaling each node's column
         # rounds every term of a cancelling sum, 1.4e-15 of L1 at eps = 8.
-        moments *= eps[:, None] ** table.powers
-        # Per time, [(test function, eps), column] @ [column, (row, Re/Im)].
-        pairings = np.matmul(moments.reshape(times, -1, len(table.keys)),
-                             weights.transpose(1, 2, 0).view(float))
-    out = pairings.view(weights.dtype).reshape(times, 2, len(eps), -1).transpose(2, 3, 1, 0)
+        moments *= plan.scale
+        # Per time, [(test function, eps), column] @ [column, row].
+        pairings = np.matmul(moments.reshape(times, -1, columns), weights)
+    pairings = pairings.reshape(times, 2, len(eps_grid), -1)
     if not np.isfinite(pairings).all():
-        e, i, f, t = np.argwhere(~np.isfinite(out))[0]
+        e, i, f, t = np.argwhere(~np.isfinite(pairings.transpose(2, 3, 1, 0)))[0]
         raise NumericsError(f"non-finite {cell(i, f, e, t)}")
-    return suite, out
+    return suite, pairings
 
 
 # --- the regularization-product expansion suite ---------------------------
@@ -552,6 +595,9 @@ _LEMMA_TABLE = (
 
 LEMMA_FAMILIES = tuple(row[0] for row in _LEMMA_TABLE)
 LEMMA_PRODUCTS = tuple(row[1] for row in _LEMMA_TABLE)
+# Each family a row of its product alone, of coefficient 1.
+_LEMMA_LAYOUT = tuple(enumerate(LEMMA_PRODUCTS))
+_LEMMA_COEFFICIENTS = (1.0,) * len(LEMMA_PRODUCTS)
 # The lemma's H rises across x0, but the table's h is ``StepProfile.value(-xi)``:
 # dH and H dH are the table's products reflected, y -> -y, which negates
 # their pairing with the odd probe.  H ddelta is (h, dd), as h = c on dd's
@@ -607,15 +653,15 @@ def _lemma_pairings(kernel: MollifierKernel, c: float, eps_grid: Sequence[float]
     """
     table = primitive_table(kernel, LEMMA_PRODUCTS)
     try:
-        weights = table.weights([{product: 1.0} for product in LEMMA_PRODUCTS], float(c))
+        weights = table.weights(_LEMMA_LAYOUT, _LEMMA_COEFFICIENTS, float(c))
     except OverflowError:
         name = next(n for n, p in zip(LEMMA_FAMILIES, LEMMA_PRODUCTS) if (p, 2) in table.keys)
         raise NumericsError(f"non-finite lemma weight at family={name}: "
                             f"c^2 overflows at c={c:g}") from None
-    _, values = pair_table(table, weights[:, None], np.zeros(1), eps_grid,
+    _, values = pair_table(table, weights.T[None], np.zeros(1), eps_grid,
                            lambda i, f, e, t: f"lemma pairing at family={LEMMA_FAMILIES[i]}, "
                            f"channel={'AB'[f]}, eps={eps_grid[e]:g}")
-    values = values[..., 0].transpose(1, 2, 0)
+    values = values[0].transpose(2, 0, 1)
     # Near c = 1e154 the limits' cancellation scale overflows, not the limits.
     with np.errstate(over="ignore"):
         a, b = table.limits(weights, [f"lemma family {name}" for name in LEMMA_FAMILIES])

@@ -6,14 +6,15 @@ the pairings decay as eps -> 0.
 
 In the moving frame xi = x - phi(t) both residuals are sums of real
 profile products (the basis rows) times per-time scalars built from p,
-p-dot and e.  So they are weight rows on the columns of the kernel's
-:func:`kernels.primitive_table`, built once, in which c, the data and one
-call of each trajectory method over the time grid meet, and
-:func:`pairing.pair_table` pairs them with the plain and the linear bump of
-:func:`pairing.default_test_suite`, on one support that holds the front
-band at every time and eps.  Every cell agrees with the cell-by-cell loop
-of :func:`pairing.pair` to 1e-12 of its sum of |w f phi|, and the eight
-series are fitted in one slope-fit call.
+p-dot and e: one declared layout of (row, product) pairs, whose
+coefficients :meth:`kernels.PrimitiveTable.weights` scatters onto the
+columns of the kernel's :func:`kernels.primitive_table`, built once.  In
+those columns c, the data and one front evaluation over the time grid
+meet, and :func:`pairing.pair_table` pairs their real view with the plain
+and the linear bump of :func:`pairing.default_test_suite`, on one support
+that holds the front band at every time and eps.  Every cell agrees with
+the cell-by-cell loop of :func:`pairing.pair` to 1e-12 of its sum of
+|w f phi|, and the eight series are fitted in one slope-fit call.
 
 The replay facility reads the point-mass and dipole coefficients of both
 residuals for an arbitrary trajectory off the same table's moments and
@@ -87,55 +88,57 @@ def residual_integrand(ansatz: SmoothAnsatz, system_k: float, equation: str,
                      breaks[0], breaks[-1], breaks[1:-1])
 
 
-def _basis_rows(ansatz: SmoothAnsatz, system_k: float):
-    """Both residuals' real basis rows, each as {profile product: coefficient}.
+# Both residuals' real basis rows as (row, profile product) pairs: rows 0-4
+# are A and rows 5-7 are B in res_u = A . (1, p, p_dot, p^2, e) and
+# res_sigma = B . (1, e, p), and :func:`_basis_coefficients` gives each
+# pair's coefficient.  A product names profiles of
+# :data:`kernels.PROFILE_EPS_POWERS`, all at xi = x - phi(t).  Its p e term
+# R D' vanishes: R and D have disjoint supports.
+_LAYOUT = (
+    (0, ("dh",)), (0, ("h", "dh")),
+    (1, ("dr",)), (1, ("h", "dr")), (1, ("r", "dh")),
+    (2, ("r",)), (3, ("r", "dr")), (4, ("dd",)),
+    (5, ("dh",)), (5, ("h", "dh")), (5, ("d",)),
+    (6, ("dd",)), (6, ("h", "dd")),
+    (7, ("r", "dh")), (7, ("dr",)),
+)
+# The table's products, each once, in the layout's order.
+_PRODUCTS = tuple(dict.fromkeys(product for _, product in _LAYOUT))
 
-    Rows 0-4 are A and rows 5-7 are B in res_u = A . (1, p, p_dot, p^2, e)
-    and res_sigma = B . (1, e, p); expanding :func:`_residual_values`
-    gives them.  A product names profiles of
-    :data:`kernels.PROFILE_EPS_POWERS`, all at xi = x - phi(t), and is a
-    key of the products :func:`kernels.product_columns` evaluates on the
-    table's nodes.  Its p e term R D' vanishes:
-    R and D have disjoint supports.
-    """
+
+def _basis_coefficients(ansatz: SmoothAnsatz, system_k: float) -> tuple[float, ...]:
+    """The coefficient of each pair of ``_LAYOUT``, in its order, as
+    expanding :func:`_residual_values` gives them."""
     d, front = ansatz.data, ansatz.front
     u0, u1, s1, k2, v = d.u0, d.u1, d.sigma1, system_k**2, front.phi_dot
-    return (
-        {("dh",): u1 * v - u0 * u1 + s1, ("h", "dh"): -u1**2},
-        {("dr",): u0 - v, ("h", "dr"): u1, ("r", "dh"): -u1},
-        {("r",): 1.0},
-        {("r", "dr"): 1.0},
-        {("dd",): -1.0},
-        {("dh",): s1 * v - u0 * s1 + k2 * u1, ("h", "dh"): -u1 * s1,
-         ("d",): front.e_rate},
-        {("dd",): u0 - v, ("h", "dd"): u1},
-        {("r", "dh"): -s1, ("dr",): -k2},
-    )
+    return (u1 * v - u0 * u1 + s1, -u1**2,
+            u0 - v, u1, -u1,
+            1.0, 1.0, -1.0,
+            s1 * v - u0 * s1 + k2 * u1, -u1 * s1, front.e_rate,
+            u0 - v, u1,
+            -s1, -k2)
 
 
 def _expansion(ansatz: SmoothAnsatz, system_k: float, times):
     """The primitive table of the basis rows' products, phi(t), and each
-    table column's coefficient in res_u and res_sigma as ``[equation, time,
-    column]``, a view of ``[time, column, equation]``, at one or more times."""
+    table column's coefficient in res_u and res_sigma as ``[time, column,
+    equation]``, at one or more times."""
     # Read first, so that data whose plateau leaves the float range fails
     # naming the plateau rather than on u1**2 inside a basis row.
     c = ansatz.c_effective
-    basis_rows = _basis_rows(ansatz, system_k)
-    products = tuple(dict.fromkeys(p for row in basis_rows for p in row))
-    table = primitive_table(ansatz.kernel, products)
+    coefficients = _basis_coefficients(ansatz, system_k)
+    table = primitive_table(ansatz.kernel, _PRODUCTS)
     try:
-        weights = table.weights(basis_rows, c)
+        weights = table.weights(_LAYOUT, coefficients, c)
     except OverflowError:
         raise NumericsError(f"non-finite residual weight: c^2 overflows at c={c:g}") from None
-    front = ansatz.front
-    phi, e, p, p_dot = (np.atleast_1d(method(times)) for method in
-                        (front.phi, front.e, front.p, front.p_dot))
+    phi, e, p, p_dot = ansatz.front.evaluate(np.atleast_1d(times))
     one = np.ones_like(p)
     coeffs = np.array([one, p, p_dot, p * p, e, one, e, p]).T  # [time, row]
     equations = np.empty((len(p), len(table.keys), 2), dtype=complex)
     np.matmul(coeffs[:, :5], weights[:5], out=equations[..., 0])
     np.matmul(coeffs[:, 5:], weights[5:], out=equations[..., 1])
-    return table, phi, equations.transpose(2, 0, 1)
+    return table, phi, equations
 
 
 class ResidualSeries(NamedTuple):
@@ -237,16 +240,15 @@ def verify_weak_solution(ansatz: SmoothAnsatz, system_k: float,
     if t_grid.ndim != 1 or not t_grid.size:
         raise ValueError(f"time grid must be a non-empty 1-D array, got shape {t_grid.shape}")
     table, phi, weights = _expansion(ansatz, system_k, t_grid)
+    # Rows (equation, Re/Im) of the complex weights' real view.
     suite, vals = pair_table(
-        table, weights, phi, eps_grid,
-        lambda i, f, e, t: f"residual pairing at equation={('u', 'sigma')[i]}, "
+        table, weights.view(float), phi, eps_grid,
+        lambda i, f, e, t: f"residual pairing at equation={('u', 'sigma')[i // 2]}, "
         f"phi={(PLAIN_BUMP, LINEAR_BUMP)[f]}, eps={eps_grid[e]:g}, t={t_grid[t]:g}")
-    # The real array under the pairings: [time, test function, eps, equation, part]
-    vals = vals.transpose(3, 2, 0, 1)
-    mags = np.abs(vals.view(float)).reshape(len(t_grid), 2, len(eps_grid), 2, 2)
-    # [series, eps, time], series in the order (equation, test function, part)
-    mags = mags.transpose(3, 1, 4, 2, 0).reshape(8, len(eps_grid), len(t_grid))
-    worst, maxima = mags.argmax(-1), mags.max(-1).tolist()
+    # [time, equation, test function, part, eps] of [time, test function, eps, row]
+    mags = np.abs(vals).reshape(len(t_grid), 2, len(eps_grid), 2, 2).transpose(0, 3, 1, 4, 2)
+    # [series, eps], series in the order (equation, test function, part)
+    worst, maxima = mags.argmax(0).reshape(8, -1), mags.max(0).reshape(8, -1).tolist()
     labels = [f"{tf.modulation}@{tf.center:g}(w={tf.halfwidth:g})" for tf in suite]
     keys = [(equation, label, part)
             for equation in ("u", "sigma") for label in labels for part in ("re", "im")]
@@ -330,7 +332,7 @@ def replay_derivation(data: RiemannJumpData, trajectory: Front,
     ansatz = SmoothAnsatz(data, trajectory, kernel, c=c)
     table, _, weights = _expansion(ansatz, data.k, t)
     (a_u, a_sigma), (b_u, b_sigma) = table.limits(
-        np.concatenate(weights), [f"{eq} residual at t={t:g}" for eq in ("u", "sigma")])
+        weights[0].T, [f"{eq} residual at t={t:g}" for eq in ("u", "sigma")])
     measured = (complex(a_u), complex(b_u), complex(a_sigma), complex(b_sigma))
     closed = closed_form_coefficients(data, trajectory, kernel.omega0,
                                       data.k, ansatz.c_effective, t)

@@ -178,6 +178,33 @@ def test_p_dot_at_a_time_is_its_element_of_the_grid(kernel):
             assert _bits(traj.p_dot(t)) == _bits(expected), (data, t)
 
 
+def test_evaluate_gives_the_four_methods_bitwise(kernel):
+    # (phi, e, p, p_dot) from one evaluation of e and p equal the four
+    # methods called in turn, bit for bit, on the grid and at a scalar time,
+    # for solved and for free trajectories.
+    times = default_t_grid()
+    for data in _seeded_data(30):
+        solved = solve_front(data, kernel.omega0)
+        free = LinearTrajectory(solved.phi_dot, data.e0, solved.e_rate, 0.5 - 0.25j, 0.1j)
+        for traj in (solved, free):
+            for t in (times, 0.5):
+                got = traj.evaluate(t)
+                want = (traj.phi(t), traj.e(t), traj.p(t), traj.p_dot(t))
+                assert [np.shape(v) for v in got] == [np.shape(v) for v in want]
+                assert list(map(_bits, got)) == list(map(_bits, want)), (data, t)
+
+
+def test_evaluate_singular_at_amplitude_zero_as_p_dot():
+    traj = FrontTrajectory(0.0, 1.0, 0.0, OMEGA0)  # e(0) = 0, rate 1
+    for t in (0.0, np.array([1.0, 0.0])):
+        with pytest.raises(ZeroDivisionError) as from_p_dot:
+            traj.p_dot(t)
+        with pytest.raises(ZeroDivisionError) as from_evaluate:
+            traj.evaluate(t)
+        assert str(from_evaluate.value) == str(from_p_dot.value) == (
+            "p_dot is singular where e(t) crosses zero with nonzero rate")
+
+
 def test_p_is_the_correctly_rounded_root(kernel):
     # e(t) = -0.0 + 1.0 t is t itself, signed zeros included.
     rng = np.random.default_rng(7)
@@ -414,8 +441,8 @@ def test_trajectory_rows_columns(worked_data):
 
 
 def test_trajectories_implement_front():
-    members = {"phi", "e", "p", "p_dot", *Front.__annotations__}
-    assert members == {"phi", "e", "p", "p_dot", "phi_dot", "e_rate"}
+    members = {"phi", "e", "p", "p_dot", "evaluate", *Front.__annotations__}
+    assert members == {"phi", "e", "p", "p_dot", "evaluate", "phi_dot", "e_rate"}
     for traj in (solve_front(RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.1), OMEGA0),
                  LinearTrajectory(0.5)):
         assert all(hasattr(traj, name) for name in members)

@@ -474,14 +474,18 @@ def test_quartic_moments_are_exact(quartic):
 
 
 def test_weights_take_each_products_coefficient_times_c_powers(kernel):
+    # Row 1 lacks ("dh",) and row 2 is empty; a product without columns
+    # adds nothing.  c < 0 gives the zeros of odd j a sign.
     table = primitive_table(kernel, (("dh",), ("h", "dh")))
-    rows = [{("dh",): 2.0, ("h", "dh"): -3.0}, {("h", "dh"): 0.5}]
-    c = 0.3
-    weights = table.weights(rows, c)
-    assert weights.shape == (2, len(table.keys))
-    for col, (product, j) in enumerate(table.keys):
-        for row, got in zip(rows, weights[:, col]):
-            assert got == row.get(product, 0.0) * c**j
+    layout = ((0, ("dh",)), (0, ("h", "dh")), (1, ("h", "dh")), (2, ("d",)))
+    rows = [{("dh",): 2.0, ("h", "dh"): -3.0}, {("h", "dh"): 0.5}, {}]
+    for c in (0.3, -0.3):
+        weights = table.weights(layout, (2.0, -3.0, 0.5, 7.0), c)
+        assert weights.shape == (3, len(table.keys))
+        for col, (product, j) in enumerate(table.keys):
+            for row, got in zip(rows, weights[:, col].tolist()):
+                want = row.get(product, 0.0) * c**j
+                assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
 
 
 def test_exact_limits_read_the_table_moments(kernel, monkeypatch):

@@ -21,6 +21,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import deltashock
@@ -108,8 +109,13 @@ def test_extraction_check_sees_a_perturbed_lemma_table(monkeypatch):
                                     pairing.LEMMA_PRODUCTS)
     monkeypatch.setattr(table, "rungs", tuple(rung._replace(columns=rung.columns * 1.001)
                                               for rung in table.rungs))
-    op = next(workloads.extraction_ops(5, in_process=True))
-    check = op.check(op.run())
+    # A pairing plan holds its rungs' columns: none outlives the perturbation.
+    pairing._pairing_plan.cache_clear()
+    try:
+        op = next(workloads.extraction_ops(5, in_process=True))
+        check = op.check(op.run())
+    finally:
+        pairing._pairing_plan.cache_clear()
     assert not check.ok and not check.known_defect
     assert check.coeff_err > workloads.EXPANSION_TOL
 
@@ -129,6 +135,63 @@ def test_no_subcommand_calls_pair(monkeypatch, tmp_path, command):
         monkeypatch.setattr(pairing, name, refuse)
     config = Path(deltashock.__file__).resolve().parents[2] / "configs" / "worked.ini"
     assert cli.main(["--config", str(config), "--out", str(tmp_path), command]) == 0
+
+
+def _functions_calling(folder: Path, method: str) -> set[str]:
+    """The functions in the modules of ``folder`` whose bodies call ``.method``."""
+    found = set()
+    for path in folder.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == method for call in ast.walk(node)):
+                found.add(node.name)
+    return found
+
+
+def test_every_table_weight_goes_through_one_layout_scatter(monkeypatch):
+    # The verdict, the replay, the lemma suite and the averaged product all
+    # reach PrimitiveTable.weights with a declared layout, and nothing else
+    # in the package builds table weights: its only callers are theirs.
+    from deltashock import kernels
+    from deltashock.ansatz import RiemannJumpData, SmoothAnsatz
+    from deltashock.dynamics import solve_front, volpert_product_pairing
+    from deltashock.pairing import verify_lemma31
+    from deltashock.verifier import replay_derivation, verify_weak_solution
+
+    callers, weights = [], kernels.PrimitiveTable.weights
+
+    def recorded(self, layout, coefficients, c):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return weights(self, layout, coefficients, c)
+
+    monkeypatch.setattr(kernels.PrimitiveTable, "weights", recorded)
+    kernel = kernels.make_kernel()
+    data = RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.1, 0.1)
+    front = solve_front(data, kernel.omega0)
+    verify_weak_solution(SmoothAnsatz(data, front, kernel), data.k)
+    replay_derivation(data, front, kernel)
+    verify_lemma31(kernel, data.plateau())
+    volpert_product_pairing(RiemannJumpData(0.3, 2.0, 0.0, -2.0, 0.0, 1.0), kernel)
+    assert callers == ["_expansion", "_expansion", "_lemma_pairings",
+                       "volpert_product_pairing"]
+    assert _functions_calling(Path(deltashock.__file__).parent, "weights") == set(callers)
+    assert [name for name in vars(kernels.PrimitiveTable) if "weight" in name] == ["weights"]
+
+
+def test_pairing_plans_stay_at_their_bound(worked_ansatz, worked_data):
+    # One plan per (table, eps grid, number of times, block budget), in a
+    # bounded cache: 100 verdicts on distinct time grids leave it full, not
+    # grown.
+    from deltashock import pairing
+    from deltashock.verifier import verify_weak_solution
+
+    bound = pairing._pairing_plan.cache_info().maxsize
+    assert bound is not None and bound < 100
+    for points in range(2, 102):
+        verify_weak_solution(worked_ansatz, worked_data.k,
+                             t_grid=np.linspace(0.0, 1.0, points))
+    assert pairing._pairing_plan.cache_info().currsize == bound
 
 
 def test_every_exported_name_exists():

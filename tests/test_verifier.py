@@ -12,7 +12,12 @@ import pytest
 
 from deltashock import kernels, pairing, verifier
 from deltashock.ansatz import RiemannJumpData, SmoothAnsatz
-from deltashock.dynamics import LinearTrajectory, overcompressivity, solve_front
+from deltashock.dynamics import (
+    FrontTrajectory,
+    LinearTrajectory,
+    overcompressivity,
+    solve_front,
+)
 from deltashock.kernels import (
     StepProfile,
     band_quadrature,
@@ -138,13 +143,16 @@ def _per_cell(ansatz, system_k, suite, t_grid, eps_grid):
 
 
 def _residual_pairings(ansatz, system_k, times, eps_grid, suite):
-    """The engine's pairings of the residuals' expansion, ``[eps, equation,
-    test function, time]``, with the test functions it places: ``suite``."""
+    """The engine's pairings of the residuals' expansion, as complex ``[eps,
+    equation, test function, time]``, with the test functions it places:
+    ``suite``.  The engine pairs the real view of the weights, rows
+    (equation, Re/Im), into ``[time, test function, eps, row]``."""
     table, phi, weights = verifier._expansion(ansatz, system_k, times)
-    placed, pairings = pair_table(table, weights, phi, eps_grid,
+    placed, pairings = pair_table(table, weights.view(float), phi, eps_grid,
                                   lambda *cell: f"residual pairing at {cell}")
     assert placed == suite
-    return pairings
+    assert pairings.shape == (len(times), 2, len(eps_grid), 4)
+    return pairings.view(complex).transpose(2, 3, 1, 0)
 
 
 def _assert_matches_per_cell(ansatz, system_k, t_grid, eps_grid, report=None):
@@ -331,6 +339,45 @@ def test_default_verdict_fits_its_series_once(monkeypatch, worked_ansatz, worked
     assert stacks == [(8, 10)]
 
 
+def test_default_verdict_evaluates_the_amplitude_once(monkeypatch, worked_ansatz,
+                                                     worked_data):
+    # One front evaluation per verdict: e over the time grid once, p from
+    # that e and p_dot from that p, where e, p and p_dot called in turn
+    # evaluate e three times.
+    grids, e = [], FrontTrajectory.e
+
+    def counted(self, t):
+        grids.append(np.shape(t))
+        return e(self, t)
+
+    monkeypatch.setattr(FrontTrajectory, "e", counted)
+    verify_weak_solution(worked_ansatz, worked_data.k)
+    assert grids == [default_t_grid().shape]
+
+
+def test_second_verdict_on_a_grid_builds_no_plan_and_no_weight_index(
+        monkeypatch, worked_ansatz, worked_data, worked_data_k0):
+    # The pairing plan of a (table, eps grid, number of times, budget) and
+    # the weight index of a layout are built once: a second verdict on the
+    # same grids, with other data, builds neither.
+    builds, index = [], kernels.PrimitiveTable._scatter_index
+
+    def counted(self, layout):
+        builds.append(layout)
+        return index(self, layout)
+
+    monkeypatch.setattr(kernels.PrimitiveTable, "_scatter_index", counted)
+    verify_weak_solution(worked_ansatz, worked_data.k)
+    plans = pairing._pairing_plan.cache_info()
+    builds.clear()
+    kernel = worked_ansatz.kernel
+    other = SmoothAnsatz(worked_data_k0, solve_front(worked_data_k0, kernel.omega0), kernel)
+    verify_weak_solution(other, 0.0)
+    after = pairing._pairing_plan.cache_info()
+    assert builds == []
+    assert (after.misses, after.hits) == (plans.misses, plans.hits + 1)
+
+
 def test_verdict_spanning_several_blocks_equals_per_cell_loop(monkeypatch, worked_ansatz,
                                                               worked_data):
     # 108 times are two full blocks of 52, the times of the budget's nodes
@@ -400,7 +447,7 @@ def _long_double_pairings(ansatz, system_k, times, eps_grid, center, halfwidth):
         psi = np.stack([bump, z * bump])
         terms = np.dot(psi, exact) * powers  # np.dot: twice matmul's speed here
         scale = (np.abs(psi).astype(float) @ np.abs(columns)) * powers.astype(float)
-        for e, coeffs in enumerate(weights):
+        for e, coeffs in enumerate(weights.transpose(2, 0, 1)):  # [equation, time, column]
             ref[i, e] = np.sum(terms * coeffs.astype(np.clongdouble), axis=-1)
             l1[i, e] = np.sum(scale * np.abs(coeffs), axis=-1)
     return ref, l1
@@ -500,9 +547,7 @@ def test_verdict_memory_is_capped_by_the_block_buffer(worked_ansatz, worked_data
     k = worked_data.k
     verify_weak_solution(worked_ansatz, k)  # builds the table outside the trace
     assert _traced_peak(lambda: verify_weak_solution(worked_ansatz, k)) < 1 << 20
-    rows = verifier._basis_rows(worked_ansatz, k)
-    table = kernels.primitive_table(worked_ansatz.kernel,
-                                    tuple(dict.fromkeys(p for r in rows for p in r)))
+    table = verifier._expansion(worked_ansatz, k, 0.0)[0]
     times, cells = 1025, len(default_eps_grid()) * 2  # eps x test functions
     results = cells * times * (len(table.keys) * 8 + 2 * 16)
     t_grid = np.linspace(0.0, 1.0, times)
@@ -708,13 +753,11 @@ def test_replay_exponential_well_conditioned(exponential):
 def test_replay_gate_rejects_a_term_of_negative_order(monkeypatch, worked_data, quartic):
     # A product of two regularized deltas pairs to eps^-1 omega0 psi(phi):
     # in a basis row it leaves the residual without an eps -> 0 limit.
-    rows = verifier._basis_rows
-
-    def mutant(ansatz, system_k):
-        u_rows = rows(ansatz, system_k)
-        return (*u_rows[:4], {**u_rows[4], ("d", "d"): 1.0}, *u_rows[5:])
-
-    monkeypatch.setattr(verifier, "_basis_rows", mutant)
+    coefficients = verifier._basis_coefficients
+    monkeypatch.setattr(verifier, "_LAYOUT", verifier._LAYOUT + ((4, ("d", "d")),))
+    monkeypatch.setattr(verifier, "_PRODUCTS", verifier._PRODUCTS + (("d", "d"),))
+    monkeypatch.setattr(verifier, "_basis_coefficients",
+                        lambda *args: coefficients(*args) + (1.0,))
     traj = solve_front(worked_data, quartic.omega0)
     with pytest.raises(ExtractionError, match=r"u residual at t=1: its eps\^-1 term"):
         replay_derivation(worked_data, traj, quartic)
