@@ -17,10 +17,8 @@ centre, so a node next to the centre keeps the relative accuracy of eps y.
 Consecutive eps on one rung fill one capped buffer in place, a block of
 times at once; one stacked real matmul gives their moments, scaled by the
 eps powers, and one real matmul per time contracts them with the weights.
-The blocks, their nodes eps y and the eps-power scale depend only on the
-table, the eps grid, the number of times and the block budget: a pairing
-plan, built once per such tuple in a bounded cache.  Weights and
-pairings are real arrays in the layout they are computed in, time first.
+Weights and pairings are real arrays in the layout they are computed in,
+time first.
 The suite's limits are :meth:`kernels.PrimitiveTable.limits`, exact.
 
 :func:`pair`, on ``kernels.band_quadrature`` split at every declared
@@ -33,7 +31,6 @@ matter how callers parallelize.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress, repeat
 from operator import mul, sub
 from typing import Callable, NamedTuple, Sequence
@@ -459,51 +456,6 @@ def _test_values(psi, halfwidth: float):
     return psi
 
 
-class _Plan(NamedTuple):
-    """What :func:`pair_table` needs of a table, an eps grid, a number of
-    times and a block budget: the same on every call that shares them."""
-
-    blocks: tuple[tuple[slice, np.ndarray, np.ndarray], ...]  # eps, eps*y, columns
-    step: int  # times per block
-    buffer: int  # length of the test-function buffer
-    scale: np.ndarray  # eps^powers, [eps, column]
-
-
-# A plan holds its grid's nodes: 4 KiB on the quartic table at the default
-# eps grid, 80 KiB on the exponential one.
-@lru_cache(maxsize=16)
-def _pairing_plan(table: PrimitiveTable, eps_grid: tuple[float, ...], times: int,
-                  block_nodes: int) -> _Plan:
-    """The blocks of :func:`pair_table`: each a run of consecutive eps on
-    one rung, with the nodes eps * y of each eps and the rung's columns,
-    as many eps as a buffer of ``block_nodes`` finest-rung nodes per time
-    row holds, and the eps-power scale of the moments.  Built once per
-    argument tuple; it holds constants of the grids, never a pairing."""
-    eps = np.asarray(eps_grid, dtype=float)
-    nodes_max = len(table.rungs[-1].y)
-    step = max(1, block_nodes // nodes_max)
-    height = min(step, times)
-    # Fewer times than a block holds leave room for more eps of them.
-    capacity = height * nodes_max * min(len(eps), step // height)
-    blocks, first = [], 0
-    while first < len(eps):
-        # Consecutive eps on one rung, as many as the buffer holds: a
-        # falling eps never takes a finer rung, so search from the last.
-        rung = table.at(eps_grid[first])
-        last = min(len(eps), first + capacity // (height * len(rung.y)))
-        while last - 1 > first and table.at(eps_grid[last - 1]) is not rung:
-            last -= 1
-        nodes = eps[first:last, None] * rung.y
-        blocks.append((slice(first, last), nodes, rung.columns))
-        first = last
-    # An overflow, as at a huge eps, is named by pair_table's finiteness check.
-    with np.errstate(over="ignore"):
-        scale = eps[:, None] ** table.powers
-    for shared in (scale, *(nodes for _, nodes, _ in blocks)):
-        shared.flags.writeable = False  # every call with these arguments reads them
-    return _Plan(tuple(blocks), step, 2 * capacity, scale)
-
-
 def pair_table(table: PrimitiveTable, weights, phi, eps_grid: Sequence[float],
                cell: Callable) -> tuple[tuple[TestFunction, ...], np.ndarray]:
     """Pairings of weighted table columns with a plain and a linear bump.
@@ -513,12 +465,11 @@ def pair_table(table: PrimitiveTable, weights, phi, eps_grid: Sequence[float],
     ``phi`` and the largest eps, whose support keeps every front band 1/2
     inside it, so every eps pairs on ``table.at(eps)``.  Returns that suite
     and the real pairings ``[time, test function, eps, row]``, summed as
-    the module docstring says, on the blocks of a plan built once per
-    (table, eps grid, number of times, ``_BLOCK_NODES``).
-    :class:`NumericsError` names the first cell not finite, in the order
-    (eps, row, test function, time), as "non-finite " + ``cell(row, test
-    function, eps, time)``, and is raised too when one ulp of max |phi| > 0
-    exceeds ``_NODE_RESOLUTION`` of the smallest eps.
+    the module docstring says.  :class:`NumericsError` names the first cell
+    not finite, in the order (eps, row, test function, time), as
+    "non-finite " + ``cell(row, test function, eps, time)``, and is raised
+    too when one ulp of max |phi| > 0 exceeds ``_NODE_RESOLUTION`` of the
+    smallest eps.
     """
     lo, hi = float(phi.min()), float(phi.max())
     reach, eps_min = max(-lo, hi), min(eps_grid)
@@ -531,30 +482,43 @@ def pair_table(table: PrimitiveTable, weights, phi, eps_grid: Sequence[float],
     suite = _suite_over(lo, hi, max(eps_grid))
     halfwidth, offset = suite[0].halfwidth, phi - suite[0].center
     times, columns = len(offset), len(table.keys)
-    plan = _pairing_plan(table, tuple(eps_grid), times, _BLOCK_NODES)
-    step = plan.step
-    moments = np.empty((times, 2, len(eps_grid), columns))  # [time, test fn, eps, column]
-    buffer = np.empty(plan.buffer)
+    eps = np.asarray(eps_grid, dtype=float)
+    moments = np.empty((times, 2, len(eps), columns))  # [time, test fn, eps, column]
+    nodes_max = len(table.rungs[-1].y)
+    step = max(1, _BLOCK_NODES // nodes_max)
+    height = min(step, times)
+    # Fewer times than a block holds leave room for more eps of them.
+    capacity = height * nodes_max * min(len(eps), step // height)
+    buffer = np.empty(2 * capacity)
     # An overflow, as at a huge eps, is named by the finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for span, nodes, rung_columns in plan.blocks:
+        first = 0
+        while first < len(eps):
+            # Consecutive eps on one rung, as many as the buffer holds: a
+            # falling eps never takes a finer rung, so search from the last.
+            rung = table.at(eps_grid[first])
+            last = min(len(eps), first + capacity // (height * len(rung.y)))
+            while last - 1 > first and table.at(eps_grid[last - 1]) is not rung:
+                last -= 1
+            nodes = eps[first:last, None] * rung.y
             for start in range(0, times, step):
                 block = slice(start, start + step)
                 rows = offset[block, None]
                 psi = buffer[:2 * rows.size * nodes.size].reshape(
-                    2, len(nodes), rows.size, nodes.shape[1])
+                    2, len(nodes), rows.size, rung.y.size)
                 np.add(rows, nodes[:, None], out=psi[1])
                 _test_values(psi, halfwidth)
                 # Stacked, not flattened: each (time rows, nodes) product keeps
                 # its kernel and order of summation, one row vector-matrix.
-                np.matmul(psi, rung_columns,
-                          out=moments[block, :, span].transpose(1, 2, 0, 3))
+                np.matmul(psi, rung.columns,
+                          out=moments[block, :, first:last].transpose(1, 2, 0, 3))
+            first = last
         # The eps powers scale the summed moments: scaling each node's column
         # rounds every term of a cancelling sum, 1.4e-15 of L1 at eps = 8.
-        moments *= plan.scale
+        moments *= eps[:, None] ** table.powers
         # Per time, [(test function, eps), column] @ [column, row].
         pairings = np.matmul(moments.reshape(times, -1, columns), weights)
-    pairings = pairings.reshape(times, 2, len(eps_grid), -1)
+    pairings = pairings.reshape(times, 2, len(eps), -1)
     if not np.isfinite(pairings).all():
         e, i, f, t = np.argwhere(~np.isfinite(pairings.transpose(2, 3, 1, 0)))[0]
         raise NumericsError(f"non-finite {cell(i, f, e, t)}")

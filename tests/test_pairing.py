@@ -1,4 +1,3 @@
-import contextlib
 import json
 import math
 import re
@@ -13,7 +12,6 @@ from deltashock import pairing
 from deltashock.kernels import (
     BAND_EDGES,
     GAUSS_NODES,
-    PrimitiveTable,
     StepProfile,
     band_quadrature,
     default_eps_grid,
@@ -455,19 +453,6 @@ def test_one_pass_lemma_pairings_match_per_eps_pairings(kernel, grid):
         assert np.all(np.abs(got - want) <= 1e-11 * scale), c
 
 
-@contextlib.contextmanager
-def _rungs_at(monkeypatch, at):
-    """Tables' ``at`` patched to ``at``; the pairing plans, which hold each
-    block's rung, are dropped on entry and on exit."""
-    with monkeypatch.context() as patched:
-        patched.setattr(PrimitiveTable, "at", at)
-        pairing._pairing_plan.cache_clear()
-        try:
-            yield
-        finally:
-            pairing._pairing_plan.cache_clear()
-
-
 @pytest.mark.parametrize("grid", [
     default_eps_grid(), default_eps_grid(2, 9), (0.2, 0.1, 0.05, 0.02, 0.01, 0.004),
     _CLIPPING_GRID], ids=["default", "2-9", "non-dyadic", "clipping"])
@@ -481,7 +466,8 @@ def test_lemma_pairings_on_the_ladder_match_the_finest_rung(monkeypatch, quartic
     probes = default_test_suite(np.zeros(1), grid[0])
     for c in (-0.3, 0.25, 0.713880724, 0.9):
         ladder, *_ = pairing._lemma_pairings(quartic, c, grid)
-        with _rungs_at(monkeypatch, lambda self, eps: self.rungs[-1]):
+        with monkeypatch.context() as patched:
+            patched.setattr(type(table), "at", lambda self, eps: self.rungs[-1])
             finest, *_ = pairing._lemma_pairings(quartic, c, grid)
         weights = np.abs(table.weights(pairing._LEMMA_LAYOUT, pairing._LEMMA_COEFFICIENTS, c))
         l1 = np.array([(np.abs([probe.value(eps * y) for probe in probes]) @ np.abs(columns)
@@ -514,8 +500,8 @@ def test_lemma_suite_pairs_every_eps_on_its_rung_half_inside_the_probes(monkeypa
     for eps in grid:
         lo, hi = plain.support
         assert lo + 0.5 <= -4 * eps and 4 * eps + 0.5 <= hi
-    with _rungs_at(monkeypatch, lambda self, eps: doubled[at(self, eps).panels]):
-        twice, *_ = pairing._lemma_pairings(quartic, WORKED_C, grid)
+    monkeypatch.setattr(type(table), "at", lambda self, eps: doubled[at(self, eps).panels])
+    twice, *_ = pairing._lemma_pairings(quartic, WORKED_C, grid)
     assert np.array_equal(twice, 2.0 * values)
     assert len({at(table, eps).panels for eps in grid}) > 1
 

@@ -21,7 +21,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import deltashock
@@ -109,13 +108,8 @@ def test_extraction_check_sees_a_perturbed_lemma_table(monkeypatch):
                                     pairing.LEMMA_PRODUCTS)
     monkeypatch.setattr(table, "rungs", tuple(rung._replace(columns=rung.columns * 1.001)
                                               for rung in table.rungs))
-    # A pairing plan holds its rungs' columns: none outlives the perturbation.
-    pairing._pairing_plan.cache_clear()
-    try:
-        op = next(workloads.extraction_ops(5, in_process=True))
-        check = op.check(op.run())
-    finally:
-        pairing._pairing_plan.cache_clear()
+    op = next(workloads.extraction_ops(5, in_process=True))
+    check = op.check(op.run())
     assert not check.ok and not check.known_defect
     assert check.coeff_err > workloads.EXPANSION_TOL
 
@@ -177,21 +171,6 @@ def test_every_table_weight_goes_through_one_layout_scatter(monkeypatch):
                        "volpert_product_pairing"]
     assert _functions_calling(Path(deltashock.__file__).parent, "weights") == set(callers)
     assert [name for name in vars(kernels.PrimitiveTable) if "weight" in name] == ["weights"]
-
-
-def test_pairing_plans_stay_at_their_bound(worked_ansatz, worked_data):
-    # One plan per (table, eps grid, number of times, block budget), in a
-    # bounded cache: 100 verdicts on distinct time grids leave it full, not
-    # grown.
-    from deltashock import pairing
-    from deltashock.verifier import verify_weak_solution
-
-    bound = pairing._pairing_plan.cache_info().maxsize
-    assert bound is not None and bound < 100
-    for points in range(2, 102):
-        verify_weak_solution(worked_ansatz, worked_data.k,
-                             t_grid=np.linspace(0.0, 1.0, points))
-    assert pairing._pairing_plan.cache_info().currsize == bound
 
 
 def test_every_exported_name_exists():

@@ -355,11 +355,10 @@ def test_default_verdict_evaluates_the_amplitude_once(monkeypatch, worked_ansatz
     assert grids == [default_t_grid().shape]
 
 
-def test_second_verdict_on_a_grid_builds_no_plan_and_no_weight_index(
-        monkeypatch, worked_ansatz, worked_data, worked_data_k0):
-    # The pairing plan of a (table, eps grid, number of times, budget) and
-    # the weight index of a layout are built once: a second verdict on the
-    # same grids, with other data, builds neither.
+def test_second_verdict_builds_no_weight_index(monkeypatch, worked_ansatz, worked_data,
+                                               worked_data_k0):
+    # The weight index of a layout is built once: a second verdict, with
+    # other data, builds none.
     builds, index = [], kernels.PrimitiveTable._scatter_index
 
     def counted(self, layout):
@@ -368,14 +367,11 @@ def test_second_verdict_on_a_grid_builds_no_plan_and_no_weight_index(
 
     monkeypatch.setattr(kernels.PrimitiveTable, "_scatter_index", counted)
     verify_weak_solution(worked_ansatz, worked_data.k)
-    plans = pairing._pairing_plan.cache_info()
     builds.clear()
     kernel = worked_ansatz.kernel
     other = SmoothAnsatz(worked_data_k0, solve_front(worked_data_k0, kernel.omega0), kernel)
     verify_weak_solution(other, 0.0)
-    after = pairing._pairing_plan.cache_info()
     assert builds == []
-    assert (after.misses, after.hits) == (plans.misses, plans.hits + 1)
 
 
 def test_verdict_spanning_several_blocks_equals_per_cell_loop(monkeypatch, worked_ansatz,
