@@ -4,12 +4,16 @@
 Runs the full pipeline for (u0, u1, sigma0, sigma1, e0) =
 (0, 2, 0, 0.5, 0.1) at k = 0.1 and k = 0: front trajectory, field
 snapshots of the smooth family, weak-solution verification, and the
-small-k gap, writing plot-ready tables under --out.
+small-k gap, writing plot-ready tables under --out.  --eps must be
+positive and finite and --out must be or become a directory; otherwise
+the script writes nothing, prints one error line and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,14 +27,21 @@ from deltashock.tables import write_table
 from deltashock.verifier import verify_weak_solution
 
 
-def main() -> None:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="worked_example_out")
     ap.add_argument("--eps", type=float, default=0.05,
                     help="regularization length for the field snapshots")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    if not 0.0 < args.eps < math.inf:
+        print(f"error: --eps must be positive and finite, got {args.eps!r}", file=sys.stderr)
+        return 2
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
 
     kernel = make_kernel()
     t_grid = np.linspace(0.0, 1.0, 33)
@@ -60,7 +71,8 @@ def main() -> None:
     write_table(zip(ks, gaps), ["k", "gap"], out / "klimit")
     print(f"small-k stress gap order: {order:.4f} (the gap law is exactly "
           "quadratic in k)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -191,7 +191,8 @@ def overcompressivity_margins(u1, ratio, k):
     return u1 - 2.0 * k, ratio + half_window, half_window - ratio
 
 
-# The shock case's product u0 dh + u1 h dh as one row of (row, product) pairs.
+# The shock case's product u0 dh + u1 h dh as one row of (row, product)
+# pairs: its table's layout.
 _VOLPERT_LAYOUT = ((0, ("dh",)), (0, ("h", "dh")))
 
 
@@ -212,8 +213,8 @@ def volpert_product_pairing(data: RiemannJumpData,
         raise NotApplicableError(
             "the averaged-product identity is only claimed for pure shocks "
             f"(e0 = {data.e0}, e rate = {rate})")
-    table = primitive_table(kernel, (("dh",), ("h", "dh")))
-    weights = table.weights(_VOLPERT_LAYOUT, (data.u0, data.u1), data.plateau())
+    table = primitive_table(kernel, _VOLPERT_LAYOUT)
+    weights = table.weights((data.u0, data.u1), data.plateau())
     return float(-data.sigma1 * table.limits(weights, ["u dsigma/dx"])[0][0])
 
 

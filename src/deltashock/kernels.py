@@ -18,8 +18,9 @@ In the scaled variable y = xi/eps every profile is a power of eps times
 a function of y that depends on the kernel alone, and the step is affine
 in the plateau: h = h0 + c h1.  :func:`product_columns` evaluates the
 c^j parts of products of these functions at any (xi, eps), scaled to
-eps = 1, and :func:`primitive_table` tabulates them once per kernel on
-fixed quadrature nodes in y: pairings at any eps need no profile
+eps = 1, and :func:`primitive_table` tabulates the products of one
+layout of (row, product) pairs once per kernel on fixed quadrature nodes
+in y: pairings at any eps need no profile
 evaluation, and exact eps -> 0 limits are its moments.  Its rungs are the
 same rule on 1, 2, 4, 8 and 16 panels per subinterval: the quartic
 products are polynomials of degree at most 10 on each subinterval, which
@@ -70,7 +71,6 @@ __all__ = [
     "ExtractionError",
     "Rung",
     "product_columns",
-    "product_power",
     "primitive_table",
     "check_eps_grid",
     "default_eps_grid",
@@ -417,17 +417,27 @@ class PrimitiveTable:
     ``(product, j) = keys[i]``; parts that vanish on every node have no
     column.  On the nodes eps * y that part pairs to eps^powers[i] times
     the column's sum (dxi = eps dy included): its exact eps -> 0 limits
-    are :meth:`limits`, read off :meth:`moments`.  Tables compare by identity.
+    are :meth:`limits`, read off :meth:`moments`.  A table is built from
+    one ``layout`` of (row, product) pairs, whose rows :meth:`weights`
+    fills through an index built here.  Tables compare by identity.
     """
 
-    __slots__ = ("rungs", "keys", "powers", "_c_orders", "_c_terms", "_scatter")
+    __slots__ = ("rungs", "keys", "powers", "_c_orders", "_c_terms", "_index")
 
     def __init__(self, rungs: tuple[Rung, ...],
-                 keys: tuple[tuple[tuple[str, ...], int], ...], powers: np.ndarray):
+                 keys: tuple[tuple[tuple[str, ...], int], ...], powers: np.ndarray,
+                 layout: tuple[tuple[int, tuple[str, ...]], ...]):
         self.rungs, self.keys, self.powers = rungs, keys, powers
         self._c_orders = np.array([j for _, j in keys])  # j of each column
         self._c_terms = 1 + max(j for _, j in keys)
-        self._scatter = {}  # layout -> its index array, built on first use
+        # [row, column]: the pair of the layout that fills each cell, the
+        # last if several do, and len(layout) where none does.
+        columns = {}
+        for i, (product, _) in enumerate(keys):
+            columns.setdefault(product, []).append(i)
+        self._index = np.full((1 + max(row for row, _ in layout), len(keys)), len(layout))
+        for entry, (row, product) in enumerate(layout):
+            self._index[row, columns.get(product, [])] = entry
 
     def moments(self, n_max: int):
         """The moments M_n = y^n @ columns of the finest rung and their
@@ -436,32 +446,18 @@ class PrimitiveTable:
         y_powers = y ** np.arange(n_max + 1)[:, None]
         return y_powers @ columns, np.abs(y_powers) @ np.abs(columns)
 
-    def weights(self, layout, coefficients, c: float) -> np.ndarray:
-        """``[row, column]`` weights of the rows a layout declares.
+    def weights(self, coefficients, c: float) -> np.ndarray:
+        """``[row, column]`` weights of the rows of the table's layout.
 
-        ``layout`` is a tuple of (row, product) pairs and ``coefficients``
-        one number per pair, in its order: column (product, j) of that row
-        takes the coefficient times c^j, and every column no pair fills 0.0
-        times c^j.  A product without columns adds nothing.  One gather
-        through an index array, built on a layout's first call, places
-        them.  OverflowError if some c^j overflows.
+        ``coefficients`` are one number per (row, product) pair of the
+        layout, in its order: column (product, j) of that row takes the
+        coefficient times c^j, and every column no pair fills 0.0 times
+        c^j.  A product without columns adds nothing.  One gather through
+        the index built with the table places them.  OverflowError if some
+        c^j overflows.
         """
-        index = self._scatter.get(layout)
-        if index is None:
-            index = self._scatter[layout] = self._scatter_index(layout)
         c_powers = np.array([c**j for j in range(self._c_terms)], dtype=float)
-        return np.array((*coefficients, 0.0))[index] * c_powers[self._c_orders]
-
-    def _scatter_index(self, layout):
-        """``[row, column]``: the pair of ``layout`` that fills each cell,
-        the last if several do, and ``len(layout)`` where none does."""
-        columns = {}
-        for i, (product, _) in enumerate(self.keys):
-            columns.setdefault(product, []).append(i)
-        index = np.full((1 + max(row for row, _ in layout), len(self.keys)), len(layout))
-        for entry, (row, product) in enumerate(layout):
-            index[row, columns.get(product, [])] = entry
-        return index
+        return np.array((*coefficients, 0.0))[self._index] * c_powers[self._c_orders]
 
     def limits(self, weights, names):
         """The eps -> 0 limits A delta + B delta' of the rows of ``weights``,
@@ -491,12 +487,6 @@ class PrimitiveTable:
                     self.rungs[-1])
 
 
-def product_power(product: tuple[str, ...]) -> float:
-    """The eps power of a product's columns: its profiles' powers summed,
-    plus 1 for dxi = eps dy."""
-    return 1.0 + sum(PROFILE_EPS_POWERS[n] for n in product)
-
-
 def product_columns(kernel: MollifierKernel, products: tuple[tuple[str, ...], ...],
                     xi, eps: float, weights):
     """Weighted c^j parts of profile products at moving-frame points (xi, eps).
@@ -524,7 +514,8 @@ def product_columns(kernel: MollifierKernel, products: tuple[tuple[str, ...], ..
             poly = [sum(poly[i] * f[j - i] for i in range(len(poly))
                         if 0 <= j - i < len(f))
                     for j in range(len(poly) + len(f) - 1)]
-        power = product_power(product)
+        # the profiles' powers summed, plus 1 for dxi = eps dy
+        power = 1.0 + sum(PROFILE_EPS_POWERS[name] for name in product)
         columns += [part * eps**-power for part in poly]
         keys += [(product, j) for j in range(len(poly))]
         powers += [power] * len(poly)
@@ -533,13 +524,16 @@ def product_columns(kernel: MollifierKernel, products: tuple[tuple[str, ...], ..
 
 @lru_cache(maxsize=None)
 def primitive_table(kernel: MollifierKernel,
-                    products: tuple[tuple[str, ...], ...]) -> PrimitiveTable:
-    """The :class:`PrimitiveTable` of ``products``: :func:`product_columns` at eps = 1.
+                    layout: tuple[tuple[int, tuple[str, ...]], ...]) -> PrimitiveTable:
+    """The :class:`PrimitiveTable` of a layout: :func:`product_columns` at
+    eps = 1 of its products, each once, in the layout's order.
 
-    A product is a tuple of profile names from :data:`PROFILE_EPS_POWERS`.
-    Every rung's nodes go through one :func:`product_columns` call, so each
-    profile is evaluated once per table.
+    ``layout`` is a tuple of (row, product) pairs, a product a tuple of
+    profile names from :data:`PROFILE_EPS_POWERS`.  Every rung's nodes go
+    through one :func:`product_columns` call, so each profile is evaluated
+    once per table.
     """
+    products = tuple(dict.fromkeys(product for _, product in layout))
     panels = _RUNGS[kernel.kind]
     lo, *cuts, hi = BAND_EDGES
     rules = [band_quadrature(lo, hi, cuts, n, _PANEL_NODES[kernel.kind]) for n in panels]
@@ -553,4 +547,4 @@ def primitive_table(kernel: MollifierKernel,
         nodes = np.any(columns_n != 0.0, axis=1)
         rungs.append(Rung(n, y_n[nodes], columns_n[np.ix_(nodes, cols)]))
     return PrimitiveTable(tuple(rungs), tuple(k for k, c in zip(keys, cols) if c),
-                          powers[cols])
+                          powers[cols], layout)

@@ -44,10 +44,8 @@ __all__ = [
     "State",
     "Wave",
     "RiemannSolution",
-    "classify_waves",
     "solve",
     "eval_riemann",
-    "delta_regime_test",
     "k_limit_gap",
     "check_sweep_k",
     "regime_sweep",
@@ -133,13 +131,6 @@ def _construct(left_u, left_sigma, right_u, right_sigma, k: float):
     return (m1 > 0.0) & (m2 > 0.0) & (m3 > 0.0), u_star, sigma_star, wave1, wave2, ordered
 
 
-def _at_point(left: State, right: State, k: float):
-    """:func:`_construct` at one jump; ValueError for k < 0."""
-    if k < 0.0:
-        raise ValueError("k must be nonnegative")
-    return _construct(*left, *right, k)
-
-
 def _classical(left: State, right: State, k: float, built) -> RiemannSolution:
     """The classical solution of one jump from its construction."""
     if k <= 0.0:
@@ -154,25 +145,12 @@ def _classical(left: State, right: State, k: float, built) -> RiemannSolution:
                            float(u_star), float(sigma_star), w1, w2)
 
 
-def classify_waves(left: State, right: State, k: float) -> RiemannSolution:
-    """Classical two-wave construction with its ordering check.
-
-    As k -> 0 with a stress jump the intermediate state escapes to
-    infinity, which is why the degenerate system has no classical
-    solution.  Where it leaves the float range, as for a tiny k,
-    OverflowError names it.
-    """
-    return _classical(left, right, k, _construct(*left, *right, k))
-
-
-def delta_regime_test(left: State, right: State, k: float) -> bool:
-    """True iff the data falls in the overcompressive singular-front window."""
-    return bool(_at_point(left, right, k)[0])
-
-
 def solve(left: State, right: State, k: float) -> RiemannSolution:
-    """Full regime dispatch: singular front, classical, or neither."""
-    built = _at_point(left, right, k)
+    """Full regime dispatch: singular front, classical, or neither;
+    ValueError for k < 0."""
+    if k < 0.0:
+        raise ValueError("k must be nonnegative")
+    built = _construct(*left, *right, k)
     if built[0]:
         return RiemannSolution(left, right, float(k), DELTA_REGIME)
     return _classical(left, right, k, built)

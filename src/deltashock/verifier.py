@@ -6,9 +6,10 @@ the pairings decay as eps -> 0.
 
 In the moving frame xi = x - phi(t) both residuals are sums of real
 profile products (the basis rows) times per-time scalars built from p,
-p-dot and e: one declared layout of (row, product) pairs, whose
-coefficients :meth:`kernels.PrimitiveTable.weights` scatters onto the
-columns of the kernel's :func:`kernels.primitive_table`, built once.  In
+p-dot and e: one declared layout of (row, product) pairs, from which
+:func:`kernels.primitive_table` builds the kernel's table once, and whose
+coefficients :meth:`kernels.PrimitiveTable.weights` gathers onto its
+columns.  In
 those columns c, the data and one front evaluation over the time grid
 meet, and :func:`pairing.pair_table` pairs their real view with the plain
 and the linear bump of :func:`pairing.default_test_suite`, on one support
@@ -102,8 +103,6 @@ _LAYOUT = (
     (6, ("dd",)), (6, ("h", "dd")),
     (7, ("r", "dh")), (7, ("dr",)),
 )
-# The table's products, each once, in the layout's order.
-_PRODUCTS = tuple(dict.fromkeys(product for _, product in _LAYOUT))
 
 
 def _basis_coefficients(ansatz: SmoothAnsatz, system_k: float) -> tuple[float, ...]:
@@ -127,9 +126,9 @@ def _expansion(ansatz: SmoothAnsatz, system_k: float, times):
     # naming the plateau rather than on u1**2 inside a basis row.
     c = ansatz.c_effective
     coefficients = _basis_coefficients(ansatz, system_k)
-    table = primitive_table(ansatz.kernel, _PRODUCTS)
+    table = primitive_table(ansatz.kernel, _LAYOUT)
     try:
-        weights = table.weights(_LAYOUT, coefficients, c)
+        weights = table.weights(coefficients, c)
     except OverflowError:
         raise NumericsError(f"non-finite residual weight: c^2 overflows at c={c:g}") from None
     phi, e, p, p_dot = ansatz.front.evaluate(np.atleast_1d(times))

@@ -1,8 +1,9 @@
 """Test-only oracles: code that only tests call, kept out of the package.
 
 The singular solution's exact pairings, the smooth fields as integrands
-for :func:`deltashock.pairing.pair`, the Volpert jump relations, a test
-function's exact derivative and a report's orders per equation.  No name
+for :func:`deltashock.pairing.pair`, the Volpert jump relations, the
+classical Riemann construction and the singular-front test of one jump, a
+test function's exact derivative and a report's orders per equation.  No name
 here starts with ``test``, so pytest collects none from a test module.
 """
 
@@ -14,6 +15,7 @@ import numpy as np
 from deltashock.ansatz import Front, RiemannJumpData, SmoothAnsatz
 from deltashock.kernels import exp_bump, exp_bump_dy
 from deltashock.pairing import PLAIN_BUMP, Piecewise, TestFunction, pair
+from deltashock.riemann import RiemannSolution, State, _classical, _construct
 from deltashock.verifier import SolutionReport
 
 
@@ -78,6 +80,25 @@ def volpert_scan(u_left: float, u_right: float, sigma_left: float,
     worst = np.maximum(np.abs(r1), np.abs(r2))
     i = int(np.argmin(worst))
     return float(worst[i]), float(ss[i])
+
+
+def classify_waves(left: State, right: State, k: float) -> RiemannSolution:
+    """Classical two-wave construction with its ordering check.
+
+    As k -> 0 with a stress jump the intermediate state escapes to
+    infinity, which is why the degenerate system has no classical
+    solution.  Where it leaves the float range, as for a tiny k,
+    OverflowError names it.
+    """
+    return _classical(left, right, k, _construct(*left, *right, k))
+
+
+def delta_regime_test(left: State, right: State, k: float) -> bool:
+    """True iff the data falls in the overcompressive singular-front window;
+    ValueError for k < 0."""
+    if k < 0.0:
+        raise ValueError("k must be nonnegative")
+    return bool(_construct(*left, *right, k)[0])
 
 
 def deriv(phi_test: TestFunction, x):

@@ -27,9 +27,9 @@ from deltashock.pairing import (
     fit_loglog_slope,
     verify_lemma31,
 )
-from deltashock.riemann import CLASSICAL, State, classify_waves, k_limit_gap
+from deltashock.riemann import CLASSICAL, State, k_limit_gap
 from deltashock.verifier import replay_derivation, sample_admissible_data
-from oracle import equation_orders, volpert_scan
+from oracle import classify_waves, equation_orders, volpert_scan
 
 EPS_GRID = default_eps_grid(3, 12)
 WORKED_C = 0.375

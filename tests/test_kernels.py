@@ -32,7 +32,7 @@ from deltashock.kernels import (
     _gauss_rule,
 )
 from deltashock.pairing import verify_lemma31
-from deltashock.verifier import replay_derivation
+from deltashock.verifier import _LAYOUT, replay_derivation
 
 # Closed-form oracle: int_{-1}^{1} (1 - x^2)^2 dx = 2 (1 - 2/3 + 1/5) = 16/15,
 # so the unit-mass constant is 15/16 and
@@ -313,7 +313,7 @@ def test_primitive_table_expands_products_in_c(kernel):
                       * eval_correction_dx(y, 1.0, kernel)),
         ("h", "dd"): prof.value(-y) * eval_delta_reg_dx(y, 1.0, kernel),
     }
-    table = primitive_table(kernel, tuple(direct))
+    table = primitive_table(kernel, tuple((0, product) for product in direct))
     finest = table.rungs[-1]
     kept = np.isin(y, finest.y)
     assert np.array_equal(y[kept], finest.y) and not np.any(kept[(-1 < y) & (y < 1)])
@@ -327,9 +327,23 @@ def test_primitive_table_expands_products_in_c(kernel):
         assert np.all(table.powers[cols] == power)
 
 
-# The products of the verifier's eight basis rows.
+# The products of the verifier's eight basis rows, each once, in the order
+# of its layout and so of its table's columns.
 BASIS_PRODUCTS = (("dh",), ("h", "dh"), ("dr",), ("h", "dr"), ("r", "dh"), ("r",),
                   ("r", "dr"), ("dd",), ("d",), ("h", "dd"))
+
+
+def test_a_table_takes_its_products_from_its_layout_in_order(kernel):
+    # One declaration: the verifier's table has a column for each nonzero
+    # c^j part of the layout's products, product by product in the
+    # layout's order.  R dH has none: its factors' supports only touch.
+    table = primitive_table(kernel, _LAYOUT)
+    assert tuple(dict.fromkeys(product for _, product in _LAYOUT)) == BASIS_PRODUCTS
+    assert tuple(dict.fromkeys(product for product, _ in table.keys)) == tuple(
+        product for product in BASIS_PRODUCTS if product != ("r", "dh"))
+    assert list(table.keys) == sorted(table.keys, key=lambda key: (
+        BASIS_PRODUCTS.index(key[0]), key[1]))
+    assert primitive_table(kernel, _LAYOUT) is table
 
 
 def test_product_columns_at_eps_reproduce_the_table(kernel):
@@ -338,7 +352,7 @@ def test_product_columns_at_eps_reproduce_the_table(kernel):
     # exact but for the half powers of eps.  At eps = 0.3 the node eps * y
     # itself rounds, and the step's ramps amplify that through the kernel's
     # slope: up to 27 ulp of the column's largest entry.
-    table = primitive_table(kernel, BASIS_PRODUCTS)
+    table = primitive_table(kernel, _LAYOUT)
     finest = table.rungs[-1]
     y, w = band_quadrature(-4.0, 4.0, (-3.0, -1.0, 1.0, 3.0), 16, _PANEL_NODES[kernel.kind])
     kept = np.isin(y, finest.y)
@@ -356,7 +370,7 @@ def test_rung_choice_per_kernel(kernel):
     # The coarsest rung whose panels at eps, in x, are no longer than one
     # panel at eps = 2^-3: min(16, 2^ceil(log2(8 eps))) panels on the
     # quartic table, every panel at every eps on the exponential one.
-    table = primitive_table(kernel, BASIS_PRODUCTS)
+    table = primitive_table(kernel, _LAYOUT)
     got = [table.at(eps).panels for eps in (*default_eps_grid(), 0.3)]
     if kernel.kind == QUARTIC:
         assert got == [1] * 10 + [4]
@@ -371,7 +385,7 @@ def test_quartic_rungs_share_the_finest_moments(quartic):
     # The quartic products are polynomials of degree at most 10 on each
     # subinterval, so one panel of 10 nodes already integrates them and
     # their first moments exactly.
-    table = primitive_table(quartic, BASIS_PRODUCTS)
+    table = primitive_table(quartic, _LAYOUT)
     assert [rung.panels for rung in table.rungs] == [1, 2, 4, 8, 16]
     finest, l1 = table.moments(3)
     for rung in table.rungs:
@@ -457,7 +471,7 @@ def test_quartic_moments_are_exact(quartic):
     # coefficients, so its moments are exact rationals.  The table's match
     # them to a few ulps of the column's L1 scale, its largest |y|^n @ |column|
     # for n <= 3: at most 2.0 times 2^-52 of it today.
-    table = primitive_table(quartic, BASIS_PRODUCTS)
+    table = primitive_table(quartic, _LAYOUT)
     moments, scale = table.moments(3)
     exact = {product: _exact_quartic_moments(product, 3) for product in BASIS_PRODUCTS}
     for i, (product, j) in enumerate(table.keys):
@@ -474,13 +488,14 @@ def test_quartic_moments_are_exact(quartic):
 
 
 def test_weights_take_each_products_coefficient_times_c_powers(kernel):
-    # Row 1 lacks ("dh",) and row 2 is empty; a product without columns
-    # adds nothing.  c < 0 gives the zeros of odd j a sign.
-    table = primitive_table(kernel, (("dh",), ("h", "dh")))
-    layout = ((0, ("dh",)), (0, ("h", "dh")), (1, ("h", "dh")), (2, ("d",)))
+    # Row 1 lacks ("dh",) and row 2 is empty: R delta, of disjoint supports,
+    # has no column and adds nothing.  c < 0 gives the zeros of odd j a sign.
+    layout = ((0, ("dh",)), (0, ("h", "dh")), (1, ("h", "dh")), (2, ("r", "d")))
+    table = primitive_table(kernel, layout)
+    assert {product for product, _ in table.keys} == {("dh",), ("h", "dh")}
     rows = [{("dh",): 2.0, ("h", "dh"): -3.0}, {("h", "dh"): 0.5}, {}]
     for c in (0.3, -0.3):
-        weights = table.weights(layout, (2.0, -3.0, 0.5, 7.0), c)
+        weights = table.weights((2.0, -3.0, 0.5, 7.0), c)
         assert weights.shape == (3, len(table.keys))
         for col, (product, j) in enumerate(table.keys):
             for row, got in zip(rows, weights[:, col].tolist()):

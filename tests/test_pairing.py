@@ -461,7 +461,7 @@ def test_lemma_pairings_on_the_ladder_match_the_finest_rung(monkeypatch, quartic
     # and each pairing is within 1.25e-15 of its terms' L1 of the finest
     # rung's.  The largest gap, 1.0e-15, is R2's B at eps = 2^-3 with
     # c = -0.3 (1.24e-15 on 16-node panels, R2's A at eps = 2^-7).
-    table = primitive_table(quartic, pairing.LEMMA_PRODUCTS)
+    table = primitive_table(quartic, pairing._LEMMA_LAYOUT)
     _, y, columns = table.rungs[-1]
     probes = default_test_suite(np.zeros(1), grid[0])
     for c in (-0.3, 0.25, 0.713880724, 0.9):
@@ -469,7 +469,7 @@ def test_lemma_pairings_on_the_ladder_match_the_finest_rung(monkeypatch, quartic
         with monkeypatch.context() as patched:
             patched.setattr(type(table), "at", lambda self, eps: self.rungs[-1])
             finest, *_ = pairing._lemma_pairings(quartic, c, grid)
-        weights = np.abs(table.weights(pairing._LEMMA_LAYOUT, pairing._LEMMA_COEFFICIENTS, c))
+        weights = np.abs(table.weights(pairing._LEMMA_COEFFICIENTS, c))
         l1 = np.array([(np.abs([probe.value(eps * y) for probe in probes]) @ np.abs(columns)
                         * eps**table.powers) @ weights.T for eps in grid]).transpose(2, 1, 0)
         assert np.all(np.abs(ladder - finest) <= 1.25e-15 * l1), c
@@ -483,7 +483,7 @@ def test_lemma_suite_pairs_every_eps_on_its_rung_half_inside_the_probes(monkeypa
     # family's band [-4 eps, 4 eps] sits at least 1/2 inside their support
     # and every eps pairs on ``table.at(eps)``: with that rung's columns
     # doubled, every pairing doubles exactly.
-    table = primitive_table(quartic, pairing.LEMMA_PRODUCTS)
+    table = primitive_table(quartic, pairing._LEMMA_LAYOUT)
     at, suites = type(table).at, []
     doubled = {rung.panels: rung._replace(columns=2.0 * rung.columns) for rung in table.rungs}
 

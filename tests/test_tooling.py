@@ -105,7 +105,7 @@ def test_extraction_check_sees_a_perturbed_lemma_table(monkeypatch):
 
     workloads = _load_perfbench(monkeypatch, "workloads")
     table = kernels.primitive_table(kernels.make_kernel(kernels.EXPONENTIAL),
-                                    pairing.LEMMA_PRODUCTS)
+                                    pairing._LEMMA_LAYOUT)
     monkeypatch.setattr(table, "rungs", tuple(rung._replace(columns=rung.columns * 1.001)
                                               for rung in table.rungs))
     op = next(workloads.extraction_ops(5, in_process=True))
@@ -143,10 +143,11 @@ def _functions_calling(folder: Path, method: str) -> set[str]:
     return found
 
 
-def test_every_table_weight_goes_through_one_layout_scatter(monkeypatch):
+def test_every_table_weight_goes_through_one_layout_gather(monkeypatch):
     # The verdict, the replay, the lemma suite and the averaged product all
-    # reach PrimitiveTable.weights with a declared layout, and nothing else
-    # in the package builds table weights: its only callers are theirs.
+    # reach PrimitiveTable.weights on a table of their declared layout, and
+    # nothing else in the package builds table weights: its only callers
+    # are theirs.
     from deltashock import kernels
     from deltashock.ansatz import RiemannJumpData, SmoothAnsatz
     from deltashock.dynamics import solve_front, volpert_product_pairing
@@ -155,9 +156,9 @@ def test_every_table_weight_goes_through_one_layout_scatter(monkeypatch):
 
     callers, weights = [], kernels.PrimitiveTable.weights
 
-    def recorded(self, layout, coefficients, c):
+    def recorded(self, coefficients, c):
         callers.append(sys._getframe(1).f_code.co_name)
-        return weights(self, layout, coefficients, c)
+        return weights(self, coefficients, c)
 
     monkeypatch.setattr(kernels.PrimitiveTable, "weights", recorded)
     kernel = kernels.make_kernel()
@@ -171,6 +172,67 @@ def test_every_table_weight_goes_through_one_layout_scatter(monkeypatch):
                        "volpert_product_pairing"]
     assert _functions_calling(Path(deltashock.__file__).parent, "weights") == set(callers)
     assert [name for name in vars(kernels.PrimitiveTable) if "weight" in name] == ["weights"]
+
+
+def _module_constants(path: Path) -> set[str]:
+    """The names a module binds by a plain assignment at its top level."""
+    return {target.id for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.Assign) for target in node.targets
+            if isinstance(target, ast.Name)}
+
+
+def test_every_runtime_table_is_built_from_a_module_level_layout():
+    # A table's products are read off the one layout that fills its
+    # weights, so each call of primitive_table in the package passes a
+    # layout constant of its own module, and each layout is a tuple of
+    # (row, product) pairs.
+    package = Path(deltashock.__file__).parent
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "primitive_table"):
+                (_, layout), keywords = node.args, node.keywords
+                assert not keywords and isinstance(layout, ast.Name), (path.name, node.lineno)
+                assert layout.id in _module_constants(path), (path.name, layout.id)
+                calls.append((path.stem, layout.id))
+    assert sorted(calls) == [("dynamics", "_VOLPERT_LAYOUT"), ("pairing", "_LEMMA_LAYOUT"),
+                             ("verifier", "_LAYOUT")]
+    for module, name in calls:
+        layout = getattr(importlib.import_module(f"deltashock.{module}"), name)
+        assert all(isinstance(row, int) and isinstance(product, tuple) and product
+                   for row, product in layout), (module, name)
+
+
+# Package functions and classes that nothing outside the tests calls, each
+# with the reason it stays in the package.
+_UNCALLED = {
+    # The shock-case measurement on the table engine that README presents
+    # as a lab capability (ROADMAP item 7).
+    "volpert_product_pairing",
+}
+
+
+def test_every_package_function_and_class_has_a_caller(monkeypatch):
+    # Code that only the tests call belongs in ``tests/oracle.py``: every
+    # module-level function and class of the package is named in the
+    # package, the scripts or the benchmark, or wrapped by the benchmark's
+    # tracer, or listed above with its reason.
+    tracing = _load_perfbench(monkeypatch, "tracing")
+    names = {attr.split(".")[0] for _, attr, _ in tracing.TARGETS}
+    for folder in ("src", "scripts", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.rpartition(".")[2])
+    defined = {node.name for path in Path(deltashock.__file__).parent.glob("*.py")
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert sorted(defined - names) == sorted(_UNCALLED)
 
 
 def test_every_exported_name_exists():

@@ -210,7 +210,7 @@ NON_DYADIC_EPS = tuple(0.3 * 0.5**j for j in range(8))
 
 
 def test_non_dyadic_grid_moves_table_nodes(kernel):
-    table = kernels.primitive_table(kernel, (("r",), ("d",)))
+    table = kernels.primitive_table(kernel, ((0, ("r",)), (0, ("d",))))
     moved = [eps for eps in NON_DYADIC_EPS
              if not np.isin(eps * table.rungs[-1].y,
                             band_quadrature(-4 * eps, 4 * eps,
@@ -355,18 +355,20 @@ def test_default_verdict_evaluates_the_amplitude_once(monkeypatch, worked_ansatz
     assert grids == [default_t_grid().shape]
 
 
-def test_second_verdict_builds_no_weight_index(monkeypatch, worked_ansatz, worked_data,
-                                               worked_data_k0):
-    # The weight index of a layout is built once: a second verdict, with
-    # other data, builds none.
-    builds, index = [], kernels.PrimitiveTable._scatter_index
+def test_second_verdict_builds_no_table(monkeypatch, worked_ansatz, worked_data,
+                                        worked_data_k0):
+    # A kernel's table of the verdict's layout, with its weight index, is
+    # built once: a second verdict, with other data, builds none.
+    builds, build = [], kernels.PrimitiveTable.__init__
 
-    def counted(self, layout):
+    def counted(self, rungs, keys, powers, layout):
         builds.append(layout)
-        return index(self, layout)
+        build(self, rungs, keys, powers, layout)
 
-    monkeypatch.setattr(kernels.PrimitiveTable, "_scatter_index", counted)
+    monkeypatch.setattr(kernels.PrimitiveTable, "__init__", counted)
+    kernels.primitive_table.cache_clear()
     verify_weak_solution(worked_ansatz, worked_data.k)
+    assert builds == [verifier._LAYOUT]
     builds.clear()
     kernel = worked_ansatz.kernel
     other = SmoothAnsatz(worked_data_k0, solve_front(worked_data_k0, kernel.omega0), kernel)
@@ -493,7 +495,7 @@ def test_eight_node_panels_miss_the_long_double_bound(monkeypatch, quartic):
     kernels.primitive_table.cache_clear()
     try:
         # one panel on (-3, -1), the one subinterval of dd
-        assert len(kernels.primitive_table(quartic, (("dd",),)).at(eps_grid[0]).y) == 8
+        assert len(kernels.primitive_table(quartic, ((0, ("dd",)),)).at(eps_grid[0]).y) == 8
         gaps = [np.max(np.abs(got - ref).astype(float) / l1)
                 for got, ref, l1 in _long_double_cells(quartic, eps_grid)]
     finally:
@@ -751,7 +753,6 @@ def test_replay_gate_rejects_a_term_of_negative_order(monkeypatch, worked_data, 
     # in a basis row it leaves the residual without an eps -> 0 limit.
     coefficients = verifier._basis_coefficients
     monkeypatch.setattr(verifier, "_LAYOUT", verifier._LAYOUT + ((4, ("d", "d")),))
-    monkeypatch.setattr(verifier, "_PRODUCTS", verifier._PRODUCTS + (("d", "d"),))
     monkeypatch.setattr(verifier, "_basis_coefficients",
                         lambda *args: coefficients(*args) + (1.0,))
     traj = solve_front(worked_data, quartic.omega0)
