@@ -23,8 +23,6 @@ from .kernels import (
     eval_correction_dx,
     eval_delta_reg,
     eval_delta_reg_dx,
-    make_kernel,
-    plateau_constant,
 )
 
 __all__ = [
@@ -99,10 +97,11 @@ class RiemannJumpData(_JumpFields):
         return (self.u0, self.sigma0)
 
     def plateau(self) -> float:
+        """Plateau level 1/2 - sigma1/u1^2 that cancels the stress dipole terms."""
         if self.u1 == 0.0:
             raise DegenerateDataError("plateau level undefined for u1 = 0")
         return self.finite("plateau level 1/2 - sigma1/u1^2",
-                           lambda: plateau_constant(self.u1, self.sigma1))
+                           lambda: 0.5 - self.sigma1 / self.u1**2)
 
     def finite(self, quantity: str, compute) -> float:
         """``compute()``, or an OverflowError naming the quantity and this data.
@@ -119,27 +118,20 @@ class RiemannJumpData(_JumpFields):
         return value
 
 
-class _AnsatzFields(NamedTuple):
-    data: RiemannJumpData
-    front: Front
-    kernel: MollifierKernel | None = None
-    c: float | None = None
-
-
-class SmoothAnsatz(_AnsatzFields):
+class SmoothAnsatz(NamedTuple):
     """Smooth eps-family regularizing the singular front solution.
 
     The velocity and stress share one step profile; the plateau level
     defaults to the value pinned by the jump data and can be overridden
-    to study the cancellation mechanism it provides.  The kernel defaults
-    to the quartic one.
+    to study the cancellation mechanism it provides.  A front from
+    :func:`dynamics.solve_front` solves this kernel's dynamics when built
+    with ``kernel.omega0``.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        return self if self.kernel is not None else self._replace(kernel=make_kernel())
+    data: RiemannJumpData
+    front: Front
+    kernel: MollifierKernel
+    c: float | None = None
 
     @property
     def c_effective(self) -> float:

@@ -28,7 +28,7 @@ import configparser
 import math
 from typing import NamedTuple
 
-from .kernels import canonical_kind, check_eps_grid, default_eps_grid
+from .kernels import QUARTIC, canonical_kind, check_eps_grid, default_eps_grid
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
 
@@ -44,7 +44,7 @@ class RunConfig(NamedTuple):
     sigma1: float = 0.5
     e0: float = 0.1
     k: float = 0.1
-    kernel_kind: str = "quartic-polynomial-bump"
+    kernel_kind: str = QUARTIC
     c: float | None = None
     eps_grid: tuple[float, ...] = default_eps_grid()
     t_max: float = 1.0

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ansatz import DegenerateDataError, RiemannJumpData
-from .kernels import MollifierKernel, make_kernel, primitive_table
+from .kernels import QUARTIC, MollifierKernel, make_kernel, primitive_table
 
 __all__ = [
     "AdmissibilityError",
@@ -141,9 +141,14 @@ class LinearTrajectory(NamedTuple):
 
 
 def solve_front(data: RiemannJumpData, omega0: float | None = None) -> FrontTrajectory:
-    """Closed-form trajectory through phi(0) = 0, e(0) = e0."""
+    """Closed-form trajectory through phi(0) = 0, e(0) = e0.
+
+    ``omega0`` defaults to the quartic kernel's; a front for any other
+    kernel must pass ``kernel.omega0``.  Only p depends on it: code that
+    needs only the rates reads :func:`front_speed` and :func:`e_rate`.
+    """
     if omega0 is None:
-        omega0 = make_kernel().omega0
+        omega0 = make_kernel(QUARTIC).omega0
     return FrontTrajectory(front_speed(data), e_rate(data), data.e0, float(omega0))
 
 
@@ -196,8 +201,7 @@ def overcompressivity_margins(u1, ratio, k):
 _VOLPERT_LAYOUT = ((0, ("dh",)), (0, ("h", "dh")))
 
 
-def volpert_product_pairing(data: RiemannJumpData,
-                            kernel: MollifierKernel | None = None) -> float:
+def volpert_product_pairing(data: RiemannJumpData, kernel: MollifierKernel) -> float:
     """Point-mass coefficient of u * dsigma/dx in the shock case.
 
     Only defined when the point mass is absent for all time (e0 = 0 and
@@ -206,7 +210,6 @@ def volpert_product_pairing(data: RiemannJumpData,
     its coefficient, the table's limit of the product's column weights,
     realizes the averaged product -sigma1 (u0 + u1/2).
     """
-    kernel = kernel or make_kernel()
     rate = e_rate(data)
     scale = max(abs(data.sigma1**2 / data.u1), abs(data.k**2 * data.u1), 1.0)
     if abs(data.e0) > 1e-12 or abs(rate) > 1e-12 * scale:

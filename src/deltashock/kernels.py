@@ -62,7 +62,6 @@ __all__ = [
     "eval_delta_reg",
     "eval_delta_reg_dx",
     "StepProfile",
-    "plateau_constant",
     "exp_bump",
     "exp_bump_dy",
     "PROFILE_EPS_POWERS",
@@ -266,7 +265,7 @@ def _kernel_for(canonical: str) -> MollifierKernel:
     return MollifierKernel(EXPONENTIAL, norm, omega0)
 
 
-def make_kernel(kind: str = QUARTIC) -> MollifierKernel:
+def make_kernel(kind: str) -> MollifierKernel:
     """Build a kernel of the requested family with its constants cached."""
     return _kernel_for(canonical_kind(kind))
 
@@ -321,13 +320,6 @@ def eval_delta_reg(x, eps, kernel: MollifierKernel):
 def eval_delta_reg_dx(x, eps, kernel: MollifierKernel):
     eps = _check_eps(eps)
     return kernel.deriv((np.asarray(x, dtype=float) + 2.0 * eps) / eps) / eps**2
-
-
-def plateau_constant(u1: float, sigma1: float) -> float:
-    """Plateau level 1/2 - sigma1/u1^2 that cancels the stress dipole terms."""
-    if u1 == 0.0:
-        raise ValueError("plateau constant needs a nonzero velocity jump u1")
-    return 0.5 - sigma1 / u1**2
 
 
 class _StepFields(NamedTuple):

@@ -28,9 +28,10 @@ from .ansatz import RiemannJumpData
 from .dynamics import (
     AdmissibilityError,
     NotApplicableError,
+    e_rate,
+    front_speed,
     overcompressivity,
     overcompressivity_margins,
-    solve_front,
 )
 
 if TYPE_CHECKING:
@@ -219,9 +220,10 @@ def k_limit_gap(data: RiemannJumpData, k: float, t: float,
 
     Only the point mass depends on k, so the velocity gap is exactly 0 and
     the stress gap is (e_k - e_0)(t) phi_test(phi(t)) = -k^2 u1 t
-    phi_test(phi(t)), formed from the two solved amplitude rates times t:
-    e0 cancels exactly.  The gap is exactly 0 where k^2 u1 is below the
-    rounding of the amplitude rate.
+    phi_test(phi(t)), formed from the two amplitude rates times t: e0
+    cancels exactly.  The gap is exactly 0 where k^2 u1 is below the
+    rounding of the amplitude rate.  No kernel enters: the gap reads the
+    data's front speed and amplitude rates.
     """
     if not k > 0.0:
         raise ValueError("k must be positive")
@@ -230,10 +232,11 @@ def k_limit_gap(data: RiemannJumpData, k: float, t: float,
     data_0 = RiemannJumpData(*data[:-1], 0.0)
     _require_admissible(data_k)
     _require_admissible(data_0)
-    front_k, front_0 = solve_front(data_k), solve_front(data_0)
+    # The speed is checked first, as solve_front does; it does not depend on k.
+    speed = front_speed(data_k)
+    rate_gap = e_rate(data_k) - e_rate(data_0)
     if component == "sigma":
-        return ((front_k.e_rate - front_0.e_rate) * t
-                * float(phi_test.value(float(front_k.phi(t)))))
+        return rate_gap * t * float(phi_test.value(speed * t))
     if component == "u":
         return 0.0
     raise ValueError(f"unknown component {component!r}")

@@ -35,7 +35,6 @@ from .kernels import (
     check_eps_grid,
     default_eps_grid,
     default_t_grid,
-    make_kernel,
     primitive_table,
 )
 from .pairing import (
@@ -310,8 +309,7 @@ def closed_form_coefficients(data: RiemannJumpData, trajectory: Front, omega0: f
     return (complex(a_u), complex(b_u), complex(a_sigma), complex(b_sigma))
 
 
-def replay_derivation(data: RiemannJumpData, trajectory: Front,
-                      kernel: MollifierKernel | None = None,
+def replay_derivation(data: RiemannJumpData, trajectory: Front, kernel: MollifierKernel,
                       t: float = _PROBE_TIME, c: float | None = None) -> ReplayResult:
     """Residual coefficients of a trajectory with free coefficients.
 
@@ -327,7 +325,6 @@ def replay_derivation(data: RiemannJumpData, trajectory: Front,
     term of negative eps power.  The exponential table's quadrature error
     puts a floor near 1e-9 on the coefficients.
     """
-    kernel = kernel or make_kernel()
     ansatz = SmoothAnsatz(data, trajectory, kernel, c=c)
     table, _, weights = _expansion(ansatz, data.k, t)
     (a_u, a_sigma), (b_u, b_sigma) = table.limits(

@@ -5,7 +5,7 @@ from scipy.integrate import quad
 from deltashock.ansatz import DegenerateDataError, RiemannJumpData, SmoothAnsatz
 from deltashock.config import RunConfig
 from deltashock.dynamics import LinearTrajectory, solve_front
-from deltashock.kernels import StepProfile, make_kernel, product_columns
+from deltashock.kernels import QUARTIC, StepProfile, make_kernel, product_columns
 from deltashock.pairing import (
     TestFunction,
     estimate_order,
@@ -18,7 +18,7 @@ from deltashock.verifier import sample_admissible_data
 from oracle import SingularSolution, sigma_integrand, u_integrand
 
 
-_QUARTIC = make_kernel()
+_QUARTIC = make_kernel(QUARTIC)
 _WORKED = RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.1, 0.1)
 _K_NEG, _EPS_NEG = "k must be nonnegative", "eps must be positive"
 
@@ -35,8 +35,8 @@ _K_NEG, _EPS_NEG = "k must be nonnegative", "eps must be positive"
     pytest.param(lambda: StepProfile(0.5, 0.0, _QUARTIC), _EPS_NEG, id="step-positional"),
     pytest.param(lambda: StepProfile(c=0.5, eps=-0.1, kernel=_QUARTIC), _EPS_NEG,
                  id="step-keywords"),
-    pytest.param(lambda: SmoothAnsatz(_WORKED, solve_front(_WORKED)).step(0.0), _EPS_NEG,
-                 id="ansatz-step"),
+    pytest.param(lambda: SmoothAnsatz(_WORKED, solve_front(_WORKED, _QUARTIC.omega0),
+                                      _QUARTIC).step(0.0), _EPS_NEG, id="ansatz-step"),
     pytest.param(lambda: product_columns(_QUARTIC, (("h",),), np.zeros(1), -1.0, np.ones(1)),
                  _EPS_NEG, id="table-columns"),
 ])
@@ -47,12 +47,16 @@ def test_records_validate_on_every_construction_path(build, message):
         build()
 
 
-def test_ansatz_defaults_its_kernel(worked_data):
-    front = solve_front(worked_data)
-    for ansatz in (SmoothAnsatz(worked_data, front), SmoothAnsatz(worked_data, front, c=0.3),
-                   SmoothAnsatz(data=worked_data, front=front, kernel=None)):
-        assert ansatz.kernel == make_kernel() and type(ansatz) is SmoothAnsatz
-    assert SmoothAnsatz(worked_data, front, c=0.3).c == 0.3
+def test_ansatz_requires_its_kernel(worked_data, quartic):
+    # No code picks a kernel for its caller.
+    front = solve_front(worked_data, quartic.omega0)
+    for build in (lambda: SmoothAnsatz(worked_data, front),
+                  lambda: SmoothAnsatz(worked_data, front, c=0.3),
+                  lambda: SmoothAnsatz(data=worked_data, front=front)):
+        with pytest.raises(TypeError, match="kernel"):
+            build()
+    ansatz = SmoothAnsatz(worked_data, front, quartic, c=0.3)
+    assert ansatz.kernel is quartic and ansatz.c == 0.3 and type(ansatz) is SmoothAnsatz
 
 
 def test_jump_data_states_and_validation():
@@ -246,7 +250,9 @@ def test_snapshot_rows(worked_ansatz):
     assert rows[0][1] == 2.0 and rows[-1][1] == 0.0
 
 
-def test_default_kernel_is_quartic(worked_data):
-    traj = solve_front(worked_data)
-    ansatz = SmoothAnsatz(worked_data, traj)
-    assert ansatz.kernel.kind == "quartic-polynomial-bump"
+def test_solve_front_defaults_to_the_quartic_omega0(worked_data, quartic, exponential):
+    # The package's one default kernel constant, documented where it lives:
+    # a front for any other kernel passes that kernel's omega0.
+    assert solve_front(worked_data) == solve_front(worked_data, quartic.omega0)
+    assert solve_front(worked_data).omega0 != exponential.omega0
+    assert "defaults to the quartic kernel's" in solve_front.__doc__

@@ -13,9 +13,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from deltashock import kernels
+from deltashock.ansatz import RiemannJumpData
 from deltashock.cli import main
 from deltashock.config import _TABLE, ConfigError, RunConfig, load_config
 from deltashock.kernels import default_eps_grid
+from deltashock.pairing import TestFunction
+from deltashock.riemann import k_limit_gap
 
 SHIPPED_WORKED = Path(__file__).resolve().parents[1] / "configs" / "worked.ini"
 
@@ -589,6 +593,35 @@ def test_riemann_intermediate_state_out_of_float_range_exits_one(tmp_path, capsy
         f"left=State(u={left[0]!r}, sigma={left[1]!r}), "
         f"right=State(u={right[0]!r}, sigma={right[1]!r}), k={k}"]
     assert not (tmp_path / "riemann.csv").exists()
+
+
+def test_kernel_free_commands_build_no_kernel(tmp_path, capsys, monkeypatch):
+    # The front speed, the amplitude rate and the small-k gap are the data's:
+    # no kernel enters them, so riemann and k-limit build none and print and
+    # write what they do with kernels at hand.
+    def outputs(name, argv):
+        out = tmp_path / name
+        rc = main(["--out", str(out), *argv])
+        return rc, capsys.readouterr().out, {f.name: f.read_bytes() for f in out.iterdir()}
+
+    shipped = SHIPPED_WORKED.parent
+    runs = [["--config", str(shipped / "worked.ini"), "riemann"],
+            ["--config", str(shipped / "riemann.ini"), "riemann"],
+            ["--config", str(shipped / "worked.ini"), "k-limit"]]
+    data, phi_test = RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.1, 0.1), TestFunction(0.75, 1.0)
+    expected = [outputs(f"ref{i}", argv) for i, argv in enumerate(runs)]
+    gap = k_limit_gap(data, 0.05, 1.0, phi_test)
+
+    def no_kernel(kind):
+        raise AssertionError(f"built a {kind} kernel")
+
+    monkeypatch.setattr(kernels, "_kernel_for", no_kernel)
+    with pytest.raises(AssertionError):
+        kernels.make_kernel(kernels.QUARTIC)
+    for i, (argv, want) in enumerate(zip(runs, expected)):
+        assert want[0] == 0 and want[1]
+        assert outputs(f"run{i}", argv) == want
+    assert k_limit_gap(data, 0.05, 1.0, phi_test) == gap
 
 
 def test_k_limit_command(tmp_path, capsys):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from deltashock.ansatz import RiemannJumpData
-from deltashock.dynamics import LinearTrajectory, volpert_product_pairing
+from deltashock.ansatz import RiemannJumpData, SmoothAnsatz
+from deltashock.dynamics import LinearTrajectory, solve_front, volpert_product_pairing
 from deltashock.kernels import (
     BAND_EDGES,
     EXPONENTIAL,
@@ -25,7 +25,6 @@ from deltashock.kernels import (
     eval_delta_reg,
     eval_delta_reg_dx,
     make_kernel,
-    plateau_constant,
     primitive_table,
     product_columns,
     _PANEL_NODES,
@@ -284,10 +283,14 @@ def test_step_times_correction_is_plateau_multiple(kernel):
 
 
 def test_plateau_constant_from_jump_data(kernel):
-    assert plateau_constant(2.0, 0.5) == 0.375
-    assert RiemannJumpData(0.0, 2.0, 0.0, 0.5).plateau() == 0.5 - 0.5 / 4.0
+    # The plateau is the data's: the ansatz on every kernel reads it.
+    data = RiemannJumpData(0.0, 2.0, 0.0, 0.5)
+    assert data.plateau() == 0.375
+    assert data.plateau() == 0.5 - 0.5 / 4.0
+    front = solve_front(data, kernel.omega0)
+    assert SmoothAnsatz(data, front, kernel).c_effective == data.plateau()
     with pytest.raises(ValueError):
-        plateau_constant(0.0, 1.0)
+        RiemannJumpData(0.0, 0.0, 0.0, 1.0).plateau()
 
 
 @given(c=st.floats(-1.0, 2.0), eps=st.floats(1e-3, 0.5))

@@ -161,7 +161,7 @@ def test_every_table_weight_goes_through_one_layout_gather(monkeypatch):
         return weights(self, coefficients, c)
 
     monkeypatch.setattr(kernels.PrimitiveTable, "weights", recorded)
-    kernel = kernels.make_kernel()
+    kernel = kernels.make_kernel(kernels.QUARTIC)
     data = RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.1, 0.1)
     front = solve_front(data, kernel.omega0)
     verify_weak_solution(SmoothAnsatz(data, front, kernel), data.k)
@@ -233,6 +233,51 @@ def test_every_package_function_and_class_has_a_caller(monkeypatch):
                for node in ast.parse(path.read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert sorted(defined - names) == sorted(_UNCALLED)
+
+
+# Parameters and fields that may default a kernel's constants, each with
+# its reason.
+_KERNEL_DEFAULTS = {
+    # The benchmark calls ``solve_front(data)``; the docstring says that the
+    # default is the quartic kernel's omega0.
+    ("solve_front", "omega0"),
+}
+
+
+def _kernel_defaults(tree) -> set[tuple[str, str]]:
+    """(function or class, name) of each ``kernel`` or ``omega0`` parameter
+    or record field in ``tree`` that has a default."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            named = positional[len(positional) - len(args.defaults):] + [
+                arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default]
+            found |= {(node.name, arg.arg) for arg in named}
+        elif isinstance(node, ast.ClassDef):
+            found |= {(node.name, field.target.id) for field in node.body
+                      if isinstance(field, ast.AnnAssign) and field.value is not None
+                      and isinstance(field.target, ast.Name)}
+    return {(owner, name) for owner, name in found if name in ("kernel", "omega0")}
+
+
+def test_every_kernel_dependent_call_names_its_kernel():
+    # Only the regularized families depend on the mollifier, and their
+    # caller decides which one: no package signature or record defaults a
+    # kernel or its omega0 but those listed above, and every make_kernel
+    # call passes a kind.
+    package = Path(deltashock.__file__).parent
+    defaults = set().union(*(_kernel_defaults(ast.parse(path.read_text()))
+                             for path in package.glob("*.py")))
+    assert defaults == _KERNEL_DEFAULTS
+    for folder in ("src", "scripts"):
+        for path in (ROOT / folder).rglob("*.py"):
+            bare = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Call) and not (node.args or node.keywords)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    == "make_kernel"]
+            assert not bare, (path.name, bare)
 
 
 def test_every_exported_name_exists():
@@ -376,7 +421,8 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "deltashock"),
-                  "numpy.polynomial" in sys.modules, "dataclasses" in sys.modules]))
+                  "numpy.polynomial" in sys.modules, "dataclasses" in sys.modules,
+                  "numpy.random" in sys.modules]))
 """
 
 _CLI_LOADS = ["deltashock", "deltashock.cli", "deltashock.config", "deltashock.kernels"]
@@ -384,8 +430,8 @@ _CLI_LOADS = ["deltashock", "deltashock.cli", "deltashock.config", "deltashock.k
 
 def _fresh_command(tmp_path, config, command):
     """Run a subcommand in a fresh interpreter: its exit code, the package
-    modules it loaded, and whether it loaded numpy.polynomial and
-    dataclasses."""
+    modules it loaded, and whether it loaded numpy.polynomial, dataclasses
+    and numpy.random."""
     root = Path(deltashock.__file__).resolve().parents[2]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     done = subprocess.run(
@@ -410,13 +456,16 @@ def test_each_command_loads_only_the_modules_it_computes_with(tmp_path, config,
     # module it loads.  On the quartic kernel no command loads
     # numpy.polynomial (the Gauss rule is literals), and only the commands
     # that pair load dataclasses, for ``Piecewise``: a frozen dataclass
-    # costs about a millisecond to build.
+    # costs about a millisecond to build.  The shipped configs draw no
+    # replay samples, so verify-solution does not load numpy.random either
+    # (about 12 ms).
     root = Path(deltashock.__file__).resolve().parents[2]
-    loaded, polynomial, dataclasses = _fresh_command(
+    loaded, polynomial, dataclasses, random = _fresh_command(
         tmp_path, root / "configs" / f"{config}.ini", command)
     assert loaded == sorted(_CLI_LOADS + [f"deltashock.{m}" for m in modules])
     assert not polynomial
     assert dataclasses == ("pairing" in modules)
+    assert not random
 
 
 def test_only_the_exponential_kernel_loads_numpy_polynomial(tmp_path):
@@ -426,7 +475,8 @@ def test_only_the_exponential_kernel_loads_numpy_polynomial(tmp_path):
     assert "kind = quartic" in text
     config = tmp_path / "exponential.ini"
     config.write_text(text.replace("kind = quartic", "kind = exponential"))
-    loaded, polynomial, _ = _fresh_command(tmp_path, config, "verify-expansions")
+    loaded, polynomial, *_ = _fresh_command(tmp_path, config, "verify-expansions")
     assert loaded == sorted(_CLI_LOADS + ["deltashock.ansatz", "deltashock.pairing",
                                           "deltashock.tables"])
     assert polynomial
+
