@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """End-to-end study of the worked jump data.
 
-Runs the full pipeline for (u0, u1, sigma0, sigma1, e0) =
-(0, 2, 0, 0.5, 0.1) at k = 0.1 and k = 0: front trajectory, field
-snapshots of the smooth family, weak-solution verification, and the
-small-k gap, writing plot-ready tables under --out.  --eps must be
-positive and finite and --out must be or become a directory; otherwise
-the script writes nothing, prints one error line and exits 2.
+Runs the full pipeline for the built-in defaults of
+:class:`deltashock.config.RunConfig` (spelled out in
+``configs/worked.ini``), at their k and at k = 0: front trajectory, field
+snapshots of the smooth family, weak-solution verification on the default
+time grid, and the small-k gap at the ``[klimit]`` ks and t, writing
+plot-ready tables under --out.  --eps must be positive and finite and
+--out must be or become a directory; otherwise the script writes
+nothing, prints one error line and exits 2.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from deltashock.ansatz import RiemannJumpData, SmoothAnsatz
+from deltashock.ansatz import SmoothAnsatz
+from deltashock.config import RunConfig
 from deltashock.dynamics import front_speed, solve_front, trajectory_rows
-from deltashock.kernels import QUARTIC, make_kernel
+from deltashock.kernels import default_t_grid, make_kernel
 from deltashock.pairing import TestFunction, fit_loglog_slope
 from deltashock.riemann import k_limit_gap
 from deltashock.tables import write_table
@@ -43,10 +46,11 @@ def main(argv=None) -> int:
         print(f"error: --out {args.out}: {exc.strerror}", file=sys.stderr)
         return 2
 
-    kernel = make_kernel(QUARTIC)
-    t_grid = np.linspace(0.0, 1.0, 33)
-    for k in (0.1, 0.0):
-        data = RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.1, k)
+    cfg = RunConfig()
+    kernel = make_kernel(cfg.kernel_kind)
+    t_grid = default_t_grid(cfg.t_max, cfg.t_points)
+    for k in (cfg.k, 0.0):
+        data = cfg._replace(k=k).jump_data()
         traj = solve_front(data, kernel.omega0)
         tag = f"k{k:g}".replace(".", "p")
         write_table(trajectory_rows(traj, t_grid), ["t", "phi", "e", "re_p", "im_p"],
@@ -62,11 +66,9 @@ def main(argv=None) -> int:
                 print(f"  {s.equation:6s} vs {s.test_function}: order "
                       f"{s.order:.3f}, decay ratio {s.decay_ratio:.2e}")
 
-    data = RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.1, 0.1)
-    # At t = 1 the front sits at its speed.
-    phi_test = TestFunction(front_speed(data), 1.0)
-    ks = (0.1, 0.05, 0.025)
-    gaps = [k_limit_gap(data, k, 1.0, phi_test) for k in ks]
+    data, ks, t = cfg.jump_data(), cfg.klimit_ks, cfg.klimit_t
+    phi_test = TestFunction(front_speed(data) * t, 1.0)
+    gaps = [k_limit_gap(data, k, t, phi_test) for k in ks]
     order, _ = fit_loglog_slope(ks, [abs(g) for g in gaps])
     write_table(zip(ks, gaps), ["k", "gap"], out / "klimit")
     print(f"small-k stress gap order: {order:.4f} (the gap law is exactly "

@@ -58,6 +58,24 @@ def _plateau(cfg: RunConfig) -> tuple[float, str | None]:
                "measured step-times-delta coefficient follows the configured plateau")
 
 
+def _position(data, speed: float, t: float) -> float:
+    """The front position phi(t) = speed * t, checked to be in float range."""
+    return data.finite(f"front position phi(t) = front speed * t at t={t:g}", lambda: speed * t)
+
+
+def _front(data, omega0: float, t_max: float):
+    """The solved front, once its position and p^2 = 2 e(t)/omega0 are in float
+    range on [0, t_max]: both are linear in t, so their extremes lie at the ends."""
+    from .dynamics import solve_front
+
+    front = solve_front(data, omega0)
+    _position(data, front.phi_dot, t_max)
+    for t in (0.0, t_max):
+        data.finite(f"correction amplitude p^2 = 2 e(t)/omega0 at t={t:g}",
+                    lambda: 2.0 * (front.e0 + front.e_rate * t) / omega0)
+    return front
+
+
 def cmd_verify_expansions(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
     from .kernels import make_kernel
     from .pairing import verify_lemma31
@@ -98,13 +116,13 @@ def cmd_verify_expansions(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int
 
 
 def cmd_front(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
-    from .dynamics import overcompressivity, solve_front, trajectory_rows
+    from .dynamics import overcompressivity, trajectory_rows
     from .kernels import default_t_grid, make_kernel
     from .tables import write_table
 
     data = cfg.jump_data()
     kernel = make_kernel(cfg.kernel_kind)
-    traj = solve_front(data, kernel.omega0)
+    traj = _front(data, kernel.omega0, cfg.t_max)
     rows = trajectory_rows(traj, default_t_grid(cfg.t_max, cfg.t_points))
     write_table(rows, ["t", "phi", "e", "re_p", "im_p"], out / "front", fmt)
     adm = overcompressivity(data)
@@ -133,7 +151,7 @@ def cmd_verify_solution(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
         rng = np.random.default_rng(seed)
         samples = [sample_admissible_data(rng, k=data.k) for _ in range(cfg.replay_samples)]
     kernel = make_kernel(cfg.kernel_kind)
-    front = solve_front(data, kernel.omega0)
+    front = _front(data, kernel.omega0, cfg.t_max)
     c, note = _plateau(cfg)
     ansatz = SmoothAnsatz(data, front, kernel, c)
     report = verify_weak_solution(ansatz, data.k,
@@ -207,10 +225,11 @@ def cmd_k_limit(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
     data = cfg.jump_data()
     t = cfg.klimit_t
     # The front and its test function do not depend on k.  The data's own
-    # amplitude rate enters no gap, but data on which it overflows is
-    # rejected, after the speed, as the front command rejects it.
-    front = front_speed(data) * t
+    # amplitude rate enters no gap, but it is checked after the speed and
+    # before the position, as the front command checks it.
+    speed = front_speed(data)
     e_rate(data)
+    front = _position(data, speed, t)
     phi_test = TestFunction(front, 1.0)
     weight = float(phi_test.value(front))
     rows = []

@@ -18,9 +18,9 @@ the cell-by-cell loop of :func:`pairing.pair` to 1e-12 of its sum of
 |w f phi|, and the eight series are fitted in one slope-fit call.
 
 The replay facility reads the point-mass and dipole coefficients of both
-residuals for an arbitrary trajectory off the same table's moments and
-compares them with the closed forms that define the front dynamics; with
-the solved trajectory all of them must vanish.
+residuals for an arbitrary trajectory off the same table's exact limits;
+with the solved trajectory all of them must vanish.  Their closed forms,
+a second derivation of the same four numbers, are the tests' oracle.
 """
 
 import math
@@ -259,15 +259,11 @@ def verify_weak_solution(ansatz: SmoothAnsatz, system_k: float,
 
 
 class ReplayResult(NamedTuple):
-    """Extracted residual coefficients next to their closed forms.
-
-    ``a_u``/``b_u`` are the point-mass and dipole coefficients of the
-    velocity residual, ``a_sigma``/``b_sigma`` those of the stress
-    residual, all measured at the front at the replay's time ``t``.
-    """
+    """Residual coefficients read off the primitive table: ``measured`` is
+    (a_u, b_u, a_sigma, b_sigma), the point-mass and dipole coefficients of
+    the velocity and then of the stress residual, at the front at time ``t``."""
 
     measured: tuple[complex, complex, complex, complex]
-    closed: tuple[complex, complex, complex, complex]
 
 
 def sample_admissible_data(rng, k: float) -> RiemannJumpData:
@@ -294,30 +290,15 @@ def sample_admissible_data(rng, k: float) -> RiemannJumpData:
     raise ValueError(f"no admissible jump data for k={k:g} in {_MAX_DRAWS} draws")
 
 
-def closed_form_coefficients(data: RiemannJumpData, trajectory: Front, omega0: float,
-                             system_k: float, c_built: float, t: float):
-    """The four residual coefficients implied by the expansion algebra."""
-    u0, u1, s1 = data.u0, data.u1, data.sigma1
-    phi_dot = trajectory.phi_dot
-    e_val = float(trajectory.e(t))
-    p_val = complex(trajectory.p(t))
-    a_u = u1 * phi_dot - u0 * u1 - 0.5 * u1**2 + s1
-    b_u = 0.5 * p_val * p_val * omega0 - e_val
-    a_sigma = (trajectory.e_rate + s1 * phi_dot - 0.5 * u1 * s1 - u0 * s1
-               + system_k**2 * u1)
-    b_sigma = e_val * (u0 + u1 * c_built - phi_dot)
-    return (complex(a_u), complex(b_u), complex(a_sigma), complex(b_sigma))
-
-
 def replay_derivation(data: RiemannJumpData, trajectory: Front, kernel: MollifierKernel,
                       t: float = _PROBE_TIME, c: float | None = None) -> ReplayResult:
     """Residual coefficients of a trajectory with free coefficients.
 
     The residuals are those of the system with the data's k.  The
-    trajectory's rates are treated as unconstrained numbers; the
-    measured tuple matches the closed forms, and vanishes exactly when
-    the trajectory solves the front dynamics and the plateau level is the
-    one pinned by the data.
+    trajectory's rates are treated as unconstrained numbers, read through
+    one :meth:`Front.evaluate` call at ``t``; the coefficients vanish
+    exactly when the trajectory solves the front dynamics and the plateau
+    level is the one pinned by the data.
 
     Each coefficient is the table's exact limit,
     :meth:`kernels.PrimitiveTable.limits` of the basis rows' column
@@ -325,11 +306,7 @@ def replay_derivation(data: RiemannJumpData, trajectory: Front, kernel: Mollifie
     term of negative eps power.  The exponential table's quadrature error
     puts a floor near 1e-9 on the coefficients.
     """
-    ansatz = SmoothAnsatz(data, trajectory, kernel, c=c)
-    table, _, weights = _expansion(ansatz, data.k, t)
+    table, _, weights = _expansion(SmoothAnsatz(data, trajectory, kernel, c=c), data.k, t)
     (a_u, a_sigma), (b_u, b_sigma) = table.limits(
         weights[0].T, [f"{eq} residual at t={t:g}" for eq in ("u", "sigma")])
-    measured = (complex(a_u), complex(b_u), complex(a_sigma), complex(b_sigma))
-    closed = closed_form_coefficients(data, trajectory, kernel.omega0,
-                                      data.k, ansatz.c_effective, t)
-    return ReplayResult(measured, closed)
+    return ReplayResult((complex(a_u), complex(b_u), complex(a_sigma), complex(b_sigma)))

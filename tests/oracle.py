@@ -3,8 +3,10 @@
 The singular solution's exact pairings, the smooth fields as integrands
 for :func:`deltashock.pairing.pair`, the Volpert jump relations, the
 classical Riemann construction and the singular-front test of one jump, a
-test function's exact derivative and a report's orders per equation.  No name
-here starts with ``test``, so pytest collects none from a test module.
+test function's exact derivative, a report's orders per equation, and the
+closed forms of the four residual coefficients that the replay reads off the
+primitive table.  No name here starts with ``test``, so pytest collects none
+from a test module.
 """
 
 import math
@@ -16,7 +18,7 @@ from deltashock.ansatz import Front, RiemannJumpData, SmoothAnsatz
 from deltashock.kernels import exp_bump, exp_bump_dy
 from deltashock.pairing import PLAIN_BUMP, Piecewise, TestFunction, pair
 from deltashock.riemann import RiemannSolution, State, _classical, _construct
-from deltashock.verifier import SolutionReport
+from deltashock.verifier import _PROBE_TIME, SolutionReport
 
 
 class SingularSolution(NamedTuple):
@@ -115,3 +117,27 @@ def equation_orders(report: SolutionReport, equation: str, part: str = "re") -> 
     """Fitted orders of ``report``'s series of one equation and part."""
     return [s.order for s in report.series
             if s.equation == equation and s.part == part]
+
+
+def closed_form_coefficients(data: RiemannJumpData, trajectory: Front, omega0: float,
+                             system_k: float, c_built: float, t: float):
+    """The four residual coefficients implied by the expansion algebra."""
+    u0, u1, s1 = data.u0, data.u1, data.sigma1
+    phi_dot = trajectory.phi_dot
+    e_val = float(trajectory.e(t))
+    p_val = complex(trajectory.p(t))
+    a_u = u1 * phi_dot - u0 * u1 - 0.5 * u1**2 + s1
+    b_u = 0.5 * p_val * p_val * omega0 - e_val
+    a_sigma = (trajectory.e_rate + s1 * phi_dot - 0.5 * u1 * s1 - u0 * s1
+               + system_k**2 * u1)
+    b_sigma = e_val * (u0 + u1 * c_built - phi_dot)
+    return (complex(a_u), complex(b_u), complex(a_sigma), complex(b_sigma))
+
+
+def replay_closed_forms(data: RiemannJumpData, trajectory: Front, kernel,
+                        t: float = _PROBE_TIME, c: float | None = None):
+    """:func:`closed_form_coefficients` at the arguments of
+    ``replay_derivation(data, trajectory, kernel, t, c)``: the kernel's
+    omega0, the data's k and the replay's plateau, ``c`` or the data's."""
+    return closed_form_coefficients(data, trajectory, kernel.omega0, data.k,
+                                    data.plateau() if c is None else c, t)

@@ -161,12 +161,19 @@ def test_out_of_range_config_exits_two(tmp_path, capsys, text, command, named):
     ("u1 = 2.0\nk = 1e200\n", "k-limit", "amplitude rate"),
     ("u1 = 1e200\nsigma1 = 0.5\n", "verify-solution", "plateau level"),
     ("u1 = 1e-300\nsigma1 = 1e-300\n", "verify-expansions", "plateau level"),
+    ("u0 = 1e10\n[grid]\nt_max = 1e300\n", "front", "front position"),
+    ("u0 = 1e10\n[grid]\nt_max = 1e300\n", "verify-solution", "front position"),
+    ("u0 = 1e10\n[klimit]\nt = 1e300\n", "k-limit", "front position"),
+    ("e0 = 1e308\n", "front", "correction amplitude p^2"),
+    ("e0 = 1e308\n", "verify-solution", "correction amplitude p^2"),
 ], ids=["speed", "rate-sigma1", "rate-k", "plateau-square-overflows",
-        "plateau-square-underflows"])
+        "plateau-square-underflows", "position-front", "position-verify-solution",
+        "position-k-limit", "amplitude-front", "amplitude-verify-solution"])
 def test_float_overflow_names_quantity_and_data(tmp_path, capsys, text, command,
                                                  quantity):
-    # These used to print "error: (34, 'Numerical result out of range')" or
-    # "error: float division by zero".
+    # These used to print "error: (34, 'Numerical result out of range')",
+    # "error: float division by zero", or numpy's "overflow encountered in
+    # multiply" and "invalid value encountered in subtract".
     cfg = write(tmp_path, "[data]\n" + text)
     rc = main(["--config", cfg, "--out", str(tmp_path), command])
     err = capsys.readouterr().err.splitlines()

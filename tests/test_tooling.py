@@ -27,6 +27,7 @@ import deltashock
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+PACKAGE = Path(deltashock.__file__).parent
 
 
 def _load_perfbench(monkeypatch, name):
@@ -170,7 +171,7 @@ def test_every_table_weight_goes_through_one_layout_gather(monkeypatch):
     volpert_product_pairing(RiemannJumpData(0.3, 2.0, 0.0, -2.0, 0.0, 1.0), kernel)
     assert callers == ["_expansion", "_expansion", "_lemma_pairings",
                        "volpert_product_pairing"]
-    assert _functions_calling(Path(deltashock.__file__).parent, "weights") == set(callers)
+    assert _functions_calling(PACKAGE, "weights") == set(callers)
     assert [name for name in vars(kernels.PrimitiveTable) if "weight" in name] == ["weights"]
 
 
@@ -186,9 +187,8 @@ def test_every_runtime_table_is_built_from_a_module_level_layout():
     # weights, so each call of primitive_table in the package passes a
     # layout constant of its own module, and each layout is a tuple of
     # (row, product) pairs.
-    package = Path(deltashock.__file__).parent
     calls = []
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == "primitive_table"):
@@ -213,6 +213,12 @@ _UNCALLED = {
 }
 
 
+def _defined(paths) -> set[str]:
+    """Names of the module-level functions and classes of the files ``paths``."""
+    return {node.name for path in paths for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
 def test_every_package_function_and_class_has_a_caller(monkeypatch):
     # Code that only the tests call belongs in ``tests/oracle.py``: every
     # module-level function and class of the package is named in the
@@ -229,10 +235,14 @@ def test_every_package_function_and_class_has_a_caller(monkeypatch):
                     names.add(node.attr)
                 elif isinstance(node, ast.alias):
                     names.add(node.name.rpartition(".")[2])
-    defined = {node.name for path in Path(deltashock.__file__).parent.glob("*.py")
-               for node in ast.parse(path.read_text()).body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert sorted(defined - names) == sorted(_UNCALLED)
+    assert sorted(_defined(PACKAGE.glob("*.py")) - names) == sorted(_UNCALLED)
+
+
+def test_no_oracle_name_is_also_defined_in_the_package():
+    # A derivation moved to ``tests/oracle.py`` must not come back as a
+    # second copy in the package.
+    both = _defined([ROOT / "tests" / "oracle.py"]) & _defined(PACKAGE.glob("*.py"))
+    assert not both
 
 
 # Parameters and fields that may default a kernel's constants, each with
@@ -267,9 +277,8 @@ def test_every_kernel_dependent_call_names_its_kernel():
     # caller decides which one: no package signature or record defaults a
     # kernel or its omega0 but those listed above, and every make_kernel
     # call passes a kind.
-    package = Path(deltashock.__file__).parent
     defaults = set().union(*(_kernel_defaults(ast.parse(path.read_text()))
-                             for path in package.glob("*.py")))
+                             for path in PACKAGE.glob("*.py")))
     assert defaults == _KERNEL_DEFAULTS
     for folder in ("src", "scripts"):
         for path in (ROOT / folder).rglob("*.py"):

@@ -39,13 +39,12 @@ from deltashock.pairing import (
 )
 from deltashock.verifier import (
     _series_verdicts,
-    closed_form_coefficients,
     replay_derivation,
     residual_integrand,
     sample_admissible_data,
     verify_weak_solution,
 )
-from oracle import equation_orders
+from oracle import closed_form_coefficients, equation_orders, replay_closed_forms
 
 
 def test_constant_state_has_zero_residuals(quartic):
@@ -707,8 +706,9 @@ def test_replay_matches_extraction_from_pairings(worked_data, kernel):
             float(traj.phi(t)), default_eps_grid())
         extracted += [a_rep.extrapolated_limit, -b_rep.extrapolated_limit]
     res = replay_derivation(worked_data, traj, kernel, t=t)
+    closed = replay_closed_forms(worked_data, traj, kernel, t=t)
     assert max(abs(m - x) for m, x in zip(res.measured, extracted)) <= 1e-6
-    assert max(abs(m - c) for m, c in zip(res.measured, res.closed)) <= 1e-6
+    assert max(abs(m - c) for m, c in zip(res.measured, closed)) <= 1e-6
 
 
 def _seeded_replays(kernel, n):
@@ -732,7 +732,8 @@ def test_replay_quartic_coefficients_exact_to_rounding(quartic):
     # forms to rounding, on the solved and on free trajectories alike.
     for data, traj in _seeded_replays(quartic, 20):
         res = replay_derivation(data, traj, quartic)
-        assert max(abs(m - c) for m, c in zip(res.measured, res.closed)) <= 1e-13
+        closed = replay_closed_forms(data, traj, quartic)
+        assert max(abs(m - c) for m, c in zip(res.measured, closed)) <= 1e-13
         if not isinstance(traj, LinearTrajectory):
             assert max(abs(m) for m in res.measured) <= 1e-13
 
@@ -765,7 +766,36 @@ def test_replay_on_shell_vanishes(worked_data, worked_data_k0, quartic):
         traj = solve_front(data, quartic.omega0)
         res = replay_derivation(data, traj, quartic)
         assert max(abs(m) for m in res.measured) < 1e-4
-        assert max(abs(c) for c in res.closed) < 1e-14
+        assert max(abs(c) for c in replay_closed_forms(data, traj, quartic)) < 1e-14
+
+
+def test_replay_reads_its_trajectory_once(monkeypatch, worked_data, quartic):
+    # The replay reads the front through one ``evaluate`` call: phi, e, p and
+    # p_dot raise anywhere outside it.
+    traj = solve_front(worked_data, quartic.omega0)
+    expected = replay_derivation(worked_data, traj, quartic).measured
+    evaluations, inside = [], []
+
+    def evaluate(self, t, _evaluate=FrontTrajectory.evaluate):
+        evaluations.append(t)
+        inside.append(t)
+        try:
+            return _evaluate(self, t)
+        finally:
+            inside.pop()
+
+    def guard(method):
+        def guarded(self, t):
+            if not inside:
+                raise AssertionError(f"{method.__name__} read outside evaluate")
+            return method(self, t)
+        return guarded
+
+    for name in ("phi", "e", "p", "p_dot"):
+        monkeypatch.setattr(FrontTrajectory, name, guard(getattr(FrontTrajectory, name)))
+    monkeypatch.setattr(FrontTrajectory, "evaluate", evaluate)
+    assert replay_derivation(worked_data, traj, quartic).measured == expected
+    assert len(evaluations) == 1
 
 
 def test_replay_speed_offset_shifts_point_mass(worked_data, quartic):
@@ -775,7 +805,8 @@ def test_replay_speed_offset_shifts_point_mass(worked_data, quartic):
                            complex(traj.p(1.0)) - complex(traj.p(0.0)))
     res = replay_derivation(worked_data, off, quartic)
     assert res.measured[0] == pytest.approx(worked_data.u1, abs=1e-4)
-    assert res.closed[0] == pytest.approx(worked_data.u1, abs=1e-12)
+    assert replay_closed_forms(worked_data, off, quartic)[0] == pytest.approx(
+        worked_data.u1, abs=1e-12)
 
 
 def test_replay_amplitude_offset_shifts_dipole(worked_data, quartic):
@@ -786,7 +817,8 @@ def test_replay_amplitude_offset_shifts_dipole(worked_data, quartic):
     off = LinearTrajectory(traj.phi_dot, traj.e0 - 0.3, traj.e_rate,
                            complex(traj.p(t)), 0.0)
     res = replay_derivation(worked_data, off, quartic, t=t)
-    assert res.closed[1] == pytest.approx(0.3, abs=1e-12)
+    assert replay_closed_forms(worked_data, off, quartic, t=t)[1] == pytest.approx(
+        0.3, abs=1e-12)
     assert res.measured[1] == pytest.approx(0.3, abs=1e-3)
 
 
@@ -801,7 +833,8 @@ def test_plateau_mechanism(worked_data, quartic):
     off = replay_derivation(worked_data, traj, quartic, t=t, c=c_perturbed)
     expected = 0.1 * worked_data.u1 * float(traj.e(t))
     assert expected != 0.0
-    assert off.closed[3] == pytest.approx(expected, abs=1e-12)
+    closed = replay_closed_forms(worked_data, traj, quartic, t=t, c=c_perturbed)
+    assert closed[3] == pytest.approx(expected, abs=1e-12)
     assert off.measured[3] == pytest.approx(expected, abs=1e-3)
 
 
