@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from deltashock.riemann import REGIMES, check_sweep_k, regime_sweep
-from deltashock.tables import write_columns
+from deltashock.tables import write_table
 
 
 def main(argv=None) -> int:
@@ -60,9 +60,9 @@ def main(argv=None) -> int:
         s1_column = np.tile(s1s, u1s.size).tolist()
         for (tag, k), codes in zip(tables.items(), grids):
             codes = codes.ravel()
-            write_columns([u1_column, s1_column, [k] * codes.size,
-                           map(REGIMES.__getitem__, codes.tolist())],
-                          ["u1", "sigma1", "k", "regime"], out / f"regimes_k{tag}")
+            write_table([u1_column, s1_column, [k] * codes.size,
+                         map(REGIMES.__getitem__, codes.tolist())],
+                        ["u1", "sigma1", "k", "regime"], out / f"regimes_k{tag}")
             counts = np.bincount(codes, minlength=len(REGIMES)).tolist()
             print(f"k = {k:g}: " + ", ".join(f"{r}={n}" for r, n
                                              in sorted(zip(REGIMES, counts)) if n))

@@ -22,9 +22,9 @@ import numpy as np
 
 from deltashock.ansatz import SmoothAnsatz
 from deltashock.config import RunConfig
-from deltashock.dynamics import front_speed, solve_front, trajectory_rows
+from deltashock.dynamics import front_speed, solve_front, trajectory_columns
 from deltashock.kernels import default_t_grid, make_kernel
-from deltashock.pairing import TestFunction, fit_loglog_slope
+from deltashock.pairing import default_test_suite, fit_loglog_slope
 from deltashock.riemann import k_limit_gap
 from deltashock.tables import write_table
 from deltashock.verifier import verify_weak_solution
@@ -53,11 +53,12 @@ def main(argv=None) -> int:
         data = cfg._replace(k=k).jump_data()
         traj = solve_front(data, kernel.omega0)
         tag = f"k{k:g}".replace(".", "p")
-        write_table(trajectory_rows(traj, t_grid), ["t", "phi", "e", "re_p", "im_p"],
+        write_table(trajectory_columns(traj, t_grid), ["t", "phi", "e", "re_p", "im_p"],
                     out / f"front_{tag}")
         ansatz = SmoothAnsatz(data, traj, kernel)
         xs = np.linspace(-1.5, 2.5, 801)
-        write_table(ansatz.snapshot_rows(1.0, args.eps, xs),
+        u, sigma = ansatz.eval_fields(xs, 1.0, args.eps)
+        write_table([xs.tolist(), u.real.tolist(), u.imag.tolist(), sigma.tolist()],
                     ["x", "re_u", "im_u", "sigma"], out / f"fields_{tag}")
         report = verify_weak_solution(ansatz, k, t_grid=t_grid)
         print(report.summary_line())
@@ -67,10 +68,10 @@ def main(argv=None) -> int:
                       f"{s.order:.3f}, decay ratio {s.decay_ratio:.2e}")
 
     data, ks, t = cfg.jump_data(), cfg.klimit_ks, cfg.klimit_t
-    phi_test = TestFunction(front_speed(data) * t, 1.0)
+    phi_test = default_test_suite(np.full(1, front_speed(data) * t), 0.0)[0]
     gaps = [k_limit_gap(data, k, t, phi_test) for k in ks]
     order, _ = fit_loglog_slope(ks, [abs(g) for g in gaps])
-    write_table(zip(ks, gaps), ["k", "gap"], out / "klimit")
+    write_table([ks, gaps], ["k", "gap"], out / "klimit")
     print(f"small-k stress gap order: {order:.4f} (the gap law is exactly "
           "quadratic in k)")
     return 0

@@ -180,10 +180,3 @@ class SmoothAnsatz(NamedTuple):
         """Edges of the regularization bands around the front."""
         phi = self.front.phi(t)
         return tuple(phi + s * eps for s in BAND_EDGES)
-
-    def snapshot_rows(self, t: float, eps: float, x_grid) -> list[tuple[float, float, float, float]]:
-        """Rows (x, Re u, Im u, sigma) on a grid, ready for CSV export."""
-        xs = np.asarray(x_grid, dtype=float)
-        u, sigma = self.eval_fields(xs, t, eps)
-        return [(float(x), float(np.real(uu)), float(np.imag(uu)), float(ss))
-                for x, uu, ss in zip(xs, u, sigma)]

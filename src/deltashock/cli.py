@@ -16,7 +16,8 @@ tolerances are constants here.
 Exit codes: 0 success, 1 mathematical failure, 2 usage/config error.
 All file outputs are deterministic functions of the configuration.  Every
 table, the 24 expansion channel tables included, is written in the run's
-``--format`` by :func:`deltashock.tables.write_table`; reports are JSON.
+``--format`` by :func:`deltashock.tables.write_table` from the columns
+its subcommand computes; reports are JSON.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def cmd_verify_expansions(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int
     reports = verify_lemma31(kernel, c, cfg.eps_grid)
     for rep in reports:
         for channel, report in (("A", rep.a_report), ("B", rep.b_report)):
-            write_table(zip(report.eps_grid, report.values, report.abs_errors()),
+            write_table((report.eps_grid, report.values, report.abs_errors()),
                         ["epsilon", "value", "abs-error-vs-limit"],
                         out / f"lemma31_{rep.name}_{channel}", fmt)
     passed = all(r.passed for r in reports)
@@ -116,15 +117,15 @@ def cmd_verify_expansions(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int
 
 
 def cmd_front(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
-    from .dynamics import overcompressivity, trajectory_rows
+    from .dynamics import overcompressivity, trajectory_columns
     from .kernels import default_t_grid, make_kernel
     from .tables import write_table
 
     data = cfg.jump_data()
     kernel = make_kernel(cfg.kernel_kind)
     traj = _front(data, kernel.omega0, cfg.t_max)
-    rows = trajectory_rows(traj, default_t_grid(cfg.t_max, cfg.t_points))
-    write_table(rows, ["t", "phi", "e", "re_p", "im_p"], out / "front", fmt)
+    write_table(trajectory_columns(traj, default_t_grid(cfg.t_max, cfg.t_points)),
+                ["t", "phi", "e", "re_p", "im_p"], out / "front", fmt)
     adm = overcompressivity(data)
     print(f"front speed = {traj.phi_dot!r}, amplitude rate = {traj.e_rate!r}")
     print(f"admissible = {adm.admissible}; margins: "
@@ -202,9 +203,8 @@ def cmd_riemann(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
     # The solution is self-similar: its table at t = 1 is its table in xi.
     xi = np.linspace(cfg.xi_min, cfg.xi_max, cfg.xi_points)
     u, sigma = eval_riemann(sol, xi, 1.0)
-    labels = region_labels(sol, xi)
-    rows = list(zip(map(float, xi), map(float, u), map(float, sigma), labels))
-    write_table(rows, ["xi", "u", "sigma", "region"], out / "riemann", fmt)
+    write_table((xi.tolist(), u.tolist(), sigma.tolist(), region_labels(sol, xi)),
+                ["xi", "u", "sigma", "region"], out / "riemann", fmt)
     print(f"u* = {sol.u_star!r}, sigma* = {sol.sigma_star!r}")
     for w in (sol.wave1, sol.wave2):
         if w.kind == "shock":
@@ -218,7 +218,7 @@ def cmd_riemann(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
 
 def cmd_k_limit(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
     from .dynamics import e_rate, front_speed
-    from .pairing import TestFunction, fit_loglog_slope
+    from .pairing import default_test_suite, fit_loglog_slope
     from .riemann import k_limit_gap
     from .tables import write_table
 
@@ -230,21 +230,20 @@ def cmd_k_limit(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
     speed = front_speed(data)
     e_rate(data)
     front = _position(data, speed, t)
-    phi_test = TestFunction(front, 1.0)
+    phi_test = default_test_suite(np.full(1, front), 0.0)[0]
     weight = float(phi_test.value(front))
-    rows = []
-    for k in cfg.klimit_ks:
-        gap = k_limit_gap(data, k, t, phi_test)
-        expected = -(k**2) * data.u1 * t * weight
-        rows.append((float(k), gap, expected, abs(gap - expected)))
-    zero = next((k for k, gap, *_ in rows if gap == 0.0), None)
+    ks = cfg.klimit_ks
+    gaps = [k_limit_gap(data, k, t, phi_test) for k in ks]
+    expected = [-(k**2) * data.u1 * t * weight for k in ks]
+    errs = [abs(gap - want) for gap, want in zip(gaps, expected)]
+    zero = next((k for k, gap in zip(ks, gaps) if gap == 0.0), None)
     if zero is not None:
         print(f"error: the gap at k = {zero:g} rounds to 0 (k^2 u1 is below the rounding "
               "of the amplitude rate); the fitted k-order needs nonzero gaps", file=sys.stderr)
         return EXIT_MATH
-    _, gaps, expected, errs = zip(*rows)
-    order, _ = fit_loglog_slope(cfg.klimit_ks, np.abs(gaps))
-    write_table(rows, ["k", "gap", "expected", "abs_err"], out / "klimit", fmt)
+    order, _ = fit_loglog_slope(ks, np.abs(gaps))
+    write_table((ks, gaps, expected, errs), ["k", "gap", "expected", "abs_err"],
+                out / "klimit", fmt)
     print(f"fitted k-order: {order:.4f} (expected 2 within {K_ORDER_TOL:g})")
     ok = (max(errs) <= K_GAP_TOL * max(1.0, *map(abs, expected))
           and abs(order - 2.0) <= K_ORDER_TOL)

@@ -34,7 +34,7 @@ __all__ = [
     "overcompressivity",
     "overcompressivity_margins",
     "volpert_product_pairing",
-    "trajectory_rows",
+    "trajectory_columns",
 ]
 
 
@@ -221,9 +221,9 @@ def volpert_product_pairing(data: RiemannJumpData, kernel: MollifierKernel) -> f
     return float(-data.sigma1 * table.limits(weights, ["u dsigma/dx"])[0][0])
 
 
-def trajectory_rows(traj, t_grid) -> list[tuple[float, float, float, float, float]]:
-    """Rows (t, phi, e, Re p, Im p) for table export."""
+def trajectory_columns(traj, t_grid) -> list[list[float]]:
+    """Columns (t, phi, e, Re p, Im p) on ``t_grid``, for table export."""
     t = np.asarray(t_grid, dtype=float)
     p = traj.p(t)
-    return list(zip(t.tolist(), traj.phi(t).tolist(), traj.e(t).tolist(),
-                    p.real.tolist(), p.imag.tolist()))
+    return [t.tolist(), traj.phi(t).tolist(), traj.e(t).tolist(),
+            p.real.tolist(), p.imag.tolist()]

@@ -121,9 +121,6 @@ class TestFunction(_TestFields):
             return exp_bump(y, lift=1.0)
         return (x - self.center) * exp_bump(y, lift=1.0)
 
-    def __call__(self, x):
-        return self.value(x)
-
 
 def default_test_suite(phi, eps_max: float) -> tuple[TestFunction, ...]:
     """Value- and slope-selecting bumps on one support that holds the front
@@ -133,7 +130,9 @@ def default_test_suite(phi, eps_max: float) -> tuple[TestFunction, ...]:
     The package's one rule for placing test functions: :func:`pair_table`,
     and so the verdict and the Lemma 3.1 suite, and the oracle
     :func:`extract_point_coeffs` take their probes from it.  The halfwidth
-    is at least 1, and is 1 at a single front for eps_max up to 1/8.
+    is at least 1, and is 1 at a single front for eps_max up to 1/8.  The
+    k-limit, which pairs the eps -> 0 solutions, takes the plain bump of
+    a single front at eps_max = 0: centred on the front, halfwidth 1.
     """
     return _suite_over(float(phi.min()), float(phi.max()), eps_max)
 

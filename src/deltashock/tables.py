@@ -1,8 +1,8 @@
 """The one writer of the lab's tables; it imports nothing of the package.
 
-CSV is the text ``csv.writer`` writes, each distinct value formatted
-once; JSON is a list of one object per row, keyed by the header.  A
-table is given as its rows or as its columns.
+A table is given by its columns, as every producer computes it.  CSV is
+the text ``csv.writer`` writes, each distinct value formatted once; JSON
+is a list of one object per row, keyed by the header.
 """
 
 from __future__ import annotations
@@ -19,17 +19,11 @@ class _Fields(dict):
         return text
 
 
-def write_table(rows, header, stem, fmt: str = "csv") -> None:
-    """Write ``rows`` under ``header`` to ``<stem>.csv``, or to ``<stem>.json``
-    when ``fmt`` is "json".  A number is written as ``repr(float(v))`` in
-    CSV and as a float in JSON; a string (a label, which needs no quoting)
-    as it is."""
-    write_columns(list(zip(*rows)), header, stem, fmt)
-
-
-def write_columns(columns, header, stem, fmt: str = "csv") -> None:
-    """:func:`write_table` of the table whose i-th column is ``columns[i]``,
-    for tables made column by column from arrays."""
+def write_table(columns, header, stem, fmt: str = "csv") -> None:
+    """Write the table whose i-th column is ``columns[i]``, under ``header``,
+    to ``<stem>.csv``, or to ``<stem>.json`` when ``fmt`` is "json".  A
+    number is written as ``repr(float(v))`` in CSV and as a float in JSON;
+    a string (a label, which needs no quoting) as it is."""
     with open(f"{stem}.{fmt}", "w", newline="" if fmt == "csv" else None) as fh:
         if fmt == "csv":
             # Formatted a column at a time: ``map`` runs the lookups in C.

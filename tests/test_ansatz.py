@@ -243,11 +243,11 @@ def test_plateau_override(worked_data, quartic):
     assert SmoothAnsatz(worked_data, traj, quartic, c=0.7).c_effective == 0.7
 
 
-def test_snapshot_rows(worked_ansatz):
-    rows = worked_ansatz.snapshot_rows(0.5, 0.1, np.linspace(-1, 2, 7))
-    assert len(rows) == 7
-    assert all(len(r) == 4 for r in rows)
-    assert rows[0][1] == 2.0 and rows[-1][1] == 0.0
+def test_eval_fields_snapshot(worked_ansatz):
+    # The worked example's field table: x, Re u, Im u and sigma on a grid.
+    u, sigma = worked_ansatz.eval_fields(np.linspace(-1, 2, 7), 0.5, 0.1)
+    assert u.shape == sigma.shape == (7,)
+    assert u[0].real == 2.0 and u[-1].real == 0.0
 
 
 def test_solve_front_defaults_to_the_quartic_omega0(worked_data, quartic, exponential):

@@ -139,13 +139,21 @@ def test_config_error_exits_two(tmp_path, capsys):
      "[grid] eps_pow_max cannot be set beside an eps list"),
     # 2^1100 overflowed: a traceback
     ("[grid]\neps_pow_min = -1100\n", "front", "[grid] eps_pow_min must be at least -1023"),
+    # the integer and number-list readers' own messages
+    ("[grid]\nt_points = 2.5\n", "front", "[grid] t_points must be an integer"),
+    ("[klimit]\nks = a, b\n", "k-limit", "[klimit] ks must be a list of numbers"),
+    ("[klimit]\nks =\n", "k-limit", "[klimit] ks is empty"),
+    ("[klimit]\nks = 0.1, -0.05\n", "k-limit", "[klimit] ks must be positive"),
+    ("[grid]\neps =\n", "verify-expansions", "[grid] eps is empty"),
+    ("[grid]\neps = 0.5 0.25 x\n", "verify-expansions", "[grid] eps must be a list of numbers"),
 ], ids=["t_points-inf", "t_points-nan", "u1-nan", "eps-nan", "k-negative",
         "t_max-negative", "t_max-zero", "ks-single", "replay_samples-negative",
         "unknown-key", "unknown-section", "unknown-key-and-section",
         "unknown-kernel-key", "default-section", "xi_points-zero",
         "xi-range-reversed", "riemann-t-zero", "klimit-t-negative",
         "order_tol-zero", "eps-and-pow-min", "eps-and-pow-min-malformed",
-        "pow-max-and-eps", "eps_pow_min-overflows"])
+        "pow-max-and-eps", "eps_pow_min-overflows", "t_points-fractional",
+        "ks-not-numbers", "ks-empty", "ks-negative", "eps-empty", "eps-not-numbers"])
 def test_out_of_range_config_exits_two(tmp_path, capsys, text, command, named):
     cfg = write(tmp_path, text)
     rc = main(["--config", cfg, "--out", str(tmp_path), command])

@@ -16,7 +16,7 @@ from deltashock.dynamics import (
     front_speed,
     overcompressivity,
     solve_front,
-    trajectory_rows,
+    trajectory_columns,
     volpert_product_pairing,
 )
 from deltashock.kernels import default_eps_grid, default_t_grid, make_kernel
@@ -434,10 +434,11 @@ def test_volpert_product_pairing_matches_measured_pairings(kernel):
                    - a_rep.extrapolated_limit) <= 1e-6
 
 
-def test_trajectory_rows_columns(worked_data):
-    rows = trajectory_rows(solve_front(worked_data, OMEGA0), [0.0, 1.0])
-    assert rows[0] == (0.0, 0.0, 0.1, pytest.approx(math.sqrt(0.2 / OMEGA0)), 0.0)
-    assert rows[1][1] == 0.75
+def test_trajectory_columns(worked_data):
+    t, phi, e, re_p, im_p = trajectory_columns(solve_front(worked_data, OMEGA0), [0.0, 1.0])
+    assert (t[0], phi[0], e[0], re_p[0], im_p[0]) == (
+        0.0, 0.0, 0.1, pytest.approx(math.sqrt(0.2 / OMEGA0)), 0.0)
+    assert phi[1] == 0.75
 
 
 def test_trajectories_implement_front():

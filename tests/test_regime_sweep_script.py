@@ -94,10 +94,11 @@ def test_csv_text_keeps_the_sign_of_zero(tmp_path):
     # 0.0 and -0.0 are equal dict keys with different text; repeats of a
     # value are read from the writer's cache.
     header = ("u1", "sigma1", "k", "regime")
-    rows = [(0.0, -0.0, 0.1, "classical"), (-0.0, 0.0, 0.1, "classical"),
-            (1e-300, 2.5, 0.1, DELTA_REGIME), (1e-300, 2.5, 0.1, NO_SOLUTION)]
-    write_table(rows, header, tmp_path / "signs")
-    assert (tmp_path / "signs.csv").read_bytes() == _csv_writer_text([header, *rows]).encode()
+    columns = [(0.0, -0.0, 1e-300, 1e-300), (-0.0, 0.0, 2.5, 2.5), (0.1,) * 4,
+               ("classical", "classical", DELTA_REGIME, NO_SOLUTION)]
+    write_table(columns, header, tmp_path / "signs")
+    assert (tmp_path / "signs.csv").read_bytes() == _csv_writer_text(
+        [header, *zip(*columns)]).encode()
 
 
 _FRESH_SWEEP = """

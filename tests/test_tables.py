@@ -2,7 +2,8 @@
 
 The CLI's tables and both experiment scripts' tables are written once
 into a shared directory; each must be the bytes ``csv.writer`` writes
-for its own rows read back as numbers.
+for its own rows read back as numbers, and the worked example's front
+and k-limit tables must be the CLI's.
 """
 
 import csv
@@ -17,7 +18,7 @@ import pytest
 
 from deltashock.cli import main
 from deltashock.pairing import LEMMA_FAMILIES
-from deltashock.tables import write_columns, write_table
+from deltashock.tables import write_table
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -84,13 +85,25 @@ def test_every_table_is_bytes_csv_writer_writes(written, where, name):
     assert data == buf.getvalue().encode()
 
 
+def test_worked_example_and_cli_write_the_same_numbers(written):
+    # One writer and one trajectory function serve both: at the built-in
+    # defaults (k = 0.1) the script's front table is the CLI's, and its
+    # k-limit table is the CLI's k and gap columns.
+    root, runs = written
+    assert runs["worked"].returncode == 0, runs["worked"].stderr
+    assert ((root / "worked" / "front_k0p1.csv").read_bytes()
+            == (root / "cli" / "front.csv").read_bytes())
+    cli_lines = (root / "cli" / "klimit.csv").read_bytes().split(b"\r\n")
+    assert ((root / "worked" / "klimit.csv").read_bytes().split(b"\r\n")
+            == [b",".join(line.split(b",")[:2]) for line in cli_lines])
+
+
 def test_json_rows_are_header_keyed_objects(tmp_path):
-    write_table([(0.5, -0.0, "left"), (1, 2.5, "fan-2")], ["x", "u", "region"],
+    write_table([(0.5, 1), (-0.0, 2.5), ("left", "fan-2")], ["x", "u", "region"],
                 tmp_path / "t", "json")
     assert json.loads((tmp_path / "t.json").read_text()) == [
         {"x": 0.5, "u": -0.0, "region": "left"},
         {"x": 1.0, "u": 2.5, "region": "fan-2"}]
-
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -99,9 +112,16 @@ def test_json_rows_are_header_keyed_objects(tmp_path):
     [],
 ], ids=["rows", "empty"])
 def test_columns_write_the_bytes_their_rows_write(tmp_path, fmt, rows):
+    # The rows' bytes are those of the standard library's writers, each
+    # number as a float: csv.writer's text, or json.dump's list of
+    # header-keyed objects.
     header = ["x", "u", "region"]
-    write_table(rows, header, tmp_path / "rows", fmt)
-    write_columns([[row[i] for row in rows] for i in range(3)], header,
-                  tmp_path / "columns", fmt)
-    assert ((tmp_path / "columns").with_suffix(f".{fmt}").read_bytes()
-            == (tmp_path / "rows").with_suffix(f".{fmt}").read_bytes())
+    rows = [[v if isinstance(v, str) else float(v) for v in row] for row in rows]
+    write_table([[row[i] for row in rows] for i in range(3)], header,
+                tmp_path / "columns", fmt)
+    buf = io.StringIO()
+    if fmt == "csv":
+        csv.writer(buf).writerows([header, *rows])
+    else:
+        json.dump([dict(zip(header, row)) for row in rows], buf, indent=1)
+    assert (tmp_path / "columns").with_suffix(f".{fmt}").read_bytes() == buf.getvalue().encode()

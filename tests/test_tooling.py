@@ -289,6 +289,26 @@ def test_every_kernel_dependent_call_names_its_kernel():
             assert not bare, (path.name, bare)
 
 
+def test_every_test_function_comes_from_the_suite_rule():
+    # default_test_suite is the one rule that places test functions: the
+    # only TestFunction calls in the package and the scripts are its own.
+    def calls(node):
+        return [call.lineno for call in ast.walk(node) if isinstance(call, ast.Call)
+                and getattr(call.func, "id", getattr(call.func, "attr", None))
+                == "TestFunction"]
+
+    found, rule = [], None
+    for folder in ("src", "scripts"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            found += [(path.name, line) for line in calls(tree)]
+            if path == PACKAGE / "pairing.py":
+                rule = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                            and node.name == "_suite_over")
+    assert rule is not None and calls(rule)
+    assert found == [("pairing.py", line) for line in calls(rule)]
+
+
 def test_every_exported_name_exists():
     names = [m.name for m in pkgutil.iter_modules(deltashock.__path__)
              if m.name != "__main__"]
