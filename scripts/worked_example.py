@@ -70,7 +70,7 @@ def main(argv=None) -> int:
     data, ks, t = cfg.jump_data(), cfg.klimit_ks, cfg.klimit_t
     phi_test = default_test_suite(np.full(1, front_speed(data) * t), 0.0)[0]
     gaps = [k_limit_gap(data, k, t, phi_test) for k in ks]
-    order, _ = fit_loglog_slope(ks, [abs(g) for g in gaps])
+    order = fit_loglog_slope(ks, [[abs(g) for g in gaps]], [0.0]).order[0]
     write_table([ks, gaps], ["k", "gap"], out / "klimit")
     print(f"small-k stress gap order: {order:.4f} (the gap law is exactly "
           "quadratic in k)")

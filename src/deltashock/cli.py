@@ -48,12 +48,16 @@ def _write_json(obj, path: Path) -> None:
 
 def _plateau(cfg: RunConfig) -> tuple[float, str | None]:
     """The plateau c of a run, ``[kernel] c`` or else the data's, and a note
-    line when the configured c differs from the data's by more than 1e-12."""
-    c_data = cfg.jump_data().plateau() if cfg.u1 != 0.0 else None
+    line when the data define no plateau (u1 = 0) or the configured c differs
+    from the data's by more than 1e-12."""
+    if cfg.u1 == 0.0:
+        if cfg.c is None:
+            raise ValueError("no plateau constant; set [kernel] c or nonzero u1")
+        return cfg.c, ("note: the data define no plateau (u1 = 0); the suite runs "
+                       f"at the configured c={cfg.c:g}")
+    c_data = cfg.jump_data().plateau()
     c = c_data if cfg.c is None else cfg.c
-    if c is None:
-        raise ValueError("no plateau constant; set [kernel] c or nonzero u1")
-    if c_data is None or abs(c - c_data) <= 1e-12:
+    if abs(c - c_data) <= 1e-12:
         return c, None
     return c, (f"note: configured c={c:g} differs from the data value {c_data:g}; "
                "measured step-times-delta coefficient follows the configured plateau")
@@ -241,7 +245,7 @@ def cmd_k_limit(cfg: RunConfig, out: Path, fmt: str, seed: int) -> int:
         print(f"error: the gap at k = {zero:g} rounds to 0 (k^2 u1 is below the rounding "
               "of the amplitude rate); the fitted k-order needs nonzero gaps", file=sys.stderr)
         return EXIT_MATH
-    order, _ = fit_loglog_slope(ks, np.abs(gaps))
+    order = fit_loglog_slope(ks, [[abs(g) for g in gaps]], [0.0]).order[0]
     write_table((ks, gaps, expected, errs), ["k", "gap", "expected", "abs_err"],
                 out / "klimit", fmt)
     print(f"fitted k-order: {order:.4f} (expected 2 within {K_ORDER_TOL:g})")

@@ -269,11 +269,10 @@ def extrapolate_limit(eps_grid, values) -> complex | float:
 
 
 class OrderEstimate(NamedTuple):
-    """Decay order alpha (larger = faster) and log-log fit residual: floats
-    for one series, tuples of floats for a stack."""
+    """Decay orders alpha (larger = faster) and log-log fit residuals, one per series."""
 
-    order: float | tuple[float, ...]
-    residual: float | tuple[float, ...]
+    order: tuple[float, ...]
+    residual: tuple[float, ...]
 
 
 def _deviations(logs: list[float]) -> list[float]:
@@ -283,29 +282,26 @@ def _deviations(logs: list[float]) -> list[float]:
     return list(map(sub, logs, repeat(mean, n)))
 
 
-def fit_loglog_slope(xs: Sequence[float], ys, floor=0.0) -> OrderEstimate:
-    """Least-squares slope of log ys against log xs over the points where
-    ys > ``floor``, and its fit residual: the package's one slope fit, on
-    Python floats.
+def fit_loglog_slope(xs: Sequence[float], rows: list[list[float]],
+                     floors: list[float]) -> OrderEstimate:
+    """Least-squares slope of log y against log xs, and its fit residual,
+    of each series of ``rows``, ``[series][point]``, over its points above
+    its floor in ``floors``: the package's one slope fit, on Python floats.
 
-    ``ys`` is one series, or a stack ``[series, point]`` with one floor per
-    series, whose orders and residuals come as tuples.  The slope is
-    sum(dx dy) / sum(dx^2) over the logs' deviations from their means: +inf,
-    the sentinel of a converged series, below two points above the floor,
-    and nan when sum(dx^2) = 0, as for equal logs.  The residual is
-    sqrt(SSR / n), 0 below three points.  Neither nan raises or warns.
+    The slope is sum(dx dy) / sum(dx^2) over the logs' deviations from
+    their means: +inf, the sentinel of a converged series, below two points
+    above the floor, and nan when sum(dx^2) = 0, as for equal logs.  The
+    residual is sqrt(SSR / n), 0 below three points.  Neither nan raises or
+    warns.  Built-in ``sum`` is compensated from Python 3.12 on (3.10 is
+    allowed): on 2,000 synthetic series over the default eps grid, 3.12.1
+    moved 659 of 3.11.7's slopes, by up to 4.1e-16 relative, and residuals
+    near rounding by more; the package itself was not run on 3.12.
     """
     log_xs = list(map(math.log, xs))
-    rows = ys.tolist() if isinstance(ys, np.ndarray) else list(ys)
-    single = not isinstance(rows[0], (list, tuple, np.ndarray))
-    if single:
-        rows, floor = [rows], [float(floor)]
-    elif isinstance(floor, np.ndarray):
-        floor = floor.tolist()
     dx = _deviations(log_xs)
     every = dx, sum(map(mul, dx, dx))  # shared by the series that keep every point
     orders, residuals = [], []
-    for row, low in zip(rows, floor):
+    for row, low in zip(rows, floors):
         keep = [y > low for y in row]
         if keep.count(True) < 2:
             orders.append(ORDER_EXACT)
@@ -322,8 +318,6 @@ def fit_loglog_slope(xs: Sequence[float], ys, floor=0.0) -> OrderEstimate:
         misfit = list(map(sub, dy, map(mul, dx, repeat(slope, n))))
         orders.append(slope)
         residuals.append(math.sqrt(sum(map(mul, misfit, misfit)) / n) if n >= 3 else 0.0)
-    if single:
-        return OrderEstimate(orders[0], residuals[0])
     return OrderEstimate(tuple(orders), tuple(residuals))
 
 
@@ -335,22 +329,19 @@ def _errors(values, limit):
     return np.abs(values - limit[..., None]), scale
 
 
-def estimate_order(eps_grid: Sequence[float], values: Sequence, limit) -> OrderEstimate:
-    """Order of |values - limit| over the five smallest eps values.
-
-    ``values`` is one series or a stack ``[series, eps]`` with one limit
-    per series.  A sequence equal to its limit to machine precision
-    reports the +infinity sentinel.
-    """
-    eps = np.array(check_eps_grid(eps_grid))
+def estimate_order(eps_grid: Sequence[float], values, limits) -> OrderEstimate:
+    """Order of each series of ``values``, a stack ``[series, eps]``, about
+    its limit in ``limits``, over the five smallest eps: +inf for a series
+    equal to its limit to machine precision."""
+    eps = check_eps_grid(eps_grid)
     if len(eps) < 4:
         raise ValueError("need at least 4 grid points")
     vals = np.asarray(values)
-    if vals.shape[-1] != len(eps):
-        raise ValueError("values and eps grid must have equal length")
-    errs, scale = _errors(vals, limit)
-    return fit_loglog_slope(eps[-_ORDER_TAIL:], errs[..., -_ORDER_TAIL:],
-                            NEGLIGIBLE_RTOL * scale)
+    if vals.ndim != 2 or vals.shape[1] != len(eps):
+        raise ValueError("values must be a stack [series, eps] as long as the eps grid")
+    errs, scale = _errors(vals, limits)
+    return fit_loglog_slope(eps[-_ORDER_TAIL:], errs[:, -_ORDER_TAIL:].tolist(),
+                            (NEGLIGIBLE_RTOL * scale).tolist())
 
 
 class PairingReport(NamedTuple):

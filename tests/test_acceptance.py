@@ -208,7 +208,7 @@ def test_criterion_10_small_k_convergence(worked_data):
         expected = -(k**2) * worked_data.u1 * t * float(phi_test.value(front))
         worst = max(worst, abs(gap - expected))
         gaps.append(abs(gap))
-    order, _ = fit_loglog_slope(ks, gaps)
+    order = fit_loglog_slope(ks, [gaps], [0.0]).order[0]
     u_gaps = [k_limit_gap(worked_data, k, t, phi_test, component="u") for k in ks]
     ok = worst <= 1e-10 and abs(order - 2.0) <= 0.01 and all(g == 0.0 for g in u_gaps)
     verdict(10, ok, f"stress gap error {worst:.2e} (tol 1e-10), fitted order "

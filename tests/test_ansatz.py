@@ -169,8 +169,7 @@ def test_initial_data_consistency_orders(worked_ansatz, worked_data, eps_grid):
             s_err.append(abs(pair(sigma_integrand(worked_ansatz, 0.0, eps),
                                   phi_test) - s_ref))
         for errs in (u_err, s_err):
-            slope, _ = fit_loglog_slope(eps_grid, errs)
-            assert slope >= 0.49
+            assert fit_loglog_slope(eps_grid, [errs], [0.0]).order[0] >= 0.49
             assert errs[-1] < errs[0]
 
 
@@ -188,8 +187,8 @@ def test_limit_pairing_uniform_in_t(worked_ansatz, worked_data, eps_grid):
                              - sing.sigma_pairing(t, phi_test)))
         u_max.append(mu)
         s_max.append(ms)
-    assert estimate_order(eps_grid, u_max, 0.0).order >= 0.45
-    assert estimate_order(eps_grid, s_max, 0.0).order >= 0.9
+    assert estimate_order(eps_grid, [u_max], [0.0]).order[0] >= 0.45
+    assert estimate_order(eps_grid, [s_max], [0.0]).order[0] >= 0.9
     assert u_max[-1] < 0.2 * u_max[0]
     assert s_max[-1] < 0.05 * s_max[0]
 
@@ -202,7 +201,7 @@ def test_sigma_pairing_fixed_t_first_order(worked_ansatz, worked_data, eps_grid)
         ref = sing.sigma_pairing(t, phi_test)
         errs = [abs(pair(sigma_integrand(worked_ansatz, t, e), phi_test) - ref)
                 for e in eps_grid]
-        assert estimate_order(eps_grid, errs, 0.0).order >= 0.99
+        assert estimate_order(eps_grid, [errs], [0.0]).order[0] >= 0.99
 
 
 def test_correction_term_does_not_move_the_limit(worked_data, quartic, eps_grid):

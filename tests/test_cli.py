@@ -474,6 +474,19 @@ def test_verify_expansions_c_mismatch_flagged(tmp_path, capsys):
     assert "differs from the data value" in capsys.readouterr().out
 
 
+def test_verify_expansions_without_data_plateau_flagged(tmp_path, capsys):
+    # u1 = 0: the data define no plateau, so the configured c matches none.
+    cfg = write(tmp_path, "[data]\nu1 = 0.0\n[kernel]\nc = 0.3\n")
+    rc = main(["--config", cfg, "--out", str(tmp_path), "verify-expansions"])
+    assert rc == 0
+    report = json.loads((tmp_path / "lemma31_report.json").read_text())
+    assert report["c"] == 0.3 and report["c_matches_data"] is False
+    notes = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("note:")]
+    assert notes == ["note: the data define no plateau (u1 = 0); the suite runs "
+                     "at the configured c=0.3"]
+
+
 def test_verify_solution_pass_and_report(tmp_path, capsys):
     cfg = write(tmp_path, "[grid]\neps_pow_max = 9\n")
     rc = main(["--config", cfg, "--out", str(tmp_path), "verify-solution"])

@@ -32,6 +32,7 @@ from deltashock.kernels import (
 )
 from deltashock.pairing import verify_lemma31
 from deltashock.verifier import _LAYOUT, replay_derivation
+from oracle import exact_quartic_moments
 
 # Closed-form oracle: int_{-1}^{1} (1 - x^2)^2 dx = 2 (1 - 2/3 + 1/5) = 16/15,
 # so the unit-mass constant is 15/16 and
@@ -397,78 +398,6 @@ def test_quartic_rungs_share_the_finest_moments(quartic):
             assert np.all(np.abs(moments - finest[n]) <= 2e-15 * l1[n]), (rung.panels, n)
 
 
-
-# --- exact moments of the quartic table -------------------------------------
-# A polynomial in y is a tuple of Fractions, lowest power first; a piecewise
-# polynomial on the band is {subinterval index: polynomial}, 0 elsewhere.
-_SUBINTERVALS = ((-4, -3), (-3, -1), (-1, 1), (1, 3), (3, 4))
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, z in enumerate(b):
-            out[i + j] += x * z
-    return tuple(out)
-
-
-def _poly_add(a, b):
-    return tuple(sum(p[i] for p in (a, b) if i < len(p))
-                 for i in range(max(len(a), len(b))))
-
-
-def _integral(poly, lo, hi, n):
-    """int_lo^hi y^n poly(y) dy."""
-    return sum(coef * Fraction(hi**(k + n + 1) - lo**(k + n + 1), k + n + 1)
-               for k, coef in enumerate(poly))
-
-
-def _poly_at(p, scale, shift, factor=1):
-    """factor * p(scale * y + shift)."""
-    out = (Fraction(0),)
-    for coef in reversed(p):
-        out = _poly_add(_poly_mul(out, (Fraction(shift), Fraction(scale))), (coef,))
-    return tuple(factor * v for v in out)
-
-
-_Q_KERNEL = tuple(Fraction(15, 16) * v for v in (1, 0, -2, 0, 1))  # (1 - s^2)^2
-_Q_DERIV = tuple(Fraction(15, 16) * v for v in (0, -4, 0, 4))
-_Q_CDF = (Fraction(1, 2),
-          *(Fraction(15, 16) * v for v in (1, 0, Fraction(-2, 3), 0, Fraction(1, 5))))
-_ONE = (Fraction(1),)
-# Each profile at eps = 1 as its c^0 and c^1 parts, as product_columns
-# forms them: h(y) = StepProfile.value(-y), dh(y) = StepProfile.deriv(-y).
-_EXACT_FACTORS = {
-    "h": ({0: _poly_at(_Q_CDF, -2, -7)},
-          {0: _poly_add(_ONE, _poly_at(_Q_CDF, -2, -7, -1)),
-           1: _ONE, 2: _ONE, 3: _ONE, 4: _poly_at(_Q_CDF, -2, 7)}),
-    "dh": ({0: _poly_at(_Q_KERNEL, -2, -7, 2)},
-           {0: _poly_at(_Q_KERNEL, -2, -7, -2), 4: _poly_at(_Q_KERNEL, -2, 7, 2)}),
-    "r": ({3: _poly_at(_Q_KERNEL, 1, -2)},),
-    "dr": ({3: _poly_at(_Q_DERIV, 1, -2)},),
-    "d": ({1: _poly_at(_Q_KERNEL, 1, 2)},),
-    "dd": ({1: _poly_at(_Q_DERIV, 1, 2)},),
-}
-
-
-def _exact_quartic_moments(product, n_max):
-    """The c^j parts of a product of quartic profiles at eps = 1, each as
-    its exact moments int y^n part(y) dy, n = 0..n_max, over the band."""
-    parts = [{i: _ONE for i in range(len(_SUBINTERVALS))}]
-    for name in product:
-        factor = _EXACT_FACTORS[name]
-        out = [{} for _ in range(len(parts) + len(factor) - 1)]
-        for j, part in enumerate(parts):
-            for m, piece in enumerate(factor):
-                for i in part.keys() & piece.keys():
-                    term = _poly_mul(part[i], piece[i])
-                    out[j + m][i] = _poly_add(out[j + m].get(i, (Fraction(0),)), term)
-        parts = out
-    return [[sum(_integral(poly, *_SUBINTERVALS[i], n) for i, poly in part.items())
-             for n in range(n_max + 1)]
-            for part in parts]
-
-
 def test_quartic_moments_are_exact(quartic):
     # Every quartic column is a piecewise polynomial with rational
     # coefficients, so its moments are exact rationals.  The table's match
@@ -476,7 +405,7 @@ def test_quartic_moments_are_exact(quartic):
     # for n <= 3: at most 2.0 times 2^-52 of it today.
     table = primitive_table(quartic, _LAYOUT)
     moments, scale = table.moments(3)
-    exact = {product: _exact_quartic_moments(product, 3) for product in BASIS_PRODUCTS}
+    exact = {product: exact_quartic_moments(product, 3) for product in BASIS_PRODUCTS}
     for i, (product, j) in enumerate(table.keys):
         bound = 4 * 2.0**-52 * Fraction(float(np.max(scale[:, i])))
         for n in range(4):

@@ -223,16 +223,18 @@ def test_extrapolate_limit_half_integer_ladder():
 
 def test_estimate_order_sentinel_and_fit():
     eps = default_eps_grid()
-    exact = estimate_order(eps, [1.0] * len(eps), 1.0)
-    assert math.isinf(exact.order)
+    exact = estimate_order(eps, [[1.0] * len(eps)], [1.0])
+    assert math.isinf(exact.order[0])
     vals = [2.0 + 3.1 * e**1.5 for e in eps]
-    est = estimate_order(eps, vals, 2.0)
-    assert est.order == pytest.approx(1.5, abs=1e-6)
+    est = estimate_order(eps, [vals], [2.0])
+    assert est.order[0] == pytest.approx(1.5, abs=1e-6)
     assert isinstance(est, OrderEstimate)
+    with pytest.raises(ValueError, match="stack"):
+        estimate_order(eps, vals, 2.0)
     with pytest.raises(ValueError):
-        estimate_order((0.1, 0.2, 0.05, 0.01), [1, 2, 3, 4], 0.0)
+        estimate_order((0.1, 0.2, 0.05, 0.01), [[1, 2, 3, 4]], [0.0])
     with pytest.raises(ValueError):
-        estimate_order((0.1, 0.05, 0.01), [1, 2, 3], 0.0)
+        estimate_order((0.1, 0.05, 0.01), [[1, 2, 3]], [0.0])
 
 
 def test_loglog_slope_agrees_with_polyfit():
@@ -245,7 +247,7 @@ def test_loglog_slope_agrees_with_polyfit():
         for noise in (1e-12, 1e-6, 1e-2, 1.0):
             xs = np.sort(rng.uniform(1e-4, 1.0, n))
             ys = 3.0 * xs ** rng.uniform(0.2, 2.5) * np.exp(noise * rng.normal(size=n))
-            slope, resid = fit_loglog_slope(xs, ys)
+            (slope,), (resid,) = fit_loglog_slope(xs, [ys.tolist()], [0.0])
             coeffs, (ssr, *_) = np.polynomial.polynomial.polyfit(
                 np.log(xs), np.log(ys), 1, full=True)
             assert slope == pytest.approx(coeffs[1], rel=1e-12)
@@ -275,32 +277,37 @@ def _stacked_errors(draw):
 @example(([1.0, 1.0000000000000002e-4, 1e-4], [[0.0, 1.0, 1.0]], [0.0]))
 def test_loglog_slope_on_a_stack_equals_each_series_alone(case):
     eps, errs, floors = case
-    errs, floors = np.array(errs), np.array(floors)
+    # Each series fitted as a one-series stack gives the same bits.
     stacked = fit_loglog_slope(eps, errs, floors)
-    for i in range(len(errs)):
-        alone = fit_loglog_slope(eps, errs[i], floors[i])
-        if np.count_nonzero(errs[i] > floors[i]) < 2:
-            assert stacked.order[i] == alone.order == math.inf
-            assert stacked.residual[i] == alone.residual == 0.0
+    for i, (row, floor) in enumerate(zip(errs, floors)):
+        (order,), (residual,) = fit_loglog_slope(eps, [row], [floor])
+        assert repr((order, residual)) == repr((stacked.order[i], stacked.residual[i]))
+        if sum(e > floor for e in row) < 2:
+            assert stacked.order[i] == order == math.inf
+            assert stacked.residual[i] == residual == 0.0
         else:
-            assert stacked.order[i] == pytest.approx(alone.order, rel=1e-15, nan_ok=True)
-            assert stacked.residual[i] == pytest.approx(alone.residual, rel=1e-15,
+            assert stacked.order[i] == pytest.approx(order, rel=1e-15, nan_ok=True)
+            assert stacked.residual[i] == pytest.approx(residual, rel=1e-15,
                                                         abs=1e-15, nan_ok=True)
 
 
 def test_loglog_slope_below_two_points_is_exact_with_every_point_kept():
     # One point above the floor is the +inf sentinel of a converged series,
     # whether the floor drops others or, as here, there are no others.
-    assert fit_loglog_slope([0.1], [0.5]) == (math.inf, 0.0)
-    assert fit_loglog_slope([0.1, 0.05], [0.5, 0.0]) == (math.inf, 0.0)
+    assert fit_loglog_slope([0.1], [[0.5]], [0.0]) == ((math.inf,), (0.0,))
+    assert fit_loglog_slope([0.1, 0.05], [[0.5, 0.0]], [0.0]) == ((math.inf,), (0.0,))
     assert fit_loglog_slope([0.1], [[0.5], [0.0]], [0.0, 0.0]) == ((math.inf,) * 2,
                                                                   (0.0,) * 2)
 
 
+def test_loglog_slope_of_an_empty_stack_is_empty():
+    assert fit_loglog_slope([0.5, 0.25, 0.125], [], []) == OrderEstimate((), ())
+
+
 def test_loglog_slope_keeps_nan_for_kept_eps_of_equal_logs():
     # Such a series fails the order gates instead of passing as +inf.
-    fit = fit_loglog_slope([1.0, 1.0000000000000002e-4, 1e-4], [0.0, 1.0, 1.0], 0.0)
-    assert math.isnan(fit.order) and fit.residual == 0.0
+    fit = fit_loglog_slope([1.0, 1.0000000000000002e-4, 1e-4], [[0.0, 1.0, 1.0]], [0.0])
+    assert math.isnan(fit.order[0]) and fit.residual == (0.0,)
 
 
 def test_correction_pairing_order_half(quartic, eps_grid):
@@ -315,8 +322,8 @@ def test_correction_pairing_order_half(quartic, eps_grid):
                          -1, 1, epsabs=1e-13)
         assert v == pytest.approx(math.sqrt(eps) * oracle, abs=1e-12)
         vals.append(v)
-    est = estimate_order(eps_grid, vals, 0.0)
-    assert est.order == pytest.approx(0.5, abs=0.05)
+    est = estimate_order(eps_grid, [vals], [0.0])
+    assert est.order[0] == pytest.approx(0.5, abs=0.05)
 
 
 def test_step_minus_limit_pairing_order_one(quartic, eps_grid):
@@ -329,8 +336,8 @@ def test_step_minus_limit_pairing_order_one(quartic, eps_grid):
         f = Piecewise(prof.value, -math.inf, math.inf,
                       (-4 * eps, -3 * eps, 3 * eps, 4 * eps))
         vals.append(abs(pair(f, phi) - limit_pairing))
-    est = estimate_order(eps_grid, vals, 0.0)
-    assert est.order >= 0.99
+    est = estimate_order(eps_grid, [vals], [0.0])
+    assert est.order[0] >= 0.99
 
 
 def test_extract_coeffs_correction_dipole(quartic, eps_grid):
@@ -537,9 +544,9 @@ def test_lemma_suite_pairs_each_family_once_and_fits_once(monkeypatch, quartic):
         pairs.append(len(phi))
         return pair(f, phi)
 
-    def counted_fit(eps, errs, floor):
+    def counted_fit(eps, errs, floors):
         fits.append(np.shape(errs))
-        return fit_loglog_slope(eps, errs, floor)
+        return fit_loglog_slope(eps, errs, floors)
 
     monkeypatch.setattr(pairing, "pair", counted_pair)
     monkeypatch.setattr(pairing, "fit_loglog_slope", counted_fit)

@@ -307,7 +307,7 @@ def test_k_limit_gap_quadratic_in_k(worked_data):
     phi_test = TestFunction(0.75, 1.0)
     ks = (0.1, 0.05, 0.025)
     gaps = [abs(k_limit_gap(worked_data, k, 1.0, phi_test)) for k in ks]
-    slope, _ = fit_loglog_slope(ks, gaps)
+    slope = fit_loglog_slope(ks, [gaps], [0.0]).order[0]
     assert slope == pytest.approx(2.0, abs=0.01)
 
 

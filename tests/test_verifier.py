@@ -1,11 +1,13 @@
 import contextlib
 import json
 import math
+import random
 import re
 import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from deltashock.dynamics import (
     solve_front,
 )
 from deltashock.kernels import (
+    PROFILE_EPS_POWERS,
     StepProfile,
     band_quadrature,
     default_eps_grid,
@@ -44,7 +47,14 @@ from deltashock.verifier import (
     sample_admissible_data,
     verify_weak_solution,
 )
-from oracle import closed_form_coefficients, equation_orders, replay_closed_forms
+from oracle import (
+    Exact,
+    Qp,
+    closed_form_coefficients,
+    equation_orders,
+    exact_quartic_moments,
+    replay_closed_forms,
+)
 
 
 def test_constant_state_has_zero_residuals(quartic):
@@ -179,7 +189,7 @@ def _loop_verdicts(ref, t_grid, eps_grid):
                 worst = np.argmax(mags, axis=-1)
                 maxima = [float(m[i]) for m, i in zip(mags, worst)]
                 expected.append((tuple(float(t_grid[i]) for i in worst),
-                                 bool(_series_verdicts(eps_grid, np.array([maxima]))[2][0])))
+                                 bool(_series_verdicts(eps_grid, [maxima])[2][0])))
     return expected
 
 
@@ -329,9 +339,9 @@ def test_default_verdict_fits_its_series_once(monkeypatch, worked_ansatz, worked
     # the stack [series, eps].
     stacks, fit = [], verifier.fit_loglog_slope
 
-    def counted(eps, errs, floor):
+    def counted(eps, errs, floors):
         stacks.append(np.shape(errs))
-        return fit(eps, errs, floor)
+        return fit(eps, errs, floors)
 
     monkeypatch.setattr(verifier, "fit_loglog_slope", counted)
     verify_weak_solution(worked_ansatz, worked_data.k)
@@ -851,6 +861,113 @@ def test_closed_forms_match_direct_formulas(worked_data, quartic):
         traj.e_rate + d.sigma1 * traj.phi_dot - 0.5 * d.u1 * d.sigma1
         - d.u0 * d.sigma1 + d.k**2 * d.u1, abs=1e-15)
     assert abs(b_s) < 1e-15
+
+
+class _ExactFront(NamedTuple):
+    """A front with rational rates whose amplitude p is the generator of
+    Q(p), p^2 = p2, and whose p_dot is ``p_rate``, an element of Q(p)."""
+
+    phi_dot: Exact
+    e_rate: Exact
+    e0: Exact
+    p2: Exact
+    p_rate: Qp
+
+    def e(self, t):
+        return self.e0 + self.e_rate * t
+
+    def p(self, t):
+        return Qp(0, 1, self.p2)
+
+    def p_dot(self, t):
+        return self.p_rate
+
+
+_QUARTIC_OMEGA0 = Exact(5, 7)
+_EXACT_MOMENTS = {product: exact_quartic_moments(product, 1)
+                  for product in dict.fromkeys(product for _, product in verifier._LAYOUT)}
+
+
+def _exact_groups(ansatz, t):
+    """{(equation, n, a): the coefficient of eps^(a + n) phi^(n)(0) / n! in
+    the pairing of residual ``equation`` (0 for u, 1 for sigma) at t}: each
+    column's coefficient from the verdict's layout and basis coefficients,
+    times its row factor in Q(p), contracted with the exact moments."""
+    front, c = ansatz.front, ansatz.c_effective
+    coefficients = verifier._basis_coefficients(ansatz, ansatz.data.k)
+    e, p = front.e(t), front.p(t)
+    factors = (1, p, front.p_dot(t), p * p, e, 1, e, p)  # as _expansion's rows
+    groups = {}
+    for (row, product), coefficient in zip(verifier._LAYOUT, coefficients):
+        power = 1.0 + sum(PROFILE_EPS_POWERS[name] for name in product)
+        for j, moments in enumerate(_EXACT_MOMENTS[product]):
+            for n, moment in enumerate(moments):
+                key = (int(row >= 5), n, power)
+                term = factors[row] * (coefficient * c**j * moment)
+                groups[key] = term + groups.get(key, 0)
+    return groups
+
+
+def _assert_exact_certificate(ansatz, t):
+    """Every group of negative eps power is 0 and the eps^0 groups are the
+    closed forms, (a_u, b_u, a_sigma, b_sigma), exactly; the closed forms
+    returned."""
+    groups = _exact_groups(ansatz, t)
+    for (equation, n, power), total in groups.items():
+        if power + n < 0:
+            assert total == 0, (equation, n, power)
+    # A is the eps^0 term of phi(0) and -B that of phi'(0), as the table's limits read them.
+    a_u, a_sigma = groups[(0, 0, 0.0)], groups[(1, 0, 0.0)]
+    b_u, b_sigma = -groups[(0, 1, -1.0)], -groups[(1, 1, -1.0)]
+    closed = closed_form_coefficients(ansatz.data, ansatz.front, _QUARTIC_OMEGA0,
+                                      ansatz.data.k, ansatz.c_effective, t)
+    assert [a_u, b_u, a_sigma, b_sigma] == list(closed)
+    return closed
+
+
+def _draw(rng, lo, hi):
+    """A seeded rational in (lo, hi)."""
+    return lo + (hi - lo) * Exact(rng.randrange(1, 9973), 9973)
+
+
+def _exact_admissible(rng):
+    """Seeded admissible jump data, in the ranges of sample_admissible_data,
+    and a time in [0, 1], all rational."""
+    k = Exact(rng.choice((0, 1, 5)), 10)
+    u1 = _draw(rng, 2 * k + Exact(3, 5), 2 * k + 3)
+    sigma1 = u1 * _draw(rng, Exact(-4, 5), Exact(4, 5)) * (u1 / 2 - k)
+    data = RiemannJumpData(_draw(rng, -1, 1), u1, _draw(rng, -1, 1), sigma1,
+                           _draw(rng, Exact(1, 10), Exact(3, 5)), k)
+    return data, _draw(rng, 0, 1)
+
+
+def test_quartic_residual_expansion_is_exact(quartic):
+    # The quartic profiles are piecewise polynomials with rational
+    # coefficients and omega0 = 5/7, so at rational data every residual
+    # coefficient lies in Q(p).  In that exact arithmetic, at 50 seeded data
+    # sets and times, the verdict's layout cancels every term of negative
+    # eps power, its eps^0 terms are the closed forms, and on the solved
+    # front with the data's plateau they vanish.  The identities are
+    # polynomial, so a false one would fail at a random point.
+    assert float(_QUARTIC_OMEGA0) == pytest.approx(quartic.omega0, rel=1e-15)
+    rng = random.Random(20121)
+    for _ in range(50):
+        data, t = _exact_admissible(rng)
+        assert overcompressivity(data).admissible
+        solved = solve_front(data, _QUARTIC_OMEGA0)
+        p2 = 2 * (solved.e0 + solved.e_rate * t) / _QUARTIC_OMEGA0  # p^2 = 2 e / omega0
+        assert p2 != 0
+        # p_dot = e_rate / (omega0 p) = e_rate p / (omega0 p^2)
+        on_shell = _ExactFront(solved.phi_dot, solved.e_rate, solved.e0, p2,
+                               Qp(0, solved.e_rate / (_QUARTIC_OMEGA0 * p2), p2))
+        assert _assert_exact_certificate(SmoothAnsatz(data, on_shell, quartic), t) == (0, 0, 0, 0)
+        # A free trajectory and plateau: rates, p^2 and p_dot in Q(p) drawn alone.
+        p2 = _draw(rng, -1, 1)
+        free = _ExactFront(_draw(rng, -2, 2), _draw(rng, -1, 1), _draw(rng, -1, 1), p2,
+                           Qp(_draw(rng, -1, 1), _draw(rng, -1, 1), p2))
+        c = _draw(rng, -1, 1)
+        closed = _assert_exact_certificate(SmoothAnsatz(data, free, quartic, c), t)
+        assert all(value != 0 for value in closed)
 
 
 def test_sample_admissible_data_is_admissible():
