@@ -7,21 +7,21 @@ The file format is INI-style with three core sections::
                 t_max, t_points
     [kernel]    kind = quartic | exponential, optional plateau override c
 
-plus optional sections ``[klimit]`` (ks, t), ``[riemann]``
-(xi_min, xi_max, xi_points) and ``[verify]`` (replay_samples).
-``configs/worked.ini`` spells out the built-in defaults.  The plateau
-override c applies to ``verify-expansions`` and ``verify-solution``.
+plus optional sections ``[klimit]`` (ks, t) and ``[riemann]``
+(xi_min, xi_max, xi_points).  ``configs/worked.ini`` spells out the
+built-in defaults.  The plateau override c applies to
+``verify-expansions`` and ``verify-solution``.
 
 Validation rules: every section and key must be one of those above;
 every number must be finite; k >= 0; t_max > 0; t_points >= 2; the eps
 grid is listed or of powers, not both, with at least 4 positive,
 strictly decreasing values (so eps_pow_max >= eps_pow_min + 3, and
 eps_pow_min >= -1023: 2^1024 overflows); ks holds at least 2 distinct
-positive values; [klimit] t > 0; xi_min < xi_max and xi_points >= 2;
-replay_samples >= 0.  Configuration problems raise :class:`ConfigError`;
-mathematical problems with valid configuration surface later from the
-library.  ``verify-expansions`` also rejects, as a configuration error,
-an eps grid spanning under 3 dyadic decades.
+positive values; [klimit] t > 0; xi_min < xi_max and xi_points >= 2.
+Configuration problems raise :class:`ConfigError`; mathematical problems
+with valid configuration surface later from the library.
+``verify-expansions`` also rejects, as a configuration error, an eps
+grid spanning under 3 dyadic decades.
 """
 
 import configparser
@@ -54,7 +54,6 @@ class RunConfig(NamedTuple):
     xi_min: float = -5.0
     xi_max: float = 5.0
     xi_points: int = 401
-    replay_samples: int = 0
 
     def jump_data(self):
         from .ansatz import RiemannJumpData
@@ -144,7 +143,6 @@ _TABLE = {
     ("riemann", "xi_min"): ("xi_min", _number),
     ("riemann", "xi_max"): ("xi_max", _number),
     ("riemann", "xi_points"): ("xi_points", _integer(2)),
-    ("verify", "replay_samples"): ("replay_samples", _integer(0)),
 }
 
 

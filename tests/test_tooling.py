@@ -485,9 +485,8 @@ def test_each_command_loads_only_the_modules_it_computes_with(tmp_path, config,
     # module it loads.  On the quartic kernel no command loads
     # numpy.polynomial (the Gauss rule is literals), and only the commands
     # that pair load dataclasses, for ``Piecewise``: a frozen dataclass
-    # costs about a millisecond to build.  The shipped configs draw no
-    # replay samples, so verify-solution does not load numpy.random either
-    # (about 12 ms).
+    # costs about a millisecond to build.  No subcommand draws random
+    # numbers, so none loads numpy.random either (about 12 ms).
     root = Path(deltashock.__file__).resolve().parents[2]
     loaded, polynomial, dataclasses, random = _fresh_command(
         tmp_path, root / "configs" / f"{config}.ini", command)
@@ -495,6 +494,21 @@ def test_each_command_loads_only_the_modules_it_computes_with(tmp_path, config,
     assert not polynomial
     assert dataclasses == ("pairing" in modules)
     assert not random
+
+
+def test_readme_command_line_names_every_flag_and_section():
+    # README's Command line section is the users' reference: every long
+    # option of the parser and every config section, and none that is gone.
+    from deltashock.cli import build_parser
+    from deltashock.config import _TABLE
+
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n")[1].split("\n## ")[0]
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section)) - {"--help"}
+    options = {opt for action in build_parser()._actions for opt in action.option_strings
+               if opt.startswith("--")} - {"--help"}
+    assert flags == options
+    assert set(re.findall(r"\[([a-z]+)\]", section)) == {name for name, _ in _TABLE}
 
 
 def test_only_the_exponential_kernel_loads_numpy_polynomial(tmp_path):

@@ -979,6 +979,14 @@ def test_sample_admissible_data_is_admissible():
             assert data.k == k
 
 
+def test_sampler_that_finds_no_data_raises():
+    # At k = 1e17 the sampler's range 2k + 0.6 .. 2k + 3 for u1 rounds to
+    # 2k, the edge of the admissible window, so no draw is admissible; the
+    # sampler used to loop forever.  Its draws are bounded, so it raises.
+    with pytest.raises(ValueError, match=r"k=1e\+17"):
+        sample_admissible_data(np.random.default_rng(0), 1e17)
+
+
 def test_default_test_suite_covers_front(worked_ansatz):
     suite = default_test_suite(worked_ansatz.front.phi(default_t_grid()), 2.0**-3)
     assert len(suite) == 2
