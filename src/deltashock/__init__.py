@@ -5,12 +5,53 @@ Subpackages:
 
 * :mod:`deltashock.kernels`   mollifier kernels and regularized profiles
 * :mod:`deltashock.pairing`   distributional pairing and coefficient extraction
-* :mod:`deltashock.ansatz`    jump data and the smooth eps-family
-* :mod:`deltashock.dynamics`  closed-form front dynamics and admissibility
+* :mod:`deltashock.ansatz`    the front protocol and the smooth eps-family
+* :mod:`deltashock.dynamics`  jump data, closed-form front dynamics and admissibility
 * :mod:`deltashock.riemann`   classical Riemann solver and small-k limit study
 * :mod:`deltashock.verifier`  weak-solution verification and derivation replay
 * :mod:`deltashock.tables`    the one CSV/JSON table writer
 * :mod:`deltashock.cli`       config-driven command line front end
+
+The root holds the kernel kinds and eps grid rules, without numpy.
 """
 
+import math
+
 __version__ = "0.1.0"
+
+QUARTIC = "quartic-polynomial-bump"
+EXPONENTIAL = "smooth-exponential-bump"
+KERNEL_KINDS = (QUARTIC, EXPONENTIAL)
+
+_ALIASES = {
+    QUARTIC: QUARTIC,
+    EXPONENTIAL: EXPONENTIAL,
+    "quartic": QUARTIC,
+    "exponential": EXPONENTIAL,
+}
+
+
+def canonical_kind(kind: str) -> str:
+    """Resolve a kernel-kind name or alias to its canonical form."""
+    canonical = _ALIASES.get(kind)
+    if canonical is None:
+        raise ValueError(f"unknown kernel kind {kind!r}; choose from {KERNEL_KINDS}")
+    return canonical
+
+
+def default_eps_grid(pow_min: int = 3, pow_max: int = 12) -> tuple[float, ...]:
+    """Dyadic grid 2^-pow_min .. 2^-pow_max, strictly decreasing."""
+    if pow_max <= pow_min:
+        raise ValueError("pow_max must exceed pow_min")
+    return tuple(2.0 ** (-j) for j in range(pow_min, pow_max + 1))
+
+
+def check_eps_grid(eps_grid) -> tuple[float, ...]:
+    """``eps_grid`` as floats; ValueError naming its first value that is not
+    positive, finite and below the one before."""
+    grid = tuple(float(e) for e in eps_grid)
+    for i, (before, eps) in enumerate(zip((math.inf,) + grid, grid)):
+        if not 0.0 < eps < before:
+            raise ValueError("eps grid must be positive, finite and strictly decreasing: "
+                             f"eps[{i}] = {eps!r}" + (f" after {before!r}" if i else ""))
+    return grid

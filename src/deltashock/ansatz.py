@@ -1,4 +1,4 @@
-"""Jump initial data, the front trajectory protocol, and the smooth eps-family.
+"""The front trajectory protocol and the smooth eps-family.
 
 The singular solution carries a bounded jump in the velocity u and a
 bounded jump plus a traveling point mass e(t) * delta(x - phi(t)) in the
@@ -7,14 +7,14 @@ plateau step profile, adds the sqrt(eps)-scaled correction p(t) * R to
 the velocity, and replaces the point mass by the regularized delta.  The
 velocity is complex-valued throughout so that trajectories with negative
 delta amplitude (imaginary p) need no special casing; the stress stays
-real.
+real.  The jump data are imported from :mod:`deltashock.dynamics`.
 """
 
-import math
 from typing import NamedTuple, Protocol
 
 import numpy as np
 
+from .dynamics import DegenerateDataError, RiemannJumpData
 from .kernels import (
     BAND_EDGES,
     MollifierKernel,
@@ -25,16 +25,7 @@ from .kernels import (
     eval_delta_reg_dx,
 )
 
-__all__ = [
-    "DegenerateDataError",
-    "Front",
-    "RiemannJumpData",
-    "SmoothAnsatz",
-]
-
-
-class DegenerateDataError(ValueError):
-    """Jump data on which the front dynamics is undefined (u1 = 0)."""
+__all__ = ["Front", "SmoothAnsatz"]
 
 
 class Front(Protocol):
@@ -58,64 +49,6 @@ class Front(Protocol):
     def p_dot(self, t): ...
 
     def evaluate(self, t): ...
-
-
-class _JumpFields(NamedTuple):
-    u0: float
-    u1: float
-    sigma0: float
-    sigma1: float
-    e0: float = 0.0
-    k: float = 0.0
-
-
-class RiemannJumpData(_JumpFields):
-    """Constant background plus a single jump at x = 0.
-
-    Convention: jumps are left minus right, so the left states are
-    (u0 + u1, sigma0 + sigma1) and the right states (u0, sigma0).  ``e0``
-    is the initial amplitude of the point mass in the stress, ``k`` the
-    system parameter (k = 0 selects the degenerate system).  Construction
-    rejects k < 0; ``_replace`` and ``_make`` bypass that check, so the
-    package builds data by calling the class.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.k < 0.0:
-            raise ValueError("k must be nonnegative")
-        return self
-
-    @property
-    def left_state(self) -> tuple[float, float]:
-        return (self.u0 + self.u1, self.sigma0 + self.sigma1)
-
-    @property
-    def right_state(self) -> tuple[float, float]:
-        return (self.u0, self.sigma0)
-
-    def plateau(self) -> float:
-        """Plateau level 1/2 - sigma1/u1^2 that cancels the stress dipole terms."""
-        if self.u1 == 0.0:
-            raise DegenerateDataError("plateau level undefined for u1 = 0")
-        return self.finite("plateau level 1/2 - sigma1/u1^2",
-                           lambda: 0.5 - self.sigma1 / self.u1**2)
-
-    def finite(self, quantity: str, compute) -> float:
-        """``compute()``, or an OverflowError naming the quantity and this data.
-
-        Plain float arithmetic on extreme data overflows (``**`` raises,
-        ``*`` and ``/`` give inf) or divides by a square that underflowed.
-        """
-        try:
-            value = compute()
-        except (OverflowError, ZeroDivisionError):
-            value = math.nan
-        if not math.isfinite(value):
-            raise OverflowError(f"{quantity} is out of float range for {self}")
-        return value
 
 
 class SmoothAnsatz(NamedTuple):

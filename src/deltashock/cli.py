@@ -18,6 +18,11 @@ All file outputs are deterministic functions of the configuration.  Every
 table, the 24 expansion channel tables included, is written in the run's
 ``--format`` by :func:`deltashock.tables.write_table` from the columns
 its subcommand computes; reports are JSON.
+
+Importing this module loads only the config reader, which needs no
+numpy.  :func:`main` imports numpy just before it runs a subcommand, and
+each subcommand the package modules it computes with, so ``--help``, a
+usage error and a config error exit before numpy loads.
 """
 
 from __future__ import annotations
@@ -26,8 +31,6 @@ import argparse
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
 
@@ -164,6 +167,8 @@ def cmd_verify_solution(cfg: RunConfig, out: Path, fmt: str) -> int:
 
 
 def cmd_riemann(cfg: RunConfig, out: Path, fmt: str) -> int:
+    import numpy as np
+
     from .dynamics import e_rate, front_speed
     from .riemann import CLASSICAL, DELTA_REGIME, State, eval_riemann, region_labels, solve
     from .tables import write_table
@@ -202,6 +207,8 @@ def cmd_riemann(cfg: RunConfig, out: Path, fmt: str) -> int:
 
 
 def cmd_k_limit(cfg: RunConfig, out: Path, fmt: str) -> int:
+    import numpy as np
+
     from .dynamics import e_rate, front_speed
     from .pairing import default_test_suite, fit_loglog_slope
     from .riemann import k_limit_gap
@@ -283,6 +290,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: --out {args.out}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
+    import numpy as np
+
     try:
         # A value that overflows or turns nan is a failure, not a result.
         with np.errstate(over="raise", divide="raise", invalid="raise"):

@@ -22,13 +22,18 @@ Configuration problems raise :class:`ConfigError`; mathematical problems
 with valid configuration surface later from the library.
 ``verify-expansions`` also rejects, as a configuration error, an eps
 grid spanning under 3 dyadic decades.
+
+The reader needs only the kernel kinds and the eps grid rules of the
+package root, so reading a config, or rejecting one, loads neither numpy
+nor the kernel layer; :meth:`RunConfig.jump_data` loads
+:mod:`deltashock.dynamics` when it is called.
 """
 
 import configparser
 import math
 from typing import NamedTuple
 
-from .kernels import QUARTIC, canonical_kind, check_eps_grid, default_eps_grid
+from . import QUARTIC, canonical_kind, check_eps_grid, default_eps_grid
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
 
@@ -56,7 +61,7 @@ class RunConfig(NamedTuple):
     xi_points: int = 401
 
     def jump_data(self):
-        from .ansatz import RiemannJumpData
+        from .dynamics import RiemannJumpData
 
         return RiemannJumpData(self.u0, self.u1, self.sigma0, self.sigma1,
                                self.e0, self.k)

@@ -1,4 +1,5 @@
-"""Closed-form singular-front dynamics, admissibility and the shock-case product.
+"""Jump data, closed-form singular-front dynamics, admissibility and the
+shock-case product.
 
 The front position and point-mass amplitude obey constant-rate ODEs, so
 the trajectories are exact linear functions of time:
@@ -11,7 +12,8 @@ principal branch (real and nonnegative while e >= 0, purely imaginary
 with nonnegative imaginary part while e < 0).  In the shock case
 :func:`volpert_product_pairing` reads the averaged product u * dsigma/dx
 off the primitive table.  A numerical ODE integration and the Volpert
-jump relations are test oracles only.
+jump relations are test oracles only.  Only it and :func:`solve_front`'s
+default omega0 need :mod:`deltashock.kernels`; they import it when run.
 """
 
 import math
@@ -19,10 +21,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ansatz import DegenerateDataError, RiemannJumpData
-from .kernels import QUARTIC, MollifierKernel, make_kernel, primitive_table
+from . import QUARTIC
 
 __all__ = [
+    "DegenerateDataError",
+    "RiemannJumpData",
     "AdmissibilityError",
     "NotApplicableError",
     "FrontTrajectory",
@@ -36,6 +39,68 @@ __all__ = [
     "volpert_product_pairing",
     "trajectory_columns",
 ]
+
+
+class DegenerateDataError(ValueError):
+    """Jump data on which the front dynamics is undefined (u1 = 0)."""
+
+
+class _JumpFields(NamedTuple):
+    u0: float
+    u1: float
+    sigma0: float
+    sigma1: float
+    e0: float = 0.0
+    k: float = 0.0
+
+
+class RiemannJumpData(_JumpFields):
+    """Constant background plus a single jump at x = 0.
+
+    Convention: jumps are left minus right, so the left states are
+    (u0 + u1, sigma0 + sigma1) and the right states (u0, sigma0).  ``e0``
+    is the initial amplitude of the point mass in the stress, ``k`` the
+    system parameter (k = 0 selects the degenerate system).  Construction
+    rejects k < 0; ``_replace`` and ``_make`` bypass that check, so the
+    package builds data by calling the class.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.k < 0.0:
+            raise ValueError("k must be nonnegative")
+        return self
+
+    @property
+    def left_state(self) -> tuple[float, float]:
+        return (self.u0 + self.u1, self.sigma0 + self.sigma1)
+
+    @property
+    def right_state(self) -> tuple[float, float]:
+        return (self.u0, self.sigma0)
+
+    def plateau(self) -> float:
+        """Plateau level 1/2 - sigma1/u1^2 that cancels the stress dipole terms."""
+        if self.u1 == 0.0:
+            raise DegenerateDataError("plateau level undefined for u1 = 0")
+        return self.finite("plateau level 1/2 - sigma1/u1^2",
+                           lambda: 0.5 - self.sigma1 / self.u1**2)
+
+    def finite(self, quantity: str, compute) -> float:
+        """``compute()``, or an OverflowError naming the quantity and this data.
+
+        Plain float arithmetic on extreme data overflows (``**`` raises,
+        ``*`` and ``/`` give inf) or divides by a square that underflowed.
+        """
+        try:
+            value = compute()
+        except (OverflowError, ZeroDivisionError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise OverflowError(f"{quantity} is out of float range for {self}")
+        return value
 
 
 class AdmissibilityError(ValueError):
@@ -148,6 +213,8 @@ def solve_front(data: RiemannJumpData, omega0: float | None = None) -> FrontTraj
     needs only the rates reads :func:`front_speed` and :func:`e_rate`.
     """
     if omega0 is None:
+        from .kernels import make_kernel
+
         omega0 = make_kernel(QUARTIC).omega0
     return FrontTrajectory(front_speed(data), e_rate(data), data.e0, float(omega0))
 
@@ -201,7 +268,7 @@ def overcompressivity_margins(u1, ratio, k):
 _VOLPERT_LAYOUT = ((0, ("dh",)), (0, ("h", "dh")))
 
 
-def volpert_product_pairing(data: RiemannJumpData, kernel: MollifierKernel) -> float:
+def volpert_product_pairing(data: RiemannJumpData, kernel) -> float:
     """Point-mass coefficient of u * dsigma/dx in the shock case.
 
     Only defined when the point mass is absent for all time (e0 = 0 and
@@ -216,6 +283,8 @@ def volpert_product_pairing(data: RiemannJumpData, kernel: MollifierKernel) -> f
         raise NotApplicableError(
             "the averaged-product identity is only claimed for pure shocks "
             f"(e0 = {data.e0}, e rate = {rate})")
+    from .kernels import primitive_table
+
     table = primitive_table(kernel, _VOLPERT_LAYOUT)
     weights = table.weights((data.u0, data.u1), data.plateau())
     return float(-data.sigma1 * table.limits(weights, ["u dsigma/dx"])[0][0])

@@ -38,8 +38,9 @@ The package's one quadrature rule, composite Gauss-Legendre from
 and the exponential kernel's mass, omega0 and antiderivative use it, on
 16 nodes a panel but for the quartic table's 10.  Its nodes are literals
 and the Chebyshev fit is made on first use, so only the exponential
-kernel loads ``numpy.polynomial``.  Every layer
-imports this module, so the default eps and time grids live here too.
+kernel loads ``numpy.polynomial``.  The default time grid lives here
+too; the kernel kinds and eps grid rules are the package root's,
+re-exported here.
 """
 
 import math
@@ -49,13 +50,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import EXPONENTIAL, KERNEL_KINDS, QUARTIC, canonical_kind, check_eps_grid, default_eps_grid
+
 __all__ = [
     "QUARTIC",
     "EXPONENTIAL",
     "KERNEL_KINDS",
     "MollifierKernel",
     "band_quadrature",
-    "canonical_kind",
     "make_kernel",
     "eval_correction",
     "eval_correction_dx",
@@ -71,21 +73,8 @@ __all__ = [
     "Rung",
     "product_columns",
     "primitive_table",
-    "check_eps_grid",
-    "default_eps_grid",
     "default_t_grid",
 ]
-
-QUARTIC = "quartic-polynomial-bump"
-EXPONENTIAL = "smooth-exponential-bump"
-KERNEL_KINDS = (QUARTIC, EXPONENTIAL)
-
-_ALIASES = {
-    QUARTIC: QUARTIC,
-    EXPONENTIAL: EXPONENTIAL,
-    "quartic": QUARTIC,
-    "exponential": EXPONENTIAL,
-}
 
 # Unit-mass constant for the quartic bump: integral of (1-x^2)^2 over
 # (-1, 1) is 16/15.
@@ -249,14 +238,6 @@ def _exp_fit():
                                                      domain=[-1.0, 1.0])
 
 
-def canonical_kind(kind: str) -> str:
-    """Resolve a kernel-kind name or alias to its canonical form."""
-    canonical = _ALIASES.get(kind)
-    if canonical is None:
-        raise ValueError(f"unknown kernel kind {kind!r}; choose from {KERNEL_KINDS}")
-    return canonical
-
-
 @lru_cache(maxsize=None)
 def _kernel_for(canonical: str) -> MollifierKernel:
     if canonical == QUARTIC:
@@ -268,24 +249,6 @@ def _kernel_for(canonical: str) -> MollifierKernel:
 def make_kernel(kind: str) -> MollifierKernel:
     """Build a kernel of the requested family with its constants cached."""
     return _kernel_for(canonical_kind(kind))
-
-
-def default_eps_grid(pow_min: int = 3, pow_max: int = 12) -> tuple[float, ...]:
-    """Dyadic grid 2^-pow_min .. 2^-pow_max, strictly decreasing."""
-    if pow_max <= pow_min:
-        raise ValueError("pow_max must exceed pow_min")
-    return tuple(2.0 ** (-j) for j in range(pow_min, pow_max + 1))
-
-
-def check_eps_grid(eps_grid) -> tuple[float, ...]:
-    """``eps_grid`` as floats; ValueError naming its first value that is not
-    positive, finite and below the one before."""
-    grid = tuple(float(e) for e in eps_grid)
-    for i, (before, eps) in enumerate(zip((math.inf,) + grid, grid)):
-        if not 0.0 < eps < before:
-            raise ValueError("eps grid must be positive, finite and strictly decreasing: "
-                             f"eps[{i}] = {eps!r}" + (f" after {before!r}" if i else ""))
-    return grid
 
 
 def default_t_grid(t_max: float = 1.0, points: int = 33):

@@ -24,10 +24,10 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .ansatz import RiemannJumpData
 from .dynamics import (
     AdmissibilityError,
     NotApplicableError,
+    RiemannJumpData,
     e_rate,
     front_speed,
     overcompressivity,

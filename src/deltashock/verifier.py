@@ -28,7 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ansatz import Front, RiemannJumpData, SmoothAnsatz
+from .ansatz import Front, SmoothAnsatz
+from .dynamics import RiemannJumpData, e_rate, overcompressivity
 from .kernels import (
     NEGLIGIBLE_RTOL,
     MollifierKernel,
@@ -274,8 +275,6 @@ def sample_admissible_data(rng, k: float) -> RiemannJumpData:
     ValueError when ``_MAX_DRAWS`` draws find no such data, as for a k so
     large that the range of u1 rounds to the window's edge 2k.
     """
-    from .dynamics import e_rate, overcompressivity
-
     k = float(k)
     for _ in range(_MAX_DRAWS):
         u1 = float(rng.uniform(2.0 * k + 0.6, 2.0 * k + 3.0))

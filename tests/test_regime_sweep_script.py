@@ -22,6 +22,7 @@ from deltashock.riemann import (
 )
 from deltashock.tables import write_table
 from oracle import delta_regime_test
+from test_tooling import _SWEEP_LOADS
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "regime_sweep.py"
@@ -114,17 +115,16 @@ print(json.dumps("dataclasses" in sys.modules))
 
 def test_sweep_loads_only_the_modules_it_computes_with(tmp_path):
     # The cli benchmark times the sweep as a fresh process: writing its
-    # tables must not load the CLI, the config reader, the pairing engine
-    # or the verifier, nor build a dataclass (each costs about a millisecond).
+    # tables must not load the CLI, the config reader, the kernel layer,
+    # the ansatz, the pairing engine or the verifier, nor build a dataclass
+    # (each costs about a millisecond).
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     done = subprocess.run([sys.executable, "-c", _FRESH_SWEEP, str(SCRIPT), str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=60, check=True)
     *_, loaded, dataclasses = done.stdout.splitlines()
-    assert json.loads(loaded) == [
-        "deltashock", "deltashock.ansatz", "deltashock.dynamics", "deltashock.kernels",
-        "deltashock.riemann", "deltashock.tables"]
+    assert json.loads(loaded) == ["deltashock"] + [f"deltashock.{m}" for m in _SWEEP_LOADS]
     assert json.loads(dataclasses) is False
 
 

@@ -4,9 +4,11 @@ The benchmark under ``perfbench/`` wraps package functions by name, checks
 results by name and is not collected with these tests, so a deletion or a
 rename in the package could break it silently.  Its ``cli`` workload
 times fresh processes, so import-time work in the package would show
-there; the CLI import is checked to stay lazy and to load no third-party
-module but numpy, and each subcommand to load only the package modules
-it computes with.  Every third-party import is a declared dependency.
+there; the CLI import, ``--help`` and a config error are checked to load
+neither numpy nor the kernel layer, and each subcommand and the regime
+sweep to load only the package modules they compute with, as README
+lists them.  Every third-party import is a declared dependency, and no
+name is defined in two package modules.
 """
 
 import ast
@@ -245,6 +247,26 @@ def test_no_oracle_name_is_also_defined_in_the_package():
     assert not both
 
 
+def test_no_name_is_defined_in_two_package_modules():
+    # One home per name: a function, class or upper-case constant that two
+    # modules need is defined in one and imported by the other, as the
+    # kernel kinds and the eps grid rules are by the config reader and the
+    # kernel layer.
+    homes = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+            else:
+                continue
+            for name in names:
+                homes.setdefault(name, set()).add(path.stem)
+    assert not {name: sorted(where) for name, where in homes.items() if len(where) > 1}
+
+
 # Parameters and fields that may default a kernel's constants, each with
 # its reason.
 _KERNEL_DEFAULTS = {
@@ -454,7 +476,19 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "del
                   "numpy.random" in sys.modules]))
 """
 
-_CLI_LOADS = ["deltashock", "deltashock.cli", "deltashock.config", "deltashock.kernels"]
+# The package modules each fresh run loads: every CLI run _CLI_LOADS, and
+# each subcommand its own besides; the regime sweep the package and
+# _SWEEP_LOADS.
+# README's "also loads" table and sweep paragraph are checked against these.
+_CLI_LOADS = ["deltashock", "deltashock.cli", "deltashock.config"]
+_COMMAND_LOADS = {
+    "front": ["dynamics", "kernels", "tables"],
+    "riemann": ["dynamics", "riemann", "tables"],
+    "k-limit": ["dynamics", "kernels", "pairing", "riemann", "tables"],
+    "verify-expansions": ["dynamics", "kernels", "pairing", "tables"],
+    "verify-solution": ["ansatz", "dynamics", "kernels", "pairing", "verifier"],
+}
+_SWEEP_LOADS = ["dynamics", "riemann", "tables"]
 
 
 def _fresh_command(tmp_path, config, command):
@@ -473,16 +507,14 @@ def _fresh_command(tmp_path, config, command):
 
 
 @pytest.mark.parametrize("config,command,modules", [
-    ("worked", "front", ["ansatz", "dynamics", "tables"]),
-    ("riemann", "riemann", ["ansatz", "dynamics", "riemann", "tables"]),
-    ("worked", "k-limit", ["ansatz", "dynamics", "pairing", "riemann", "tables"]),
-    ("worked", "verify-expansions", ["ansatz", "pairing", "tables"]),
-    ("worked", "verify-solution", ["ansatz", "dynamics", "pairing", "verifier"]),
-])
+    (config, command, _COMMAND_LOADS[command]) for config, command in (
+        ("worked", "front"), ("riemann", "riemann"), ("worked", "k-limit"),
+        ("worked", "verify-expansions"), ("worked", "verify-solution"))])
 def test_each_command_loads_only_the_modules_it_computes_with(tmp_path, config,
                                                               command, modules):
     # The cli benchmark times fresh processes, so a subcommand pays for every
-    # module it loads.  On the quartic kernel no command loads
+    # module it loads: riemann loads no kernel layer, and only
+    # verify-solution loads the ansatz.  On the quartic kernel no command loads
     # numpy.polynomial (the Gauss rule is literals), and only the commands
     # that pair load dataclasses, for ``Piecewise``: a frozen dataclass
     # costs about a millisecond to build.  No subcommand draws random
@@ -494,6 +526,57 @@ def test_each_command_loads_only_the_modules_it_computes_with(tmp_path, config,
     assert not polynomial
     assert dataclasses == ("pairing" in modules)
     assert not random
+
+
+_BEFORE_DISPATCH = """
+import json, runpy, sys
+code = None
+if sys.argv[1:]:
+    sys.argv = ["deltashock", *sys.argv[1:]]
+    try:
+        runpy.run_module("deltashock", run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+else:
+    import deltashock.cli
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.split(".")[0] in ("deltashock", "numpy"))]))
+"""
+
+
+@pytest.mark.parametrize("argv,code", [([], None), (["--help"], 0), (["front"], 2)],
+                         ids=["import", "help", "config-error"])
+def test_runs_that_compute_nothing_load_neither_numpy_nor_kernels(tmp_path, argv, code):
+    # The CLI imports numpy just before it dispatches: a fresh import of
+    # the CLI, --help and a config error load only the reader.
+    config = tmp_path / "bad.ini"
+    config.write_text("[data]\nu0 = x\n")
+    if code == 2:
+        argv = ["--config", str(config), "--out", str(tmp_path), *argv]
+    root = Path(deltashock.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", _BEFORE_DISPATCH, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == [code, _CLI_LOADS]
+    if code == 2:
+        assert done.stderr.splitlines() == ["config error: [data] u0 = 'x' is not a number"]
+    else:
+        assert not done.stderr
+
+
+def test_readme_names_the_modules_each_run_loads():
+    # README's "also loads" table and sweep paragraph say what the
+    # footprint tests above pin.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n")[1].split("\n## ")[0]
+    every = re.search(r"^Every run loads (.*?);", section, re.M | re.S)[1]
+    assert ["deltashock." + m for m in re.findall(r"`(\w+)`", every)] == _CLI_LOADS[1:]
+    rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", section, re.M))
+    assert {command: re.findall(r"`(\w+)`", cells) for command, cells in rows.items()} \
+        == _COMMAND_LOADS
+    sweep = re.search(r"It loads only the package modules it computes with\s+\((.*?)\)",
+                      text, re.S)[1]
+    assert re.findall(r"`(\w+)`", sweep) == _SWEEP_LOADS
 
 
 def test_readme_command_line_names_every_flag_and_section():
@@ -519,7 +602,7 @@ def test_only_the_exponential_kernel_loads_numpy_polynomial(tmp_path):
     config = tmp_path / "exponential.ini"
     config.write_text(text.replace("kind = quartic", "kind = exponential"))
     loaded, polynomial, *_ = _fresh_command(tmp_path, config, "verify-expansions")
-    assert loaded == sorted(_CLI_LOADS + ["deltashock.ansatz", "deltashock.pairing",
-                                          "deltashock.tables"])
+    assert loaded == sorted(_CLI_LOADS + [f"deltashock.{m}"
+                                          for m in _COMMAND_LOADS["verify-expansions"]])
     assert polynomial
 
