@@ -12,7 +12,8 @@ Subpackages:
 * :mod:`deltashock.tables`    the one CSV/JSON table writer
 * :mod:`deltashock.cli`       config-driven command line front end
 
-The root holds the kernel kinds and eps grid rules, without numpy.
+The root holds the kernel kinds and the eps grid's default powers and
+rules, without numpy.
 """
 
 import math
@@ -39,7 +40,12 @@ def canonical_kind(kind: str) -> str:
     return canonical
 
 
-def default_eps_grid(pow_min: int = 3, pow_max: int = 12) -> tuple[float, ...]:
+# The default eps grid's powers: 2^-3 .. 2^-12.
+EPS_POW_MIN = 3
+EPS_POW_MAX = 12
+
+
+def default_eps_grid(pow_min: int = EPS_POW_MIN, pow_max: int = EPS_POW_MAX) -> tuple[float, ...]:
     """Dyadic grid 2^-pow_min .. 2^-pow_max, strictly decreasing."""
     if pow_max <= pow_min:
         raise ValueError("pow_max must exceed pow_min")

@@ -28,7 +28,6 @@ usage error and a config error exit before numpy loads.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -86,13 +85,13 @@ def _front(data, omega0: float, t_max: float):
 
 def cmd_verify_expansions(cfg: RunConfig, out: Path, fmt: str) -> int:
     from .kernels import make_kernel
-    from .pairing import verify_lemma31
+    from .pairing import check_lemma_grid, verify_lemma31
     from .tables import write_table
 
-    decades = math.log2(cfg.eps_grid[0] / cfg.eps_grid[-1])
-    if decades < 3.0:
-        print(f"config error: [grid] eps spans {decades:.3g} dyadic decades; "
-              "verify-expansions needs at least 3", file=sys.stderr)
+    try:
+        check_lemma_grid(cfg.eps_grid)
+    except ValueError as exc:
+        print(f"config error: [grid] {exc}", file=sys.stderr)
         return EXIT_USAGE
     kernel = make_kernel(cfg.kernel_kind)
     c, note = _plateau(cfg)

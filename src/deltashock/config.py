@@ -21,19 +21,21 @@ positive values; [klimit] t > 0; xi_min < xi_max and xi_points >= 2.
 Configuration problems raise :class:`ConfigError`; mathematical problems
 with valid configuration surface later from the library.
 ``verify-expansions`` also rejects, as a configuration error, an eps
-grid spanning under 3 dyadic decades.
+grid that breaks a rule of :func:`deltashock.pairing.check_lemma_grid`:
+one spanning under 3 dyadic decades or reaching below 2^-26.
 
-The reader needs only the kernel kinds and the eps grid rules of the
-package root, so reading a config, or rejecting one, loads neither numpy
-nor the kernel layer; :meth:`RunConfig.jump_data` loads
-:mod:`deltashock.dynamics` when it is called.
+The reader needs only the kernel kinds and the eps grid's default
+powers and rules of the package root, so reading a config, or rejecting
+one, loads neither numpy nor the kernel layer;
+:meth:`RunConfig.jump_data` loads :mod:`deltashock.dynamics` when it is
+called.
 """
 
 import configparser
 import math
 from typing import NamedTuple
 
-from . import QUARTIC, canonical_kind, check_eps_grid, default_eps_grid
+from . import EPS_POW_MAX, EPS_POW_MIN, QUARTIC, canonical_kind, check_eps_grid, default_eps_grid
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
 
@@ -152,15 +154,24 @@ _TABLE = {
 
 
 def _eps_grid(values) -> tuple[float, ...]:
-    """The eps grid of ``values``, listed or of powers (3 and 12 unless set, popped);
+    """The eps grid of ``values``, listed or of powers (the defaults unless set, popped);
     :class:`ConfigError` if both are set or it breaks a grid rule or has under 4 points."""
     listed = values.get("eps_grid")
-    for key in ("eps_pow_min", "eps_pow_max"):
-        if listed and key in values:
+    powers = []  # (value, "key = value" text) of eps_pow_min and eps_pow_max
+    for key, default in (("eps_pow_min", EPS_POW_MIN), ("eps_pow_max", EPS_POW_MAX)):
+        if key not in values:
+            powers.append((default, f"{key} = {default} (the default)"))
+        elif listed:
             raise ConfigError(f"[grid] {key} cannot be set beside an eps list")
+        else:
+            val = values.pop(key)
+            # exact to 15 digits; a huge power prints as 1e+300, not in 301 digits
+            powers.append((val, f"{key} = {val:.15g}"))
+    (pmin, min_text), (pmax, max_text) = powers
+    if pmax <= pmin:
+        raise ConfigError(f"[grid] {max_text} must exceed {min_text}")
     # From 2^-1075 on every power rounds to 0, which check_eps_grid names: build no further.
-    pmin = values.pop("eps_pow_min", 3)
-    pmax = min(values.pop("eps_pow_max", 12), max(pmin + 1, 1075))
+    pmax = min(pmax, max(pmin + 1, 1075))
     try:
         grid = check_eps_grid(listed or default_eps_grid(pmin, pmax))
     except ValueError as exc:

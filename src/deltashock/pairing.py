@@ -67,6 +67,7 @@ __all__ = [
     "ExpansionReport",
     "LEMMA_FAMILIES",
     "LEMMA_PRODUCTS",
+    "check_lemma_grid",
     "verify_lemma31",
 ]
 
@@ -629,6 +630,24 @@ def _lemma_pairings(kernel: MollifierKernel, c: float, eps_grid: Sequence[float]
     return values, limits, peaks
 
 
+def check_lemma_grid(eps_grid) -> tuple[float, ...]:
+    """``eps_grid`` as floats, or ValueError if the lemma suite cannot fit on
+    it: not positive, finite and strictly decreasing, of fewer than 4 points
+    or 3 dyadic decades, or reaching below ``_LEMMA_EPS_MIN``."""
+    eps_grid = check_eps_grid(eps_grid)
+    if len(eps_grid) < 4:
+        raise ValueError("eps grid must span at least 4 points")
+    decades = math.log2(eps_grid[0] / eps_grid[-1])
+    if decades < 3.0:
+        raise ValueError(f"eps grid spans {decades:.3g} dyadic decades; "
+                         "the lemma suite needs at least 3")
+    if eps_grid[-1] < _LEMMA_EPS_MIN:
+        raise ValueError(f"lemma suite eps grid reaches eps = {eps_grid[-1]:g}, below "
+                         f"2^-26 = {_LEMMA_EPS_MIN:g}: there the rounding of the eps^-1 "
+                         "families' sums, scaled by 1/eps, swamps their decay")
+    return eps_grid
+
+
 def verify_lemma31(kernel: MollifierKernel, c: float,
                    eps_grid: Sequence[float] | None = None) -> list[ExpansionReport]:
     """Measure all twelve regularization-product expansions at x0 = 0.
@@ -639,21 +658,12 @@ def verify_lemma31(kernel: MollifierKernel, c: float,
     all 24 series in one pass, are compared against the family's floor.
     The three products whose factors' supports at most touch must have no
     column in the primitive table, which holds every product nonzero on
-    some node.  An eps grid that is not positive, finite and strictly
-    decreasing, of fewer than 4 points or 3 dyadic decades, or reaching
-    below ``_LEMMA_EPS_MIN`` raises ValueError; a family's eps power
-    overflows only far below that bound.  A family whose terms of negative
-    eps power do not cancel raises :class:`ExtractionError`.
+    some node.  An eps grid that breaks a rule of :func:`check_lemma_grid`
+    raises ValueError; a family's eps power overflows only far below its
+    bound.  A family whose terms of negative eps power do not cancel raises
+    :class:`ExtractionError`.
     """
-    eps_grid = check_eps_grid(eps_grid if eps_grid is not None else default_eps_grid())
-    if len(eps_grid) < 4:
-        raise ValueError("eps grid must span at least 4 points")
-    if math.log2(eps_grid[0] / eps_grid[-1]) < 3.0:
-        raise ValueError("eps grid should span at least 3 dyadic decades")
-    if eps_grid[-1] < _LEMMA_EPS_MIN:
-        raise ValueError(f"lemma suite eps grid reaches eps = {eps_grid[-1]:g}, below "
-                         f"2^-26 = {_LEMMA_EPS_MIN:g}: there the rounding of the eps^-1 "
-                         "families' sums, scaled by 1/eps, swamps their decay")
+    eps_grid = check_lemma_grid(eps_grid if eps_grid is not None else default_eps_grid())
     values, limits, peaks = _lemma_pairings(kernel, c, eps_grid)
     channels = _channel_reports(eps_grid, values.reshape(-1, len(eps_grid)), limits.ravel())
     constants = {"omega0": kernel.omega0, "omega0/2": 0.5 * kernel.omega0, "c": c}

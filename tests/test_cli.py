@@ -46,6 +46,11 @@ def test_load_config_defaults_match_shipped_file():
     assert load_config(None) == RunConfig()
 
 
+def test_shipped_k0_file_is_the_defaults_at_k_zero():
+    # The worked study's degenerate half is a config, not a code path.
+    assert load_config(str(SHIPPED_WORKED.with_stem("worked_k0"))) == RunConfig()._replace(k=0.0)
+
+
 def test_shipped_file_sets_every_key():
     # A key missing from worked.ini equals its default, so the test above
     # cannot see it.  The file spells out every key but the eps list, which
@@ -138,6 +143,13 @@ def test_config_error_exits_two(tmp_path, capsys):
      "[grid] eps_pow_max cannot be set beside an eps list"),
     # 2^1100 overflowed: a traceback
     ("[grid]\neps_pow_min = -1100\n", "front", "[grid] eps_pow_min must be at least -1023"),
+    # these named default_eps_grid's parameters: "pow_max must exceed pow_min"
+    ("[grid]\neps_pow_max = 2\n", "front",
+     "[grid] eps_pow_max = 2 must exceed eps_pow_min = 3 (the default)"),
+    ("[grid]\neps_pow_min = 12\neps_pow_max = 12\n", "front",
+     "[grid] eps_pow_max = 12 must exceed eps_pow_min = 12"),
+    ("[grid]\neps_pow_min = 2000\n", "verify-solution",
+     "[grid] eps_pow_max = 12 (the default) must exceed eps_pow_min = 2000"),
     # the integer and number-list readers' own messages
     ("[grid]\nt_points = 2.5\n", "front", "[grid] t_points must be an integer"),
     ("[klimit]\nks = a, b\n", "k-limit", "[klimit] ks must be a list of numbers"),
@@ -151,7 +163,8 @@ def test_config_error_exits_two(tmp_path, capsys):
         "unknown-kernel-key", "default-section", "xi_points-zero",
         "xi-range-reversed", "riemann-t-zero", "klimit-t-negative",
         "order_tol-zero", "eps-and-pow-min", "eps-and-pow-min-malformed",
-        "pow-max-and-eps", "eps_pow_min-overflows", "t_points-fractional",
+        "pow-max-and-eps", "eps_pow_min-overflows", "pow-max-below-default-min",
+        "pow-max-equals-pow-min", "pow-min-above-default-max", "t_points-fractional",
         "ks-not-numbers", "ks-empty", "ks-negative", "eps-empty", "eps-not-numbers"])
 def test_out_of_range_config_exits_two(tmp_path, capsys, text, command, named):
     cfg = write(tmp_path, text)
@@ -279,11 +292,7 @@ def test_verify_expansions_json_format_writes_json_channel_tables(tmp_path):
     ("[grid]\neps_pow_min = 3\neps_pow_max = 4\n", "verify-expansions",
      "at least 4 points"),
     ("[grid]\neps_pow_min = 3\neps_pow_max = 5\n", "front", "at least 4 points"),
-    # four points that span less than 3 dyadic decades used to exit 1
-    ("[grid]\neps = 0.1, 0.09, 0.08, 0.07\n", "verify-expansions",
-     "[grid] eps spans 0.515 dyadic decades"),
-], ids=["list-2", "powers-2-solution", "powers-2-expansions",
-        "powers-3", "list-narrow-expansions"])
+], ids=["list-2", "powers-2-solution", "powers-2-expansions", "powers-3"])
 def test_short_eps_grid_exits_two_with_one_line(tmp_path, capsys, text, command, message):
     rc = main(["--config", write(tmp_path, text), "--out", str(tmp_path / "out"), command])
     captured = capsys.readouterr()
@@ -323,57 +332,46 @@ def test_lemma_family_without_a_limit_exits_one_with_one_line(tmp_path, capsys,
     assert len(err) == 1 and err[0].startswith("error: lemma family ddelta: its eps^-1 term")
 
 
-def test_lemma_grid_at_two_to_the_minus_1000_exits_one_on_the_grid_bound(tmp_path,
-                                                                          capsys):
+def _below_the_lemma_bound(eps):
+    return (f"[grid] lemma suite eps grid reaches eps = {eps:g}, below 2^-26 = "
+            f"{2.0**-26:g}: there the rounding of the eps^-1 families' sums, scaled by "
+            "1/eps, swamps their decay")
+
+
+@pytest.mark.parametrize("kind,grid,message", [
+    # four points that span less than 3 dyadic decades used to exit 1
+    ("quartic", "eps = 0.1, 0.09, 0.08, 0.07",
+     "[grid] eps grid spans 0.515 dyadic decades; the lemma suite needs at least 3"),
     # At eps = 2^-1000 the Rddelta family's power eps^-1.5 overflows, but
     # the grid is rejected first, far above that, by the 2^-26 bound.
-    cfg = write(tmp_path, "[grid]\neps_pow_min = 1000\neps_pow_max = 1010\n")
-    rc = main(["--config", cfg, "--out", str(tmp_path), "verify-expansions"])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.err.splitlines() == [
-        f"error: lemma suite eps grid reaches eps = {2.0**-1010:g}, below 2^-26 = "
-        f"{2.0**-26:g}: there the rounding of the eps^-1 families' sums, scaled by "
-        "1/eps, swamps their decay"]
-    assert captured.out == ""
-    assert not (tmp_path / "lemma31_report.json").exists()
-
-
-def test_subnormal_lemma_eps_exits_one_on_the_grid_bound(tmp_path, capsys):
+    ("quartic", "eps_pow_min = 1000\neps_pow_max = 1010", _below_the_lemma_bound(2.0**-1010)),
     # At eps = 1e-310 RdR's eps^-1 overflows; the 2^-26 bound names the
     # grid's smallest eps instead.
-    cfg = write(tmp_path, "[grid]\neps = 1e-300, 1e-305, 1e-310, 1e-320\n")
-    rc = main(["--config", cfg, "--out", str(tmp_path), "verify-expansions"])
+    ("quartic", "eps = 1e-300, 1e-305, 1e-310, 1e-320", _below_the_lemma_bound(1e-320)),
+    # Below 2^-26 the eps^-1 families' rounding, scaled by 1/eps, outgrows
+    # their decay: 2^-19 .. 2^-28 printed FAIL rows whose measured and
+    # expected coefficients agreed.
+    *[(kind, "eps_pow_min = 19\neps_pow_max = 28", _below_the_lemma_bound(2.0**-28))
+      for kind in ("quartic", "exponential")],
+], ids=["narrow", "two-to-the-minus-1000", "subnormal",
+        "below-two-to-the-minus-26-quartic", "below-two-to-the-minus-26-exponential"])
+def test_lemma_grid_rule_exits_two_with_one_line(tmp_path, capsys, kind, grid, message):
+    # Every grid rule of the lemma suite is a config error, checked before
+    # any file is written.  These grids pass every rule of the reader.
+    out = tmp_path / "out"
+    cfg = write(tmp_path, f"[kernel]\nkind = {kind}\n[grid]\n{grid}\n")
+    rc = main(["--config", cfg, "--out", str(out), "verify-expansions"])
     captured = capsys.readouterr()
-    assert rc == 1 and captured.out == ""
-    assert captured.err.splitlines() == [
-        f"error: lemma suite eps grid reaches eps = {1e-320:g}, below 2^-26 = "
-        f"{2.0**-26:g}: there the rounding of the eps^-1 families' sums, scaled by "
-        "1/eps, swamps their decay"]
-    assert not (tmp_path / "lemma31_report.json").exists()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.splitlines() == ["config error: " + message]
+    assert not list(out.iterdir())
 
 
 @pytest.mark.parametrize("kind", ["quartic", "exponential"])
-def test_lemma_grid_below_two_to_the_minus_26_exits_one_with_one_line(tmp_path, capsys,
-                                                                       kind):
-    # Below 2^-26 the eps^-1 families' rounding, scaled by 1/eps, outgrows
-    # their decay: 2^-19 .. 2^-28 printed FAIL rows whose measured and
-    # expected coefficients agreed.  The grid is rejected, and the grid
-    # that ends at the bound still passes.
-    out = tmp_path / "out"
-    cfg = write(tmp_path, f"[kernel]\nkind = {kind}\n[grid]\neps_pow_min = 19\n"
-                          "eps_pow_max = 28\n")
-    rc = main(["--config", cfg, "--out", str(out), "verify-expansions"])
-    captured = capsys.readouterr()
-    assert rc == 1 and captured.out == ""
-    assert captured.err.splitlines() == [
-        f"error: lemma suite eps grid reaches eps = {2.0**-28:g}, below 2^-26 = "
-        f"{2.0**-26:g}: there the rounding of the eps^-1 families' sums, scaled by "
-        "1/eps, swamps their decay"]
-    assert not list(out.iterdir())
+def test_lemma_grid_ending_at_two_to_the_minus_26_passes(tmp_path, capsys, kind):
     cfg = write(tmp_path, f"[kernel]\nkind = {kind}\n[grid]\neps_pow_min = 17\n"
                           "eps_pow_max = 26\n")
-    assert main(["--config", cfg, "--out", str(out), "verify-expansions"]) == 0
+    assert main(["--config", cfg, "--out", str(tmp_path), "verify-expansions"]) == 0
     assert capsys.readouterr().out.splitlines()[-1].startswith("PASS expansion suite")
 
 
@@ -713,14 +711,17 @@ def test_k_limit_passes_with_a_large_initial_amplitude(tmp_path, capsys):
 def test_outputs_are_deterministic(tmp_path):
     # Every file, line and exit code is a function of the config alone: two
     # runs of each subcommand in each format on each shipped config agree.
+    configs = sorted(SHIPPED_WORKED.parent.glob("*.ini"))
+    assert SHIPPED_WORKED in configs
+
     def outputs(root):
         printed = []
-        for config in ("worked", "riemann"):
+        for config in configs:
             for fmt in ("csv", "json"):
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    codes = [main(["--config", str(SHIPPED_WORKED.with_stem(config)),
-                                   "--out", str(root / config / fmt), "--format", fmt,
+                    codes = [main(["--config", str(config),
+                                   "--out", str(root / config.stem / fmt), "--format", fmt,
                                    command]) for command in _COMMANDS]
                 printed.append((codes, out.getvalue(), err.getvalue()))
         files = {path.relative_to(root): path.read_bytes()
@@ -730,9 +731,10 @@ def test_outputs_are_deterministic(tmp_path):
     first = outputs(tmp_path / "a")
     assert first == outputs(tmp_path / "b")
     # per config and format: the 24 lemma tables, lemma31_report.json, front
-    # and klimit, plus residual_report.json (worked) or riemann (whose data
-    # are classical, so verify-solution fails them as inadmissible)
-    assert len(first[1]) == 2 * 2 * (24 + 1 + 2 + 1)
+    # and klimit, plus residual_report.json (worked, worked_k0) or riemann
+    # (whose data are classical, so verify-solution fails them as
+    # inadmissible; at k = 0 riemann needs k > 0 and writes nothing)
+    assert len(first[1]) == len(configs) * 2 * (24 + 1 + 2 + 1)
 
 
 @pytest.mark.parametrize("flag", ["--eps-min", "--eps-max"])
@@ -940,9 +942,18 @@ _COMMANDS = ("front", "riemann", "k-limit", "verify-expansions", "verify-solutio
 @example({("data", "e0"): "1048576.0"})
 def test_admissible_config_runs(entries):
     # Every subcommand exits 0 or 1 with at most one error line, and a run
-    # that succeeds prints no nan or inf.
+    # that succeeds prints no nan or inf.  The one exception is the lemma
+    # suite's 2^-26 bound: a listed grid may reach below it, and then
+    # verify-expansions exits 2 with the one config error line that names it.
+    listed = entries.get(("grid", "eps"))
+    below = listed is not None and min(map(float, listed.split(","))) < 2.0**-26
     for command in _COMMANDS:
-        _assert_runs(_config_text(entries), command)
+        if command == "verify-expansions" and below:
+            rc, out, err = _run(_config_text(entries), command)
+            assert rc == 2 and out == "" and len(err) == 1
+            assert err[0].startswith("config error: [grid] lemma suite eps grid reaches eps = ")
+        else:
+            _assert_runs(_config_text(entries), command)
 
 
 @given(_admissible_config(), st.sampled_from(_VIOLATIONS), st.data())

@@ -7,8 +7,9 @@ times fresh processes, so import-time work in the package would show
 there; the CLI import, ``--help`` and a config error are checked to load
 neither numpy nor the kernel layer, and each subcommand and the regime
 sweep to load only the package modules they compute with, as README
-lists them.  Every third-party import is a declared dependency, and no
-name is defined in two package modules.
+lists them, and README's worked-study runs to run.  Every third-party
+import is a declared dependency, and no name is defined in two package
+modules.
 """
 
 import ast
@@ -19,6 +20,7 @@ import json
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -592,6 +594,24 @@ def test_readme_command_line_names_every_flag_and_section():
                if opt.startswith("--")} - {"--help"}
     assert flags == options
     assert set(re.findall(r"\[([a-z]+)\]", section)) == {name for name, _ in _TABLE}
+
+
+def test_readme_worked_study_runs_exit_zero(tmp_path, monkeypatch, capsys):
+    # Each deltashock line of README's worked-study block runs as written,
+    # from the repository root, with its --out moved under tmp_path: a
+    # listed config or subcommand that is gone fails here.
+    from deltashock.cli import main
+
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Worked study\n")[1].split("```sh\n")[1].split("```")[0]
+    runs = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("deltashock ")]
+    assert runs
+    monkeypatch.chdir(ROOT)
+    for argv in runs:
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / argv[at])
+        assert main(argv) == 0, (argv, capsys.readouterr())
 
 
 def test_only_the_exponential_kernel_loads_numpy_polynomial(tmp_path):
