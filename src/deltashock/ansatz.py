@@ -14,7 +14,7 @@ from typing import NamedTuple, Protocol
 
 import numpy as np
 
-from .dynamics import DegenerateDataError, RiemannJumpData
+from .dynamics import RiemannJumpData
 from .kernels import (
     BAND_EDGES,
     MollifierKernel,

@@ -25,8 +25,6 @@ each subcommand the package modules it computes with, so ``--help``, a
 usage error and a config error exit before numpy loads.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 from pathlib import Path
@@ -39,6 +37,10 @@ EXIT_USAGE = 2
 
 K_GAP_TOL = 1e-10  # times max(1, max |expected|): the gaps' rounding grows with them
 K_ORDER_TOL = 0.01
+# The most rows a run may tabulate: front times, riemann xi points, or
+# verify-solution times x eps values.  tracemalloc puts a run's peak at
+# 801 bytes a row at most (front, csv), so a run at the cap stays under 1 GiB.
+MAX_ROWS = 2**20
 
 
 def _write_json(obj, path: Path) -> None:
@@ -63,6 +65,13 @@ def _plateau(cfg: RunConfig) -> tuple[float, str | None]:
         return c, None
     return c, (f"note: configured c={c:g} differs from the data value {c_data:g}; "
                "measured step-times-delta coefficient follows the configured plateau")
+
+
+def _check_rows(rows: int, source: str) -> None:
+    """MemoryError, which :func:`main` prints as one line, before a grid of
+    more than :data:`MAX_ROWS` rows is allocated."""
+    if rows > MAX_ROWS:
+        raise MemoryError(f"{rows} rows ({source}) exceed the {MAX_ROWS} a run may tabulate")
 
 
 def _position(data, speed: float, t: float) -> float:
@@ -130,6 +139,7 @@ def cmd_front(cfg: RunConfig, out: Path, fmt: str) -> int:
     data = cfg.jump_data()
     kernel = make_kernel(cfg.kernel_kind)
     traj = _front(data, kernel.omega0, cfg.t_max)
+    _check_rows(cfg.t_points, "[grid] t_points")
     write_table(trajectory_columns(traj, default_t_grid(cfg.t_max, cfg.t_points)),
                 ["t", "phi", "e", "re_p", "im_p"], out / "front", fmt)
     adm = overcompressivity(data)
@@ -155,6 +165,8 @@ def cmd_verify_solution(cfg: RunConfig, out: Path, fmt: str) -> int:
     front = _front(data, kernel.omega0, cfg.t_max)
     c, note = _plateau(cfg)
     ansatz = SmoothAnsatz(data, front, kernel, c)
+    _check_rows(cfg.t_points * len(cfg.eps_grid),
+                f"[grid] t_points = {cfg.t_points} times {len(cfg.eps_grid)} eps values")
     report = verify_weak_solution(ansatz, data.k,
                                   t_grid=default_t_grid(cfg.t_max, cfg.t_points),
                                   eps_grid=cfg.eps_grid)
@@ -190,6 +202,7 @@ def cmd_riemann(cfg: RunConfig, out: Path, fmt: str) -> int:
               "classical and the overcompressive regimes")
         return EXIT_MATH
     # The solution is self-similar: its table at t = 1 is its table in xi.
+    _check_rows(cfg.xi_points, "[riemann] xi_points")
     xi = np.linspace(cfg.xi_min, cfg.xi_max, cfg.xi_points)
     u, sigma = eval_riemann(sol, xi, 1.0)
     write_table((xi.tolist(), u.tolist(), sigma.tolist(), region_labels(sol, xi)),

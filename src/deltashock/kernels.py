@@ -39,8 +39,7 @@ and the exponential kernel's mass, omega0 and antiderivative use it, on
 16 nodes a panel but for the quartic table's 10.  Its nodes are literals
 and the Chebyshev fit is made on first use, so only the exponential
 kernel loads ``numpy.polynomial``.  The default time grid lives here
-too; the kernel kinds and eps grid rules are the package root's,
-re-exported here.
+too; the kernel kinds and the eps grid rules live in the package root.
 """
 
 import math
@@ -50,12 +49,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import EXPONENTIAL, KERNEL_KINDS, QUARTIC, canonical_kind, check_eps_grid, default_eps_grid
+from . import EXPONENTIAL, QUARTIC, canonical_kind
 
 __all__ = [
     "QUARTIC",
     "EXPONENTIAL",
-    "KERNEL_KINDS",
     "MollifierKernel",
     "band_quadrature",
     "make_kernel",
@@ -200,20 +198,18 @@ def exp_bump(y, scale=1.0, lift=0.0):
     # In floating point 1 - y^2 > 0 exactly when |y| < 1.
     q = 1.0 - np.square(np.asarray(y, dtype=float))
     inside = q > 0.0
-    if inside.all():
-        return np.asarray(scale * np.exp(lift - 1.0 / q))
     out = np.zeros_like(q)
     out[inside] = scale * np.exp(lift - 1.0 / q[inside])
     return out
 
 
 def exp_bump_dy(y, scale=1.0, lift=0.0):
-    """Derivative of :func:`exp_bump` in y."""
+    """Derivative of :func:`exp_bump` in y: its value times -2 y/(1 - y^2)^2."""
     y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    m = np.abs(y) < 1.0
-    ym = y[m]
-    out[m] = scale * np.exp(lift - 1.0 / (1.0 - ym**2)) * (-2.0 * ym / (1.0 - ym**2) ** 2)
+    q = 1.0 - np.square(y)
+    inside = q > 0.0
+    out = exp_bump(y, scale, lift)
+    out[inside] *= -2.0 * y[inside] / q[inside] ** 2
     return out
 
 

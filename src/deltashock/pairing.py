@@ -37,6 +37,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import check_eps_grid, default_eps_grid
 from .kernels import (
     BAND_EDGES,
     NEGLIGIBLE_RTOL,
@@ -44,8 +45,6 @@ from .kernels import (
     MollifierKernel,
     PrimitiveTable,
     band_quadrature,
-    check_eps_grid,
-    default_eps_grid,
     exp_bump,
     primitive_table,
 )

@@ -5,8 +5,6 @@ the text ``csv.writer`` writes, each distinct value formatted once; JSON
 is a list of one object per row, keyed by the header.
 """
 
-from __future__ import annotations
-
 
 class _Fields(dict):
     """The text of each value, made on first use.  Zeros are not kept:

@@ -28,16 +28,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import check_eps_grid, default_eps_grid
 from .ansatz import Front, SmoothAnsatz
 from .dynamics import RiemannJumpData, e_rate, overcompressivity
-from .kernels import (
-    NEGLIGIBLE_RTOL,
-    MollifierKernel,
-    check_eps_grid,
-    default_eps_grid,
-    default_t_grid,
-    primitive_table,
-)
+from .kernels import NEGLIGIBLE_RTOL, MollifierKernel, default_t_grid, primitive_table
 from .pairing import (
     LINEAR_BUMP,
     NumericsError,

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from deltashock import default_eps_grid
 from deltashock.ansatz import RiemannJumpData, SmoothAnsatz
 from deltashock.dynamics import solve_front
 from deltashock.kernels import (
     EXPONENTIAL,
     QUARTIC,
     PrimitiveTable,
-    default_eps_grid,
     make_kernel,
 )
 from deltashock.verifier import verify_weak_solution

@@ -7,6 +7,7 @@ lines.  Tolerances are fixed here and nowhere else.
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from deltashock import default_eps_grid
 from deltashock.ansatz import RiemannJumpData
 from deltashock.dynamics import (
     LinearTrajectory,
@@ -16,12 +17,7 @@ from deltashock.dynamics import (
     solve_front,
     volpert_product_pairing,
 )
-from deltashock.kernels import (
-    default_eps_grid,
-    eval_correction,
-    eval_delta_reg,
-    eval_delta_reg_dx,
-)
+from deltashock.kernels import eval_correction, eval_delta_reg, eval_delta_reg_dx
 from deltashock.pairing import (
     TestFunction,
     fit_loglog_slope,

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from deltashock.ansatz import DegenerateDataError, RiemannJumpData, SmoothAnsatz
+from deltashock.ansatz import RiemannJumpData, SmoothAnsatz
 from deltashock.config import RunConfig
-from deltashock.dynamics import LinearTrajectory, solve_front
+from deltashock.dynamics import DegenerateDataError, LinearTrajectory, solve_front
 from deltashock.kernels import QUARTIC, StepProfile, make_kernel, product_columns
 from deltashock.pairing import (
     TestFunction,

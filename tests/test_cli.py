@@ -10,11 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deltashock import kernels
+from deltashock import default_eps_grid, kernels
 from deltashock.ansatz import RiemannJumpData
-from deltashock.cli import main
+from deltashock.cli import MAX_ROWS, _check_rows, main
 from deltashock.config import _TABLE, ConfigError, RunConfig, load_config
-from deltashock.kernels import default_eps_grid
 from deltashock.pairing import TestFunction
 from deltashock.riemann import k_limit_gap
 
@@ -202,18 +201,47 @@ def test_float_overflow_names_quantity_and_data(tmp_path, capsys, text, command,
     assert "out of float range for RiemannJumpData(" in err[0]
 
 
-@pytest.mark.parametrize("text,command", [
-    ("[grid]\nt_points = 1e17\n", "front"),
-    (CLASSICAL_INI + "[riemann]\nxi_points = 1e17\n", "riemann"),
-], ids=["t_points", "xi_points"])
-def test_unallocatable_grid_exits_one_with_one_line(tmp_path, capsys, text, command):
-    # 1e17 float64 values (711 PiB) exceed any 64-bit address space, so the
-    # allocation fails at once; it used to end a 19-line traceback.
+@pytest.mark.parametrize("text,command,rows,source", [
+    ("[grid]\nt_points = 1e17\n", "front", 10**17, "[grid] t_points"),
+    (CLASSICAL_INI + "[riemann]\nxi_points = 1e17\n", "riemann", 10**17, "[riemann] xi_points"),
+    (f"[grid]\nt_points = {MAX_ROWS + 1}\n", "front", MAX_ROWS + 1, "[grid] t_points"),
+    # 61681 times x 17 eps values = 2^20 + 1 rows
+    ("[grid]\nt_points = 61681\neps_pow_min = 3\neps_pow_max = 19\n", "verify-solution",
+     MAX_ROWS + 1, "[grid] t_points = 61681 times 17 eps values"),
+    (CLASSICAL_INI + f"[riemann]\nxi_points = {MAX_ROWS + 1}\n", "riemann", MAX_ROWS + 1,
+     "[riemann] xi_points"),
+], ids=["t_points", "xi_points", "t_points-cap-plus-one", "times-by-eps-cap-plus-one",
+        "xi_points-cap-plus-one"])
+def test_unallocatable_grid_exits_one_with_one_line(monkeypatch, tmp_path, capsys,
+                                                     text, command, rows, source):
+    # 1e17 float64 values (711 PiB) exceed any 64-bit address space; such a
+    # grid used to end a 19-line traceback.  A grid numpy can allocate but
+    # whose tables exhaust memory was killed by the OS (t_points = 1e8 ran
+    # for minutes, then exit 137).  One row above the cap is refused before
+    # any grid that large is made, or any verdict computed.
+    import numpy as np
+
+    from deltashock import verifier
+
+    linspace = np.linspace
+
+    def bounded(start, stop, num=50, **kwargs):
+        assert num <= MAX_ROWS, f"a grid of {num} points was allocated"
+        return linspace(start, stop, num, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a verdict was computed")
+
+    monkeypatch.setattr(np, "linspace", bounded)
+    monkeypatch.setattr(verifier, "verify_weak_solution", refuse)
     cfg = write(tmp_path, text)
     rc = main(["--config", cfg, "--out", str(tmp_path), command])
-    err = capsys.readouterr().err.splitlines()
-    assert rc == 1
-    assert len(err) == 1 and err[0].startswith("error: out of memory")
+    out, err = capsys.readouterr()
+    assert rc == 1 and not out
+    assert err == (f"error: out of memory: {rows} rows ({source}) exceed the "
+                   f"{MAX_ROWS} a run may tabulate\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini"]
+    _check_rows(MAX_ROWS, source)  # the cap itself is accepted
 
 
 def test_front_that_swamps_eps_exits_one_with_one_line(tmp_path, capsys):

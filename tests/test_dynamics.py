@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from deltashock.ansatz import DegenerateDataError, Front, RiemannJumpData, SmoothAnsatz
+from deltashock import default_eps_grid
+from deltashock.ansatz import Front, RiemannJumpData, SmoothAnsatz
 from deltashock.dynamics import (
+    DegenerateDataError,
     FrontTrajectory,
     LinearTrajectory,
     NotApplicableError,
@@ -19,7 +21,7 @@ from deltashock.dynamics import (
     trajectory_columns,
     volpert_product_pairing,
 )
-from deltashock.kernels import default_eps_grid, default_t_grid, make_kernel
+from deltashock.kernels import default_t_grid, make_kernel
 from deltashock.pairing import Piecewise, extract_point_coeffs
 from deltashock.riemann import State, eval_riemann, region_labels, solve
 from deltashock.verifier import replay_derivation, sample_admissible_data

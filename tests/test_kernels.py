@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from deltashock import canonical_kind, default_eps_grid
 from deltashock.ansatz import RiemannJumpData, SmoothAnsatz
 from deltashock.dynamics import LinearTrajectory, solve_front, volpert_product_pairing
 from deltashock.kernels import (
@@ -18,8 +19,6 @@ from deltashock.kernels import (
     PrimitiveTable,
     StepProfile,
     band_quadrature,
-    canonical_kind,
-    default_eps_grid,
     eval_correction,
     eval_correction_dx,
     eval_delta_reg,

@@ -8,13 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from deltashock import pairing
+from deltashock import default_eps_grid, pairing
 from deltashock.kernels import (
     BAND_EDGES,
     GAUSS_NODES,
     StepProfile,
     band_quadrature,
-    default_eps_grid,
     eval_correction,
     eval_correction_dx,
     eval_delta_reg,

@@ -8,8 +8,8 @@ there; the CLI import, ``--help`` and a config error are checked to load
 neither numpy nor the kernel layer, and each subcommand and the regime
 sweep to load only the package modules they compute with, as README
 lists them, and README's worked-study runs to run.  Every third-party
-import is a declared dependency, and no name is defined in two package
-modules.
+import is a declared dependency, no name is defined in two package
+modules, and every name a package module imports from another is used.
 """
 
 import ast
@@ -252,8 +252,7 @@ def test_no_oracle_name_is_also_defined_in_the_package():
 def test_no_name_is_defined_in_two_package_modules():
     # One home per name: a function, class or upper-case constant that two
     # modules need is defined in one and imported by the other, as the
-    # kernel kinds and the eps grid rules are by the config reader and the
-    # kernel layer.
+    # kernel kinds and the eps grid rules of the package root are.
     homes = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -267,6 +266,34 @@ def test_no_name_is_defined_in_two_package_modules():
             for name in names:
                 homes.setdefault(name, set()).add(path.stem)
     assert not {name: sorted(where) for name, where in homes.items() if len(where) > 1}
+
+
+def _unused_package_imports(tree) -> list[str]:
+    """The names ``tree`` imports from the package and never uses as a name,
+    an attribute or in a string annotation; ``__all__`` is no use."""
+    imported, used = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("deltashock")):
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif annotation := getattr(node, "annotation", None) or getattr(node, "returns", None):
+            used |= {name.id for text in ast.walk(annotation)
+                     if isinstance(text, ast.Constant) and isinstance(text.value, str)
+                     for name in ast.walk(ast.parse(text.value, mode="eval"))
+                     if isinstance(name, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_every_package_import_is_used():
+    # One import path per name: a package module imports another's name
+    # only to use it, so no module passes a name on for others to import.
+    unused = {path.stem: names for path in sorted(PACKAGE.glob("*.py"))
+              if (names := _unused_package_imports(ast.parse(path.read_text())))}
+    assert not unused
 
 
 # Parameters and fields that may default a kernel's constants, each with

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from deltashock import kernels, pairing, verifier
+from deltashock import default_eps_grid, kernels, pairing, verifier
 from deltashock.ansatz import RiemannJumpData, SmoothAnsatz
 from deltashock.dynamics import (
     FrontTrajectory,
@@ -24,7 +24,6 @@ from deltashock.kernels import (
     PROFILE_EPS_POWERS,
     StepProfile,
     band_quadrature,
-    default_eps_grid,
     default_t_grid,
     exp_bump,
 )
