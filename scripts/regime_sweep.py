@@ -8,7 +8,8 @@ table name, --n must be at least 1 and --out must be or become a
 directory; otherwise the script writes nothing, prints one error line
 and exits 2.  So it does, with --out made but no table written, for a k
 so small that the classical intermediate state of some jump of the grid
-leaves the float range.
+leaves the float range.  A grid of more points than MAX_ROWS exits 1
+with one error line, before anything is computed or written.
 """
 
 from __future__ import annotations
@@ -17,10 +18,15 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
+from deltashock import linear_grid
 from deltashock.riemann import REGIMES, check_sweep_k, regime_sweep
 from deltashock.tables import write_table
+
+# The most grid points (ks times --n squared) a sweep may classify, so
+# --n 1182 at most with the default ks.  tracemalloc puts a sweep's peak at 246 bytes a point
+# at most (one k of 23 characters of text), so a sweep at the cap stays
+# under 1 GiB.
+MAX_ROWS = 2**22
 
 
 def main(argv=None) -> int:
@@ -51,26 +57,27 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        u1s = np.linspace(-4.0, 4.0, args.n)
-        u1s = u1s[u1s != 0.0]
-        s1s = np.linspace(-4.0, 4.0, args.n)
+        rows = len(tables) * args.n**2
+        if rows > MAX_ROWS:
+            raise MemoryError(f"{rows} rows ({len(tables)} ks times --n {args.n} squared) "
+                              f"exceed the {MAX_ROWS} a sweep may tabulate")
+        s1s = linear_grid(-4.0, 4.0, args.n)
+        u1s = [u1 for u1 in s1s if u1 != 0.0]
         grids = regime_sweep(u1s, s1s, tables.values())
         # The table columns; rows run over u1, then sigma1, as the grid does.
-        u1_column = np.repeat(u1s, s1s.size).tolist()
-        s1_column = np.tile(s1s, u1s.size).tolist()
+        u1_column = [u1 for u1 in u1s for _ in s1s]
+        s1_column = s1s * len(u1s)
         for (tag, k), codes in zip(tables.items(), grids):
-            codes = codes.ravel()
-            write_table([u1_column, s1_column, [k] * codes.size,
-                         map(REGIMES.__getitem__, codes.tolist())],
+            regimes = [REGIMES[code] for row in codes for code in row]
+            write_table([u1_column, s1_column, [k] * len(regimes), regimes],
                         ["u1", "sigma1", "k", "regime"], out / f"regimes_k{tag}")
-            counts = np.bincount(codes, minlength=len(REGIMES)).tolist()
-            print(f"k = {k:g}: " + ", ".join(f"{r}={n}" for r, n
-                                             in sorted(zip(REGIMES, counts)) if n))
+            print(f"k = {k:g}: " + ", ".join(f"{r}={n}" for r in sorted(REGIMES)
+                                             if (n := regimes.count(r))))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # numpy's message names the size it could not allocate
+        # the row cap's message names the rows
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     return 0

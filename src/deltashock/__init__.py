@@ -12,8 +12,8 @@ Subpackages:
 * :mod:`deltashock.tables`    the one CSV/JSON table writer
 * :mod:`deltashock.cli`       config-driven command line front end
 
-The root holds the kernel kinds and the eps grid's default powers and
-rules, without numpy.
+The root holds the kernel kinds, the eps grid's default powers and
+rules, and the evenly spaced grid rule, without numpy.
 """
 
 import math
@@ -60,4 +60,25 @@ def check_eps_grid(eps_grid) -> tuple[float, ...]:
         if not 0.0 < eps < before:
             raise ValueError("eps grid must be positive, finite and strictly decreasing: "
                              f"eps[{i}] = {eps!r}" + (f" after {before!r}" if i else ""))
+    return grid
+
+
+def linear_grid(start: float, stop: float, num: int) -> list[float]:
+    """``num`` evenly spaced floats from start to stop, bit for bit those of
+    ``numpy.linspace(start, stop, num)``: i * step + start, with step =
+    (stop - start) / (num - 1) and the last point set to stop.  Where the
+    step underflows to 0, the points are i / (num - 1) * (stop - start) +
+    start; a single point is 0 * (stop - start) + start.  A step that
+    overflows gives inf and nan points, as numpy's does."""
+    start, stop = float(start), float(stop)
+    delta = stop - start
+    div = num - 1
+    if div <= 0:
+        return [0.0 * delta + start for _ in range(num)]
+    step = delta / div
+    if step == 0.0:
+        grid = [i / div * delta + start for i in range(num)]
+    else:
+        grid = [i * step + start for i in range(num)]
+    grid[-1] = stop
     return grid

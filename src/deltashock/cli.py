@@ -20,15 +20,18 @@ table, the 24 expansion channel tables included, is written in the run's
 its subcommand computes; reports are JSON.
 
 Importing this module loads only the config reader, which needs no
-numpy.  :func:`main` imports numpy just before it runs a subcommand, and
-each subcommand the package modules it computes with, so ``--help``, a
-usage error and a config error exit before numpy loads.
+numpy.  Each subcommand imports the package modules it computes with, and
+:func:`main` imports numpy just before it runs one that computes with
+numpy, so ``--help``, a usage error, a config error and ``riemann``, which
+computes on Python floats, run without it.
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
+from . import linear_grid
 from .config import ConfigError, RunConfig, load_config
 
 EXIT_OK = 0
@@ -178,8 +181,6 @@ def cmd_verify_solution(cfg: RunConfig, out: Path, fmt: str) -> int:
 
 
 def cmd_riemann(cfg: RunConfig, out: Path, fmt: str) -> int:
-    import numpy as np
-
     from .dynamics import e_rate, front_speed
     from .riemann import CLASSICAL, DELTA_REGIME, State, eval_riemann, region_labels, solve
     from .tables import write_table
@@ -203,9 +204,16 @@ def cmd_riemann(cfg: RunConfig, out: Path, fmt: str) -> int:
         return EXIT_MATH
     # The solution is self-similar: its table at t = 1 is its table in xi.
     _check_rows(cfg.xi_points, "[riemann] xi_points")
-    xi = np.linspace(cfg.xi_min, cfg.xi_max, cfg.xi_points)
+    # The grid's last point before it is set to xi_max: inf where the spacing
+    # overflows or its multiple rounds past the largest float.
+    spacing = (cfg.xi_max - cfg.xi_min) / (cfg.xi_points - 1)
+    if not math.isfinite((cfg.xi_points - 1) * spacing + cfg.xi_min):
+        raise OverflowError(f"xi grid xi_min + i (xi_max - xi_min)/(xi_points - 1) is out of "
+                            f"float range for xi_min={cfg.xi_min!r}, xi_max={cfg.xi_max!r}, "
+                            f"xi_points={cfg.xi_points}")
+    xi = linear_grid(cfg.xi_min, cfg.xi_max, cfg.xi_points)
     u, sigma = eval_riemann(sol, xi, 1.0)
-    write_table((xi.tolist(), u.tolist(), sigma.tolist(), region_labels(sol, xi)),
+    write_table((xi, u, sigma, region_labels(sol, xi)),
                 ["xi", "u", "sigma", "region"], out / "riemann", fmt)
     print(f"u* = {sol.u_star!r}, sigma* = {sol.sigma_star!r}")
     for w in (sol.wave1, sol.wave2):
@@ -302,9 +310,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: --out {args.out}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
-    import numpy as np
-
     try:
+        if args.command == "riemann":
+            # Python floats: the solver rejects what leaves the float range.
+            return cmd_riemann(cfg, out, args.format)
+        import numpy as np
+
         # A value that overflows or turns nan is a failure, not a result.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return _COMMANDS[args.command](cfg, out, args.format)
@@ -312,7 +323,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
     except MemoryError as exc:
-        # numpy's message names the size it could not allocate
+        # the row cap's message names the rows, numpy's the bytes it could not allocate
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_MATH
 

@@ -14,12 +14,15 @@ with nonnegative imaginary part while e < 0).  In the shock case
 off the primitive table.  A numerical ODE integration and the Volpert
 jump relations are test oracles only.  Only it and :func:`solve_front`'s
 default omega0 need :mod:`deltashock.kernels`; they import it when run.
+
+The jump data, rates, admissibility and margins are Python float
+arithmetic, so the classical Riemann solver and the regime sweep, which
+read them, run without numpy.  Only the trajectories' array evaluators
+and :func:`trajectory_columns` compute with numpy; they import it when run.
 """
 
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from . import QUARTIC
 
@@ -142,9 +145,13 @@ class FrontTrajectory(NamedTuple):
     omega0: float
 
     def phi(self, t):
+        import numpy as np
+
         return self.phi_dot * np.asarray(t, dtype=float)
 
     def e(self, t):
+        import numpy as np
+
         return self.e0 + self.e_rate * np.asarray(t, dtype=float)
 
     def p(self, t):
@@ -162,6 +169,8 @@ class FrontTrajectory(NamedTuple):
 
     def _root(self, e):
         """p of the amplitude e: the principal root of 2 e / omega0."""
+        import numpy as np
+
         return np.sqrt(np.asarray(2.0 * e / self.omega0, dtype=complex))
 
     def _rate(self, p):
@@ -189,15 +198,23 @@ class LinearTrajectory(NamedTuple):
     p_rate: complex = 0.0
 
     def phi(self, t):
+        import numpy as np
+
         return self.phi_dot * np.asarray(t, dtype=float)
 
     def e(self, t):
+        import numpy as np
+
         return self.e0 + self.e_rate * np.asarray(t, dtype=float)
 
     def p(self, t):
+        import numpy as np
+
         return self.p0 + self.p_rate * np.asarray(t, dtype=complex)
 
     def p_dot(self, t):
+        import numpy as np
+
         return np.full(np.shape(t), complex(self.p_rate))
 
     def evaluate(self, t):
@@ -245,20 +262,18 @@ def overcompressivity(data: RiemannJumpData) -> Admissibility:
     k = 0 conditions are the same formulas with k set to zero.  All
     inequalities are strict, so boundary data is inadmissible.
     """
-    u1, k = data.u1, data.k
-    ratio = data.sigma1 / u1 if u1 != 0.0 else math.nan
-    m1, m2, m3 = overcompressivity_margins(u1, ratio, k)
+    m1, m2, m3 = overcompressivity_margins(data.u1, data.sigma1, data.k)
     ok = (m1 > 0.0) and (m2 > 0.0) and (m3 > 0.0)
     return Admissibility(bool(ok), (m1, m2, m3))
 
 
-def overcompressivity_margins(u1, ratio, k):
+def overcompressivity_margins(u1: float, sigma1: float,
+                              k: float) -> tuple[float, float, float]:
     """The three signed slacks of :func:`overcompressivity`, in its labels' order.
 
-    ``ratio`` is sigma1/u1, which the caller forms so that it can mark
-    u1 = 0 as nan; a nan ratio gives nan for the last two margins.  The
-    arithmetic is plain, so floats and numpy arrays get the same rounding.
+    The last two are nan at u1 = 0, where sigma1/u1 is undefined.
     """
+    ratio = sigma1 / u1 if u1 != 0.0 else math.nan
     half_window = 0.5 * u1 - k
     return u1 - 2.0 * k, ratio + half_window, half_window - ratio
 
@@ -292,6 +307,8 @@ def volpert_product_pairing(data: RiemannJumpData, kernel) -> float:
 
 def trajectory_columns(traj, t_grid) -> list[list[float]]:
     """Columns (t, phi, e, Re p, Im p) on ``t_grid``, for table export."""
+    import numpy as np
+
     t = np.asarray(t_grid, dtype=float)
     p = traj.p(t)
     return [t.tolist(), traj.phi(t).tolist(), traj.e(t).tolist(),

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import EXPONENTIAL, QUARTIC, canonical_kind
+from . import EXPONENTIAL, QUARTIC, canonical_kind, linear_grid
 
 __all__ = [
     "QUARTIC",
@@ -249,7 +249,7 @@ def make_kernel(kind: str) -> MollifierKernel:
 
 def default_t_grid(t_max: float = 1.0, points: int = 33):
     """Equispaced grid on [0, t_max] used for the uniform-in-t maxima."""
-    return np.linspace(0.0, float(t_max), points)
+    return np.array(linear_grid(0.0, t_max, points))
 
 
 def _check_eps(eps: float) -> float:

@@ -10,19 +10,19 @@ data admitting neither construction yields a no-solution-constructed
 outcome.  The solver refuses k = 0, where no bounded-variation solution
 carries a stress jump.
 
-One broadcast construction gives the delta-window flag, the
-intermediate state and both waves for any array of jumps: ``solve``
-runs it at one point, and ``regime_sweep`` on a whole (u1, sigma1) grid
-per k, returning the grid of regime codes, indices into ``REGIMES``:
-every code names the per-point answer.  At k = 0 only the
-singular-front test applies.  ``k_limit_gap`` compares the singular
-solutions at k and at 0 by their point masses.
+One construction on Python floats gives the intermediate state and both
+waves of a jump, and one window test its delta-window flag: ``solve``
+runs them once per jump, and ``regime_sweep`` at every point of a
+(u1, sigma1) grid per k, returning nested lists of regime codes, indices
+into ``REGIMES``: every code names the per-point answer.  At k = 0 only
+the singular-front test applies.  No numpy enters: the values are floats
+and lists, and an intermediate state or a tabulated value out of float
+range raises instead of turning inf or nan.  ``k_limit_gap`` compares
+the singular solutions at k and at 0 by their point masses.
 """
 
 import math
 from typing import TYPE_CHECKING, NamedTuple
-
-import numpy as np
 
 from .dynamics import (
     AdmissibilityError,
@@ -100,50 +100,57 @@ class RiemannSolution(NamedTuple):
 _KINDS = ("none", "rarefaction", "shock")
 
 
-def _wave(back, ahead, c, absent):
+def _in_window(u1: float, sigma1: float, k: float) -> bool:
+    """Whether the jump (u1, sigma1) lies in the overcompressive window at k."""
+    m1, m2, m3 = overcompressivity_margins(u1, sigma1, k)
+    return m1 > 0.0 and m2 > 0.0 and m3 > 0.0
+
+
+def _wave(back: float, ahead: float, c: float, absent: float) -> tuple[int, float, float]:
     """Kind code (into ``_KINDS``), slowest and fastest speed of the wave
     from velocity ``back`` to ``ahead`` whose characteristics run at u + c."""
-    none, fan = np.abs(ahead - back) <= ZERO_STRENGTH_TOL, ahead > back
+    if abs(ahead - back) <= ZERO_STRENGTH_TOL:
+        return 0, absent, absent
+    if ahead > back:
+        return 1, back + c, ahead + c
     shock = 0.5 * (back + ahead) + c
-    return (np.where(none, 0, np.where(fan, 1, 2)),
-            np.where(none, absent, np.where(fan, back + c, shock)),
-            np.where(none, absent, np.where(fan, ahead + c, shock)))
+    return 2, shock, shock
 
 
-def _construct(left_u, left_sigma, right_u, right_sigma, k: float):
-    """The Riemann construction of every jump from left to right, broadcast.
+def _construct(left_u: float, left_sigma: float, right_u: float, right_sigma: float,
+               k: float):
+    """The classical construction of the jump from left to right at k > 0.
 
-    Returns the overcompressive-window flag, u*, sigma*, both waves as
-    :func:`_wave` gives them, and whether wave 1 ends before wave 2 starts
-    (within 1e-12).  Overflow and division by zero (u1 = 0, a tiny or zero
-    k) give inf or nan quietly, as Python floats do; callers reject a
-    non-finite intermediate state.
+    Returns u*, sigma*, both waves as :func:`_wave` gives them, and whether
+    wave 1 ends before wave 2 starts (within 1e-12); or None where the
+    intermediate state leaves the float range (a tiny or huge k), which
+    callers reject.  Callers branch at k = 0, where the wave curves
+    coincide: the construction divides by 2k.
     """
-    with np.errstate(all="ignore"):
-        left_u, left_sigma, right_u, right_sigma = map(
-            np.float64, (left_u, left_sigma, right_u, right_sigma))
-        u1, sigma1 = left_u - right_u, left_sigma - right_sigma
-        m1, m2, m3 = overcompressivity_margins(u1, np.where(u1 != 0.0, sigma1 / u1, math.nan), k)
-        u_star = 0.5 * (left_u + right_u) + (right_sigma - left_sigma) / (2.0 * k)
-        sigma_star = left_sigma + k * (u_star - left_u)
-        wave1 = _wave(left_u, u_star, -k, -math.inf)
-        wave2 = _wave(u_star, right_u, k, math.inf)
-        ordered = wave1[2] <= wave2[1] + 1e-12
-    return (m1 > 0.0) & (m2 > 0.0) & (m3 > 0.0), u_star, sigma_star, wave1, wave2, ordered
+    u_star = 0.5 * (left_u + right_u) + (right_sigma - left_sigma) / (2.0 * k)
+    sigma_star = left_sigma + k * (u_star - left_u)
+    # sigma* is finite only where u* is: k > 0 carries inf and nan over.
+    if not math.isfinite(sigma_star):
+        return None
+    wave1 = _wave(left_u, u_star, -k, -math.inf)
+    wave2 = _wave(u_star, right_u, k, math.inf)
+    return u_star, sigma_star, wave1, wave2, wave1[2] <= wave2[1] + 1e-12
 
 
-def _classical(left: State, right: State, k: float, built) -> RiemannSolution:
-    """The classical solution of one jump from its construction."""
+def _classical(left: State, right: State, k: float) -> RiemannSolution:
+    """The classical solution of one jump, whatever its window flag."""
     if k <= 0.0:
         raise ValueError("classical wave curves need k > 0")
-    _, u_star, sigma_star, wave1, wave2, ordered = built
-    if not (math.isfinite(u_star) and math.isfinite(sigma_star)):
+    built = _construct(float(left.u), float(left.sigma), float(right.u), float(right.sigma),
+                       float(k))
+    if built is None:
         raise OverflowError(f"intermediate state (u*, sigma*) is out of float range "
                             f"for left={left}, right={right}, k={k!r}")
-    w1, w2 = (Wave(family, _KINDS[kind], float(slowest), float(fastest))
+    u_star, sigma_star, wave1, wave2, ordered = built
+    w1, w2 = (Wave(family, _KINDS[kind], slowest, fastest)
               for family, (kind, slowest, fastest) in ((1, wave1), (2, wave2)))
     return RiemannSolution(left, right, float(k), CLASSICAL if ordered else NO_SOLUTION,
-                           float(u_star), float(sigma_star), w1, w2)
+                           u_star, sigma_star, w1, w2)
 
 
 def solve(left: State, right: State, k: float) -> RiemannSolution:
@@ -151,59 +158,76 @@ def solve(left: State, right: State, k: float) -> RiemannSolution:
     ValueError for k < 0."""
     if k < 0.0:
         raise ValueError("k must be nonnegative")
-    built = _construct(*left, *right, k)
-    if built[0]:
+    if _in_window(float(left.u) - float(right.u), float(left.sigma) - float(right.sigma),
+                  float(k)):
         return RiemannSolution(left, right, float(k), DELTA_REGIME)
-    return _classical(left, right, k, built)
+    return _classical(left, right, k)
 
 
 _REGION_NAMES = ("left", "fan-1", "middle", "fan-2", "right")
 _LEFT, _FAN1, _MIDDLE, _FAN2, _RIGHT = range(len(_REGION_NAMES))
 
 
-def _regions(solution: RiemannSolution, x, t: float):
-    """xi = x/t and its region codes, of x's shape.  Regions may overlap
-    within the 1e-12 ordering tolerance: right beats left, a fan beats
-    both, and fan 2 beats fan 1."""
+def _regions(solution: RiemannSolution, x, t: float) -> tuple[list[float], list[int]]:
+    """xi = x/t and its region codes, as lists: one entry for a number x.
+    Regions may overlap within the 1e-12 ordering tolerance: right beats
+    left, a fan beats both, and fan 2 beats fan 1."""
     if solution.regime != CLASSICAL:
         raise NotApplicableError(
             f"pointwise evaluation needs a classical solution, got {solution.regime}")
     if not t > 0.0:
         raise ValueError("self-similar evaluation needs t > 0")
-    xi = np.asarray(x, dtype=float) / float(t)
+    t = float(t)
+    xis = [float(v) / t for v in x] if hasattr(x, "__iter__") else [float(x) / t]
     w1, w2 = solution.wave1, solution.wave2
-    codes = np.full(xi.shape, _MIDDLE, dtype=np.int8)
-    codes[xi < w1.slowest] = _LEFT
-    codes[xi > w2.fastest] = _RIGHT
-    if w1.kind == "rarefaction":
-        codes[(xi >= w1.slowest) & (xi <= w1.fastest)] = _FAN1
-    if w2.kind == "rarefaction":
-        codes[(xi >= w2.slowest) & (xi <= w2.fastest)] = _FAN2
-    return xi, codes
+    fan1, fan2 = w1.kind == "rarefaction", w2.kind == "rarefaction"
+    codes = [_FAN2 if fan2 and w2.slowest <= xi <= w2.fastest
+             else _FAN1 if fan1 and w1.slowest <= xi <= w1.fastest
+             else _RIGHT if xi > w2.fastest
+             else _LEFT if xi < w1.slowest
+             else _MIDDLE for xi in xis]
+    return xis, codes
 
 
 def eval_riemann(solution: RiemannSolution, x, t: float):
-    """Self-similar evaluation (u, sigma) of a classical solution, of x's shape.
+    """Self-similar evaluation (u, sigma) of a classical solution: floats for
+    a number x, lists for a sequence.
 
     Inside a family-1 fan u = xi + k and sigma follows the 1-family line;
     inside a family-2 fan u = xi - k and sigma follows the 2-family line.
+    OverflowError names a value out of float range, as in a fan at a huge k.
     """
-    xi, codes = _regions(solution, x, t)
+    xis, codes = _regions(solution, x, t)
     left, right, k = solution.left, solution.right, solution.k
-    # Constant states by region code (``...`` keeps 0-d an array); fans below.
-    u = np.array([left.u, 0.0, solution.u_star, 0.0, right.u])[codes, ...]
-    sigma = np.array([left.sigma, 0.0, solution.sigma_star, 0.0, right.sigma])[codes, ...]
-    fan1, fan2 = codes == _FAN1, codes == _FAN2
-    u[fan1] = xi[fan1] + k
-    sigma[fan1] = left.sigma + k * (u[fan1] - left.u)
-    u[fan2] = xi[fan2] - k
-    sigma[fan2] = solution.sigma_star - k * (u[fan2] - solution.u_star)
-    return u, sigma
+    u_star, sigma_star = solution.u_star, solution.sigma_star
+    left_u, left_sigma = float(left.u), float(left.sigma)
+    states = ((left_u, left_sigma), None, (u_star, sigma_star), None,
+              (float(right.u), float(right.sigma)))
+    us, sigmas = [], []
+    for xi, code in zip(xis, codes):
+        if code == _FAN1:
+            u = xi + k
+            sigma = left_sigma + k * (u - left_u)
+        elif code == _FAN2:
+            u = xi - k
+            sigma = sigma_star - k * (u - u_star)
+        else:
+            u, sigma = states[code]
+        for name, value in (("u", u), ("sigma", sigma)):
+            if not math.isfinite(value):
+                raise OverflowError(
+                    f"{name} in the {_REGION_NAMES[code]} region at xi={xi!r} is out of "
+                    f"float range for left={left}, right={right}, k={k!r}")
+        us.append(u)
+        sigmas.append(sigma)
+    if hasattr(x, "__iter__"):
+        return us, sigmas
+    return us[0], sigmas[0]
 
 
 def region_labels(solution: RiemannSolution, x, t: float = 1.0) -> list[str]:
     """Region of each point x at time t whose values :func:`eval_riemann` gives."""
-    return [_REGION_NAMES[c] for c in np.atleast_1d(_regions(solution, x, t)[1])]
+    return [_REGION_NAMES[c] for c in _regions(solution, x, t)[1]]
 
 
 def _require_admissible(data: RiemannJumpData) -> None:
@@ -256,38 +280,47 @@ def check_sweep_k(k) -> float:
 
 
 def regime_sweep(u1_values, sigma1_values, k_values,
-                 u0: float = 0.0, sigma0: float = 0.0) -> np.ndarray:
+                 u0: float = 0.0, sigma0: float = 0.0) -> list[list[list[int]]]:
     """Regime codes over a grid of jumps, for phase diagrams.
 
-    Entry ``[i, j, l]`` of the int8 result, of shape (len(k_values),
-    len(u1_values), len(sigma1_values)), indexes :data:`REGIMES` with
+    Entry ``[i][j][l]`` of the nested lists, of lengths len(k_values),
+    len(u1_values) and len(sigma1_values), indexes :data:`REGIMES` with
     ``solve(State(u0 + u1, sigma0 + sigma1), State(u0, sigma0), k).regime``
-    for the jump (u1_values[j], sigma1_values[l]) at k = k_values[i].
-    Each k is one pass of :func:`solve`'s construction over the grid.  At
-    k = 0 only the delta test applies, as the classical solver refuses
-    k = 0.  Raises ValueError for a k that is negative or not finite, for
+    for the jump (u1_values[j], sigma1_values[l]) at k = k_values[i]: each
+    point runs :func:`solve`'s window test and construction.  At k = 0
+    only the delta test applies, as the classical solver refuses k = 0.
+    Raises ValueError for a k that is negative or not finite, for
     non-finite grid values or background state, and for a jump outside the
     delta regime whose intermediate state leaves the float range, which
     :func:`solve` rejects (a tiny k): the grid is rejected, not coded.
     """
     ks = [check_sweep_k(k) for k in k_values]
-    u1 = np.asarray(u1_values, dtype=float)
-    s1 = np.asarray(sigma1_values, dtype=float)
+    u1s = [float(u1) for u1 in u1_values]
+    s1s = [float(s1) for s1 in sigma1_values]
     u0, sigma0 = float(u0), float(sigma0)
-    if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(s1))
-            and math.isfinite(u0) and math.isfinite(sigma0)):
+    if not all(map(math.isfinite, [*u1s, *s1s, u0, sigma0])):
         raise ValueError("sweep grid and background state must be finite")
-    left_u, left_sigma = (u0 + u1)[:, None], (sigma0 + s1)[None, :]
-    codes = np.empty((len(ks), u1.size, s1.size), dtype=np.int8)
-    for i, k in enumerate(ks):
-        delta, _, sigma_star, _, _, ordered = _construct(left_u, left_sigma, u0, sigma0, k)
-        classical = k > 0.0
-        lost = np.argwhere(classical & ~delta & ~np.isfinite(sigma_star))
-        if lost.size:
-            j, m = lost[0]
-            raise ValueError(f"at k={k!r} the intermediate state (u*, sigma*) of the jump "
-                             f"u1={float(u1[j])!r}, sigma1={float(s1[m])!r} is out of "
-                             f"float range")
-        codes[i] = np.where(delta, _DELTA_CODE,
-                            np.where(classical & ordered, _CLASSICAL_CODE, _NO_SOLUTION_CODE))
+    left_sigmas = [sigma0 + s1 for s1 in s1s]
+    codes = []
+    for k in ks:
+        plane = []
+        for u1 in u1s:
+            left_u = u0 + u1
+            jump_u = left_u - u0
+            row = []
+            for s1, left_sigma in zip(s1s, left_sigmas):
+                if _in_window(jump_u, left_sigma - sigma0, k):
+                    row.append(_DELTA_CODE)
+                    continue
+                if k == 0.0:
+                    row.append(_NO_SOLUTION_CODE)
+                    continue
+                built = _construct(left_u, left_sigma, u0, sigma0, k)
+                if built is None:
+                    raise ValueError(f"at k={k!r} the intermediate state (u*, sigma*) of "
+                                     f"the jump u1={u1!r}, sigma1={s1!r} is out of "
+                                     f"float range")
+                row.append(_CLASSICAL_CODE if built[4] else _NO_SOLUTION_CODE)
+            plane.append(row)
+        codes.append(plane)
     return codes

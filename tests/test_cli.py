@@ -219,20 +219,19 @@ def test_unallocatable_grid_exits_one_with_one_line(monkeypatch, tmp_path, capsy
     # whose tables exhaust memory was killed by the OS (t_points = 1e8 ran
     # for minutes, then exit 137).  One row above the cap is refused before
     # any grid that large is made, or any verdict computed.
-    import numpy as np
+    from deltashock import cli, linear_grid, verifier
 
-    from deltashock import verifier
-
-    linspace = np.linspace
-
-    def bounded(start, stop, num=50, **kwargs):
+    def bounded(start, stop, num):
         assert num <= MAX_ROWS, f"a grid of {num} points was allocated"
-        return linspace(start, stop, num, **kwargs)
+        return linear_grid(start, stop, num)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a verdict was computed")
 
-    monkeypatch.setattr(np, "linspace", bounded)
+    # Every grid of a run is made by linear_grid: riemann's in cli, the
+    # time grid in kernels.default_t_grid.
+    for module in (cli, kernels):
+        monkeypatch.setattr(module, "linear_grid", bounded)
     monkeypatch.setattr(verifier, "verify_weak_solution", refuse)
     cfg = write(tmp_path, text)
     rc = main(["--config", cfg, "--out", str(tmp_path), command])
@@ -628,6 +627,50 @@ def test_riemann_intermediate_state_out_of_float_range_exits_one(tmp_path, capsy
         f"left=State(u={left[0]!r}, sigma={left[1]!r}), "
         f"right=State(u={right[0]!r}, sigma={right[1]!r}), k={k}"]
     assert not (tmp_path / "riemann.csv").exists()
+
+
+# Rarefactions on both sides at k = 1e308: each fan is one xi wide in
+# rounding, so u = xi -+ k lands 5 or 4 from its side's state and k times that
+# overflows sigma, while sigma* = 1e308 is in range.
+HUGE_K_FANS = "[data]\nu0 = -3.0\nu1 = -2.0\nsigma1 = 0.5\nk = 1e308\n"
+_FANS_AT = "for left=State(u=-5.0, sigma=0.5), right=State(u=-3.0, sigma=0.0), k=1e+308"
+
+
+@pytest.mark.parametrize("text,message", [
+    (CLASSICAL_INI + "[riemann]\nxi_min = -1e308\nxi_max = 1e308\n",
+     "xi grid xi_min + i (xi_max - xi_min)/(xi_points - 1) is out of float range for "
+     "xi_min=-1e+308, xi_max=1e+308, xi_points=401"),
+    (CLASSICAL_INI + "[riemann]\nxi_min = 0.0\nxi_max = 1.7976931348623157e308\n"
+     "xi_points = 120\n",
+     "xi grid xi_min + i (xi_max - xi_min)/(xi_points - 1) is out of float range for "
+     "xi_min=0.0, xi_max=1.7976931348623157e+308, xi_points=120"),
+    (HUGE_K_FANS + "[riemann]\nxi_min = -1e308\nxi_max = 0.0\nxi_points = 2\n",
+     f"sigma in the fan-1 region at xi=-1e+308 is out of float range {_FANS_AT}"),
+    (HUGE_K_FANS + "[riemann]\nxi_min = 0.0\nxi_max = 1e308\nxi_points = 2\n",
+     f"sigma in the fan-2 region at xi=1e+308 is out of float range {_FANS_AT}"),
+], ids=["xi-span-overflows", "xi-last-multiple-overflows", "fan-1-huge-k", "fan-2-huge-k"])
+def test_riemann_value_out_of_float_range_names_quantity(tmp_path, capsys, text, message):
+    # These used to print numpy's "overflow encountered in subtract" (the xi
+    # span) or "... in multiply" (the grid's last multiple of its spacing
+    # before it is set to xi_max, and k (u - u_side) in a fan).  Every
+    # tabulated xi, u and sigma is finite, or the run writes no table.
+    cfg = write(tmp_path, text)
+    rc = main(["--config", cfg, "--out", str(tmp_path), "riemann"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "riemann.csv").exists()
+
+
+def test_riemann_table_reaching_the_largest_float_is_finite(tmp_path):
+    # xi_max at the largest float, where the grid's last multiple of its
+    # spacing stays in range: the row is tabulated at xi_max, not rejected.
+    cfg = write(tmp_path, CLASSICAL_INI + "[riemann]\nxi_min = 0.0\n"
+                "xi_max = 1.7976931348623157e308\nxi_points = 3\n")
+    assert main(["--config", cfg, "--out", str(tmp_path), "riemann"]) == 0
+    rows = (tmp_path / "riemann.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0.0", "8.988465674311579e+307",
+                                                    "1.7976931348623157e+308"]
 
 
 def test_kernel_free_commands_build_no_kernel(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from deltashock import canonical_kind, default_eps_grid
+from deltashock import canonical_kind, default_eps_grid, linear_grid
 from deltashock.ansatz import RiemannJumpData, SmoothAnsatz
 from deltashock.dynamics import LinearTrajectory, solve_front, volpert_product_pairing
 from deltashock.kernels import (
@@ -24,6 +24,7 @@ from deltashock.kernels import (
     eval_delta_reg,
     eval_delta_reg_dx,
     make_kernel,
+    default_t_grid,
     primitive_table,
     product_columns,
     _PANEL_NODES,
@@ -59,6 +60,31 @@ def test_gauss_rule_literals_are_leggauss_bitwise():
         assert nodes.dtype == weights.dtype == np.float64
         assert nodes.tobytes() == want_nodes.tobytes(), count
         assert weights.tobytes() == want_weights.tobytes(), count
+
+
+def _linspace_cases():
+    """(start, stop, num): the edge cases, then seeded ones over the float range."""
+    cases = [(0.0, 1.0, 0), (0.0, 1.0, 1), (0.0, 1.0, 2), (-3.5, 2.0, 1), (-3.5, 2.0, 2),
+             (-4.0, 4.0, 81), (-5.0, 5.0, 401), (0.0, 1.0, 33), (2.0, 2.0, 5),
+             (0.0, 5e-323, 41), (-1e-322, 1e-322, 401), (3e-323, 0.0, 99),  # step underflows
+             (1e300, -1e300, 7), (0.0, 1.7976931348623157e308, 120)]
+    rng = np.random.default_rng(44)
+    for _ in range(2000):
+        start, stop = rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.integers(-323, 308, 2)
+        cases.append((float(start), float(stop), int(rng.integers(0, 300))))
+    return cases
+
+
+def test_linear_grid_is_linspace_bitwise():
+    # riemann's xi grid and the sweep's axes are made without numpy, and the
+    # default time grid by the same rule: each must be numpy's grid to the bit.
+    for start, stop, num in _linspace_cases():
+        grid = linear_grid(start, stop, num)
+        assert type(grid) is list and all(type(x) is float for x in grid)
+        with np.errstate(all="ignore"):  # the span or the last multiple may overflow
+            want = np.linspace(start, stop, num)
+        assert np.array(grid, dtype=float).tobytes() == want.tobytes(), (start, stop, num)
+    assert default_t_grid(2.5, 17).tobytes() == np.linspace(0.0, 2.5, 17).tobytes()
 
 
 def test_quartic_normalization_closed_form():

@@ -109,23 +109,23 @@ script = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(script)
 assert script.main(["--out", sys.argv[2], "--n", "3"]) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "deltashock")))
-print(json.dumps("dataclasses" in sys.modules))
+print(json.dumps(["numpy" in sys.modules, "dataclasses" in sys.modules]))
 """
 
 
 def test_sweep_loads_only_the_modules_it_computes_with(tmp_path):
     # The cli benchmark times the sweep as a fresh process: writing its
-    # tables must not load the CLI, the config reader, the kernel layer,
-    # the ansatz, the pairing engine or the verifier, nor build a dataclass
-    # (each costs about a millisecond).
+    # tables must not load numpy (about 135 ms), the CLI, the config
+    # reader, the kernel layer, the ansatz, the pairing engine or the
+    # verifier, nor build a dataclass (each costs about a millisecond).
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     done = subprocess.run([sys.executable, "-c", _FRESH_SWEEP, str(SCRIPT), str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=60, check=True)
-    *_, loaded, dataclasses = done.stdout.splitlines()
+    *_, loaded, flags = done.stdout.splitlines()
     assert json.loads(loaded) == ["deltashock"] + [f"deltashock.{m}" for m in _SWEEP_LOADS]
-    assert json.loads(dataclasses) is False
+    assert json.loads(flags) == [False, False]
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -170,6 +170,34 @@ def test_out_that_cannot_be_a_directory_exits_two_with_one_line(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [f"error: --out {tmp_path / 'file' / 'below'}: "
                                         "Not a directory"]
+
+
+@pytest.mark.parametrize("argv,rows", [
+    (["--n", "1000000"], "3000000000000 rows (3 ks times --n 1000000 squared)"),
+    (["--n", "1183"], "4198467 rows (3 ks times --n 1183 squared)"),
+    (["--n", "2049", "--ks", "0.5"], "4198401 rows (1 ks times --n 2049 squared)"),
+], ids=["huge-n", "default-ks-cap-plus-one", "one-k-cap-plus-one"])
+def test_grid_above_the_row_cap_exits_one_with_one_line(tmp_path, capsys, argv, rows):
+    # Without numpy no failed allocation guards --n: a grid above the cap is
+    # refused before anything is computed, and a huge one does not run until
+    # the OS kills it.
+    rc = _load_script().main(["--out", str(tmp_path)] + argv)
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: out of memory: {rows} exceed the {2**22} a sweep may tabulate"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_row_cap_is_checked_on_ks_times_n_squared(tmp_path, capsys, monkeypatch):
+    script = _load_script()
+    monkeypatch.setattr(script, "MAX_ROWS", 2 * 9 * 9)
+    assert script.main(["--out", str(tmp_path / "at"), "--n", "9", "--ks", "0", "0.5"]) == 0
+    assert len((tmp_path / "at" / "regimes_k0p5.csv").read_text().splitlines()) == 1 + 8 * 9
+    capsys.readouterr()
+    assert script.main(["--out", str(tmp_path / "above"), "--n", "10", "--ks", "0", "0.5"]) == 1
+    assert capsys.readouterr().err.startswith("error: out of memory: 200 rows")
+    assert list((tmp_path / "above").iterdir()) == []
 
 
 def test_grid_too_large_to_allocate_exits_one_with_one_line(tmp_path, capsys, monkeypatch):

@@ -501,13 +501,13 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "deltashock"),
-                  "numpy.polynomial" in sys.modules, "dataclasses" in sys.modules,
-                  "numpy.random" in sys.modules]))
+                  "numpy" in sys.modules, "numpy.polynomial" in sys.modules,
+                  "dataclasses" in sys.modules, "numpy.random" in sys.modules]))
 """
 
 # The package modules each fresh run loads: every CLI run _CLI_LOADS, and
 # each subcommand its own besides; the regime sweep the package and
-# _SWEEP_LOADS.
+# _SWEEP_LOADS.  Only the subcommands in _NUMPY_COMMANDS load numpy.
 # README's "also loads" table and sweep paragraph are checked against these.
 _CLI_LOADS = ["deltashock", "deltashock.cli", "deltashock.config"]
 _COMMAND_LOADS = {
@@ -518,12 +518,13 @@ _COMMAND_LOADS = {
     "verify-solution": ["ansatz", "dynamics", "kernels", "pairing", "verifier"],
 }
 _SWEEP_LOADS = ["dynamics", "riemann", "tables"]
+_NUMPY_COMMANDS = {"front", "k-limit", "verify-expansions", "verify-solution"}
 
 
 def _fresh_command(tmp_path, config, command):
     """Run a subcommand in a fresh interpreter: its exit code, the package
-    modules it loaded, and whether it loaded numpy.polynomial, dataclasses
-    and numpy.random."""
+    modules it loaded, and whether it loaded numpy, numpy.polynomial,
+    dataclasses and numpy.random."""
     root = Path(deltashock.__file__).resolve().parents[2]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     done = subprocess.run(
@@ -542,16 +543,18 @@ def _fresh_command(tmp_path, config, command):
 def test_each_command_loads_only_the_modules_it_computes_with(tmp_path, config,
                                                               command, modules):
     # The cli benchmark times fresh processes, so a subcommand pays for every
-    # module it loads: riemann loads no kernel layer, and only
+    # module it loads: riemann loads neither numpy (about 135 ms) nor the
+    # kernel layer, every other subcommand computes with numpy, and only
     # verify-solution loads the ansatz.  On the quartic kernel no command loads
     # numpy.polynomial (the Gauss rule is literals), and only the commands
     # that pair load dataclasses, for ``Piecewise``: a frozen dataclass
     # costs about a millisecond to build.  No subcommand draws random
     # numbers, so none loads numpy.random either (about 12 ms).
     root = Path(deltashock.__file__).resolve().parents[2]
-    loaded, polynomial, dataclasses, random = _fresh_command(
+    loaded, numpy, polynomial, dataclasses, random = _fresh_command(
         tmp_path, root / "configs" / f"{config}.ini", command)
     assert loaded == sorted(_CLI_LOADS + [f"deltashock.{m}" for m in modules])
+    assert numpy == (command in _NUMPY_COMMANDS)
     assert not polynomial
     assert dataclasses == ("pairing" in modules)
     assert not random
@@ -600,11 +603,12 @@ def test_readme_names_the_modules_each_run_loads():
     section = text.split("\n## Command line\n")[1].split("\n## ")[0]
     every = re.search(r"^Every run loads (.*?);", section, re.M | re.S)[1]
     assert ["deltashock." + m for m in re.findall(r"`(\w+)`", every)] == _CLI_LOADS[1:]
-    rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", section, re.M))
-    assert {command: re.findall(r"`(\w+)`", cells) for command, cells in rows.items()} \
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \| (yes|no) \|$", section, re.M)
+    assert {command: re.findall(r"`(\w+)`", cells) for command, cells, _ in rows} \
         == _COMMAND_LOADS
-    sweep = re.search(r"It loads only the package modules it computes with\s+\((.*?)\)",
-                      text, re.S)[1]
+    assert {command for command, _, numpy in rows if numpy == "yes"} == _NUMPY_COMMANDS
+    sweep = re.search(r"It loads no\s+numpy and only the package modules it computes with"
+                      r"\s+\((.*?)\)", text, re.S)[1]
     assert re.findall(r"`(\w+)`", sweep) == _SWEEP_LOADS
 
 
@@ -648,7 +652,7 @@ def test_only_the_exponential_kernel_loads_numpy_polynomial(tmp_path):
     assert "kind = quartic" in text
     config = tmp_path / "exponential.ini"
     config.write_text(text.replace("kind = quartic", "kind = exponential"))
-    loaded, polynomial, *_ = _fresh_command(tmp_path, config, "verify-expansions")
+    loaded, _, polynomial, *_ = _fresh_command(tmp_path, config, "verify-expansions")
     assert loaded == sorted(_CLI_LOADS + [f"deltashock.{m}"
                                           for m in _COMMAND_LOADS["verify-expansions"]])
     assert polynomial
