@@ -5,6 +5,7 @@ Subpackages:
 
 * :mod:`deltashock.kernels`   mollifier kernels and regularized profiles
 * :mod:`deltashock.pairing`   distributional pairing and coefficient extraction
+* :mod:`deltashock.fit`       the one log-log slope fit, on Python floats
 * :mod:`deltashock.ansatz`    the front protocol and the smooth eps-family
 * :mod:`deltashock.dynamics`  jump data, closed-form front dynamics and admissibility
 * :mod:`deltashock.riemann`   classical Riemann solver and small-k limit study
@@ -12,8 +13,9 @@ Subpackages:
 * :mod:`deltashock.tables`    the one CSV/JSON table writer
 * :mod:`deltashock.cli`       config-driven command line front end
 
-The root holds the kernel kinds, the eps grid's default powers and
-rules, and the evenly spaced grid rule, without numpy.
+The root holds the kernel kinds, the quartic kernel's omega0, the eps
+grid's default powers and rules, and the evenly spaced grid rule, without
+numpy.
 """
 
 import math
@@ -23,6 +25,10 @@ __version__ = "0.1.0"
 QUARTIC = "quartic-polynomial-bump"
 EXPONENTIAL = "smooth-exponential-bump"
 KERNEL_KINDS = (QUARTIC, EXPONENTIAL)
+
+# omega0 = int omega^2 = (15/16)^2 * 256/315 = 5/7 for the quartic bump: the
+# front's default, which needs no kernel layer.
+QUARTIC_OMEGA0 = 5.0 / 7.0
 
 _ALIASES = {
     QUARTIC: QUARTIC,

@@ -21,9 +21,12 @@ its subcommand computes; reports are JSON.
 
 Importing this module loads only the config reader, which needs no
 numpy.  Each subcommand imports the package modules it computes with, and
-:func:`main` imports numpy just before it runs one that computes with
-numpy, so ``--help``, a usage error, a config error and ``riemann``, which
-computes on Python floats, run without it.
+:func:`main` imports numpy just before it runs ``verify-expansions`` or
+``verify-solution``, the two that compute with numpy, so ``--help``, a
+usage error, a config error, ``riemann``, ``front`` and ``k-limit``, which
+compute on Python floats, run without it.  Only ``front`` with a kernel
+other than the quartic loads the kernel layer, and numpy with it, for that
+kernel's omega0.
 """
 
 import argparse
@@ -31,7 +34,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import linear_grid
+from . import QUARTIC, QUARTIC_OMEGA0, linear_grid
 from .config import ConfigError, RunConfig, load_config
 
 EXIT_OK = 0
@@ -44,6 +47,9 @@ K_ORDER_TOL = 0.01
 # verify-solution times x eps values.  tracemalloc puts a run's peak at
 # 801 bytes a row at most (front, csv), so a run at the cap stays under 1 GiB.
 MAX_ROWS = 2**20
+# The subcommands that compute with numpy; every other one runs on Python
+# floats and rejects what leaves the float range itself.
+_NUMPY_COMMANDS = ("verify-expansions", "verify-solution")
 
 
 def _write_json(obj, path: Path) -> None:
@@ -77,9 +83,9 @@ def _check_rows(rows: int, source: str) -> None:
         raise MemoryError(f"{rows} rows ({source}) exceed the {MAX_ROWS} a run may tabulate")
 
 
-def _position(data, speed: float, t: float) -> float:
-    """The front position phi(t) = speed * t, checked to be in float range."""
-    return data.finite(f"front position phi(t) = front speed * t at t={t:g}", lambda: speed * t)
+def _position(data, speed: float, t: float) -> None:
+    """Check that the front position phi(t) = speed * t is in float range."""
+    data.finite(f"front position phi(t) = front speed * t at t={t:g}", lambda: speed * t)
 
 
 def _front(data, omega0: float, t_max: float):
@@ -136,14 +142,18 @@ def cmd_verify_expansions(cfg: RunConfig, out: Path, fmt: str) -> int:
 
 def cmd_front(cfg: RunConfig, out: Path, fmt: str) -> int:
     from .dynamics import overcompressivity, trajectory_columns
-    from .kernels import default_t_grid, make_kernel
     from .tables import write_table
 
     data = cfg.jump_data()
-    kernel = make_kernel(cfg.kernel_kind)
-    traj = _front(data, kernel.omega0, cfg.t_max)
+    if cfg.kernel_kind == QUARTIC:
+        omega0 = QUARTIC_OMEGA0
+    else:
+        from .kernels import make_kernel
+
+        omega0 = make_kernel(cfg.kernel_kind).omega0
+    traj = _front(data, omega0, cfg.t_max)
     _check_rows(cfg.t_points, "[grid] t_points")
-    write_table(trajectory_columns(traj, default_t_grid(cfg.t_max, cfg.t_points)),
+    write_table(trajectory_columns(traj, linear_grid(0.0, cfg.t_max, cfg.t_points)),
                 ["t", "phi", "e", "re_p", "im_p"], out / "front", fmt)
     adm = overcompressivity(data)
     print(f"front speed = {traj.phi_dot!r}, amplitude rate = {traj.e_rate!r}")
@@ -227,26 +237,23 @@ def cmd_riemann(cfg: RunConfig, out: Path, fmt: str) -> int:
 
 
 def cmd_k_limit(cfg: RunConfig, out: Path, fmt: str) -> int:
-    import numpy as np
-
     from .dynamics import e_rate, front_speed
-    from .pairing import default_test_suite, fit_loglog_slope
+    from .fit import fit_loglog_slope
     from .riemann import k_limit_gap
     from .tables import write_table
 
     data = cfg.jump_data()
     t = cfg.klimit_t
-    # The front and its test function do not depend on k.  The data's own
-    # amplitude rate enters no gap, but it is checked after the speed and
-    # before the position, as the front command checks it.
+    # The front does not depend on k.  The data's own amplitude rate enters
+    # no gap, but it is checked after the speed and before the position, as
+    # the front command checks it.
     speed = front_speed(data)
     e_rate(data)
-    front = _position(data, speed, t)
-    phi_test = default_test_suite(np.full(1, front), 0.0)[0]
-    weight = float(phi_test.value(front))
+    _position(data, speed, t)
     ks = cfg.klimit_ks
-    gaps = [k_limit_gap(data, k, t, phi_test) for k in ks]
-    expected = [-(k**2) * data.u1 * t * weight for k in ks]
+    gaps = [k_limit_gap(data, k, t) for k in ks]
+    # The gaps pair against the plain bump centred on the front, 1.0 there.
+    expected = [-(k**2) * data.u1 * t for k in ks]
     errs = [abs(gap - want) for gap, want in zip(gaps, expected)]
     # A gap below the normal floats has too few digits to fit: it is 0 where the
     # two amplitude rates round alike, or the product with t is subnormal.
@@ -311,9 +318,8 @@ def main(argv=None) -> int:
         print(f"error: --out {args.out}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "riemann":
-            # Python floats: the solver rejects what leaves the float range.
-            return cmd_riemann(cfg, out, args.format)
+        if args.command not in _NUMPY_COMMANDS:
+            return _COMMANDS[args.command](cfg, out, args.format)
         import numpy as np
 
         # A value that overflows or turns nan is a failure, not a result.

@@ -12,19 +12,22 @@ principal branch (real and nonnegative while e >= 0, purely imaginary
 with nonnegative imaginary part while e < 0).  In the shock case
 :func:`volpert_product_pairing` reads the averaged product u * dsigma/dx
 off the primitive table.  A numerical ODE integration and the Volpert
-jump relations are test oracles only.  Only it and :func:`solve_front`'s
-default omega0 need :mod:`deltashock.kernels`; they import it when run.
+jump relations are test oracles only.  :func:`volpert_product_pairing`
+alone needs :mod:`deltashock.kernels`, and imports it when run:
+:func:`solve_front`'s default omega0, the quartic kernel's, is a constant
+of the package root.
 
 The jump data, rates, admissibility and margins are Python float
-arithmetic, so the classical Riemann solver and the regime sweep, which
-read them, run without numpy.  Only the trajectories' array evaluators
-and :func:`trajectory_columns` compute with numpy; they import it when run.
+arithmetic, and so is :func:`trajectory_columns`, the front's table, so
+the classical Riemann solver, the regime sweep, ``front`` and ``k-limit``,
+which read them, run without numpy.  Only the trajectories' array
+evaluators compute with numpy; they import it when run.
 """
 
 import math
 from typing import NamedTuple
 
-from . import QUARTIC
+from . import QUARTIC_OMEGA0
 
 __all__ = [
     "DegenerateDataError",
@@ -222,17 +225,13 @@ class LinearTrajectory(NamedTuple):
         return self.phi(t), self.e(t), self.p(t), self.p_dot(t)
 
 
-def solve_front(data: RiemannJumpData, omega0: float | None = None) -> FrontTrajectory:
+def solve_front(data: RiemannJumpData, omega0: float = QUARTIC_OMEGA0) -> FrontTrajectory:
     """Closed-form trajectory through phi(0) = 0, e(0) = e0.
 
     ``omega0`` defaults to the quartic kernel's; a front for any other
     kernel must pass ``kernel.omega0``.  Only p depends on it: code that
     needs only the rates reads :func:`front_speed` and :func:`e_rate`.
     """
-    if omega0 is None:
-        from .kernels import make_kernel
-
-        omega0 = make_kernel(QUARTIC).omega0
     return FrontTrajectory(front_speed(data), e_rate(data), data.e0, float(omega0))
 
 
@@ -305,11 +304,14 @@ def volpert_product_pairing(data: RiemannJumpData, kernel) -> float:
     return float(-data.sigma1 * table.limits(weights, ["u dsigma/dx"])[0][0])
 
 
-def trajectory_columns(traj, t_grid) -> list[list[float]]:
-    """Columns (t, phi, e, Re p, Im p) on ``t_grid``, for table export."""
-    import numpy as np
-
-    t = np.asarray(t_grid, dtype=float)
-    p = traj.p(t)
-    return [t.tolist(), traj.phi(t).tolist(), traj.e(t).tolist(),
-            p.real.tolist(), p.imag.tolist()]
+def trajectory_columns(front: FrontTrajectory, t_grid) -> list[list[float]]:
+    """Columns (t, phi, e, Re p, Im p) of the solved front on ``t_grid``, for
+    table export, on Python floats: bit for bit what :meth:`FrontTrajectory.phi`,
+    ``e`` and ``p`` give.  p^2 = q = 2 e/omega0, so p is sqrt(q) where q > 0,
+    i sqrt(-q) where q < 0 and 0 at q = +-0, the principal root's signs."""
+    t = [float(v) for v in t_grid]
+    phi = [front.phi_dot * v for v in t]
+    e = [front.e0 + front.e_rate * v for v in t]
+    q = [2.0 * v / front.omega0 for v in e]
+    return [t, phi, e, [math.sqrt(v) if v > 0.0 else 0.0 for v in q],
+            [math.sqrt(-v) if v < 0.0 else 0.0 for v in q]]

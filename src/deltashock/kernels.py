@@ -39,7 +39,8 @@ and the exponential kernel's mass, omega0 and antiderivative use it, on
 16 nodes a panel but for the quartic table's 10.  Its nodes are literals
 and the Chebyshev fit is made on first use, so only the exponential
 kernel loads ``numpy.polynomial``.  The default time grid lives here
-too; the kernel kinds and the eps grid rules live in the package root.
+too; the kernel kinds, the quartic kernel's omega0 and the eps grid
+rules live in the package root.
 """
 
 import math
@@ -49,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import EXPONENTIAL, QUARTIC, canonical_kind, linear_grid
+from . import EXPONENTIAL, QUARTIC, QUARTIC_OMEGA0, canonical_kind, linear_grid
 
 __all__ = [
     "QUARTIC",
@@ -77,8 +78,6 @@ __all__ = [
 # Unit-mass constant for the quartic bump: integral of (1-x^2)^2 over
 # (-1, 1) is 16/15.
 _QUARTIC_NORM = 15.0 / 16.0
-# omega0 = int omega^2 = (15/16)^2 * 256/315 = 5/7 for the quartic bump.
-_QUARTIC_OMEGA0 = 5.0 / 7.0
 
 _CDF_CHEB_DEGREE = 128
 
@@ -237,7 +236,7 @@ def _exp_fit():
 @lru_cache(maxsize=None)
 def _kernel_for(canonical: str) -> MollifierKernel:
     if canonical == QUARTIC:
-        return MollifierKernel(QUARTIC, _QUARTIC_NORM, _QUARTIC_OMEGA0)
+        return MollifierKernel(QUARTIC, _QUARTIC_NORM, QUARTIC_OMEGA0)
     norm, omega0, _ = _exp_fit()
     return MollifierKernel(EXPONENTIAL, norm, omega0)
 

@@ -31,13 +31,12 @@ matter how callers parallelize.
 
 import math
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import mul, sub
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import check_eps_grid, default_eps_grid
+from .fit import OrderEstimate, fit_loglog_slope
 from .kernels import (
     BAND_EDGES,
     NEGLIGIBLE_RTOL,
@@ -58,8 +57,6 @@ __all__ = [
     "NumericsError",
     "pair",
     "extrapolate_limit",
-    "fit_loglog_slope",
-    "OrderEstimate",
     "estimate_order",
     "extract_point_coeffs",
     "PairingReport",
@@ -72,8 +69,6 @@ __all__ = [
 
 PLAIN_BUMP = "plain-bump"
 LINEAR_BUMP = "linear-times-bump"
-
-ORDER_EXACT = math.inf
 
 # Decay orders of extracted coefficients are fitted on the finest points.
 _ORDER_TAIL = 5
@@ -130,9 +125,7 @@ def default_test_suite(phi, eps_max: float) -> tuple[TestFunction, ...]:
     The package's one rule for placing test functions: :func:`pair_table`,
     and so the verdict and the Lemma 3.1 suite, and the oracle
     :func:`extract_point_coeffs` take their probes from it.  The halfwidth
-    is at least 1, and is 1 at a single front for eps_max up to 1/8.  The
-    k-limit, which pairs the eps -> 0 solutions, takes the plain bump of
-    a single front at eps_max = 0: centred on the front, halfwidth 1.
+    is at least 1, and is 1 at a single front for eps_max up to 1/8.
     """
     return _suite_over(float(phi.min()), float(phi.max()), eps_max)
 
@@ -266,59 +259,6 @@ def extrapolate_limit(eps_grid, values) -> complex | float:
     if abs(richardson_full - richardson_drop) <= abs(aitken_full - aitken_drop):
         return richardson_full
     return aitken_full
-
-
-class OrderEstimate(NamedTuple):
-    """Decay orders alpha (larger = faster) and log-log fit residuals, one per series."""
-
-    order: tuple[float, ...]
-    residual: tuple[float, ...]
-
-
-def _deviations(logs: list[float]) -> list[float]:
-    """The deviations of ``logs`` from their mean."""
-    n = len(logs)
-    mean = sum(logs) / n
-    return list(map(sub, logs, repeat(mean, n)))
-
-
-def fit_loglog_slope(xs: Sequence[float], rows: list[list[float]],
-                     floors: list[float]) -> OrderEstimate:
-    """Least-squares slope of log y against log xs, and its fit residual,
-    of each series of ``rows``, ``[series][point]``, over its points above
-    its floor in ``floors``: the package's one slope fit, on Python floats.
-
-    The slope is sum(dx dy) / sum(dx^2) over the logs' deviations from
-    their means: +inf, the sentinel of a converged series, below two points
-    above the floor, and nan when sum(dx^2) = 0, as for equal logs.  The
-    residual is sqrt(SSR / n), 0 below three points.  Neither nan raises or
-    warns.  Built-in ``sum`` is compensated from Python 3.12 on (3.10 is
-    allowed): on 2,000 synthetic series over the default eps grid, 3.12.1
-    moved 659 of 3.11.7's slopes, by up to 4.1e-16 relative, and residuals
-    near rounding by more; the package itself was not run on 3.12.
-    """
-    log_xs = list(map(math.log, xs))
-    dx = _deviations(log_xs)
-    every = dx, sum(map(mul, dx, dx))  # shared by the series that keep every point
-    orders, residuals = [], []
-    for row, low in zip(rows, floors):
-        keep = [y > low for y in row]
-        if keep.count(True) < 2:
-            orders.append(ORDER_EXACT)
-            residuals.append(0.0)
-            continue
-        if all(keep):
-            (dx, spread), log_ys = every, list(map(math.log, row))
-        else:
-            dx = _deviations(list(compress(log_xs, keep)))
-            spread, log_ys = sum(map(mul, dx, dx)), list(map(math.log, compress(row, keep)))
-        n = len(dx)
-        dy = _deviations(log_ys)
-        slope = sum(map(mul, dx, dy)) / spread if spread > 0.0 else math.nan
-        misfit = list(map(sub, dy, map(mul, dx, repeat(slope, n))))
-        orders.append(slope)
-        residuals.append(math.sqrt(sum(map(mul, misfit, misfit)) / n) if n >= 3 else 0.0)
-    return OrderEstimate(tuple(orders), tuple(residuals))
 
 
 def _errors(values, limit):

@@ -31,13 +31,13 @@ import numpy as np
 from . import check_eps_grid, default_eps_grid
 from .ansatz import Front, SmoothAnsatz
 from .dynamics import RiemannJumpData, e_rate, overcompressivity
+from .fit import fit_loglog_slope
 from .kernels import NEGLIGIBLE_RTOL, MollifierKernel, default_t_grid, primitive_table
 from .pairing import (
     LINEAR_BUMP,
     NumericsError,
     PLAIN_BUMP,
     Piecewise,
-    fit_loglog_slope,
     pair_table,
 )
 

@@ -5,12 +5,12 @@ from scipy.integrate import quad
 from deltashock.ansatz import RiemannJumpData, SmoothAnsatz
 from deltashock.config import RunConfig
 from deltashock.dynamics import DegenerateDataError, LinearTrajectory, solve_front
+from deltashock.fit import fit_loglog_slope
 from deltashock.kernels import QUARTIC, StepProfile, make_kernel, product_columns
 from deltashock.pairing import (
     TestFunction,
     estimate_order,
     extrapolate_limit,
-    fit_loglog_slope,
     pair,
 )
 from deltashock.riemann import State, solve

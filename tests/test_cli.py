@@ -14,7 +14,6 @@ from deltashock import default_eps_grid, kernels
 from deltashock.ansatz import RiemannJumpData
 from deltashock.cli import MAX_ROWS, _check_rows, main
 from deltashock.config import _TABLE, ConfigError, RunConfig, load_config
-from deltashock.pairing import TestFunction
 from deltashock.riemann import k_limit_gap
 
 SHIPPED_WORKED = Path(__file__).resolve().parents[1] / "configs" / "worked.ini"
@@ -629,6 +628,20 @@ def test_riemann_intermediate_state_out_of_float_range_exits_one(tmp_path, capsy
     assert not (tmp_path / "riemann.csv").exists()
 
 
+def test_riemann_shock_speed_out_of_float_range_exits_one(tmp_path, capsys):
+    # Both velocities and u* are in range, but their sum in the 1-shock's
+    # speed (u_left + u*)/2 - k rounds past it: this printed "wave 1: shock,
+    # speed = -inf" and wrote a table with no left row, with exit 0.
+    cfg = write(tmp_path, "[data]\nu0 = -7e307\nu1 = -3e307\nsigma1 = 1.3e308\nk = 1.0\n")
+    rc = main(["--config", cfg, "--out", str(tmp_path), "riemann"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: wave 1 shock speed is out of float range for "
+        "left=State(u=-1e+308, sigma=1.3e+308), right=State(u=-7e+307, sigma=0.0), k=1.0"]
+    assert not (tmp_path / "riemann.csv").exists()
+
+
 # Rarefactions on both sides at k = 1e308: each fan is one xi wide in
 # rounding, so u = xi -+ k lands 5 or 4 from its side's state and k times that
 # overflows sigma, while sigma* = 1e308 is in range.
@@ -674,21 +687,25 @@ def test_riemann_table_reaching_the_largest_float_is_finite(tmp_path):
 
 
 def test_kernel_free_commands_build_no_kernel(tmp_path, capsys, monkeypatch):
-    # The front speed, the amplitude rate and the small-k gap are the data's:
-    # no kernel enters them, so riemann and k-limit build none and print and
-    # write what they do with kernels at hand.
+    # The front speed, the amplitude rate and the small-k gap are the data's,
+    # and the quartic kernel's omega0 is a constant of the package root: no
+    # kernel enters them, so riemann, k-limit and front on the quartic kernel
+    # build none and print and write what they do with kernels at hand.
     def outputs(name, argv):
         out = tmp_path / name
         rc = main(["--out", str(out), *argv])
         return rc, capsys.readouterr().out, {f.name: f.read_bytes() for f in out.iterdir()}
 
     shipped = SHIPPED_WORKED.parent
+    assert "kind = quartic" in (shipped / "worked.ini").read_text()
     runs = [["--config", str(shipped / "worked.ini"), "riemann"],
             ["--config", str(shipped / "riemann.ini"), "riemann"],
-            ["--config", str(shipped / "worked.ini"), "k-limit"]]
-    data, phi_test = RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.1, 0.1), TestFunction(0.75, 1.0)
+            ["--config", str(shipped / "worked.ini"), "k-limit"],
+            ["--config", str(shipped / "worked.ini"), "front"],
+            ["--config", str(shipped / "worked_k0.ini"), "--format", "json", "front"]]
+    data = RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.1, 0.1)
     expected = [outputs(f"ref{i}", argv) for i, argv in enumerate(runs)]
-    gap = k_limit_gap(data, 0.05, 1.0, phi_test)
+    gap = k_limit_gap(data, 0.05, 1.0)
 
     def no_kernel(kind):
         raise AssertionError(f"built a {kind} kernel")
@@ -699,7 +716,7 @@ def test_kernel_free_commands_build_no_kernel(tmp_path, capsys, monkeypatch):
     for i, (argv, want) in enumerate(zip(runs, expected)):
         assert want[0] == 0 and want[1]
         assert outputs(f"run{i}", argv) == want
-    assert k_limit_gap(data, 0.05, 1.0, phi_test) == gap
+    assert k_limit_gap(data, 0.05, 1.0) == gap
 
 
 def test_k_limit_command(tmp_path, capsys):

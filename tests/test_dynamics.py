@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from deltashock import default_eps_grid
+from deltashock import default_eps_grid, linear_grid
 from deltashock.ansatz import Front, RiemannJumpData, SmoothAnsatz
 from deltashock.dynamics import (
     DegenerateDataError,
@@ -442,6 +443,44 @@ def test_trajectory_columns(worked_data):
     assert (t[0], phi[0], e[0], re_p[0], im_p[0]) == (
         0.0, 0.0, 0.1, pytest.approx(math.sqrt(0.2 / OMEGA0)), 0.0)
     assert phi[1] == 0.75
+
+
+def _front_cases():
+    """(front, t grid) pairs: seeded fronts on seeded grids, and the edges of
+    the principal root: p imaginary, e = 0 at a node, a zero rate, signed
+    zero amplitudes, and amplitudes at both ends of the float range."""
+    rng = np.random.default_rng(4501)
+    cases = []
+    for _ in range(300):
+        omega0 = OMEGA0 if rng.random() < 0.5 else float(rng.uniform(0.1, 2.0))
+        front = FrontTrajectory(*(float(v) for v in rng.uniform(-3.0, 3.0, 3)), omega0)
+        cases.append((front, linear_grid(0.0, float(rng.uniform(0.1, 20.0)),
+                                         int(rng.integers(2, 65)))))
+    grid = linear_grid(0.0, 1.0, 33)
+    big = 0.49 * sys.float_info.max * OMEGA0  # 2 e/omega0 just inside the range
+    for phi_dot, rate, e0 in [
+            (0.75, -2.0, -0.1),                 # e < 0 throughout: p imaginary
+            (0.75, 1.0, -0.5),                  # e = 0 at the node t = 0.5
+            (0.75, -1.0, 0.5),                  # and from above
+            (-0.5, 0.0, 0.3), (0.0, 0.0, -0.3),  # a zero rate
+            (0.5, 0.0, 0.0), (0.5, 0.0, -0.0), (-0.5, -1.0, -0.0), (0.5, 1.0, -0.0),
+            (1e308, big, -big), (-1e308, -big, big), (0.5, 0.0, -big),
+            (0.5, 5e-324, -5e-324), (0.5, -5e-324, 0.0), (0.5, 1e-310, -2e-310)]:
+        cases.append((FrontTrajectory(phi_dot, rate, e0, OMEGA0), grid))
+    return cases
+
+
+def test_trajectory_columns_are_the_array_form_bitwise():
+    # front tabulates on Python floats: each column must be what the array
+    # methods, which the verifier evaluates, give to the bit, signed zeros
+    # of the principal root included.
+    for front, grid in _front_cases():
+        columns = trajectory_columns(front, grid)
+        assert all(type(v) is float for column in columns for v in column)
+        t = np.array(grid)
+        p = front.p(t)
+        for got, want in zip(columns, (t, front.phi(t), front.e(t), p.real, p.imag)):
+            assert np.array(got).tobytes() == want.tobytes(), front
 
 
 def test_trajectories_implement_front():

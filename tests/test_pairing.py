@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from deltashock import default_eps_grid, pairing
+from deltashock.fit import OrderEstimate, fit_loglog_slope
 from deltashock.kernels import (
     BAND_EDGES,
     GAUSS_NODES,
@@ -25,14 +26,12 @@ from deltashock.pairing import (
     ExtractionError,
     LEMMA_FAMILIES,
     NumericsError,
-    OrderEstimate,
     Piecewise,
     TestFunction,
     default_test_suite,
     estimate_order,
     extract_point_coeffs,
     extrapolate_limit,
-    fit_loglog_slope,
     pair,
     verify_lemma31,
 )

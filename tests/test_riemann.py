@@ -12,7 +12,8 @@ from deltashock.dynamics import (
     front_speed,
     overcompressivity,
 )
-from deltashock.pairing import TestFunction, fit_loglog_slope
+from deltashock.fit import fit_loglog_slope
+from deltashock.pairing import PLAIN_BUMP, default_test_suite
 from deltashock.riemann import (
     CLASSICAL,
     DELTA_REGIME,
@@ -293,28 +294,48 @@ def test_delta_speed_between_all_characteristics():
 
 
 def test_k_limit_gap_worked(worked_data):
-    phi_test = TestFunction(0.75, 1.0)
-    gap = k_limit_gap(worked_data, 0.1, 1.0, phi_test)
+    gap = k_limit_gap(worked_data, 0.1, 1.0)
     assert gap == pytest.approx(-0.02, abs=1e-10)
-    assert k_limit_gap(worked_data, 0.1, 1.0, phi_test, component="u") == 0.0
+    assert k_limit_gap(worked_data, 0.1, 1.0, component="u") == 0.0
     with pytest.raises(ValueError):
-        k_limit_gap(worked_data, 0.1, 1.0, phi_test, component="energy")
+        k_limit_gap(worked_data, 0.1, 1.0, component="energy")
     with pytest.raises(ValueError):
-        k_limit_gap(worked_data, 0.0, 1.0, phi_test)
+        k_limit_gap(worked_data, 0.0, 1.0)
 
 
 def test_k_limit_gap_quadratic_in_k(worked_data):
-    phi_test = TestFunction(0.75, 1.0)
     ks = (0.1, 0.05, 0.025)
-    gaps = [abs(k_limit_gap(worked_data, k, 1.0, phi_test)) for k in ks]
+    gaps = [abs(k_limit_gap(worked_data, k, 1.0)) for k in ks]
     slope = fit_loglog_slope(ks, [gaps], [0.0]).order[0]
     assert slope == pytest.approx(2.0, abs=0.01)
+
+
+def test_k_limit_gap_pairs_against_the_suite_bump_at_the_front():
+    # The gap pairs against default_test_suite's plain bump at the one front
+    # phi(t): that bump is exactly 1.0 at the front wherever it lies, odd
+    # subnormals and the largest floats included, so the gap is the rate
+    # gap times t to the bit.
+    rng = np.random.default_rng(4502)
+    fronts = [0.0, -0.0, 5e-324, -1.5e-323, 3.3e-308, 1e-300, -1e308,
+              1.7976931348623157e308, *rng.uniform(-1e3, 1e3, 100),
+              *(10.0 ** rng.uniform(-300, 300, 100))]
+    for front in fronts:
+        plain = default_test_suite(np.full(1, front), 0.0)[0]
+        assert plain.modulation == PLAIN_BUMP
+        assert float(plain.value(front)) == 1.0, front
+
+
+def test_k_limit_gap_needs_a_front_in_float_range():
+    data = RiemannJumpData(1e308, 2.0, 0.0, 0.5, 0.1, 0.1)
+    assert k_limit_gap(data, 0.1, 1.0) == k_limit_gap(RiemannJumpData(0.0, *data[1:]), 0.1, 1.0)
+    with pytest.raises(OverflowError, match=r"front position phi\(t\) .* at t=10 "):
+        k_limit_gap(data, 0.1, 10.0)
 
 
 def test_k_limit_gap_rejects_inadmissible():
     bad = RiemannJumpData(0.0, 0.3, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(AdmissibilityError, match="u1 - 2k"):
-        k_limit_gap(bad, 0.5, 1.0, TestFunction(0.0, 1.0))
+        k_limit_gap(bad, 0.5, 1.0)
 
 
 def _sweep_rows(u1s, s1s, ks, *background):

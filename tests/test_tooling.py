@@ -7,7 +7,8 @@ times fresh processes, so import-time work in the package would show
 there; the CLI import, ``--help`` and a config error are checked to load
 neither numpy nor the kernel layer, and each subcommand and the regime
 sweep to load only the package modules they compute with, as README
-lists them, and README's worked-study runs to run.  Every third-party
+lists them, those that compute on Python floats to run without
+site-packages, and README's worked-study runs to run.  Every third-party
 import is a declared dependency, no name is defined in two package
 modules, and every name a package module imports from another is used.
 """
@@ -511,14 +512,14 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "del
 # README's "also loads" table and sweep paragraph are checked against these.
 _CLI_LOADS = ["deltashock", "deltashock.cli", "deltashock.config"]
 _COMMAND_LOADS = {
-    "front": ["dynamics", "kernels", "tables"],
+    "front": ["dynamics", "tables"],
     "riemann": ["dynamics", "riemann", "tables"],
-    "k-limit": ["dynamics", "kernels", "pairing", "riemann", "tables"],
-    "verify-expansions": ["dynamics", "kernels", "pairing", "tables"],
-    "verify-solution": ["ansatz", "dynamics", "kernels", "pairing", "verifier"],
+    "k-limit": ["dynamics", "fit", "riemann", "tables"],
+    "verify-expansions": ["dynamics", "fit", "kernels", "pairing", "tables"],
+    "verify-solution": ["ansatz", "dynamics", "fit", "kernels", "pairing", "verifier"],
 }
 _SWEEP_LOADS = ["dynamics", "riemann", "tables"]
-_NUMPY_COMMANDS = {"front", "k-limit", "verify-expansions", "verify-solution"}
+_NUMPY_COMMANDS = {"verify-expansions", "verify-solution"}
 
 
 def _fresh_command(tmp_path, config, command):
@@ -543,9 +544,10 @@ def _fresh_command(tmp_path, config, command):
 def test_each_command_loads_only_the_modules_it_computes_with(tmp_path, config,
                                                               command, modules):
     # The cli benchmark times fresh processes, so a subcommand pays for every
-    # module it loads: riemann loads neither numpy (about 135 ms) nor the
-    # kernel layer, every other subcommand computes with numpy, and only
-    # verify-solution loads the ansatz.  On the quartic kernel no command loads
+    # module it loads: riemann, front and k-limit, on the quartic kernel,
+    # load neither numpy (about 135 ms) nor the kernel layer, only the two
+    # verify subcommands compute with numpy, and only verify-solution loads
+    # the ansatz.  On the quartic kernel no command loads
     # numpy.polynomial (the Gauss rule is literals), and only the commands
     # that pair load dataclasses, for ``Piecewise``: a frozen dataclass
     # costs about a millisecond to build.  No subcommand draws random
@@ -645,15 +647,57 @@ def test_readme_worked_study_runs_exit_zero(tmp_path, monkeypatch, capsys):
         assert main(argv) == 0, (argv, capsys.readouterr())
 
 
-def test_only_the_exponential_kernel_loads_numpy_polynomial(tmp_path):
-    # Its CDF is a Chebyshev fit, made on first use.
+def _exponential_worked(tmp_path) -> Path:
+    """configs/worked.ini on the exponential kernel, written under tmp_path."""
     root = Path(deltashock.__file__).resolve().parents[2]
     text = (root / "configs" / "worked.ini").read_text()
     assert "kind = quartic" in text
     config = tmp_path / "exponential.ini"
     config.write_text(text.replace("kind = quartic", "kind = exponential"))
+    return config
+
+
+def test_only_the_exponential_kernel_loads_numpy_polynomial(tmp_path):
+    # Its CDF is a Chebyshev fit, made on first use.
+    config = _exponential_worked(tmp_path)
     loaded, _, polynomial, *_ = _fresh_command(tmp_path, config, "verify-expansions")
     assert loaded == sorted(_CLI_LOADS + [f"deltashock.{m}"
                                           for m in _COMMAND_LOADS["verify-expansions"]])
     assert polynomial
 
+
+def test_front_on_the_exponential_kernel_loads_kernels_and_numpy(tmp_path):
+    # Only the quartic omega0 is a constant of the package root; the
+    # exponential kernel's is its quadrature's, so front builds that kernel.
+    loaded, numpy, polynomial, dataclasses, random = _fresh_command(
+        tmp_path, _exponential_worked(tmp_path), "front")
+    assert loaded == sorted(_CLI_LOADS + [f"deltashock.{m}"
+                                          for m in _COMMAND_LOADS["front"] + ["kernels"]])
+    assert numpy and polynomial and not dataclasses and not random
+
+
+@pytest.mark.parametrize("config,argv", [
+    ("riemann", ["riemann"]), ("worked", ["front"]), ("worked", ["--format", "json", "front"]),
+    ("worked", ["k-limit"]), (None, None)], ids=["riemann", "front", "front-json", "k-limit",
+                                             "sweep"])
+def test_float_runs_need_no_site_packages(tmp_path, config, argv):
+    # Under ``python -S`` no site-packages directory is on the path, so numpy
+    # cannot load: the runs that compute on Python floats exit 0 there, and
+    # print and write what a normal run does.
+    src = PACKAGE.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-S", "-c", "import numpy"], env=env,
+                          capture_output=True, timeout=120).returncode != 0
+    if argv is None:
+        command = [str(ROOT / "scripts" / "regime_sweep.py")]
+    else:
+        command = ["-m", "deltashock", "--config", str(ROOT / "configs" / f"{config}.ini"),
+                   *argv]
+    runs = []
+    for flags in ([], ["-S"]):
+        out = tmp_path / f"out{len(runs)}"
+        done = subprocess.run([sys.executable, *flags, *command, "--out", str(out)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and not done.stderr, (flags, done.stderr)
+        runs.append((done.stdout, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+    assert runs[0][1] and runs[0] == runs[1]
