@@ -6,10 +6,11 @@ and writes one CSV per k value for plotting, named by the k's ``:g``
 text.  Every k must be finite and nonnegative, no two ks may share a
 table name, --n must be at least 1 and --out must be or become a
 directory; otherwise the script writes nothing, prints one error line
-and exits 2.  So it does, with --out made but no table written, for a k
-so small that the classical intermediate state of some jump of the grid
-leaves the float range.  A grid of more points than MAX_ROWS exits 1
-with one error line, before anything is computed or written.
+and exits 2.  So it does, with --out made but no table written, where
+the classical intermediate state of some jump of the grid leaves the
+float range, as at a tiny or huge k.  A grid of more points than
+MAX_ROWS exits 1 with one error line, before anything is computed or
+written.
 """
 
 from __future__ import annotations

@@ -192,7 +192,7 @@ def cmd_verify_solution(cfg: RunConfig, out: Path, fmt: str) -> int:
 
 def cmd_riemann(cfg: RunConfig, out: Path, fmt: str) -> int:
     from .dynamics import e_rate, front_speed
-    from .riemann import CLASSICAL, DELTA_REGIME, State, eval_riemann, region_labels, solve
+    from .riemann import CLASSICAL, DELTA_REGIME, State, eval_riemann, solve
     from .tables import write_table
 
     data = cfg.jump_data()
@@ -222,9 +222,7 @@ def cmd_riemann(cfg: RunConfig, out: Path, fmt: str) -> int:
                             f"float range for xi_min={cfg.xi_min!r}, xi_max={cfg.xi_max!r}, "
                             f"xi_points={cfg.xi_points}")
     xi = linear_grid(cfg.xi_min, cfg.xi_max, cfg.xi_points)
-    u, sigma = eval_riemann(sol, xi, 1.0)
-    write_table((xi, u, sigma, region_labels(sol, xi)),
-                ["xi", "u", "sigma", "region"], out / "riemann", fmt)
+    write_table((xi, *eval_riemann(sol, xi)), ["xi", "u", "sigma", "region"], out / "riemann", fmt)
     print(f"u* = {sol.u_star!r}, sigma* = {sol.sigma_star!r}")
     for w in (sol.wave1, sol.wave2):
         if w.kind == "shock":

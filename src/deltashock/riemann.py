@@ -7,17 +7,18 @@ the 1-family line through the left state with the 2-family line through
 the right state.  Data inside the overcompressive window is flagged as
 the singular-front regime and handled by :mod:`deltashock.dynamics`;
 data admitting neither construction yields a no-solution-constructed
-outcome.  The solver refuses k = 0, where no bounded-variation solution
-carries a stress jump.
+outcome, as does every jump outside the window at k = 0, where no
+bounded-variation solution carries a stress jump.
 
-One construction on Python floats gives the intermediate state and both
-waves of a jump, and one window test its delta-window flag: ``solve``
-runs them once per jump, and ``regime_sweep`` at every point of a
-(u1, sigma1) grid per k, returning nested lists of regime codes, indices
-into ``REGIMES``: every code names the per-point answer.  At k = 0 only
-the singular-front test applies.  No numpy enters: the values are floats
-and lists, and an intermediate state, a wave speed ``solve`` reports or
-a tabulated value out of float range raises instead of turning inf or
+One decision on Python floats answers each jump: the window test, then
+the construction of the intermediate state and both waves, and its
+ordering test.  ``solve`` runs it once per jump, and ``regime_sweep`` at
+every point of a (u1, sigma1) grid per k, returning nested lists of
+regime codes, indices into ``REGIMES``: every code names the per-point
+``solve`` answer.  ``eval_riemann`` tabulates a classical solution's
+values and regions in one pass.  No numpy enters: the values are floats
+and lists, and a state, an intermediate state, a wave speed or a
+tabulated value out of float range raises instead of turning inf or
 nan.  ``k_limit_gap`` compares the singular solutions at k and at 0 by
 their point masses, on Python floats too.
 """
@@ -53,10 +54,15 @@ __all__ = [
 CLASSICAL = "classical"
 DELTA_REGIME = "delta-shock-regime"
 NO_SOLUTION = "no-solution-constructed"
+# The regimes that the codes of :func:`regime_sweep` index.
+REGIMES = (CLASSICAL, DELTA_REGIME, NO_SOLUTION)
+_CLASSICAL_CODE, _DELTA_CODE, _NO_SOLUTION_CODE = range(len(REGIMES))
 
 # Waves with velocity strength below this are treated as absent, keeping
 # the classification stable under perturbations at rounding level.
 ZERO_STRENGTH_TOL = 1e-11
+# The ends of the float range, bound once for the range checks made per point.
+_NEG_INF, _INF = -math.inf, math.inf
 
 
 class State(NamedTuple):
@@ -98,141 +104,135 @@ class RiemannSolution(NamedTuple):
 _KINDS = ("none", "rarefaction", "shock")
 
 
-def _in_window(u1: float, sigma1: float, k: float) -> bool:
-    """Whether the jump (u1, sigma1) lies in the overcompressive window at k."""
-    m1, m2, m3 = overcompressivity_margins(u1, sigma1, k)
-    return m1 > 0.0 and m2 > 0.0 and m3 > 0.0
-
-
 def _wave(back: float, ahead: float, c: float, absent: float) -> tuple[int, float, float]:
     """Kind code (into ``_KINDS``), slowest and fastest speed of the wave
-    from velocity ``back`` to ``ahead`` whose characteristics run at u + c."""
+    from velocity ``back`` to ``ahead`` whose characteristics run at u + c.
+    A speed is a mean or a sum of finite values, which may still round past
+    the float range: OverflowError names the wave then."""
     if abs(ahead - back) <= ZERO_STRENGTH_TOL:
         return 0, absent, absent
     if ahead > back:
-        return 1, back + c, ahead + c
-    shock = 0.5 * (back + ahead) + c
-    return 2, shock, shock
+        slowest, fastest = back + c, ahead + c
+        if _NEG_INF < slowest <= fastest < _INF:
+            return 1, slowest, fastest
+        what = "rarefaction fan"
+    else:
+        shock = 0.5 * (back + ahead) + c
+        if _NEG_INF < shock < _INF:
+            return 2, shock, shock
+        what = "shock speed"
+    raise OverflowError(f"wave {1 if absent < 0.0 else 2} {what}")
 
 
 def _construct(left_u: float, left_sigma: float, right_u: float, right_sigma: float,
                k: float):
-    """The classical construction of the jump from left to right at k > 0.
+    """The classical construction of the jump from left to right at k > 0:
+    u*, sigma* and both waves as :func:`_wave` gives them.
 
-    Returns u*, sigma*, both waves as :func:`_wave` gives them, and whether
-    wave 1 ends before wave 2 starts (within 1e-12); or None where the
-    intermediate state leaves the float range (a tiny or huge k), which
-    callers reject.  Callers branch at k = 0, where the wave curves
-    coincide: the construction divides by 2k.
+    OverflowError names the intermediate state, or a wave's speed or fan,
+    where it leaves the float range (a tiny or huge k).  Callers branch at
+    k = 0, where the wave curves coincide: the construction divides by 2k.
     """
     u_star = 0.5 * (left_u + right_u) + (right_sigma - left_sigma) / (2.0 * k)
     sigma_star = left_sigma + k * (u_star - left_u)
     # sigma* is finite only where u* is: k > 0 carries inf and nan over.
     if not math.isfinite(sigma_star):
-        return None
-    wave1 = _wave(left_u, u_star, -k, -math.inf)
-    wave2 = _wave(u_star, right_u, k, math.inf)
-    return u_star, sigma_star, wave1, wave2, wave1[2] <= wave2[1] + 1e-12
+        raise OverflowError("intermediate state (u*, sigma*)")
+    return (u_star, sigma_star, _wave(left_u, u_star, -k, _NEG_INF),
+            _wave(u_star, right_u, k, _INF))
 
 
-def _classical(left: State, right: State, k: float) -> RiemannSolution:
-    """The classical solution of one jump, whatever its window flag."""
-    if k <= 0.0:
-        raise ValueError("classical wave curves need k > 0")
-    built = _construct(float(left.u), float(left.sigma), float(right.u), float(right.sigma),
-                       float(k))
-    if built is None:
-        raise OverflowError(f"intermediate state (u*, sigma*) is out of float range "
-                            f"for left={left}, right={right}, k={k!r}")
-    u_star, sigma_star, wave1, wave2, ordered = built
-    w1, w2 = (Wave(family, _KINDS[kind], slowest, fastest)
-              for family, (kind, slowest, fastest) in ((1, wave1), (2, wave2)))
-    # A wave speed is a mean or a sum of finite values, which may still round
-    # past the float range; the sweep's ordering test reads it as it is.
-    for w in (w1, w2):
-        if w.kind != "none" and not (math.isfinite(w.slowest) and math.isfinite(w.fastest)):
-            what = "shock speed" if w.kind == "shock" else "rarefaction fan"
-            raise OverflowError(f"wave {w.family} {what} is out of float range "
-                                f"for left={left}, right={right}, k={k!r}")
-    return RiemannSolution(left, right, float(k), CLASSICAL if ordered else NO_SOLUTION,
-                           u_star, sigma_star, w1, w2)
+def _decide(left_u: float, left_sigma: float, right_u: float, right_sigma: float,
+            k: float):
+    """The regime code of the jump from finite left to right states at
+    k >= 0, and its classical construction where one is built, else None.
+
+    Data in the overcompressive window is the singular-front regime; at
+    k = 0 no other data has a solution; otherwise the construction is
+    classical where wave 1 ends before wave 2 starts (within 1e-12).  The
+    construction's OverflowError passes through.
+    """
+    m1, m2, m3 = overcompressivity_margins(left_u - right_u, left_sigma - right_sigma, k)
+    if m1 > 0.0 and m2 > 0.0 and m3 > 0.0:
+        return _DELTA_CODE, None
+    if k == 0.0:
+        return _NO_SOLUTION_CODE, None
+    built = _construct(left_u, left_sigma, right_u, right_sigma, k)
+    ordered = built[2][2] <= built[3][1] + 1e-12
+    return (_CLASSICAL_CODE if ordered else _NO_SOLUTION_CODE), built
 
 
 def solve(left: State, right: State, k: float) -> RiemannSolution:
-    """Full regime dispatch: singular front, classical, or neither;
-    ValueError for k < 0."""
+    """Full regime dispatch: singular front, classical, or neither, with
+    the classical construction wherever k > 0 and the data lie outside the
+    window.  ValueError for k < 0 or a state that is not finite;
+    OverflowError names an intermediate state or a wave speed out of float
+    range."""
     if k < 0.0:
         raise ValueError("k must be nonnegative")
-    if _in_window(float(left.u) - float(right.u), float(left.sigma) - float(right.sigma),
-                  float(k)):
-        return RiemannSolution(left, right, float(k), DELTA_REGIME)
-    return _classical(left, right, k)
+    if not all(map(math.isfinite, (*left, *right))):
+        raise ValueError(f"states must be finite, got left={left}, right={right}")
+    try:
+        code, built = _decide(float(left.u), float(left.sigma), float(right.u),
+                              float(right.sigma), float(k))
+    except OverflowError as exc:
+        raise OverflowError(f"{exc} is out of float range for left={left}, right={right}, "
+                            f"k={k!r}") from None
+    if built is None:
+        return RiemannSolution(left, right, float(k), REGIMES[code])
+    u_star, sigma_star, *waves = built
+    w1, w2 = (Wave(family, _KINDS[kind], slowest, fastest)
+              for family, (kind, slowest, fastest) in zip((1, 2), waves))
+    return RiemannSolution(left, right, float(k), REGIMES[code], u_star, sigma_star, w1, w2)
 
 
-_REGION_NAMES = ("left", "fan-1", "middle", "fan-2", "right")
-_LEFT, _FAN1, _MIDDLE, _FAN2, _RIGHT = range(len(_REGION_NAMES))
+def eval_riemann(solution: RiemannSolution, xs, t: float = 1.0):
+    """Self-similar profile of a classical solution at the points xs and
+    time t: lists of u, sigma and region names, one entry per point.
 
-
-def _regions(solution: RiemannSolution, x, t: float) -> tuple[list[float], list[int]]:
-    """xi = x/t and its region codes, as lists: one entry for a number x.
+    Inside a family-1 fan u = xi + k and sigma follows the 1-family line;
+    inside a family-2 fan u = xi - k and sigma follows the 2-family line.
     Regions may overlap within the 1e-12 ordering tolerance: right beats
-    left, a fan beats both, and fan 2 beats fan 1."""
+    left, a fan beats both, and fan 2 beats fan 1, so a region always names
+    the closed form of its values.  OverflowError names a value out of
+    float range, as in a fan at a huge k.
+    """
     if solution.regime != CLASSICAL:
         raise NotApplicableError(
             f"pointwise evaluation needs a classical solution, got {solution.regime}")
     if not t > 0.0:
         raise ValueError("self-similar evaluation needs t > 0")
     t = float(t)
-    xis = [float(v) / t for v in x] if hasattr(x, "__iter__") else [float(x) / t]
-    w1, w2 = solution.wave1, solution.wave2
-    fan1, fan2 = w1.kind == "rarefaction", w2.kind == "rarefaction"
-    codes = [_FAN2 if fan2 and w2.slowest <= xi <= w2.fastest
-             else _FAN1 if fan1 and w1.slowest <= xi <= w1.fastest
-             else _RIGHT if xi > w2.fastest
-             else _LEFT if xi < w1.slowest
-             else _MIDDLE for xi in xis]
-    return xis, codes
-
-
-def eval_riemann(solution: RiemannSolution, x, t: float):
-    """Self-similar evaluation (u, sigma) of a classical solution: floats for
-    a number x, lists for a sequence.
-
-    Inside a family-1 fan u = xi + k and sigma follows the 1-family line;
-    inside a family-2 fan u = xi - k and sigma follows the 2-family line.
-    OverflowError names a value out of float range, as in a fan at a huge k.
-    """
-    xis, codes = _regions(solution, x, t)
     left, right, k = solution.left, solution.right, solution.k
     u_star, sigma_star = solution.u_star, solution.sigma_star
     left_u, left_sigma = float(left.u), float(left.sigma)
-    states = ((left_u, left_sigma), None, (u_star, sigma_star), None,
-              (float(right.u), float(right.sigma)))
-    us, sigmas = [], []
-    for xi, code in zip(xis, codes):
-        if code == _FAN1:
-            u = xi + k
-            sigma = left_sigma + k * (u - left_u)
-        elif code == _FAN2:
-            u = xi - k
+    right_u, right_sigma = float(right.u), float(right.sigma)
+    w1, w2 = solution.wave1, solution.wave2
+    fan1, fan2 = w1.kind == "rarefaction", w2.kind == "rarefaction"
+    us, sigmas, regions = [], [], []
+    for x in xs:
+        xi = float(x) / t
+        if fan2 and w2.slowest <= xi <= w2.fastest:
+            region, u = "fan-2", xi - k
             sigma = sigma_star - k * (u - u_star)
+        elif fan1 and w1.slowest <= xi <= w1.fastest:
+            region, u = "fan-1", xi + k
+            sigma = left_sigma + k * (u - left_u)
+        elif xi > w2.fastest:
+            region, u, sigma = "right", right_u, right_sigma
+        elif xi < w1.slowest:
+            region, u, sigma = "left", left_u, left_sigma
         else:
-            u, sigma = states[code]
+            region, u, sigma = "middle", u_star, sigma_star
         for name, value in (("u", u), ("sigma", sigma)):
             if not math.isfinite(value):
                 raise OverflowError(
-                    f"{name} in the {_REGION_NAMES[code]} region at xi={xi!r} is out of "
+                    f"{name} in the {region} region at xi={xi!r} is out of "
                     f"float range for left={left}, right={right}, k={k!r}")
         us.append(u)
         sigmas.append(sigma)
-    if hasattr(x, "__iter__"):
-        return us, sigmas
-    return us[0], sigmas[0]
-
-
-def region_labels(solution: RiemannSolution, x, t: float = 1.0) -> list[str]:
-    """Region of each point x at time t whose values :func:`eval_riemann` gives."""
-    return [_REGION_NAMES[c] for c in _regions(solution, x, t)[1]]
+        regions.append(region)
+    return us, sigmas, regions
 
 
 def _require_admissible(data: RiemannJumpData) -> None:
@@ -277,11 +277,6 @@ def k_limit_gap(data: RiemannJumpData, k: float, t: float,
     raise ValueError(f"unknown component {component!r}")
 
 
-# The regimes that the codes of :func:`regime_sweep` index.
-REGIMES = (CLASSICAL, DELTA_REGIME, NO_SOLUTION)
-_CLASSICAL_CODE, _DELTA_CODE, _NO_SOLUTION_CODE = range(len(REGIMES))
-
-
 def check_sweep_k(k) -> float:
     """A sweep's k as a float; ValueError unless it is finite and >= 0."""
     k = float(k)
@@ -298,14 +293,12 @@ def regime_sweep(u1_values, sigma1_values, k_values,
     len(u1_values) and len(sigma1_values), indexes :data:`REGIMES` with
     ``solve(State(u0 + u1, sigma0 + sigma1), State(u0, sigma0), k).regime``
     for the jump (u1_values[j], sigma1_values[l]) at k = k_values[i]: each
-    point runs :func:`solve`'s window test and construction.  At k = 0
-    only the delta test applies, as the classical solver refuses k = 0.
-    Raises ValueError for a k that is negative or not finite, for
-    non-finite grid values or background state, and for a jump outside the
-    delta regime whose intermediate state leaves the float range, which
-    :func:`solve` rejects (a tiny k): the grid is rejected, not coded.  A
-    wave speed that rounds past the float range, which :func:`solve` also
-    rejects, is coded as the ordering test reads it.
+    point runs :func:`solve`'s one decision.  Raises ValueError for a k
+    that is negative or not finite, for non-finite grid values or
+    background state, for a left state u0 + u1 or sigma0 + sigma1 out of
+    float range, and for a jump whose intermediate state or wave speed
+    leaves the float range (a tiny or huge k), each of which :func:`solve`
+    rejects: the grid is rejected, not coded.
     """
     ks = [check_sweep_k(k) for k in k_values]
     u1s = [float(u1) for u1 in u1_values]
@@ -313,27 +306,25 @@ def regime_sweep(u1_values, sigma1_values, k_values,
     u0, sigma0 = float(u0), float(sigma0)
     if not all(map(math.isfinite, [*u1s, *s1s, u0, sigma0])):
         raise ValueError("sweep grid and background state must be finite")
+    left_us = [u0 + u1 for u1 in u1s]
     left_sigmas = [sigma0 + s1 for s1 in s1s]
+    for name, background, jumps, lefts in (("u", u0, u1s, left_us),
+                                           ("sigma", sigma0, s1s, left_sigmas)):
+        for jump, left in zip(jumps, lefts):
+            if not math.isfinite(left):
+                raise ValueError(f"the left state {name}0 + {name}1 = {background!r} + "
+                                 f"{jump!r} is out of float range")
     codes = []
-    for k in ks:
-        plane = []
-        for u1 in u1s:
-            left_u = u0 + u1
-            jump_u = left_u - u0
-            row = []
-            for s1, left_sigma in zip(s1s, left_sigmas):
-                if _in_window(jump_u, left_sigma - sigma0, k):
-                    row.append(_DELTA_CODE)
-                    continue
-                if k == 0.0:
-                    row.append(_NO_SOLUTION_CODE)
-                    continue
-                built = _construct(left_u, left_sigma, u0, sigma0, k)
-                if built is None:
-                    raise ValueError(f"at k={k!r} the intermediate state (u*, sigma*) of "
-                                     f"the jump u1={u1!r}, sigma1={s1!r} is out of "
-                                     f"float range")
-                row.append(_CLASSICAL_CODE if built[4] else _NO_SOLUTION_CODE)
-            plane.append(row)
-        codes.append(plane)
+    try:
+        for k in ks:
+            plane = []
+            for u1, left_u in zip(u1s, left_us):
+                row = []
+                for s1, left_sigma in zip(s1s, left_sigmas):
+                    row.append(_decide(left_u, left_sigma, u0, sigma0, k)[0])
+                plane.append(row)
+            codes.append(plane)
+    except OverflowError as exc:
+        raise ValueError(f"at k={k!r} the {exc} of the jump u1={u1!r}, sigma1={s1!r} is out "
+                         "of float range") from None
     return codes

@@ -20,7 +20,18 @@ import numpy as np
 from deltashock.ansatz import Front, RiemannJumpData, SmoothAnsatz
 from deltashock.kernels import exp_bump, exp_bump_dy
 from deltashock.pairing import PLAIN_BUMP, Piecewise, TestFunction, pair
-from deltashock.riemann import RiemannSolution, State, _classical, _in_window
+from deltashock.riemann import (
+    _KINDS,
+    CLASSICAL,
+    DELTA_REGIME,
+    NO_SOLUTION,
+    REGIMES,
+    RiemannSolution,
+    State,
+    Wave,
+    _construct,
+    _decide,
+)
 from deltashock.verifier import _PROBE_TIME, SolutionReport
 
 
@@ -88,22 +99,31 @@ def volpert_scan(u_left: float, u_right: float, sigma_left: float,
 
 
 def classify_waves(left: State, right: State, k: float) -> RiemannSolution:
-    """Classical two-wave construction with its ordering check.
+    """Classical two-wave construction with its ordering check, whatever
+    the window flag; ValueError for k <= 0.
 
     As k -> 0 with a stress jump the intermediate state escapes to
     infinity, which is why the degenerate system has no classical
     solution.  Where it leaves the float range, as for a tiny k,
     OverflowError names it.
     """
-    return _classical(left, right, k)
+    if k <= 0.0:
+        raise ValueError("classical wave curves need k > 0")
+    u_star, sigma_star, *waves = _construct(*map(float, (*left, *right, k)))
+    w1, w2 = (Wave(family, _KINDS[kind], slowest, fastest)
+              for family, (kind, slowest, fastest) in zip((1, 2), waves))
+    regime = CLASSICAL if w1.fastest <= w2.slowest + 1e-12 else NO_SOLUTION
+    return RiemannSolution(left, right, float(k), regime, u_star, sigma_star, w1, w2)
 
 
 def delta_regime_test(left: State, right: State, k: float) -> bool:
     """True iff the data falls in the overcompressive singular-front window;
-    ValueError for k < 0."""
+    ValueError for k < 0.  The window test is the decision's first step, so
+    data in the window builds no construction; outside it at k > 0, an
+    intermediate state or wave speed out of float range raises OverflowError."""
     if k < 0.0:
         raise ValueError("k must be nonnegative")
-    return _in_window(left.u - right.u, left.sigma - right.sigma, k)
+    return REGIMES[_decide(*map(float, (*left, *right, k)))[0]] == DELTA_REGIME
 
 
 def deriv(phi_test: TestFunction, x):

@@ -642,6 +642,18 @@ def test_riemann_shock_speed_out_of_float_range_exits_one(tmp_path, capsys):
     assert not (tmp_path / "riemann.csv").exists()
 
 
+def test_riemann_left_state_out_of_float_range_exits_one(tmp_path, capsys):
+    # u0 + u1 overflows: the window test read the jump as inf - 1e308 = inf
+    # and this printed the delta regime with exit 0.
+    cfg = write(tmp_path, "[data]\nu0 = 1e308\nu1 = 1e308\nsigma1 = 0.0\nk = 0.1\n")
+    rc = main(["--config", cfg, "--out", str(tmp_path), "riemann"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: states must be finite, got left=State(u=inf, sigma=0.0), "
+        "right=State(u=1e+308, sigma=0.0)"]
+
+
 # Rarefactions on both sides at k = 1e308: each fan is one xi wide in
 # rounding, so u = xi -+ k lands 5 or 4 from its side's state and k times that
 # overflows sigma, while sigma* = 1e308 is in range.

@@ -24,7 +24,6 @@ from deltashock.dynamics import (
 )
 from deltashock.kernels import default_t_grid, make_kernel
 from deltashock.pairing import Piecewise, extract_point_coeffs
-from deltashock.riemann import State, eval_riemann, region_labels, solve
 from deltashock.verifier import replay_derivation, sample_admissible_data
 from oracle import volpert_relations, volpert_scan
 
@@ -258,19 +257,6 @@ def test_fields_keep_the_shape_of_x(quartic):
                     assert want.shape == (1,)
                     assert got.dtype == want.dtype
                     assert _bits(got) == _bits(want[0])
-
-
-def test_riemann_values_keep_the_shape_of_x():
-    # a fan on each side of the middle state, and the constant states: a
-    # number x gives floats equal to the one-element list of a sequence
-    sol = solve(State(0.0, 0.0), State(1.5, 0.0), 0.5)
-    assert (sol.wave1.kind, sol.wave2.kind) == ("rarefaction", "rarefaction")
-    for xi in (-2.0, -0.3, 0.75, 1.0, 1.8, 3.0):
-        got, one = eval_riemann(sol, xi, 1.0), eval_riemann(sol, np.array([xi]), 1.0)
-        for value, element in zip(got, one):
-            assert type(value) is float and type(element) is list and len(element) == 1
-            assert _bits(value) == _bits(element[0])
-    assert region_labels(sol, 0.75) == region_labels(sol, [0.75])
 
 
 # --- admissibility ----------------------------------------------------------

@@ -1,8 +1,9 @@
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltashock.ansatz import RiemannJumpData
@@ -23,7 +24,6 @@ from deltashock.riemann import (
     eval_riemann,
     k_limit_gap,
     regime_sweep,
-    region_labels,
     solve,
 )
 from oracle import classify_waves, delta_regime_test
@@ -161,13 +161,13 @@ def test_lax_ordering_on_classical_solutions():
 
 def test_eval_riemann_regions():
     sol = classify_waves(WORKED_LEFT, WORKED_RIGHT, 1.0)
-    u, s = eval_riemann(sol, np.array([-5.0, 0.5, 5.0]), 1.0)
-    assert list(u) == [2.0, 0.5, 0.0]
-    assert list(s) == [1.0, -0.5, 0.0]
-    u_mid, s_mid = eval_riemann(sol, 0.7, 1.0)
-    assert (u_mid, s_mid) == (0.5, -0.5)
+    u, s, _ = eval_riemann(sol, np.array([-5.0, 0.5, 5.0]), 1.0)
+    assert u == [2.0, 0.5, 0.0]
+    assert s == [1.0, -0.5, 0.0]
+    # t defaults to 1
+    assert eval_riemann(sol, [0.7])[:2] == ([0.5], [-0.5])
     with pytest.raises(ValueError):
-        eval_riemann(sol, 0.0, 0.0)
+        eval_riemann(sol, [0.0], 0.0)
 
 
 def test_eval_riemann_fans_stay_on_wave_curves():
@@ -175,11 +175,11 @@ def test_eval_riemann_fans_stay_on_wave_curves():
     sol = classify_waves(left, right, 1.0)
     t = 0.7
     xi = np.linspace(-1.0, 0.0, 41)
-    u, s = map(np.array, eval_riemann(sol, xi * t, t))
+    u, s = map(np.array, eval_riemann(sol, xi * t, t)[:2])
     assert np.max(np.abs(s - (left.sigma + 1.0 * (u - left.u)))) < 1e-12
     assert np.max(np.abs(u - (xi + 1.0))) < 1e-12
     xi2 = np.linspace(2.0, 3.0, 41)
-    u2, s2 = map(np.array, eval_riemann(sol, xi2 * t, t))
+    u2, s2 = map(np.array, eval_riemann(sol, xi2 * t, t)[:2])
     assert np.max(np.abs(s2 - (sol.sigma_star - 1.0 * (u2 - sol.u_star)))) < 1e-12
     assert np.max(np.abs(u2 - (xi2 - 1.0))) < 1e-12
 
@@ -188,16 +188,14 @@ def test_eval_riemann_refuses_delta_regime():
     sol = solve(State(2.0, 0.0), State(0.0, 0.0), 0.1)
     assert sol.regime == DELTA_REGIME
     with pytest.raises(NotApplicableError):
-        eval_riemann(sol, 0.0, 1.0)
+        eval_riemann(sol, [0.0], 1.0)
 
 
 def test_region_labels():
     sol = classify_waves(WORKED_LEFT, WORKED_RIGHT, 1.0)
-    labels = region_labels(sol, [-1.0, 0.5, 2.0])
-    assert labels == ["left", "middle", "right"]
+    assert eval_riemann(sol, [-1.0, 0.5, 2.0])[2] == ["left", "middle", "right"]
     fan_sol = classify_waves(State(0.0, 0.0), State(2.0, 0.0), 1.0)
-    assert region_labels(fan_sol, [-0.5])[0] == "fan-1"
-    assert region_labels(fan_sol, [2.5])[0] == "fan-2"
+    assert eval_riemann(fan_sol, [-0.5, 2.5])[2] == ["fan-1", "fan-2"]
 
 
 # Repro data: the 1-shock lies 2^-45 right of the 2-fan's head, inside the
@@ -212,9 +210,8 @@ def test_region_label_where_waves_overlap_names_the_values_region():
     assert sol.regime == CLASSICAL
     xi = 1.2499999999999432
     assert xi < sol.wave1.slowest and sol.wave2.slowest <= xi <= sol.wave2.fastest
-    assert eval_riemann(sol, xi, 1.0) == (0.9999999999999432, 0.06250000000001421)
-    # it used to say "left", whose state is (2.0, 0.3125000000000284)
-    assert region_labels(sol, [xi]) == ["fan-2"]
+    # the region used to say "left", whose state is (2.0, 0.3125000000000284)
+    assert eval_riemann(sol, [xi]) == ([0.9999999999999432], [0.06250000000001421], ["fan-2"])
 
 
 def _closed_form(sol, label, xi):
@@ -251,8 +248,7 @@ def test_every_label_names_the_closed_form_of_its_values():
                              *[np.nextafter(e, [-np.inf, np.inf]) for e in edges],
                              edges])
         for t in (1.0, 0.7):
-            u, sigma = eval_riemann(sol, xi * t, t)
-            labels = region_labels(sol, xi * t, t)
+            u, sigma, labels = eval_riemann(sol, xi * t, t)
             for x, lab, u_x, s_x in zip(xi * t / t, labels, u, sigma):
                 assert (u_x, s_x) == _closed_form(sol, lab, x), (left, right, k, x, lab)
 
@@ -362,13 +358,6 @@ def test_regime_sweep_rows():
     assert rows0[0][3] == NO_SOLUTION
 
 
-def _regime_oracle(left, right, k):
-    """Per-point regime: solve() for k > 0, the delta test alone at k = 0."""
-    if k == 0.0:
-        return DELTA_REGIME if delta_regime_test(left, right, k) else NO_SOLUTION
-    return solve(left, right, k).regime
-
-
 # Dyadic grid, step 1/16 on [-4, 4], u1 = 0 included: at u0 = sigma0 = 0
 # every boundary of the classification is hit exactly.
 DYADIC = np.arange(-64, 65) / 16.0
@@ -377,10 +366,10 @@ SWEEP_KS = (0.0, 0.125, 0.5, 1.0, 3.0)
 
 @pytest.mark.parametrize("u0,sigma0", [(0.0, 0.0), (0.3, -0.7)])
 def test_regime_sweep_matches_per_point_solve(u0, sigma0):
-    # The sweep against the per-point oracle at every one of its 83,205
+    # The sweep against the per-point solve at every one of its 83,205
     # points: a solve costs a few microseconds.
     rows = _sweep_rows(DYADIC, DYADIC, SWEEP_KS, u0, sigma0)
-    want = [(u1, s1, k, _regime_oracle(State(u0 + u1, sigma0 + s1), State(u0, sigma0), k))
+    want = [(u1, s1, k, solve(State(u0 + u1, sigma0 + s1), State(u0, sigma0), k).regime)
             for k in SWEEP_KS for u1 in DYADIC.tolist() for s1 in DYADIC.tolist()]
     assert len(rows) == len(want) == 83_205
     assert rows == want
@@ -441,6 +430,75 @@ def test_regime_sweep_tiny_k_matches_solve():
                 else:
                     assert _sweep_rows([u1], [s1], [k])[0][3] == want
     assert 0 < rejected < 2 * len(grid) ** 2
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# k = 0, subnormal, moderate and near the largest float
+_SWEEP_K = st.one_of(st.just(0.0), st.floats(5e-324, 2.2250738585072014e-308),
+                     st.floats(1e-3, 1e3), st.floats(1e306, 1.7976931348623157e308))
+
+
+@given(u0=_FINITE, u1=_FINITE, sigma0=_FINITE, sigma1=_FINITE, k=_SWEEP_K)
+# a 1-shock speed that rounds to -inf: the sweep coded it classical
+@example(u0=-7e307, u1=-3e307, sigma0=0.0, sigma1=1.3e308, k=1.0)
+# k = 0 outside the window: solve raised ValueError
+@example(u0=0.0, u1=-2.0, sigma0=0.0, sigma1=0.5, k=0.0)
+# u* and sigma* out of float range
+@example(u0=-0.857, u1=-0.014000000000000012 + 0.857, sigma0=0.0, sigma1=-1.42, k=1.38e-316)
+@example(u0=0.0, u1=4.0, sigma0=0.0, sigma1=1.0, k=1e308)
+# u0 + u1 overflows: both coded it delta-shock, reading the jump as inf
+@example(u0=1e308, u1=1e308, sigma0=0.0, sigma1=0.0, k=6e307)
+@settings(max_examples=300, deadline=None)
+def test_regime_sweep_codes_what_solve_answers(u0, u1, sigma0, sigma1, k):
+    left, right = State(u0 + u1, sigma0 + sigma1), State(u0, sigma0)
+    try:
+        want = solve(left, right, k).regime
+    except OverflowError as exc:
+        quantity = str(exc).partition(" is out of float range for ")[0]
+        with pytest.raises(ValueError, match=re.escape(
+                f"at k={k!r} the {quantity} of the jump u1={u1!r}, sigma1={sigma1!r} "
+                "is out of float range")):
+            regime_sweep([u1], [sigma1], [k], u0, sigma0)
+        return
+    except ValueError:
+        assert not all(map(math.isfinite, left))
+        with pytest.raises(ValueError, match="^the left state .* is out of float range$"):
+            regime_sweep([u1], [sigma1], [k], u0, sigma0)
+        return
+    assert _sweep_rows([u1], [sigma1], [k], u0, sigma0)[0][3] == want
+
+
+def test_left_state_out_of_float_range_is_rejected():
+    with pytest.raises(ValueError, match=re.escape(
+            "states must be finite, got left=State(u=inf, sigma=0.0), "
+            "right=State(u=1e+308, sigma=0.0)")):
+        solve(State(math.inf, 0.0), State(1e308, 0.0), 6e307)
+    with pytest.raises(ValueError, match=re.escape(
+            "the left state u0 + u1 = 1e+308 + 1e+308 is out of float range")):
+        regime_sweep([1.0, 1e308], [0.0], [6e307], u0=1e308)
+    with pytest.raises(ValueError, match=re.escape(
+            "the left state sigma0 + sigma1 = -1e+308 + -1e+308 is out of float range")):
+        regime_sweep([1.0], [0.0, -1e308], [], sigma0=-1e308)
+
+
+# The small-data Riemann theorem (Lax, CPAM 1957): jumps with |u1| <= k/2
+# and |sigma1| <= k^2/2 have a classical solution.
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@given(k=st.floats(0.05, 2.0), a=_UNIT, b=_UNIT,
+       background=st.one_of(st.just((0.0, 0.0)), st.tuples(_UNIT, _UNIT)))
+@example(k=0.05, a=1.0, b=1.0, background=(0.0, 0.0))
+@example(k=0.05, a=-1.0, b=1.0, background=(1.0, -1.0))
+@example(k=2.0, a=1.0, b=-1.0, background=(-1.0, 1.0))
+@example(k=2.0, a=-1.0, b=-1.0, background=(0.0, 0.0))
+@settings(max_examples=300, deadline=None)
+def test_small_jumps_are_classical(k, a, b, background):
+    u1, sigma1 = a * (k / 2), b * (k * k / 2)
+    u0, sigma0 = background
+    assert solve(State(u0 + u1, sigma0 + sigma1), State(u0, sigma0), k).regime == CLASSICAL
+    # code 0 indexes REGIMES' classical
+    assert regime_sweep([u1], [sigma1], [k], u0, sigma0) == [[[0]]]
 
 
 @pytest.mark.parametrize("k", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
