@@ -14,8 +14,8 @@ Subpackages:
 * :mod:`deltashock.cli`       config-driven command line front end
 
 The root holds the kernel kinds, the quartic kernel's omega0, the eps
-grid's default powers and rules, and the evenly spaced grid rule, without
-numpy.
+grid's default powers and rules, the evenly spaced grid rule and the k
+rule, without numpy.
 """
 
 import math
@@ -67,6 +67,14 @@ def check_eps_grid(eps_grid) -> tuple[float, ...]:
             raise ValueError("eps grid must be positive, finite and strictly decreasing: "
                              f"eps[{i}] = {eps!r}" + (f" after {before!r}" if i else ""))
     return grid
+
+
+def check_k(k) -> float:
+    """``k`` as a float; ValueError unless it is finite and >= 0."""
+    k = float(k)
+    if not (math.isfinite(k) and k >= 0.0):
+        raise ValueError(f"k must be finite and nonnegative, got {k!r}")
+    return k
 
 
 def linear_grid(start: float, stop: float, num: int) -> list[float]:

@@ -7,26 +7,34 @@ Subcommands::
     verify-solution     verify the weak-asymptotic-solution contract
     riemann             solve and tabulate the classical Riemann problem
     k-limit             measure the small-k gap between singular solutions
+    sweep               tabulate the Riemann regimes over a (u1, sigma1) grid
 
 Flags, before or after the subcommand: ``--config``, ``--out`` and
 ``--format``.  Every grid, the eps grid included, is set in the config
 file (see :mod:`deltashock.config`), and the verdict tolerances are
 constants here.
 
-Exit codes: 0 success, 1 mathematical failure, 2 usage/config error.
+``sweep`` tabulates the regime of each jump of an n by n (u1, sigma1)
+grid on [-4, 4]^2, u1 = 0 left out, from the background u0 = sigma0 = 0
+for each k (``[sweep] ks, n``; no ``[data]`` key enters), and prints the
+regime counts per k.
+
+Exit codes: 0 success, 1 mathematical failure, 2 usage/config error,
+such as a ``sweep`` k at which a jump's construction leaves the float range.
 All file outputs are deterministic functions of the configuration.  Every
 table, the 24 expansion channel tables included, is written in the run's
 ``--format`` by :func:`deltashock.tables.write_table` from the columns
 its subcommand computes; reports are JSON.
 
 Importing this module loads only the config reader, which needs no
-numpy.  Each subcommand imports the package modules it computes with, and
-:func:`main` imports numpy just before it runs ``verify-expansions`` or
-``verify-solution``, the two that compute with numpy, so ``--help``, a
-usage error, a config error, ``riemann``, ``front`` and ``k-limit``, which
-compute on Python floats, run without it.  Only ``front`` with a kernel
-other than the quartic loads the kernel layer, and numpy with it, for that
-kernel's omega0.
+numpy, and no ``configparser`` until a file is read.  Each subcommand
+imports the package modules it computes with, and :func:`main` imports
+numpy just before it runs ``verify-expansions`` or ``verify-solution``,
+the two that compute with numpy, so ``--help``, a usage error, a config
+error, ``riemann``, ``front``, ``k-limit`` and ``sweep``, which compute on
+Python floats, run without it.  Only ``front`` with a kernel other than
+the quartic loads the kernel layer, and numpy with it, for that kernel's
+omega0.
 """
 
 import argparse
@@ -35,7 +43,7 @@ import sys
 from pathlib import Path
 
 from . import QUARTIC, QUARTIC_OMEGA0, linear_grid
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, sweep_table
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -47,6 +55,9 @@ K_ORDER_TOL = 0.01
 # verify-solution times x eps values.  tracemalloc puts a run's peak at
 # 801 bytes a row at most (front, csv), so a run at the cap stays under 1 GiB.
 MAX_ROWS = 2**20
+# The most points (ks times n squared) a sweep may classify: at 246 bytes a
+# point at most (tracemalloc, one k of 23 characters), under 1 GiB.
+MAX_SWEEP_POINTS = 2**22
 # The subcommands that compute with numpy; every other one runs on Python
 # floats and rejects what leaves the float range itself.
 _NUMPY_COMMANDS = ("verify-expansions", "verify-solution")
@@ -76,11 +87,11 @@ def _plateau(cfg: RunConfig) -> tuple[float, str | None]:
                "measured step-times-delta coefficient follows the configured plateau")
 
 
-def _check_rows(rows: int, source: str) -> None:
+def _check_rows(rows: int, source: str, limit: int = MAX_ROWS) -> None:
     """MemoryError, which :func:`main` prints as one line, before a grid of
-    more than :data:`MAX_ROWS` rows is allocated."""
-    if rows > MAX_ROWS:
-        raise MemoryError(f"{rows} rows ({source}) exceed the {MAX_ROWS} a run may tabulate")
+    more than ``limit`` rows is allocated."""
+    if rows > limit:
+        raise MemoryError(f"{rows} rows ({source}) exceed the {limit} a run may tabulate")
 
 
 def _position(data, speed: float, t: float) -> None:
@@ -277,12 +288,39 @@ def cmd_k_limit(cfg: RunConfig, out: Path, fmt: str) -> int:
     return EXIT_OK if ok else EXIT_MATH
 
 
+def cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> int:
+    from .riemann import REGIMES, regime_sweep
+    from .tables import write_table
+
+    ks, n = cfg.sweep_ks, cfg.sweep_n
+    _check_rows(len(ks) * n**2, f"{len(ks)} ks times [sweep] n = {n} squared",
+                MAX_SWEEP_POINTS)
+    s1s = linear_grid(-4.0, 4.0, n)
+    u1s = [u1 for u1 in s1s if u1 != 0.0]
+    try:
+        grids = regime_sweep(u1s, s1s, ks)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    # The table columns; rows run over u1, then sigma1, as the grid does.
+    u1_column = [u1 for u1 in u1s for _ in s1s]
+    s1_column = s1s * len(u1s)
+    for k, codes in zip(ks, grids):
+        regimes = [REGIMES[code] for row in codes for code in row]
+        write_table([u1_column, s1_column, [k] * len(regimes), regimes],
+                    ["u1", "sigma1", "k", "regime"], out / sweep_table(k), fmt)
+        print(f"k = {k:g}: " + ", ".join(f"{r}={count}" for r in sorted(REGIMES)
+                                         if (count := regimes.count(r))))
+    return EXIT_OK
+
+
 _COMMANDS = {
     "verify-expansions": cmd_verify_expansions,
     "front": cmd_front,
     "verify-solution": cmd_verify_solution,
     "riemann": cmd_riemann,
     "k-limit": cmd_k_limit,
+    "sweep": cmd_sweep,
 }
 
 

@@ -7,37 +7,47 @@ The file format is INI-style with three core sections::
                 t_max, t_points
     [kernel]    kind = quartic | exponential, optional plateau override c
 
-plus optional sections ``[klimit]`` (ks, t) and ``[riemann]``
-(xi_min, xi_max, xi_points).  ``configs/worked.ini`` spells out the
-built-in defaults.  The plateau override c applies to
+plus optional sections ``[klimit]`` (ks, t), ``[riemann]`` (xi_min,
+xi_max, xi_points) and ``[sweep]`` (ks, n).  ``configs/worked.ini``
+spells out the built-in defaults.  The plateau override c applies to
 ``verify-expansions`` and ``verify-solution``.
 
 Validation rules: every section and key must be one of those above;
 every number must be finite; k >= 0; t_max > 0; t_points >= 2; the eps
 grid is listed or of powers, not both, with at least 4 positive,
 strictly decreasing values (so eps_pow_max >= eps_pow_min + 3, and
-eps_pow_min >= -1023: 2^1024 overflows); ks holds at least 2 distinct
-positive values; [klimit] t > 0; xi_min < xi_max and xi_points >= 2.
+eps_pow_min >= -1023: 2^1024 overflows); [klimit] ks holds at least 2
+distinct positive values; [klimit] t > 0; xi_min < xi_max and xi_points >= 2;
+[sweep] ks each pass :func:`deltashock.check_k` and no two share a
+:func:`sweep_table` name (0.1 and 0.10000001 do); [sweep] n >= 1.
 Configuration problems raise :class:`ConfigError`; mathematical problems
 with valid configuration surface later from the library.
 ``verify-expansions`` also rejects, as a configuration error, an eps
 grid that breaks a rule of :func:`deltashock.pairing.check_lemma_grid`:
 one spanning under 3 dyadic decades or reaching below 2^-26.
 
-The reader needs only the kernel kinds and the eps grid's default
-powers and rules of the package root, so reading a config, or rejecting
-one, loads neither numpy nor the kernel layer;
+The reader needs only the kernel kinds, the eps grid's default
+powers and rules and the k rule of the package root, so reading a
+config, or rejecting one, loads neither numpy nor the kernel layer;
 :meth:`RunConfig.jump_data` loads :mod:`deltashock.dynamics` when it is
-called.
+called.  ``configparser`` loads only when a file is read: a run on the
+defaults skips it.
 """
 
-import configparser
 import math
 from typing import NamedTuple
 
-from . import EPS_POW_MAX, EPS_POW_MIN, QUARTIC, canonical_kind, check_eps_grid, default_eps_grid
+from . import (
+    EPS_POW_MAX,
+    EPS_POW_MIN,
+    QUARTIC,
+    canonical_kind,
+    check_eps_grid,
+    check_k,
+    default_eps_grid,
+)
 
-__all__ = ["ConfigError", "RunConfig", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "sweep_table"]
 
 
 class ConfigError(ValueError):
@@ -61,6 +71,8 @@ class RunConfig(NamedTuple):
     xi_min: float = -5.0
     xi_max: float = 5.0
     xi_points: int = 401
+    sweep_ks: tuple[float, ...] = (0.1, 0.5, 1.0)
+    sweep_n: int = 81
 
     def jump_data(self):
         from .dynamics import RiemannJumpData
@@ -122,6 +134,26 @@ def _ks(raw, where):
     return ks
 
 
+def sweep_table(k: float) -> str:
+    """The regime sweep's table name at k, ``.`` as ``p`` in its ``:g`` text."""
+    return "regimes_k" + f"{k:g}".replace(".", "p")
+
+
+def _sweep_ks(raw, where):
+    ks = _numbers(raw, where)
+    tables = {}
+    for k in ks:
+        try:
+            check_k(k)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        name = sweep_table(k)
+        if name in tables:
+            raise ConfigError(f"{where} {tables[name]!r} and {k!r} share the table name {name}")
+        tables[name] = k
+    return ks
+
+
 def _kind(raw, where):
     try:
         return canonical_kind(raw)
@@ -150,6 +182,8 @@ _TABLE = {
     ("riemann", "xi_min"): ("xi_min", _number),
     ("riemann", "xi_max"): ("xi_max", _number),
     ("riemann", "xi_points"): ("xi_points", _integer(2)),
+    ("sweep", "ks"): ("sweep_ks", _sweep_ks),
+    ("sweep", "n"): ("sweep_n", _integer(1)),
 }
 
 
@@ -185,6 +219,8 @@ def load_config(path: str | None) -> RunConfig:
     """Parse a config file; ``None`` yields the built-in defaults."""
     if path is None:
         return RunConfig()
+    import configparser
+
     parser = configparser.ConfigParser()
     try:
         if not parser.read(path, encoding="utf-8"):

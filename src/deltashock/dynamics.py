@@ -27,7 +27,7 @@ evaluators compute with numpy; they import it when run.
 import math
 from typing import NamedTuple
 
-from . import QUARTIC_OMEGA0
+from . import QUARTIC_OMEGA0, check_k
 
 __all__ = [
     "DegenerateDataError",
@@ -67,7 +67,8 @@ class RiemannJumpData(_JumpFields):
     (u0 + u1, sigma0 + sigma1) and the right states (u0, sigma0).  ``e0``
     is the initial amplitude of the point mass in the stress, ``k`` the
     system parameter (k = 0 selects the degenerate system).  Construction
-    rejects k < 0; ``_replace`` and ``_make`` bypass that check, so the
+    rejects a k that is not finite and >= 0 (:func:`deltashock.check_k`,
+    the one k rule); ``_replace`` and ``_make`` bypass that check, so the
     package builds data by calling the class.
     """
 
@@ -75,8 +76,7 @@ class RiemannJumpData(_JumpFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.k < 0.0:
-            raise ValueError("k must be nonnegative")
+        check_k(self.k)
         return self
 
     @property

@@ -26,6 +26,7 @@ their point masses, on Python floats too.
 import math
 from typing import NamedTuple
 
+from . import check_k
 from .dynamics import (
     AdmissibilityError,
     NotApplicableError,
@@ -47,7 +48,6 @@ __all__ = [
     "solve",
     "eval_riemann",
     "k_limit_gap",
-    "check_sweep_k",
     "regime_sweep",
 ]
 
@@ -165,25 +165,25 @@ def _decide(left_u: float, left_sigma: float, right_u: float, right_sigma: float
 def solve(left: State, right: State, k: float) -> RiemannSolution:
     """Full regime dispatch: singular front, classical, or neither, with
     the classical construction wherever k > 0 and the data lie outside the
-    window.  ValueError for k < 0 or a state that is not finite;
+    window.  ValueError for a k that is not finite and >= 0
+    (:func:`deltashock.check_k`) or a state that is not finite;
     OverflowError names an intermediate state or a wave speed out of float
     range."""
-    if k < 0.0:
-        raise ValueError("k must be nonnegative")
+    k = check_k(k)
     if not all(map(math.isfinite, (*left, *right))):
         raise ValueError(f"states must be finite, got left={left}, right={right}")
     try:
         code, built = _decide(float(left.u), float(left.sigma), float(right.u),
-                              float(right.sigma), float(k))
+                              float(right.sigma), k)
     except OverflowError as exc:
         raise OverflowError(f"{exc} is out of float range for left={left}, right={right}, "
                             f"k={k!r}") from None
     if built is None:
-        return RiemannSolution(left, right, float(k), REGIMES[code])
+        return RiemannSolution(left, right, k, REGIMES[code])
     u_star, sigma_star, *waves = built
     w1, w2 = (Wave(family, _KINDS[kind], slowest, fastest)
               for family, (kind, slowest, fastest) in zip((1, 2), waves))
-    return RiemannSolution(left, right, float(k), REGIMES[code], u_star, sigma_star, w1, w2)
+    return RiemannSolution(left, right, k, REGIMES[code], u_star, sigma_star, w1, w2)
 
 
 def eval_riemann(solution: RiemannSolution, xs, t: float = 1.0):
@@ -277,14 +277,6 @@ def k_limit_gap(data: RiemannJumpData, k: float, t: float,
     raise ValueError(f"unknown component {component!r}")
 
 
-def check_sweep_k(k) -> float:
-    """A sweep's k as a float; ValueError unless it is finite and >= 0."""
-    k = float(k)
-    if not (math.isfinite(k) and k >= 0.0):
-        raise ValueError(f"sweep k must be finite and nonnegative, got {k!r}")
-    return k
-
-
 def regime_sweep(u1_values, sigma1_values, k_values,
                  u0: float = 0.0, sigma0: float = 0.0) -> list[list[list[int]]]:
     """Regime codes over a grid of jumps, for phase diagrams.
@@ -294,13 +286,13 @@ def regime_sweep(u1_values, sigma1_values, k_values,
     ``solve(State(u0 + u1, sigma0 + sigma1), State(u0, sigma0), k).regime``
     for the jump (u1_values[j], sigma1_values[l]) at k = k_values[i]: each
     point runs :func:`solve`'s one decision.  Raises ValueError for a k
-    that is negative or not finite, for non-finite grid values or
+    :func:`deltashock.check_k` rejects, for non-finite grid values or
     background state, for a left state u0 + u1 or sigma0 + sigma1 out of
     float range, and for a jump whose intermediate state or wave speed
     leaves the float range (a tiny or huge k), each of which :func:`solve`
     rejects: the grid is rejected, not coded.
     """
-    ks = [check_sweep_k(k) for k in k_values]
+    ks = [check_k(k) for k in k_values]
     u1s = [float(u1) for u1 in u1_values]
     s1s = [float(s1) for s1 in sigma1_values]
     u0, sigma0 = float(u0), float(sigma0)

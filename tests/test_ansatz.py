@@ -20,7 +20,7 @@ from oracle import SingularSolution, sigma_integrand, u_integrand
 
 _QUARTIC = make_kernel(QUARTIC)
 _WORKED = RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.1, 0.1)
-_K_NEG, _EPS_NEG = "k must be nonnegative", "eps must be positive"
+_K_NEG, _EPS_NEG = "k must be finite and nonnegative", "eps must be positive"
 
 
 @pytest.mark.parametrize("build,message", [

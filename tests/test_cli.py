@@ -810,7 +810,8 @@ def test_k_limit_passes_with_a_large_initial_amplitude(tmp_path, capsys):
 
 def test_outputs_are_deterministic(tmp_path):
     # Every file, line and exit code is a function of the config alone: two
-    # runs of each subcommand in each format on each shipped config agree.
+    # runs of each subcommand, the regime sweep included, in each format on
+    # each shipped config agree.
     configs = sorted(SHIPPED_WORKED.parent.glob("*.ini"))
     assert SHIPPED_WORKED in configs
 
@@ -822,7 +823,7 @@ def test_outputs_are_deterministic(tmp_path):
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     codes = [main(["--config", str(config),
                                    "--out", str(root / config.stem / fmt), "--format", fmt,
-                                   command]) for command in _COMMANDS]
+                                   command]) for command in (*_COMMANDS, "sweep")]
                 printed.append((codes, out.getvalue(), err.getvalue()))
         files = {path.relative_to(root): path.read_bytes()
                  for path in sorted(root.rglob("*")) if path.is_file()}
@@ -833,8 +834,9 @@ def test_outputs_are_deterministic(tmp_path):
     # per config and format: the 24 lemma tables, lemma31_report.json, front
     # and klimit, plus residual_report.json (worked, worked_k0) or riemann
     # (whose data are classical, so verify-solution fails them as
-    # inadmissible; at k = 0 riemann needs k > 0 and writes nothing)
-    assert len(first[1]) == len(configs) * 2 * (24 + 1 + 2 + 1)
+    # inadmissible; at k = 0 riemann needs k > 0 and writes nothing), and
+    # the sweep's three tables at the default ks
+    assert len(first[1]) == len(configs) * 2 * (24 + 1 + 2 + 1 + 3)
 
 
 @pytest.mark.parametrize("flag", ["--eps-min", "--eps-max"])
@@ -861,7 +863,7 @@ def test_help_exits_zero_and_lists_every_subcommand(capsys):
     assert exc.value.code == 0
     text = capsys.readouterr().out
     assert all(name in text for name in
-               ("verify-expansions", "front", "verify-solution", "riemann", "k-limit"))
+               ("verify-expansions", "front", "verify-solution", "riemann", "k-limit", "sweep"))
 
 
 def test_options_may_follow_the_subcommand(tmp_path, capsys):
@@ -988,6 +990,10 @@ _VIOLATIONS = [
     {("klimit", "ks"): st.sampled_from(["0.1", "0.1 0.1", "0.1 -0.05", "0.1 0",
                                         "", "0.1 nan"])},
     {("klimit", "t"): _NON_POSITIVE},
+    {("sweep", "ks"): st.sampled_from(["", "a", "0.1 -1", "-0.5", "0.1 nan", "0.1 1e999",
+                                       "0.1 0.10000001", "0.5 1 0.5"])},
+    {("sweep", "n"): st.integers(-5, 0).map(str)},
+    {("sweep", "n"): st.sampled_from(["2.5", "nan", "inf", "1e999", "fast"])},
     # a verdict bound is no key: any value is unknown and rejected
     {("klimit", "order_tol"): _NON_POSITIVE},
     {("riemann", "xi_points"): st.integers(-5, 1).map(str)},

@@ -1,7 +1,7 @@
-"""``scripts/regime_sweep.py``: its tables, its summary lines and its input rules."""
+"""The regime sweep, ``deltashock sweep``: its tables, its summary lines and
+its input rules, and the launcher ``scripts/regime_sweep.py``."""
 
 import csv
-import importlib.util
 import io
 import json
 import os
@@ -12,38 +12,44 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from deltashock import cli, riemann
+from deltashock.cli import main
 from deltashock.riemann import DELTA_REGIME, NO_SOLUTION, REGIMES, State, regime_sweep, solve
 from deltashock.tables import write_table
-from test_tooling import _SWEEP_LOADS
+from test_tooling import _CLI_LOADS, _COMMAND_LOADS
 
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPT = ROOT / "scripts" / "regime_sweep.py"
+LAUNCHER = ROOT / "scripts" / "regime_sweep.py"
 
 
-def _load_script():
-    spec = importlib.util.spec_from_file_location("regime_sweep_script", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _env():
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
 
 
-def _run_script(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, str(SCRIPT), *args],
-                          capture_output=True, text=True, env=env, timeout=60)
+def _config(tmp_path, text):
+    """``text`` as a config file under tmp_path: its --config arguments."""
+    path = tmp_path / "sweep.ini"
+    path.write_text(text)
+    return ["--config", str(path)]
+
+
+def _run(*args):
+    """``python -m deltashock *args sweep`` in a fresh process."""
+    return subprocess.run([sys.executable, "-m", "deltashock", *args, "sweep"],
+                          capture_output=True, text=True, env=_env(), timeout=60)
 
 
 def test_small_sweep_tables_and_counts(tmp_path):
-    proc = _run_script("--out", str(tmp_path), "--n", "9", "--ks", "0", "0.5")
+    out = tmp_path / "out"
+    proc = _run(*_config(tmp_path, "[sweep]\nn = 9\nks = 0, 0.5\n"), "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     grid = np.linspace(-4.0, 4.0, 9)
     lines = proc.stdout.splitlines()
     assert len(lines) == 2
     for k, tag, line in zip((0.0, 0.5), ("0", "0p5"), lines):
-        with open(tmp_path / f"regimes_k{tag}.csv", newline="") as fh:
+        with open(out / f"regimes_k{tag}.csv", newline="") as fh:
             table = list(csv.reader(fh))
         assert table[0] == ["u1", "sigma1", "k", "regime"]
         rows = table[1:]
@@ -66,7 +72,8 @@ def _csv_writer_text(rows):
 
 
 def test_tables_are_bytes_csv_writer_writes(tmp_path):
-    proc = _run_script("--out", str(tmp_path), "--n", "17", "--ks", "0", "0.3", "2")
+    out = tmp_path / "out"
+    proc = _run(*_config(tmp_path, "[sweep]\nn = 17\nks = 0, 0.3, 2\n"), "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     grid = np.linspace(-4.0, 4.0, 17)
     u1s = grid[grid != 0.0]
@@ -75,7 +82,7 @@ def test_tables_are_bytes_csv_writer_writes(tmp_path):
         rows = [(float(u1), float(s1), k, REGIMES[c])
                 for u1, row in zip(u1s, codes) for s1, c in zip(grid, row)]
         want = _csv_writer_text([("u1", "sigma1", "k", "regime"), *rows])
-        assert (tmp_path / f"regimes_k{tag}.csv").read_bytes() == want.encode()
+        assert (out / f"regimes_k{tag}.csv").read_bytes() == want.encode()
 
 
 def test_csv_text_keeps_the_sign_of_zero(tmp_path):
@@ -89,50 +96,63 @@ def test_csv_text_keeps_the_sign_of_zero(tmp_path):
         [header, *zip(*columns)]).encode()
 
 
+def test_launcher_writes_the_subcommands_bytes(tmp_path):
+    # The cli benchmark runs the launcher: it is `deltashock sweep`, with the
+    # same stdout, stderr, exit code and tables.
+    runs = []
+    for command in ([str(LAUNCHER)], ["-m", "deltashock", "sweep"]):
+        out = tmp_path / f"out{len(runs)}"
+        done = subprocess.run([sys.executable, *command, "--out", str(out)],
+                              capture_output=True, text=True, env=_env(), timeout=60)
+        runs.append((done.returncode, done.stdout, done.stderr,
+                     {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+    assert runs[0][0] == 0 and runs[0][1] and not runs[0][2]
+    assert sorted(runs[0][3]) == ["regimes_k0p1.csv", "regimes_k0p5.csv", "regimes_k1.csv"]
+    assert runs[0] == runs[1]
+
+
 _FRESH_SWEEP = """
-import importlib.util, json, sys
-spec = importlib.util.spec_from_file_location("regime_sweep_script", sys.argv[1])
-script = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(script)
-assert script.main(["--out", sys.argv[2], "--n", "3"]) == 0
+import json, sys
+from deltashock.cli import main
+assert main(["--out", sys.argv[1], "sweep"]) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "deltashock")))
-print(json.dumps(["numpy" in sys.modules, "dataclasses" in sys.modules]))
+print(json.dumps(["numpy" in sys.modules, "dataclasses" in sys.modules,
+                  "configparser" in sys.modules]))
 """
 
 
 def test_sweep_loads_only_the_modules_it_computes_with(tmp_path):
     # The cli benchmark times the sweep as a fresh process: writing its
-    # tables must not load numpy (about 135 ms), the CLI, the config
-    # reader, the kernel layer, the ansatz, the pairing engine or the
-    # verifier, nor build a dataclass (each costs about a millisecond).
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run([sys.executable, "-c", _FRESH_SWEEP, str(SCRIPT), str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=60, check=True)
+    # tables must not load numpy (about 135 ms), the kernel layer, the
+    # ansatz, the pairing engine or the verifier, nor build a dataclass
+    # (each costs about a millisecond).  A run on the defaults reads no
+    # file, so it does not load configparser either.
+    done = subprocess.run([sys.executable, "-c", _FRESH_SWEEP, str(tmp_path)],
+                          capture_output=True, text=True, env=_env(), timeout=60, check=True)
     *_, loaded, flags = done.stdout.splitlines()
-    assert json.loads(loaded) == ["deltashock"] + [f"deltashock.{m}" for m in _SWEEP_LOADS]
-    assert json.loads(flags) == [False, False]
+    assert json.loads(loaded) == sorted(
+        _CLI_LOADS + [f"deltashock.{m}" for m in _COMMAND_LOADS["sweep"]])
+    assert json.loads(flags) == [False, False, False]
 
 
-@pytest.mark.parametrize("argv,message", [
-    (["--ks", "-1"], "finite and nonnegative"),
-    (["--ks", "nan"], "finite and nonnegative"),
-    (["--ks", "inf"], "finite and nonnegative"),
-    (["--ks", "0.5", "-1"], "finite and nonnegative"),
-    (["--n", "-5"], "--n must be at least 1"),
-    (["--n", "0"], "--n must be at least 1"),
-    (["--ks", "0.1", "0.10000001"], "0.1 and 0.10000001 share the table name regimes_k0p1"),
-    (["--ks", "0.5", "1", "0.5"], "0.5 and 0.5 share the table name regimes_k0p5"),
+@pytest.mark.parametrize("text,message", [
+    ("ks = -1", "[sweep] ks: k must be finite and nonnegative, got -1.0"),
+    ("ks = nan", "[sweep] ks must be finite"),
+    ("ks = inf", "[sweep] ks must be finite"),
+    ("ks = 0.5, -1", "[sweep] ks: k must be finite and nonnegative, got -1.0"),
+    ("n = -5", "[sweep] n must be at least 1"),
+    ("n = 0", "[sweep] n must be at least 1"),
+    ("ks = 0.1, 0.10000001", "0.1 and 0.10000001 share the table name regimes_k0p1"),
+    ("ks = 0.5, 1, 0.5", "0.5 and 0.5 share the table name regimes_k0p5"),
 ], ids=["k-negative", "k-nan", "k-inf", "second-k-negative", "n-negative", "n-zero",
         "ks-same-name", "ks-duplicate"])
-def test_bad_input_exits_two_with_one_line(tmp_path, capsys, argv, message):
+def test_bad_input_exits_two_with_one_line(tmp_path, capsys, text, message):
     out = tmp_path / "sweep"
-    rc = _load_script().main(["--out", str(out)] + argv)
+    rc = main([*_config(tmp_path, f"[sweep]\n{text}\n"), "--out", str(out), "sweep"])
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert rc == 2
-    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    assert len(err) == 1 and err[0].startswith("config error:") and message in err[0]
     assert captured.out == ""
     assert not out.exists()
 
@@ -141,7 +161,8 @@ def test_k_too_small_for_the_intermediate_state_exits_two_with_one_line(tmp_path
     # At k = 1e-320 the classical u* of most jumps leaves the float range,
     # where solve raises: no regime code would name its answer.
     out = tmp_path / "sweep"
-    rc = _load_script().main(["--out", str(out), "--n", "3", "--ks", "0.5", "1e-320"])
+    rc = main([*_config(tmp_path, "[sweep]\nn = 3\nks = 0.5, 1e-320\n"),
+               "--out", str(out), "sweep"])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err.splitlines() == [
@@ -152,50 +173,50 @@ def test_k_too_small_for_the_intermediate_state_exits_two_with_one_line(tmp_path
 
 def test_out_that_cannot_be_a_directory_exits_two_with_one_line(tmp_path):
     (tmp_path / "file").write_text("")
-    proc = _run_script("--out", str(tmp_path / "file" / "below"), "--n", "3")
+    proc = _run("--out", str(tmp_path / "file" / "below"))
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [f"error: --out {tmp_path / 'file' / 'below'}: "
                                         "Not a directory"]
 
 
-@pytest.mark.parametrize("argv,rows", [
-    (["--n", "1000000"], "3000000000000 rows (3 ks times --n 1000000 squared)"),
-    (["--n", "1183"], "4198467 rows (3 ks times --n 1183 squared)"),
-    (["--n", "2049", "--ks", "0.5"], "4198401 rows (1 ks times --n 2049 squared)"),
+@pytest.mark.parametrize("text,rows", [
+    ("n = 1000000", "3000000000000 rows (3 ks times [sweep] n = 1000000 squared)"),
+    ("n = 1183", "4198467 rows (3 ks times [sweep] n = 1183 squared)"),
+    ("n = 2049\nks = 0.5", "4198401 rows (1 ks times [sweep] n = 2049 squared)"),
 ], ids=["huge-n", "default-ks-cap-plus-one", "one-k-cap-plus-one"])
-def test_grid_above_the_row_cap_exits_one_with_one_line(tmp_path, capsys, argv, rows):
-    # Without numpy no failed allocation guards --n: a grid above the cap is
+def test_grid_above_the_row_cap_exits_one_with_one_line(tmp_path, capsys, text, rows):
+    # Without numpy no failed allocation guards n: a grid above the cap is
     # refused before anything is computed, and a huge one does not run until
     # the OS kills it.
-    rc = _load_script().main(["--out", str(tmp_path)] + argv)
+    out = tmp_path / "out"
+    rc = main([*_config(tmp_path, f"[sweep]\n{text}\n"), "--out", str(out), "sweep"])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err.splitlines() == [
-        f"error: out of memory: {rows} exceed the {2**22} a sweep may tabulate"]
-    assert list(tmp_path.iterdir()) == []
+        f"error: out of memory: {rows} exceed the {2**22} a run may tabulate"]
+    assert list(out.iterdir()) == []
 
 
 def test_row_cap_is_checked_on_ks_times_n_squared(tmp_path, capsys, monkeypatch):
-    script = _load_script()
-    monkeypatch.setattr(script, "MAX_ROWS", 2 * 9 * 9)
-    assert script.main(["--out", str(tmp_path / "at"), "--n", "9", "--ks", "0", "0.5"]) == 0
+    monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 2 * 9 * 9)
+    at = _config(tmp_path, "[sweep]\nn = 9\nks = 0, 0.5\n")
+    assert main([*at, "--out", str(tmp_path / "at"), "sweep"]) == 0
     assert len((tmp_path / "at" / "regimes_k0p5.csv").read_text().splitlines()) == 1 + 8 * 9
     capsys.readouterr()
-    assert script.main(["--out", str(tmp_path / "above"), "--n", "10", "--ks", "0", "0.5"]) == 1
+    above = _config(tmp_path, "[sweep]\nn = 10\nks = 0, 0.5\n")
+    assert main([*above, "--out", str(tmp_path / "above"), "sweep"]) == 1
     assert capsys.readouterr().err.startswith("error: out of memory: 200 rows")
     assert list((tmp_path / "above").iterdir()) == []
 
 
 def test_grid_too_large_to_allocate_exits_one_with_one_line(tmp_path, capsys, monkeypatch):
-    script = _load_script()
-
     def too_large(*args):
         raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
                           "(99999, 100000) and data type float64")
 
-    monkeypatch.setattr(script, "regime_sweep", too_large)
-    rc = script.main(["--out", str(tmp_path), "--n", "3"])
+    monkeypatch.setattr(riemann, "regime_sweep", too_large)
+    rc = main([*_config(tmp_path, "[sweep]\nn = 3\n"), "--out", str(tmp_path), "sweep"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
@@ -205,6 +226,6 @@ def test_grid_too_large_to_allocate_exits_one_with_one_line(tmp_path, capsys, mo
 
 
 def test_bad_input_sets_the_process_exit_status(tmp_path):
-    proc = _run_script("--out", str(tmp_path / "sweep"), "--ks", "nan")
+    proc = _run(*_config(tmp_path, "[sweep]\nks = nan\n"), "--out", str(tmp_path / "sweep"))
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1 and proc.stdout == ""

@@ -501,12 +501,24 @@ def test_small_jumps_are_classical(k, a, b, background):
     assert regime_sweep([u1], [sigma1], [k], u0, sigma0) == [[[0]]]
 
 
-@pytest.mark.parametrize("k", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+_BAD_KS = [-1.0, -1e-300, np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("k", _BAD_KS)
 def test_regime_sweep_rejects_bad_k(k):
     with pytest.raises(ValueError, match="finite and nonnegative"):
         regime_sweep([1.0], [0.0], [0.5, k])
     with pytest.raises(ValueError, match="finite and nonnegative"):
         regime_sweep([], [], [k])
+
+
+@pytest.mark.parametrize("k", _BAD_KS)
+def test_solve_rejects_bad_k(k):
+    # The sweep's rule: nan and inf used to reach the construction, which
+    # blamed the intermediate state with an OverflowError.
+    with pytest.raises(ValueError, match=re.escape(
+            f"k must be finite and nonnegative, got {k!r}")):
+        solve(State(1.0, 0.0), State(0.0, 0.0), k)
 
 
 @pytest.mark.parametrize("u1s,s1s,u0,sigma0", [

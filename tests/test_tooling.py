@@ -5,8 +5,9 @@ results by name and is not collected with these tests, so a deletion or a
 rename in the package could break it silently.  Its ``cli`` workload
 times fresh processes, so import-time work in the package would show
 there; the CLI import, ``--help`` and a config error are checked to load
-neither numpy nor the kernel layer, and each subcommand and the regime
-sweep to load only the package modules they compute with, as README
+neither numpy nor the kernel layer, and only a run that reads a config
+file to load ``configparser``; each subcommand, the regime sweep
+included, to load only the package modules it computes with, as README
 lists them, those that compute on Python floats to run without
 site-packages, and README's worked-study runs to run.  Every third-party
 import is a declared dependency, no name is defined in two package
@@ -507,9 +508,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "del
 """
 
 # The package modules each fresh run loads: every CLI run _CLI_LOADS, and
-# each subcommand its own besides; the regime sweep the package and
-# _SWEEP_LOADS.  Only the subcommands in _NUMPY_COMMANDS load numpy.
-# README's "also loads" table and sweep paragraph are checked against these.
+# each subcommand its own besides.  Only the subcommands in _NUMPY_COMMANDS
+# load numpy.  README's "also loads" table is checked against these.
 _CLI_LOADS = ["deltashock", "deltashock.cli", "deltashock.config"]
 _COMMAND_LOADS = {
     "front": ["dynamics", "tables"],
@@ -517,8 +517,8 @@ _COMMAND_LOADS = {
     "k-limit": ["dynamics", "fit", "riemann", "tables"],
     "verify-expansions": ["dynamics", "fit", "kernels", "pairing", "tables"],
     "verify-solution": ["ansatz", "dynamics", "fit", "kernels", "pairing", "verifier"],
+    "sweep": ["dynamics", "riemann", "tables"],
 }
-_SWEEP_LOADS = ["dynamics", "riemann", "tables"]
 _NUMPY_COMMANDS = {"verify-expansions", "verify-solution"}
 
 
@@ -540,11 +540,11 @@ def _fresh_command(tmp_path, config, command):
 @pytest.mark.parametrize("config,command,modules", [
     (config, command, _COMMAND_LOADS[command]) for config, command in (
         ("worked", "front"), ("riemann", "riemann"), ("worked", "k-limit"),
-        ("worked", "verify-expansions"), ("worked", "verify-solution"))])
+        ("worked", "verify-expansions"), ("worked", "verify-solution"), ("worked", "sweep"))])
 def test_each_command_loads_only_the_modules_it_computes_with(tmp_path, config,
                                                               command, modules):
     # The cli benchmark times fresh processes, so a subcommand pays for every
-    # module it loads: riemann, front and k-limit, on the quartic kernel,
+    # module it loads: riemann, front, k-limit and sweep, on the quartic kernel,
     # load neither numpy (about 135 ms) nor the kernel layer, only the two
     # verify subcommands compute with numpy, and only verify-solution loads
     # the ansatz.  On the quartic kernel no command loads
@@ -574,7 +574,7 @@ if sys.argv[1:]:
 else:
     import deltashock.cli
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.split(".")[0] in ("deltashock", "numpy"))]))
+                               if m.split(".")[0] in ("deltashock", "numpy", "configparser"))]))
 """
 
 
@@ -582,7 +582,8 @@ print(json.dumps([code, sorted(m for m in sys.modules
                          ids=["import", "help", "config-error"])
 def test_runs_that_compute_nothing_load_neither_numpy_nor_kernels(tmp_path, argv, code):
     # The CLI imports numpy just before it dispatches: a fresh import of
-    # the CLI, --help and a config error load only the reader.
+    # the CLI, --help and a config error load only the reader, and only the
+    # config error, which reads a file, loads configparser.
     config = tmp_path / "bad.ini"
     config.write_text("[data]\nu0 = x\n")
     if code == 2:
@@ -591,7 +592,8 @@ def test_runs_that_compute_nothing_load_neither_numpy_nor_kernels(tmp_path, argv
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     done = subprocess.run([sys.executable, "-c", _BEFORE_DISPATCH, *argv], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    assert json.loads(done.stdout.splitlines()[-1]) == [code, _CLI_LOADS]
+    loads = sorted(_CLI_LOADS + ["configparser"]) if code == 2 else _CLI_LOADS
+    assert json.loads(done.stdout.splitlines()[-1]) == [code, loads]
     if code == 2:
         assert done.stderr.splitlines() == ["config error: [data] u0 = 'x' is not a number"]
     else:
@@ -599,8 +601,7 @@ def test_runs_that_compute_nothing_load_neither_numpy_nor_kernels(tmp_path, argv
 
 
 def test_readme_names_the_modules_each_run_loads():
-    # README's "also loads" table and sweep paragraph say what the
-    # footprint tests above pin.
+    # README's "also loads" table says what the footprint tests above pin.
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("\n## Command line\n")[1].split("\n## ")[0]
     every = re.search(r"^Every run loads (.*?);", section, re.M | re.S)[1]
@@ -609,23 +610,24 @@ def test_readme_names_the_modules_each_run_loads():
     assert {command: re.findall(r"`(\w+)`", cells) for command, cells, _ in rows} \
         == _COMMAND_LOADS
     assert {command for command, _, numpy in rows if numpy == "yes"} == _NUMPY_COMMANDS
-    sweep = re.search(r"It loads no\s+numpy and only the package modules it computes with"
-                      r"\s+\((.*?)\)", text, re.S)[1]
-    assert re.findall(r"`(\w+)`", sweep) == _SWEEP_LOADS
 
 
 def test_readme_command_line_names_every_flag_and_section():
     # README's Command line section is the users' reference: every long
-    # option of the parser and every config section, and none that is gone.
+    # option and subcommand of the parser and every config section, and
+    # none that is gone.
     from deltashock.cli import build_parser
     from deltashock.config import _TABLE
 
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("\n## Command line\n")[1].split("\n## ")[0]
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section)) - {"--help"}
-    options = {opt for action in build_parser()._actions for opt in action.option_strings
+    actions = build_parser()._actions
+    options = {opt for action in actions for opt in action.option_strings
                if opt.startswith("--")} - {"--help"}
     assert flags == options
+    (commands,) = [action.choices for action in actions if action.dest == "command"]
+    assert set(re.findall(r"^\| `([a-z-]+)` \|", section, re.M)) == set(commands)
     assert set(re.findall(r"\[([a-z]+)\]", section)) == {name for name, _ in _TABLE}
 
 
@@ -678,8 +680,8 @@ def test_front_on_the_exponential_kernel_loads_kernels_and_numpy(tmp_path):
 
 @pytest.mark.parametrize("config,argv", [
     ("riemann", ["riemann"]), ("worked", ["front"]), ("worked", ["--format", "json", "front"]),
-    ("worked", ["k-limit"]), (None, None)], ids=["riemann", "front", "front-json", "k-limit",
-                                             "sweep"])
+    ("worked", ["k-limit"]), (None, ["sweep"])], ids=["riemann", "front", "front-json",
+                                                  "k-limit", "sweep"])
 def test_float_runs_need_no_site_packages(tmp_path, config, argv):
     # Under ``python -S`` no site-packages directory is on the path, so numpy
     # cannot load: the runs that compute on Python floats exit 0 there, and
@@ -688,11 +690,9 @@ def test_float_runs_need_no_site_packages(tmp_path, config, argv):
     env = {**os.environ, "PYTHONPATH": str(src)}
     assert subprocess.run([sys.executable, "-S", "-c", "import numpy"], env=env,
                           capture_output=True, timeout=120).returncode != 0
-    if argv is None:
-        command = [str(ROOT / "scripts" / "regime_sweep.py")]
-    else:
-        command = ["-m", "deltashock", "--config", str(ROOT / "configs" / f"{config}.ini"),
-                   *argv]
+    command = ["-m", "deltashock", *argv]
+    if config is not None:
+        command += ["--config", str(ROOT / "configs" / f"{config}.ini")]
     runs = []
     for flags in ([], ["-S"]):
         out = tmp_path / f"out{len(runs)}"
