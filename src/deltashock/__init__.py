@@ -13,7 +13,7 @@ Subpackages:
 * :mod:`deltashock.tables`    the one CSV/JSON table writer
 * :mod:`deltashock.cli`       config-driven command line front end
 
-The root holds the kernel kinds, the quartic kernel's omega0, the eps
+The root holds the kernel kinds with each kernel's omega0, the eps
 grid's default powers and rules, the evenly spaced grid rule and the k
 rule, without numpy.
 """
@@ -26,9 +26,9 @@ QUARTIC = "quartic-polynomial-bump"
 EXPONENTIAL = "smooth-exponential-bump"
 KERNEL_KINDS = (QUARTIC, EXPONENTIAL)
 
-# omega0 = int omega^2 = (15/16)^2 * 256/315 = 5/7 for the quartic bump: the
-# front's default, which needs no kernel layer.
-QUARTIC_OMEGA0 = 5.0 / 7.0
+# omega0 = int omega^2 of each kernel, read by the front with no kernel layer:
+# (15/16)^2 * 256/315 = 5/7, and the exponential bump's quadrature value.
+OMEGA0 = {QUARTIC: 5.0 / 7.0, EXPONENTIAL: 0.6751168130096972}
 
 _ALIASES = {
     QUARTIC: QUARTIC,
@@ -70,11 +70,11 @@ def check_eps_grid(eps_grid) -> tuple[float, ...]:
 
 
 def check_k(k) -> float:
-    """``k`` as a float; ValueError unless it is finite and >= 0."""
+    """``k`` as a float, -0.0 as 0.0; ValueError unless it is finite and >= 0."""
     k = float(k)
     if not (math.isfinite(k) and k >= 0.0):
         raise ValueError(f"k must be finite and nonnegative, got {k!r}")
-    return k
+    return k + 0.0
 
 
 def linear_grid(start: float, stop: float, num: int) -> list[float]:

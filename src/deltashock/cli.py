@@ -32,9 +32,8 @@ imports the package modules it computes with, and :func:`main` imports
 numpy just before it runs ``verify-expansions`` or ``verify-solution``,
 the two that compute with numpy, so ``--help``, a usage error, a config
 error, ``riemann``, ``front``, ``k-limit`` and ``sweep``, which compute on
-Python floats, run without it.  Only ``front`` with a kernel other than
-the quartic loads the kernel layer, and numpy with it, for that kernel's
-omega0.
+Python floats, run without it.  ``front`` reads its kernel's omega0 from
+the package root, so it loads no kernel layer on any kernel.
 """
 
 import argparse
@@ -42,7 +41,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import QUARTIC, QUARTIC_OMEGA0, linear_grid
+from . import OMEGA0, linear_grid
 from .config import ConfigError, RunConfig, load_config, sweep_table
 
 EXIT_OK = 0
@@ -156,13 +155,7 @@ def cmd_front(cfg: RunConfig, out: Path, fmt: str) -> int:
     from .tables import write_table
 
     data = cfg.jump_data()
-    if cfg.kernel_kind == QUARTIC:
-        omega0 = QUARTIC_OMEGA0
-    else:
-        from .kernels import make_kernel
-
-        omega0 = make_kernel(cfg.kernel_kind).omega0
-    traj = _front(data, omega0, cfg.t_max)
+    traj = _front(data, OMEGA0[cfg.kernel_kind], cfg.t_max)
     _check_rows(cfg.t_points, "[grid] t_points")
     write_table(trajectory_columns(traj, linear_grid(0.0, cfg.t_max, cfg.t_points)),
                 ["t", "phi", "e", "re_p", "im_p"], out / "front", fmt)

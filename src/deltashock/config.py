@@ -13,7 +13,8 @@ spells out the built-in defaults.  The plateau override c applies to
 ``verify-expansions`` and ``verify-solution``.
 
 Validation rules: every section and key must be one of those above;
-every number must be finite; k >= 0; t_max > 0; t_points >= 2; the eps
+every number must be finite; k passes :func:`deltashock.check_k`, which
+reads -0.0 as 0.0; t_max > 0; t_points >= 2; the eps
 grid is listed or of powers, not both, with at least 4 positive,
 strictly decreasing values (so eps_pow_max >= eps_pow_min + 3, and
 eps_pow_min >= -1023: 2^1024 overflows); [klimit] ks holds at least 2
@@ -92,14 +93,20 @@ def _number(raw, where):
     return val
 
 
-def _bounded(rule):
-    """A reader of numbers that are ``rule``: "positive" (> 0) or "nonnegative" (>= 0)."""
-    def read(raw, where):
-        val = _number(raw, where)
-        if val < 0.0 or val == 0.0 and rule == "positive":
-            raise ConfigError(f"{where} must be {rule}")
-        return val
-    return read
+def _positive(raw, where):
+    val = _number(raw, where)
+    if val <= 0.0:
+        raise ConfigError(f"{where} must be positive")
+    return val
+
+
+def _k(raw, where):
+    """A number that passes :func:`deltashock.check_k`, as that returns it."""
+    val = _number(raw, where)
+    try:
+        return check_k(val)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _integer(least=-math.inf):
@@ -140,18 +147,14 @@ def sweep_table(k: float) -> str:
 
 
 def _sweep_ks(raw, where):
-    ks = _numbers(raw, where)
-    tables = {}
-    for k in ks:
-        try:
-            check_k(k)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-        name = sweep_table(k)
-        if name in tables:
-            raise ConfigError(f"{where} {tables[name]!r} and {k!r} share the table name {name}")
-        tables[name] = k
-    return ks
+    ks, listed = [], {}  # the ks read, and each table name's k as listed
+    for k in _numbers(raw, where):
+        ks.append(_k(k, where))
+        name = sweep_table(ks[-1])
+        if name in listed:
+            raise ConfigError(f"{where} {listed[name]!r} and {k!r} share the table name {name}")
+        listed[name] = k
+    return tuple(ks)
 
 
 def _kind(raw, where):
@@ -169,16 +172,16 @@ _TABLE = {
     ("data", "sigma0"): ("sigma0", _number),
     ("data", "sigma1"): ("sigma1", _number),
     ("data", "e0"): ("e0", _number),
-    ("data", "k"): ("k", _bounded("nonnegative")),
+    ("data", "k"): ("k", _k),
     ("grid", "eps_pow_min"): ("eps_pow_min", _integer(-1023)),
     ("grid", "eps_pow_max"): ("eps_pow_max", _integer()),
     ("grid", "eps"): ("eps_grid", _numbers),
-    ("grid", "t_max"): ("t_max", _bounded("positive")),
+    ("grid", "t_max"): ("t_max", _positive),
     ("grid", "t_points"): ("t_points", _integer(2)),
     ("kernel", "kind"): ("kernel_kind", _kind),
     ("kernel", "c"): ("c", _number),
     ("klimit", "ks"): ("klimit_ks", _ks),
-    ("klimit", "t"): ("klimit_t", _bounded("positive")),
+    ("klimit", "t"): ("klimit_t", _positive),
     ("riemann", "xi_min"): ("xi_min", _number),
     ("riemann", "xi_max"): ("xi_max", _number),
     ("riemann", "xi_points"): ("xi_points", _integer(2)),

@@ -14,8 +14,8 @@ with nonnegative imaginary part while e < 0).  In the shock case
 off the primitive table.  A numerical ODE integration and the Volpert
 jump relations are test oracles only.  :func:`volpert_product_pairing`
 alone needs :mod:`deltashock.kernels`, and imports it when run:
-:func:`solve_front`'s default omega0, the quartic kernel's, is a constant
-of the package root.
+:func:`solve_front`'s default omega0, the quartic kernel's, is read from
+the package root's table.
 
 The jump data, rates, admissibility and margins are Python float
 arithmetic, and so is :func:`trajectory_columns`, the front's table, so
@@ -27,7 +27,7 @@ evaluators compute with numpy; they import it when run.
 import math
 from typing import NamedTuple
 
-from . import QUARTIC_OMEGA0, check_k
+from . import OMEGA0, QUARTIC, check_k
 
 __all__ = [
     "DegenerateDataError",
@@ -225,7 +225,7 @@ class LinearTrajectory(NamedTuple):
         return self.phi(t), self.e(t), self.p(t), self.p_dot(t)
 
 
-def solve_front(data: RiemannJumpData, omega0: float = QUARTIC_OMEGA0) -> FrontTrajectory:
+def solve_front(data: RiemannJumpData, omega0: float = OMEGA0[QUARTIC]) -> FrontTrajectory:
     """Closed-form trajectory through phi(0) = 0, e(0) = e0.
 
     ``omega0`` defaults to the quartic kernel's; a front for any other

@@ -35,12 +35,13 @@ profiles need every panel of 16 nodes at every eps: one rung.
 
 The package's one quadrature rule, composite Gauss-Legendre from
 :func:`band_quadrature`, lives here: every pairing, the primitive tables
-and the exponential kernel's mass, omega0 and antiderivative use it, on
-16 nodes a panel but for the quartic table's 10.  Its nodes are literals
-and the Chebyshev fit is made on first use, so only the exponential
-kernel loads ``numpy.polynomial``.  The default time grid lives here
-too; the kernel kinds, the quartic kernel's omega0 and the eps grid
-rules live in the package root.
+and the exponential kernel's antiderivative use it, on 16 nodes a panel
+but for the quartic table's 10.  Its nodes are literals and the Chebyshev
+fit is made on first use, so only a run that evaluates the exponential
+kernel's CDF loads ``numpy.polynomial``.  Each kernel's normalization
+lives here and its omega0 in the package root, both literals, so
+:func:`make_kernel` is a lookup.  The default time grid lives here too;
+the kernel kinds and the eps grid rules live in the package root.
 """
 
 import math
@@ -50,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import EXPONENTIAL, QUARTIC, QUARTIC_OMEGA0, canonical_kind, linear_grid
+from . import EXPONENTIAL, KERNEL_KINDS, OMEGA0, QUARTIC, canonical_kind, linear_grid
 
 __all__ = [
     "QUARTIC",
@@ -75,9 +76,11 @@ __all__ = [
     "default_t_grid",
 ]
 
-# Unit-mass constant for the quartic bump: integral of (1-x^2)^2 over
-# (-1, 1) is 16/15.
-_QUARTIC_NORM = 15.0 / 16.0
+# Unit-mass constant of each kernel: 15/16 for the quartic bump, whose
+# (1-x^2)^2 has integral 16/15 over (-1, 1), and 1/mass for the exponential
+# bump, its mass by :func:`band_quadrature` cut at the CDF's fit points,
+# within 1e-15 of a 40-digit mpmath quadrature.
+_NORMALIZATION = {QUARTIC: 15.0 / 16.0, EXPONENTIAL: 2.2522836210435804}
 
 _CDF_CHEB_DEGREE = 128
 
@@ -129,8 +132,8 @@ class MollifierKernel(NamedTuple):
     ``normalization`` is the multiplicative constant making the mass one
     and ``omega0`` is the integral of the squared kernel.  For the quartic
     bump both are exact rationals; for the exponential bump they are
-    computed once with :func:`band_quadrature`, in the same pass that
-    samples its antiderivative, and cached.
+    literals, the values :func:`band_quadrature` gives, so they do not
+    depend on the host's ``exp``.
     """
 
     kind: str
@@ -169,9 +172,9 @@ class MollifierKernel(NamedTuple):
         out[hi] = 1.0
         ym = y[mid]
         if self.kind == QUARTIC:
-            out[mid] = 0.5 + _QUARTIC_NORM * (ym - 2.0 * ym**3 / 3.0 + ym**5 / 5.0)
+            out[mid] = 0.5 + self.normalization * (ym - 2.0 * ym**3 / 3.0 + ym**5 / 5.0)
         else:
-            out[mid] = np.clip(_exp_fit()[2](ym), 0.0, 1.0)
+            out[mid] = np.clip(_exp_fit()(ym), 0.0, 1.0)
         return out
 
 
@@ -214,36 +217,30 @@ def exp_bump_dy(y, scale=1.0, lift=0.0):
 
 @lru_cache(maxsize=1)
 def _exp_fit():
-    """Normalization, omega0 and the Chebyshev fit of the CDF, exponential bump.
+    """The Chebyshev fit of the exponential bump's CDF.
 
     One pass of :func:`band_quadrature` cut at the Chebyshev fit points:
-    the running sum of the per-subinterval integrals is the unnormalized
-    CDF at every fit point and its last value is the mass.  The samples
-    are exact to rounding, so the fit is limited by the interpolant.
+    the running sum of the per-subinterval integrals, times the
+    normalization, is the CDF at every fit point.  The samples are exact
+    to rounding, so the fit is limited by the interpolant.
     """
     deg = _CDF_CHEB_DEGREE
     # Chebyshev points of the second kind on [-1, 1], ascending.
     pts = np.cos(np.pi * np.arange(deg + 1) / deg)[::-1]
     y, w = band_quadrature(-1.0, 1.0, pts)
-    f = exp_bump(y)
-    cum = np.concatenate(([0.0], np.cumsum((w * f).reshape(deg, -1).sum(axis=1))))
-    norm = 1.0 / float(cum[-1])
-    omega0 = float(np.sum(w * (norm * f) ** 2))
-    return norm, omega0, np.polynomial.Chebyshev.fit(pts, norm * cum, deg,
-                                                     domain=[-1.0, 1.0])
+    cum = np.concatenate(([0.0], np.cumsum((w * exp_bump(y)).reshape(deg, -1).sum(axis=1))))
+    return np.polynomial.Chebyshev.fit(pts, _NORMALIZATION[EXPONENTIAL] * cum, deg,
+                                       domain=[-1.0, 1.0])
 
 
-@lru_cache(maxsize=None)
-def _kernel_for(canonical: str) -> MollifierKernel:
-    if canonical == QUARTIC:
-        return MollifierKernel(QUARTIC, _QUARTIC_NORM, QUARTIC_OMEGA0)
-    norm, omega0, _ = _exp_fit()
-    return MollifierKernel(EXPONENTIAL, norm, omega0)
+# One instance of each kernel, returned for its kind and its alias alike.
+_KERNELS = {kind: MollifierKernel(kind, _NORMALIZATION[kind], OMEGA0[kind])
+            for kind in KERNEL_KINDS}
 
 
 def make_kernel(kind: str) -> MollifierKernel:
-    """Build a kernel of the requested family with its constants cached."""
-    return _kernel_for(canonical_kind(kind))
+    """The kernel of the requested family: one instance per canonical kind."""
+    return _KERNELS[canonical_kind(kind)]
 
 
 def default_t_grid(t_max: float = 1.0, points: int = 33):

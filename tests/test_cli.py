@@ -15,6 +15,7 @@ from deltashock.ansatz import RiemannJumpData
 from deltashock.cli import MAX_ROWS, _check_rows, main
 from deltashock.config import _TABLE, ConfigError, RunConfig, load_config
 from deltashock.riemann import k_limit_gap
+from test_tooling import _exponential_worked
 
 SHIPPED_WORKED = Path(__file__).resolve().parents[1] / "configs" / "worked.ini"
 
@@ -100,6 +101,13 @@ def test_front_degenerate_data_exits_one(tmp_path, capsys):
     assert "u1" in capsys.readouterr().err
 
 
+def test_negative_zero_data_k_reads_as_zero(tmp_path):
+    # [data] k passes the one k rule, deltashock.check_k, as [sweep] ks do:
+    # -0.0 is k = 0, so no report prints k = -0.
+    k = load_config(write(tmp_path, "[data]\nk = -0.0\n")).k
+    assert k == 0.0 and str(k) == "0.0"
+
+
 def test_config_error_exits_two(tmp_path, capsys):
     cfg = write(tmp_path, "[grid]\neps = 0.5, 0.5, 0.25, 0.125\n")
     rc = main(["--config", cfg, "front"])
@@ -112,7 +120,7 @@ def test_config_error_exits_two(tmp_path, capsys):
     ("[grid]\nt_points = nan\n", "front", "t_points"),
     ("[data]\nu1 = nan\n", "front", "u1"),
     ("[grid]\neps = 0.1, 0.05, nan, 0.01\n", "verify-expansions", "eps"),
-    ("[data]\nk = -1\n", "front", "k"),
+    ("[data]\nk = -1\n", "front", "[data] k: k must be finite and nonnegative, got -1.0"),
     ("[grid]\nt_max = -1\n", "verify-solution", "t_max"),
     ("[grid]\nt_max = 0\n", "verify-solution", "t_max"),
     ("[klimit]\nks = 0.1\n", "k-limit", "ks"),
@@ -700,29 +708,32 @@ def test_riemann_table_reaching_the_largest_float_is_finite(tmp_path):
 
 def test_kernel_free_commands_build_no_kernel(tmp_path, capsys, monkeypatch):
     # The front speed, the amplitude rate and the small-k gap are the data's,
-    # and the quartic kernel's omega0 is a constant of the package root: no
-    # kernel enters them, so riemann, k-limit and front on the quartic kernel
-    # build none and print and write what they do with kernels at hand.
+    # and every kernel's omega0 is a constant of the package root: no kernel
+    # enters them, so riemann, k-limit and front on either kernel build none
+    # and print and write what they do with kernels at hand.
     def outputs(name, argv):
         out = tmp_path / name
         rc = main(["--out", str(out), *argv])
         return rc, capsys.readouterr().out, {f.name: f.read_bytes() for f in out.iterdir()}
 
     shipped = SHIPPED_WORKED.parent
-    assert "kind = quartic" in (shipped / "worked.ini").read_text()
+    exponential = _exponential_worked(tmp_path)
     runs = [["--config", str(shipped / "worked.ini"), "riemann"],
             ["--config", str(shipped / "riemann.ini"), "riemann"],
             ["--config", str(shipped / "worked.ini"), "k-limit"],
             ["--config", str(shipped / "worked.ini"), "front"],
-            ["--config", str(shipped / "worked_k0.ini"), "--format", "json", "front"]]
+            ["--config", str(shipped / "worked_k0.ini"), "--format", "json", "front"],
+            ["--config", str(exponential), "front"],
+            ["--config", str(exponential), "--format", "json", "front"]]
     data = RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.1, 0.1)
     expected = [outputs(f"ref{i}", argv) for i, argv in enumerate(runs)]
     gap = k_limit_gap(data, 0.05, 1.0)
 
-    def no_kernel(kind):
-        raise AssertionError(f"built a {kind} kernel")
+    def no_kernel(*args):
+        raise AssertionError(f"built a kernel or its CDF fit: {args}")
 
-    monkeypatch.setattr(kernels, "_kernel_for", no_kernel)
+    monkeypatch.setattr(kernels, "make_kernel", no_kernel)
+    monkeypatch.setattr(kernels, "_exp_fit", no_kernel)
     with pytest.raises(AssertionError):
         kernels.make_kernel(kernels.QUARTIC)
     for i, (argv, want) in enumerate(zip(runs, expected)):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from deltashock import canonical_kind, default_eps_grid, linear_grid
+from deltashock import OMEGA0, canonical_kind, default_eps_grid, linear_grid
 from deltashock.ansatz import RiemannJumpData, SmoothAnsatz
 from deltashock.dynamics import LinearTrajectory, solve_front, volpert_product_pairing
 from deltashock.kernels import (
@@ -108,12 +108,15 @@ def test_omega0_quartic_closed_form(quartic):
 
 
 def test_omega0_exponential_cached_quadrature(exponential):
+    # omega0 is the package root's literal, the kernel layer's quadrature
+    # value, and scipy's adaptive quadrature of the squared bump agrees.
+    assert exponential.omega0 == OMEGA0[EXPONENTIAL]
     by_quad, _ = quad(lambda x: exponential.value(x) ** 2, -1, 1,
                       epsabs=1e-14, limit=200)
     assert abs(by_quad - exponential.omega0) < 1e-12
     assert exponential.omega0 > 0.0
-    # same cached instance on repeated construction
-    assert make_kernel("exponential") is exponential
+    # one instance per kind, by name or alias
+    assert make_kernel("exponential") is exponential is make_kernel(EXPONENTIAL)
 
 
 def test_exponential_constants_match_mpmath_to_rounding(exponential):

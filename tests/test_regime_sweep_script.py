@@ -85,6 +85,24 @@ def test_tables_are_bytes_csv_writer_writes(tmp_path):
         assert (out / f"regimes_k{tag}.csv").read_bytes() == want.encode()
 
 
+def test_negative_zero_k_is_k_zero(tmp_path, capsys):
+    # -0.0 used to name its own table, regimes_k-0, with a -0.0 k column and
+    # a "k = -0" line: it is the one k = 0, in its table, column and line.
+    runs = []
+    for ks in ("-0.0", "0"):
+        out = tmp_path / ks
+        rc = main([*_config(tmp_path, f"[sweep]\nn = 5\nks = {ks}\n"), "--out", str(out),
+                   "sweep"])
+        runs.append((rc, capsys.readouterr(), {f.name: f.read_bytes() for f in out.iterdir()}))
+    (rc, captured, tables), zero = runs
+    assert rc == 0 and not captured.err
+    assert captured.out.startswith("k = 0: ")
+    assert list(tables) == ["regimes_k0.csv"]
+    rows = list(csv.reader(io.StringIO(tables["regimes_k0.csv"].decode())))[1:]
+    assert {row[2] for row in rows} == {"0.0"}
+    assert runs[0] == zero
+
+
 def test_csv_text_keeps_the_sign_of_zero(tmp_path):
     # 0.0 and -0.0 are equal dict keys with different text; repeats of a
     # value are read from the writer's cache.
@@ -144,8 +162,10 @@ def test_sweep_loads_only_the_modules_it_computes_with(tmp_path):
     ("n = 0", "[sweep] n must be at least 1"),
     ("ks = 0.1, 0.10000001", "0.1 and 0.10000001 share the table name regimes_k0p1"),
     ("ks = 0.5, 1, 0.5", "0.5 and 0.5 share the table name regimes_k0p5"),
+    # -0.0 is k = 0, whose table regimes_k0 is listed first
+    ("ks = 0, -0.0", "[sweep] ks 0.0 and -0.0 share the table name regimes_k0"),
 ], ids=["k-negative", "k-nan", "k-inf", "second-k-negative", "n-negative", "n-zero",
-        "ks-same-name", "ks-duplicate"])
+        "ks-same-name", "ks-duplicate", "ks-signed-zero"])
 def test_bad_input_exits_two_with_one_line(tmp_path, capsys, text, message):
     out = tmp_path / "sweep"
     rc = main([*_config(tmp_path, f"[sweep]\n{text}\n"), "--out", str(out), "sweep"])

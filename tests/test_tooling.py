@@ -342,6 +342,58 @@ def test_every_kernel_dependent_call_names_its_kernel():
             assert not bare, (path.name, bare)
 
 
+# Outside kernels, the statements that may name a kernel kind: the root's
+# kind tables and config's record, whose default kind is the quartic.
+_KIND_TABLES = {"__init__": {"QUARTIC", "EXPONENTIAL", "KERNEL_KINDS", "OMEGA0", "_ALIASES"},
+                "config": {"RunConfig"}}
+
+
+def _kind_uses(tree, tables) -> list[tuple[int, str]]:
+    """(line, "branch" or "name") of each comparison or branch test in
+    ``tree`` that involves a kernel kind or a config's kind, and of each
+    kernel kind named outside the statements defining ``tables`` other than
+    as a key of the root's omega0 table."""
+    def kind(node):
+        return (isinstance(node, ast.Name) and node.id in ("QUARTIC", "EXPONENTIAL")
+                or isinstance(node, ast.Attribute) and node.attr == "kernel_kind"
+                or isinstance(node, ast.Constant) and node.value in deltashock._ALIASES)
+
+    tested = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Compare, ast.BoolOp)):
+            tested.append(node)
+        elif isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert)):
+            tested.append(node.test)
+        elif isinstance(node, ast.comprehension):
+            tested += node.ifs
+        elif isinstance(node, ast.Match):
+            tested.append(node.subject)
+    uses = {(inner.lineno, "branch") for test in tested for inner in ast.walk(test) if kind(inner)}
+    allowed = set()
+    for node in tree.body:
+        targets = ([node.name] if isinstance(node, ast.ClassDef)
+                   else [t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)])
+        if tables & set(targets):
+            allowed |= {id(inner) for inner in ast.walk(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "OMEGA0":
+            allowed.add(id(node.slice))
+    uses |= {(node.lineno, "name") for node in ast.walk(tree)
+             if kind(node) and not isinstance(node, ast.Attribute) and id(node) not in allowed}
+    return sorted(uses)
+
+
+def test_only_kernels_branches_on_a_kernel_kind():
+    # Each kernel's constants are entries of per-kind tables, so no module
+    # but kernels compares a kind or branches on one: front reads its
+    # kernel's omega0 from the root's table on every kernel, and a new kind
+    # is a row of the tables, not a branch in the command line.
+    found = {path.stem: uses for path in sorted(PACKAGE.glob("*.py")) if path.stem != "kernels"
+             if (uses := _kind_uses(ast.parse(path.read_text()),
+                                    _KIND_TABLES.get(path.stem, set())))}
+    assert not found
+
+
 def test_every_test_function_comes_from_the_suite_rule():
     # default_test_suite is the one rule that places test functions: the
     # only TestFunction calls in the package and the scripts are its own.
@@ -544,7 +596,7 @@ def _fresh_command(tmp_path, config, command):
 def test_each_command_loads_only_the_modules_it_computes_with(tmp_path, config,
                                                               command, modules):
     # The cli benchmark times fresh processes, so a subcommand pays for every
-    # module it loads: riemann, front, k-limit and sweep, on the quartic kernel,
+    # module it loads: riemann, front, k-limit and sweep, on either kernel,
     # load neither numpy (about 135 ms) nor the kernel layer, only the two
     # verify subcommands compute with numpy, and only verify-solution loads
     # the ansatz.  On the quartic kernel no command loads
@@ -668,20 +720,19 @@ def test_only_the_exponential_kernel_loads_numpy_polynomial(tmp_path):
     assert polynomial
 
 
-def test_front_on_the_exponential_kernel_loads_kernels_and_numpy(tmp_path):
-    # Only the quartic omega0 is a constant of the package root; the
-    # exponential kernel's is its quadrature's, so front builds that kernel.
+def test_front_on_the_exponential_kernel_loads_no_kernel_and_no_numpy(tmp_path):
+    # Every kernel's omega0 is a literal of the package root, so front on
+    # the exponential kernel loads what it loads on the quartic kernel.
     loaded, numpy, polynomial, dataclasses, random = _fresh_command(
         tmp_path, _exponential_worked(tmp_path), "front")
-    assert loaded == sorted(_CLI_LOADS + [f"deltashock.{m}"
-                                          for m in _COMMAND_LOADS["front"] + ["kernels"]])
-    assert numpy and polynomial and not dataclasses and not random
+    assert loaded == sorted(_CLI_LOADS + [f"deltashock.{m}" for m in _COMMAND_LOADS["front"]])
+    assert not (numpy or polynomial or dataclasses or random)
 
 
 @pytest.mark.parametrize("config,argv", [
     ("riemann", ["riemann"]), ("worked", ["front"]), ("worked", ["--format", "json", "front"]),
-    ("worked", ["k-limit"]), (None, ["sweep"])], ids=["riemann", "front", "front-json",
-                                                  "k-limit", "sweep"])
+    ("worked", ["k-limit"]), (None, ["sweep"]), ("exponential", ["front"])],
+    ids=["riemann", "front", "front-json", "k-limit", "sweep", "front-exponential"])
 def test_float_runs_need_no_site_packages(tmp_path, config, argv):
     # Under ``python -S`` no site-packages directory is on the path, so numpy
     # cannot load: the runs that compute on Python floats exit 0 there, and
@@ -691,7 +742,9 @@ def test_float_runs_need_no_site_packages(tmp_path, config, argv):
     assert subprocess.run([sys.executable, "-S", "-c", "import numpy"], env=env,
                           capture_output=True, timeout=120).returncode != 0
     command = ["-m", "deltashock", *argv]
-    if config is not None:
+    if config == "exponential":
+        command += ["--config", str(_exponential_worked(tmp_path))]
+    elif config is not None:
         command += ["--config", str(ROOT / "configs" / f"{config}.ini")]
     runs = []
     for flags in ([], ["-S"]):
