@@ -62,13 +62,6 @@ MAX_SWEEP_POINTS = 2**22
 _NUMPY_COMMANDS = ("verify-expansions", "verify-solution")
 
 
-def _write_json(obj, path: Path) -> None:
-    import json
-
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
-
-
 def _plateau(cfg: RunConfig) -> tuple[float, str | None]:
     """The plateau c of a run, ``[kernel] c`` or else the data's, and a note
     line when the data define no plateau (u1 = 0) or the configured c differs
@@ -114,7 +107,7 @@ def _front(data, omega0: float, t_max: float):
 def cmd_verify_expansions(cfg: RunConfig, out: Path, fmt: str) -> int:
     from .kernels import make_kernel
     from .pairing import check_lemma_grid, verify_lemma31
-    from .tables import write_table
+    from .tables import write_json, write_table
 
     try:
         check_lemma_grid(cfg.eps_grid)
@@ -130,7 +123,7 @@ def cmd_verify_expansions(cfg: RunConfig, out: Path, fmt: str) -> int:
                         ["epsilon", "value", "abs-error-vs-limit"],
                         out / f"lemma31_{rep.name}_{channel}", fmt)
     passed = all(r.passed for r in reports)
-    _write_json({
+    write_json({
         "kernel": kernel.kind,
         "omega0": kernel.omega0,
         "c": c,
@@ -170,6 +163,7 @@ def cmd_verify_solution(cfg: RunConfig, out: Path, fmt: str) -> int:
     from .ansatz import SmoothAnsatz
     from .dynamics import overcompressivity
     from .kernels import default_t_grid, make_kernel
+    from .tables import write_json
     from .verifier import verify_weak_solution
 
     data = cfg.jump_data()
@@ -187,7 +181,7 @@ def cmd_verify_solution(cfg: RunConfig, out: Path, fmt: str) -> int:
     report = verify_weak_solution(ansatz, data.k,
                                   t_grid=default_t_grid(cfg.t_max, cfg.t_points),
                                   eps_grid=cfg.eps_grid)
-    _write_json(report.to_json_dict(), out / "residual_report.json")
+    write_json(report.to_json_dict(), out / "residual_report.json")
     if note:
         print(note)
     print(report.summary_line())
@@ -298,8 +292,8 @@ def cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> int:
     # The table columns; rows run over u1, then sigma1, as the grid does.
     u1_column = [u1 for u1 in u1s for _ in s1s]
     s1_column = s1s * len(u1s)
-    for k, codes in zip(ks, grids):
-        regimes = [REGIMES[code] for row in codes for code in row]
+    for k, grid in zip(ks, grids):
+        regimes = [regime for row in grid for regime in row]
         write_table([u1_column, s1_column, [k] * len(regimes), regimes],
                     ["u1", "sigma1", "k", "regime"], out / sweep_table(k), fmt)
         print(f"k = {k:g}: " + ", ".join(f"{r}={count}" for r in sorted(REGIMES)

@@ -67,17 +67,16 @@ class RiemannJumpData(_JumpFields):
     (u0 + u1, sigma0 + sigma1) and the right states (u0, sigma0).  ``e0``
     is the initial amplitude of the point mass in the stress, ``k`` the
     system parameter (k = 0 selects the degenerate system).  Construction
-    rejects a k that is not finite and >= 0 (:func:`deltashock.check_k`,
-    the one k rule); ``_replace`` and ``_make`` bypass that check, so the
-    package builds data by calling the class.
+    keeps the k that :func:`deltashock.check_k`, the one k rule, returns: a
+    float, -0.0 as 0.0, and ValueError unless it is finite and >= 0.
+    ``_replace`` and ``_make`` bypass that check, so the package builds
+    data by calling the class.
     """
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        check_k(self.k)
-        return self
+    def __new__(cls, u0, u1, sigma0, sigma1, e0=0.0, k=0.0):
+        return super().__new__(cls, u0, u1, sigma0, sigma1, e0, check_k(k))
 
     @property
     def left_state(self) -> tuple[float, float]:

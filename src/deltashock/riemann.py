@@ -14,13 +14,13 @@ One decision on Python floats answers each jump: the window test, then
 the construction of the intermediate state and both waves, and its
 ordering test.  ``solve`` runs it once per jump, and ``regime_sweep`` at
 every point of a (u1, sigma1) grid per k, returning nested lists of
-regime codes, indices into ``REGIMES``: every code names the per-point
-``solve`` answer.  ``eval_riemann`` tabulates a classical solution's
-values and regions in one pass.  No numpy enters: the values are floats
-and lists, and a state, an intermediate state, a wave speed or a
-tabulated value out of float range raises instead of turning inf or
-nan.  ``k_limit_gap`` compares the singular solutions at k and at 0 by
-their point masses, on Python floats too.
+regime names, each the per-point ``solve`` answer's ``regime``.
+``eval_riemann`` tabulates a classical solution's values and regions in
+one pass.  No numpy enters: the values are floats and lists, and a
+state, an intermediate state, a wave speed or a tabulated value out of
+float range raises instead of turning inf or nan.  ``k_limit_gap``
+compares the singular solutions at k and at 0 by their point masses, on
+Python floats too.
 """
 
 import math
@@ -54,9 +54,8 @@ __all__ = [
 CLASSICAL = "classical"
 DELTA_REGIME = "delta-shock-regime"
 NO_SOLUTION = "no-solution-constructed"
-# The regimes that the codes of :func:`regime_sweep` index.
+# Every regime :func:`solve` and :func:`regime_sweep` answer, in order.
 REGIMES = (CLASSICAL, DELTA_REGIME, NO_SOLUTION)
-_CLASSICAL_CODE, _DELTA_CODE, _NO_SOLUTION_CODE = range(len(REGIMES))
 
 # Waves with velocity strength below this are treated as absent, keeping
 # the classification stable under perturbations at rounding level.
@@ -101,25 +100,22 @@ class RiemannSolution(NamedTuple):
     wave2: Wave | None = None
 
 
-_KINDS = ("none", "rarefaction", "shock")
-
-
-def _wave(back: float, ahead: float, c: float, absent: float) -> tuple[int, float, float]:
-    """Kind code (into ``_KINDS``), slowest and fastest speed of the wave
-    from velocity ``back`` to ``ahead`` whose characteristics run at u + c.
-    A speed is a mean or a sum of finite values, which may still round past
-    the float range: OverflowError names the wave then."""
+def _wave(back: float, ahead: float, c: float, absent: float) -> tuple[str, float, float]:
+    """Kind ("none", "rarefaction" or "shock"), slowest and fastest speed
+    of the wave from velocity ``back`` to ``ahead`` whose characteristics
+    run at u + c.  A speed is a mean or a sum of finite values, which may
+    still round past the float range: OverflowError names the wave then."""
     if abs(ahead - back) <= ZERO_STRENGTH_TOL:
-        return 0, absent, absent
+        return "none", absent, absent
     if ahead > back:
         slowest, fastest = back + c, ahead + c
         if _NEG_INF < slowest <= fastest < _INF:
-            return 1, slowest, fastest
+            return "rarefaction", slowest, fastest
         what = "rarefaction fan"
     else:
         shock = 0.5 * (back + ahead) + c
         if _NEG_INF < shock < _INF:
-            return 2, shock, shock
+            return "shock", shock, shock
         what = "shock speed"
     raise OverflowError(f"wave {1 if absent < 0.0 else 2} {what}")
 
@@ -144,7 +140,7 @@ def _construct(left_u: float, left_sigma: float, right_u: float, right_sigma: fl
 
 def _decide(left_u: float, left_sigma: float, right_u: float, right_sigma: float,
             k: float):
-    """The regime code of the jump from finite left to right states at
+    """The regime of the jump from finite left to right states at
     k >= 0, and its classical construction where one is built, else None.
 
     Data in the overcompressive window is the singular-front regime; at
@@ -154,12 +150,12 @@ def _decide(left_u: float, left_sigma: float, right_u: float, right_sigma: float
     """
     m1, m2, m3 = overcompressivity_margins(left_u - right_u, left_sigma - right_sigma, k)
     if m1 > 0.0 and m2 > 0.0 and m3 > 0.0:
-        return _DELTA_CODE, None
+        return DELTA_REGIME, None
     if k == 0.0:
-        return _NO_SOLUTION_CODE, None
+        return NO_SOLUTION, None
     built = _construct(left_u, left_sigma, right_u, right_sigma, k)
     ordered = built[2][2] <= built[3][1] + 1e-12
-    return (_CLASSICAL_CODE if ordered else _NO_SOLUTION_CODE), built
+    return (CLASSICAL if ordered else NO_SOLUTION), built
 
 
 def solve(left: State, right: State, k: float) -> RiemannSolution:
@@ -173,17 +169,16 @@ def solve(left: State, right: State, k: float) -> RiemannSolution:
     if not all(map(math.isfinite, (*left, *right))):
         raise ValueError(f"states must be finite, got left={left}, right={right}")
     try:
-        code, built = _decide(float(left.u), float(left.sigma), float(right.u),
-                              float(right.sigma), k)
+        regime, built = _decide(float(left.u), float(left.sigma), float(right.u),
+                                float(right.sigma), k)
     except OverflowError as exc:
         raise OverflowError(f"{exc} is out of float range for left={left}, right={right}, "
                             f"k={k!r}") from None
     if built is None:
-        return RiemannSolution(left, right, k, REGIMES[code])
-    u_star, sigma_star, *waves = built
-    w1, w2 = (Wave(family, _KINDS[kind], slowest, fastest)
-              for family, (kind, slowest, fastest) in zip((1, 2), waves))
-    return RiemannSolution(left, right, k, REGIMES[code], u_star, sigma_star, w1, w2)
+        return RiemannSolution(left, right, k, regime)
+    u_star, sigma_star, wave1, wave2 = built
+    return RiemannSolution(left, right, k, regime, u_star, sigma_star, Wave(1, *wave1),
+                           Wave(2, *wave2))
 
 
 def eval_riemann(solution: RiemannSolution, xs, t: float = 1.0):
@@ -278,11 +273,11 @@ def k_limit_gap(data: RiemannJumpData, k: float, t: float,
 
 
 def regime_sweep(u1_values, sigma1_values, k_values,
-                 u0: float = 0.0, sigma0: float = 0.0) -> list[list[list[int]]]:
-    """Regime codes over a grid of jumps, for phase diagrams.
+                 u0: float = 0.0, sigma0: float = 0.0) -> list[list[list[str]]]:
+    """Regime names over a grid of jumps, for phase diagrams.
 
     Entry ``[i][j][l]`` of the nested lists, of lengths len(k_values),
-    len(u1_values) and len(sigma1_values), indexes :data:`REGIMES` with
+    len(u1_values) and len(sigma1_values), is the :data:`REGIMES` element
     ``solve(State(u0 + u1, sigma0 + sigma1), State(u0, sigma0), k).regime``
     for the jump (u1_values[j], sigma1_values[l]) at k = k_values[i]: each
     point runs :func:`solve`'s one decision.  Raises ValueError for a k
@@ -290,7 +285,7 @@ def regime_sweep(u1_values, sigma1_values, k_values,
     background state, for a left state u0 + u1 or sigma0 + sigma1 out of
     float range, and for a jump whose intermediate state or wave speed
     leaves the float range (a tiny or huge k), each of which :func:`solve`
-    rejects: the grid is rejected, not coded.
+    rejects: the grid is rejected whole.
     """
     ks = [check_k(k) for k in k_values]
     u1s = [float(u1) for u1 in u1_values]
@@ -306,7 +301,7 @@ def regime_sweep(u1_values, sigma1_values, k_values,
             if not math.isfinite(left):
                 raise ValueError(f"the left state {name}0 + {name}1 = {background!r} + "
                                  f"{jump!r} is out of float range")
-    codes = []
+    regimes = []
     try:
         for k in ks:
             plane = []
@@ -315,8 +310,8 @@ def regime_sweep(u1_values, sigma1_values, k_values,
                 for s1, left_sigma in zip(s1s, left_sigmas):
                     row.append(_decide(left_u, left_sigma, u0, sigma0, k)[0])
                 plane.append(row)
-            codes.append(plane)
+            regimes.append(plane)
     except OverflowError as exc:
         raise ValueError(f"at k={k!r} the {exc} of the jump u1={u1!r}, sigma1={s1!r} is out "
                          "of float range") from None
-    return codes
+    return regimes

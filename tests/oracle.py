@@ -21,11 +21,9 @@ from deltashock.ansatz import Front, RiemannJumpData, SmoothAnsatz
 from deltashock.kernels import exp_bump, exp_bump_dy
 from deltashock.pairing import PLAIN_BUMP, Piecewise, TestFunction, pair
 from deltashock.riemann import (
-    _KINDS,
     CLASSICAL,
     DELTA_REGIME,
     NO_SOLUTION,
-    REGIMES,
     RiemannSolution,
     State,
     Wave,
@@ -109,9 +107,8 @@ def classify_waves(left: State, right: State, k: float) -> RiemannSolution:
     """
     if k <= 0.0:
         raise ValueError("classical wave curves need k > 0")
-    u_star, sigma_star, *waves = _construct(*map(float, (*left, *right, k)))
-    w1, w2 = (Wave(family, _KINDS[kind], slowest, fastest)
-              for family, (kind, slowest, fastest) in zip((1, 2), waves))
+    u_star, sigma_star, wave1, wave2 = _construct(*map(float, (*left, *right, k)))
+    w1, w2 = Wave(1, *wave1), Wave(2, *wave2)
     regime = CLASSICAL if w1.fastest <= w2.slowest + 1e-12 else NO_SOLUTION
     return RiemannSolution(left, right, float(k), regime, u_star, sigma_star, w1, w2)
 
@@ -123,7 +120,7 @@ def delta_regime_test(left: State, right: State, k: float) -> bool:
     intermediate state or wave speed out of float range raises OverflowError."""
     if k < 0.0:
         raise ValueError("k must be nonnegative")
-    return REGIMES[_decide(*map(float, (*left, *right, k)))[0]] == DELTA_REGIME
+    return _decide(*map(float, (*left, *right, k)))[0] == DELTA_REGIME
 
 
 def deriv(phi_test: TestFunction, x):

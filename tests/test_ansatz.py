@@ -70,6 +70,15 @@ def test_jump_data_states_and_validation():
         RiemannJumpData(0.0, 0.0, 0.0, 1.0).plateau()
 
 
+def test_jump_data_keeps_the_checked_k():
+    # The record keeps what deltashock.check_k returns, as a config's
+    # [data] k does: -0.0 is k = 0, so no report built from it says k=-0.
+    for data in (RiemannJumpData(0.0, 2.0, 0.0, 0.5, 0.1, -0.0),
+                 RiemannJumpData(u0=0.0, u1=2.0, sigma0=0.0, sigma1=0.5, e0=0.1, k=-0.0)):
+        assert str(data.k) == "0.0" and f"k={data.k:g}" == "k=0"
+    assert RiemannJumpData(0.0, 1.0, 0.0, 0.0, 0.0, 1).k.hex() == (1.0).hex()
+
+
 def test_fields_far_from_front(worked_ansatz, worked_data):
     t, eps = 0.6, 0.05
     front = worked_ansatz.front.phi(t)

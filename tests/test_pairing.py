@@ -308,6 +308,18 @@ def test_loglog_slope_keeps_nan_for_kept_eps_of_equal_logs():
     assert math.isnan(fit.order[0]) and fit.residual == (0.0,)
 
 
+def test_loglog_slope_has_the_same_bits_on_every_python():
+    # Every sum is math.fsum: built-in sum, uncompensated before Python 3.12,
+    # gave 0x1.81df238e2cd2cp+1 and 0x1.5ea5a1f0128c5p-6 here on 3.10 and 3.11.
+    eps = [2.0**-j for j in range(3, 13)]
+    fit = fit_loglog_slope(eps, [[e**3 + e**4 for e in eps]], [0.0])
+    assert [v.hex() for v in fit.order + fit.residual] == ["0x1.81df238e2cd2dp+1",
+                                                          "0x1.5ea5a1f012939p-6"]
+    # A y of inf, where inf - inf meets fsum, is still a nan order, not an error.
+    fit = fit_loglog_slope(eps[:3], [[1.0, math.inf, 0.5]], [0.0])
+    assert math.isnan(fit.order[0]) and math.isnan(fit.residual[0])
+
+
 def test_correction_pairing_order_half(quartic, eps_grid):
     # <R, phi> = sqrt(eps) * int omega(y) phi(2 eps + eps y) dy = Theta(sqrt(eps))
     phi = TestFunction(0.0, 1.0)

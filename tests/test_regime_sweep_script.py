@@ -14,7 +14,7 @@ import pytest
 
 from deltashock import cli, riemann
 from deltashock.cli import main
-from deltashock.riemann import DELTA_REGIME, NO_SOLUTION, REGIMES, State, regime_sweep, solve
+from deltashock.riemann import DELTA_REGIME, NO_SOLUTION, State, regime_sweep, solve
 from deltashock.tables import write_table
 from test_tooling import _CLI_LOADS, _COMMAND_LOADS
 
@@ -78,9 +78,9 @@ def test_tables_are_bytes_csv_writer_writes(tmp_path):
     grid = np.linspace(-4.0, 4.0, 17)
     u1s = grid[grid != 0.0]
     for k, tag in ((0.0, "0"), (0.3, "0p3"), (2.0, "2")):
-        codes = regime_sweep(u1s, grid, [k])[0]
-        rows = [(float(u1), float(s1), k, REGIMES[c])
-                for u1, row in zip(u1s, codes) for s1, c in zip(grid, row)]
+        regimes = regime_sweep(u1s, grid, [k])[0]
+        rows = [(float(u1), float(s1), k, regime)
+                for u1, row in zip(u1s, regimes) for s1, regime in zip(grid, row)]
         want = _csv_writer_text([("u1", "sigma1", "k", "regime"), *rows])
         assert (out / f"regimes_k{tag}.csv").read_bytes() == want.encode()
 
@@ -179,7 +179,7 @@ def test_bad_input_exits_two_with_one_line(tmp_path, capsys, text, message):
 
 def test_k_too_small_for_the_intermediate_state_exits_two_with_one_line(tmp_path, capsys):
     # At k = 1e-320 the classical u* of most jumps leaves the float range,
-    # where solve raises: no regime code would name its answer.
+    # where solve raises: no regime would name its answer.
     out = tmp_path / "sweep"
     rc = main([*_config(tmp_path, "[sweep]\nn = 3\nks = 0.5, 1e-320\n"),
                "--out", str(out), "sweep"])

@@ -335,14 +335,14 @@ def test_k_limit_gap_rejects_inadmissible():
 
 
 def _sweep_rows(u1s, s1s, ks, *background):
-    """The sweep's regime codes as rows (u1, sigma1, k, regime): k, then u1,
+    """The sweep's regimes as rows (u1, sigma1, k, regime): k, then u1,
     then sigma1."""
-    codes = regime_sweep(u1s, s1s, ks, *background)
-    assert [[len(row) for row in grid] for grid in codes] == [[len(s1s)] * len(u1s)] * len(ks)
-    assert {type(c) for grid in codes for row in grid for c in row} <= {int}
-    return [(float(u1), float(s1), float(k), REGIMES[c])
-            for k, grid in zip(ks, codes)
-            for u1, row in zip(u1s, grid) for s1, c in zip(s1s, row)]
+    grids = regime_sweep(u1s, s1s, ks, *background)
+    assert [[len(row) for row in grid] for grid in grids] == [[len(s1s)] * len(u1s)] * len(ks)
+    assert {regime for grid in grids for row in grid for regime in row} <= set(REGIMES)
+    return [(float(u1), float(s1), float(k), regime)
+            for k, grid in zip(ks, grids)
+            for u1, row in zip(u1s, grid) for s1, regime in zip(s1s, row)]
 
 
 def test_regime_sweep_rows():
@@ -376,13 +376,21 @@ def test_regime_sweep_matches_per_point_solve(u0, sigma0):
     assert {r[3] for r in rows} == {CLASSICAL, DELTA_REGIME, NO_SOLUTION}
 
 
+def test_regime_sweep_entries_are_the_regime_names():
+    # Each entry is the very string solve answers, not a code standing for it.
+    entries = [regime for grid in regime_sweep(DYADIC, DYADIC, SWEEP_KS)
+               for row in grid for regime in row]
+    assert all(any(regime is name for name in REGIMES) for regime in entries)
+    assert set(entries) == set(REGIMES)
+
+
 @pytest.mark.parametrize("left,right,k", [
     (State(-0.014000000000000012, -1.42), State(-0.857, 0.0), 1.38e-316),
     (State(4.0, 1.0), State(0.0, 0.0), 1e308),
 ], ids=["u-star", "sigma-star"])
 def test_intermediate_state_out_of_float_range_is_rejected(left, right, k):
     # solve raises where the intermediate state leaves the float range, so
-    # no regime code names its answer there: the sweep rejects the grid.
+    # no regime names its answer there: the sweep rejects the grid.
     with pytest.raises(OverflowError, match=r"^intermediate state \(u\*, sigma\*\) is out"):
         solve(left, right, k)
     u1, s1 = left.u - right.u, left.sigma - right.sigma
@@ -497,8 +505,7 @@ def test_small_jumps_are_classical(k, a, b, background):
     u1, sigma1 = a * (k / 2), b * (k * k / 2)
     u0, sigma0 = background
     assert solve(State(u0 + u1, sigma0 + sigma1), State(u0, sigma0), k).regime == CLASSICAL
-    # code 0 indexes REGIMES' classical
-    assert regime_sweep([u1], [sigma1], [k], u0, sigma0) == [[[0]]]
+    assert regime_sweep([u1], [sigma1], [k], u0, sigma0) == [[[CLASSICAL]]]
 
 
 _BAD_KS = [-1.0, -1e-300, np.nan, np.inf, -np.inf]

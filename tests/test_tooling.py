@@ -568,7 +568,8 @@ _COMMAND_LOADS = {
     "riemann": ["dynamics", "riemann", "tables"],
     "k-limit": ["dynamics", "fit", "riemann", "tables"],
     "verify-expansions": ["dynamics", "fit", "kernels", "pairing", "tables"],
-    "verify-solution": ["ansatz", "dynamics", "fit", "kernels", "pairing", "verifier"],
+    "verify-solution": ["ansatz", "dynamics", "fit", "kernels", "pairing", "tables",
+                        "verifier"],
     "sweep": ["dynamics", "riemann", "tables"],
 }
 _NUMPY_COMMANDS = {"verify-expansions", "verify-solution"}
